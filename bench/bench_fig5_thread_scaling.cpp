@@ -4,13 +4,10 @@
 // peak, while the underutilizing baselines keep gaining from SMT
 // oversubscription.
 //
-// The GEMM arm is the triangular SYRK (full LD matrix) and runs under BOTH
-// threading modes — the in-nest work-stealing team (ParallelMode::kNest)
-// and the coarse static row-slab split (kCoarse, the ablation control) —
-// so the scheduling strategies can be compared at every thread count. Each
-// GEMM row carries a "speedup_vs_1t" field (rate relative to the same
-// mode's single-thread run) and, in traced builds, the steal/park/barrier
-// counters of the run.
+// The GEMM arm is the triangular SYRK (full LD matrix) run by the in-nest
+// work-stealing team. Each GEMM row carries a "speedup_vs_1t" field (rate
+// relative to the single-thread run) and, in traced builds, the
+// steal/park/barrier counters of the run.
 #include "baselines/omegaplus_like.hpp"
 #include "baselines/plink_like.hpp"
 #include "bench_common.hpp"
@@ -28,12 +25,10 @@ struct GemmArm {
   trace::TraceSnapshot phases;
 };
 
-GemmArm time_ld_matrix(const BitMatrix& haps, ParallelMode mode,
-                       unsigned threads) {
+GemmArm time_ld_matrix(const BitMatrix& haps, unsigned threads) {
   LdOptions opts;
   opts.stat = LdStatistic::kRSquared;
   opts.gemm.arch = KernelArch::kScalar;
-  opts.parallel = mode;
   GemmArm arm;
   const trace::TraceSnapshot before = trace::snapshot();
   Timer timer;
@@ -84,11 +79,9 @@ int main(int argc, char** argv) {
   const double pairs = static_cast<double>(ld_pair_count(snps));
 
   Table table({"Threads", "PLINK-like LD/s", "OmegaPlus-like LD/s",
-               "GEMM nest LD/s", "GEMM coarse LD/s", "nest x1t",
-               "coarse x1t"});
+               "GEMM nest LD/s", "nest x1t"});
   BenchJson json("fig5_thread_scaling");
   double nest_rate_1t = 0.0;
-  double coarse_rate_1t = 0.0;
   for (const unsigned t : threads) {
     Timer plink_timer;
     (void)plink_like_scan(genos, t);
@@ -98,16 +91,10 @@ int main(int argc, char** argv) {
     (void)omegaplus_like_scan(haps, t);
     const double omega_s = omega_timer.seconds();
 
-    const GemmArm nest = time_ld_matrix(haps, ParallelMode::kNest, t);
-    const GemmArm coarse = time_ld_matrix(haps, ParallelMode::kCoarse, t);
+    const GemmArm nest = time_ld_matrix(haps, t);
     const double nest_rate = pairs / nest.seconds;
-    const double coarse_rate = pairs / coarse.seconds;
-    if (t == 1) {
-      nest_rate_1t = nest_rate;
-      coarse_rate_1t = coarse_rate;
-    }
+    if (t == 1) nest_rate_1t = nest_rate;
     const double nest_speedup = nest_rate / nest_rate_1t;
-    const double coarse_speedup = coarse_rate / coarse_rate_1t;
 
     // Thread count rides in the workload label; shape columns keep the
     // dataset dimensions.
@@ -119,23 +106,16 @@ int main(int argc, char** argv) {
     json.add("gemm-nest" + suffix, kernel_arch_name(KernelArch::kScalar),
              snps, samples, nest.seconds, nest_rate, -1.0, nest.phases);
     json.set_last_speedup(nest_speedup);
-    json.add("gemm-coarse" + suffix, kernel_arch_name(KernelArch::kScalar),
-             snps, samples, coarse.seconds, coarse_rate, -1.0, coarse.phases);
-    json.set_last_speedup(coarse_speedup);
 
     table.add_row({std::to_string(t) + (t > cores ? " (oversub)" : ""),
                    human_rate(pairs / plink_s), human_rate(pairs / omega_s),
-                   human_rate(nest_rate), human_rate(coarse_rate),
-                   fmt_fixed(nest_speedup, 2) + "x",
-                   fmt_fixed(coarse_speedup, 2) + "x"});
+                   human_rate(nest_rate), fmt_fixed(nest_speedup, 2) + "x"});
   }
   std::fputs(table.str().c_str(), stdout);
   std::printf(
       "\npaper shape to verify (multi-core): GEMM LD/s peaks at #physical\n"
       "cores and drops under oversubscription; the baselines continue to\n"
-      "improve past the core count (they underutilize each core). The nest\n"
-      "column should match or beat the coarse column at every thread count\n"
-      "(stealing absorbs the triangle imbalance the static split suffers).\n");
+      "improve past the core count (they underutilize each core).\n");
   const bool json_ok = json.flush();
   const bool trace_ok = finish_trace();
   return (json_ok && trace_ok) ? 0 : 1;

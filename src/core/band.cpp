@@ -5,12 +5,9 @@
 #include <optional>
 
 #include "core/detail/ld_stats_row.hpp"
-#include "core/gemm/count_matrix.hpp"
-#include "core/gemm/macro.hpp"
 #include "core/gemm/nest.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 namespace ldla {
 
@@ -25,87 +22,35 @@ void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
   const detail::StatTables tables = detail::make_stat_tables(g);
   const std::size_t slab = opts.slab_rows;
   const std::size_t max_rows = std::min(slab, n);
-  // A slab of rows [r0, r1) needs columns [max(0, r0 - W), r1).
-  const std::size_t max_cols = std::min(n, max_rows + bandwidth);
+  // A slab of rows [r0, r1) needs columns [max(0, r0 - W), r1). The sum
+  // saturates: a bandwidth near SIZE_MAX means "every column".
+  const std::size_t max_cols =
+      bandwidth >= n - max_rows ? n : max_rows + bandwidth;
 
-  // Team size for the in-nest parallel stripes (1 = sequential nests).
   const unsigned team =
       opts.threads == 0 ? default_thread_count() : opts.threads;
-  const bool nest = opts.parallel == ParallelMode::kNest && team > 1;
-
-  // Pack once for the whole band: consecutive slabs read overlapping
-  // column stripes, which the fresh path re-packed on every slab.
   std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix* packed =
-      resolve_packed(g.view(), opts.gemm, opts.packed, PackSides::kBoth, own,
-                     nest ? team : 1);
+  const PackedBitMatrix& packed = resolve_packed(
+      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
 
   AlignedBuffer<double> values(max_rows * max_cols);
-
-  if (opts.fused && packed != nullptr) {
-    // Fused epilogue: the stripe's count tiles never touch memory — stats
-    // land in the values slab straight from tile scratch. Geometry and
-    // values are bit-identical to the two-pass path. With a team, the nest
-    // driver steals chunks inside each stripe; tiles write disjoint values
-    // windows and `visit` still fires sequentially from this thread.
-    for (std::size_t r0 = 0; r0 < n; r0 += slab) {
-      const std::size_t rows = std::min(slab, n - r0);
-      const std::size_t col_begin = r0 > bandwidth ? r0 - bandwidth : 0;
-      const std::size_t col_end = r0 + rows;
-      const std::size_t cols = col_end - col_begin;
-      const auto sink = [&](const CountTile& t) {
-        LDLA_TRACE_SPAN(kEpilogue);
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          const std::size_t gi = t.row_begin + i;
-          detail::stat_row_shifted(
-              opts.stat, tables, gi, t.col_begin, t.row(i), t.cols,
-              &values[(gi - r0) * cols + (t.col_begin - col_begin)]);
-        }
-        LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
-      };
-      if (nest) {
-        gemm_count_parallel_nest(*packed, r0, r0 + rows, *packed, col_begin,
-                                 col_end, sink, team);
-      } else {
-        gemm_count_fused(*packed, r0, r0 + rows, *packed, col_begin, col_end,
-                         sink);
-      }
-      visit(LdTile{r0, col_begin, rows, cols, values.data(), cols});
-    }
-    return;
-  }
-
-  CountMatrix counts(max_rows, max_cols);
-
   for (std::size_t r0 = 0; r0 < n; r0 += slab) {
     const std::size_t rows = std::min(slab, n - r0);
     const std::size_t col_begin = r0 > bandwidth ? r0 - bandwidth : 0;
     const std::size_t col_end = r0 + rows;
     const std::size_t cols = col_end - col_begin;
     LDLA_ASSERT(rows <= max_rows && cols <= max_cols);
-
-    CountMatrixRef cref{counts.ref().data, rows, cols, max_cols};
-    for (std::size_t i = 0; i < rows; ++i) {
-      std::fill_n(&cref.at(i, 0), cols, 0u);
-    }
-    if (packed != nullptr) {
-      gemm_count_packed(*packed, r0, r0 + rows, *packed, col_begin, col_end,
-                        cref);
-    } else {
-      gemm_count(g.view(r0, r0 + rows), g.view(col_begin, col_end), cref,
-                 opts.gemm);
-    }
-
-    {
-      LDLA_TRACE_SPAN(kEpilogue);
-      for (std::size_t i = 0; i < rows; ++i) {
-        // Row r0+i pairs with global columns [col_begin, col_end); compute
-        // statistics for the whole stripe (values outside the band are still
-        // valid LD values; consumers filter by index).
-        detail::stat_row_shifted(opts.stat, tables, r0 + i, col_begin,
-                                 &cref.at(i, 0), cols, &values[i * cols]);
-      }
-    }
+    // Row r0+i pairs with global columns [col_begin, col_end); the whole
+    // stripe is converted (values outside the band are still valid LD
+    // values; consumers filter by index).
+    gemm_count_parallel_nest(
+        packed, r0, r0 + rows, packed, col_begin, col_end,
+        [&](const CountTile& t) {
+          detail::tile_stats(opts.stat, tables, tables, t,
+                             detail::TilePart::kFull,
+                             {values.data(), cols, r0, col_begin});
+        },
+        team);
     visit(LdTile{r0, col_begin, rows, cols, values.data(), cols});
   }
 }

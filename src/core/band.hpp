@@ -21,25 +21,15 @@ struct BandOptions {
   GemmConfig gemm;
   std::size_t slab_rows = 256;
   /// Optional persistent packed operand for `g` (see LdOptions::packed).
-  /// The banded scan re-reads overlapping column stripes — each SNP is
-  /// packed ~(slab + 2·bandwidth)/slab times by the fresh path — so a
-  /// shared pack pays off even within a single call.
+  /// Consecutive slabs read overlapping column stripes, so one pack —
+  /// this one, or one made per call — serves the whole band.
   const PackedBitMatrix* packed = nullptr;
-  /// Fused statistics epilogue (see LdOptions::fused): stripe counts are
-  /// converted to statistics tile-by-tile while hot, so the slab
-  /// CountMatrix disappears. Bit-identical to the two-pass path.
-  bool fused = true;
   /// Team size for in-nest parallel stripes: 1 (default) runs the stripes
   /// sequentially, 0 means default_thread_count(). The team cooperates
   /// *inside* each stripe's nest (work-stealing macro-tile chunks), so the
   /// visitor still fires sequentially from the calling thread — decay
-  /// accumulators need no locking. Requires `fused` and a packed operand
-  /// plus ParallelMode::kNest; otherwise stripes stay sequential.
+  /// accumulators need no locking.
   unsigned threads = 1;
-  /// kNest (default) enables the stripe teams above; kCoarse disables them
-  /// (a static row split cannot preserve the sequential-visitor contract,
-  /// so the banded driver's coarse mode is simply the sequential scan).
-  ParallelMode parallel = ParallelMode::kNest;
 };
 
 /// Streaming banded scan: emits tiles covering every pair (i, j) with

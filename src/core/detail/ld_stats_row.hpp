@@ -1,4 +1,5 @@
-// Internal: per-row LD statistic evaluation over a row of pair counts.
+// Internal: per-row LD statistic evaluation over a row of pair counts, and
+// the one stat epilogue every LD driver hands its count tiles to.
 //
 // The D = H - p pᵀ (and r²) pass is itself a dense O(n²) operation; doing
 // it with branch-free arithmetic over precomputed per-SNP factors lets the
@@ -9,11 +10,14 @@
 // operation, so scalar and row paths agree bit-for-bit.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/bit_matrix.hpp"
+#include "core/gemm/macro.hpp"
 #include "core/ld.hpp"
+#include "util/trace.hpp"
 
 namespace ldla::detail {
 
@@ -64,59 +68,13 @@ inline StatTables make_stat_tables_from_counts(
   return t;
 }
 
-/// out[j] = statistic(SNP i, SNP col_begin + j) for j in [0, cols), given
-/// this row's pair counts: counts[j] = POPCNT(s_i & s_{col_begin+j}).
-inline void stat_row_shifted(LdStatistic stat, const StatTables& t,
-                             std::size_t i, std::size_t col_begin,
-                             const std::uint32_t* counts, std::size_t cols,
-                             double* out) {
-  const double pi = t.p[i];
-  const double inv_i = t.inv[i];
-  const double n = t.n;
-  switch (stat) {
-    case LdStatistic::kRSquared: {
-      const double* p = t.p.data() + col_begin;
-      const double* inv = t.inv.data() + col_begin;
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double pij = static_cast<double>(counts[j]) / n;
-        const double d = pij - pi * p[j];
-        const double r = (d * d) * (inv_i * inv[j]);
-        out[j] = r > 1.0 ? 1.0 : r;  // NaN compares false: preserved
-      }
-      break;
-    }
-    case LdStatistic::kD: {
-      const double* p = t.p.data() + col_begin;
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double pij = static_cast<double>(counts[j]) / n;
-        out[j] = pij - pi * p[j];
-      }
-      break;
-    }
-    case LdStatistic::kDPrime: {
-      // Sign-dependent normalization: generic scalar path.
-      for (std::size_t j = 0; j < cols; ++j) {
-        out[j] = ld_d_prime(t.c[i], t.c[col_begin + j], counts[j], t.nseq);
-      }
-      break;
-    }
-  }
-}
-
-/// Unshifted convenience used by the full-matrix drivers.
-inline void stat_row(LdStatistic stat, const StatTables& t, std::size_t i,
+/// out[j] = statistic(row SNP i of `ta`, column SNP col_begin + j of `tb`)
+/// for j in [0, cols), given this row's pair counts: counts[j] =
+/// POPCNT(s_i & s_{col_begin+j}). Same-matrix callers pass one table twice.
+inline void stat_row(LdStatistic stat, const StatTables& ta, std::size_t i,
+                     const StatTables& tb, std::size_t col_begin,
                      const std::uint32_t* counts, std::size_t cols,
                      double* out) {
-  stat_row_shifted(stat, t, i, 0, counts, cols, out);
-}
-
-/// Cross-matrix variant with a column offset into `tb` (tile epilogues):
-/// counts[j] pairs row SNP i of `ta` with SNP col_begin + j of `tb`.
-inline void stat_row_cross_shifted(LdStatistic stat, const StatTables& ta,
-                                   std::size_t i, const StatTables& tb,
-                                   std::size_t col_begin,
-                                   const std::uint32_t* counts,
-                                   std::size_t cols, double* out) {
   const double pi = ta.p[i];
   const double inv_i = ta.inv[i];
   const double n = ta.n;
@@ -128,7 +86,7 @@ inline void stat_row_cross_shifted(LdStatistic stat, const StatTables& ta,
         const double pij = static_cast<double>(counts[j]) / n;
         const double d = pij - pi * p[j];
         const double r = (d * d) * (inv_i * inv[j]);
-        out[j] = r > 1.0 ? 1.0 : r;
+        out[j] = r > 1.0 ? 1.0 : r;  // NaN compares false: preserved
       }
       break;
     }
@@ -141,6 +99,7 @@ inline void stat_row_cross_shifted(LdStatistic stat, const StatTables& ta,
       break;
     }
     case LdStatistic::kDPrime: {
+      // Sign-dependent normalization: generic scalar path.
       for (std::size_t j = 0; j < cols; ++j) {
         out[j] = ld_d_prime(ta.c[i], tb.c[col_begin + j], counts[j],
                             ta.nseq);
@@ -150,12 +109,74 @@ inline void stat_row_cross_shifted(LdStatistic stat, const StatTables& ta,
   }
 }
 
-/// Cross-matrix variant: row SNP i of table `ta`, columns from table `tb`.
-inline void stat_row_cross(LdStatistic stat, const StatTables& ta,
-                           std::size_t i, const StatTables& tb,
-                           const std::uint32_t* counts, std::size_t cols,
-                           double* out) {
-  stat_row_cross_shifted(stat, ta, i, tb, 0, counts, cols, out);
+// ---- the stat epilogue: every LD driver's CountTile sink ------------------
+
+/// Which entries of a count tile the epilogue converts.
+enum class TilePart {
+  kFull,   ///< the whole rectangle (cross shapes, strictly-lower blocks)
+  kLower,  ///< canonical entries only: global col <= global row (SYRK tiles)
+};
+
+/// Destination window of the epilogue: the statistic for global pair
+/// (i, j) lands at data[(i - row0) * ld + (j - col0)].
+struct StatWindow {
+  double* data = nullptr;
+  std::size_t ld = 0;
+  std::size_t row0 = 0;
+  std::size_t col0 = 0;
+};
+
+/// Convert the selected part of count tile `t` (global indices: rows of
+/// `ta`, columns of `tb`) into `dst`. Distinct tiles write disjoint parts
+/// of the window, so concurrent team members may share one window.
+inline void tile_stats(LdStatistic stat, const StatTables& ta,
+                       const StatTables& tb, const CountTile& t, TilePart part,
+                       const StatWindow& dst) {
+  LDLA_TRACE_SPAN(kEpilogue);
+  std::uint64_t rows_converted = 0;
+  for (std::size_t i = 0; i < t.rows; ++i) {
+    const std::size_t gi = t.row_begin + i;
+    std::size_t width = t.cols;
+    if (part == TilePart::kLower) {
+      if (gi < t.col_begin) continue;
+      width = std::min(t.col_begin + t.cols, gi + 1) - t.col_begin;
+    }
+    stat_row(stat, ta, gi, tb, t.col_begin, t.row(i), width,
+             dst.data + (gi - dst.row0) * dst.ld + (t.col_begin - dst.col0));
+    ++rows_converted;
+  }
+  LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
+}
+
+/// Deliver the selected part of `t` to `visit` as stat tiles built in
+/// `scratch` (at least t.rows * t.cols doubles, owned by the calling
+/// thread). A full tile, or a SYRK tile wholly on/below the diagonal, goes
+/// out as one LdTile; a diagonal-crossing SYRK tile goes out as one-row
+/// fragments holding only each row's canonical prefix, so no entry above
+/// the diagonal ever escapes.
+inline void visit_tile_stats(LdStatistic stat, const StatTables& ta,
+                             const StatTables& tb, const CountTile& t,
+                             TilePart part, double* scratch,
+                             const LdStatTileVisitor& visit) {
+  if (part == TilePart::kFull || t.col_begin + t.cols <= t.row_begin + 1) {
+    tile_stats(stat, ta, tb, t, TilePart::kFull,
+               {scratch, t.cols, t.row_begin, t.col_begin});
+    visit(LdTile{t.row_begin, t.col_begin, t.rows, t.cols, scratch, t.cols});
+    return;
+  }
+  // The span covers the interleaved visits too — fragment rows are tiny.
+  LDLA_TRACE_SPAN(kEpilogue);
+  std::uint64_t rows_converted = 0;
+  for (std::size_t i = 0; i < t.rows; ++i) {
+    const std::size_t gi = t.row_begin + i;
+    if (gi < t.col_begin) continue;
+    const std::size_t width =
+        std::min(t.col_begin + t.cols, gi + 1) - t.col_begin;
+    stat_row(stat, ta, gi, tb, t.col_begin, t.row(i), width, scratch);
+    ++rows_converted;
+    visit(LdTile{gi, t.col_begin, 1, width, scratch, width});
+  }
+  LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
 }
 
 }  // namespace ldla::detail

@@ -1,7 +1,6 @@
 #include "core/gemm/config.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/gemm/kernel.hpp"
 #include "core/gemm/tune_cache.hpp"
@@ -19,14 +18,6 @@ std::string kernel_arch_name(KernelArch a) {
     case KernelArch::kAvx2: return "avx2-pshufb";
     case KernelArch::kAvx512: return "avx512-vpopcntdq";
     case KernelArch::kAvx512Wide: return "avx512-vpopcntdq-2x8";
-  }
-  return "unknown";
-}
-
-std::string parallel_mode_name(ParallelMode m) {
-  switch (m) {
-    case ParallelMode::kNest: return "nest";
-    case ParallelMode::kCoarse: return "coarse";
   }
   return "unknown";
 }
@@ -82,7 +73,7 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
                               ") with no registered kernel variant");
     }
   } else if (cfg.arch == KernelArch::kAuto && cfg.kc_words == 0 &&
-             cfg.mc == 0 && cfg.nc == 0 && cfg.blocking && cfg.packing) {
+             cfg.mc == 0 && cfg.nc == 0) {
     // Only untouched configs take cached decisions: any explicit knob means
     // the caller (a bench ablation, the tuner itself) wants exactly what it
     // asked for.
@@ -103,16 +94,18 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
   plan.mr = info->mr;
   plan.nr = info->nr;
   plan.ku = info->ku;
-  plan.packing = cfg.packing;
 
   const CacheInfo& cache = cpu_info().cache;
+  // An explicit block past any real extent means "one block on this axis";
+  // clamp it so the register-tile rounding below cannot wrap to zero.
+  constexpr std::size_t kMaxBlock = std::size_t{1} << 40;
 
   // kc: one mr-sliver of A (mr*kc words) plus one nr-sliver of B should sit
   // comfortably in L1 alongside the C tile; a third of L1d measures best
   // (bench_blocking_ablation) — it leaves headroom for the streaming B
   // panel lines.
   if (want_kc != 0) {
-    plan.kc_words = want_kc;
+    plan.kc_words = std::min(want_kc, kMaxBlock);
   } else {
     const std::size_t bytes_per_k = (plan.mr + plan.nr) * sizeof(std::uint64_t);
     plan.kc_words = std::max<std::size_t>(
@@ -124,7 +117,7 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
 
   // mc: packed A block (mc * kc words) should fit in ~half of L2.
   if (want_mc != 0) {
-    plan.mc = want_mc;
+    plan.mc = std::min(want_mc, kMaxBlock);
   } else {
     const std::size_t a_block_budget = cache.l2 / 2;
     plan.mc = std::max<std::size_t>(
@@ -136,7 +129,7 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
   // nc: packed B panel (nc * kc words) targets L3 (or a fixed budget when
   // L3 is undetected).
   if (cfg.nc != 0) {
-    plan.nc = cfg.nc;
+    plan.nc = std::min(cfg.nc, kMaxBlock);
   } else {
     const std::size_t l3 = cache.l3 != 0 ? cache.l3 : 8 * 1024 * 1024;
     plan.nc = std::max<std::size_t>(
@@ -153,14 +146,6 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
   plan.sparse_threshold = cfg.sparse_threshold == kSparseThresholdAuto
                               ? k_words
                               : cfg.sparse_threshold;
-
-  if (!cfg.blocking) {
-    // Ablation: single unblocked pass — kc spans all of k, one giant block.
-    plan.kc_words = std::max<std::size_t>(
-        plan.ku, (k_words + plan.ku - 1) / plan.ku * plan.ku);
-    plan.mc = std::numeric_limits<std::size_t>::max() / 2;
-    plan.nc = std::numeric_limits<std::size_t>::max() / 2;
-  }
   return plan;
 }
 

@@ -25,16 +25,6 @@ enum class KernelArch {
 
 std::string kernel_arch_name(KernelArch a);
 
-/// How the multi-threaded LD drivers distribute work (DESIGN.md §4.4).
-enum class ParallelMode {
-  kNest,    ///< in-nest: one team cooperates inside each loop nest, draining
-            ///< a work-stealing queue of macro-tile chunks over shared packs
-  kCoarse,  ///< coarse: static row-range split, each worker runs a full
-            ///< sequential nest on its slab (the pre-nest ablation control)
-};
-
-std::string parallel_mode_name(ParallelMode m);
-
 /// Sentinel for GemmConfig::sparse_threshold: resolve the threshold from
 /// the crossover model at pack time (see resolve_plan).
 inline constexpr std::size_t kSparseThresholdAuto =
@@ -53,22 +43,12 @@ struct GemmConfig {
   std::size_t ku = 0;
 
   /// Cache-blocking parameters in *words* (kc) and rows/columns (mc, nc).
-  /// Zero means "derive from the detected cache hierarchy".
+  /// Zero means "derive from the detected cache hierarchy". Values larger
+  /// than the problem degenerate to a single block on that axis (the
+  /// "blocking off" plan of bench_blocking_ablation).
   std::size_t kc_words = 0;
   std::size_t mc = 0;
   std::size_t nc = 0;
-
-  /// Ablation switches (bench_blocking_ablation): disable the packed
-  /// micro-tile layout and/or cache blocking to quantify their value.
-  bool packing = true;
-  bool blocking = true;
-
-  /// When packing is on, drivers pre-pack whole operands once into a
-  /// PackedBitMatrix and run the packed macro-kernel over persistent
-  /// slivers. Off = the original fresh-pack path (per-block packing
-  /// buffers inside the 5-loop nest), kept as the bench_pack_reuse
-  /// ablation control.
-  bool pack_once = true;
 
   /// MAF-adaptive sparse columns (DESIGN.md §4.6). Columns (SNP rows) whose
   /// allele count — or zero count, for the near-all-ones complement trick —
@@ -95,7 +75,6 @@ struct GemmPlan {
   std::size_t kc_words = 256;
   std::size_t mc = 64;
   std::size_t nc = 4096;
-  bool packing = true;
   /// Resolved allele-count threshold for sparse columns (0 = disabled).
   std::size_t sparse_threshold = 0;
 };

@@ -1,58 +1,19 @@
 #include "core/gemm/macro.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "core/gemm/fused_tile.hpp"
 #include "core/gemm/kernel.hpp"
-#include "core/gemm/packing.hpp"
 #include "core/gemm/tune_cache.hpp"
-#include "core/popcount.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/contract.hpp"
-#include "util/partition.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace ldla {
 
 namespace {
-
-// Unpacked fallback for the packing ablation: same cache blocking, but the
-// inner loops read operand rows in place via strided spans.
-void gemm_count_unpacked(const BitMatrixView& a, const BitMatrixView& b,
-                         CountMatrixRef c, const GemmPlan& plan) {
-  const std::size_t m = a.n_snps;
-  const std::size_t n = b.n_snps;
-  const std::size_t k = a.n_words;
-  const PopcountMethod pm = plan.arch == KernelArch::kSwar
-                                ? PopcountMethod::kSwar
-                                : PopcountMethod::kHardware;
-  for (std::size_t jc = 0; jc < n; jc += plan.nc) {
-    const std::size_t ncb = std::min(plan.nc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += plan.kc_words) {
-      const std::size_t kcb = std::min(plan.kc_words, k - pc);
-      for (std::size_t ic = 0; ic < m; ic += plan.mc) {
-        const std::size_t mcb = std::min(plan.mc, m - ic);
-        LDLA_TRACE_SPAN(kKernel);
-        // No micro-kernel here: the ablation streams row pairs in place.
-        LDLA_TRACE_ADD_KERNEL(0, static_cast<std::uint64_t>(mcb * ncb * kcb));
-        for (std::size_t j = 0; j < ncb; ++j) {
-          const std::uint64_t* rb = b.row(jc + j) + pc;
-          for (std::size_t i = 0; i < mcb; ++i) {
-            const std::uint64_t* ra = a.row(ic + i) + pc;
-            c.at(ic + i, jc + j) += static_cast<std::uint32_t>(
-                popcount_and({ra, kcb}, {rb, kcb}, pm));
-          }
-        }
-      }
-    }
-  }
-}
 
 // Do the two views alias the same packed rows? (One PackedBitMatrix can
 // then serve both operand sides.)
@@ -77,94 +38,12 @@ void gemm_count(const BitMatrixView& a, const BitMatrixView& b,
   LDLA_EXPECT(c.ld >= c.cols, "output leading dimension too small");
 
   const GemmPlan plan = resolve_plan(cfg, a.n_words);
-  if (!plan.packing) {
-    gemm_count_unpacked(a, b, c, plan);
-    return;
-  }
-  if (cfg.pack_once) {
-    const bool same = same_operand(a, b);
-    const PackedBitMatrix pa(a, plan,
-                             same ? PackSides::kBoth : PackSides::kA);
-    std::optional<PackedBitMatrix> pb;
-    if (!same) pb.emplace(b, plan, PackSides::kB);
-    gemm_count_packed(pa, 0, a.n_snps, same ? pa : *pb, 0, b.n_snps, c);
-    return;
-  }
-
-  const KernelInfo& kern = kernel_for_plan(plan);
-  const std::size_t mr = plan.mr;
-  const std::size_t nr = plan.nr;
-  const std::size_t ku = plan.ku;
-  const std::size_t m = a.n_snps;
-  const std::size_t n = b.n_snps;
-  const std::size_t k = a.n_words;
-
-  const std::size_t mc = std::min(plan.mc, (m + mr - 1) / mr * mr);
-  const std::size_t nc = std::min(plan.nc, (n + nr - 1) / nr * nr);
-  const std::size_t kc = std::min(plan.kc_words, (k + ku - 1) / ku * ku);
-
-  AlignedBuffer<std::uint64_t> a_pack(packed_panel_words(mc, kc, mr, ku));
-  AlignedBuffer<std::uint64_t> b_pack(packed_panel_words(nc, kc, nr, ku));
-
-  // Loop 5 (jc): B column panels, packed once per (jc, pc) and reused
-  // across every A block — the L3-resident operand.
-  for (std::size_t jc = 0; jc < n; jc += nc) {
-    const std::size_t ncb = std::min(nc, n - jc);
-    // Loop 4 (pc): rank-kc updates. For genomic matrices k is small, so
-    // this usually runs a handful of iterations (the paper's rank-k shape).
-    for (std::size_t pc = 0; pc < k; pc += kc) {
-      const std::size_t kcb = std::min(kc, k - pc);
-      const std::size_t kcb_padded = (kcb + ku - 1) / ku * ku;
-      const PackedPanelView b_panel = [&] {
-        LDLA_TRACE_SPAN(kPackB);
-        return pack_panel_view(b, jc, ncb, pc, kcb, nr, ku, b_pack.data());
-      }();
-
-      // Loop 3 (ic): A row blocks — the L2-resident packed operand.
-      for (std::size_t ic = 0; ic < m; ic += mc) {
-        const std::size_t mcb = std::min(mc, m - ic);
-        const PackedPanelView a_panel = [&] {
-          LDLA_TRACE_SPAN(kPackA);
-          return pack_panel_view(a, ic, mcb, pc, kcb, mr, ku, a_pack.data());
-        }();
-
-        LDLA_TRACE_SPAN(kKernel);
-        const std::uint64_t block_calls = static_cast<std::uint64_t>(
-            ((ncb + nr - 1) / nr) * ((mcb + mr - 1) / mr));
-        LDLA_TRACE_ADD_KERNEL(
-            block_calls,
-            block_calls * static_cast<std::uint64_t>(mr * nr * kcb_padded));
-        // Macro-kernel: loops 2 and 1 over register tiles.
-        for (std::size_t jr = 0; jr < ncb; jr += nr) {
-          const std::uint64_t* bp = b_panel.sliver(jr / nr);
-          const std::size_t nrb = std::min(nr, ncb - jr);
-          for (std::size_t ir = 0; ir < mcb; ir += mr) {
-            const std::uint64_t* ap = a_panel.sliver(ir / mr);
-            const std::size_t mrb = std::min(mr, mcb - ir);
-            LDLA_ASSERT_ALIGNED(ap, 8);
-            LDLA_ASSERT_ALIGNED(bp, 8);
-            if (mrb == mr && nrb == nr) {
-              kern.fn(kcb_padded, ap, bp, &c.at(ic + ir, jc + jr), c.ld);
-            } else {
-              // Edge tile: compute into a zeroed temporary, copy the valid
-              // region out (padded rows are zero so the extra work is nil).
-              std::uint32_t tile[16 * 16];
-              LDLA_ASSERT(mr * nr <= 256);
-              std::memset(tile, 0, mr * nr * sizeof(std::uint32_t));
-              kern.fn(kcb_padded, ap, bp, tile, nr);
-              for (std::size_t i = 0; i < mrb; ++i) {
-                for (std::size_t j = 0; j < nrb; ++j) {
-                  c.at(ic + ir + i, jc + jr + j) += tile[i * nr + j];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  const bool same = same_operand(a, b);
+  const PackedBitMatrix pa(a, plan, same ? PackSides::kBoth : PackSides::kA);
+  std::optional<PackedBitMatrix> pb;
+  if (!same) pb.emplace(b, plan, PackSides::kB);
+  gemm_count_packed(pa, 0, a.n_snps, same ? pa : *pb, 0, b.n_snps, c);
 }
-
 
 void gemm_count_packed(const PackedBitMatrix& a, std::size_t a_begin,
                        std::size_t a_end, const PackedBitMatrix& b,
@@ -174,85 +53,19 @@ void gemm_count_packed(const PackedBitMatrix& a, std::size_t a_begin,
               "A row range out of range");
   LDLA_EXPECT(b_begin <= b_end && b_end <= b.snps(),
               "B row range out of range");
-  const std::size_t m = a_end - a_begin;
-  const std::size_t n = b_end - b_begin;
-  if (m == 0 || n == 0) return;
-  LDLA_EXPECT(a.has_a_side(), "A operand was packed without an A side");
-  LDLA_EXPECT(b.has_b_side(), "B operand was packed without a B side");
-  const GemmPlan& plan = a.plan();
-  const GemmPlan& bplan = b.plan();
-  LDLA_EXPECT(plan.arch == bplan.arch && plan.mr == bplan.mr &&
-                  plan.nr == bplan.nr && plan.ku == bplan.ku &&
-                  a.kc_words() == b.kc_words() &&
-                  a.words_per_snp() == b.words_per_snp(),
-              "packed operands were built for incompatible plans");
-  LDLA_EXPECT(c.rows >= m && c.cols >= n, "output matrix is too small");
+  LDLA_EXPECT(c.rows >= a_end - a_begin && c.cols >= b_end - b_begin,
+              "output matrix is too small");
   LDLA_EXPECT(c.ld >= c.cols, "output leading dimension too small");
-
-  const KernelInfo& kern = kernel_for_plan(plan);
-  const std::size_t mr = plan.mr;
-  const std::size_t nr = plan.nr;
-  // resolve_plan rounds mc/nc to register-tile multiples, so cache-block
-  // boundaries stay sliver-aligned when walked from a sliver-aligned start.
-  const std::size_t mc = plan.mc;
-  const std::size_t nc = plan.nc;
-
-  // Snap the range starts down to sliver boundaries: the leading partial
-  // tiles are handled exactly like trailing edge tiles (compute the whole
-  // sliver, copy out only the in-range rows/columns).
-  const std::size_t ic0 = a_begin / mr * mr;
-  const std::size_t jc0 = b_begin / nr * nr;
-  const std::size_t a_pad_end = (a_end + mr - 1) / mr * mr;
-  const std::size_t b_pad_end = (b_end + nr - 1) / nr * nr;
-
-  for (std::size_t jc = jc0; jc < b_end; jc += nc) {
-    const std::size_t jc_end = std::min(jc + nc, b_pad_end);
-    for (std::size_t p = 0; p < a.panels(); ++p) {
-      const std::size_t kcp = a.panel_kc_padded(p);
-      const PackedPanelView b_panel =
-          b.b_panel(p, jc / nr, (jc_end - jc) / nr);
-      for (std::size_t ic = ic0; ic < a_end; ic += mc) {
-        const std::size_t ic_end = std::min(ic + mc, a_pad_end);
-        const PackedPanelView a_panel =
-            a.a_panel(p, ic / mr, (ic_end - ic) / mr);
-
-        LDLA_TRACE_SPAN(kKernel);
-        const std::uint64_t block_calls = static_cast<std::uint64_t>(
-            ((jc_end - jc) / nr) * ((ic_end - ic) / mr));
-        LDLA_TRACE_ADD_KERNEL(
-            block_calls, block_calls * static_cast<std::uint64_t>(mr * nr * kcp));
-        for (std::size_t jr = jc; jr < jc_end; jr += nr) {
-          const std::uint64_t* bp = b_panel.sliver((jr - jc) / nr);
-          const std::size_t j_lo = std::max(jr, b_begin);
-          const std::size_t j_hi = std::min(jr + nr, b_end);
-          for (std::size_t ir = ic; ir < ic_end; ir += mr) {
-            const std::uint64_t* ap = a_panel.sliver((ir - ic) / mr);
-            const std::size_t i_lo = std::max(ir, a_begin);
-            const std::size_t i_hi = std::min(ir + mr, a_end);
-            LDLA_ASSERT_ALIGNED(ap, 8);
-            LDLA_ASSERT_ALIGNED(bp, 8);
-            if (i_lo == ir && i_hi == ir + mr && j_lo == jr &&
-                j_hi == jr + nr) {
-              kern.fn(kcp, ap, bp, &c.at(ir - a_begin, jr - b_begin), c.ld);
-            } else {
-              // Range-boundary tile: compute whole sliver pair into a
-              // temporary, copy out only the intersection with the range.
-              std::uint32_t tile[16 * 16];
-              LDLA_ASSERT(mr * nr <= 256);
-              std::memset(tile, 0, mr * nr * sizeof(std::uint32_t));
-              kern.fn(kcp, ap, bp, tile, nr);
-              for (std::size_t i = i_lo; i < i_hi; ++i) {
-                for (std::size_t j = j_lo; j < j_hi; ++j) {
-                  c.at(i - a_begin, j - b_begin) +=
-                      tile[(i - ir) * nr + (j - jr)];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  gemm_count_fused(a, a_begin, a_end, b, b_begin, b_end,
+                   [&](const CountTile& t) {
+                     for (std::size_t i = 0; i < t.rows; ++i) {
+                       std::uint32_t* dst = &c.at(t.row_begin + i - a_begin,
+                                                  t.col_begin - b_begin);
+                       for (std::size_t j = 0; j < t.cols; ++j) {
+                         dst[j] += t.row(i)[j];
+                       }
+                     }
+                   });
 }
 
 void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
@@ -303,50 +116,6 @@ void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
   }
 }
 
-void gemm_count_parallel(const BitMatrixView& a, const BitMatrixView& b,
-                         CountMatrixRef c, const GemmConfig& cfg,
-                         unsigned threads) {
-  if (a.empty() || b.empty()) return;
-  LDLA_EXPECT(a.n_words == b.n_words,
-              "operands disagree on words per SNP (different sample sets?)");
-  LDLA_EXPECT(c.rows >= a.n_snps && c.cols >= b.n_snps,
-              "output matrix is too small");
-  if (threads == 0) {
-    threads = default_thread_count();
-  }
-  if (threads == 1 || a.n_snps < 2) {
-    gemm_count(a, b, c, cfg);
-    return;
-  }
-
-  const std::vector<Range> ranges = split_uniform(a.n_snps, threads);
-  const GemmPlan plan = resolve_plan(cfg, a.n_words);
-  if (plan.packing && cfg.pack_once) {
-    // Pack once (as a team), share the immutable slivers across every
-    // worker — this removes the historical per-thread duplicate B pack.
-    const bool same = same_operand(a, b);
-    const PackedBitMatrix pa(a, plan, same ? PackSides::kBoth : PackSides::kA,
-                             threads);
-    std::optional<PackedBitMatrix> pb_store;
-    if (!same) pb_store.emplace(b, plan, PackSides::kB, threads);
-    const PackedBitMatrix& pb = same ? pa : *pb_store;
-    global_pool().run_tasks(ranges.size(), [&](std::size_t t) {
-      const Range r = ranges[t];
-      CountMatrixRef out{c.data + r.begin * c.ld, r.size(), c.cols, c.ld};
-      gemm_count_packed(pa, r.begin, r.end, pb, 0, b.n_snps, out);
-    });
-  } else {
-    global_pool().run_tasks(ranges.size(), [&](std::size_t t) {
-      const Range r = ranges[t];
-      BitMatrixView slice = a;
-      slice.data = a.data + r.begin * a.stride_words;
-      slice.n_snps = r.size();
-      CountMatrixRef out{c.data + r.begin * c.ld, r.size(), c.cols, c.ld};
-      gemm_count(slice, b, out, cfg);
-    });
-  }
-}
-
 namespace {
 
 /// Candidate variants for the joint tuner. A forced family restricts the
@@ -381,7 +150,7 @@ GemmConfig tune_gemm_config(const BitMatrixView& sample,
   // wants what it asked for.
   const bool cacheable = base.arch == KernelArch::kAuto && base.mr == 0 &&
                          base.nr == 0 && base.ku == 0 && base.kc_words == 0 &&
-                         base.mc == 0 && base.blocking && base.packing;
+                         base.mc == 0;
   if (cacheable) {
     if (const auto hit = tune_cache_lookup(sample.n_words)) {
       const KernelInfo* k = find_kernel(hit->variant);

@@ -1,5 +1,6 @@
-// The popcount-GEMM driver: GotoBLAS 5-loop structure over the
-// (AND, POPCNT, +) semiring.
+// The popcount-GEMM driver: GotoBLAS loop nest over the (AND, POPCNT, +)
+// semiring, run over packed operands with the k panel loop innermost per
+// cache tile, so each finished count tile goes to a sink while it is hot.
 //
 //     C[i][j] += sum_k POPCNT(a.row(i)[k] & b.row(j)[k])
 //
@@ -39,9 +40,8 @@ using CountTileSink = std::function<void(const CountTile&)>;
 
 /// Full rectangular count GEMM. C must be at least a.n_snps x b.n_snps.
 /// Both operands must have the same word count (same sample universe).
-/// With cfg.pack_once (the default) the operands are packed whole and the
-/// persistent-sliver macro-kernel runs; pack_once = false is the original
-/// per-block fresh-pack path (the bench_pack_reuse ablation control).
+/// The operands are packed whole (once for both sides when a aliases b)
+/// and the fused nest accumulates its count tiles into C.
 void gemm_count(const BitMatrixView& a, const BitMatrixView& b,
                 CountMatrixRef c, const GemmConfig& cfg = {});
 
@@ -49,18 +49,19 @@ void gemm_count(const BitMatrixView& a, const BitMatrixView& b,
 /// against rows [b_begin, b_end) of `b`, accumulating into C at local
 /// indices (i - a_begin, j - b_begin). Callers zero C for assignment
 /// semantics. The ranges may start/end anywhere — sliver-boundary
-/// crossings are handled like edge tiles — so windowed drivers (banded
-/// scans, ω windows) slice one persistent packed copy instead of
-/// re-packing per slab. `a` needs an A side, `b` a B side, and both must
-/// be packed for compatible plans (same kernel, register tile, kc, ku).
+/// crossings are handled like edge tiles — so windowed callers slice one
+/// persistent packed copy instead of re-packing per window. This is
+/// gemm_count_fused with a sink that adds each tile into C. `a` needs an
+/// A side, `b` a B side, and both must be packed for compatible plans
+/// (same kernel, register tile, kc, ku).
 void gemm_count_packed(const PackedBitMatrix& a, std::size_t a_begin,
                        std::size_t a_end, const PackedBitMatrix& b,
                        std::size_t b_begin, std::size_t b_end,
                        CountMatrixRef c);
 
-/// Fused variant of gemm_count_packed: the k (panel) loop runs innermost
-/// per (ic, jc) cache tile — legal and cheap over persistently packed
-/// slivers — so every mc x nc tile of C is final exactly once, accumulated
+/// The loop nest itself: the k (panel) loop runs innermost per (ic, jc)
+/// cache tile — legal and cheap over persistently packed slivers — so
+/// every mc x nc tile of C is final exactly once, accumulated
 /// in a tile-local scratch buffer and handed to `sink` while still hot.
 /// No count matrix is ever materialized: peak intermediate storage is
 /// O(mc·nc). Tiles partition [a_begin, a_end) x [b_begin, b_end) on the
@@ -72,18 +73,6 @@ void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
 
 /// Statistics of the most recent plan resolution (for bench reporting).
 GemmPlan gemm_plan_for(const BitMatrixView& a, const GemmConfig& cfg = {});
-
-/// Threaded variant of gemm_count: the m dimension is split into `threads`
-/// row blocks executed on the process-wide global_pool() (execution
-/// parallelism is additionally capped by that pool's size). With
-/// cfg.pack_once the operands are packed exactly once and every worker
-/// reads the shared immutable slivers; the fresh-pack ablation gives each
-/// worker private packing buffers (the historical per-thread duplicate
-/// B-pack). threads = 0 means hardware concurrency. Results identical to
-/// gemm_count.
-void gemm_count_parallel(const BitMatrixView& a, const BitMatrixView& b,
-                         CountMatrixRef c, const GemmConfig& cfg = {},
-                         unsigned threads = 0);
 
 /// Empirically pick blocking parameters: runs short trials of candidate
 /// (kc, mc) pairs on a problem-shaped sample and returns cfg with the

@@ -130,6 +130,10 @@ void gemm_count_parallel_nest(const PackedBitMatrix& a, std::size_t a_begin,
               "packed operands were built for incompatible plans");
 
   if (threads == 0) threads = default_thread_count();
+  if (threads <= 1) {
+    gemm_count_fused(a, a_begin, a_end, b, b_begin, b_end, sink);
+    return;
+  }
 
   const KernelInfo& kern = kernel_for_plan(plan);
   const std::size_t mr = plan.mr;
@@ -142,8 +146,7 @@ void gemm_count_parallel_nest(const PackedBitMatrix& a, std::size_t a_begin,
   const std::size_t a_pad_end = (a_end + mr - 1) / mr * mr;
   const std::size_t b_pad_end = (b_end + nr - 1) / nr * nr;
 
-  const std::size_t q =
-      chunk_quantum(b_pad_end - jc0, nr, nc, std::max(1u, threads));
+  const std::size_t q = chunk_quantum(b_pad_end - jc0, nr, nc, threads);
   std::vector<TileChunk> chunks;
   for (std::size_t jc = jc0; jc < b_end; jc += nc) {
     const std::size_t jc_end = std::min(jc + nc, b_pad_end);
@@ -156,8 +159,7 @@ void gemm_count_parallel_nest(const PackedBitMatrix& a, std::size_t a_begin,
     }
   }
 
-  const std::size_t team =
-      std::min<std::size_t>(std::max(1u, threads), chunks.size());
+  const std::size_t team = std::min<std::size_t>(threads, chunks.size());
   if (team <= 1) {
     gemm_count_fused(a, a_begin, a_end, b, b_begin, b_end, sink);
     return;
@@ -186,6 +188,10 @@ void syrk_count_parallel_nest(const PackedBitMatrix& a, std::size_t row_begin,
               "symmetric driver needs both operand sides packed");
 
   if (threads == 0) threads = default_thread_count();
+  if (threads <= 1) {
+    syrk_count_fused(a, row_begin, row_end, sink);
+    return;
+  }
 
   const GemmPlan& plan = a.plan();
   const KernelInfo& kern = kernel_for_plan(plan);
@@ -199,8 +205,7 @@ void syrk_count_parallel_nest(const PackedBitMatrix& a, std::size_t row_begin,
   const std::size_t i_pad_end = (row_end + mr - 1) / mr * mr;
   const std::size_t j_pad_end = (row_end + nr - 1) / nr * nr;
 
-  const std::size_t q =
-      chunk_quantum(j_pad_end - jc0, nr, nc, std::max(1u, threads));
+  const std::size_t q = chunk_quantum(j_pad_end - jc0, nr, nc, threads);
   std::vector<TileChunk> chunks;
   for (std::size_t jc = jc0; jc < row_end; jc += nc) {
     const std::size_t jc_end = std::min(jc + nc, j_pad_end);
@@ -219,8 +224,7 @@ void syrk_count_parallel_nest(const PackedBitMatrix& a, std::size_t row_begin,
     }
   }
 
-  const std::size_t team =
-      std::min<std::size_t>(std::max(1u, threads), chunks.size());
+  const std::size_t team = std::min<std::size_t>(threads, chunks.size());
   if (team <= 1) {
     syrk_count_fused(a, row_begin, row_end, sink);
     return;

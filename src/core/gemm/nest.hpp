@@ -1,14 +1,12 @@
 // In-nest parallel fused count drivers (BLIS-style jr/ic parallelism).
 //
-// The coarse parallel drivers split the *problem* into per-worker row slabs,
-// each running a full sequential 5-loop nest. These drivers instead put the
-// team *inside* one nest: the operands are packed once (shared, immutable),
-// the (ic, jr) macro-tile grid of every jc panel is cut into mc x (q·nr)
-// chunks, and the team drains those chunks through per-member Chase–Lev
-// deques — LIFO locally for cache locality, FIFO steals from the far end of
-// a victim's contiguous block when a member runs dry. Load imbalance from
-// ragged edges or the SYRK triangle is absorbed by stealing instead of by a
-// static triangle-balancing split.
+// The team works *inside* one nest: the operands are packed once (shared,
+// immutable), the (ic, jr) macro-tile grid of every jc panel is cut into
+// mc x (q·nr) chunks, and the team drains those chunks through per-member
+// Chase–Lev deques — LIFO locally for cache locality, FIFO steals from the
+// far end of a victim's contiguous block when a member runs dry. Load
+// imbalance from ragged edges or the SYRK triangle is absorbed by stealing
+// instead of by a static triangle-balancing split.
 //
 // Every chunk runs the exact per-tile body of the sequential fused drivers
 // (core/gemm/fused_tile.hpp), so results are bit-identical to
@@ -34,8 +32,10 @@ namespace ldla {
 
 /// In-nest parallel gemm_count_fused: rows [a_begin, a_end) of `a` against
 /// rows [b_begin, b_end) of `b`, tiles delivered to `sink` (thread-safe).
-/// threads = 0 means default_thread_count(); a team of <= 1 (or a problem
-/// with a single chunk) degrades to the sequential fused driver.
+/// threads = 0 means default_thread_count(). A team of <= 1 is the
+/// sequential fused driver (checked before any chunk is built, so small
+/// one-thread calls pay nothing extra); a problem with a single chunk also
+/// degrades to it.
 void gemm_count_parallel_nest(const PackedBitMatrix& a, std::size_t a_begin,
                               std::size_t a_end, const PackedBitMatrix& b,
                               std::size_t b_begin, std::size_t b_end,

@@ -17,9 +17,6 @@ PackedBitMatrix::PackedBitMatrix(const BitMatrixView& m, const GemmPlan& plan,
       n_snps_(m.n_snps),
       n_words_(m.n_words),
       n_samples_(m.n_samples) {
-  LDLA_EXPECT(plan.packing,
-              "PackedBitMatrix requires a plan with packing enabled (the "
-              "unpacked ablation has no packed representation)");
   LDLA_EXPECT(plan.mr != 0 && plan.nr != 0 && plan.ku != 0 &&
                   plan.kc_words != 0,
               "PackedBitMatrix requires a fully resolved plan");
@@ -138,8 +135,6 @@ void expect_payload_aligned(const void* p, const char* what) {
 }  // namespace
 
 PackedBitMatrix PackedBitMatrix::from_external(ExternalPack ext) {
-  LDLA_EXPECT(ext.plan.packing,
-              "external pack requires a plan with packing enabled");
   LDLA_EXPECT(ext.plan.mr != 0 && ext.plan.nr != 0 && ext.plan.ku != 0 &&
                   ext.plan.kc_words != 0,
               "external pack requires a fully resolved plan");
@@ -334,7 +329,7 @@ void expect_packed_matches(const PackedBitMatrix& p, const BitMatrixView& m) {
               "packed operand shape does not match the bit matrix");
 }
 
-const PackedBitMatrix* resolve_packed(const BitMatrixView& m,
+const PackedBitMatrix& resolve_packed(const BitMatrixView& m,
                                       const GemmConfig& cfg,
                                       const PackedBitMatrix* supplied,
                                       PackSides sides,
@@ -342,13 +337,10 @@ const PackedBitMatrix* resolve_packed(const BitMatrixView& m,
                                       unsigned threads) {
   if (supplied != nullptr) {
     expect_packed_matches(*supplied, m);
-    return supplied;
+    return *supplied;
   }
-  if (!cfg.pack_once || m.n_snps == 0 || m.n_words == 0) return nullptr;
-  const GemmPlan plan = resolve_plan(cfg, m.n_words);
-  if (!plan.packing) return nullptr;
-  own.emplace(m, plan, sides, threads);
-  return &*own;
+  own.emplace(m, resolve_plan(cfg, m.n_words), sides, threads);
+  return *own;
 }
 
 }  // namespace ldla

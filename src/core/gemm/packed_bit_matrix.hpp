@@ -1,14 +1,11 @@
 // Persistent packed operand: the whole SNP matrix pre-packed once into the
 // micro-panel layout the kernels consume, keyed to a GemmPlan.
 //
-// The GotoBLAS drivers amortize packing inside ONE call: gemm_count re-packs
-// every A row block per (jc, pc) panel, syrk_count packs the same rows twice
-// (once per operand side), the banded/decay drivers re-pack overlapping
-// column stripes on every slab, and the parallel driver duplicates the B
-// panel per worker. For the paper's rank-k genomic shapes and for windowed
-// workloads (decay profiles, omega scans, haplotype blocks) those packs
-// repeat over the *same matrix*, so PackedBitMatrix moves them out of the
-// call: pack once per dataset, then every driver reads immutable slivers.
+// Every count driver runs one GotoBLAS nest over packed operands. For the
+// paper's rank-k genomic shapes and for windowed workloads (decay profiles,
+// omega scans, haplotype blocks) the same matrix is multiplied many times,
+// so the pack is hoisted out of the nest: pack once per dataset (or once
+// per call, by resolve_packed), then every driver reads immutable slivers.
 //
 // Layout: the k dimension is split into the plan's kc-word panels. Within a
 // panel every sliver (group of r rows, r = mr for the A side, nr for the B
@@ -68,12 +65,11 @@ class PackedBitMatrix {
  public:
   PackedBitMatrix() = default;
 
-  /// Pack all rows of `m` for `plan`. The plan must have packing enabled
-  /// (the unpacked ablation has no packed representation by definition).
-  /// `threads` > 1 packs each side as a parallel team on global_pool():
-  /// every worker packs a disjoint sliver range of every k panel, joined by
-  /// one barrier per side; the result is byte-identical to a sequential
-  /// pack and the pack counters stay exact (pack_panel self-accounts).
+  /// Pack all rows of `m` for `plan`. `threads` > 1 packs each side as a
+  /// parallel team on global_pool(): every worker packs a disjoint sliver
+  /// range of every k panel, joined by one barrier per side; the result is
+  /// byte-identical to a sequential pack and the pack counters stay exact
+  /// (pack_panel self-accounts).
   PackedBitMatrix(const BitMatrixView& m, const GemmPlan& plan,
                   PackSides sides = PackSides::kBoth, unsigned threads = 1);
 
@@ -264,11 +260,10 @@ void expect_packed_matches(const PackedBitMatrix& p, const BitMatrixView& m);
 
 /// Driver helper: pick the packed operand for a call site. A caller-
 /// supplied pack wins (shape-checked against `m`; the caller must have
-/// built it from the same data with the same GemmConfig). Otherwise, when
-/// `cfg` resolves to a packing plan and cfg.pack_once is on, `m` is packed
-/// into `own` and that pack is returned. Returns nullptr when the call
-/// should take the fresh-pack (or unpacked-ablation) path instead.
-const PackedBitMatrix* resolve_packed(const BitMatrixView& m,
+/// built it from the same data with the same GemmConfig). Otherwise `m` is
+/// packed into `own` for `cfg` (a team pack when threads > 1) and that pack
+/// is returned.
+const PackedBitMatrix& resolve_packed(const BitMatrixView& m,
                                       const GemmConfig& cfg,
                                       const PackedBitMatrix* supplied,
                                       PackSides sides,

@@ -27,7 +27,7 @@ void pack_panel(const BitMatrixView& m, std::size_t row_begin,
   const std::size_t kc_padded = (kc + ku - 1) / ku * ku;
   const std::size_t k_avail = std::min(kc, m.n_words - k_begin);
 
-  // Every packing path (persistent pack_side and the fresh-pack drivers)
+  // Every pack (PackedBitMatrix::pack_side, sequential or as a team)
   // funnels through here, making this the sliver/byte accounting choke point.
   LDLA_TRACE_ADD_PACK(static_cast<std::uint64_t>(slivers),
                       static_cast<std::uint64_t>(slivers * r * kc_padded * 8));
@@ -57,16 +57,6 @@ void pack_panel(const BitMatrixView& m, std::size_t row_begin,
       }
     }
   }
-}
-
-PackedPanelView pack_panel_view(const BitMatrixView& m, std::size_t row_begin,
-                                std::size_t rows, std::size_t k_begin,
-                                std::size_t kc, std::size_t r, std::size_t ku,
-                                std::uint64_t* out) {
-  LDLA_ASSERT_ALIGNED(out, 64);
-  pack_panel(m, row_begin, rows, k_begin, kc, r, ku, out);
-  const std::size_t kc_padded = (kc + ku - 1) / ku * ku;
-  return PackedPanelView{out, (rows + r - 1) / r, r, kc_padded};
 }
 
 }  // namespace ldla

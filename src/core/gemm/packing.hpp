@@ -53,11 +53,4 @@ void pack_panel(const BitMatrixView& m, std::size_t row_begin,
                 std::size_t rows, std::size_t k_begin, std::size_t kc,
                 std::size_t r, std::size_t ku, std::uint64_t* out);
 
-/// pack_panel + a bounds-checked view over the packed result. `out` must be
-/// 64-byte aligned (the packing buffers are AlignedBuffer-backed).
-PackedPanelView pack_panel_view(const BitMatrixView& m, std::size_t row_begin,
-                                std::size_t rows, std::size_t k_begin,
-                                std::size_t kc, std::size_t r, std::size_t ku,
-                                std::uint64_t* out);
-
 }  // namespace ldla

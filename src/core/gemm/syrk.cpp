@@ -5,8 +5,6 @@
 
 #include "core/gemm/fused_tile.hpp"
 #include "core/gemm/kernel.hpp"
-#include "core/gemm/macro.hpp"
-#include "core/gemm/packing.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/contract.hpp"
 #include "util/trace.hpp"
@@ -49,90 +47,19 @@ void syrk_count_packed(const PackedBitMatrix& a, std::size_t row_begin,
   if (n == 0) return;
   LDLA_EXPECT(c.rows >= n && c.cols >= n, "output matrix is too small");
   LDLA_EXPECT(c.ld >= c.cols, "output leading dimension too small");
-  LDLA_EXPECT(a.has_a_side() && a.has_b_side(),
-              "symmetric driver needs both operand sides packed");
 
-  // Zero the lower triangle (the part we accumulate into).
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memset(&c.at(i, 0), 0, (i + 1) * sizeof(std::uint32_t));
-  }
-
-  const GemmPlan& plan = a.plan();
-  const KernelInfo& kern = kernel_for_plan(plan);
-  const std::size_t mr = plan.mr;
-  const std::size_t nr = plan.nr;
-  const std::size_t mc = plan.mc;
-  const std::size_t nc = plan.nc;
-
-  const std::size_t ic0 = row_begin / mr * mr;
-  const std::size_t jc0 = row_begin / nr * nr;
-  const std::size_t i_pad_end = (row_end + mr - 1) / mr * mr;
-  const std::size_t j_pad_end = (row_end + nr - 1) / nr * nr;
-
-  for (std::size_t jc = jc0; jc < row_end; jc += nc) {
-    const std::size_t jc_end = std::min(jc + nc, j_pad_end);
-    for (std::size_t p = 0; p < a.panels(); ++p) {
-      const std::size_t kcp = a.panel_kc_padded(p);
-      const PackedPanelView b_panel =
-          a.b_panel(p, jc / nr, (jc_end - jc) / nr);
-
-      // Only row blocks that intersect the lower triangle of this column
-      // panel: global rows >= jc, snapped down to an mc boundary (the
-      // per-tile skip below handles the slack exactly).
-      std::size_t ic_start = ic0;
-      if (jc > ic0) ic_start = ic0 + (jc - ic0) / mc * mc;
-      for (std::size_t ic = ic_start; ic < row_end; ic += mc) {
-        const std::size_t ic_end = std::min(ic + mc, i_pad_end);
-        const PackedPanelView a_panel =
-            a.a_panel(p, ic / mr, (ic_end - ic) / mr);
-
-        LDLA_TRACE_SPAN(kKernel);
-        // The diagonal skip makes the call count data-dependent on the tile
-        // grid, so count actual invocations instead of deriving from shape.
-        std::uint64_t block_calls = 0;
-        for (std::size_t jr = jc; jr < jc_end; jr += nr) {
-          const std::uint64_t* bp = b_panel.sliver((jr - jc) / nr);
-          const std::size_t j_lo = std::max(jr, row_begin);
-          const std::size_t j_hi = std::min(jr + nr, row_end);
-          for (std::size_t ir = ic; ir < ic_end; ir += mr) {
-            // Skip tiles strictly above the diagonal band.
-            if (ir + mr <= jr) continue;
-            ++block_calls;
-            const std::uint64_t* ap = a_panel.sliver((ir - ic) / mr);
-            const std::size_t i_lo = std::max(ir, row_begin);
-            const std::size_t i_hi = std::min(ir + mr, row_end);
-            LDLA_ASSERT_ALIGNED(ap, 8);
-            LDLA_ASSERT_ALIGNED(bp, 8);
-            const bool interior = i_lo == ir && i_hi == ir + mr &&
-                                  j_lo == jr && j_hi == jr + nr;
-            if (interior && ir >= jr + nr - 1) {
-              // Tile entirely on/below the diagonal: write straight to C.
-              kern.fn(kcp, ap, bp, &c.at(ir - row_begin, jr - row_begin),
-                      c.ld);
-            } else {
-              // Diagonal-crossing or range-boundary tile: temporary, then
-              // copy only the in-range lower-triangle entries.
-              std::uint32_t tile[16 * 16];
-              LDLA_ASSERT(mr * nr <= 256);
-              std::memset(tile, 0, mr * nr * sizeof(std::uint32_t));
-              kern.fn(kcp, ap, bp, tile, nr);
-              for (std::size_t i = i_lo; i < i_hi; ++i) {
-                const std::size_t j_stop = std::min(j_hi, i + 1);
-                for (std::size_t j = j_lo; j < j_stop; ++j) {
-                  c.at(i - row_begin, j - row_begin) +=
-                      tile[(i - ir) * nr + (j - jr)];
-                }
-              }
-            }
-          }
-        }
-        LDLA_TRACE_ADD_KERNEL(
-            block_calls,
-            block_calls * static_cast<std::uint64_t>(mr * nr * kcp));
-      }
+  // Each lower-triangle element lives in exactly one tile: copy the
+  // canonical (j <= i) part of every tile, then mirror if asked.
+  syrk_count_fused(a, row_begin, row_end, [&](const CountTile& t) {
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      const std::size_t gi = t.row_begin + i;
+      if (gi < t.col_begin) continue;
+      const std::size_t width = std::min(t.col_begin + t.cols, gi + 1) -
+                                t.col_begin;
+      std::memcpy(&c.at(gi - row_begin, t.col_begin - row_begin), t.row(i),
+                  width * sizeof(std::uint32_t));
     }
-  }
-
+  });
   if (!triangular_only) mirror_lower_to_upper(c, n);
 }
 
@@ -186,105 +113,8 @@ void syrk_count(const BitMatrixView& a, CountMatrixRef c,
   const std::size_t n = a.n_snps;
   LDLA_EXPECT(c.rows >= n && c.cols >= n, "output matrix is too small");
   if (n == 0) return;
-
-  const GemmPlan plan = resolve_plan(cfg, a.n_words);
-  if (!plan.packing) {
-    // Ablation path: reuse the rectangular driver on the full matrix (no
-    // triangle savings without tiles); both triangles come out valid, so
-    // triangular_only needs no extra work.
-    for (std::size_t i = 0; i < n; ++i) {
-      std::memset(&c.at(i, 0), 0, c.cols * sizeof(std::uint32_t));
-    }
-    gemm_count(a, a, c, cfg);
-    return;
-  }
-  if (cfg.pack_once) {
-    const PackedBitMatrix pa(a, plan, PackSides::kBoth);
-    syrk_count_packed(pa, 0, n, c, triangular_only);
-    return;
-  }
-
-  // Fresh-pack ablation control: the original per-block packing nest.
-  // Zero the lower triangle (the part we accumulate into).
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memset(&c.at(i, 0), 0, (i + 1) * sizeof(std::uint32_t));
-  }
-
-  const KernelInfo& kern = kernel_for_plan(plan);
-  const std::size_t mr = plan.mr;
-  const std::size_t nr = plan.nr;
-  const std::size_t ku = plan.ku;
-  const std::size_t k = a.n_words;
-
-  const std::size_t mc = std::min(plan.mc, (n + mr - 1) / mr * mr);
-  const std::size_t nc = std::min(plan.nc, (n + nr - 1) / nr * nr);
-  const std::size_t kc = std::min(plan.kc_words, (k + ku - 1) / ku * ku);
-
-  AlignedBuffer<std::uint64_t> a_pack(packed_panel_words(mc, kc, mr, ku));
-  AlignedBuffer<std::uint64_t> b_pack(packed_panel_words(nc, kc, nr, ku));
-
-  for (std::size_t jc = 0; jc < n; jc += nc) {
-    const std::size_t ncb = std::min(nc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += kc) {
-      const std::size_t kcb = std::min(kc, k - pc);
-      const std::size_t kcb_padded = (kcb + ku - 1) / ku * ku;
-      const PackedPanelView b_panel = [&] {
-        LDLA_TRACE_SPAN(kPackB);
-        return pack_panel_view(a, jc, ncb, pc, kcb, nr, ku, b_pack.data());
-      }();
-
-      // Only row blocks that intersect the lower triangle of this column
-      // panel: rows >= jc (snapped down to an mc boundary).
-      const std::size_t ic_start = (jc / mc) * mc;
-      for (std::size_t ic = ic_start; ic < n; ic += mc) {
-        const std::size_t mcb = std::min(mc, n - ic);
-        const PackedPanelView a_panel = [&] {
-          LDLA_TRACE_SPAN(kPackA);
-          return pack_panel_view(a, ic, mcb, pc, kcb, mr, ku, a_pack.data());
-        }();
-
-        LDLA_TRACE_SPAN(kKernel);
-        std::uint64_t block_calls = 0;
-        for (std::size_t jr = 0; jr < ncb; jr += nr) {
-          const std::uint64_t* bp = b_panel.sliver(jr / nr);
-          const std::size_t nrb = std::min(nr, ncb - jr);
-          const std::size_t j_global = jc + jr;
-          for (std::size_t ir = 0; ir < mcb; ir += mr) {
-            const std::size_t i_global = ic + ir;
-            // Skip tiles strictly above the diagonal band.
-            if (i_global + mr <= j_global) continue;
-            ++block_calls;
-            const std::uint64_t* ap = a_panel.sliver(ir / mr);
-            const std::size_t mrb = std::min(mr, mcb - ir);
-            LDLA_ASSERT_ALIGNED(ap, 8);
-            LDLA_ASSERT_ALIGNED(bp, 8);
-            if (mrb == mr && nrb == nr && i_global >= j_global + nr - 1) {
-              // Tile entirely on/below the diagonal: write straight to C.
-              kern.fn(kcb_padded, ap, bp, &c.at(i_global, j_global), c.ld);
-            } else {
-              // Diagonal-crossing or edge tile: temporary, then copy only
-              // the lower-triangle entries.
-              std::uint32_t tile[16 * 16];
-              std::memset(tile, 0, mr * nr * sizeof(std::uint32_t));
-              kern.fn(kcb_padded, ap, bp, tile, nr);
-              for (std::size_t i = 0; i < mrb; ++i) {
-                for (std::size_t j = 0; j < nrb; ++j) {
-                  if (i_global + i >= j_global + j) {
-                    c.at(i_global + i, j_global + j) += tile[i * nr + j];
-                  }
-                }
-              }
-            }
-          }
-        }
-        LDLA_TRACE_ADD_KERNEL(
-            block_calls,
-            block_calls * static_cast<std::uint64_t>(mr * nr * kcb_padded));
-      }
-    }
-  }
-
-  if (!triangular_only) mirror_lower_to_upper(c, n);
+  const PackedBitMatrix pa(a, resolve_plan(cfg, a.n_words), PackSides::kBoth);
+  syrk_count_packed(pa, 0, n, c, triangular_only);
 }
 
 }  // namespace ldla

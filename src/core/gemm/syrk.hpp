@@ -1,6 +1,7 @@
 // Symmetric (SYRK-like) count driver: H·Nseq = GᵀG for a single genomic
 // matrix, exploiting  POPCNT(s_i & s_j) = POPCNT(s_j & s_i)  to compute only
-// register tiles that touch the lower triangle, then mirroring.
+// register tiles that touch the lower triangle, then mirroring. Same fused
+// nest as the rectangular driver (macro.hpp); count matrices are sinks.
 #pragma once
 
 #include "core/bit_matrix.hpp"
@@ -16,22 +17,21 @@ namespace ldla {
 /// accumulated). With triangular_only only the lower triangle and diagonal
 /// are guaranteed valid (the upper triangle is unspecified) — consumers
 /// that read C(i, j) with i >= j only skip the mirror pass entirely.
-/// cfg.pack_once (default) packs the operand whole — once for both sides
-/// when mr == nr — and runs the packed driver; pack_once = false is the
-/// original per-block fresh-pack path.
+/// The operand is packed whole — once for both sides when mr == nr — and
+/// syrk_count_packed runs over it.
 void syrk_count(const BitMatrixView& a, CountMatrixRef c,
                 const GemmConfig& cfg = {}, bool triangular_only = false);
 
 /// Symmetric count over rows [row_begin, row_end) of a pre-packed operand
 /// (needs both A and B sides). C is local: entry (i - row_begin,
 /// j - row_begin), overwritten. The range may start anywhere; windowed
-/// consumers (ω windows, haplotype blocks) slice one persistent packed
-/// copy instead of gathering and re-packing each window.
+/// consumers slice one persistent packed copy instead of gathering and
+/// re-packing each window. A count sink over syrk_count_fused.
 void syrk_count_packed(const PackedBitMatrix& a, std::size_t row_begin,
                        std::size_t row_end, CountMatrixRef c,
                        bool triangular_only = false);
 
-/// Fused variant of syrk_count_packed: the panel loop runs innermost per
+/// The symmetric loop nest: the panel loop runs innermost per
 /// cache tile, and each finalized tile is handed to `sink` from tile-local
 /// scratch — no count matrix is materialized (peak intermediate storage is
 /// O(mc·nc)). Tiles cover the cache-tile grid over [row_begin, row_end)²

@@ -6,11 +6,13 @@
 #include <optional>
 
 #include "core/detail/ld_stats_row.hpp"
-#include "core/gemm/count_matrix.hpp"
 #include "core/gemm/macro.hpp"
+#include "core/gemm/nest.hpp"
 #include "core/gemm/syrk.hpp"
+#include "core/parallel.hpp"
 #include "util/contract.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace ldla {
@@ -112,60 +114,155 @@ void mirror_ld_lower_to_upper(LdMatrix& m) {
   }
 }
 
-LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_matrix_seconds", "ld_matrix driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+namespace {
+
+unsigned resolve_threads(unsigned threads) {
+  return threads == 0 ? default_thread_count() : threads;
+}
+
+// One body per shape. Each takes the team size of its in-nest drivers:
+// team = 1 is the sequential driver (the nest falls back to the fused
+// driver before building any chunk), team > 1 the *_parallel twin.
+
+LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
+                     unsigned team) {
   const std::size_t n = g.snps();
   LdMatrix out(n, n);
   if (n == 0) return out;
   LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
 
-  if (opts.fused) {
-    std::optional<PackedBitMatrix> own;
-    const PackedBitMatrix* packed = resolve_packed(
-        g.view(), opts.gemm, opts.packed, PackSides::kBoth, own);
-    if (packed != nullptr) {
-      // Fused epilogue: convert each finalized count tile to statistics
-      // while hot, write the lower triangle, mirror the stats. All three
-      // statistics are bitwise symmetric in (i, j) (their formulas only
-      // combine the operands through commutative products and min), so
-      // this equals the two-pass count-mirror result bit-for-bit.
-      const detail::StatTables tables = detail::make_stat_tables(g);
-      syrk_count_fused(*packed, 0, n, [&](const CountTile& t) {
-        LDLA_TRACE_SPAN(kEpilogue);
-        std::uint64_t rows_converted = 0;
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          const std::size_t gi = t.row_begin + i;
-          if (gi < t.col_begin) continue;
-          const std::size_t hi = std::min(t.col_begin + t.cols, gi + 1);
-          detail::stat_row_shifted(opts.stat, tables, gi, t.col_begin,
-                                   t.row(i), hi - t.col_begin,
-                                   &out(gi, t.col_begin));
-          ++rows_converted;
-        }
-        LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
-      });
-      mirror_ld_lower_to_upper(out);
-      return out;
-    }
-  }
-
-  CountMatrix counts(n, n);
-  if (opts.packed != nullptr) {
-    expect_packed_matches(*opts.packed, g.view());
-    syrk_count_packed(*opts.packed, 0, n, counts.ref());
-  } else {
-    syrk_count(g.view(), counts.ref(), opts.gemm);
-  }
-
+  std::optional<PackedBitMatrix> own;
+  const PackedBitMatrix& packed = resolve_packed(
+      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
   const detail::StatTables tables = detail::make_stat_tables(g);
-  LDLA_TRACE_SPAN(kEpilogue);
-  for (std::size_t i = 0; i < n; ++i) {
-    detail::stat_row(opts.stat, tables, i, &counts(i, 0), n, &out(i, 0));
-  }
+  // Triangular SYRK: each tile writes only the canonical (j <= i) entries
+  // of its disjoint window of `out`, then one pass mirrors the stats. All
+  // three statistics are bitwise symmetric in (i, j) (their formulas only
+  // combine the operands through commutative products and min), so this
+  // equals statistics of mirrored counts bit-for-bit.
+  syrk_count_parallel_nest(
+      packed, 0, n,
+      [&](const CountTile& t) {
+        detail::tile_stats(opts.stat, tables, tables, t,
+                           detail::TilePart::kLower, {out.data(), n});
+      },
+      team);
+  mirror_ld_lower_to_upper(out);
   return out;
+}
+
+LdMatrix cross_matrix_body(const BitMatrix& a, const BitMatrix& b,
+                           const LdOptions& opts, unsigned team) {
+  LDLA_EXPECT(a.samples() == b.samples(),
+              "cross-matrix LD needs matching sample sets");
+  const std::size_t m = a.snps();
+  const std::size_t n = b.snps();
+  LdMatrix out(m, n);
+  if (m == 0 || n == 0) return out;
+  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
+
+  std::optional<PackedBitMatrix> own_a;
+  std::optional<PackedBitMatrix> own_b;
+  const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
+                                             PackSides::kA, own_a, team);
+  const PackedBitMatrix& pb = resolve_packed(
+      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
+  const detail::StatTables ta = detail::make_stat_tables(a);
+  const detail::StatTables tb = detail::make_stat_tables(b);
+  gemm_count_parallel_nest(
+      pa, 0, m, pb, 0, n,
+      [&](const CountTile& t) {
+        detail::tile_stats(opts.stat, ta, tb, t, detail::TilePart::kFull,
+                           {out.data(), n});
+      },
+      team);
+  return out;
+}
+
+// Slab scans: the caller walks row slabs sequentially and the team works
+// inside each slab's nest. Tiles land in disjoint regions of the values
+// slab, and `visit` fires from this thread after the slab is complete.
+
+void scan_body(const BitMatrix& g, const LdTileVisitor& visit,
+               const LdOptions& opts, unsigned team) {
+  const std::size_t n = g.snps();
+  if (n == 0) return;
+  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
+  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
+
+  std::optional<PackedBitMatrix> own;
+  const PackedBitMatrix& packed = resolve_packed(
+      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
+  const detail::StatTables tables = detail::make_stat_tables(g);
+  const std::size_t slab = opts.slab_rows;
+  AlignedBuffer<double> values(std::min(slab, n) * n);
+  for (std::size_t r0 = 0; r0 < n; r0 += slab) {
+    const std::size_t rows = std::min(slab, n - r0);
+    const std::size_t cols = r0 + rows;  // lower-trapezoid: j < slab end
+    gemm_count_parallel_nest(
+        packed, r0, r0 + rows, packed, 0, cols,
+        [&](const CountTile& t) {
+          detail::tile_stats(opts.stat, tables, tables, t,
+                             detail::TilePart::kFull,
+                             {values.data(), cols, r0, 0});
+        },
+        team);
+    visit(LdTile{r0, 0, rows, cols, values.data(), cols});
+  }
+}
+
+void cross_scan_body(const BitMatrix& a, const BitMatrix& b,
+                     const LdTileVisitor& visit, const LdOptions& opts,
+                     unsigned team) {
+  LDLA_EXPECT(a.samples() == b.samples(),
+              "cross-matrix LD needs matching sample sets");
+  const std::size_t m = a.snps();
+  const std::size_t n = b.snps();
+  if (m == 0 || n == 0) return;
+  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
+  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
+
+  std::optional<PackedBitMatrix> own_a;
+  std::optional<PackedBitMatrix> own_b;
+  const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
+                                             PackSides::kA, own_a, team);
+  const PackedBitMatrix& pb = resolve_packed(
+      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
+  const detail::StatTables ta = detail::make_stat_tables(a);
+  const detail::StatTables tb = detail::make_stat_tables(b);
+  const std::size_t slab = opts.slab_rows;
+  AlignedBuffer<double> values(std::min(slab, m) * n);
+  for (std::size_t r0 = 0; r0 < m; r0 += slab) {
+    const std::size_t rows = std::min(slab, m - r0);
+    gemm_count_parallel_nest(
+        pa, r0, r0 + rows, pb, 0, n,
+        [&](const CountTile& t) {
+          detail::tile_stats(opts.stat, ta, tb, t, detail::TilePart::kFull,
+                             {values.data(), n, r0, 0});
+        },
+        team);
+    visit(LdTile{r0, 0, rows, n, values.data(), n});
+  }
+}
+
+}  // namespace
+
+LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts) {
+  LDLA_METRICS_ONLY(
+      static metrics::Histogram& h_call = metrics::histogram(
+          "ldla_ld_matrix_seconds", "ld_matrix driver call latency");
+      metrics::ScopedLatency metrics_lat(h_call);)
+  return matrix_body(g, opts, 1);
+}
+
+LdMatrix ld_matrix_parallel(const BitMatrix& g, const LdOptions& opts,
+                            unsigned threads) {
+  LDLA_METRICS_ONLY(
+      static metrics::Histogram& h_call = metrics::histogram(
+          "ldla_ld_matrix_parallel_seconds",
+          "ld_matrix_parallel driver call latency");
+      metrics::ScopedLatency metrics_lat(h_call);)
+  return matrix_body(g, opts, resolve_threads(threads));
 }
 
 LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
@@ -175,52 +272,12 @@ LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
           "ldla_ld_cross_matrix_seconds",
           "ld_cross_matrix driver call latency");
       metrics::ScopedLatency metrics_lat(h_call);)
-  LDLA_EXPECT(a.samples() == b.samples(),
-              "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  LdMatrix out(m, n);
-  if (m == 0 || n == 0) return out;
+  return cross_matrix_body(a, b, opts, 1);
+}
 
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix* pa = resolve_packed(a.view(), opts.gemm, opts.packed,
-                                             PackSides::kA, own_a);
-  const PackedBitMatrix* pb = resolve_packed(b.view(), opts.gemm,
-                                             opts.packed_b, PackSides::kB,
-                                             own_b);
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
-
-  if (opts.fused && pa != nullptr && pb != nullptr) {
-    // Fused epilogue: stats written straight from hot count tiles; no
-    // m x n CountMatrix is ever allocated.
-    gemm_count_fused(*pa, 0, m, *pb, 0, n, [&](const CountTile& t) {
-      LDLA_TRACE_SPAN(kEpilogue);
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        const std::size_t gi = t.row_begin + i;
-        detail::stat_row_cross_shifted(opts.stat, ta, gi, tb, t.col_begin,
-                                       t.row(i), t.cols,
-                                       &out(gi, t.col_begin));
-      }
-      LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
-    });
-    return out;
-  }
-
-  CountMatrix counts(m, n);
-  if (pa != nullptr && pb != nullptr) {
-    gemm_count_packed(*pa, 0, m, *pb, 0, n, counts.ref());
-  } else {
-    gemm_count(a.view(), b.view(), counts.ref(), opts.gemm);
-  }
-
-  LDLA_TRACE_SPAN(kEpilogue);
-  for (std::size_t i = 0; i < m; ++i) {
-    detail::stat_row_cross(opts.stat, ta, i, tb, &counts(i, 0), n,
-                           &out(i, 0));
-  }
-  return out;
+LdMatrix ld_cross_matrix_parallel(const BitMatrix& a, const BitMatrix& b,
+                                  const LdOptions& opts, unsigned threads) {
+  return cross_matrix_body(a, b, opts, resolve_threads(threads));
 }
 
 void ld_scan(const BitMatrix& g, const LdTileVisitor& visit,
@@ -229,73 +286,17 @@ void ld_scan(const BitMatrix& g, const LdTileVisitor& visit,
       static metrics::Histogram& h_call = metrics::histogram(
           "ldla_ld_scan_seconds", "ld_scan driver call latency");
       metrics::ScopedLatency metrics_lat(h_call);)
-  const std::size_t n = g.snps();
-  if (n == 0) return;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
-  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
+  scan_body(g, visit, opts, 1);
+}
 
-  const detail::StatTables tables = detail::make_stat_tables(g);
-  const std::size_t slab = opts.slab_rows;
-
-  // Pack once for the whole trapezoid: every slab re-reads the same
-  // column stripe [0, r1), which the fresh path re-packed per slab.
-  std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix* packed =
-      resolve_packed(g.view(), opts.gemm, opts.packed, PackSides::kBoth, own);
-
-  AlignedBuffer<double> values(std::min(slab, n) * n);
-
-  if (opts.fused && packed != nullptr) {
-    // Fused epilogue: the slab's count tiles are converted to statistics
-    // while hot and never stored — only the values slab (the tile payload
-    // itself) is materialized, so per-slab memory drops from 12·slab·n to
-    // 8·slab·n bytes. Tile geometry and values are bit-identical to the
-    // two-pass path.
-    for (std::size_t r0 = 0; r0 < n; r0 += slab) {
-      const std::size_t rows = std::min(slab, n - r0);
-      const std::size_t cols = r0 + rows;  // lower-trapezoid: j < slab end
-      gemm_count_fused(*packed, r0, r0 + rows, *packed, 0, cols,
-                       [&](const CountTile& t) {
-                         LDLA_TRACE_SPAN(kEpilogue);
-                         for (std::size_t i = 0; i < t.rows; ++i) {
-                           const std::size_t gi = t.row_begin + i;
-                           detail::stat_row_shifted(
-                               opts.stat, tables, gi, t.col_begin, t.row(i),
-                               t.cols,
-                               &values[(gi - r0) * cols + t.col_begin]);
-                         }
-                         LDLA_TRACE_ADD_EPILOGUE_ROWS(
-                             static_cast<std::uint64_t>(t.rows));
-                       });
-      visit(LdTile{r0, 0, rows, cols, values.data(), cols});
-    }
-    return;
-  }
-
-  CountMatrix counts(std::min(slab, n), n);
-
-  for (std::size_t r0 = 0; r0 < n; r0 += slab) {
-    const std::size_t rows = std::min(slab, n - r0);
-    const std::size_t cols = r0 + rows;  // lower-trapezoid: j < slab end
-    CountMatrixRef cref{counts.ref().data, rows, cols, n};
-    for (std::size_t i = 0; i < rows; ++i) {
-      std::fill_n(&cref.at(i, 0), cols, 0u);
-    }
-    if (packed != nullptr) {
-      gemm_count_packed(*packed, r0, r0 + rows, *packed, 0, cols, cref);
-    } else {
-      gemm_count(g.view(r0, r0 + rows), g.view(0, cols), cref, opts.gemm);
-    }
-
-    {
-      LDLA_TRACE_SPAN(kEpilogue);
-      for (std::size_t i = 0; i < rows; ++i) {
-        detail::stat_row(opts.stat, tables, r0 + i, &cref.at(i, 0), cols,
-                         &values[i * cols]);
-      }
-    }
-    visit(LdTile{r0, 0, rows, cols, values.data(), cols});
-  }
+void ld_scan_parallel(const BitMatrix& g, const LdTileVisitor& visit,
+                      const LdOptions& opts, unsigned threads) {
+  LDLA_METRICS_ONLY(
+      static metrics::Histogram& h_call = metrics::histogram(
+          "ldla_ld_scan_parallel_seconds",
+          "ld_scan_parallel driver call latency");
+      metrics::ScopedLatency metrics_lat(h_call);)
+  scan_body(g, visit, opts, resolve_threads(threads));
 }
 
 void ld_cross_scan(const BitMatrix& a, const BitMatrix& b,
@@ -304,73 +305,13 @@ void ld_cross_scan(const BitMatrix& a, const BitMatrix& b,
       static metrics::Histogram& h_call = metrics::histogram(
           "ldla_ld_cross_scan_seconds", "ld_cross_scan driver call latency");
       metrics::ScopedLatency metrics_lat(h_call);)
-  LDLA_EXPECT(a.samples() == b.samples(),
-              "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  if (m == 0 || n == 0) return;
-  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
+  cross_scan_body(a, b, visit, opts, 1);
+}
 
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
-  const std::size_t slab = opts.slab_rows;
-
-  // Pack once across slabs — the fresh path re-packed all of B per slab.
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix* pa = resolve_packed(a.view(), opts.gemm, opts.packed,
-                                             PackSides::kA, own_a);
-  const PackedBitMatrix* pb = resolve_packed(b.view(), opts.gemm,
-                                             opts.packed_b, PackSides::kB,
-                                             own_b);
-  const bool use_packed = pa != nullptr && pb != nullptr;
-
-  AlignedBuffer<double> values(std::min(slab, m) * n);
-
-  if (opts.fused && use_packed) {
-    // Fused epilogue: no slab CountMatrix; stats land in the values slab
-    // straight from hot tiles (geometry and values unchanged).
-    for (std::size_t r0 = 0; r0 < m; r0 += slab) {
-      const std::size_t rows = std::min(slab, m - r0);
-      gemm_count_fused(*pa, r0, r0 + rows, *pb, 0, n,
-                       [&](const CountTile& t) {
-                         LDLA_TRACE_SPAN(kEpilogue);
-                         for (std::size_t i = 0; i < t.rows; ++i) {
-                           const std::size_t gi = t.row_begin + i;
-                           detail::stat_row_cross_shifted(
-                               opts.stat, ta, gi, tb, t.col_begin, t.row(i),
-                               t.cols,
-                               &values[(gi - r0) * n + t.col_begin]);
-                         }
-                         LDLA_TRACE_ADD_EPILOGUE_ROWS(
-                             static_cast<std::uint64_t>(t.rows));
-                       });
-      visit(LdTile{r0, 0, rows, n, values.data(), n});
-    }
-    return;
-  }
-
-  CountMatrix counts(std::min(slab, m), n);
-
-  for (std::size_t r0 = 0; r0 < m; r0 += slab) {
-    const std::size_t rows = std::min(slab, m - r0);
-    counts.zero();
-    CountMatrixRef cref{counts.ref().data, rows, n, n};
-    if (use_packed) {
-      gemm_count_packed(*pa, r0, r0 + rows, *pb, 0, n, cref);
-    } else {
-      gemm_count(a.view(r0, r0 + rows), b.view(), cref, opts.gemm);
-    }
-
-    {
-      LDLA_TRACE_SPAN(kEpilogue);
-      for (std::size_t i = 0; i < rows; ++i) {
-        detail::stat_row_cross(opts.stat, ta, r0 + i, tb, &cref.at(i, 0), n,
-                               &values[i * n]);
-      }
-    }
-    visit(LdTile{r0, 0, rows, n, values.data(), n});
-  }
+void ld_cross_scan_parallel(const BitMatrix& a, const BitMatrix& b,
+                            const LdTileVisitor& visit, const LdOptions& opts,
+                            unsigned threads) {
+  cross_scan_body(a, b, visit, opts, resolve_threads(threads));
 }
 
 void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
@@ -383,73 +324,17 @@ void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
   if (n == 0) return;
   LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
   LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
-  const detail::StatTables tables = detail::make_stat_tables(g);
 
   std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix* packed =
+  const PackedBitMatrix& packed =
       resolve_packed(g.view(), opts.gemm, opts.packed, PackSides::kBoth, own);
-
-  if (packed != nullptr) {
-    const GemmPlan& plan = packed->plan();
-    AlignedBuffer<double> values(plan.mc * plan.nc);
-    syrk_count_fused(*packed, 0, n, [&](const CountTile& t) {
-      if (t.col_begin + t.cols <= t.row_begin + 1) {
-        // Tile entirely on/below the diagonal: every entry is canonical.
-        {
-          LDLA_TRACE_SPAN(kEpilogue);
-          for (std::size_t i = 0; i < t.rows; ++i) {
-            detail::stat_row_shifted(opts.stat, tables, t.row_begin + i,
-                                     t.col_begin, t.row(i), t.cols,
-                                     &values[i * t.cols]);
-          }
-          LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
-        }
-        visit(LdTile{t.row_begin, t.col_begin, t.rows, t.cols,
-                     values.data(), t.cols});
-      } else {
-        // Diagonal-crossing tile: emit the valid prefix of each row as a
-        // one-row fragment so no above-diagonal entry ever escapes. The
-        // span covers the interleaved visits too — fragment rows are tiny.
-        LDLA_TRACE_SPAN(kEpilogue);
-        std::uint64_t rows_converted = 0;
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          const std::size_t gi = t.row_begin + i;
-          if (gi < t.col_begin) continue;
-          const std::size_t width =
-              std::min(t.col_begin + t.cols, gi + 1) - t.col_begin;
-          detail::stat_row_shifted(opts.stat, tables, gi, t.col_begin,
-                                   t.row(i), width, values.data());
-          ++rows_converted;
-          visit(LdTile{gi, t.col_begin, 1, width, values.data(), width});
-        }
-        LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
-      }
-    });
-    return;
-  }
-
-  // Two-pass fallback (no packed operand): slab counts, per-row canonical
-  // emission — same every-pair-once contract, O(slab·n) resident.
-  const std::size_t slab = std::min(opts.slab_rows, n);
-  LDLA_EXPECT(slab > 0, "slab height must be positive");
-  CountMatrix counts(slab, n);
-  AlignedBuffer<double> values(n);
-  for (std::size_t r0 = 0; r0 < n; r0 += slab) {
-    const std::size_t rows = std::min(slab, n - r0);
-    const std::size_t cols = r0 + rows;
-    CountMatrixRef cref{counts.ref().data, rows, cols, n};
-    for (std::size_t i = 0; i < rows; ++i) {
-      std::fill_n(&cref.at(i, 0), cols, 0u);
-    }
-    gemm_count(g.view(r0, r0 + rows), g.view(0, cols), cref, opts.gemm);
-    LDLA_TRACE_SPAN(kEpilogue);
-    for (std::size_t i = 0; i < rows; ++i) {
-      const std::size_t gi = r0 + i;
-      detail::stat_row(opts.stat, tables, gi, &cref.at(i, 0), gi + 1,
-                       values.data());
-      visit(LdTile{gi, 0, 1, gi + 1, values.data(), gi + 1});
-    }
-  }
+  const detail::StatTables tables = detail::make_stat_tables(g);
+  const GemmPlan& plan = packed.plan();
+  AlignedBuffer<double> values(std::min(plan.mc, n) * std::min(plan.nc, n));
+  syrk_count_fused(packed, 0, n, [&](const CountTile& t) {
+    detail::visit_tile_stats(opts.stat, tables, tables, t,
+                             detail::TilePart::kLower, values.data(), visit);
+  });
 }
 
 void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
@@ -465,55 +350,24 @@ void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
   const std::size_t m = a.snps();
   const std::size_t n = b.snps();
   if (m == 0 || n == 0) return;
+  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
   LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
 
   std::optional<PackedBitMatrix> own_a;
   std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix* pa = resolve_packed(a.view(), opts.gemm, opts.packed,
+  const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
                                              PackSides::kA, own_a);
-  const PackedBitMatrix* pb = resolve_packed(b.view(), opts.gemm,
+  const PackedBitMatrix& pb = resolve_packed(b.view(), opts.gemm,
                                              opts.packed_b, PackSides::kB,
                                              own_b);
-  if (pa != nullptr && pb != nullptr) {
-    const GemmPlan& plan = pa->plan();
-    AlignedBuffer<double> values(plan.mc * plan.nc);
-    gemm_count_fused(*pa, 0, m, *pb, 0, n, [&](const CountTile& t) {
-      {
-        LDLA_TRACE_SPAN(kEpilogue);
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          detail::stat_row_cross_shifted(opts.stat, ta, t.row_begin + i, tb,
-                                         t.col_begin, t.row(i), t.cols,
-                                         &values[i * t.cols]);
-        }
-        LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
-      }
-      visit(LdTile{t.row_begin, t.col_begin, t.rows, t.cols, values.data(),
-                   t.cols});
-    });
-    return;
-  }
-
-  // Two-pass fallback: slab counts, one tile per slab.
-  const std::size_t slab = std::min(opts.slab_rows, m);
-  LDLA_EXPECT(slab > 0, "slab height must be positive");
-  CountMatrix counts(slab, n);
-  AlignedBuffer<double> values(slab * n);
-  for (std::size_t r0 = 0; r0 < m; r0 += slab) {
-    const std::size_t rows = std::min(slab, m - r0);
-    counts.zero();
-    CountMatrixRef cref{counts.ref().data, rows, n, n};
-    gemm_count(a.view(r0, r0 + rows), b.view(), cref, opts.gemm);
-    {
-      LDLA_TRACE_SPAN(kEpilogue);
-      for (std::size_t i = 0; i < rows; ++i) {
-        detail::stat_row_cross(opts.stat, ta, r0 + i, tb, &cref.at(i, 0), n,
-                               &values[i * n]);
-      }
-    }
-    visit(LdTile{r0, 0, rows, n, values.data(), n});
-  }
+  const detail::StatTables ta = detail::make_stat_tables(a);
+  const detail::StatTables tb = detail::make_stat_tables(b);
+  const GemmPlan& plan = pa.plan();
+  AlignedBuffer<double> values(std::min(plan.mc, m) * std::min(plan.nc, n));
+  gemm_count_fused(pa, 0, m, pb, 0, n, [&](const CountTile& t) {
+    detail::visit_tile_stats(opts.stat, ta, tb, t, detail::TilePart::kFull,
+                             values.data(), visit);
+  });
 }
 
 }  // namespace ldla

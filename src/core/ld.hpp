@@ -51,26 +51,10 @@ struct LdOptions {
   /// `a` in the cross drivers). Must be packed from the same matrix with
   /// the same GemmConfig (shape is checked, content is the caller's
   /// responsibility). Repeated-call workloads pack once per dataset and
-  /// pass it here; when null, drivers pack internally per call while
-  /// gemm.pack_once is on.
+  /// pass it here; when null, drivers pack internally per call.
   const PackedBitMatrix* packed = nullptr;
   /// Same for the second matrix of the cross drivers (needs a B side).
   const PackedBitMatrix* packed_b = nullptr;
-  /// Fused statistics epilogue (default): each finalized count tile is
-  /// converted to D/D'/r² while still hot in cache, so no CountMatrix is
-  /// ever materialized — counts live only in O(mc·nc) tile scratch.
-  /// Applies whenever a packed operand is in effect (gemm.pack_once, or a
-  /// caller-supplied pack); false is the historical two-pass pipeline
-  /// (count matrix, then a statistics pass), kept as the ablation control
-  /// in the spirit of gemm.pack_once. Both paths are bit-identical.
-  bool fused = true;
-  /// Work distribution of the *_parallel drivers (DESIGN.md §4.4). kNest
-  /// (default) runs the team inside one loop nest, draining a work-stealing
-  /// queue of macro-tile chunks over the shared pack; kCoarse is the
-  /// historical static row-range split, kept as the ablation control.
-  /// kNest requires a packed operand and the fused epilogue — drivers fall
-  /// back to the coarse split when either is unavailable.
-  ParallelMode parallel = ParallelMode::kNest;
 };
 
 /// Dense row-major matrix of doubles (LD values).
@@ -148,8 +132,7 @@ using LdStatTileVisitor = std::function<void(const LdTile&)>;
 /// the fused epilogue, covering every canonical pair (j <= i, including
 /// the diagonal) exactly once and emitting no other entries. Diagonal-
 /// crossing cache tiles are delivered as per-row fragments so every
-/// emitted value is valid. Falls back to slabbed two-pass emission (same
-/// canonical-only contract) when no packed operand is in effect.
+/// emitted value is valid.
 void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
                   const LdOptions& opts = {});
 

@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "core/detail/ld_stats_row.hpp"
-#include "core/gemm/macro.hpp"
 #include "core/gemm/nest.hpp"
-#include "core/gemm/syrk.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -257,53 +255,16 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
     return sequential ? seq_values.data() : tile_scratch(scratch_n).data();
   };
 
-  // Identical arithmetic and trace accounting to ld_stat_scan's fused
-  // epilogue, with the tile rebased from shard-local to global indices.
-  const auto emit_syrk = [&](std::size_t base, const CountTile& t) {
-    double* values = scratch();
-    if (t.col_begin + t.cols <= t.row_begin + 1) {
-      {
-        LDLA_TRACE_SPAN(kEpilogue);
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          detail::stat_row_shifted(opts.stat, tables, base + t.row_begin + i,
-                                   base + t.col_begin, t.row(i), t.cols,
-                                   &values[i * t.cols]);
-        }
-        LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
-      }
-      visit(LdTile{base + t.row_begin, base + t.col_begin, t.rows, t.cols,
-                   values, t.cols});
-    } else {
-      // Diagonal-crossing tile: canonical per-row fragments, as in ld.cpp.
-      LDLA_TRACE_SPAN(kEpilogue);
-      std::uint64_t rows_converted = 0;
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        const std::size_t li = t.row_begin + i;
-        if (li < t.col_begin) continue;
-        const std::size_t width =
-            std::min(t.col_begin + t.cols, li + 1) - t.col_begin;
-        detail::stat_row_shifted(opts.stat, tables, base + li,
-                                 base + t.col_begin, t.row(i), width, values);
-        ++rows_converted;
-        visit(LdTile{base + li, base + t.col_begin, 1, width, values, width});
-      }
-      LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
-    }
-  };
-  const auto emit_gemm = [&](std::size_t rbase, std::size_t cbase,
-                             const CountTile& t) {
-    double* values = scratch();
-    {
-      LDLA_TRACE_SPAN(kEpilogue);
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        detail::stat_row_shifted(opts.stat, tables, rbase + t.row_begin + i,
-                                 cbase + t.col_begin, t.row(i), t.cols,
-                                 &values[i * t.cols]);
-      }
-      LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
-    }
-    visit(LdTile{rbase + t.row_begin, cbase + t.col_begin, t.rows, t.cols,
-                 values, t.cols});
+  // ld_stat_scan's epilogue, with the tile rebased from shard-local to
+  // global indices. A diagonal pair (same shard both sides) keeps only the
+  // canonical part; an off-diagonal pair lies strictly below the diagonal
+  // (every column index < every row index), so its tiles go out whole.
+  const auto emit = [&](std::size_t rbase, std::size_t cbase, CountTile t,
+                        detail::TilePart part) {
+    t.row_begin += rbase;
+    t.col_begin += cbase;
+    detail::visit_tile_stats(opts.stat, tables, tables, t, part, scratch(),
+                             visit);
   };
 
   // Row-major over the lower triangle: consecutive pairs share the row
@@ -323,29 +284,20 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
     const std::size_t rbase = store.shard_row_begin(p.r);
     const std::size_t rows = store.shard_rows(p.r);
     if (p.r == p.c) {
-      const CountTileSink sink = [&](const CountTile& t) {
-        emit_syrk(rbase, t);
-      };
-      if (sequential) {
-        syrk_count_fused(pr, 0, rows, sink);
-      } else {
-        syrk_count_parallel_nest(pr, 0, rows, sink, opts.threads);
-      }
+      syrk_count_parallel_nest(
+          pr, 0, rows,
+          [&](const CountTile& t) {
+            emit(rbase, rbase, t, detail::TilePart::kLower);
+          },
+          opts.threads);
     } else {
-      // jc < ic: the whole cross block lies strictly below the diagonal
-      // (every column index < every row index), so all entries are
-      // canonical whole-tile emissions.
       const std::size_t cbase = store.shard_row_begin(p.c);
-      const std::size_t cols = store.shard_rows(p.c);
-      const CountTileSink sink = [&](const CountTile& t) {
-        emit_gemm(rbase, cbase, t);
-      };
-      if (sequential) {
-        gemm_count_fused(pr, 0, rows, pc, 0, cols, sink);
-      } else {
-        gemm_count_parallel_nest(pr, 0, rows, pc, 0, cols, sink,
-                                 opts.threads);
-      }
+      gemm_count_parallel_nest(
+          pr, 0, rows, pc, 0, store.shard_rows(p.c),
+          [&](const CountTile& t) {
+            emit(rbase, cbase, t, detail::TilePart::kFull);
+          },
+          opts.threads);
     }
   });
 }
@@ -377,6 +329,9 @@ void ld_cross_stream(ShardStore& a, ShardStore& b,
   const std::size_t scratch_n = pa.mc * pa.nc;
   const bool sequential = opts.threads == 1;
   AlignedBuffer<double> seq_values(sequential ? scratch_n : 0);
+  const auto scratch = [&]() -> double* {
+    return sequential ? seq_values.data() : tile_scratch(scratch_n).data();
+  };
 
   std::vector<StreamPair> pairs;
   pairs.reserve(sa * sb);
@@ -393,26 +348,15 @@ void ld_cross_stream(ShardStore& a, ShardStore& b,
     const std::size_t rows = a.shard_rows(p.r);
     const std::size_t cbase = b.shard_row_begin(p.c);
     const std::size_t cols = b.shard_rows(p.c);
-    const CountTileSink sink = [&](const CountTile& t) {
-      double* values =
-          sequential ? seq_values.data() : tile_scratch(scratch_n).data();
-      {
-        LDLA_TRACE_SPAN(kEpilogue);
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          detail::stat_row_cross_shifted(opts.stat, ta, rbase + t.row_begin + i,
-                                         tb, cbase + t.col_begin, t.row(i),
-                                         t.cols, &values[i * t.cols]);
-        }
-        LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
-      }
-      visit(LdTile{rbase + t.row_begin, cbase + t.col_begin, t.rows, t.cols,
-                   values, t.cols});
-    };
-    if (sequential) {
-      gemm_count_fused(pr, 0, rows, pc, 0, cols, sink);
-    } else {
-      gemm_count_parallel_nest(pr, 0, rows, pc, 0, cols, sink, opts.threads);
-    }
+    gemm_count_parallel_nest(
+        pr, 0, rows, pc, 0, cols,
+        [&](CountTile t) {
+          t.row_begin += rbase;
+          t.col_begin += cbase;
+          detail::visit_tile_stats(opts.stat, ta, tb, t,
+                                   detail::TilePart::kFull, scratch(), visit);
+        },
+        opts.threads);
   });
 }
 

@@ -1,30 +1,21 @@
-// Multi-threaded LD drivers.
+// Multi-threaded LD drivers (DESIGN.md §4.4).
 //
-// Parallelization strategy (DESIGN.md §4.4) is selected by
-// LdOptions::parallel:
+// Each *_parallel driver shares its body with the sequential driver of the
+// same shape (core/ld.cpp); `threads` is the only difference. The team
+// works *inside* one loop nest: the operand is packed once as a team (one
+// sliver range per worker, one barrier per side), then per-member
+// Chase–Lev deques drain a queue of (ic, jr) macro-tile chunks over the
+// shared immutable pack, stealing from each other when their block runs
+// dry. The symmetric drivers enqueue only diagonal-and-below chunks, so the
+// SYRK triangle saving survives parallelization without a static
+// triangle-balancing split. Results are bit-identical to the sequential
+// drivers, and scan visitors always fire from the calling thread.
 //
-//  - ParallelMode::kNest (default): the team works *inside* one loop nest —
-//    the operand is packed once as a team (one sliver range per worker, one
-//    barrier per side), then per-member Chase–Lev deques drain a queue of
-//    (ic, jr) macro-tile chunks over the shared immutable pack, stealing
-//    from each other when their block runs dry. The symmetric drivers
-//    enqueue only diagonal-and-below chunks, so the SYRK triangle saving
-//    survives parallelization without a static triangle-balancing split.
-//    Requires the fused epilogue and a packed operand (drivers fall back to
-//    kCoarse otherwise). Scan visitors fire sequentially from the calling
-//    thread in this mode.
-//  - ParallelMode::kCoarse: each worker runs the complete sequential
-//    slabbed scan over a disjoint static row range (split_triangle_rows
-//    for symmetric scans). Kept as the ablation control; scan visitors are
-//    invoked concurrently.
-//
-// Results are bit-identical across modes and to the sequential drivers.
-//
-// `threads` controls the work partition (0 = default_thread_count(): the
-// LDLA_THREADS environment variable, else hardware concurrency); tasks
-// execute on the process-wide global_pool(), so execution parallelism is
-// additionally capped by that pool's size and repeated calls pay no thread
-// spawn/join cost.
+// `threads` sizes the team (0 = default_thread_count(): the LDLA_THREADS
+// environment variable, else hardware concurrency); tasks execute on the
+// process-wide global_pool(), so execution parallelism is additionally
+// capped by that pool's size and repeated calls pay no thread spawn/join
+// cost. Do not call these from inside a global_pool() task.
 #pragma once
 
 #include "core/ld.hpp"
@@ -41,15 +32,14 @@ LdMatrix ld_cross_matrix_parallel(const BitMatrix& a, const BitMatrix& b,
                                   const LdOptions& opts = {},
                                   unsigned threads = 0);
 
-/// Streaming all-pairs scan. Under ParallelMode::kCoarse `visit` is invoked
-/// CONCURRENTLY from worker threads and must be thread-safe; under kNest it
-/// fires sequentially from the calling thread (the team parallelism lives
-/// inside each slab's nest). Tile coverage is identical to ld_scan: every
-/// pair (i, j) with j <= i appears in exactly one tile.
+/// Streaming all-pairs scan: the same slab tiles as ld_scan, delivered in
+/// the same order from the calling thread (the team parallelism lives
+/// inside each slab's nest), so `visit` needs no locking.
 void ld_scan_parallel(const BitMatrix& g, const LdTileVisitor& visit,
                       const LdOptions& opts = {}, unsigned threads = 0);
 
-/// Streaming cross-matrix scan; same thread-safety contract as above.
+/// Streaming cross-matrix scan; same tiles and visitor contract as
+/// ld_cross_scan.
 void ld_cross_scan_parallel(const BitMatrix& a, const BitMatrix& b,
                             const LdTileVisitor& visit,
                             const LdOptions& opts = {}, unsigned threads = 0);

@@ -120,7 +120,6 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
   out.plan.mc = h[8];
   out.plan.nc = h[9];
   out.plan.sparse_threshold = h[10];
-  out.plan.packing = true;  // the store persists the packed layout only
   const std::uint64_t shard_count = h[11];
   out.file_bytes = h[12];
   const std::uint64_t dir_off = h[13];
@@ -335,9 +334,6 @@ void write_shard_store(const std::string& path, const BitMatrixView& m,
   LDLA_EXPECT(!m.empty() && m.n_samples != 0,
               "write_shard_store requires a non-empty matrix");
   LDLA_EXPECT(rows_per_shard != 0, "rows_per_shard must be positive");
-  LDLA_EXPECT(cfg.packing,
-              "the shard store persists the packed layout; packing must be "
-              "enabled in the config");
 
   ShardIndex idx;
   idx.n_snps = m.n_snps;
@@ -525,8 +521,8 @@ ShardStore ShardStore::open(const std::string& path,
           "= true} to re-pack each shard at materialization");
     }
     const GemmPlan& want = *opts.expect_plan;
-    LDLA_EXPECT(want.packing && want.mr != 0 && want.nr != 0 &&
-                    want.ku != 0 && want.kc_words != 0,
+    LDLA_EXPECT(want.mr != 0 && want.nr != 0 && want.ku != 0 &&
+                    want.kc_words != 0,
                 "repack-on-mismatch needs a fully resolved packing plan");
     if (find_kernel(want.arch, want.mr, want.nr, want.ku) == nullptr ||
         !kernel_available(want.arch)) {

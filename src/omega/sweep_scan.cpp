@@ -5,8 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/gemm/count_matrix.hpp"
-#include "core/gemm/nest.hpp"
 #include "core/gemm/syrk.hpp"
 #include "omega/omega_stat.hpp"
 #include "util/contract.hpp"
@@ -27,149 +25,77 @@ void validate(const BitMatrix& g, const std::vector<double>& positions,
   LDLA_EXPECT(params.window_snps >= 2, "window needs at least 2 SNPs a side");
 }
 
-// Shared per-scan state: the packed operand (null = fresh-pack path) and
-// the per-SNP derived-allele counts (only filled for the packed path,
-// where they replace both the polymorphism filter and the r^2 ci inputs).
+// Shared per-scan state: the packed operand and the per-SNP derived-allele
+// counts (they drive both the polymorphism filter and the r^2 inputs).
 struct ScanContext {
   const PackedBitMatrix* packed = nullptr;
   std::vector<std::uint64_t> counts;
   std::uint64_t samples = 0;
-  bool fused = true;
-  /// Team size for in-nest window SYRKs (1 = sequential nests).
-  unsigned team = 1;
 };
 
-std::optional<OmegaPoint> scan_window(const BitMatrix& g, double x,
-                                      std::size_t center, std::size_t half,
-                                      const GemmConfig& gemm) {
-  const std::size_t n = g.snps();
-  const std::size_t begin = center > half ? center - half : 0;
-  const std::size_t end = std::min(n, center + half);
-  if (end - begin < 4) return std::nullopt;
-
-  // Monomorphic SNPs have undefined r^2 and, at window edges, produce
-  // degenerate zero-cross splits (omega = inf); drop them, as OmegaPlus
-  // does, and compute omega on the compacted window.
-  std::vector<std::size_t> keep;
-  keep.reserve(end - begin);
-  for (std::size_t s = begin; s < end; ++s) {
-    if (g.is_polymorphic(s)) keep.push_back(s);
-  }
-  if (keep.size() < 4) return std::nullopt;
-
-  const BitMatrix window = g.gather_rows(keep);
-  const LdMatrix r2 = window_r2(window, 0, window.snps(), gemm);
-  const OmegaMax m = omega_max(r2);
-  return OmegaPoint{x, m.omega, begin, end, m.split};
-}
-
-// Packed-operand window: counts for the whole contiguous window come from
-// slicing the persistent pack (no gather, no re-pack); the polymorphic
-// subset is then compacted at the r^2 stage. ld_r_squared sees the exact
-// same (ci, cj, cij, n) inputs as the fresh path, so results are
-// bit-identical.
-std::optional<OmegaPoint> scan_window_packed(const ScanContext& ctx, double x,
-                                             std::size_t center,
-                                             std::size_t half) {
+// One window: counts for the whole contiguous window come from slicing the
+// persistent pack (no gather, no re-pack), and r^2 entries are produced
+// straight from hot count tiles for the polymorphic subset — the window
+// CountMatrix is never materialized. Monomorphic SNPs have undefined r^2
+// and, at window edges, produce degenerate zero-cross splits (omega = inf);
+// they are dropped, as OmegaPlus does, and omega runs on the compacted
+// window.
+std::optional<OmegaPoint> scan_window(const ScanContext& ctx, double x,
+                                      std::size_t center, std::size_t half) {
   const PackedBitMatrix& packed = *ctx.packed;
   const std::size_t n = packed.snps();
   const std::size_t begin = center > half ? center - half : 0;
   const std::size_t end = std::min(n, center + half);
   if (end - begin < 4) return std::nullopt;
 
-  std::vector<std::size_t> keep;
-  keep.reserve(end - begin);
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> pos(end - begin, kNone);
+  std::size_t wk = 0;
   for (std::size_t s = begin; s < end; ++s) {
-    if (ctx.counts[s] > 0 && ctx.counts[s] < ctx.samples) keep.push_back(s);
+    if (ctx.counts[s] > 0 && ctx.counts[s] < ctx.samples) pos[s - begin] = wk++;
   }
-  if (keep.size() < 4) return std::nullopt;
+  if (wk < 4) return std::nullopt;
 
-  const std::size_t wk = keep.size();
   LdMatrix r2(wk, wk);
-
-  if (ctx.fused) {
-    // Fused epilogue: r^2 entries are produced straight from hot count
-    // tiles — the w×w window CountMatrix is never materialized, so ω
-    // consumes r² with zero count storage. ld_r_squared sees the same
-    // (ci, cj, cij, n) inputs as the two-pass branch: bit-identical.
-    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-    std::vector<std::size_t> pos(end - begin, kNone);
-    for (std::size_t i = 0; i < wk; ++i) pos[keep[i] - begin] = i;
-    // Each canonical pair lives in exactly one tile and writes its own
-    // r2(pi, pj) / r2(pj, pi) cells, so the sink is safe for the in-nest
-    // team (ctx.team > 1) without locking.
-    const auto sink = [&](const CountTile& t) {
-      LDLA_TRACE_SPAN(kEpilogue);
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        const std::size_t gi = t.row_begin + i;
-        const std::size_t pi = pos[gi - begin];
-        if (pi == kNone) continue;
-        const std::size_t j_hi = std::min(t.col_begin + t.cols, gi + 1);
-        for (std::size_t gj = t.col_begin; gj < j_hi; ++gj) {
-          const std::size_t pj = pos[gj - begin];
-          if (pj == kNone) continue;
-          const double v = ld_r_squared(ctx.counts[gi], ctx.counts[gj],
-                                        t.row(i)[gj - t.col_begin],
-                                        ctx.samples);
-          r2(pi, pj) = v;
-          r2(pj, pi) = v;
-        }
-      }
-      LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
-    };
-    if (ctx.team > 1) {
-      syrk_count_parallel_nest(packed, begin, end, sink, ctx.team);
-    } else {
-      syrk_count_fused(packed, begin, end, sink);
-    }
-    const OmegaMax m = omega_max(r2);
-    return OmegaPoint{x, m.omega, begin, end, m.split};
-  }
-
-  const std::size_t w = end - begin;
-  CountMatrix cmat(w, w);
-  syrk_count_packed(packed, begin, end, cmat.ref(), /*triangular_only=*/true);
-
-  {
+  syrk_count_fused(packed, begin, end, [&](const CountTile& t) {
     LDLA_TRACE_SPAN(kEpilogue);
-    for (std::size_t i = 0; i < wk; ++i) {
-      const std::size_t gi = keep[i];
-      for (std::size_t j = 0; j <= i; ++j) {
-        const std::size_t gj = keep[j];
-        // gi >= gj, so (gi, gj) indexes the valid lower triangle. r^2 is
-        // exactly symmetric in (ci, cj), so one evaluation fills both.
-        const double v =
-            ld_r_squared(ctx.counts[gi], ctx.counts[gj],
-                         cmat(gi - begin, gj - begin), ctx.samples);
-        r2(i, j) = v;
-        r2(j, i) = v;
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      const std::size_t gi = t.row_begin + i;
+      const std::size_t pi = pos[gi - begin];
+      if (pi == kNone) continue;
+      const std::size_t j_hi = std::min(t.col_begin + t.cols, gi + 1);
+      for (std::size_t gj = t.col_begin; gj < j_hi; ++gj) {
+        const std::size_t pj = pos[gj - begin];
+        if (pj == kNone) continue;
+        // r^2 is exactly symmetric in (ci, cj): one evaluation fills both.
+        const double v = ld_r_squared(ctx.counts[gi], ctx.counts[gj],
+                                      t.row(i)[gj - t.col_begin], ctx.samples);
+        r2(pi, pj) = v;
+        r2(pj, pi) = v;
       }
     }
-  }
+    LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
+  });
   const OmegaMax m = omega_max(r2);
   return OmegaPoint{x, m.omega, begin, end, m.split};
 }
 
-std::optional<OmegaPoint> scan_grid_point(
-    const BitMatrix& g, const std::vector<double>& positions,
-    const SweepScanParams& params, const ScanContext& ctx, std::size_t gp) {
+std::optional<OmegaPoint> scan_grid_point(const std::vector<double>& positions,
+                                          const SweepScanParams& params,
+                                          const ScanContext& ctx,
+                                          std::size_t gp) {
   const double x = (static_cast<double>(gp) + 0.5) /
                    static_cast<double>(params.grid_points);
   const std::size_t center = static_cast<std::size_t>(
       std::lower_bound(positions.begin(), positions.end(), x) -
       positions.begin());
 
-  const auto eval = [&](std::size_t half) {
-    return ctx.packed != nullptr
-               ? scan_window_packed(ctx, x, center, half)
-               : scan_window(g, x, center, half, params.gemm);
-  };
-
-  std::optional<OmegaPoint> best = eval(params.window_snps);
+  std::optional<OmegaPoint> best =
+      scan_window(ctx, x, center, params.window_snps);
   // OmegaPlus-style search over window extents: report the maximizing one.
   for (const std::size_t half : params.window_candidates) {
     if (half == params.window_snps || half < 2) continue;
-    const auto candidate = eval(half);
+    const auto candidate = scan_window(ctx, x, center, half);
     if (candidate && (!best || candidate->omega > best->omega)) {
       best = candidate;
     }
@@ -179,19 +105,14 @@ std::optional<OmegaPoint> scan_grid_point(
 
 ScanContext make_scan_context(const BitMatrix& g,
                               const SweepScanParams& params,
-                              std::optional<PackedBitMatrix>& own,
-                              unsigned team = 1) {
+                              std::optional<PackedBitMatrix>& own) {
   ScanContext ctx;
-  ctx.packed = resolve_packed(g.view(), params.gemm, params.packed,
-                              PackSides::kBoth, own, team);
-  ctx.fused = params.fused;
-  ctx.team = team;
-  if (ctx.packed != nullptr) {
-    ctx.samples = g.samples();
-    ctx.counts.resize(g.snps());
-    for (std::size_t s = 0; s < g.snps(); ++s) {
-      ctx.counts[s] = g.derived_count(s);
-    }
+  ctx.packed = &resolve_packed(g.view(), params.gemm, params.packed,
+                               PackSides::kBoth, own);
+  ctx.samples = g.samples();
+  ctx.counts.resize(g.snps());
+  for (std::size_t s = 0; s < g.snps(); ++s) {
+    ctx.counts[s] = g.derived_count(s);
   }
   return ctx;
 }
@@ -209,7 +130,7 @@ std::vector<OmegaPoint> omega_scan(const BitMatrix& g,
   std::optional<PackedBitMatrix> own;
   const ScanContext ctx = make_scan_context(g, params, own);
   for (std::size_t gp = 0; gp < params.grid_points; ++gp) {
-    if (const auto point = scan_grid_point(g, positions, params, ctx, gp)) {
+    if (const auto point = scan_grid_point(positions, params, ctx, gp)) {
       out.push_back(*point);
     }
   }
@@ -225,25 +146,6 @@ std::vector<OmegaPoint> omega_scan_parallel(
     threads = default_thread_count();
   }
 
-  if (params.parallel == ParallelMode::kNest && params.fused) {
-    // In-nest: walk the grid sequentially, with the whole team stealing
-    // macro-tile chunks inside each window's SYRK. Requires the packed
-    // fused path (fall through to the coarse grid split otherwise).
-    std::optional<PackedBitMatrix> own;
-    const ScanContext ctx = make_scan_context(g, params, own, threads);
-    if (ctx.packed != nullptr) {
-      std::vector<OmegaPoint> out;
-      out.reserve(params.grid_points);
-      for (std::size_t gp = 0; gp < params.grid_points; ++gp) {
-        if (const auto point =
-                scan_grid_point(g, positions, params, ctx, gp)) {
-          out.push_back(*point);
-        }
-      }
-      return out;
-    }
-  }
-
   // Pack once, share read-only across workers; grid points are distributed
   // in `threads` contiguous chunks on the process-wide pool.
   std::optional<PackedBitMatrix> own;
@@ -253,7 +155,7 @@ std::vector<OmegaPoint> omega_scan_parallel(
   const std::vector<Range> ranges = split_uniform(params.grid_points, threads);
   global_pool().run_tasks(ranges.size(), [&](std::size_t t) {
     for (std::size_t gp = ranges[t].begin; gp < ranges[t].end; ++gp) {
-      slots[gp] = scan_grid_point(g, positions, params, ctx, gp);
+      slots[gp] = scan_grid_point(positions, params, ctx, gp);
     }
   });
 

@@ -23,22 +23,8 @@ struct SweepScanParams {
   /// Optional persistent packed operand for `g` (see LdOptions::packed).
   /// Windows are tiny relative to the region and neighbouring grid points
   /// overlap heavily, so the scan slices one pack instead of gathering and
-  /// re-packing every window; when null, omega_scan packs once per call
-  /// while gemm.pack_once is on.
+  /// re-packing every window; when null, the scan packs once per call.
   const PackedBitMatrix* packed = nullptr;
-  /// Fused statistics epilogue (see LdOptions::fused): each window's r²
-  /// matrix is filled straight from hot count tiles, so the w×w window
-  /// CountMatrix disappears — ω consumes r² with zero count storage.
-  /// Bit-identical to the two-pass path; applies on the packed path.
-  bool fused = true;
-  /// Work distribution of omega_scan_parallel (see LdOptions::parallel).
-  /// kNest (default): the grid is walked sequentially and the whole team
-  /// cooperates inside each window's SYRK nest, stealing macro-tile chunks
-  /// — one window is in flight at a time, so per-call memory stays one
-  /// window regardless of thread count. kCoarse: grid points are split
-  /// statically across workers, each evaluating whole windows (the
-  /// historical mode, kept as the ablation control). Results identical.
-  ParallelMode parallel = ParallelMode::kNest;
 };
 
 struct OmegaPoint {
@@ -55,9 +41,11 @@ std::vector<OmegaPoint> omega_scan(const BitMatrix& g,
                                    const std::vector<double>& positions,
                                    const SweepScanParams& params = {});
 
-/// Same scan with `threads` workers (0 = default_thread_count()); the
-/// work distribution follows params.parallel. Results identical to
-/// omega_scan.
+/// Same scan with `threads` workers (0 = default_thread_count()): grid
+/// points are split into contiguous ranges, one per worker, each window
+/// evaluated whole on its worker. (A team inside each window's nest loses
+/// here: windows of ~80 SNPs leave it almost nothing to steal.) Results
+/// identical to omega_scan.
 std::vector<OmegaPoint> omega_scan_parallel(
     const BitMatrix& g, const std::vector<double>& positions,
     const SweepScanParams& params = {}, unsigned threads = 0);

@@ -43,7 +43,7 @@ enum class Phase : std::uint8_t {
   kPackA = 0,   ///< packing an A-side (mr-sliver) operand panel
   kPackB,       ///< packing a B-side (nr-sliver) operand panel
   kKernel,      ///< macro-kernel: register-tile loops over packed slivers
-  kEpilogue,    ///< count -> statistic conversion (fused sinks and two-pass)
+  kEpilogue,    ///< count -> statistic conversion (the fused tile sinks)
   kMirror,      ///< lower-to-upper triangle mirroring
   kIo,          ///< file parsing / writing
   kTaskRun,     ///< thread-pool task execution

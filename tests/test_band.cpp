@@ -1,6 +1,7 @@
 #include "core/band.hpp"
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -78,6 +79,34 @@ TEST(BandScan, WideBandEqualsFullScan) {
     }
   });
   EXPECT_EQ(band_pairs, ld_pair_count(g.snps()));
+}
+
+TEST(BandScan, HugeBandwidthMeansEveryColumn) {
+  // A bandwidth near SIZE_MAX must saturate to full-width slabs: the stripe
+  // buffer is sized from max_rows + bandwidth, and a wrapped sum would
+  // under-allocate it while the tiles still write every column.
+  const BitMatrix g = test_matrix(100, 64, 9);
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  std::size_t pairs = 0;
+  ld_band_scan(g, huge, [&](const LdTile& tile) {
+    EXPECT_EQ(tile.col_begin, 0u);
+    EXPECT_EQ(tile.cols, tile.row_begin + tile.rows);
+    for (std::size_t i = 0; i < tile.rows; ++i) {
+      pairs += tile.row_begin + i + 1;
+    }
+  });
+  EXPECT_EQ(pairs, ld_pair_count(g.snps()));
+
+  // Same through the decay profile: every pair lands in the first bin.
+  const DecayProfile prof = ld_decay_profile(g, huge, 4);
+  const LdMatrix full = ld_matrix(g);
+  std::uint64_t finite = 0;
+  for (std::size_t i = 0; i < g.snps(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (std::isfinite(full(i, j))) ++finite;
+    }
+  }
+  EXPECT_EQ(prof.count[0], finite);
 }
 
 TEST(BandScan, RejectsBadArguments) {

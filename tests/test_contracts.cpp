@@ -60,23 +60,10 @@ TEST(Contracts, PackedPanelSliverOutOfRangeThrows) {
   BitMatrix m(10, 256);
   const std::size_t r = 4, ku = 2, kc = m.words_per_snp();
   AlignedBuffer<std::uint64_t> buf(packed_panel_words(m.snps(), kc, r, ku));
-  const PackedPanelView panel =
-      pack_panel_view(m.view(), 0, m.snps(), 0, kc, r, ku, buf.data());
-  ASSERT_EQ(panel.slivers, 3u);  // ceil(10 / 4)
+  pack_panel(m.view(), 0, m.snps(), 0, kc, r, ku, buf.data());
+  const PackedPanelView panel{buf.data(), 3, r, kc};  // ceil(10 / 4) slivers
   EXPECT_NO_THROW((void)panel.sliver(2));
   EXPECT_THROW((void)panel.sliver(3), ContractViolation);
-}
-
-TEST(Contracts, PackPanelViewRejectsMisalignedOutput) {
-  LDLA_REQUIRE_CHECKED_BUILD();
-  BitMatrix m(4, 64);
-  const std::size_t r = 4, ku = 2, kc = m.words_per_snp();
-  AlignedBuffer<std::uint64_t> buf(packed_panel_words(m.snps(), kc, r, ku) + 1);
-  // One word past a 64-byte boundary is 8-byte aligned but not 64.
-  EXPECT_THROW(
-      (void)pack_panel_view(m.view(), 0, m.snps(), 0, kc, r, ku,
-                            buf.data() + 1),
-      ContractViolation);
 }
 
 using ContractDeathTest = ::testing::Test;

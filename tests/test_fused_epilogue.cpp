@@ -1,15 +1,14 @@
-// Property sweep for the fused statistics epilogue: the single-pass
-// pipeline (stats written straight from hot count tiles, no intermediate
-// CountMatrix) must be bit-identical to the two-pass ablation across
-// stat x kernel arch x blocking params x ragged shapes x unaligned band
-// and omega windows x sequential/parallel drivers.
+// Property sweep for the fused statistics epilogue: every LD driver writes
+// statistics straight from hot count tiles, and must match the naive
+// oracle bit-for-bit across stat x kernel arch x blocking params x ragged
+// shapes x unaligned band and omega windows x sequential/parallel drivers.
+// The scans must also keep their documented tile geometry.
 #include "core/ld.hpp"
 
+#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -20,11 +19,14 @@
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/parallel.hpp"
+#include "naive_oracle.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/rng.hpp"
 
 namespace ldla {
 namespace {
+
+using oracle::same_value;
 
 BitMatrix random_matrix(std::size_t snps, std::size_t samples,
                         std::uint64_t seed) {
@@ -46,6 +48,8 @@ const std::vector<std::pair<std::size_t, std::size_t>> kShapes = {
 constexpr std::array<LdStatistic, 3> kStats = {
     LdStatistic::kD, LdStatistic::kDPrime, LdStatistic::kRSquared};
 
+constexpr std::array<unsigned, 2> kTeams = {2u, 4u};
+
 std::vector<GemmConfig> blocking_configs(KernelArch arch) {
   std::vector<GemmConfig> cfgs(3);
   cfgs[1].kc_words = 2;
@@ -58,150 +62,149 @@ std::vector<GemmConfig> blocking_configs(KernelArch arch) {
   return cfgs;
 }
 
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
 void expect_same_matrix(const LdMatrix& got, const LdMatrix& want,
                         const char* what) {
   ASSERT_EQ(got.rows(), want.rows()) << what;
   ASSERT_EQ(got.cols(), want.cols()) << what;
   for (std::size_t i = 0; i < want.rows(); ++i) {
     for (std::size_t j = 0; j < want.cols(); ++j) {
-      ASSERT_TRUE(same_bits(got(i, j), want(i, j)))
+      ASSERT_TRUE(same_value(got(i, j), want(i, j)))
           << what << " at (" << i << "," << j << ")";
     }
   }
 }
 
-// Full tile capture (geometry + payload): the fused scans promise not just
-// the same values but the same tile stream as the two-pass path.
+// Full tile capture (geometry + payload).
 struct TileRecord {
   std::size_t row_begin, col_begin, rows, cols;
   std::vector<double> values;
 };
 
-std::vector<TileRecord> record_tiles(const LdTile& tile,
-                                     std::vector<TileRecord>&& acc) {
-  TileRecord r{tile.row_begin, tile.col_begin, tile.rows, tile.cols, {}};
-  r.values.reserve(tile.rows * tile.cols);
-  for (std::size_t i = 0; i < tile.rows; ++i) {
-    for (std::size_t j = 0; j < tile.cols; ++j) {
-      r.values.push_back(tile.at(i, j));
+LdTileVisitor record_into(std::vector<TileRecord>& acc) {
+  return [&acc](const LdTile& tile) {
+    TileRecord r{tile.row_begin, tile.col_begin, tile.rows, tile.cols, {}};
+    r.values.reserve(tile.rows * tile.cols);
+    for (std::size_t i = 0; i < tile.rows; ++i) {
+      for (std::size_t j = 0; j < tile.cols; ++j) {
+        r.values.push_back(tile.at(i, j));
+      }
     }
-  }
-  acc.push_back(std::move(r));
-  return std::move(acc);
+    acc.push_back(std::move(r));
+  };
 }
 
-void expect_same_tiles(const std::vector<TileRecord>& got,
-                       const std::vector<TileRecord>& want,
+// A slab scan's tiles: slab s covers rows [s·slab, min(n, (s+1)·slab)) and
+// columns [col_lo(r0), col_hi(r0, rows)); every value (including the
+// trapezoid's above-diagonal slack, which is still valid LD) must equal
+// the oracle's.
+template <typename ColLo, typename ColHi>
+void expect_slab_tiles(const std::vector<TileRecord>& got, std::size_t n,
+                       std::size_t slab, const ColLo& col_lo,
+                       const ColHi& col_hi, const LdMatrix& want,
                        const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t t = 0; t < want.size(); ++t) {
-    EXPECT_EQ(got[t].row_begin, want[t].row_begin) << what << " tile " << t;
-    EXPECT_EQ(got[t].col_begin, want[t].col_begin) << what << " tile " << t;
-    EXPECT_EQ(got[t].rows, want[t].rows) << what << " tile " << t;
-    EXPECT_EQ(got[t].cols, want[t].cols) << what << " tile " << t;
-    ASSERT_EQ(got[t].values.size(), want[t].values.size()) << what;
-    for (std::size_t v = 0; v < want[t].values.size(); ++v) {
-      ASSERT_TRUE(same_bits(got[t].values[v], want[t].values[v]))
-          << what << " tile " << t << " value " << v;
+  ASSERT_EQ(got.size(), (n + slab - 1) / slab) << what;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    const std::size_t r0 = t * slab;
+    const std::size_t rows = std::min(slab, n - r0);
+    const std::size_t c0 = col_lo(r0);
+    ASSERT_EQ(got[t].row_begin, r0) << what << " tile " << t;
+    ASSERT_EQ(got[t].col_begin, c0) << what << " tile " << t;
+    ASSERT_EQ(got[t].rows, rows) << what << " tile " << t;
+    ASSERT_EQ(got[t].cols, col_hi(r0, rows) - c0) << what << " tile " << t;
+    for (std::size_t i = 0; i < got[t].rows; ++i) {
+      for (std::size_t j = 0; j < got[t].cols; ++j) {
+        ASSERT_TRUE(same_value(got[t].values[i * got[t].cols + j],
+                               want(r0 + i, c0 + j)))
+            << what << " tile " << t << " at (" << r0 + i << "," << c0 + j
+            << ")";
+      }
     }
   }
 }
 
 class FusedEpilogue : public ::testing::TestWithParam<KernelArch> {};
 
-TEST_P(FusedEpilogue, LdMatrixBitIdenticalToTwoPass) {
+TEST_P(FusedEpilogue, LdMatrixMatchesNaive) {
   for (const auto& [n, k] : kShapes) {
     const BitMatrix g = random_matrix(n, k, n * 57 + k);
-    for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-      for (const LdStatistic stat : kStats) {
-        LdOptions fused;
-        fused.gemm = cfg;
-        fused.stat = stat;
-        LdOptions two_pass = fused;
-        two_pass.fused = false;
-        expect_same_matrix(ld_matrix(g, fused), ld_matrix(g, two_pass),
+    for (const LdStatistic stat : kStats) {
+      const LdMatrix want = naive_ld_matrix(g, stat);
+      for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+        LdOptions opts;
+        opts.gemm = cfg;
+        opts.stat = stat;
+        expect_same_matrix(ld_matrix(g, opts), want,
                            ld_statistic_name(stat).c_str());
       }
     }
   }
 }
 
-TEST_P(FusedEpilogue, CrossMatrixBitIdenticalToTwoPass) {
+TEST_P(FusedEpilogue, CrossMatrixMatchesNaive) {
   for (const auto& [n, k] : kShapes) {
     const BitMatrix a = random_matrix(n, k, n * 77 + k);
     const BitMatrix b = random_matrix((n * 2) / 3 + 1, k, n * 131 + k);
-    for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-      for (const LdStatistic stat : kStats) {
-        LdOptions fused;
-        fused.gemm = cfg;
-        fused.stat = stat;
-        LdOptions two_pass = fused;
-        two_pass.fused = false;
-        expect_same_matrix(ld_cross_matrix(a, b, fused),
-                           ld_cross_matrix(a, b, two_pass),
+    for (const LdStatistic stat : kStats) {
+      const LdMatrix want = oracle::naive_cross_ld_matrix(a, b, stat);
+      for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+        LdOptions opts;
+        opts.gemm = cfg;
+        opts.stat = stat;
+        expect_same_matrix(ld_cross_matrix(a, b, opts), want,
                            ld_statistic_name(stat).c_str());
       }
     }
   }
 }
 
-TEST_P(FusedEpilogue, ScansEmitIdenticalTileStreams) {
+TEST_P(FusedEpilogue, ScansEmitSlabTilesMatchingNaive) {
   const BitMatrix g = random_matrix(93, 323, 41);
   const BitMatrix b = random_matrix(45, 323, 43);
-  for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-    for (const LdStatistic stat : kStats) {
-      LdOptions fused;
-      fused.gemm = cfg;
-      fused.stat = stat;
-      fused.slab_rows = 17;  // off every tile boundary
-      LdOptions two_pass = fused;
-      two_pass.fused = false;
+  const std::size_t slab = 17;  // off every tile boundary
+  for (const LdStatistic stat : kStats) {
+    const LdMatrix want = naive_ld_matrix(g, stat);
+    const LdMatrix want_cross = oracle::naive_cross_ld_matrix(g, b, stat);
+    for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+      LdOptions opts;
+      opts.gemm = cfg;
+      opts.stat = stat;
+      opts.slab_rows = slab;
 
-      std::vector<TileRecord> ft, tt;
-      ld_scan(g, [&](const LdTile& t) { ft = record_tiles(t, std::move(ft)); },
-              fused);
-      ld_scan(g, [&](const LdTile& t) { tt = record_tiles(t, std::move(tt)); },
-              two_pass);
-      expect_same_tiles(ft, tt, "ld_scan");
+      std::vector<TileRecord> scan;
+      ld_scan(g, record_into(scan), opts);
+      expect_slab_tiles(
+          scan, g.snps(), slab, [](std::size_t) { return std::size_t{0}; },
+          [](std::size_t r0, std::size_t rows) { return r0 + rows; }, want,
+          "ld_scan");
 
-      std::vector<TileRecord> fc, tc;
-      ld_cross_scan(
-          g, b, [&](const LdTile& t) { fc = record_tiles(t, std::move(fc)); },
-          fused);
-      ld_cross_scan(
-          g, b, [&](const LdTile& t) { tc = record_tiles(t, std::move(tc)); },
-          two_pass);
-      expect_same_tiles(fc, tc, "ld_cross_scan");
+      std::vector<TileRecord> cross;
+      ld_cross_scan(g, b, record_into(cross), opts);
+      expect_slab_tiles(
+          cross, g.snps(), slab, [](std::size_t) { return std::size_t{0}; },
+          [&](std::size_t, std::size_t) { return b.snps(); }, want_cross,
+          "ld_cross_scan");
     }
   }
 }
 
-TEST_P(FusedEpilogue, BandScanBitIdenticalAtUnalignedWindows) {
+TEST_P(FusedEpilogue, BandScanMatchesNaiveAtUnalignedWindows) {
   const BitMatrix g = random_matrix(90, 129, 47);
+  const std::size_t slab = 13;
+  const LdMatrix want = naive_ld_matrix(g, LdStatistic::kRSquared);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
     // Bandwidths and slabs chosen so column windows start/end off every
     // sliver and cache-tile boundary.
     for (const std::size_t bandwidth : {1ul, 11ul, 37ul}) {
-      BandOptions fused;
-      fused.gemm = cfg;
-      fused.slab_rows = 13;
-      BandOptions two_pass = fused;
-      two_pass.fused = false;
-
-      std::vector<TileRecord> ft, tt;
-      ld_band_scan(
-          g, bandwidth,
-          [&](const LdTile& t) { ft = record_tiles(t, std::move(ft)); },
-          fused);
-      ld_band_scan(
-          g, bandwidth,
-          [&](const LdTile& t) { tt = record_tiles(t, std::move(tt)); },
-          two_pass);
-      expect_same_tiles(ft, tt, "ld_band_scan");
+      BandOptions opts;
+      opts.gemm = cfg;
+      opts.slab_rows = slab;
+      std::vector<TileRecord> band;
+      ld_band_scan(g, bandwidth, record_into(band), opts);
+      expect_slab_tiles(
+          band, g.snps(), slab,
+          [&](std::size_t r0) { return r0 > bandwidth ? r0 - bandwidth : 0; },
+          [](std::size_t r0, std::size_t rows) { return r0 + rows; }, want,
+          "ld_band_scan");
     }
   }
 }
@@ -209,33 +212,26 @@ TEST_P(FusedEpilogue, BandScanBitIdenticalAtUnalignedWindows) {
 TEST_P(FusedEpilogue, StatScanCoversCanonicalPairsExactlyOnce) {
   const BitMatrix g = random_matrix(70, 129, 53);
   const std::size_t n = g.snps();
+  const LdMatrix want = naive_ld_matrix(g);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
     LdOptions opts;
     opts.gemm = cfg;
-    const LdMatrix want = ld_matrix(g, opts);
-
-    // Packed fused path and the two-pass fallback (no packing plan) must
-    // both deliver every canonical pair exactly once and nothing else.
-    for (const bool pack_once : {true, false}) {
-      LdOptions scan_opts = opts;
-      scan_opts.gemm.pack_once = pack_once;
-      std::map<std::pair<std::size_t, std::size_t>, double> seen;
-      ld_stat_scan(g, [&](const LdTile& tile) {
-        for (std::size_t i = 0; i < tile.rows; ++i) {
-          for (std::size_t j = 0; j < tile.cols; ++j) {
-            const auto key = std::pair(tile.row_begin + i, tile.col_begin + j);
-            ASSERT_LE(key.second, key.first) << "non-canonical entry emitted";
-            ASSERT_EQ(seen.count(key), 0u) << "duplicate pair";
-            seen[key] = tile.at(i, j);
-          }
+    // Every canonical pair exactly once and nothing else.
+    std::map<std::pair<std::size_t, std::size_t>, double> seen;
+    ld_stat_scan(g, [&](const LdTile& tile) {
+      for (std::size_t i = 0; i < tile.rows; ++i) {
+        for (std::size_t j = 0; j < tile.cols; ++j) {
+          const auto key = std::pair(tile.row_begin + i, tile.col_begin + j);
+          ASSERT_LE(key.second, key.first) << "non-canonical entry emitted";
+          ASSERT_EQ(seen.count(key), 0u) << "duplicate pair";
+          seen[key] = tile.at(i, j);
         }
-      }, scan_opts);
-      ASSERT_EQ(seen.size(), ld_pair_count(n));
-      for (const auto& [key, v] : seen) {
-        ASSERT_TRUE(same_bits(v, want(key.first, key.second)))
-            << "(" << key.first << "," << key.second
-            << ") pack_once=" << pack_once;
       }
+    }, opts);
+    ASSERT_EQ(seen.size(), ld_pair_count(n));
+    for (const auto& [key, v] : seen) {
+      ASSERT_TRUE(same_value(v, want(key.first, key.second)))
+          << "(" << key.first << "," << key.second << ")";
     }
   }
 }
@@ -243,28 +239,24 @@ TEST_P(FusedEpilogue, StatScanCoversCanonicalPairsExactlyOnce) {
 TEST_P(FusedEpilogue, CrossStatScanCoversEveryPairExactlyOnce) {
   const BitMatrix a = random_matrix(33, 323, 59);
   const BitMatrix b = random_matrix(23, 323, 61);
+  const LdMatrix want =
+      oracle::naive_cross_ld_matrix(a, b, LdStatistic::kRSquared);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
     LdOptions opts;
     opts.gemm = cfg;
-    const LdMatrix want = ld_cross_matrix(a, b, opts);
-
-    for (const bool pack_once : {true, false}) {
-      LdOptions scan_opts = opts;
-      scan_opts.gemm.pack_once = pack_once;
-      std::map<std::pair<std::size_t, std::size_t>, double> seen;
-      ld_cross_stat_scan(a, b, [&](const LdTile& tile) {
-        for (std::size_t i = 0; i < tile.rows; ++i) {
-          for (std::size_t j = 0; j < tile.cols; ++j) {
-            const auto key = std::pair(tile.row_begin + i, tile.col_begin + j);
-            ASSERT_EQ(seen.count(key), 0u) << "duplicate pair";
-            seen[key] = tile.at(i, j);
-          }
+    std::map<std::pair<std::size_t, std::size_t>, double> seen;
+    ld_cross_stat_scan(a, b, [&](const LdTile& tile) {
+      for (std::size_t i = 0; i < tile.rows; ++i) {
+        for (std::size_t j = 0; j < tile.cols; ++j) {
+          const auto key = std::pair(tile.row_begin + i, tile.col_begin + j);
+          ASSERT_EQ(seen.count(key), 0u) << "duplicate pair";
+          seen[key] = tile.at(i, j);
         }
-      }, scan_opts);
-      ASSERT_EQ(seen.size(), a.snps() * b.snps());
-      for (const auto& [key, v] : seen) {
-        ASSERT_TRUE(same_bits(v, want(key.first, key.second)));
       }
+    }, opts);
+    ASSERT_EQ(seen.size(), a.snps() * b.snps());
+    for (const auto& [key, v] : seen) {
+      ASSERT_TRUE(same_value(v, want(key.first, key.second)));
     }
   }
 }
@@ -281,73 +273,54 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- parallel drivers and omega windows ---------------------------------
 
-TEST(FusedEpilogueParallel, ParallelScanBitIdenticalToTwoPass) {
+TEST(FusedEpilogueParallel, ParallelScansEmitSlabTilesMatchingNaive) {
   const BitMatrix g = random_matrix(93, 200, 67);
+  const BitMatrix b = random_matrix(33, 200, 69);
+  const std::size_t slab = 17;
   for (const LdStatistic stat : kStats) {
-    LdOptions fused;
-    fused.stat = stat;
-    fused.slab_rows = 17;
-    LdOptions two_pass = fused;
-    two_pass.fused = false;
+    const LdMatrix want = naive_ld_matrix(g, stat);
+    const LdMatrix want_cross = oracle::naive_cross_ld_matrix(g, b, stat);
+    LdOptions opts;
+    opts.stat = stat;
+    opts.slab_rows = slab;
+    for (const unsigned team : kTeams) {
+      // The team works inside each slab's nest; tiles still arrive in slab
+      // order from the calling thread, so no locking is needed here.
+      std::vector<TileRecord> scan;
+      ld_scan_parallel(g, record_into(scan), opts, team);
+      expect_slab_tiles(
+          scan, g.snps(), slab, [](std::size_t) { return std::size_t{0}; },
+          [](std::size_t r0, std::size_t rows) { return r0 + rows; }, want,
+          "ld_scan_parallel");
 
-    // Tile arrival order is nondeterministic across workers, and the
-    // above-diagonal slack a trapezoid tile carries depends on the work
-    // partition (nest slabs span [0, n), coarse slabs stop at each range
-    // boundary): compare the canonical (j <= i) per-pair value maps — the
-    // scan contract — and require each canonical pair exactly once.
-    const auto collect = [&](const LdOptions& opts) {
-      std::map<std::pair<std::size_t, std::size_t>, double> seen;
-      std::mutex mu;
-      ld_scan_parallel(
-          g,
-          [&](const LdTile& tile) {
-            const std::lock_guard<std::mutex> lock(mu);
-            for (std::size_t i = 0; i < tile.rows; ++i) {
-              const std::size_t gi = tile.row_begin + i;
-              for (std::size_t j = 0; j < tile.cols; ++j) {
-                const std::size_t gj = tile.col_begin + j;
-                if (gj > gi) continue;
-                const bool fresh =
-                    seen.emplace(std::make_pair(gi, gj), tile.at(i, j))
-                        .second;
-                EXPECT_TRUE(fresh) << "duplicate pair (" << gi << "," << gj
-                                   << ")";
-              }
-            }
-          },
-          opts, 3);
-      return seen;
-    };
-    const auto a = collect(fused);
-    const auto b = collect(two_pass);
-    ASSERT_EQ(a.size(), b.size());
-    for (const auto& [key, v] : a) {
-      const auto it = b.find(key);
-      ASSERT_NE(it, b.end());
-      ASSERT_TRUE(same_bits(v, it->second))
-          << "(" << key.first << "," << key.second << ")";
+      std::vector<TileRecord> cross;
+      ld_cross_scan_parallel(g, b, record_into(cross), opts, team);
+      expect_slab_tiles(
+          cross, g.snps(), slab, [](std::size_t) { return std::size_t{0}; },
+          [&](std::size_t, std::size_t) { return b.snps(); }, want_cross,
+          "ld_cross_scan_parallel");
     }
   }
 }
 
-TEST(FusedEpilogueParallel, ParallelMatricesBitIdenticalToTwoPass) {
+TEST(FusedEpilogueParallel, ParallelMatricesMatchNaive) {
   const BitMatrix g = random_matrix(70, 129, 71);
   const BitMatrix b = random_matrix(33, 129, 73);
   for (const LdStatistic stat : kStats) {
-    LdOptions fused;
-    fused.stat = stat;
-    fused.slab_rows = 17;
-    LdOptions two_pass = fused;
-    two_pass.fused = false;
-    expect_same_matrix(ld_matrix_parallel(g, fused, 3),
-                       ld_matrix_parallel(g, two_pass, 3), "ld_matrix_parallel");
-    expect_same_matrix(ld_cross_matrix_parallel(g, b, fused, 3),
-                       ld_cross_matrix_parallel(g, b, two_pass, 3),
-                       "ld_cross_matrix_parallel");
+    const LdMatrix want = naive_ld_matrix(g, stat);
+    const LdMatrix want_cross = oracle::naive_cross_ld_matrix(g, b, stat);
+    LdOptions opts;
+    opts.stat = stat;
+    for (const unsigned team : kTeams) {
+      expect_same_matrix(ld_matrix_parallel(g, opts, team), want,
+                         "ld_matrix_parallel");
+      expect_same_matrix(ld_cross_matrix_parallel(g, b, opts, team),
+                         want_cross, "ld_cross_matrix_parallel");
+    }
   }
 }
 
-TEST(FusedEpilogueOmega, OmegaScanBitIdenticalAtUnalignedWindows) {
+TEST(FusedEpilogueOmega, OmegaScanMatchesNaiveAtUnalignedWindows) {
   const BitMatrix g = random_matrix(160, 100, 79);
   std::vector<double> positions(g.snps());
   for (std::size_t s = 0; s < g.snps(); ++s) {
@@ -356,35 +329,34 @@ TEST(FusedEpilogueOmega, OmegaScanBitIdenticalAtUnalignedWindows) {
   }
   // Window extents chosen so [begin, end) lands off every register-tile
   // and cache-tile boundary across the grid.
-  SweepScanParams fused;
-  fused.grid_points = 12;
-  fused.window_snps = 14;
-  fused.window_candidates = {7, 25};
-  SweepScanParams two_pass = fused;
-  two_pass.fused = false;
+  SweepScanParams params;
+  params.grid_points = 12;
+  params.window_snps = 14;
+  params.window_candidates = {7, 25};
+  const std::vector<OmegaPoint> want =
+      oracle::naive_omega_scan(g, positions, params);
 
-  for (const unsigned threads : {0u, 3u}) {
-    const std::vector<OmegaPoint> a =
-        threads == 0 ? omega_scan(g, positions, fused)
-                     : omega_scan_parallel(g, positions, fused, threads);
-    const std::vector<OmegaPoint> b =
-        threads == 0 ? omega_scan(g, positions, two_pass)
-                     : omega_scan_parallel(g, positions, two_pass, threads);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_TRUE(same_bits(a[i].omega, b[i].omega)) << "point " << i;
-      EXPECT_EQ(a[i].window_begin, b[i].window_begin);
-      EXPECT_EQ(a[i].window_end, b[i].window_end);
-      EXPECT_EQ(a[i].best_split, b[i].best_split);
+  for (const unsigned threads : {0u, 1u, 2u, 4u}) {
+    const std::vector<OmegaPoint> got =
+        threads == 0 ? omega_scan(g, positions, params)
+                     : omega_scan_parallel(g, positions, params, threads);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(oracle::same_bits(got[i].omega, want[i].omega))
+          << "point " << i << " threads " << threads;
+      EXPECT_EQ(got[i].window_begin, want[i].window_begin);
+      EXPECT_EQ(got[i].window_end, want[i].window_end);
+      EXPECT_EQ(got[i].best_split, want[i].best_split);
     }
   }
 }
 
-// ---- driver-level: fused tile streams reassemble to the packed result ----
+// ---- driver-level: fused tile streams reassemble to the oracle counts ----
 
 TEST(FusedEpilogueDrivers, GemmFusedTilesReassembleExactly) {
   const BitMatrix a = random_matrix(70, 129, 83);
   const BitMatrix b = random_matrix(33, 129, 89);
+  const CountMatrix want = naive_count_matrix(a, b);
   for (const GemmConfig& cfg : blocking_configs(KernelArch::kAuto)) {
     const PackedBitMatrix pa =
         PackedBitMatrix::pack(a.view(), cfg, PackSides::kA);
@@ -394,8 +366,6 @@ TEST(FusedEpilogueDrivers, GemmFusedTilesReassembleExactly) {
     for (const auto& [a0, a1, b0, b1] :
          std::vector<std::array<std::size_t, 4>>{
              {0, 70, 0, 33}, {3, 11, 1, 30}, {17, 42, 29, 30}}) {
-      CountMatrix want(a1 - a0, b1 - b0);
-      gemm_count_packed(pa, a0, a1, pb, b0, b1, want.ref());
       CountMatrix got(a1 - a0, b1 - b0);
       got.zero();
       std::size_t covered = 0;
@@ -410,7 +380,7 @@ TEST(FusedEpilogueDrivers, GemmFusedTilesReassembleExactly) {
       ASSERT_EQ(covered, (a1 - a0) * (b1 - b0)) << "tiles must partition";
       for (std::size_t i = 0; i < a1 - a0; ++i) {
         for (std::size_t j = 0; j < b1 - b0; ++j) {
-          ASSERT_EQ(got(i, j), want(i, j)) << i << "," << j;
+          ASSERT_EQ(got(i, j), want(a0 + i, b0 + j)) << i << "," << j;
         }
       }
     }
@@ -419,14 +389,13 @@ TEST(FusedEpilogueDrivers, GemmFusedTilesReassembleExactly) {
 
 TEST(FusedEpilogueDrivers, SyrkFusedTilesCoverLowerTriangleExactly) {
   const BitMatrix g = random_matrix(67, 200, 97);
+  const CountMatrix want = naive_count_matrix(g, g);
   for (const GemmConfig& cfg : blocking_configs(KernelArch::kAuto)) {
     const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), cfg);
     for (const auto& [r0, r1] :
          std::vector<std::pair<std::size_t, std::size_t>>{
              {0, 67}, {5, 37}, {30, 31}, {62, 67}}) {
       const std::size_t w = r1 - r0;
-      CountMatrix want(w, w);
-      syrk_count_packed(p, r0, r1, want.ref(), /*triangular_only=*/true);
       CountMatrix got(w, w);
       got.zero();
       std::vector<std::uint8_t> hits(w * w, 0);
@@ -446,7 +415,7 @@ TEST(FusedEpilogueDrivers, SyrkFusedTilesCoverLowerTriangleExactly) {
           ASSERT_EQ(hits[i * w + j], 1u)
               << "pair (" << i << "," << j << ") seen " << int{hits[i * w + j]}
               << " times";
-          ASSERT_EQ(got(i, j), want(i, j)) << i << "," << j;
+          ASSERT_EQ(got(i, j), want(r0 + i, r0 + j)) << i << "," << j;
         }
       }
     }

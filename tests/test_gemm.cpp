@@ -1,11 +1,13 @@
 #include "core/gemm/macro.hpp"
 
+#include <limits>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "baselines/naive.hpp"
 #include "core/gemm/kernel.hpp"
+#include "core/gemm/nest.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
 
@@ -131,28 +133,26 @@ TEST(Gemm, ResultInvariantUnderBlockingParameters) {
   }
 }
 
-TEST(Gemm, PackingAblationMatches) {
-  const BitMatrix a = random_matrix(21, 500, 13);
-  const BitMatrix b = random_matrix(19, 500, 14);
-  const CountMatrix expected = naive_count_matrix(a, b);
-
-  GemmConfig cfg;
-  cfg.packing = false;
-  CountMatrix c(21, 19);
-  gemm_count(a.view(), b.view(), c.ref(), cfg);
-  expect_equal_counts(c, expected);
-}
-
-TEST(Gemm, BlockingAblationMatches) {
+TEST(Gemm, SingleBlockPlanMatches) {
+  // "Blocking off" is a degenerate plan of the same nest: kc spans all of
+  // k and one cache tile spans the whole output — given as the exact
+  // extents or as SIZE_MAX (clamped, never wrapped by the tile rounding).
   const BitMatrix a = random_matrix(21, 500, 15);
   const BitMatrix b = random_matrix(19, 500, 16);
   const CountMatrix expected = naive_count_matrix(a, b);
 
-  GemmConfig cfg;
-  cfg.blocking = false;
-  CountMatrix c(21, 19);
-  gemm_count(a.view(), b.view(), c.ref(), cfg);
-  expect_equal_counts(c, expected);
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  for (const auto& [kc, mc, nc] :
+       std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>{
+           {a.view().n_words, 21, 19}, {huge, huge, huge}}) {
+    GemmConfig cfg;
+    cfg.kc_words = kc;
+    cfg.mc = mc;
+    cfg.nc = nc;
+    CountMatrix c(21, 19);
+    gemm_count(a.view(), b.view(), c.ref(), cfg);
+    expect_equal_counts(c, expected);
+  }
 }
 
 TEST(Gemm, AccumulatesIntoExistingOutput) {
@@ -212,14 +212,32 @@ TEST(Gemm, EmptyOperandsAreNoops) {
   gemm_count(a.view(), empty.view(), c.ref());
 }
 
-TEST(GemmParallel, MatchesSequentialAcrossThreadCounts) {
+// Threaded counts: a team pack, then the in-nest team with a count sink.
+void nest_count(const BitMatrix& a, const BitMatrix& b, CountMatrix& c,
+                unsigned threads) {
+  const PackedBitMatrix pa =
+      PackedBitMatrix::pack(a.view(), {}, PackSides::kA, threads);
+  const PackedBitMatrix pb =
+      PackedBitMatrix::pack(b.view(), {}, PackSides::kB, threads);
+  gemm_count_parallel_nest(
+      pa, 0, a.snps(), pb, 0, b.snps(),
+      [&](const CountTile& t) {
+        for (std::size_t i = 0; i < t.rows; ++i) {
+          for (std::size_t j = 0; j < t.cols; ++j) {
+            c(t.row_begin + i, t.col_begin + j) = t.row(i)[j];
+          }
+        }
+      },
+      threads);
+}
+
+TEST(GemmParallel, MatchesNaiveAcrossThreadCounts) {
   const BitMatrix a = random_matrix(45, 900, 31);
   const BitMatrix b = random_matrix(38, 900, 32);
-  CountMatrix expected(45, 38);
-  gemm_count(a.view(), b.view(), expected.ref());
+  const CountMatrix expected = naive_count_matrix(a, b);
   for (unsigned t : {1u, 2u, 3u, 8u}) {
     CountMatrix c(45, 38);
-    gemm_count_parallel(a.view(), b.view(), c.ref(), {}, t);
+    nest_count(a, b, c, t);
     SCOPED_TRACE(t);
     expect_equal_counts(c, expected);
   }
@@ -228,10 +246,10 @@ TEST(GemmParallel, MatchesSequentialAcrossThreadCounts) {
 TEST(GemmParallel, SingleRowAndEmptyAreSafe) {
   const BitMatrix a = random_matrix(1, 64, 33);
   CountMatrix c(1, 1);
-  gemm_count_parallel(a.view(), a.view(), c.ref(), {}, 4);
+  nest_count(a, a, c, 4);
   EXPECT_EQ(c(0, 0), static_cast<std::uint32_t>(a.derived_count(0)));
   BitMatrix empty;
-  gemm_count_parallel(empty.view(), a.view(), c.ref(), {}, 4);
+  nest_count(empty, a, c, 4);
 }
 
 TEST(GemmTuner, ReturnsValidConfigThatComputesCorrectly) {

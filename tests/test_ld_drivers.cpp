@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/naive.hpp"
+#include "core/parallel.hpp"
 #include "sim/rng.hpp"
 #include "sim/wright_fisher.hpp"
 #include "util/contract.hpp"
@@ -241,10 +242,21 @@ TEST(LdInvariants, DuplicatingTheCohortDoesNotChangeLd) {
 }
 
 TEST(LdScan, RejectsZeroSlab) {
+  // A zero slab would make the slab walk spin forever; every slab scan,
+  // sequential or parallel, rejects it up front.
   const BitMatrix g = test_matrix(4, 64, 13);
+  const BitMatrix b = test_matrix(3, 64, 14);
   LdOptions opts;
   opts.slab_rows = 0;
-  EXPECT_THROW(ld_scan(g, [](const LdTile&) {}, opts), ContractViolation);
+  const auto no_tiles = [](const LdTile&) {};
+  EXPECT_THROW(ld_scan(g, no_tiles, opts), ContractViolation);
+  EXPECT_THROW(ld_cross_scan(g, b, no_tiles, opts), ContractViolation);
+  for (const unsigned threads : {1u, 2u}) {
+    EXPECT_THROW(ld_scan_parallel(g, no_tiles, opts, threads),
+                 ContractViolation);
+    EXPECT_THROW(ld_cross_scan_parallel(g, b, no_tiles, opts, threads),
+                 ContractViolation);
+  }
 }
 
 TEST(LdScan, EmptyMatrixEmitsNothing) {

@@ -1,24 +1,24 @@
 // Property sweep for the persistent packed operand (PackedBitMatrix): the
-// packed-sliver drivers must be bit-identical to the fresh-pack path across
+// packed-sliver drivers must match the naive oracle bit-for-bit across
 // kernel arch x blocking params x non-multiple-of-tile shapes x padding,
-// including ranged (sliver-boundary-crossing) windows.
+// including ranged (sliver-boundary-crossing) windows and caller-held
+// packs.
 #include "core/gemm/packed_bit_matrix.hpp"
 
 #include <array>
-#include <bit>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baselines/naive.hpp"
 #include "core/band.hpp"
 #include "core/gemm/kernel.hpp"
 #include "core/gemm/macro.hpp"
+#include "core/gemm/nest.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
+#include "naive_oracle.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
@@ -44,8 +44,8 @@ const std::vector<std::pair<std::size_t, std::size_t>> kShapes = {
     {5, 100}, {33, 323}, {70, 129}, {128, 1000}};
 
 // Blocking sweeps: auto, tiny blocks (many panels and edge tiles), kc that
-// forces several k panels on multi-word samples, and the no-blocking
-// ablation (single giant block).
+// forces several k panels on multi-word samples, and the no-blocking plan
+// (one block spanning every shape here on all three axes).
 std::vector<GemmConfig> blocking_configs(KernelArch arch) {
   std::vector<GemmConfig> cfgs(4);
   cfgs[1].kc_words = 2;
@@ -54,27 +54,27 @@ std::vector<GemmConfig> blocking_configs(KernelArch arch) {
   cfgs[2].kc_words = 3;
   cfgs[2].mc = 24;
   cfgs[2].nc = 16;
-  cfgs[3].blocking = false;
+  cfgs[3].kc_words = 4096;
+  cfgs[3].mc = 4096;
+  cfgs[3].nc = 4096;
   for (GemmConfig& cfg : cfgs) cfg.arch = arch;
   return cfgs;
 }
 
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
+using oracle::same_bits;
+using oracle::same_value;
 
 class PackReuse : public ::testing::TestWithParam<KernelArch> {};
 
-TEST_P(PackReuse, PackedGemmMatchesFreshAndNaive) {
+TEST_P(PackReuse, PackedGemmMatchesNaive) {
   for (const auto& [n, k] : kShapes) {
     const BitMatrix a = random_matrix(n, k, n * 57 + k);
     const BitMatrix b = random_matrix((n * 2) / 3 + 1, k, n * 91 + k);
     const CountMatrix expected = naive_count_matrix(a, b);
     for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-      GemmConfig fresh_cfg = cfg;
-      fresh_cfg.pack_once = false;
-      CountMatrix fresh(n, b.snps());
-      gemm_count(a.view(), b.view(), fresh.ref(), fresh_cfg);
+      // gemm_count packs per call; the caller-held packs below are reused.
+      CountMatrix per_call(n, b.snps());
+      gemm_count(a.view(), b.view(), per_call.ref(), cfg);
 
       const PackedBitMatrix pa =
           PackedBitMatrix::pack(a.view(), cfg, PackSides::kA);
@@ -87,7 +87,7 @@ TEST_P(PackReuse, PackedGemmMatchesFreshAndNaive) {
         for (std::size_t j = 0; j < b.snps(); ++j) {
           ASSERT_EQ(packed(i, j), expected(i, j))
               << "n=" << n << " k=" << k << " at (" << i << "," << j << ")";
-          ASSERT_EQ(fresh(i, j), expected(i, j));
+          ASSERT_EQ(per_call(i, j), expected(i, j));
         }
       }
     }
@@ -154,23 +154,32 @@ TEST_P(PackReuse, RangedPackedSyrkMatchesWindow) {
   }
 }
 
-TEST_P(PackReuse, ParallelGemmMatchesSerialAcrossPackModes) {
+TEST_P(PackReuse, TeamPackedNestMatchesNaive) {
   const std::size_t n = 61, k = 323;
   const BitMatrix a = random_matrix(n, k, 31);
   const BitMatrix b = random_matrix(45, k, 37);
   const CountMatrix expected = naive_count_matrix(a, b);
-  for (const GemmConfig& base : blocking_configs(GetParam())) {
-    for (const bool pack_once : {true, false}) {
-      GemmConfig cfg = base;
-      cfg.pack_once = pack_once;
-      for (const unsigned threads : {1u, 3u}) {
-        CountMatrix c(n, b.snps());
-        gemm_count_parallel(a.view(), b.view(), c.ref(), cfg, threads);
-        for (std::size_t i = 0; i < n; ++i) {
-          for (std::size_t j = 0; j < b.snps(); ++j) {
-            ASSERT_EQ(c(i, j), expected(i, j))
-                << "threads=" << threads << " pack_once=" << pack_once;
-          }
+  for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+    for (const unsigned threads : {1u, 2u, 3u}) {
+      // Team pack + in-nest team over the shared slivers.
+      const PackedBitMatrix pa =
+          PackedBitMatrix::pack(a.view(), cfg, PackSides::kA, threads);
+      const PackedBitMatrix pb =
+          PackedBitMatrix::pack(b.view(), cfg, PackSides::kB, threads);
+      CountMatrix c(n, b.snps());
+      gemm_count_parallel_nest(
+          pa, 0, n, pb, 0, b.snps(),
+          [&](const CountTile& t) {
+            for (std::size_t i = 0; i < t.rows; ++i) {
+              for (std::size_t j = 0; j < t.cols; ++j) {
+                c(t.row_begin + i, t.col_begin + j) = t.row(i)[j];
+              }
+            }
+          },
+          threads);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < b.snps(); ++j) {
+          ASSERT_EQ(c(i, j), expected(i, j)) << "threads=" << threads;
         }
       }
     }
@@ -187,91 +196,80 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// ---- driver-level equivalence: pack-once vs fresh must be bit-identical --
+// ---- driver-level: one pack per call, checked against the oracle -------
 
-std::vector<double> collect_scan(const BitMatrix& g, const LdOptions& opts) {
-  std::vector<double> out;
+TEST(PackReuseDrivers, LdScanMatchesNaive) {
+  const BitMatrix g = random_matrix(93, 323, 41);
+  const LdMatrix want = naive_ld_matrix(g);
+  LdOptions opts;
+  opts.slab_rows = 17;
+  std::size_t pairs = 0;
   ld_scan(g, [&](const LdTile& tile) {
     for (std::size_t i = 0; i < tile.rows; ++i) {
       const std::size_t gi = tile.row_begin + i;
       for (std::size_t j = 0; j < tile.cols; ++j) {
-        if (tile.col_begin + j > gi) continue;
-        out.push_back(tile.at(i, j));
+        const std::size_t gj = tile.col_begin + j;
+        if (gj > gi) continue;
+        ASSERT_TRUE(same_value(tile.at(i, j), want(gi, gj)))
+            << "(" << gi << "," << gj << ")";
+        ++pairs;
       }
     }
   }, opts);
-  return out;
+  EXPECT_EQ(pairs, ld_pair_count(g.snps()));
 }
 
-std::vector<double> collect_band(const BitMatrix& g, std::size_t w,
-                                 const BandOptions& opts) {
-  std::vector<double> out;
+TEST(PackReuseDrivers, BandScanMatchesNaive) {
+  const BitMatrix g = random_matrix(90, 129, 43);
+  const LdMatrix want = naive_ld_matrix(g);
+  const std::size_t w = 11;
+  BandOptions opts;
+  opts.slab_rows = 13;
+  std::size_t pairs = 0;
   ld_band_scan(g, w, [&](const LdTile& tile) {
     for (std::size_t i = 0; i < tile.rows; ++i) {
       const std::size_t gi = tile.row_begin + i;
       for (std::size_t j = 0; j < tile.cols; ++j) {
         const std::size_t gj = tile.col_begin + j;
         if (gj > gi || gi - gj > w) continue;
-        out.push_back(tile.at(i, j));
+        ASSERT_TRUE(same_value(tile.at(i, j), want(gi, gj)))
+            << "(" << gi << "," << gj << ")";
+        ++pairs;
       }
     }
   }, opts);
-  return out;
+  // Every in-band canonical pair exactly once: n(w+1) - w(w+1)/2.
+  EXPECT_EQ(pairs, g.snps() * (w + 1) - w * (w + 1) / 2);
 }
 
-TEST(PackReuseDrivers, LdScanBitIdenticalToFreshPath) {
-  const BitMatrix g = random_matrix(93, 323, 41);
-  LdOptions fresh;
-  fresh.slab_rows = 17;
-  fresh.gemm.pack_once = false;
-  LdOptions packed = fresh;
-  packed.gemm.pack_once = true;
-  const std::vector<double> a = collect_scan(g, fresh);
-  const std::vector<double> b = collect_scan(g, packed);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(same_bits(a[i], b[i])) << "pair " << i;
-  }
-}
-
-TEST(PackReuseDrivers, BandScanBitIdenticalToFreshPath) {
-  const BitMatrix g = random_matrix(90, 129, 43);
-  BandOptions fresh;
-  fresh.slab_rows = 13;
-  fresh.gemm.pack_once = false;
-  BandOptions packed = fresh;
-  packed.gemm.pack_once = true;
-  const std::vector<double> a = collect_band(g, 11, fresh);
-  const std::vector<double> b = collect_band(g, 11, packed);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(same_bits(a[i], b[i])) << "pair " << i;
-  }
-}
-
-TEST(PackReuseDrivers, OmegaScanBitIdenticalToFreshPath) {
+TEST(PackReuseDrivers, OmegaScanMatchesNaive) {
   const BitMatrix g = random_matrix(160, 100, 47);
   std::vector<double> positions(g.snps());
   for (std::size_t s = 0; s < g.snps(); ++s) {
     positions[s] =
         (static_cast<double>(s) + 0.5) / static_cast<double>(g.snps());
   }
-  SweepScanParams fresh;
-  fresh.grid_points = 12;
-  fresh.window_snps = 14;
-  fresh.window_candidates = {7, 25};
-  fresh.gemm.pack_once = false;
-  SweepScanParams packed = fresh;
-  packed.gemm.pack_once = true;
+  SweepScanParams params;
+  params.grid_points = 12;
+  params.window_snps = 14;
+  params.window_candidates = {7, 25};
+  const std::vector<OmegaPoint> want =
+      oracle::naive_omega_scan(g, positions, params);
 
-  const std::vector<OmegaPoint> a = omega_scan(g, positions, fresh);
-  const std::vector<OmegaPoint> b = omega_scan(g, positions, packed);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(same_bits(a[i].omega, b[i].omega)) << "point " << i;
-    EXPECT_EQ(a[i].window_begin, b[i].window_begin);
-    EXPECT_EQ(a[i].window_end, b[i].window_end);
-    EXPECT_EQ(a[i].best_split, b[i].best_split);
+  // Per-call pack, then a caller-held pack sliced by every window.
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), params.gemm);
+  const std::array<const PackedBitMatrix*, 2> packs = {nullptr, &p};
+  for (const PackedBitMatrix* held : packs) {
+    SweepScanParams run = params;
+    run.packed = held;
+    const std::vector<OmegaPoint> got = omega_scan(g, positions, run);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(same_bits(got[i].omega, want[i].omega)) << "point " << i;
+      EXPECT_EQ(got[i].window_begin, want[i].window_begin);
+      EXPECT_EQ(got[i].window_end, want[i].window_end);
+      EXPECT_EQ(got[i].best_split, want[i].best_split);
+    }
   }
 }
 
@@ -294,13 +292,6 @@ TEST(PackReuseDrivers, CallerSuppliedPackAcceptedAndShapeChecked) {
   // A pack of a different matrix shape must be rejected up front.
   const BitMatrix other = random_matrix(41, 200, 59);
   EXPECT_THROW((void)ld_matrix(other, opts), ContractViolation);
-}
-
-TEST(PackReuseDrivers, PackRequiresAPackingPlan) {
-  const BitMatrix g = random_matrix(8, 64, 61);
-  GemmConfig cfg;
-  cfg.packing = false;
-  EXPECT_THROW((void)PackedBitMatrix::pack(g.view(), cfg), ContractViolation);
 }
 
 }  // namespace

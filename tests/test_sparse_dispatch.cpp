@@ -2,7 +2,7 @@
 // sparse threshold — disabled, 1, auto, all-sparse — every driver must
 // produce bit-identical D/D'/r² to the dense-only control, across stat x
 // kernel arch x blocking x ragged shapes x unaligned band/omega windows x
-// sequential/nest-parallel drivers, plus the pack-time classification
+// thread counts, plus the pack-time classification
 // boundaries (popcount == threshold, complement columns, mixed slivers)
 // and exactly-once tile coverage under hybrid dispatch.
 //
@@ -27,6 +27,7 @@
 #include "core/gemm/sparse_kernel.hpp"
 #include "core/ld.hpp"
 #include "core/parallel.hpp"
+#include "naive_oracle.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/maf_spectrum.hpp"
 #include "sim/rng.hpp"
@@ -395,22 +396,28 @@ TEST_P(SparseDispatch, OmegaScanBitIdenticalOnRarePanel) {
   }
 }
 
-TEST_P(SparseDispatch, NestParallelMatchesSequentialHybrid) {
+TEST_P(SparseDispatch, NestParallelHybridMatchesNaive) {
   const BitMatrix g = rare_panel(96, 258, 97);
   for (const LdStatistic stat : kStats) {
+    const LdMatrix want = naive_ld_matrix(g, stat);
     LdOptions dense;
     dense.gemm.arch = GetParam();
     dense.gemm.sparse_threshold = 0;
     dense.stat = stat;
-    const LdMatrix want = ld_matrix(g, dense);
     LdOptions sparse = dense;
     sparse.gemm.sparse_threshold = kSparseThresholdAuto;
-    expect_same_matrix(ld_matrix(g, sparse), want, "sequential hybrid");
-    for (const ParallelMode mode : {ParallelMode::kNest, ParallelMode::kCoarse}) {
-      LdOptions par = sparse;
-      par.parallel = mode;
-      expect_same_matrix(ld_matrix_parallel(g, par, 4), want,
-                         parallel_mode_name(mode).c_str());
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      for (const LdOptions& opts : {dense, sparse}) {
+        const LdMatrix got = ld_matrix_parallel(g, opts, threads);
+        for (std::size_t i = 0; i < want.rows(); ++i) {
+          for (std::size_t j = 0; j < want.cols(); ++j) {
+            ASSERT_TRUE(oracle::same_value(got(i, j), want(i, j)))
+                << "threads " << threads << " threshold "
+                << opts.gemm.sparse_threshold << " at (" << i << "," << j
+                << ")";
+          }
+        }
+      }
     }
   }
 }

@@ -98,20 +98,6 @@ TEST(Syrk, OverwritesPreviousContents) {
   }
 }
 
-TEST(Syrk, PackingAblationMatches) {
-  const BitMatrix g = random_matrix(17, 200, 6);
-  const CountMatrix expected = naive_count_matrix(g, g);
-  GemmConfig cfg;
-  cfg.packing = false;
-  CountMatrix c(17, 17);
-  syrk_count(g.view(), c.ref(), cfg);
-  for (std::size_t i = 0; i < 17; ++i) {
-    for (std::size_t j = 0; j < 17; ++j) {
-      ASSERT_EQ(c(i, j), expected(i, j));
-    }
-  }
-}
-
 TEST(Syrk, RejectsTooSmallOutput) {
   const BitMatrix g = random_matrix(5, 64, 7);
   CountMatrix c(4, 5);

@@ -271,7 +271,6 @@ PUBLIC_API = {
         ("gemm_count", "expect"),
         ("gemm_count_packed", "expect"),
         ("gemm_count_fused", "expect"),
-        ("gemm_count_parallel", "expect"),
     ],
     "src/core/gemm/nest.cpp": [
         ("gemm_count_parallel_nest", "expect"),
@@ -299,8 +298,6 @@ PUBLIC_API = {
         ("ld_cross_scan", "expect"),
         ("ld_stat_scan", "expect"),
         ("ld_cross_stat_scan", "expect"),
-    ],
-    "src/core/parallel.cpp": [
         ("ld_scan_parallel", "expect"),
         ("ld_cross_scan_parallel", "expect"),
     ],
