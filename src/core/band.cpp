@@ -5,7 +5,7 @@
 #include <optional>
 
 #include "core/detail/ld_stats_row.hpp"
-#include "core/gemm/nest.hpp"
+#include "core/gemm/macro.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
 
@@ -43,7 +43,7 @@ void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
     // Row r0+i pairs with global columns [col_begin, col_end); the whole
     // stripe is converted (values outside the band are still valid LD
     // values; consumers filter by index).
-    gemm_count_parallel_nest(
+    gemm_count_fused(
         packed, r0, r0 + rows, packed, col_begin, col_end,
         [&](const CountTile& t) {
           detail::tile_stats(opts.stat, tables, tables, t,

@@ -1,15 +1,24 @@
 #include "core/gemm/macro.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <deque>
 #include <limits>
 #include <optional>
+#include <vector>
 
-#include "core/gemm/fused_tile.hpp"
 #include "core/gemm/kernel.hpp"
+#include "core/gemm/sparse_kernel.hpp"
+#include "core/gemm/syrk.hpp"
 #include "core/gemm/tune_cache.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/contract.hpp"
+#include "util/partition.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
+#include "util/trace.hpp"
+#include "util/work_steal.hpp"
 
 namespace ldla {
 
@@ -20,6 +29,308 @@ namespace {
 bool same_operand(const BitMatrixView& a, const BitMatrixView& b) {
   return a.data == b.data && a.n_snps == b.n_snps &&
          a.stride_words == b.stride_words;
+}
+
+// ---- The tile nest ----------------------------------------------------------
+//
+// One enumerator serves both fused drivers. It walks the cache-tile grid
+// jc -> ic -> column chunks of width q and runs one tile body per chunk.
+// Two parameters vary, never the loops themselves:
+//  - the shape: the full rectangle, or the lower triangle of a
+//    same-operand call (row blocks start at the panel's diagonal block,
+//    and register tiles strictly above the diagonal are skipped);
+//  - the team size: a team of one runs whole mc x nc cache tiles inline
+//    (q = tile width, no chunk list, no pool); a larger team cuts every
+//    panel into chunk_quantum()-wide chunks and drains them through
+//    per-member work-stealing deques on global_pool().
+// Chunks keep the register-tile grid of the inline walk, so every element
+// gets the same arithmetic at any team size and the kernel-call, kernel-word
+// and sparse counters are the same; only the tile granularity differs.
+
+/// A register tile may leave the dense walk for the list kernels only when
+/// the gather's dense side carries the sample-major transpose. Same-matrix
+/// calls always qualify (a sparse sliver implies the pack classified
+/// columns, which builds the transpose); in a cross-matrix call a partner
+/// packed from an all-dense matrix lacks it, and the pair stays on the
+/// dense micro-kernel. The dense walk and the sparse pass must agree on
+/// this predicate — every pair is computed exactly once.
+bool sparse_pair_ok(const PackedBitMatrix& a, const PackedBitMatrix& b,
+                    bool a_sp, bool b_sp) {
+  if (a_sp && b_sp) return true;  // both packs built their transposes
+  if (a_sp) return b.has_sample_major();
+  if (b_sp) return a.has_sample_major();
+  return false;
+}
+
+/// Operands, clamp window and blocking of one nest call. ic0/jc0 snap the
+/// window start down to the sliver grid, the pad ends round its end up.
+/// For the lower triangle `b` is `a` and both windows are the row window.
+struct TileGrid {
+  const PackedBitMatrix& a;
+  const PackedBitMatrix& b;
+  const KernelInfo& kern;
+  std::size_t mr, nr, mc, nc;
+  std::size_t a_begin, a_end, b_begin, b_end;
+  std::size_t ic0, jc0, a_pad_end, b_pad_end;
+
+  TileGrid(const PackedBitMatrix& pa, std::size_t a0, std::size_t a1,
+           const PackedBitMatrix& pb, std::size_t b0, std::size_t b1)
+      : a(pa), b(pb), kern(kernel_for_plan(pa.plan())), mr(pa.plan().mr),
+        nr(pa.plan().nr), mc(pa.plan().mc), nc(pa.plan().nc), a_begin(a0),
+        a_end(a1), b_begin(b0), b_end(b1), ic0(a0 / mr * mr),
+        jc0(b0 / nr * nr), a_pad_end((a1 + mr - 1) / mr * mr),
+        b_pad_end((b1 + nr - 1) / nr * nr) {}
+};
+
+/// One unit of work: the row block [ic, ic_end) of one jc panel crossed
+/// with its column slice [c0, c1). Boundaries sit on the sliver grid (or
+/// the padded range end), so chunks compose the register-tile grid the
+/// inline walk sweeps.
+struct TileChunk {
+  std::size_t ic = 0;
+  std::size_t ic_end = 0;
+  std::size_t c0 = 0;
+  std::size_t c1 = 0;
+};
+
+/// The tile body: zero the chunk's scratch, accumulate every kc panel into
+/// it, clamp it to the caller's window and hand it to the sink. With
+/// kLower, register tiles strictly above the diagonal are skipped in every
+/// pass; the zeroed scratch makes them read as deterministic zeros inside
+/// the emitted tile. `scratch` holds (ic_end - ic) rows of `scratch_ld`.
+template <bool kLower>
+void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
+              std::size_t scratch_ld, const CountTileSink& sink) {
+  const PackedBitMatrix& a = g.a;
+  const PackedBitMatrix& b = g.b;
+  const std::size_t mr = g.mr;
+  const std::size_t nr = g.nr;
+  const std::size_t ic = ch.ic;
+  const std::size_t jc = ch.c0;
+  const std::size_t tile_rows = ch.ic_end - ic;
+  const std::size_t tile_cols = ch.c1 - jc;
+  const auto above_diagonal = [&](std::size_t ir, std::size_t jr) {
+    return kLower && ic + ir + mr <= jc + jr;
+  };
+  for (std::size_t i = 0; i < tile_rows; ++i) {
+    std::memset(&scratch[i * scratch_ld], 0,
+                tile_cols * sizeof(std::uint32_t));
+  }
+
+  // All rank-kc updates for this tile before moving on: the tile is final
+  // when the panel loop ends. When either pack carries sparse-classified
+  // slivers the register tiles split two ways: pairs with at least one
+  // all-sparse side are handed to the list kernels below (once, whole-k),
+  // the rest keep the dense micro-kernel panel walk — same scratch, same
+  // integer counts, so the emitted CountTile is bit-identical either way.
+  const bool hybrid = a.hybrid_dispatch() || b.hybrid_dispatch();
+  {
+    LDLA_TRACE_SPAN(kKernel);
+    std::uint64_t tile_calls = 0;
+    std::uint64_t tile_words = 0;
+    for (std::size_t p = 0; p < a.panels(); ++p) {
+      const std::size_t kcp = a.panel_kc_padded(p);
+      const PackedPanelView b_panel = b.b_panel(p, jc / nr, tile_cols / nr);
+      const PackedPanelView a_panel = a.a_panel(p, ic / mr, tile_rows / mr);
+      for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
+        const std::uint64_t* bp = b_panel.sliver(jr / nr);
+        const bool b_sp = hybrid && b.b_sliver_sparse((jc + jr) / nr);
+        for (std::size_t ir = 0; ir < tile_rows; ir += mr) {
+          if (above_diagonal(ir, jr)) continue;
+          if (hybrid &&
+              sparse_pair_ok(a, b, a.a_sliver_sparse((ic + ir) / mr), b_sp)) {
+            continue;
+          }
+          const std::uint64_t* ap = a_panel.sliver(ir / mr);
+          LDLA_ASSERT_ALIGNED(ap, 8);
+          LDLA_ASSERT_ALIGNED(bp, 8);
+          g.kern.fn(kcp, ap, bp, &scratch[ir * scratch_ld + jr], scratch_ld);
+          ++tile_calls;
+          tile_words += static_cast<std::uint64_t>(mr * nr) * kcp;
+        }
+      }
+    }
+    LDLA_TRACE_ADD_KERNEL(tile_calls, tile_words);
+    if (hybrid) {
+      detail::SparseTileCounters tc;
+      std::uint64_t fallback_tiles = 0;
+      // Two passes, split by which side the gather's list comes from. Pass
+      // 1 (jr outer) takes every pair with a sparse B sliver — those
+      // gather the jr lists, which stay hot across the whole ir sweep.
+      // Pass 2 (ir outer) takes the a-sparse × b-dense remainder — those
+      // gather the ir lists against B's transpose, and with jr innermost
+      // each gathered sample's transpose row lines cover every dense jr
+      // word column of the tile, so only the first jr tile misses. The
+      // passes partition the sparse pairs, so every pair still runs once.
+      for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
+        if (!b.b_sliver_sparse((jc + jr) / nr)) continue;
+        for (std::size_t ir = 0; ir < tile_rows; ir += mr) {
+          if (above_diagonal(ir, jr)) continue;
+          const bool a_sp = a.a_sliver_sparse((ic + ir) / mr);
+          if (!sparse_pair_ok(a, b, a_sp, true)) {
+            ++fallback_tiles;
+            continue;
+          }
+          detail::sparse_register_tile(a, b, a_sp, true, ic + ir, jc + jr, mr,
+                                       nr, &scratch[ir * scratch_ld + jr],
+                                       scratch_ld, tc);
+        }
+      }
+      for (std::size_t ir = 0; ir < tile_rows; ir += mr) {
+        if (!a.a_sliver_sparse((ic + ir) / mr)) continue;
+        for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
+          if (above_diagonal(ir, jr)) continue;
+          if (b.b_sliver_sparse((jc + jr) / nr)) continue;
+          if (!sparse_pair_ok(a, b, true, false)) {
+            ++fallback_tiles;
+            continue;
+          }
+          detail::sparse_register_tile(a, b, true, false, ic + ir, jc + jr,
+                                       mr, nr, &scratch[ir * scratch_ld + jr],
+                                       scratch_ld, tc);
+        }
+      }
+      LDLA_TRACE_ADD_SPARSE(tc.ll_tiles, tc.ld_tiles, tc.intersections,
+                            fallback_tiles);
+    }
+  }
+
+  const std::size_t i_lo = std::max(ic, g.a_begin);
+  const std::size_t i_hi = std::min(ch.ic_end, g.a_end);
+  const std::size_t j_lo = std::max(jc, g.b_begin);
+  const std::size_t j_hi = std::min(ch.c1, g.b_end);
+  LDLA_TRACE_ADD_TILE();
+  sink(CountTile{i_lo, j_lo, i_hi - i_lo, j_hi - j_lo,
+                 &scratch[(i_lo - ic) * scratch_ld + (j_lo - jc)],
+                 scratch_ld});
+}
+
+/// The enumerator: jc (nc) -> ic (mc) -> column chunks of width q. The
+/// triangle starts each panel at the mc block holding its diagonal and
+/// drops chunks wholly above the diagonal (ic_end <= c0: every register
+/// tile in them would be skipped), so the triangle saving survives a
+/// chunk grid finer than the cache tiles.
+template <bool kLower, typename Visit>
+void for_each_chunk(const TileGrid& g, std::size_t q, const Visit& visit) {
+  const std::size_t mc = g.mc;
+  const std::size_t nc = g.nc;
+  for (std::size_t jc = g.jc0; jc < g.b_end; jc += nc) {
+    const std::size_t jc_end = std::min(jc + nc, g.b_pad_end);
+    std::size_t ic = g.ic0;
+    if (kLower && jc > g.ic0) ic += (jc - g.ic0) / mc * mc;
+    for (; ic < g.a_end; ic += mc) {
+      const std::size_t ic_end = std::min(ic + mc, g.a_pad_end);
+      for (std::size_t c0 = jc; c0 < jc_end; c0 += q) {
+        if (kLower && ic_end <= c0) continue;
+        visit(TileChunk{ic, ic_end, c0, std::min(c0 + q, jc_end)});
+      }
+    }
+  }
+}
+
+/// Column quantum for chunking a jc panel: wide enough to amortize the
+/// deque traffic and keep B slivers streaming, narrow enough that every
+/// panel yields ~8 chunks per team member to steal from. Always a multiple
+/// of nr so chunk boundaries stay on the packed sliver grid.
+std::size_t chunk_quantum(std::size_t total_cols, std::size_t nr,
+                          std::size_t nc, std::size_t team) {
+  const std::size_t target =
+      total_cols / std::max<std::size_t>(1, team * 8);
+  std::size_t q = std::max(nr, (target + nr - 1) / nr * nr);
+  q = std::min(q, std::min(nc, (total_cols + nr - 1) / nr * nr));
+  return std::max<std::size_t>(q, nr);
+}
+
+/// Drain the team's chunk deques from member `t`'s seat: LIFO-pop the own
+/// block (ascending chunk order — the seed pushed it reversed), then sweep
+/// the other members FIFO-stealing from the far end of their blocks until a
+/// full pass over every deque finds nothing left. Chunks are never
+/// re-enqueued, so an all-empty sweep is a sound termination proof.
+template <typename RunChunk>
+void drain_chunks(std::deque<WorkStealDeque<std::int64_t>>& deques,
+                  std::size_t t, const RunChunk& run) {
+  std::int64_t idx = 0;
+  while (deques[t].pop(idx)) {
+    run(idx);
+  }
+  const std::size_t team = deques.size();
+  for (;;) {
+    for (std::size_t s = 1; s < team; ++s) {
+      WorkStealDeque<std::int64_t>& victim = deques[(t + s) % team];
+      while (!victim.empty_hint()) {
+        if (victim.steal(idx)) {
+          LDLA_TRACE_ADD_STEAL();
+          run(idx);
+        } else {
+          // Lost the CAS race (or the owner drained it under us): someone
+          // else made progress, so spinning here cannot livelock.
+          LDLA_TRACE_ADD_FAILED_STEAL();
+        }
+      }
+    }
+    bool all_empty = true;
+    for (std::size_t s = 1; s < team && all_empty; ++s) {
+      all_empty = deques[(t + s) % team].empty_hint();
+    }
+    if (all_empty) break;
+  }
+}
+
+/// Run `chunks` on a team of `team` members: seed per-member deques with
+/// contiguous blocks (pushed in reverse so the owner pops in ascending,
+/// jc-major order while thieves bite off the far end), then let each member
+/// drain through its own q-wide scratch. The sink is called concurrently.
+template <bool kLower>
+void run_team(const TileGrid& g, const std::vector<TileChunk>& chunks,
+              std::size_t team, std::size_t q, const CountTileSink& sink) {
+  const std::vector<Range> blocks = split_uniform(chunks.size(), team);
+  std::size_t max_block = 0;
+  for (const Range& r : blocks) max_block = std::max(max_block, r.size());
+  std::deque<WorkStealDeque<std::int64_t>> deques;
+  for (std::size_t t = 0; t < blocks.size(); ++t) {
+    deques.emplace_back(max_block);
+    for (std::size_t i = blocks[t].end; i > blocks[t].begin; --i) {
+      deques.back().push(static_cast<std::int64_t>(i - 1));
+    }
+  }
+  const std::size_t scratch_rows = std::min(g.mc, g.a_pad_end - g.ic0);
+  // The pre-launch pushes happen-before every task body: run_tasks
+  // publishes through the pool's own release/acquire deque+cv protocol.
+  global_pool().run_tasks(blocks.size(), [&](std::size_t t) {
+    AlignedBuffer<std::uint32_t> scratch(scratch_rows * q);
+    drain_chunks(deques, t, [&](std::int64_t idx) {
+      run_tile<kLower>(g, chunks[static_cast<std::size_t>(idx)],
+                       scratch.data(), q, sink);
+    });
+  });
+}
+
+/// Both fused drivers end here, with validated, non-empty windows.
+template <bool kLower>
+void run_nest(const TileGrid& g, const CountTileSink& sink,
+              unsigned threads) {
+  if (threads == 0) threads = default_thread_count();
+  if (threads > 1) {
+    const std::size_t q =
+        chunk_quantum(g.b_pad_end - g.jc0, g.nr, g.nc, threads);
+    std::vector<TileChunk> chunks;
+    for_each_chunk<kLower>(g, q,
+                           [&](const TileChunk& ch) { chunks.push_back(ch); });
+    const std::size_t team = std::min<std::size_t>(threads, chunks.size());
+    if (team > 1) {
+      run_team<kLower>(g, chunks, team, q, sink);
+      return;
+    }
+  }
+  // Team of one (or a problem with a single chunk): whole cache tiles,
+  // inline, through one tile-local scratch. Every micro-kernel writes full
+  // slivers, so no edge temporary is needed.
+  const std::size_t q = std::min(g.nc, g.b_pad_end - g.jc0);
+  AlignedBuffer<std::uint32_t> scratch(
+      std::min(g.mc, g.a_pad_end - g.ic0) * q);
+  for_each_chunk<kLower>(g, q, [&](const TileChunk& ch) {
+    run_tile<kLower>(g, ch, scratch.data(), q, sink);
+  });
 }
 
 }  // namespace
@@ -71,7 +382,7 @@ void gemm_count_packed(const PackedBitMatrix& a, std::size_t a_begin,
 void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
                       std::size_t a_end, const PackedBitMatrix& b,
                       std::size_t b_begin, std::size_t b_end,
-                      const CountTileSink& sink) {
+                      const CountTileSink& sink, unsigned threads) {
   LDLA_EXPECT(a_begin <= a_end && a_end <= a.snps(),
               "A row range out of range");
   LDLA_EXPECT(b_begin <= b_end && b_end <= b.snps(),
@@ -87,33 +398,21 @@ void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
                   a.kc_words() == b.kc_words() &&
                   a.words_per_snp() == b.words_per_snp(),
               "packed operands were built for incompatible plans");
+  run_nest<false>(TileGrid(a, a_begin, a_end, b, b_begin, b_end), sink,
+                  threads);
+}
 
-  const KernelInfo& kern = kernel_for_plan(plan);
-  const std::size_t mr = plan.mr;
-  const std::size_t nr = plan.nr;
-  const std::size_t mc = plan.mc;
-  const std::size_t nc = plan.nc;
-
-  const std::size_t ic0 = a_begin / mr * mr;
-  const std::size_t jc0 = b_begin / nr * nr;
-  const std::size_t a_pad_end = (a_end + mr - 1) / mr * mr;
-  const std::size_t b_pad_end = (b_end + nr - 1) / nr * nr;
-
-  // Tile-local count scratch: the whole (sliver-rounded) cache tile lives
-  // here, so every micro-kernel writes full slivers and no edge temporary
-  // is needed; the in-range window is sliced out for the sink.
-  AlignedBuffer<std::uint32_t> scratch(
-      std::min(mc, a_pad_end - ic0) * std::min(nc, b_pad_end - jc0));
-
-  for (std::size_t jc = jc0; jc < b_end; jc += nc) {
-    const std::size_t jc_end = std::min(jc + nc, b_pad_end);
-    for (std::size_t ic = ic0; ic < a_end; ic += mc) {
-      const std::size_t ic_end = std::min(ic + mc, a_pad_end);
-      detail::fused_gemm_tile(a, b, kern, mr, nr, ic, ic_end, jc, jc_end,
-                              a_begin, a_end, b_begin, b_end, scratch.data(),
-                              std::min(nc, b_pad_end - jc0), sink);
-    }
-  }
+void syrk_count_fused(const PackedBitMatrix& a, std::size_t row_begin,
+                      std::size_t row_end, const CountTileSink& sink,
+                      unsigned threads) {
+  LDLA_EXPECT(row_begin <= row_end && row_end <= a.snps(),
+              "row range out of range");
+  LDLA_EXPECT(sink != nullptr, "fused driver needs a tile sink");
+  if (row_begin == row_end) return;
+  LDLA_EXPECT(a.has_a_side() && a.has_b_side(),
+              "symmetric driver needs both operand sides packed");
+  run_nest<true>(TileGrid(a, row_begin, row_end, a, row_begin, row_end), sink,
+                 threads);
 }
 
 namespace {

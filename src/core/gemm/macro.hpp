@@ -7,6 +7,11 @@
 // a supplies m rows, b supplies n rows (C = A · Bᵀ in row terms; with
 // a == b this is the paper's  H·Nseq = Gᵀ G  haplotype-count matrix).
 // Callers zero C first for assignment semantics; the driver accumulates.
+//
+// gemm_count_fused and syrk_count_fused (syrk.hpp) are the only tile
+// drivers. Both run one tile enumerator (macro.cpp), parameterized by the
+// shape (rectangle or lower triangle) and the team size; every count
+// matrix and LD statistic is a sink of it.
 #pragma once
 
 #include <cstdint>
@@ -61,15 +66,23 @@ void gemm_count_packed(const PackedBitMatrix& a, std::size_t a_begin,
 
 /// The loop nest itself: the k (panel) loop runs innermost per (ic, jc)
 /// cache tile — legal and cheap over persistently packed slivers — so
-/// every mc x nc tile of C is final exactly once, accumulated
-/// in a tile-local scratch buffer and handed to `sink` while still hot.
-/// No count matrix is ever materialized: peak intermediate storage is
-/// O(mc·nc). Tiles partition [a_begin, a_end) x [b_begin, b_end) on the
-/// cache-tile grid; each in-range element appears in exactly one tile.
+/// every tile of C is final exactly once, accumulated in a tile-local
+/// scratch buffer and handed to `sink` while still hot. No count matrix is
+/// ever materialized: peak intermediate storage is O(mc·nc) per team
+/// member. Tiles partition [a_begin, a_end) x [b_begin, b_end); each
+/// in-range element appears in exactly one tile.
+///
+/// `threads` sizes the team (0 = default_thread_count()). A team of one
+/// delivers whole mc x nc cache tiles in jc-major order from the calling
+/// thread. A larger team works inside the nest: every jc panel is cut into
+/// mc x (q·nr) chunks that per-member work-stealing deques drain on
+/// global_pool(), and `sink` is called concurrently, so it must be
+/// thread-safe (tiles stay disjoint). Counts are identical at any team
+/// size; do not call with threads != 1 from inside a global_pool() task.
 void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
                       std::size_t a_end, const PackedBitMatrix& b,
                       std::size_t b_begin, std::size_t b_end,
-                      const CountTileSink& sink);
+                      const CountTileSink& sink, unsigned threads = 1);
 
 /// Statistics of the most recent plan resolution (for bench reporting).
 GemmPlan gemm_plan_for(const BitMatrixView& a, const GemmConfig& cfg = {});

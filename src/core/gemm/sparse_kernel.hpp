@@ -198,8 +198,8 @@ inline void sparse_register_tile(const PackedBitMatrix& a,
                     "register tile exceeds sparse accumulator capacity");
   const PackedBitMatrix& dpk = sparse_is_a ? b : a;
   const PackedBitMatrix& lpk = sparse_is_a ? a : b;
-  // The tile bodies only route pairs here when the dense side's pack built
-  // its transpose (sparse_pair_ok in fused_tile.hpp).
+  // The tile body only routes pairs here when the dense side's pack built
+  // its transpose (sparse_pair_ok in macro.cpp).
   LDLA_ASSERT(dpk.has_sample_major());
   const std::size_t stride = dpk.sample_major_stride();
   const std::uint64_t* col = dpk.sample_major() + (d0 >> 6);

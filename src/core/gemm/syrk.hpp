@@ -1,7 +1,8 @@
 // Symmetric (SYRK-like) count driver: H·Nseq = GᵀG for a single genomic
 // matrix, exploiting  POPCNT(s_i & s_j) = POPCNT(s_j & s_i)  to compute only
-// register tiles that touch the lower triangle, then mirroring. Same fused
-// nest as the rectangular driver (macro.hpp); count matrices are sinks.
+// register tiles that touch the lower triangle, then mirroring. The same
+// tile enumerator as the rectangular driver (macro.hpp) walks the lower
+// triangle; count matrices are sinks.
 #pragma once
 
 #include "core/bit_matrix.hpp"
@@ -34,13 +35,17 @@ void syrk_count_packed(const PackedBitMatrix& a, std::size_t row_begin,
 /// The symmetric loop nest: the panel loop runs innermost per
 /// cache tile, and each finalized tile is handed to `sink` from tile-local
 /// scratch — no count matrix is materialized (peak intermediate storage is
-/// O(mc·nc)). Tiles cover the cache-tile grid over [row_begin, row_end)²
-/// restricted to tiles touching the lower triangle; within a delivered
-/// tile only entries with global col <= row are specified (register tiles
-/// strictly above the diagonal are skipped and read as zero). Each
-/// lower-triangle element appears in exactly one tile.
+/// O(mc·nc) per team member). Tiles cover the grid over
+/// [row_begin, row_end)² restricted to tiles touching the lower triangle;
+/// within a delivered tile only entries with global col <= row are
+/// specified (register tiles strictly above the diagonal are skipped and
+/// read as zero). Each lower-triangle element appears in exactly one tile.
+/// `threads` works as in gemm_count_fused: a larger team enqueues only
+/// chunks that reach the diagonal-and-below band, and calls `sink`
+/// concurrently.
 void syrk_count_fused(const PackedBitMatrix& a, std::size_t row_begin,
-                      std::size_t row_end, const CountTileSink& sink);
+                      std::size_t row_end, const CountTileSink& sink,
+                      unsigned threads = 1);
 
 /// Mirror the lower triangle of the leading n x n block of `c` into the
 /// upper triangle, cache-blocked so the column-strided writes of the naive

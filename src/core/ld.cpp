@@ -6,14 +6,13 @@
 #include <optional>
 
 #include "core/detail/ld_stats_row.hpp"
+#include "core/detail/mirror.hpp"
 #include "core/gemm/macro.hpp"
-#include "core/gemm/nest.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/parallel.hpp"
 #include "util/contract.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 namespace ldla {
 
@@ -90,28 +89,8 @@ double ld_value(LdStatistic stat, std::uint64_t ci, std::uint64_t cj,
 }
 
 void mirror_ld_lower_to_upper(LdMatrix& m) {
-  const std::size_t n = m.rows();
-  LDLA_EXPECT(m.cols() == n, "mirror needs a square matrix");
-  LDLA_TRACE_SPAN(kMirror);
-  // Cache-blocked transpose copy (same shape as mirror_lower_to_upper for
-  // counts): 64 x 64 x 8 B destination blocks stay resident.
-  constexpr std::size_t kBlock = 64;
-  for (std::size_t jb = 0; jb < n; jb += kBlock) {
-    const std::size_t j_end = std::min(jb + kBlock, n);
-    for (std::size_t i = jb; i < j_end; ++i) {
-      for (std::size_t j = i + 1; j < j_end; ++j) {
-        m(i, j) = m(j, i);
-      }
-    }
-    for (std::size_t ib = j_end; ib < n; ib += kBlock) {
-      const std::size_t i_end = std::min(ib + kBlock, n);
-      for (std::size_t i = ib; i < i_end; ++i) {
-        for (std::size_t j = jb; j < j_end; ++j) {
-          m(j, i) = m(i, j);
-        }
-      }
-    }
-  }
+  LDLA_EXPECT(m.cols() == m.rows(), "mirror needs a square matrix");
+  detail::mirror_lower_blocked(m.data(), m.cols(), m.rows());
 }
 
 namespace {
@@ -120,9 +99,9 @@ unsigned resolve_threads(unsigned threads) {
   return threads == 0 ? default_thread_count() : threads;
 }
 
-// One body per shape. Each takes the team size of its in-nest drivers:
-// team = 1 is the sequential driver (the nest falls back to the fused
-// driver before building any chunk), team > 1 the *_parallel twin.
+// One body per shape. Each takes the team size it hands to the tile nest:
+// team = 1 is the sequential driver (whole cache tiles, inline), team > 1
+// the *_parallel twin.
 
 LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
                      unsigned team) {
@@ -140,7 +119,7 @@ LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
   // three statistics are bitwise symmetric in (i, j) (their formulas only
   // combine the operands through commutative products and min), so this
   // equals statistics of mirrored counts bit-for-bit.
-  syrk_count_parallel_nest(
+  syrk_count_fused(
       packed, 0, n,
       [&](const CountTile& t) {
         detail::tile_stats(opts.stat, tables, tables, t,
@@ -169,7 +148,7 @@ LdMatrix cross_matrix_body(const BitMatrix& a, const BitMatrix& b,
       b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
   const detail::StatTables ta = detail::make_stat_tables(a);
   const detail::StatTables tb = detail::make_stat_tables(b);
-  gemm_count_parallel_nest(
+  gemm_count_fused(
       pa, 0, m, pb, 0, n,
       [&](const CountTile& t) {
         detail::tile_stats(opts.stat, ta, tb, t, detail::TilePart::kFull,
@@ -199,7 +178,7 @@ void scan_body(const BitMatrix& g, const LdTileVisitor& visit,
   for (std::size_t r0 = 0; r0 < n; r0 += slab) {
     const std::size_t rows = std::min(slab, n - r0);
     const std::size_t cols = r0 + rows;  // lower-trapezoid: j < slab end
-    gemm_count_parallel_nest(
+    gemm_count_fused(
         packed, r0, r0 + rows, packed, 0, cols,
         [&](const CountTile& t) {
           detail::tile_stats(opts.stat, tables, tables, t,
@@ -234,7 +213,7 @@ void cross_scan_body(const BitMatrix& a, const BitMatrix& b,
   AlignedBuffer<double> values(std::min(slab, m) * n);
   for (std::size_t r0 = 0; r0 < m; r0 += slab) {
     const std::size_t rows = std::min(slab, m - r0);
-    gemm_count_parallel_nest(
+    gemm_count_fused(
         pa, r0, r0 + rows, pb, 0, n,
         [&](const CountTile& t) {
           detail::tile_stats(opts.stat, ta, tb, t, detail::TilePart::kFull,

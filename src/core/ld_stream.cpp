@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "core/detail/ld_stats_row.hpp"
-#include "core/gemm/nest.hpp"
+#include "core/gemm/syrk.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -284,7 +284,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
     const std::size_t rbase = store.shard_row_begin(p.r);
     const std::size_t rows = store.shard_rows(p.r);
     if (p.r == p.c) {
-      syrk_count_parallel_nest(
+      syrk_count_fused(
           pr, 0, rows,
           [&](const CountTile& t) {
             emit(rbase, rbase, t, detail::TilePart::kLower);
@@ -292,7 +292,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
           opts.threads);
     } else {
       const std::size_t cbase = store.shard_row_begin(p.c);
-      gemm_count_parallel_nest(
+      gemm_count_fused(
           pr, 0, rows, pc, 0, store.shard_rows(p.c),
           [&](const CountTile& t) {
             emit(rbase, cbase, t, detail::TilePart::kFull);
@@ -348,7 +348,7 @@ void ld_cross_stream(ShardStore& a, ShardStore& b,
     const std::size_t rows = a.shard_rows(p.r);
     const std::size_t cbase = b.shard_row_begin(p.c);
     const std::size_t cols = b.shard_rows(p.c);
-    gemm_count_parallel_nest(
+    gemm_count_fused(
         pr, 0, rows, pc, 0, cols,
         [&](CountTile t) {
           t.row_begin += rbase;

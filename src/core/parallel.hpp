@@ -1,15 +1,17 @@
 // Multi-threaded LD drivers (DESIGN.md §4.4).
 //
 // Each *_parallel driver shares its body with the sequential driver of the
-// same shape (core/ld.cpp); `threads` is the only difference. The team
-// works *inside* one loop nest: the operand is packed once as a team (one
-// sliver range per worker, one barrier per side), then per-member
-// Chase–Lev deques drain a queue of (ic, jr) macro-tile chunks over the
-// shared immutable pack, stealing from each other when their block runs
-// dry. The symmetric drivers enqueue only diagonal-and-below chunks, so the
-// SYRK triangle saving survives parallelization without a static
-// triangle-balancing split. Results are bit-identical to the sequential
-// drivers, and scan visitors always fire from the calling thread.
+// same shape (core/ld.cpp); `threads` is the only difference, and the body
+// hands it on to the one tile enumerator (gemm_count_fused /
+// syrk_count_fused). The team works *inside* that nest: the operand is
+// packed once as a team (one sliver range per worker, one barrier per
+// side), then per-member Chase–Lev deques drain a queue of (ic, jr)
+// macro-tile chunks over the shared immutable pack, stealing from each
+// other when their block runs dry. The symmetric drivers enqueue only
+// diagonal-and-below chunks, so the SYRK triangle saving survives
+// parallelization without a static triangle-balancing split. Results are
+// bit-identical to the sequential drivers, and scan visitors always fire
+// from the calling thread.
 //
 // `threads` sizes the team (0 = default_thread_count(): the LDLA_THREADS
 // environment variable, else hardware concurrency); tasks execute on the

@@ -45,7 +45,8 @@ std::optional<OmegaPoint> scan_window(const ScanContext& ctx, double x,
   const PackedBitMatrix& packed = *ctx.packed;
   const std::size_t n = packed.snps();
   const std::size_t begin = center > half ? center - half : 0;
-  const std::size_t end = std::min(n, center + half);
+  // The sum saturates: a half-width near SIZE_MAX means "to the region end".
+  const std::size_t end = half >= n - center ? n : center + half;
   if (end - begin < 4) return std::nullopt;
 
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();

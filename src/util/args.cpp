@@ -82,14 +82,21 @@ std::string ArgParser::str(const std::string& name) const {
 
 std::int64_t ArgParser::integer(const std::string& name) const {
   const std::string v = str(name);
+  std::int64_t out = 0;
   try {
     std::size_t pos = 0;
-    const std::int64_t out = std::stoll(v, &pos);
+    out = std::stoll(v, &pos);
     if (pos != v.size()) throw Error("");
-    return out;
   } catch (...) {
     throw Error("option --" + name + " expects an integer, got '" + v + "'");
   }
+  // Every caller stores the value in an unsigned count, where -1 would
+  // silently become SIZE_MAX.
+  if (out < 0) {
+    throw Error("option --" + name + " expects a non-negative integer, got '" +
+                v + "'");
+  }
+  return out;
 }
 
 double ArgParser::real(const std::string& name) const {

@@ -27,6 +27,7 @@ class ArgParser {
 
   [[nodiscard]] bool flag(const std::string& name) const;
   [[nodiscard]] std::string str(const std::string& name) const;
+  /// Non-negative integer value; throws ldla::Error on anything else.
   [[nodiscard]] std::int64_t integer(const std::string& name) const;
   [[nodiscard]] double real(const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {

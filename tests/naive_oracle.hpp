@@ -83,7 +83,7 @@ inline std::vector<OmegaPoint> naive_omega_scan(
         positions.begin());
     const auto eval = [&](std::size_t half) {
       return naive_window(g, x, center > half ? center - half : 0,
-                          std::min(g.snps(), center + half));
+                          half >= g.snps() - center ? g.snps() : center + half);
     };
     std::optional<OmegaPoint> best = eval(params.window_snps);
     for (const std::size_t half : params.window_candidates) {

@@ -71,6 +71,20 @@ TEST(ArgParser, RejectsValueOnFlag) {
   EXPECT_THROW(p.parse(2, argv), Error);
 }
 
+TEST(ArgParser, RejectsNegativeInteger) {
+  // Callers cast to unsigned counts: -1 must not become SIZE_MAX.
+  for (const char* form : {"--snps=-1", "--snps=-42"}) {
+    ArgParser p = make_parser();
+    const std::array<const char*, 2> argv = {"prog", form};
+    ASSERT_TRUE(p.parse(2, argv.data()));
+    EXPECT_THROW((void)p.integer("snps"), Error) << form;
+  }
+  ArgParser p = make_parser();
+  const char* argv[] = {"prog", "--snps", "0"};
+  ASSERT_TRUE(p.parse(3, argv));
+  EXPECT_EQ(p.integer("snps"), 0);
+}
+
 TEST(ArgParser, RejectsNonNumericInteger) {
   ArgParser p = make_parser();
   const char* argv[] = {"prog", "--snps", "12abc"};

@@ -7,7 +7,6 @@
 
 #include "baselines/naive.hpp"
 #include "core/gemm/kernel.hpp"
-#include "core/gemm/nest.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
 
@@ -219,7 +218,7 @@ void nest_count(const BitMatrix& a, const BitMatrix& b, CountMatrix& c,
       PackedBitMatrix::pack(a.view(), {}, PackSides::kA, threads);
   const PackedBitMatrix pb =
       PackedBitMatrix::pack(b.view(), {}, PackSides::kB, threads);
-  gemm_count_parallel_nest(
+  gemm_count_fused(
       pa, 0, a.snps(), pb, 0, b.snps(),
       [&](const CountTile& t) {
         for (std::size_t i = 0; i < t.rows; ++i) {

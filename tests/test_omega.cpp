@@ -2,6 +2,8 @@
 #include "omega/sweep_scan.hpp"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -217,6 +219,48 @@ TEST(SweepScan, ParallelMatchesSequential) {
       EXPECT_EQ(par[i].best_split, seq[i].best_split);
     }
   }
+}
+
+TEST(SweepScan, HugeWindowSaturatesToTheRegion) {
+  // A half-width near SIZE_MAX must clamp the window to the region end, not
+  // wrap center + half around to a short window.
+  SweepParams sp;
+  sp.base.n_snps = 120;
+  sp.base.n_samples = 100;
+  sp.base.seed = 31;
+  const SimulatedDataset d = simulate_sweep(sp);
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  const auto expect_same = [](const std::vector<OmegaPoint>& got,
+                              const std::vector<OmegaPoint>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].window_begin, want[i].window_begin) << "point " << i;
+      EXPECT_EQ(got[i].window_end, want[i].window_end) << "point " << i;
+      EXPECT_EQ(got[i].best_split, want[i].best_split) << "point " << i;
+      EXPECT_DOUBLE_EQ(got[i].omega, want[i].omega) << "point " << i;
+    }
+  };
+
+  SweepScanParams whole;
+  whole.grid_points = 9;
+  whole.window_snps = d.genotypes.snps();
+  const auto want = omega_scan(d.genotypes, d.positions, whole);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(want.front().window_end, d.genotypes.snps());
+
+  SweepScanParams main_window = whole;
+  main_window.window_snps = huge;
+  expect_same(omega_scan(d.genotypes, d.positions, main_window), want);
+
+  // As a searched candidate it must also reach the whole region: against a
+  // small main window, the candidate SIZE_MAX and the candidate g.snps()
+  // pick the same windows.
+  SweepScanParams searched = whole;
+  searched.window_snps = 10;
+  searched.window_candidates = {d.genotypes.snps()};
+  const auto want_searched = omega_scan(d.genotypes, d.positions, searched);
+  searched.window_candidates = {huge};
+  expect_same(omega_scan(d.genotypes, d.positions, searched), want_searched);
 }
 
 TEST(SweepScan, RejectsBadInputs) {

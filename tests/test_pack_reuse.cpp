@@ -15,7 +15,6 @@
 #include "core/band.hpp"
 #include "core/gemm/kernel.hpp"
 #include "core/gemm/macro.hpp"
-#include "core/gemm/nest.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
 #include "naive_oracle.hpp"
@@ -167,7 +166,7 @@ TEST_P(PackReuse, TeamPackedNestMatchesNaive) {
       const PackedBitMatrix pb =
           PackedBitMatrix::pack(b.view(), cfg, PackSides::kB, threads);
       CountMatrix c(n, b.snps());
-      gemm_count_parallel_nest(
+      gemm_count_fused(
           pa, 0, n, pb, 0, b.snps(),
           [&](const CountTile& t) {
             for (std::size_t i = 0; i < t.rows; ++i) {

@@ -1,10 +1,9 @@
-// In-nest parallel driver sweep: gemm_count_parallel_nest and
-// syrk_count_parallel_nest must be bit-identical to the sequential fused
-// drivers across kernel arch x blocking params x ragged shapes x team
-// sizes, with every in-range (gemm) / canonical (syrk) element delivered
-// exactly once. The team packing path must also be byte-identical to a
-// sequential pack.
-#include "core/gemm/nest.hpp"
+// Team-size sweep of the one tile nest: gemm_count_fused and
+// syrk_count_fused must match the naive pair counts across kernel arch x
+// blocking params x ragged shapes x team sizes, with every in-range (gemm)
+// / canonical (syrk) element delivered exactly once. The team packing path
+// must also be byte-identical to a sequential pack.
+#include "core/gemm/macro.hpp"
 
 #include <array>
 #include <cstdint>
@@ -14,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/naive.hpp"
 #include "core/gemm/kernel.hpp"
 #include "core/gemm/syrk.hpp"
 #include "sim/rng.hpp"
@@ -39,9 +39,9 @@ BitMatrix random_matrix(std::size_t snps, std::size_t samples,
 const std::vector<std::pair<std::size_t, std::size_t>> kShapes = {
     {5, 100}, {33, 323}, {70, 129}, {128, 1000}};
 
-// Team sizes around the interesting boundaries: 1 (degrades to the
-// sequential driver), 2, a non-power-of-two, and more members than most
-// shapes have chunks.
+// Team sizes around the interesting boundaries: 1 (whole cache tiles,
+// inline), 2, a non-power-of-two, and more members than most shapes have
+// chunks.
 const std::vector<unsigned> kTeams = {1, 2, 7, 16};
 
 std::vector<GemmConfig> blocking_configs(KernelArch arch) {
@@ -93,47 +93,50 @@ struct ElementCapture {
   }
 };
 
-void expect_same_capture(const ElementCapture& got, const ElementCapture& want,
-                         const char* what) {
-  ASSERT_FALSE(got.duplicate) << what << ": element delivered twice";
-  ASSERT_EQ(got.seen.size(), want.seen.size()) << what;
-  for (std::size_t i = 0; i < want.seen.size(); ++i) {
-    ASSERT_EQ(got.seen[i] != 0, want.seen[i] != 0)
-        << what << " coverage mismatch at flat index " << i;
-    ASSERT_EQ(got.counts[i], want.counts[i])
-        << what << " count mismatch at flat index " << i;
+// Every in-window element (gemm) / canonical element (syrk) delivered
+// exactly once, and equal to the naive popcount of its row pair.
+void expect_naive_capture(const ElementCapture& got, const CountMatrix& naive,
+                          const char* what, unsigned team) {
+  ASSERT_FALSE(got.duplicate) << what << " team=" << team
+                              << ": element delivered twice";
+  for (std::size_t gi = got.r0; gi < got.r1; ++gi) {
+    for (std::size_t gj = got.c0; gj < got.c1; ++gj) {
+      if (got.lower_only && gj > gi) continue;
+      const std::size_t at = (gi - got.r0) * (got.c1 - got.c0) + (gj - got.c0);
+      ASSERT_TRUE(got.seen[at] != 0)
+          << what << " team=" << team << " missed (" << gi << ", " << gj << ")";
+      ASSERT_EQ(got.counts[at], naive(gi, gj))
+          << what << " team=" << team << " at (" << gi << ", " << gj << ")";
+    }
   }
 }
 
 class ParallelNest : public ::testing::TestWithParam<KernelArch> {};
 
-TEST_P(ParallelNest, GemmBitIdenticalToSequentialFused) {
+TEST_P(ParallelNest, GemmMatchesNaiveAtEveryTeamSize) {
   for (const auto& [n, k] : kShapes) {
     const BitMatrix a = random_matrix(n, k, n * 131 + k);
     const BitMatrix b = random_matrix(n + 11, k, n * 137 + k + 1);
+    const CountMatrix naive = naive_count_matrix(a, b);
     for (const GemmConfig& cfg : blocking_configs(GetParam())) {
       const GemmPlan plan = resolve_plan(cfg, a.view().n_words);
       const PackedBitMatrix pa(a.view(), plan, PackSides::kA);
       const PackedBitMatrix pb(b.view(), plan, PackSides::kB);
-
-      ElementCapture want(0, n, 0, b.snps(), /*lower=*/false);
-      gemm_count_fused(pa, 0, n, pb, 0, b.snps(), want.sink());
-      ASSERT_FALSE(want.duplicate);
-
       for (const unsigned team : kTeams) {
         ElementCapture got(0, n, 0, b.snps(), /*lower=*/false);
-        gemm_count_parallel_nest(pa, 0, n, pb, 0, b.snps(), got.sink(), team);
-        expect_same_capture(got, want, "gemm full");
+        gemm_count_fused(pa, 0, n, pb, 0, b.snps(), got.sink(), team);
+        expect_naive_capture(got, naive, "gemm full", team);
       }
     }
   }
 }
 
-TEST_P(ParallelNest, GemmSubRangesMatchSequentialFused) {
+TEST_P(ParallelNest, GemmSubRangesMatchNaive) {
   // Ranges that start and end off every register-tile boundary, so the
   // chunk grid's ic0/jc0 snapping and clamp windows are all exercised.
   const BitMatrix a = random_matrix(61, 517, 21);
   const BitMatrix b = random_matrix(83, 517, 22);
+  const CountMatrix naive = naive_count_matrix(a, b);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
     const GemmPlan plan = resolve_plan(cfg, a.view().n_words);
     const PackedBitMatrix pa(a.view(), plan, PackSides::kA);
@@ -141,50 +144,43 @@ TEST_P(ParallelNest, GemmSubRangesMatchSequentialFused) {
     for (const auto& [a0, a1, b0, b1] :
          std::vector<std::array<std::size_t, 4>>{
              {3, 58, 5, 77}, {7, 12, 41, 42}, {0, 61, 19, 83}}) {
-      ElementCapture want(a0, a1, b0, b1, /*lower=*/false);
-      gemm_count_fused(pa, a0, a1, pb, b0, b1, want.sink());
       for (const unsigned team : kTeams) {
         ElementCapture got(a0, a1, b0, b1, /*lower=*/false);
-        gemm_count_parallel_nest(pa, a0, a1, pb, b0, b1, got.sink(), team);
-        expect_same_capture(got, want, "gemm subrange");
+        gemm_count_fused(pa, a0, a1, pb, b0, b1, got.sink(), team);
+        expect_naive_capture(got, naive, "gemm subrange", team);
       }
     }
   }
 }
 
-TEST_P(ParallelNest, SyrkBitIdenticalToSequentialFused) {
+TEST_P(ParallelNest, SyrkMatchesNaiveAtEveryTeamSize) {
   for (const auto& [n, k] : kShapes) {
     const BitMatrix g = random_matrix(n, k, n * 149 + k);
+    const CountMatrix naive = naive_count_matrix(g, g);
     for (const GemmConfig& cfg : blocking_configs(GetParam())) {
       const GemmPlan plan = resolve_plan(cfg, g.view().n_words);
       const PackedBitMatrix pg(g.view(), plan, PackSides::kBoth);
-
-      ElementCapture want(0, n, 0, n, /*lower=*/true);
-      syrk_count_fused(pg, 0, n, want.sink());
-      ASSERT_FALSE(want.duplicate);
-
       for (const unsigned team : kTeams) {
         ElementCapture got(0, n, 0, n, /*lower=*/true);
-        syrk_count_parallel_nest(pg, 0, n, got.sink(), team);
-        expect_same_capture(got, want, "syrk full");
+        syrk_count_fused(pg, 0, n, got.sink(), team);
+        expect_naive_capture(got, naive, "syrk full", team);
       }
     }
   }
 }
 
-TEST_P(ParallelNest, SyrkSubRangesMatchSequentialFused) {
+TEST_P(ParallelNest, SyrkSubRangesMatchNaive) {
   const BitMatrix g = random_matrix(90, 413, 23);
+  const CountMatrix naive = naive_count_matrix(g, g);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
     const GemmPlan plan = resolve_plan(cfg, g.view().n_words);
     const PackedBitMatrix pg(g.view(), plan, PackSides::kBoth);
     for (const auto& [r0, r1] : std::vector<std::pair<std::size_t, std::size_t>>{
              {3, 87}, {17, 33}, {0, 90}, {41, 42}}) {
-      ElementCapture want(r0, r1, r0, r1, /*lower=*/true);
-      syrk_count_fused(pg, r0, r1, want.sink());
       for (const unsigned team : kTeams) {
         ElementCapture got(r0, r1, r0, r1, /*lower=*/true);
-        syrk_count_parallel_nest(pg, r0, r1, got.sink(), team);
-        expect_same_capture(got, want, "syrk subrange");
+        syrk_count_fused(pg, r0, r1, got.sink(), team);
+        expect_naive_capture(got, naive, "syrk subrange", team);
       }
     }
   }
@@ -228,30 +224,34 @@ TEST(ParallelPack, TeamPackIsByteIdenticalToSequential) {
   }
 }
 
-TEST(ParallelNestContracts, RejectsBadRangesAndMissingSink) {
+TEST(FusedDriverContracts, RejectsBadRangesAndMissingSink) {
   const BitMatrix g = random_matrix(10, 64, 41);
   const GemmPlan plan = resolve_plan({}, g.view().n_words);
   const PackedBitMatrix pg(g.view(), plan, PackSides::kBoth);
-  EXPECT_THROW(syrk_count_parallel_nest(pg, 0, 11, [](const CountTile&) {}),
-               ContractViolation);
-  EXPECT_THROW(syrk_count_parallel_nest(pg, 0, 10, nullptr),
-               ContractViolation);
-  EXPECT_THROW(
-      gemm_count_parallel_nest(pg, 0, 11, pg, 0, 10, [](const CountTile&) {}),
-      ContractViolation);
-  EXPECT_THROW(gemm_count_parallel_nest(pg, 0, 10, pg, 0, 10, nullptr),
-               ContractViolation);
+  for (const unsigned team : {1u, 4u}) {
+    EXPECT_THROW(
+        syrk_count_fused(pg, 0, 11, [](const CountTile&) {}, team),
+        ContractViolation);
+    EXPECT_THROW(syrk_count_fused(pg, 0, 10, nullptr, team),
+                 ContractViolation);
+    EXPECT_THROW(
+        gemm_count_fused(pg, 0, 11, pg, 0, 10, [](const CountTile&) {}, team),
+        ContractViolation);
+    EXPECT_THROW(gemm_count_fused(pg, 0, 10, pg, 0, 10, nullptr, team),
+                 ContractViolation);
+  }
 }
 
-TEST(ParallelNestContracts, EmptyRangeIsANoop) {
+TEST(FusedDriverContracts, EmptyRangeIsANoop) {
   const BitMatrix g = random_matrix(10, 64, 43);
   const GemmPlan plan = resolve_plan({}, g.view().n_words);
   const PackedBitMatrix pg(g.view(), plan, PackSides::kBoth);
   bool called = false;
-  syrk_count_parallel_nest(pg, 4, 4, [&](const CountTile&) { called = true; },
-                           8);
-  gemm_count_parallel_nest(pg, 0, 0, pg, 0, 10,
-                           [&](const CountTile&) { called = true; }, 8);
+  for (const unsigned team : {1u, 8u}) {
+    syrk_count_fused(pg, 4, 4, [&](const CountTile&) { called = true; }, team);
+    gemm_count_fused(pg, 0, 0, pg, 0, 10,
+                     [&](const CountTile&) { called = true; }, team);
+  }
   EXPECT_FALSE(called);
 }
 

@@ -3,9 +3,10 @@
 // The phase counters are specified as *exact*: for a resolved GemmPlan the
 // traced kernel/pack/tile counts must equal the analytic values implied by
 // the blocking (DESIGN.md "Observability"). The walkers below mirror the
-// documented loop structure of gemm_count_packed / gemm_count_fused and
-// PackedBitMatrix::pack_side; any drift between the drivers and their
-// instrumentation shows up here as an off-by-a-tile mismatch.
+// documented loop structure of gemm_count_packed / gemm_count_fused /
+// syrk_count_fused and PackedBitMatrix::pack_side; any drift between the
+// drivers and their instrumentation shows up here as an off-by-a-tile
+// mismatch.
 //
 // Counter deltas are read with trace::snapshot().since(before), which is
 // exact as long as no unrelated instrumented work runs concurrently — true
@@ -20,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/gemm/macro.hpp"
-#include "core/gemm/nest.hpp"
+#include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
 #include "core/ld_stream.hpp"
 #include "core/parallel.hpp"
@@ -91,6 +92,48 @@ Expected expect_fused(const PackedBitMatrix& p, std::size_t a_begin,
         e.slivers_reused += tile_cols / nr + tile_rows / mr;
       }
       e.epilogue_rows += std::min(ic_end, a_end) - std::max(ic, a_begin);
+    }
+  }
+  return e;
+}
+
+// Analytic mirror of syrk_count_fused over [row_begin, row_end)² at a team
+// of one: jc (nc) -> ic (mc) cache tiles, where each panel's row blocks
+// start at the mc block holding its diagonal, and register tiles lying
+// strictly above the diagonal (row sliver ends at or before the column
+// sliver starts) are never handed to the micro-kernel. Dense operands
+// only: every remaining register tile is one kernel call per k panel.
+Expected expect_fused_lower(const PackedBitMatrix& p, std::size_t row_begin,
+                            std::size_t row_end) {
+  const GemmPlan& plan = p.plan();
+  const std::size_t mr = plan.mr;
+  const std::size_t nr = plan.nr;
+  const std::size_t ic0 = row_begin / mr * mr;
+  const std::size_t jc0 = row_begin / nr * nr;
+  const std::size_t i_pad = (row_end + mr - 1) / mr * mr;
+  const std::size_t j_pad = (row_end + nr - 1) / nr * nr;
+  Expected e;
+  for (std::size_t jc = jc0; jc < row_end; jc += plan.nc) {
+    const std::size_t jc_end = std::min(jc + plan.nc, j_pad);
+    std::size_t ic = ic0;
+    while (ic + plan.mc <= jc) ic += plan.mc;
+    for (; ic < row_end; ic += plan.mc) {
+      const std::size_t ic_end = std::min(ic + plan.mc, i_pad);
+      std::uint64_t live = 0;  // register tiles touching the lower triangle
+      for (std::size_t jr = jc; jr < jc_end; jr += nr) {
+        for (std::size_t ir = ic; ir < ic_end; ir += mr) {
+          if (ir + mr > jr) ++live;
+        }
+      }
+      e.tiles_emitted += 1;
+      for (std::size_t panel = 0; panel < p.panels(); ++panel) {
+        const std::uint64_t kcp = p.panel_kc_padded(panel);
+        e.kernel_calls += live;
+        e.kernel_words += live * mr * nr * kcp;
+        e.slivers_reused += (jc_end - jc) / nr + (ic_end - ic) / mr;
+      }
+      e.epilogue_rows +=
+          std::min(ic_end, row_end) - std::max(ic, row_begin);
     }
   }
   return e;
@@ -203,6 +246,45 @@ TEST_P(TraceCounters, RaggedRangesMatchAnalyticBlocking) {
   EXPECT_EQ(d2.counters.kernel_words, e2.kernel_words);
   EXPECT_EQ(d2.counters.tiles_emitted, e2.tiles_emitted);
   EXPECT_EQ(sink_rows, e2.epilogue_rows);
+}
+
+TEST_P(TraceCounters, SyrkMatchesAnalyticTriangularWalk) {
+  const auto [arch, shape] = GetParam();
+  const BitMatrix g = random_matrix(shape.m + shape.n, shape.samples, 13);
+  const GemmConfig cfg = small_blocking(arch);
+  const GemmPlan plan = gemm_plan_for(g.view(), cfg);
+  const PackedBitMatrix p(g.view(), plan, PackSides::kBoth);
+  ASSERT_FALSE(p.hybrid_dispatch());  // dense panel: no list kernels
+
+  // The whole triangle and an off-sliver window.
+  for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, g.snps()},
+                               {3, g.snps() - 2}}) {
+    const Expected e = expect_fused_lower(p, r0, r1);
+    std::uint64_t sink_rows = 0;
+    std::uint64_t sink_tiles = 0;
+    const trace::TraceSnapshot before = trace::snapshot();
+    syrk_count_fused(p, r0, r1, [&](const CountTile& t) {
+      sink_rows += t.rows;
+      ++sink_tiles;
+    });
+    const trace::TraceSnapshot d = trace::snapshot().since(before);
+    EXPECT_EQ(d.counters.kernel_calls, e.kernel_calls);
+    EXPECT_EQ(d.counters.kernel_words, e.kernel_words);
+    EXPECT_EQ(d.counters.slivers_reused, e.slivers_reused);
+    EXPECT_EQ(d.counters.tiles_emitted, e.tiles_emitted);
+    EXPECT_EQ(sink_tiles, e.tiles_emitted);
+    EXPECT_EQ(sink_rows, e.epilogue_rows);
+
+    // A team changes only the tile granularity: the chunks compose the same
+    // register-tile grid, so kernel calls and words are unchanged.
+    for (const unsigned team : {2u, 4u}) {
+      const trace::TraceSnapshot t0 = trace::snapshot();
+      syrk_count_fused(p, r0, r1, [](const CountTile&) {}, team);
+      const trace::TraceSnapshot dt = trace::snapshot().since(t0);
+      EXPECT_EQ(dt.counters.kernel_calls, e.kernel_calls) << "team=" << team;
+      EXPECT_EQ(dt.counters.kernel_words, e.kernel_words) << "team=" << team;
+    }
+  }
 }
 
 std::vector<std::tuple<KernelArch, Shape>> counter_cases() {
@@ -448,7 +530,7 @@ TEST_F(TraceFixture, NestDriversExposeStealCounters) {
   const PackedBitMatrix p(g.view(), plan, PackSides::kBoth);
 
   const trace::TraceSnapshot before = trace::snapshot();
-  syrk_count_parallel_nest(p, 0, n, [](const CountTile&) {}, 4);
+  syrk_count_fused(p, 0, n, [](const CountTile&) {}, 4);
   const trace::TraceSnapshot d = trace::snapshot().since(before);
 
   // One pool task per team member, every member accounted exactly once.

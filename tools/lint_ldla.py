@@ -271,15 +271,11 @@ PUBLIC_API = {
         ("gemm_count", "expect"),
         ("gemm_count_packed", "expect"),
         ("gemm_count_fused", "expect"),
-    ],
-    "src/core/gemm/nest.cpp": [
-        ("gemm_count_parallel_nest", "expect"),
-        ("syrk_count_parallel_nest", "expect"),
+        ("syrk_count_fused", "expect"),
     ],
     "src/core/gemm/syrk.cpp": [
         ("syrk_count", "expect"),
         ("syrk_count_packed", "expect"),
-        ("syrk_count_fused", "expect"),
     ],
     "src/core/gemm/packing.cpp": [("pack_panel", "expect")],
     "src/core/gemm/config.cpp": [("resolve_plan", "expect")],
