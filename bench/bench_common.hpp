@@ -173,39 +173,14 @@ class BenchJson {
       std::fprintf(f, "%s\"%s_s\": %.9g", p == 0 ? "" : ", ",
                    trace::phase_name(phase), s.phase_seconds(phase));
     }
-    const trace::PhaseCounters& c = s.counters;
-    std::fprintf(f,
-                 "}, \"counters\": {\"bytes_packed\": %llu, "
-                 "\"slivers_packed\": %llu, \"slivers_reused\": %llu, "
-                 "\"kernel_calls\": %llu, \"kernel_words\": %llu, "
-                 "\"tiles_emitted\": %llu, \"epilogue_rows\": %llu, "
-                 "\"task_runs\": %llu, \"steals\": %llu, "
-                 "\"failed_steals\": %llu, \"parks\": %llu, "
-                 "\"barrier_waits\": %llu, \"sparse_ll_tiles\": %llu, "
-                 "\"sparse_ld_tiles\": %llu, \"list_intersections\": %llu, "
-                 "\"dense_fallback_tiles\": %llu, \"io_bytes_read\": %llu, "
-                 "\"prefetch_issued\": %llu, \"prefetch_hits\": %llu, "
-                 "\"prefetch_stalls\": %llu}",
-                 static_cast<unsigned long long>(c.bytes_packed),
-                 static_cast<unsigned long long>(c.slivers_packed),
-                 static_cast<unsigned long long>(c.slivers_reused),
-                 static_cast<unsigned long long>(c.kernel_calls),
-                 static_cast<unsigned long long>(c.kernel_words),
-                 static_cast<unsigned long long>(c.tiles_emitted),
-                 static_cast<unsigned long long>(c.epilogue_rows),
-                 static_cast<unsigned long long>(c.task_runs),
-                 static_cast<unsigned long long>(c.steals),
-                 static_cast<unsigned long long>(c.failed_steals),
-                 static_cast<unsigned long long>(c.parks),
-                 static_cast<unsigned long long>(c.barrier_waits),
-                 static_cast<unsigned long long>(c.sparse_ll_tiles),
-                 static_cast<unsigned long long>(c.sparse_ld_tiles),
-                 static_cast<unsigned long long>(c.list_intersections),
-                 static_cast<unsigned long long>(c.dense_fallback_tiles),
-                 static_cast<unsigned long long>(c.io_bytes_read),
-                 static_cast<unsigned long long>(c.prefetch_issued),
-                 static_cast<unsigned long long>(c.prefetch_hits),
-                 static_cast<unsigned long long>(c.prefetch_stalls));
+    std::fputs("}, \"counters\": {", f);
+    const char* sep = "";
+    for (const auto& [key, value] : trace::counter_fields(s.counters)) {
+      std::fprintf(f, "%s\"%s\": %llu", sep, key,
+                   static_cast<unsigned long long>(value));
+      sep = ", ";
+    }
+    std::fputs("}", f);
   }
 
   static double nan_value() {

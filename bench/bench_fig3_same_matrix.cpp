@@ -93,14 +93,15 @@ int main(int argc, char** argv) {
       "band and is FLAT as k (samples) and the SNP count grow — the\n"
       "'future-proof' property of the GotoBLAS formulation (Sec. III-B).\n");
 
-  // Always-on metrics overhead arm (ISSUE 9 acceptance gate): the same
+  // Always-on metrics overhead arm (the CI overhead gate): the same
   // instrumented parallel r^2 scan with the registry enabled vs. runtime-
-  // disabled. Runtime disable is the in-binary proxy for the
-  // -DLDLA_METRICS=OFF compile-out control (the disabled path still pays
+  // disabled (which also freezes the phase counters — they are registry
+  // counters). Runtime disable is the in-binary proxy for the
+  // -DLDLA_TRACE=OFF compile-out control (the disabled path still pays
   // one relaxed load + branch per sink; EXPERIMENTS.md carries the true
   // compiled-out numbers). A fixed moderate size keeps the measurement
   // meaningful in smoke mode, where the table sizes above are tiny. The
-  // arm also runs in -DLDLA_METRICS=OFF builds (the registry is always
+  // arm also runs in -DLDLA_TRACE=OFF builds (the registry is always
   // linkable): there both arms are uninstrumented, the reported overhead
   // is trivially ~0, and the row's wall seconds ARE the compiled-out
   // control EXPERIMENTS.md tabulates.
@@ -138,8 +139,8 @@ int main(int argc, char** argv) {
         "\nmetrics overhead (r^2 scan %zux%zu, best of %d): on %.4fs / "
         "off %.4fs -> %.2f%%\n",
         on, ok, otrials, secs_on, secs_off, overhead_pct);
-    if (!metrics::compiled()) {
-      std::printf("(this build is -DLDLA_METRICS=OFF: both arms are "
+    if (!trace::compiled()) {
+      std::printf("(this build is -DLDLA_TRACE=OFF: both arms are "
                   "uninstrumented; the row is the compiled-out control)\n");
     }
     json.add("metrics-overhead", "auto", on, ok, secs_on,

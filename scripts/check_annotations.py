@@ -74,6 +74,8 @@ def compile_flags(root: pathlib.Path) -> list[str]:
     return [
         "-fsyntax-only", "-x", "c++", "-std=c++20",
         f"-I{root / 'src'}", f"-I{root / 'bench'}",
+        # The one instrumentation gate: exposes both the LDLA_TRACE_* and
+        # the LDLA_METRICS_ONLY(...) blocks to the analysis.
         "-DLDLA_TRACE_ENABLED=1",
         "-Wthread-safety", "-Werror=thread-safety",
     ]

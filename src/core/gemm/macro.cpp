@@ -259,12 +259,12 @@ void drain_chunks(std::deque<WorkStealDeque<std::int64_t>>& deques,
       WorkStealDeque<std::int64_t>& victim = deques[(t + s) % team];
       while (!victim.empty_hint()) {
         if (victim.steal(idx)) {
-          LDLA_TRACE_ADD_STEAL();
+          LDLA_TRACE_ADD_NEST_STEAL();
           run(idx);
         } else {
           // Lost the CAS race (or the owner drained it under us): someone
           // else made progress, so spinning here cannot livelock.
-          LDLA_TRACE_ADD_FAILED_STEAL();
+          LDLA_TRACE_ADD_NEST_FAILED_STEAL();
         }
       }
     }

@@ -107,11 +107,6 @@ class PairWalker {
         if (!key.first->is_materialized(key.second)) {
           key.first->prefetch(key.second);  // async readahead hint
           LDLA_TRACE_ADD_PREFETCH_ISSUED();
-          LDLA_METRICS_ONLY(
-              static metrics::Counter& c_issued = metrics::counter(
-                  "ldla_stream_prefetch_issued_total",
-                  "shard prefetches initiated ahead of need");
-              c_issued.inc();)
           targets.push_back(key);
         }
       }
@@ -163,18 +158,8 @@ class PairWalker {
   const PackedBitMatrix& acquire(const ShardKey& key) {
     if (key.first->is_materialized(key.second)) {
       LDLA_TRACE_ADD_PREFETCH_HIT();
-      LDLA_METRICS_ONLY(
-          static metrics::Counter& c_hits = metrics::counter(
-              "ldla_stream_prefetch_hits_total",
-              "shard acquisitions served already-materialized");
-          c_hits.inc();)
     } else {
       LDLA_TRACE_ADD_PREFETCH_STALL();
-      LDLA_METRICS_ONLY(
-          static metrics::Counter& c_stalls = metrics::counter(
-              "ldla_stream_prefetch_stalls_total",
-              "shard acquisitions materialized on the critical path");
-          c_stalls.inc();)
     }
     const PackedBitMatrix& pk = key.first->shard(key.second);
     note_use(key);

@@ -792,11 +792,7 @@ const PackedBitMatrix& ShardStore::shard(std::size_t i) {
         static metrics::Counter& c_mat = metrics::counter(
             "ldla_shard_materializations_total",
             "shards materialized (packed payloads faulted in)");
-        static metrics::Counter& c_io = metrics::counter(
-            "ldla_shard_io_bytes_total",
-            "shard payload bytes explicitly faulted/read");
-        c_mat.inc();
-        c_io.add(shard_bytes_[i]);)
+        c_mat.inc();)
   }
   MutexLock lock(mu_);
   if (!wrappers_[i]) {

@@ -10,7 +10,6 @@
 #include "util/contract.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 namespace ldla::metrics {
 
@@ -271,48 +270,10 @@ Info& info(const char* name, const char* label, const char* help) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace bridge
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Mirror trace-layer totals into gauges before a scrape, so a scraper (or
-// test) can cross-check the two observability layers. Gauges, not counters:
-// the trace snapshot is already an aggregate, and re-publishing it as a
-// last-writer-wins value keeps the bridge idempotent across scrapes.
-void bridge_trace() {
-  if (!trace::compiled()) return;
-  const trace::TraceSnapshot s = trace::snapshot();
-  gauge("ldla_trace_task_runs", "trace-layer mirror: pool tasks executed")
-      .set(s.counters.task_runs);
-  gauge("ldla_trace_steals", "trace-layer mirror: successful deque steals")
-      .set(s.counters.steals);
-  gauge("ldla_trace_failed_steals", "trace-layer mirror: failed steal probes")
-      .set(s.counters.failed_steals);
-  gauge("ldla_trace_parks", "trace-layer mirror: worker parks")
-      .set(s.counters.parks);
-  gauge("ldla_trace_io_bytes_read",
-        "trace-layer mirror: bytes faulted/read by the shard store")
-      .set(s.counters.io_bytes_read);
-  gauge("ldla_trace_prefetch_issued",
-        "trace-layer mirror: shard prefetches initiated")
-      .set(s.counters.prefetch_issued);
-  gauge("ldla_trace_prefetch_hits",
-        "trace-layer mirror: shard acquisitions already materialized")
-      .set(s.counters.prefetch_hits);
-  gauge("ldla_trace_prefetch_stalls",
-        "trace-layer mirror: shard acquisitions on the critical path")
-      .set(s.counters.prefetch_stalls);
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
 
 std::string render_prometheus() {
-  bridge_trace();
   std::string out;
   out.reserve(8192);
   const auto help_line = [&out](const char* name, const char* help,
@@ -410,7 +371,6 @@ std::string render_prometheus() {
 }
 
 std::string render_json() {
-  bridge_trace();
   std::string out;
   out.reserve(8192);
   out += "{\"schema\": \"ldla-metrics-v1\", \"enabled\": ";

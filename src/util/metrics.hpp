@@ -2,12 +2,9 @@
 // latency histograms with Prometheus / JSON exporters and a background
 // process-health sampler.
 //
-// Relationship to util/trace.hpp (DESIGN.md §5c): the trace layer is
-// compile-time-gated (LDLA_TRACE) and built for offline Chrome-trace
-// analysis of a single run; this layer is compiled into every build and
-// built for live scraping of a long-running process. When both are
-// compiled, scrapes bridge trace::snapshot() into `ldla_trace_*` gauges so
-// the two layers can be cross-checked.
+// This registry is the only counter store: the trace layer's phase counters
+// (util/trace.hpp, trace::PhaseCounters) are registry counters named by the
+// table in util/trace.cpp, and trace::snapshot() reads them back from here.
 //
 // Hot-path cost model:
 //   Counter::add   — one relaxed fetch_add on a thread-striped cache line
@@ -24,19 +21,18 @@
 // function-local static reference:
 //
 //   LDLA_METRICS_ONLY(
-//       static metrics::Counter& c =
-//           metrics::counter("ldla_pool_tasks_total", "tasks executed");
+//       static metrics::Counter& c = metrics::counter(
+//           "ldla_shard_releases_total", "shards released");
 //       c.inc();)
 //
 // `name` and `help` must be string literals (or otherwise outlive the
 // process); the registry stores the pointers, not copies.
 //
-// The CMake option LDLA_METRICS (default ON) gates only the
-// LDLA_METRICS_ONLY(...) instrumentation macro: the registry, exporters,
-// and sampler are always compiled and linkable, so tooling and tests work
-// in every preset, while -DLDLA_METRICS=OFF provides the compiled-out
-// control for overhead measurement (library hot paths carry no metrics
-// code at all).
+// The CMake option LDLA_TRACE (default ON) gates every instrumentation
+// macro, LDLA_METRICS_ONLY(...) included: the registry, exporters, and
+// sampler are always compiled and linkable, so tooling and tests work in
+// every preset, while -DLDLA_TRACE=OFF is the compiled-out control for
+// overhead measurement (library hot paths carry no instrumentation at all).
 #pragma once
 
 #include <atomic>
@@ -47,24 +43,13 @@
 
 #include "util/annotations.hpp"
 
-#if defined(LDLA_METRICS_ENABLED)
+#if defined(LDLA_TRACE_ENABLED)
 #define LDLA_METRICS_ONLY(...) __VA_ARGS__
 #else
 #define LDLA_METRICS_ONLY(...)
 #endif
 
 namespace ldla::metrics {
-
-/// True when LDLA_METRICS_ONLY(...) instrumentation is compiled into the
-/// library (CMake -DLDLA_METRICS=ON). The registry itself is always
-/// available either way.
-constexpr bool compiled() {
-#if defined(LDLA_METRICS_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
 
 namespace detail {
 
@@ -89,9 +74,10 @@ struct Registry;  // registration/render internals (metrics.cpp)
 
 }  // namespace detail
 
-/// Enable/disable every sink at runtime (scrapes still work while
-/// disabled; they just see frozen values). Used by the bench overhead arm
-/// as the runtime proxy for the compile-out control.
+/// Enable/disable every sink at runtime — the trace layer's phase counters
+/// included (scrapes still work while disabled; they just see frozen
+/// values). Used by the bench overhead arm as the runtime proxy for the
+/// compile-out control.
 void set_enabled(bool on) noexcept;
 bool enabled() noexcept;
 
@@ -200,10 +186,6 @@ class Histogram {
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
-  void record_seconds(double s) noexcept {
-    if (s < 0) s = 0;
-    record_ns(static_cast<std::uint64_t>(s * 1e9));
-  }
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -294,9 +276,7 @@ class ScopedLatency {
 
 /// Render every registered metric in Prometheus text exposition format
 /// 0.0.4 (# HELP / # TYPE / samples; histograms emit cumulative
-/// `_bucket{le="..."}` series in seconds plus `_sum`/`_count`). When the
-/// trace layer is compiled, trace::snapshot() totals are bridged into
-/// `ldla_trace_*` gauges first.
+/// `_bucket{le="..."}` series in seconds plus `_sum`/`_count`).
 std::string render_prometheus();
 
 /// Render a JSON snapshot: {"schema":"ldla-metrics-v1","counters":{...},

@@ -59,10 +59,6 @@ ThreadPool::~ThreadPool() {
 // destroyed between the decrement and the notify.
 void ThreadPool::run_node(TaskNode* node) {
   LDLA_TRACE_TASK_DEQUEUED(node->enqueued_ns);
-  LDLA_METRICS_ONLY(
-      static metrics::Counter& c_tasks = metrics::counter(
-          "ldla_pool_tasks_total", "thread-pool tasks executed");
-      c_tasks.inc();)
   std::exception_ptr error;
   try {
     LDLA_TRACE_SPAN(kTaskRun);
@@ -87,18 +83,9 @@ ThreadPool::TaskNode* ThreadPool::try_steal_any() noexcept {
     TaskNode* node = nullptr;
     if (sub.deque.steal(node)) {
       LDLA_TRACE_ADD_STEAL();
-      LDLA_METRICS_ONLY(
-          static metrics::Counter& c_steals = metrics::counter(
-              "ldla_pool_steals_total", "deque items taken by a non-owner");
-          c_steals.inc();)
       return node;
     }
     LDLA_TRACE_ADD_FAILED_STEAL();
-    LDLA_METRICS_ONLY(
-        static metrics::Counter& c_failed = metrics::counter(
-            "ldla_pool_failed_steals_total",
-            "steal probes that found nothing or lost the race");
-        c_failed.inc();)
   }
   return nullptr;
 }
@@ -118,11 +105,6 @@ void ThreadPool::worker_loop(unsigned worker_index) {
     if (stop_) return;
     if (pending_.load(std::memory_order_relaxed) > 0) continue;  // re-sweep
     LDLA_TRACE_ADD_PARK();
-    LDLA_METRICS_ONLY(
-        static metrics::Counter& c_parks = metrics::counter(
-            "ldla_pool_parks_total",
-            "worker blocks on the idle condition variable");
-        c_parks.inc();)
     // Manual predicate loop (not the lambda overload) so the guarded reads
     // of stop_ stay inside this function's analyzed lock scope.
     while (!stop_ && pending_.load(std::memory_order_relaxed) == 0) {
@@ -144,10 +126,6 @@ void ThreadPool::run_tasks(std::size_t tasks,
       try {
         LDLA_TRACE_SPAN(kTaskRun);
         LDLA_TRACE_ADD_TASK_RUN();
-        LDLA_METRICS_ONLY(
-            static metrics::Counter& c_tasks = metrics::counter(
-                "ldla_pool_tasks_total", "thread-pool tasks executed");
-            c_tasks.inc();)
         fn(t);
       } catch (...) {
         if (!first_error) first_error = std::current_exception();
@@ -228,11 +206,6 @@ void ThreadPool::run_tasks(std::size_t tasks,
   {
     MutexLock lock(set.m);
     LDLA_TRACE_ADD_BARRIER_WAIT();
-    LDLA_METRICS_ONLY(
-        static metrics::Counter& c_barriers = metrics::counter(
-            "ldla_pool_barrier_waits_total",
-            "fork-join caller barriers (pooled run_tasks joins)");
-        c_barriers.inc();)
     if (set.remaining > 0) {
       LDLA_TRACE_SPAN(kBarrier);
       while (set.remaining > 0) set.done.wait(lock);

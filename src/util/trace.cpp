@@ -1,13 +1,16 @@
-// Implementation of the phase-counter / span / session layer declared in
-// util/trace.hpp. Storage model: a fixed static array of cache-line-aligned
-// per-thread slots (no heap allocation on the hot path; the repo's
-// allocation choke point stays intact). A thread claims a slot on first
-// instrumented call and keeps it for the process lifetime; counter and
-// phase-time writes are relaxed fetch_adds on the owner's dedicated cache
-// line, so there is no cross-thread contention and snapshot() can aggregate
-// lock-free from any thread. If more threads than slots ever appear, the
-// overflow threads share the last slot: fetch_add keeps their *counters*
-// exact, and the owner-only span machinery is disabled for them.
+// Implementation of the counter table and the span / session layer declared
+// in util/trace.hpp.
+//
+// Counters live in the metrics registry (util/metrics.hpp): kCounterRows
+// below is the one place that names them. Spans keep their own storage: a
+// fixed static array of cache-line-aligned per-thread slots (no heap
+// allocation on the hot path; the repo's allocation choke point stays
+// intact). A thread claims a slot on first span and keeps it for the process
+// lifetime; phase-time writes are relaxed fetch_adds on the owner's cache
+// line, so snapshot() can aggregate lock-free from any thread. If more
+// threads than slots ever appear, the overflow threads share the last slot:
+// fetch_add keeps their queue-wait time exact, and the owner-only span
+// machinery is disabled for them.
 #include "util/trace.hpp"
 
 #include <algorithm>
@@ -15,11 +18,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "util/annotations.hpp"
 #include "util/contract.hpp"
 #include "util/sync.hpp"
 #include "util/cpu_info.hpp"
+#include "util/metrics.hpp"
 #include "util/peak.hpp"
 #include "util/perf_counters.hpp"
 #include "util/timer.hpp"
@@ -50,42 +55,97 @@ const char* phase_name(Phase p) {
   return "unknown";
 }
 
+namespace {
+
+// The counter table: one row per registry counter, naming the PhaseCounters
+// field it feeds. steals and failed_steals have two rows each — the thread
+// pool's task deques, then the fused nest's chunk deques — which snapshot()
+// sums into the one field. Every other field has exactly one row.
+struct CounterRow {
+  std::uint64_t PhaseCounters::*field;
+  const char* key;   ///< the field's name (BENCH_*.json "counters" key)
+  const char* name;  ///< registry counter name
+  const char* help;
+};
+
+#define LDLA_COUNTER_ROW(field, name, help) \
+  CounterRow { &PhaseCounters::field, #field, name, help }
+
+constexpr CounterRow kCounterRows[] = {
+    LDLA_COUNTER_ROW(bytes_packed, "ldla_pack_bytes_total",
+                     "bytes written into packed slivers"),
+    LDLA_COUNTER_ROW(slivers_packed, "ldla_pack_slivers_total",
+                     "slivers freshly packed"),
+    LDLA_COUNTER_ROW(slivers_reused, "ldla_pack_slivers_reused_total",
+                     "sliver views served from a persistent pack"),
+    LDLA_COUNTER_ROW(kernel_calls, "ldla_kernel_calls_total",
+                     "micro-kernel invocations"),
+    LDLA_COUNTER_ROW(kernel_words, "ldla_kernel_words_total",
+                     "popcount word-triples processed"),
+    LDLA_COUNTER_ROW(tiles_emitted, "ldla_tiles_emitted_total",
+                     "fused count tiles handed to sinks"),
+    LDLA_COUNTER_ROW(epilogue_rows, "ldla_epilogue_rows_total",
+                     "fused-epilogue stat rows converted"),
+    LDLA_COUNTER_ROW(task_runs, "ldla_pool_tasks_total",
+                     "thread-pool tasks executed"),
+    LDLA_COUNTER_ROW(steals, "ldla_pool_steals_total",
+                     "deque items taken by a non-owner"),
+    LDLA_COUNTER_ROW(steals, "ldla_nest_steals_total",
+                     "nest chunks taken from another team member's deque"),
+    LDLA_COUNTER_ROW(failed_steals, "ldla_pool_failed_steals_total",
+                     "steal probes that found nothing or lost the race"),
+    LDLA_COUNTER_ROW(failed_steals, "ldla_nest_failed_steals_total",
+                     "nest chunk steal probes that lost the race"),
+    LDLA_COUNTER_ROW(parks, "ldla_pool_parks_total",
+                     "worker blocks on the idle condition variable"),
+    LDLA_COUNTER_ROW(barrier_waits, "ldla_pool_barrier_waits_total",
+                     "fork-join caller barriers (pooled run_tasks joins)"),
+    LDLA_COUNTER_ROW(sparse_ll_tiles, "ldla_sparse_ll_tiles_total",
+                     "list x list register-tile kernel calls"),
+    LDLA_COUNTER_ROW(sparse_ld_tiles, "ldla_sparse_ld_tiles_total",
+                     "list x dense register-tile kernel calls"),
+    LDLA_COUNTER_ROW(list_intersections, "ldla_sparse_intersections_total",
+                     "sparse row-pair intersections computed"),
+    LDLA_COUNTER_ROW(dense_fallback_tiles,
+                     "ldla_sparse_dense_fallback_tiles_total",
+                     "register tiles kept dense inside hybrid tiles"),
+    LDLA_COUNTER_ROW(io_bytes_read, "ldla_shard_io_bytes_total",
+                     "shard payload bytes explicitly faulted/read"),
+    LDLA_COUNTER_ROW(prefetch_issued, "ldla_stream_prefetch_issued_total",
+                     "shard prefetches initiated ahead of need"),
+    LDLA_COUNTER_ROW(prefetch_hits, "ldla_stream_prefetch_hits_total",
+                     "shard acquisitions served already-materialized"),
+    LDLA_COUNTER_ROW(prefetch_stalls, "ldla_stream_prefetch_stalls_total",
+                     "shard acquisitions materialized on the critical path"),
+};
+
+#undef LDLA_COUNTER_ROW
+
+constexpr std::size_t kNumRows = std::size(kCounterRows);
+
+// Rows feeding one field are adjacent, so a field's first row is the one
+// whose predecessor feeds a different field.
+constexpr bool first_row_of_field(std::size_t i) {
+  return i == 0 || kCounterRows[i - 1].field != kCounterRows[i].field;
+}
+
+constexpr std::size_t count_fields() {
+  std::size_t fields = 0;
+  for (std::size_t i = 0; i < kNumRows; ++i) fields += first_row_of_field(i);
+  return fields;
+}
+static_assert(count_fields() * sizeof(std::uint64_t) == sizeof(PhaseCounters),
+              "kCounterRows must list every PhaseCounters field once, rows "
+              "of one field adjacent");
+
+}  // namespace
+
 TraceSnapshot TraceSnapshot::since(const TraceSnapshot& earlier) const {
   TraceSnapshot d;
-  d.counters.bytes_packed = counters.bytes_packed - earlier.counters.bytes_packed;
-  d.counters.slivers_packed =
-      counters.slivers_packed - earlier.counters.slivers_packed;
-  d.counters.slivers_reused =
-      counters.slivers_reused - earlier.counters.slivers_reused;
-  d.counters.kernel_calls = counters.kernel_calls - earlier.counters.kernel_calls;
-  d.counters.kernel_words = counters.kernel_words - earlier.counters.kernel_words;
-  d.counters.tiles_emitted =
-      counters.tiles_emitted - earlier.counters.tiles_emitted;
-  d.counters.epilogue_rows =
-      counters.epilogue_rows - earlier.counters.epilogue_rows;
-  d.counters.task_runs = counters.task_runs - earlier.counters.task_runs;
-  d.counters.steals = counters.steals - earlier.counters.steals;
-  d.counters.failed_steals =
-      counters.failed_steals - earlier.counters.failed_steals;
-  d.counters.parks = counters.parks - earlier.counters.parks;
-  d.counters.barrier_waits =
-      counters.barrier_waits - earlier.counters.barrier_waits;
-  d.counters.sparse_ll_tiles =
-      counters.sparse_ll_tiles - earlier.counters.sparse_ll_tiles;
-  d.counters.sparse_ld_tiles =
-      counters.sparse_ld_tiles - earlier.counters.sparse_ld_tiles;
-  d.counters.list_intersections =
-      counters.list_intersections - earlier.counters.list_intersections;
-  d.counters.dense_fallback_tiles =
-      counters.dense_fallback_tiles - earlier.counters.dense_fallback_tiles;
-  d.counters.io_bytes_read =
-      counters.io_bytes_read - earlier.counters.io_bytes_read;
-  d.counters.prefetch_issued =
-      counters.prefetch_issued - earlier.counters.prefetch_issued;
-  d.counters.prefetch_hits =
-      counters.prefetch_hits - earlier.counters.prefetch_hits;
-  d.counters.prefetch_stalls =
-      counters.prefetch_stalls - earlier.counters.prefetch_stalls;
+  // A field's second row recomputes the same difference.
+  for (const CounterRow& r : kCounterRows) {
+    d.counters.*r.field = counters.*r.field - earlier.counters.*r.field;
+  }
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     d.phase_self_ns[i] = phase_self_ns[i] - earlier.phase_self_ns[i];
     d.phase_perf[i].cycles = phase_perf[i].cycles - earlier.phase_perf[i].cycles;
@@ -99,6 +159,17 @@ TraceSnapshot TraceSnapshot::since(const TraceSnapshot& earlier) const {
   return d;
 }
 
+std::vector<std::pair<const char*, std::uint64_t>> counter_fields(
+    const PhaseCounters& c) {
+  std::vector<std::pair<const char*, std::uint64_t>> out;
+  for (std::size_t i = 0; i < kNumRows; ++i) {
+    if (first_row_of_field(i)) {
+      out.emplace_back(kCounterRows[i].key, c.*kCounterRows[i].field);
+    }
+  }
+  return out;
+}
+
 #if defined(LDLA_TRACE_ENABLED)
 
 namespace {
@@ -108,30 +179,28 @@ constexpr int kMaxDepth = 16;
 constexpr std::size_t kMaxEventsPerThread = std::size_t{1} << 20;
 constexpr std::size_t kNumPerf = 4;
 
-// Counter indices, matching the PhaseCounters field order.
-enum CounterIndex : std::size_t {
-  kCBytesPacked = 0,
-  kCSliversPacked,
-  kCSliversReused,
-  kCKernelCalls,
-  kCKernelWords,
-  kCTilesEmitted,
-  kCEpilogueRows,
-  kCTaskRuns,
-  kCSteals,
-  kCFailedSteals,
-  kCParks,
-  kCBarrierWaits,
-  kCSparseLlTiles,
-  kCSparseLdTiles,
-  kCListIntersections,
-  kCDenseFallbackTiles,
-  kCIoBytesRead,
-  kCPrefetchIssued,
-  kCPrefetchHits,
-  kCPrefetchStalls,
-  kNumCounters,
-};
+// Compile-time index of the `nth` row feeding `field` (a missing row fails
+// the build).
+consteval std::size_t row(std::uint64_t PhaseCounters::*field,
+                          std::size_t nth = 0) {
+  for (std::size_t i = 0; i < kNumRows; ++i) {
+    if (kCounterRows[i].field == field && nth-- == 0) return i;
+  }
+  throw "no counter row for this field";
+}
+
+// The registry counters behind kCounterRows, registered together on first
+// use so every exporter lists all of them once any is touched.
+metrics::Counter& registry_counter(std::size_t r) {
+  static const std::array<metrics::Counter*, kNumRows> counters = [] {
+    std::array<metrics::Counter*, kNumRows> out{};
+    for (std::size_t i = 0; i < kNumRows; ++i) {
+      out[i] = &metrics::counter(kCounterRows[i].name, kCounterRows[i].help);
+    }
+    return out;
+  }();
+  return *counters[r];
+}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -143,7 +212,6 @@ std::uint64_t now_ns() {
 struct alignas(64) Slot {
   // Any-thread-readable, owner-written (overflow threads may share writes;
   // fetch_add keeps the totals exact either way).
-  std::atomic<std::uint64_t> counters[kNumCounters] = {};
   std::atomic<std::uint64_t> phase_ns[kPhaseCount] = {};
   std::atomic<std::uint64_t> perf[kPhaseCount][kNumPerf] = {};
   std::atomic<bool> shared{false};
@@ -170,7 +238,6 @@ struct alignas(64) Slot {
 Slot g_slots[kMaxSlots];
 std::atomic<std::uint32_t> g_next_slot{0};
 
-std::atomic<bool> g_timing{true};
 std::atomic<bool> g_session{false};
 std::atomic<bool> g_session_perf{false};
 std::atomic<std::uint64_t> g_epoch{0};
@@ -197,10 +264,6 @@ Slot* slot() {
     t_slot = s;
   }
   return s;
-}
-
-void add_counter(std::size_t which, std::uint64_t x) {
-  slot()->counters[which].fetch_add(x, std::memory_order_relaxed);
 }
 
 // Append a span event to the owner's buffer (caller checked !shared).
@@ -338,38 +401,15 @@ std::string write_report(const std::string& run_name)
                static_cast<unsigned long long>(dropped));
   std::fprintf(f, "},\n");
 
-  // Cumulative counters (process lifetime; diff two traces to window them).
-  std::fprintf(
-      f,
-      "\"counters\": {\"bytes_packed\": %llu, \"slivers_packed\": %llu, "
-      "\"slivers_reused\": %llu, \"kernel_calls\": %llu, "
-      "\"kernel_words\": %llu, \"tiles_emitted\": %llu, "
-      "\"epilogue_rows\": %llu, \"task_runs\": %llu, \"steals\": %llu, "
-      "\"failed_steals\": %llu, \"parks\": %llu, \"barrier_waits\": %llu, "
-      "\"sparse_ll_tiles\": %llu, \"sparse_ld_tiles\": %llu, "
-      "\"list_intersections\": %llu, \"dense_fallback_tiles\": %llu, "
-      "\"io_bytes_read\": %llu, \"prefetch_issued\": %llu, "
-      "\"prefetch_hits\": %llu, \"prefetch_stalls\": %llu},\n",
-      static_cast<unsigned long long>(snap.counters.bytes_packed),
-      static_cast<unsigned long long>(snap.counters.slivers_packed),
-      static_cast<unsigned long long>(snap.counters.slivers_reused),
-      static_cast<unsigned long long>(snap.counters.kernel_calls),
-      static_cast<unsigned long long>(snap.counters.kernel_words),
-      static_cast<unsigned long long>(snap.counters.tiles_emitted),
-      static_cast<unsigned long long>(snap.counters.epilogue_rows),
-      static_cast<unsigned long long>(snap.counters.task_runs),
-      static_cast<unsigned long long>(snap.counters.steals),
-      static_cast<unsigned long long>(snap.counters.failed_steals),
-      static_cast<unsigned long long>(snap.counters.parks),
-      static_cast<unsigned long long>(snap.counters.barrier_waits),
-      static_cast<unsigned long long>(snap.counters.sparse_ll_tiles),
-      static_cast<unsigned long long>(snap.counters.sparse_ld_tiles),
-      static_cast<unsigned long long>(snap.counters.list_intersections),
-      static_cast<unsigned long long>(snap.counters.dense_fallback_tiles),
-      static_cast<unsigned long long>(snap.counters.io_bytes_read),
-      static_cast<unsigned long long>(snap.counters.prefetch_issued),
-      static_cast<unsigned long long>(snap.counters.prefetch_hits),
-      static_cast<unsigned long long>(snap.counters.prefetch_stalls));
+  // Cumulative registry counters (process lifetime; diff two traces to
+  // window them), in the shape render_json() gives its "counters" object.
+  std::fprintf(f, "\"counters\": {");
+  for (std::size_t i = 0; i < kNumRows; ++i) {
+    std::fprintf(f, "%s\n  \"%s\": {\"help\": \"%s\", \"value\": %llu}",
+                 i == 0 ? "" : ",", kCounterRows[i].name, kCounterRows[i].help,
+                 static_cast<unsigned long long>(registry_counter(i).value()));
+  }
+  std::fprintf(f, "\n},\n");
 
   // Per-phase roofline table: self time, perf deltas, and the derived
   // words/cycle + %-of-scalar-peak for the kernel phase (the paper's
@@ -445,59 +485,61 @@ void atexit_write() {
 
 namespace detail {
 
-void add_pack(std::uint64_t slivers, std::uint64_t bytes) {
-  Slot* s = slot();
-  s->counters[kCSliversPacked].fetch_add(slivers, std::memory_order_relaxed);
-  s->counters[kCBytesPacked].fetch_add(bytes, std::memory_order_relaxed);
+using P = PhaseCounters;
+
+// One Counter::add on the registry counter of the `nth` row feeding Field.
+template <std::uint64_t P::*Field, std::size_t Nth = 0>
+void bump(std::uint64_t n) {
+  registry_counter(row(Field, Nth)).add(n);
 }
 
-void add_reuse(std::uint64_t slivers) { add_counter(kCSliversReused, slivers); }
+void add_pack(std::uint64_t slivers, std::uint64_t bytes) {
+  bump<&P::slivers_packed>(slivers);
+  bump<&P::bytes_packed>(bytes);
+}
+
+void add_reuse(std::uint64_t slivers) { bump<&P::slivers_reused>(slivers); }
 
 void add_kernel(std::uint64_t calls, std::uint64_t words) {
-  Slot* s = slot();
-  s->counters[kCKernelCalls].fetch_add(calls, std::memory_order_relaxed);
-  s->counters[kCKernelWords].fetch_add(words, std::memory_order_relaxed);
+  bump<&P::kernel_calls>(calls);
+  bump<&P::kernel_words>(words);
 }
 
-void add_tile() { add_counter(kCTilesEmitted, 1); }
+void add_tile() { bump<&P::tiles_emitted>(1); }
 
-void add_epilogue_rows(std::uint64_t rows) {
-  add_counter(kCEpilogueRows, rows);
-}
+void add_epilogue_rows(std::uint64_t rows) { bump<&P::epilogue_rows>(rows); }
 
-void add_task_run() { add_counter(kCTaskRuns, 1); }
+void add_task_run() { bump<&P::task_runs>(1); }
 
-void add_steal() { add_counter(kCSteals, 1); }
+void add_steal() { bump<&P::steals>(1); }
 
-void add_failed_steal() { add_counter(kCFailedSteals, 1); }
+void add_failed_steal() { bump<&P::failed_steals>(1); }
 
-void add_park() { add_counter(kCParks, 1); }
+void add_nest_steal() { bump<&P::steals, 1>(1); }
 
-void add_barrier_wait() { add_counter(kCBarrierWaits, 1); }
+void add_nest_failed_steal() { bump<&P::failed_steals, 1>(1); }
+
+void add_park() { bump<&P::parks>(1); }
+
+void add_barrier_wait() { bump<&P::barrier_waits>(1); }
 
 void add_sparse(std::uint64_t ll_tiles, std::uint64_t ld_tiles,
                 std::uint64_t intersections, std::uint64_t fallback_tiles) {
-  Slot* s = slot();
-  s->counters[kCSparseLlTiles].fetch_add(ll_tiles, std::memory_order_relaxed);
-  s->counters[kCSparseLdTiles].fetch_add(ld_tiles, std::memory_order_relaxed);
-  s->counters[kCListIntersections].fetch_add(intersections,
-                                             std::memory_order_relaxed);
-  s->counters[kCDenseFallbackTiles].fetch_add(fallback_tiles,
-                                              std::memory_order_relaxed);
+  bump<&P::sparse_ll_tiles>(ll_tiles);
+  bump<&P::sparse_ld_tiles>(ld_tiles);
+  bump<&P::list_intersections>(intersections);
+  bump<&P::dense_fallback_tiles>(fallback_tiles);
 }
 
-void add_io_read(std::uint64_t bytes) { add_counter(kCIoBytesRead, bytes); }
+void add_io_read(std::uint64_t bytes) { bump<&P::io_bytes_read>(bytes); }
 
-void add_prefetch_issued() { add_counter(kCPrefetchIssued, 1); }
+void add_prefetch_issued() { bump<&P::prefetch_issued>(1); }
 
-void add_prefetch_hit() { add_counter(kCPrefetchHits, 1); }
+void add_prefetch_hit() { bump<&P::prefetch_hits>(1); }
 
-void add_prefetch_stall() { add_counter(kCPrefetchStalls, 1); }
+void add_prefetch_stall() { bump<&P::prefetch_stalls>(1); }
 
-std::uint64_t queue_stamp() {
-  return g_timing.load(std::memory_order_relaxed) ? now_ns() : 0;
-}
-
+std::uint64_t queue_stamp() { return now_ns(); }
 void task_dequeued(std::uint64_t enqueue_ns) {
   if (enqueue_ns == 0) return;
   const std::uint64_t t1 = now_ns();
@@ -514,7 +556,6 @@ void task_dequeued(std::uint64_t enqueue_ns) {
 }  // namespace detail
 
 Span::Span(Phase p) noexcept {
-  if (!g_timing.load(std::memory_order_relaxed)) return;
   Slot* s = slot();
   if (s->shared.load(std::memory_order_relaxed) || s->depth >= kMaxDepth) {
     return;
@@ -566,41 +607,15 @@ Span::~Span() {
   }
 }
 
-void set_timing_enabled(bool on) {
-  g_timing.store(on, std::memory_order_relaxed);
-}
-
-bool timing_enabled() { return g_timing.load(std::memory_order_relaxed); }
-
 TraceSnapshot snapshot() {
   TraceSnapshot out;
+  for (std::size_t i = 0; i < kNumRows; ++i) {
+    out.counters.*kCounterRows[i].field += registry_counter(i).value();
+  }
   const std::uint32_t n =
       std::min(g_next_slot.load(std::memory_order_relaxed), kMaxSlots);
   for (std::uint32_t i = 0; i < n; ++i) {
     const Slot& s = g_slots[i];
-    const auto c = [&s](std::size_t which) {
-      return s.counters[which].load(std::memory_order_relaxed);
-    };
-    out.counters.bytes_packed += c(kCBytesPacked);
-    out.counters.slivers_packed += c(kCSliversPacked);
-    out.counters.slivers_reused += c(kCSliversReused);
-    out.counters.kernel_calls += c(kCKernelCalls);
-    out.counters.kernel_words += c(kCKernelWords);
-    out.counters.tiles_emitted += c(kCTilesEmitted);
-    out.counters.epilogue_rows += c(kCEpilogueRows);
-    out.counters.task_runs += c(kCTaskRuns);
-    out.counters.steals += c(kCSteals);
-    out.counters.failed_steals += c(kCFailedSteals);
-    out.counters.parks += c(kCParks);
-    out.counters.barrier_waits += c(kCBarrierWaits);
-    out.counters.sparse_ll_tiles += c(kCSparseLlTiles);
-    out.counters.sparse_ld_tiles += c(kCSparseLdTiles);
-    out.counters.list_intersections += c(kCListIntersections);
-    out.counters.dense_fallback_tiles += c(kCDenseFallbackTiles);
-    out.counters.io_bytes_read += c(kCIoBytesRead);
-    out.counters.prefetch_issued += c(kCPrefetchIssued);
-    out.counters.prefetch_hits += c(kCPrefetchHits);
-    out.counters.prefetch_stalls += c(kCPrefetchStalls);
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
       out.phase_self_ns[p] += s.phase_ns[p].load(std::memory_order_relaxed);
       out.phase_perf[p].cycles +=
@@ -654,10 +669,6 @@ std::vector<TraceEvent> session_events() {
 
 // Compiled-out stubs: the macros already expand to nothing; these keep the
 // runtime API linkable so benches/tests can query state unconditionally.
-
-void set_timing_enabled(bool on) { (void)on; }
-
-bool timing_enabled() { return false; }
 
 TraceSnapshot snapshot() { return {}; }
 

@@ -1,16 +1,21 @@
-// Zero-overhead instrumentation for the popcount-GEMM pipeline.
+// Instrumentation for the popcount-GEMM pipeline: one substrate, one gate.
 //
-// Three layers, all compile-time gated by LDLA_TRACE (CMake option, default
-// ON; the macros below compile to literally nothing when it is OFF, so the
-// hot path of an untraced build is provably unchanged):
+// Everything below is compile-time gated by LDLA_TRACE (CMake option,
+// default ON; with it OFF every macro here and LDLA_METRICS_ONLY(...) in
+// util/metrics.hpp compile to nothing, so the hot path of an uninstrumented
+// build is provably unchanged). At runtime metrics::set_enabled() is the one
+// switch: it freezes every counter, gauge and histogram.
 //
 //  1. Phase counters — bytes packed, slivers freshly packed vs reused from a
 //     persistent pack, micro-kernel invocations, popcount words processed,
-//     fused count-tiles emitted, epilogue rows converted, thread-pool tasks
-//     run. Incremented at cache-tile/driver granularity through per-thread
-//     slots (single contention-free cache line per thread) and aggregated
-//     lock-free by snapshot(). Counters are exact: tests assert they equal
-//     the analytic values implied by the GemmPlan blocking.
+//     fused count-tiles emitted, epilogue rows converted, thread-pool and
+//     nest-chunk steals, shard I/O and prefetch outcomes. Each event is one
+//     metrics::Counter in the registry (util/metrics.hpp), named in the
+//     counter table in trace.cpp; the LDLA_TRACE_ADD_* macros below are the
+//     hot-path sinks (one Counter::add per counted quantity, at cache-tile /
+//     driver granularity). snapshot() folds the registry back into
+//     PhaseCounters. Counters are exact: tests assert they equal the
+//     analytic values implied by the GemmPlan blocking.
 //
 //  2. RAII spans — phase-attributed wall-time with parent/child self-time
 //     accounting (a nested span's duration is subtracted from its parent's
@@ -25,15 +30,16 @@
 //     %-of-peak / bytes-per-word roofline table in the trace report.
 //
 // Concurrency contract: counters/phase times may be written from any number
-// of threads concurrently (relaxed atomics, single writer per slot).
-// snapshot() may race with writers (it reads a consistent-enough relaxed
-// view). session_events() / stop_session_and_write() must be called while
-// instrumented work is quiesced (after the parallel drivers have joined).
+// of threads concurrently (relaxed atomics). snapshot() may race with
+// writers (it reads a consistent-enough relaxed view). session_events() /
+// stop_session_and_write() must be called while instrumented work is
+// quiesced (after the parallel drivers have joined).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ldla::trace {
@@ -65,8 +71,8 @@ struct PhaseCounters {
   std::uint64_t tiles_emitted = 0;   ///< fused CountTiles handed to sinks
   std::uint64_t epilogue_rows = 0;   ///< fused-epilogue stat rows converted
   std::uint64_t task_runs = 0;       ///< thread-pool tasks executed
-  std::uint64_t steals = 0;          ///< deque items taken by a non-owner
-  std::uint64_t failed_steals = 0;   ///< steal probes that found nothing / lost the race
+  std::uint64_t steals = 0;          ///< pool tasks + nest chunks taken by a non-owner
+  std::uint64_t failed_steals = 0;   ///< pool + nest steal probes that lost the race
   std::uint64_t parks = 0;           ///< worker blocks on the idle condition variable
   std::uint64_t barrier_waits = 0;   ///< fork-join caller barriers (pooled run_tasks joins)
   std::uint64_t sparse_ll_tiles = 0;       ///< list×list register-tile kernel calls
@@ -78,6 +84,11 @@ struct PhaseCounters {
   std::uint64_t prefetch_hits = 0;     ///< shard acquisitions served already-materialized
   std::uint64_t prefetch_stalls = 0;   ///< shard acquisitions materialized on the critical path
 };
+
+/// The PhaseCounters fields in declaration order as (field name, value)
+/// pairs: the keys of the BENCH_*.json "counters" object.
+std::vector<std::pair<const char*, std::uint64_t>> counter_fields(
+    const PhaseCounters& c);
 
 /// Per-phase perf-event totals (all zero when perf attribution was off).
 struct PerfTotals {
@@ -120,13 +131,8 @@ constexpr bool compiled() {
 #endif
 }
 
-/// Runtime gate for span *timing* (clock reads + phase self-time). Counters
-/// stay on whenever the layer is compiled in. Default: enabled.
-void set_timing_enabled(bool on);
-bool timing_enabled();
-
-/// Lock-free aggregate of every thread's counters and phase times.
-/// All-zero when the layer is compiled out.
+/// Lock-free aggregate of the registry's phase counters and every thread's
+/// phase times. All-zero when the layer is compiled out.
 TraceSnapshot snapshot();
 
 /// Begin buffering span events (and, when available, per-phase perf-counter
@@ -150,8 +156,9 @@ std::vector<TraceEvent> session_events();
 
 namespace detail {
 
-// Hot-path counter sinks: one relaxed fetch_add per field on the calling
-// thread's dedicated slot. Call at cache-tile / driver granularity.
+// Hot-path counter sinks: one Counter::add per counted quantity on the
+// registry counter the table in trace.cpp names for it. Call at cache-tile /
+// driver granularity.
 void add_pack(std::uint64_t slivers, std::uint64_t bytes);
 void add_reuse(std::uint64_t slivers);
 void add_kernel(std::uint64_t calls, std::uint64_t words);
@@ -160,6 +167,8 @@ void add_epilogue_rows(std::uint64_t rows);
 void add_task_run();
 void add_steal();
 void add_failed_steal();
+void add_nest_steal();
+void add_nest_failed_steal();
 void add_park();
 void add_barrier_wait();
 void add_sparse(std::uint64_t ll_tiles, std::uint64_t ld_tiles,
@@ -169,15 +178,15 @@ void add_prefetch_issued();
 void add_prefetch_hit();
 void add_prefetch_stall();
 
-// Thread-pool queue-wait measurement: stamp at enqueue (0 when timing is
-// off), account the wait at dequeue.
+// Thread-pool queue-wait measurement: stamp at enqueue, account the wait at
+// dequeue.
 std::uint64_t queue_stamp();
 void task_dequeued(std::uint64_t enqueue_ns);
 
 }  // namespace detail
 
-/// RAII phase span. Inert when timing is disabled or the nesting depth
-/// exceeds the fixed stack. Never throws.
+/// RAII phase span. Inert when the nesting depth exceeds the fixed stack or
+/// the thread overflowed the per-thread slots. Never throws.
 class Span {
  public:
   explicit Span(Phase p) noexcept;
@@ -203,11 +212,11 @@ class Span {
 
 /// Phase span over the enclosing scope; `phase` is a bare enumerator name.
 #define LDLA_TRACE_SPAN(phase)                                 \
-  ::ldla::trace::Span LDLA_TRACE_CONCAT(ldla_trace_span_,      \
+  ::ldla::trace::Span LDLA_TRACE_CONCAT(ldla_span_,      \
                                         __LINE__)(::ldla::trace::Phase::phase)
 /// Same, with a runtime-computed ::ldla::trace::Phase expression.
 #define LDLA_TRACE_SPAN_EXPR(phase_expr) \
-  ::ldla::trace::Span LDLA_TRACE_CONCAT(ldla_trace_span_, __LINE__)(phase_expr)
+  ::ldla::trace::Span LDLA_TRACE_CONCAT(ldla_span_, __LINE__)(phase_expr)
 
 #define LDLA_TRACE_ADD_PACK(slivers, bytes) \
   ::ldla::trace::detail::add_pack((slivers), (bytes))
@@ -221,6 +230,9 @@ class Span {
 #define LDLA_TRACE_ADD_TASK_RUN() ::ldla::trace::detail::add_task_run()
 #define LDLA_TRACE_ADD_STEAL() ::ldla::trace::detail::add_steal()
 #define LDLA_TRACE_ADD_FAILED_STEAL() ::ldla::trace::detail::add_failed_steal()
+#define LDLA_TRACE_ADD_NEST_STEAL() ::ldla::trace::detail::add_nest_steal()
+#define LDLA_TRACE_ADD_NEST_FAILED_STEAL() \
+  ::ldla::trace::detail::add_nest_failed_steal()
 #define LDLA_TRACE_ADD_PARK() ::ldla::trace::detail::add_park()
 #define LDLA_TRACE_ADD_BARRIER_WAIT() ::ldla::trace::detail::add_barrier_wait()
 #define LDLA_TRACE_ADD_SPARSE(ll, ld, inters, fallback) \
@@ -248,6 +260,8 @@ class Span {
 #define LDLA_TRACE_ADD_TASK_RUN() ((void)0)
 #define LDLA_TRACE_ADD_STEAL() ((void)0)
 #define LDLA_TRACE_ADD_FAILED_STEAL() ((void)0)
+#define LDLA_TRACE_ADD_NEST_STEAL() ((void)0)
+#define LDLA_TRACE_ADD_NEST_FAILED_STEAL() ((void)0)
 #define LDLA_TRACE_ADD_PARK() ((void)0)
 #define LDLA_TRACE_ADD_BARRIER_WAIT() ((void)0)
 #define LDLA_TRACE_ADD_SPARSE(ll, ld, inters, fallback) \

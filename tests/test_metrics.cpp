@@ -1,8 +1,8 @@
 // Tests for the always-on metrics layer (util/metrics.hpp): striped
 // counter aggregation, the runtime enable switch, analytic histogram
 // bucket layout and quantile math, exporter output shape, the background
-// health sampler's lifecycle and probes, and agreement with the trace
-// layer's counters when both are compiled in.
+// health sampler's lifecycle and probes, and trace::snapshot() reading the
+// phase counters back out of the registry.
 //
 // The registry is process-global find-or-create storage, so tests reuse
 // fixed names freely — re-registering a name returns the same object.
@@ -12,7 +12,14 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "core/band.hpp"
+#include "core/gemm/macro.hpp"
+#include "core/ld_stream.hpp"
+#include "io/shard_store.hpp"
+#include "sim/maf_spectrum.hpp"
+#include "sim/rng.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -21,6 +28,18 @@ namespace ldla {
 namespace {
 
 using metrics::Histogram;
+
+BitMatrix random_matrix(std::size_t snps, std::size_t samples,
+                        std::uint64_t seed) {
+  Rng rng(seed);
+  BitMatrix m(snps, samples);
+  for (std::size_t s = 0; s < snps; ++s) {
+    for (std::size_t b = 0; b < samples; ++b) {
+      if (rng.next_bool(0.4)) m.set(s, b, true);
+    }
+  }
+  return m;
+}
 
 TEST(Metrics, CounterAggregatesAcrossStripesExactly) {
   metrics::set_enabled(true);
@@ -63,11 +82,28 @@ TEST(Metrics, DisabledSwitchFreezesEverySinkKind) {
   g.set(99.0);
   h.record_ns(1234);
   { metrics::ScopedLatency lat(h); }
+  // The phase counters are registry counters, so the switch freezes them
+  // too: a pooled run with packing and kernel work leaves snapshot() as is.
+  const trace::PhaseCounters t0 = trace::snapshot().counters;
+  {
+    ThreadPool pool(3);
+    pool.run_tasks(8, [](std::size_t) {});
+    const BitMatrix m = random_matrix(40, 300, 3);
+    CountMatrix cm(40, 40);
+    gemm_count(m.view(), m.view(), cm.ref());
+  }
+  const trace::PhaseCounters t1 = trace::snapshot().counters;
   metrics::set_enabled(true);
 
   EXPECT_EQ(c.value(), c0);
   EXPECT_DOUBLE_EQ(g.value(), 7.5);
   EXPECT_EQ(h.count(), h0);
+  const auto before = trace::counter_fields(t0);
+  const auto after = trace::counter_fields(t1);
+  ASSERT_EQ(before.size(), after.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].second, before[i].second) << before[i].first;
+  }
 }
 
 TEST(Metrics, GaugeIsLastWriterWins) {
@@ -263,33 +299,114 @@ TEST(Metrics, ScopedLatencyRecordsOneSample) {
   EXPECT_GE(h.sum_seconds(), 0.0005);
 }
 
-// When both observability layers are compiled, the pool instruments the
-// same event (a task execution) into both — the deltas must agree, and the
-// scrape-time bridge must republish trace totals as ldla_trace_* gauges.
-TEST(Metrics, TraceBridgeAgreesWithPoolCounters) {
-  if (!metrics::compiled() || !trace::compiled()) {
-    GTEST_SKIP() << "needs LDLA_METRICS=ON and LDLA_TRACE=ON";
-  }
+// Each PhaseCounters field and the registry counters that store it. The
+// registry names are public (Prometheus scrapes key on them), so this list
+// pins them; the steal fields sum the pool's and the nest's counters.
+struct FieldSource {
+  std::uint64_t trace::PhaseCounters::*field;
+  std::vector<const char*> names;
+};
+
+std::vector<FieldSource> field_sources() {
+  using P = trace::PhaseCounters;
+  return {
+      {&P::bytes_packed, {"ldla_pack_bytes_total"}},
+      {&P::slivers_packed, {"ldla_pack_slivers_total"}},
+      {&P::slivers_reused, {"ldla_pack_slivers_reused_total"}},
+      {&P::kernel_calls, {"ldla_kernel_calls_total"}},
+      {&P::kernel_words, {"ldla_kernel_words_total"}},
+      {&P::tiles_emitted, {"ldla_tiles_emitted_total"}},
+      {&P::epilogue_rows, {"ldla_epilogue_rows_total"}},
+      {&P::task_runs, {"ldla_pool_tasks_total"}},
+      {&P::steals, {"ldla_pool_steals_total", "ldla_nest_steals_total"}},
+      {&P::failed_steals,
+       {"ldla_pool_failed_steals_total", "ldla_nest_failed_steals_total"}},
+      {&P::parks, {"ldla_pool_parks_total"}},
+      {&P::barrier_waits, {"ldla_pool_barrier_waits_total"}},
+      {&P::sparse_ll_tiles, {"ldla_sparse_ll_tiles_total"}},
+      {&P::sparse_ld_tiles, {"ldla_sparse_ld_tiles_total"}},
+      {&P::list_intersections, {"ldla_sparse_intersections_total"}},
+      {&P::dense_fallback_tiles, {"ldla_sparse_dense_fallback_tiles_total"}},
+      {&P::io_bytes_read, {"ldla_shard_io_bytes_total"}},
+      {&P::prefetch_issued, {"ldla_stream_prefetch_issued_total"}},
+      {&P::prefetch_hits, {"ldla_stream_prefetch_hits_total"}},
+      {&P::prefetch_stalls, {"ldla_stream_prefetch_stalls_total"}},
+  };
+}
+
+std::uint64_t registry_sum(const std::vector<const char*>& names) {
+  std::uint64_t total = 0;
+  for (const char* name : names) total += metrics::counter(name, "").value();
+  return total;
+}
+
+TEST(Telemetry, SnapshotReadsTheRegistry) {
+  if (!trace::compiled()) GTEST_SKIP() << "built with LDLA_TRACE=OFF";
   metrics::set_enabled(true);
-  metrics::Counter& tasks =
-      metrics::counter("ldla_pool_tasks_total", "thread-pool tasks executed");
-  const std::uint64_t m0 = tasks.value();
-  const std::uint64_t t0 = trace::snapshot().counters.task_runs;
 
-  ThreadPool pool(3);
-  pool.run_tasks(32, [](std::size_t) {});
+  // Dense packing, kernel and nest-steal work: a team-4 fused GEMM.
+  const BitMatrix dense = random_matrix(96, 700, 41);
+  GemmConfig cfg;
+  cfg.kc_words = 8;
+  cfg.mc = 16;
+  cfg.nc = 16;
+  const PackedBitMatrix p(dense.view(), gemm_plan_for(dense.view(), cfg),
+                          PackSides::kBoth);
+  gemm_count_fused(p, 0, 96, p, 0, 96, [](const CountTile&) {}, 4);
 
-  const std::uint64_t m_delta = tasks.value() - m0;
-  const std::uint64_t t_delta = trace::snapshot().counters.task_runs - t0;
-  EXPECT_EQ(m_delta, 32u);
-  EXPECT_EQ(t_delta, m_delta);
+  // Sparse and hybrid tiles and the epilogue: a banded scan of a rare panel.
+  MafSpectrumParams mp;
+  mp.n_snps = 80;
+  mp.n_samples = 400;
+  mp.rare_fraction = 0.8;
+  mp.rare_max_maf = 0.01;
+  mp.seed = 43;
+  const BitMatrix rare = simulate_maf_spectrum(mp);
+  BandOptions band;
+  band.gemm.sparse_threshold = kSparseThresholdAuto;
+  ld_band_scan(rare, 20, [](const LdTile&) {}, band);
 
-  // The bridge runs at scrape time: after a render, the gauge mirrors the
-  // trace layer's lifetime total.
-  (void)metrics::render_prometheus();
-  EXPECT_DOUBLE_EQ(
-      metrics::gauge("ldla_trace_task_runs", "").value(),
-      static_cast<double>(trace::snapshot().counters.task_runs));
+  // Shard I/O and prefetch outcomes: a prefetching stream over two shards.
+  const std::string path = ::testing::TempDir() + "telemetry.ldshard";
+  write_shard_store(path, dense.view(), cfg, /*rows_per_shard=*/48);
+  ShardStore store = ShardStore::open(path);
+  ld_matrix_stream(store, [](const LdTile&) {}, {});
+
+  // Parked workers may still bump ldla_pool_parks_total; read the registry
+  // on both sides of the snapshot until the two reads agree.
+  const std::vector<FieldSource> sources = field_sources();
+  const auto read_all = [&sources] {
+    std::vector<std::uint64_t> v;
+    for (const FieldSource& f : sources) v.push_back(registry_sum(f.names));
+    return v;
+  };
+  std::vector<std::uint64_t> reg;
+  trace::TraceSnapshot snap;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    reg = read_all();
+    snap = trace::snapshot();
+    if (read_all() == reg) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const std::string json = metrics::render_json();
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(snap.counters.*sources[i].field, reg[i])
+        << sources[i].names.front();
+    for (const char* name : sources[i].names) {
+      EXPECT_NE(json.find(std::string("\"") + name + "\": {"),
+                std::string::npos)
+          << name << " missing from render_json()";
+    }
+  }
+  EXPECT_EQ(snap.counters.steals,
+            metrics::counter("ldla_pool_steals_total", "").value() +
+                metrics::counter("ldla_nest_steals_total", "").value());
+  // The workloads above exercised every family of counters.
+  EXPECT_GT(snap.counters.kernel_words, 0u);
+  EXPECT_GT(snap.counters.list_intersections, 0u);
+  EXPECT_GT(snap.counters.io_bytes_read, 0u);
+  EXPECT_GT(snap.counters.prefetch_issued, 0u);
 }
 
 }  // namespace

@@ -354,25 +354,6 @@ TEST_F(TraceFixture, FusedEpilogueRowCounterMatchesSink) {
   EXPECT_EQ(d.counters.tiles_emitted, e.tiles_emitted);
 }
 
-TEST_F(TraceFixture, CountersAccumulateWithTimingDisabled) {
-  const BitMatrix g = random_matrix(40, 500, 23);
-  const GemmConfig cfg = small_blocking(KernelArch::kScalar);
-  const GemmPlan plan = gemm_plan_for(g.view(), cfg);
-  const PackedBitMatrix p(g.view(), plan, PackSides::kBoth);
-  CountMatrix c(40, 40);
-
-  trace::set_timing_enabled(false);
-  const trace::TraceSnapshot before = trace::snapshot();
-  gemm_count_packed(p, 0, 40, p, 0, 40, c.ref());
-  const trace::TraceSnapshot d = trace::snapshot().since(before);
-  trace::set_timing_enabled(true);
-
-  EXPECT_GT(d.counters.kernel_calls, 0u);  // counters stay on
-  for (std::size_t ph = 0; ph < trace::kPhaseCount; ++ph) {
-    EXPECT_EQ(d.phase_self_ns[ph], 0u) << "phase " << ph;  // spans inert
-  }
-}
-
 // Events on one thread must form a laminar family (every pair disjoint or
 // nested): RAII spans cannot partially overlap. Returns the number of
 // top-level intervals checked.

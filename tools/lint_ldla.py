@@ -178,11 +178,13 @@ ATOMICS_ALLOWED = {
     # against the deque protocol and stress-tested under TSan.
     "src/util/thread_pool.hpp",
     "src/util/thread_pool.cpp",
-    # Per-thread trace slots published to the session reaper.
+    # Per-thread span slots (phase self-time, perf deltas, session event
+    # buffers) and the session flags; its counters live in the registry.
     "src/util/trace.cpp",
-    # Always-on metrics: striped relaxed counters, the registry enable
-    # flag, and log-linear histogram buckets — scrape-side aggregation is
-    # mutex-guarded, the hot path is write-only relaxed increments.
+    # The one counter store: striped relaxed counters (the trace phase
+    # counters included), the registry enable flag, and log-linear
+    # histogram buckets — scrape-side aggregation is mutex-guarded, the hot
+    # path is write-only relaxed increments.
     "src/util/metrics.hpp",
     "src/util/metrics.cpp",
 }
