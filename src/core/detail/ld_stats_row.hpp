@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "core/bit_matrix.hpp"
+#include "core/detail/mirror.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/ld.hpp"
+#include "util/contract.hpp"
 #include "util/trace.hpp"
 
 namespace ldla::detail {
@@ -146,6 +148,22 @@ inline void tile_stats(LdStatistic stat, const StatTables& ta,
     ++rows_converted;
   }
   LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
+}
+
+/// Second step of the symmetric sink: copy the strictly-lower statistics
+/// tile_stats just wrote for SYRK tile `t` onto their transposes above the
+/// diagonal of the square window `dst`, while the tile is still hot. Every
+/// strictly-lower pair lies in exactly one tile, so transposes of distinct
+/// tiles are disjoint and concurrent team members may share the window.
+/// All three statistics are bitwise symmetric in (i, j) (their formulas
+/// combine the operands only through commutative products and min), so
+/// this equals statistics of mirrored counts bit-for-bit.
+inline void mirror_tile_stats(const CountTile& t, const StatWindow& dst) {
+  LDLA_ASSERT_MSG(dst.row0 == dst.col0, "mirror needs a square window");
+  LDLA_TRACE_SPAN(kEpilogue);
+  const std::size_t r0 = t.row_begin - dst.row0;
+  const std::size_t c0 = t.col_begin - dst.col0;
+  mirror_lower_window(dst.data, dst.ld, r0, r0 + t.rows, c0, c0 + t.cols);
 }
 
 /// Deliver the selected part of `t` to `visit` as stat tiles built in

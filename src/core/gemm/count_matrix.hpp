@@ -28,7 +28,10 @@ class CountMatrix {
  public:
   CountMatrix() = default;
   CountMatrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), ld_(cols), buf_(rows * cols) {
+      : rows_(rows),
+        cols_(cols),
+        ld_(cols),
+        buf_(detail::checked_size_mul(rows, cols)) {
     buf_.zero();
   }
 

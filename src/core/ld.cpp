@@ -1,12 +1,13 @@
 #include "core/ld.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 
 #include "core/detail/ld_stats_row.hpp"
-#include "core/detail/mirror.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/parallel.hpp"
@@ -93,6 +94,42 @@ void mirror_ld_lower_to_upper(LdMatrix& m) {
   detail::mirror_lower_blocked(m.data(), m.cols(), m.rows());
 }
 
+namespace detail {
+
+/// The dense drivers' output. matrix_body and cross_matrix_body write every
+/// element from the team, so the matrix is built without the zero-fill and
+/// each page is first touched by the member that writes it. Checked builds
+/// fill it with a signalling-NaN pattern no statistic can produce (stat
+/// arithmetic only ever yields quiet NaNs) and assert on return that no
+/// element kept it.
+struct LdOutput {
+#if LDLA_CHECKED_BUILD
+  static constexpr std::uint64_t kPoisonBits = 0x7FF4'0000'DEAD'BEEF;
+#endif
+
+  static LdMatrix make(std::size_t rows, std::size_t cols) {
+    LdMatrix m(rows, cols, LdMatrix::Unzeroed{});
+#if LDLA_CHECKED_BUILD
+    std::fill_n(m.data(), rows * cols, std::bit_cast<double>(kPoisonBits));
+#endif
+    return m;
+  }
+
+  static void check_written([[maybe_unused]] const LdMatrix& m) {
+#if LDLA_CHECKED_BUILD
+    const double* v = m.data();
+    LDLA_ASSERT_MSG(std::none_of(v, v + m.rows() * m.cols(),
+                                 [](double x) {
+                                   return std::bit_cast<std::uint64_t>(x) ==
+                                          kPoisonBits;
+                                 }),
+                    "dense LD driver left an output element unwritten");
+#endif
+  }
+};
+
+}  // namespace detail
+
 namespace {
 
 unsigned resolve_threads(unsigned threads) {
@@ -106,7 +143,7 @@ unsigned resolve_threads(unsigned threads) {
 LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
                      unsigned team) {
   const std::size_t n = g.snps();
-  LdMatrix out(n, n);
+  LdMatrix out = detail::LdOutput::make(n, n);
   if (n == 0) return out;
   LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
 
@@ -114,19 +151,19 @@ LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
   const PackedBitMatrix& packed = resolve_packed(
       g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
   const detail::StatTables tables = detail::make_stat_tables(g);
-  // Triangular SYRK: each tile writes only the canonical (j <= i) entries
-  // of its disjoint window of `out`, then one pass mirrors the stats. All
-  // three statistics are bitwise symmetric in (i, j) (their formulas only
-  // combine the operands through commutative products and min), so this
-  // equals statistics of mirrored counts bit-for-bit.
+  // Triangular SYRK: each tile writes the canonical (j <= i) entries of
+  // its disjoint window of `out`, then their transposes, so every element
+  // is written exactly once, by the member that owns the tile.
+  const detail::StatWindow window{out.data(), n};
   syrk_count_fused(
       packed, 0, n,
       [&](const CountTile& t) {
         detail::tile_stats(opts.stat, tables, tables, t,
-                           detail::TilePart::kLower, {out.data(), n});
+                           detail::TilePart::kLower, window);
+        detail::mirror_tile_stats(t, window);
       },
       team);
-  mirror_ld_lower_to_upper(out);
+  detail::LdOutput::check_written(out);
   return out;
 }
 
@@ -136,7 +173,7 @@ LdMatrix cross_matrix_body(const BitMatrix& a, const BitMatrix& b,
               "cross-matrix LD needs matching sample sets");
   const std::size_t m = a.snps();
   const std::size_t n = b.snps();
-  LdMatrix out(m, n);
+  LdMatrix out = detail::LdOutput::make(m, n);
   if (m == 0 || n == 0) return out;
   LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
 
@@ -155,6 +192,7 @@ LdMatrix cross_matrix_body(const BitMatrix& a, const BitMatrix& b,
                            {out.data(), n});
       },
       team);
+  detail::LdOutput::check_written(out);
   return out;
 }
 

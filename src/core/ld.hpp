@@ -57,12 +57,18 @@ struct LdOptions {
   const PackedBitMatrix* packed_b = nullptr;
 };
 
+namespace detail {
+struct LdOutput;  // core/ld.cpp: the dense drivers' output construction
+}  // namespace detail
+
 /// Dense row-major matrix of doubles (LD values).
 class LdMatrix {
  public:
   LdMatrix() = default;
+  /// A zero-filled rows x cols matrix; throws std::bad_alloc when
+  /// rows * cols doubles cannot be addressed.
   LdMatrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), buf_(rows * cols) {
+      : LdMatrix(rows, cols, Unzeroed{}) {
     buf_.zero();
   }
 
@@ -78,6 +84,13 @@ class LdMatrix {
   [[nodiscard]] double* data() noexcept { return buf_.data(); }
 
  private:
+  friend struct detail::LdOutput;
+  struct Unzeroed {};
+  // Contents unspecified: for the dense drivers, which write every element
+  // from the team, so the first touch of each page happens there.
+  LdMatrix(std::size_t rows, std::size_t cols, Unzeroed)
+      : rows_(rows), cols_(cols), buf_(detail::checked_size_mul(rows, cols)) {}
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   AlignedBuffer<double> buf_;

@@ -9,9 +9,13 @@
 // macro-tile chunks over the shared immutable pack, stealing from each
 // other when their block runs dry. The symmetric drivers enqueue only
 // diagonal-and-below chunks, so the SYRK triangle saving survives
-// parallelization without a static triangle-balancing split. Results are
-// bit-identical to the sequential drivers, and scan visitors always fire
-// from the calling thread.
+// parallelization without a static triangle-balancing split. The dense
+// matrix drivers write every output element exactly once, from the member
+// that owns the tile — ld_matrix_parallel's sink writes each tile's
+// transpose into the upper triangle while the tile is hot — so the output
+// is never zero-filled or mirrored serially, and the team first-touches
+// it. Results are bit-identical to the sequential drivers, and scan
+// visitors always fire from the calling thread.
 //
 // `threads` sizes the team (0 = default_thread_count(): the LDLA_THREADS
 // environment variable, else hardware concurrency); tasks execute on the

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <type_traits>
 
@@ -19,6 +20,15 @@ inline constexpr std::size_t kDefaultAlignment = 64;
 namespace detail {
 void* aligned_alloc_bytes(std::size_t bytes, std::size_t alignment);
 void aligned_free_bytes(void* p) noexcept;
+
+/// a * b for an allocation size; throws std::bad_alloc instead of wrapping,
+/// so an impossible request fails before anything is allocated.
+[[nodiscard]] inline std::size_t checked_size_mul(std::size_t a,
+                                                  std::size_t b) {
+  std::size_t product = 0;
+  if (__builtin_mul_overflow(a, b, &product)) throw std::bad_alloc{};
+  return product;
+}
 }  // namespace detail
 
 /// Owning, aligned, fixed-size array of trivially-copyable T.
@@ -38,8 +48,8 @@ class AlignedBuffer {
                          std::size_t alignment = kDefaultAlignment)
       : size_(count) {
     if (count != 0) {
-      data_ = static_cast<T*>(
-          detail::aligned_alloc_bytes(count * sizeof(T), alignment));
+      data_ = static_cast<T*>(detail::aligned_alloc_bytes(
+          detail::checked_size_mul(count, sizeof(T)), alignment));
     }
   }
 

@@ -1,10 +1,13 @@
 #include "util/aligned_buffer.hpp"
 
 #include <cstdint>
+#include <new>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/gemm/count_matrix.hpp"
+#include "core/ld.hpp"
 #include "util/contract.hpp"
 
 namespace ldla {
@@ -40,6 +43,20 @@ TEST(AlignedBuffer, HonorsCustomAlignment) {
 TEST(AlignedBuffer, RejectsNonPowerOfTwoAlignment) {
   EXPECT_THROW(AlignedBuffer<std::uint8_t>(16, 48), ContractViolation);
   EXPECT_THROW(AlignedBuffer<std::uint8_t>(16, 0), ContractViolation);
+}
+
+TEST(AlignedBuffer, RejectsSizesThatWrap) {
+  // count * sizeof(T) wraps: the buffer must not report a size it lacks.
+  EXPECT_THROW(AlignedBuffer<double>(SIZE_MAX / 4), std::bad_alloc);
+  // The byte count fits, but rounding it up to the alignment wraps to 0.
+  EXPECT_THROW(AlignedBuffer<std::uint8_t>(SIZE_MAX - 3), std::bad_alloc);
+}
+
+TEST(AlignedBuffer, MatricesRejectElementCountsThatWrap) {
+  // rows * cols = 2^64 wraps to 0 elements.
+  const std::size_t big = std::size_t{1} << 32;
+  EXPECT_THROW(LdMatrix(big, big), std::bad_alloc);
+  EXPECT_THROW(CountMatrix(big, big), std::bad_alloc);
 }
 
 TEST(AlignedBuffer, ZeroFillsEveryByte) {

@@ -1,12 +1,15 @@
 #include "core/ld.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "baselines/naive.hpp"
+#include "core/gemm/macro.hpp"
 #include "core/parallel.hpp"
 #include "sim/rng.hpp"
 #include "sim/wright_fisher.hpp"
@@ -235,6 +238,88 @@ TEST(LdInvariants, DuplicatingTheCohortDoesNotChangeLd) {
           EXPECT_TRUE(std::isnan(b(i, j)));
         } else {
           EXPECT_NEAR(a(i, j), b(i, j), 1e-12) << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
+// Every value of `got` has exactly the bits of the same value of `want`.
+void expect_same_bits(const LdMatrix& got, const LdMatrix& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                std::bit_cast<std::uint64_t>(want(i, j)))
+          << what << " at (" << i << ", " << j << ")";
+    }
+  }
+}
+
+// A simulated panel whose SNPs 0 and every seventh alternately carry no
+// derived allele or only derived alleles, so r^2 and D' hold NaNs.
+BitMatrix with_monomorphic(std::size_t snps, std::size_t samples,
+                           std::uint64_t seed) {
+  BitMatrix g = test_matrix(snps, samples, seed);
+  for (std::size_t s = 0; s < snps; s += 7) {
+    for (std::size_t i = 0; i < samples; ++i) g.set(s, i, (s / 7) % 2 == 1);
+  }
+  return g;
+}
+
+TEST(LdDrivers, MatrixEqualsStatScanPlusMirror) {
+  // The dense drivers write every element of an unzeroed output: the
+  // canonical part and its transpose from each tile's sink. They must
+  // equal the stat-tile scan poured into a zeroed matrix and mirrored.
+  const std::size_t samples = 300;
+  for (const KernelArch arch : {KernelArch::kScalar, KernelArch::kAuto}) {
+    GemmConfig cfg;
+    cfg.arch = arch;
+    cfg.kc_words = 2;
+    cfg.mc = 16;
+    cfg.nc = 32;
+    const GemmPlan plan = gemm_plan_for(test_matrix(1, samples, 1).view(), cfg);
+    const std::vector<std::size_t> sizes = {1, plan.mr + 1, plan.mc + 5,
+                                            plan.nc + plan.mc + 7};
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+      const BitMatrix g = with_monomorphic(sizes[k], samples, 40 + k);
+      const BitMatrix b =
+          with_monomorphic(sizes[(k + 1) % sizes.size()], samples, 50 + k);
+      for (const LdStatistic stat :
+           {LdStatistic::kD, LdStatistic::kDPrime, LdStatistic::kRSquared}) {
+        LdOptions opts;
+        opts.stat = stat;
+        opts.gemm = cfg;
+        const std::string what = kernel_arch_name(arch) + " n=" +
+                                 std::to_string(g.snps()) + " " +
+                                 ld_statistic_name(stat);
+        const auto pour = [](LdMatrix& m) {
+          return [&m](const LdTile& t) {
+            for (std::size_t i = 0; i < t.rows; ++i) {
+              for (std::size_t j = 0; j < t.cols; ++j) {
+                m(t.row_begin + i, t.col_begin + j) = t.at(i, j);
+              }
+            }
+          };
+        };
+        LdMatrix want(g.snps(), g.snps());
+        ld_stat_scan(g, pour(want), opts);
+        mirror_ld_lower_to_upper(want);
+        LdMatrix want_cross(g.snps(), b.snps());
+        ld_cross_stat_scan(g, b, pour(want_cross), opts);
+
+        expect_same_bits(ld_matrix(g, opts), want, what + " ld_matrix");
+        expect_same_bits(ld_cross_matrix(g, b, opts), want_cross,
+                         what + " ld_cross_matrix");
+        for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+          const std::string team = " threads=" + std::to_string(threads);
+          expect_same_bits(ld_matrix_parallel(g, opts, threads), want,
+                           what + team + " ld_matrix_parallel");
+          expect_same_bits(ld_cross_matrix_parallel(g, b, opts, threads),
+                           want_cross,
+                           what + team + " ld_cross_matrix_parallel");
         }
       }
     }

@@ -397,23 +397,40 @@ TEST_F(TraceFixture, SessionEventsNestExactlyOnceUnderParallelDrivers) {
 
   ASSERT_FALSE(events.empty());
   std::uint64_t task_run_events = 0;
+  std::uint64_t epilogue_events = 0;
   std::uint64_t mirror_events = 0;
   std::vector<std::vector<trace::TraceEvent>> by_tid;
   for (const trace::TraceEvent& ev : events) {
     ASSERT_LT(static_cast<std::size_t>(ev.phase), trace::kPhaseCount);
     if (ev.phase == trace::Phase::kTaskRun) ++task_run_events;
+    if (ev.phase == trace::Phase::kEpilogue) ++epilogue_events;
     if (ev.phase == trace::Phase::kMirror) ++mirror_events;
     if (ev.tid >= by_tid.size()) by_tid.resize(ev.tid + 1);
     by_tid[ev.tid].push_back(ev);
   }
-  // Exactly one span per pool task and one mirror pass — no double
-  // emission from the worker/caller/inline execution paths.
+  // Exactly one span per pool task — no double emission from the
+  // worker/caller/inline execution paths. The transpose runs in each
+  // tile's epilogue, so the driver makes no separate mirror pass.
   EXPECT_EQ(task_run_events, d.counters.task_runs);
   EXPECT_GE(task_run_events, 1u);
-  EXPECT_EQ(mirror_events, 1u);
+  EXPECT_GE(epilogue_events, 1u);
+  EXPECT_EQ(mirror_events, 0u);
   for (const auto& tid_events : by_tid) {
     check_laminar(tid_events);
   }
+}
+
+TEST_F(TraceFixture, StandaloneMirrorEmitsOneEvent) {
+  LdMatrix m(70, 70);
+  trace::start_session("test_trace_mirror");
+  mirror_ld_lower_to_upper(m);
+  const std::vector<trace::TraceEvent> events = trace::session_events();
+  trace::cancel_session();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const trace::TraceEvent& ev) {
+                            return ev.phase == trace::Phase::kMirror;
+                          }),
+            1);
 }
 
 TEST_F(TraceFixture, SessionLifecycleAndSnapshotDiff) {

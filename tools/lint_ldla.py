@@ -52,7 +52,10 @@ Rules that clang-tidy cannot express, enforced as a CI/ctest gate:
      <sys/mman.h> may appear only in src/io/shard_store.cpp: the shard
      store owns the out-of-core mapping lifecycle, so fd hygiene, mapping
      bounds, and residency probing are auditable in one translation unit
-     and every other layer consumes shards through its typed API.
+     and every other layer consumes shards through its typed API. The one
+     exception is the allocation choke point, src/util/aligned_buffer.cpp,
+     which may include <sys/mman.h> and call madvise (the huge-page hint
+     on large buffers) but none of the mapping or I/O calls.
 
   9. proc-confinement — "/proc/..." path literals may appear only in
      src/util/metrics.cpp (the health sampler), src/util/cpu_info.cpp
@@ -239,6 +242,28 @@ MMAP_ALLOWED = {
     # madvise prefetch hints, mincore residency probes, munmap on close.
     "src/io/shard_store.cpp",
 }
+
+# The allocation choke point may include <sys/mman.h> and advise huge pages
+# on large buffers — madvise only, never a mapping or I/O call.
+MADVISE_ALLOWED = {
+    "src/util/aligned_buffer.cpp",
+}
+MADVISE_OK_RE = re.compile(r"^(madvise\s*\(|#\s*include\s*<sys/mman\.h>)$")
+
+
+def mmap_scan(rel: str, code: str, findings: list["Finding"]) -> None:
+    """Rule 8 on stripped text, with the madvise-only exception."""
+    if rel in MMAP_ALLOWED:
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        for m in MMAP_RE.finditer(line):
+            if rel in MADVISE_ALLOWED and MADVISE_OK_RE.match(m.group(0)):
+                continue
+            findings.append(Finding(
+                rel, lineno, "mmap-confinement",
+                f"'{m.group(0).strip()}' outside io/shard_store.cpp "
+                "(the store owns the mapping lifecycle)"))
+            break
 
 # --- rule 9: procfs confinement -------------------------------------------------
 
@@ -530,10 +555,7 @@ class TextEngine:
             self._scan_pattern(rel, code, PERF_EVENT_RE, PERF_EVENT_ALLOWED,
                                "perf-event-confinement",
                                "util/perf_counters", findings)
-            self._scan_pattern(rel, code, MMAP_RE, MMAP_ALLOWED,
-                               "mmap-confinement",
-                               "io/shard_store.cpp (the store owns the "
-                               "mapping lifecycle)", findings)
+            mmap_scan(rel, code, findings)
         for path in project_sources(self.root, ("src", "bench")):
             rel = path.relative_to(self.root).as_posix()
             raw = path.read_text(encoding="utf-8")
@@ -818,7 +840,8 @@ class AstEngine:
                 self._add(rel, line, "atomics-confinement",
                           "'#include <atomic>' outside the litmus-gated "
                           "concurrency files")
-            if name == "sys/mman.h" and rel not in MMAP_ALLOWED:
+            if name == "sys/mman.h" and \
+                    rel not in MMAP_ALLOWED | MADVISE_ALLOWED:
                 self._add(rel, line, "mmap-confinement",
                           f"'#include <{name}>' outside io/shard_store.cpp "
                           "(the store owns the mapping lifecycle)")
@@ -873,7 +896,8 @@ class AstEngine:
         # Rule 8: mapping syscalls stay inside the shard store.
         if rel not in MMAP_ALLOWED and kind in (
                 ci.CursorKind.CALL_EXPR, ci.CursorKind.DECL_REF_EXPR) and \
-                MMAP_NAMES_RE.match(spelling):
+                MMAP_NAMES_RE.match(spelling) and \
+                not (rel in MADVISE_ALLOWED and spelling == "madvise"):
             self._add(rel, line, "mmap-confinement",
                       f"'{spelling}' outside io/shard_store.cpp "
                       "(the store owns the mapping lifecycle)")
@@ -1025,10 +1049,7 @@ class AstEngine:
             text._scan_pattern(rel, code, PERF_EVENT_RE, PERF_EVENT_ALLOWED,
                                "perf-event-confinement",
                                "util/perf_counters", tmp)
-            text._scan_pattern(rel, code, MMAP_RE, MMAP_ALLOWED,
-                               "mmap-confinement",
-                               "io/shard_store.cpp (the store owns the "
-                               "mapping lifecycle)", tmp)
+            mmap_scan(rel, code, tmp)
             text._scan_pattern(rel, code, ATOMIC_RE, ATOMICS_ALLOWED,
                                "atomics-confinement",
                                "the litmus-gated concurrency files", tmp)
