@@ -18,31 +18,42 @@ double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
 double pairs2(double k) { return k * (k - 1.0) / 2.0; }
 
 struct PrefixSums {
-  // within[l]  = sum of r2 over pairs (i < j < l)
-  // upper[i]   = sum of r2 over (i, j>i)
+  // within[l]       = sum of r2 over pairs (i < j < l)
+  // prefix_upper[l] = sum of r2 over pairs (i < l, j > i)
   std::vector<double> within;
   std::vector<double> prefix_upper;
 };
 
-PrefixSums build_prefix(const LdMatrix& r2) {
-  const std::size_t w = r2.rows();
+// One row-major pass: row i's sum upper[i] takes its terms in ascending j,
+// and every column sum col[j] takes its terms in ascending i, both from
+// 0.0. The prefix sums then add whole rows and columns in index order.
+PrefixSums build_prefix(const R2UpperView& r2) {
+  const std::size_t w = r2.size;
+  std::vector<double> upper(w, 0.0);
+  std::vector<double> col(w, 0.0);
+  for (std::size_t i = 0; i < w; ++i) {
+    const double* row = r2.data + i * r2.ld;
+    double sum = 0.0;
+    for (std::size_t j = i + 1; j < w; ++j) {
+      const double v = finite_or_zero(row[j]);
+      sum += v;
+      col[j] += v;
+    }
+    upper[i] = sum;
+  }
   PrefixSums ps;
   ps.within.assign(w + 1, 0.0);
   ps.prefix_upper.assign(w + 1, 0.0);
-  std::vector<double> upper(w, 0.0);
-  for (std::size_t i = 0; i < w; ++i) {
-    for (std::size_t j = i + 1; j < w; ++j) {
-      upper[i] += finite_or_zero(r2(i, j));
-    }
-  }
-  // within[l+1] = within[l] + sum_{i<l} r2(i, l)
   for (std::size_t l = 0; l < w; ++l) {
-    double col = 0.0;
-    for (std::size_t i = 0; i < l; ++i) col += finite_or_zero(r2(i, l));
-    ps.within[l + 1] = ps.within[l] + col;
+    ps.within[l + 1] = ps.within[l] + col[l];
     ps.prefix_upper[l + 1] = ps.prefix_upper[l] + upper[l];
   }
   return ps;
+}
+
+R2UpperView upper_view(const LdMatrix& r2) {
+  LDLA_EXPECT(r2.rows() == r2.cols(), "window matrix must be square");
+  return {r2.data(), r2.cols(), r2.rows()};
 }
 
 double omega_from_sums(double sum_l, double sum_r, double cross,
@@ -62,10 +73,10 @@ double omega_from_sums(double sum_l, double sum_r, double cross,
 }  // namespace
 
 double omega_at_split(const LdMatrix& r2, std::size_t l) {
-  const std::size_t w = r2.rows();
-  LDLA_EXPECT(r2.rows() == r2.cols(), "window matrix must be square");
+  const R2UpperView view = upper_view(r2);
+  const std::size_t w = view.size;
   LDLA_EXPECT(l >= 1 && l < w, "split must leave both groups non-empty");
-  const PrefixSums ps = build_prefix(r2);
+  const PrefixSums ps = build_prefix(view);
   const double sum_l = ps.within[l];
   const double total = ps.within[w];
   const double cross = ps.prefix_upper[l] - ps.within[l];
@@ -73,11 +84,12 @@ double omega_at_split(const LdMatrix& r2, std::size_t l) {
   return omega_from_sums(sum_l, sum_r, cross, l, w);
 }
 
-OmegaMax omega_max(const LdMatrix& r2) {
-  const std::size_t w = r2.rows();
-  LDLA_EXPECT(r2.rows() == r2.cols(), "window matrix must be square");
+OmegaMax omega_max(const R2UpperView& r2) {
+  const std::size_t w = r2.size;
   OmegaMax best;
   if (w < 2) return best;
+  LDLA_EXPECT(r2.data != nullptr && r2.ld + 1 >= w,
+              "view needs data and a stride of at least size - 1");
   const PrefixSums ps = build_prefix(r2);
   const double total = ps.within[w];
   for (std::size_t l = 1; l < w; ++l) {
@@ -92,6 +104,8 @@ OmegaMax omega_max(const LdMatrix& r2) {
   }
   return best;
 }
+
+OmegaMax omega_max(const LdMatrix& r2) { return omega_max(upper_view(r2)); }
 
 LdMatrix window_r2(const BitMatrix& g, std::size_t snp_begin,
                    std::size_t snp_end, const GemmConfig& cfg) {

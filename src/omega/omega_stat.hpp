@@ -21,6 +21,16 @@
 
 namespace ldla {
 
+/// The strict upper triangle of a w x w window's r^2 matrix: r2(i, j) for
+/// i < j < size lives at data[i * ld + j]. Nothing on or below the
+/// diagonal is read, so a banded store whose rows hold r2(a, a + d) at
+/// offset d is a view with ld = band width - 1 (the ω scan's layout).
+struct R2UpperView {
+  const double* data = nullptr;
+  std::size_t ld = 0;
+  std::size_t size = 0;
+};
+
 /// omega for one split of a window whose pairwise r^2 matrix is given.
 /// `l` SNPs go left (1 <= l <= w-1). NaN r^2 entries (monomorphic SNPs)
 /// contribute zero. Returns 0 when the cross term vanishes with empty
@@ -32,12 +42,16 @@ struct OmegaMax {
   std::size_t split = 0;  ///< best l
 };
 
-/// omega maximized over all splits of the window (OmegaPlus's omega_max),
-/// computed in O(w^2) total via prefix sums.
+/// omega maximized over all splits of the window (OmegaPlus's omega_max):
+/// one row-major pass over the w(w-1)/2 upper-triangle entries builds the
+/// prefix sums, then each of the w-1 splits costs O(1).
+OmegaMax omega_max(const R2UpperView& r2);
+
+/// Same over a square matrix (only its upper triangle is read).
 OmegaMax omega_max(const LdMatrix& r2);
 
 /// Pairwise r^2 matrix of a contiguous SNP window via the GEMM engine
-/// (helper shared by the scan and the examples).
+/// (a convenience for small windows; the scan reads a shared band instead).
 LdMatrix window_r2(const BitMatrix& g, std::size_t snp_begin,
                    std::size_t snp_end, const GemmConfig& cfg = {});
 

@@ -1,6 +1,6 @@
 // Whole-region selective-sweep scan: omega evaluated on a grid of positions
-// (OmegaPlus's main loop), with each window's pairwise r^2 matrix produced
-// by the GEMM engine.
+// (OmegaPlus's main loop). The r^2 values come from one sliding band of the
+// GEMM engine's output, computed once per pair and read by every window.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +21,15 @@ struct SweepScanParams {
   std::vector<std::size_t> window_candidates;
   GemmConfig gemm;
   /// Optional persistent packed operand for `g` (see LdOptions::packed).
-  /// Windows are tiny relative to the region and neighbouring grid points
-  /// overlap heavily, so the scan slices one pack instead of gathering and
-  /// re-packing every window; when null, the scan packs once per call.
+  /// The scan fills its r^2 band slab by slab from slices of one pack;
+  /// when null, the scan packs once per call.
   const PackedBitMatrix* packed = nullptr;
+  /// Team size (0 = default_thread_count()). The grid is split into
+  /// contiguous runs, one per member, and each run slides its own band, so
+  /// only the pairs at run edges are computed twice. Results are identical
+  /// at every team size; do not set threads != 1 from inside a
+  /// global_pool() task.
+  unsigned threads = 1;
 };
 
 struct OmegaPoint {
@@ -36,19 +41,14 @@ struct OmegaPoint {
 };
 
 /// Scan a region. `positions` are the sorted SNP coordinates in [0, 1)
-/// (as produced by the simulators or parsed from input files).
+/// (as produced by the simulators or parsed from input files). Grid point
+/// g sits at x = (g + 0.5) / grid_points; each half-width h centres a
+/// window of up to h SNPs on each side of the first SNP at or after x.
+/// Monomorphic SNPs are dropped (as OmegaPlus does) and windows left with
+/// fewer than 4 SNPs are skipped; a grid point reports its best window.
 std::vector<OmegaPoint> omega_scan(const BitMatrix& g,
                                    const std::vector<double>& positions,
                                    const SweepScanParams& params = {});
-
-/// Same scan with `threads` workers (0 = default_thread_count()): grid
-/// points are split into contiguous ranges, one per worker, each window
-/// evaluated whole on its worker. (A team inside each window's nest loses
-/// here: windows of ~80 SNPs leave it almost nothing to steal.) Results
-/// identical to omega_scan.
-std::vector<OmegaPoint> omega_scan_parallel(
-    const BitMatrix& g, const std::vector<double>& positions,
-    const SweepScanParams& params = {}, unsigned threads = 0);
 
 /// Highest-omega grid point of a scan (the sweep candidate).
 OmegaPoint omega_scan_peak(const std::vector<OmegaPoint>& scan);

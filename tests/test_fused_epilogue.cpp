@@ -337,9 +337,9 @@ TEST(FusedEpilogueOmega, OmegaScanMatchesNaiveAtUnalignedWindows) {
       oracle::naive_omega_scan(g, positions, params);
 
   for (const unsigned threads : {0u, 1u, 2u, 4u}) {
-    const std::vector<OmegaPoint> got =
-        threads == 0 ? omega_scan(g, positions, params)
-                     : omega_scan_parallel(g, positions, params, threads);
+    SweepScanParams run = params;
+    run.threads = threads;
+    const std::vector<OmegaPoint> got = omega_scan(g, positions, run);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_TRUE(oracle::same_bits(got[i].omega, want[i].omega))

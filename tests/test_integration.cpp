@@ -65,8 +65,8 @@ TEST(Integration, SimulateSerializeAnalyzeRoundTrip) {
   SweepScanParams scan_params;
   scan_params.grid_points = 20;
   scan_params.window_snps = 25;
-  const auto scan =
-      omega_scan_parallel(g, parsed[0].positions, scan_params, 2);
+  scan_params.threads = 2;
+  const auto scan = omega_scan(g, parsed[0].positions, scan_params);
   ASSERT_FALSE(scan.empty());
   const OmegaPoint peak = omega_scan_peak(scan);
   EXPECT_NEAR(peak.position, sp.sweep_center, 0.15);

@@ -3,10 +3,15 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/gemm/config.hpp"
+#include "core/gemm/packed_bit_matrix.hpp"
+#include "naive_oracle.hpp"
+#include "sim/rng.hpp"
 #include "sim/sweep_sim.hpp"
 #include "sim/wright_fisher.hpp"
 #include "util/contract.hpp"
@@ -108,6 +113,32 @@ TEST(OmegaStat, BlockStructureProducesHighOmega) {
   EXPECT_GT(best.omega, 10.0);
 }
 
+TEST(OmegaStat, UpperViewReadsOnlyTheStrictUpperTriangle) {
+  // The scan's band layout: row a holds r2(a, a + d) at offset d, so the
+  // window is the view {data, W - 1, w}. Every cell the view must not read
+  // (diagonal, d >= w, the lower triangle of the square matrix) holds a
+  // poison value that would swamp any sum it entered.
+  const std::size_t w = 14;
+  const std::size_t width = 17;
+  const double poison = 1e300;
+  const LdMatrix r2 = random_r2(w, 5);
+  std::vector<double> band(w * width, poison);
+  LdMatrix upper_only(w, w);
+  for (std::size_t i = 0; i < w; ++i) {
+    for (std::size_t j = 0; j < w; ++j) {
+      upper_only(i, j) = j > i ? r2(i, j) : poison;
+      if (j > i) band[i * width + (j - i)] = r2(i, j);
+    }
+  }
+  const OmegaMax want = omega_max(r2);
+  for (const OmegaMax& got :
+       {omega_max(R2UpperView{band.data(), width - 1, w}),
+        omega_max(upper_only)}) {
+    EXPECT_TRUE(oracle::same_bits(got.omega, want.omega));
+    EXPECT_EQ(got.split, want.split);
+  }
+}
+
 TEST(WindowR2, MatchesFullLdMatrix) {
   WrightFisherParams p;
   p.n_snps = 30;
@@ -200,6 +231,24 @@ TEST(SweepScan, WindowSearchNeverLosesToFixedWindow) {
   }
 }
 
+// Every field of every point, omega and position bit-for-bit.
+void expect_same_points(const std::vector<OmegaPoint>& got,
+                        const std::vector<OmegaPoint>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(oracle::same_bits(got[i].omega, want[i].omega))
+        << what << ", point " << i << ": " << got[i].omega << " vs "
+        << want[i].omega;
+    EXPECT_TRUE(oracle::same_bits(got[i].position, want[i].position))
+        << what << ", point " << i;
+    EXPECT_EQ(got[i].window_begin, want[i].window_begin)
+        << what << ", point " << i;
+    EXPECT_EQ(got[i].window_end, want[i].window_end) << what << ", point " << i;
+    EXPECT_EQ(got[i].best_split, want[i].best_split) << what << ", point " << i;
+  }
+}
+
 TEST(SweepScan, ParallelMatchesSequential) {
   SweepParams sp;
   sp.base.n_snps = 400;
@@ -210,13 +259,94 @@ TEST(SweepScan, ParallelMatchesSequential) {
   params.grid_points = 16;
   params.window_snps = 20;
   const auto seq = omega_scan(d.genotypes, d.positions, params);
-  for (unsigned t : {1u, 2u, 4u}) {
-    const auto par = omega_scan_parallel(d.genotypes, d.positions, params, t);
-    ASSERT_EQ(par.size(), seq.size()) << t << " threads";
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      EXPECT_DOUBLE_EQ(par[i].omega, seq[i].omega);
-      EXPECT_DOUBLE_EQ(par[i].position, seq[i].position);
-      EXPECT_EQ(par[i].best_split, seq[i].best_split);
+  expect_same_points(seq,
+                     oracle::naive_omega_scan(d.genotypes, d.positions, params),
+                     "one thread vs naive");
+  // Team 3 splits the 16 grid points unevenly.
+  for (const unsigned t : {1u, 2u, 3u, 4u}) {
+    SweepScanParams run = params;
+    run.threads = t;
+    expect_same_points(omega_scan(d.genotypes, d.positions, run), seq,
+                       std::to_string(t) + " threads");
+  }
+}
+
+// A region laid out against the band: monomorphic SNPs (all-derived and
+// all-ancestral) interleaved singly and in a run long enough to starve
+// small windows below 4 SNPs, rare SNPs that go sparse under the auto
+// threshold, and positions in three tight clusters, so that many grid
+// points share one center and the grid jumps past the band between
+// clusters (and once past the last SNP).
+SimulatedDataset hostile_layout() {
+  const std::size_t n = 300;
+  const std::size_t samples = 130;  // off the word grid
+  Rng rng(2024);
+  SimulatedDataset d;
+  d.genotypes = BitMatrix(n, samples);
+  for (std::size_t s = 0; s < n; ++s) {
+    const bool starved = s >= 120 && s < 135;
+    if (starved || s % 7 == 3) {
+      if (s % 2 == 0) {
+        for (std::size_t b = 0; b < samples; ++b) d.genotypes.set(s, b, true);
+      }
+      continue;
+    }
+    const double p = s % 5 == 0 ? 0.02 : 0.4;
+    for (std::size_t b = 0; b < samples; ++b) {
+      if (rng.next_bool(p)) d.genotypes.set(s, b, true);
+    }
+  }
+  d.positions.resize(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double cluster = s < 100 ? 0.10 : s < 200 ? 0.50 : 0.80;
+    d.positions[s] = cluster + 0.05 * static_cast<double>(s % 100) / 100.0;
+  }
+  return d;
+}
+
+TEST(SweepScan, BandReuseMatchesNaiveOnHostileLayouts) {
+  const SimulatedDataset d = hostile_layout();
+  const BitMatrix& g = d.genotypes;
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+
+  GemmConfig sparse;
+  sparse.sparse_threshold = kSparseThresholdAuto;
+  ASSERT_TRUE(PackedBitMatrix::pack(g.view(), sparse).hybrid_dispatch())
+      << "the rare SNPs must take the sparse kernels";
+
+  struct Case {
+    std::size_t grid;
+    std::size_t window;
+    std::vector<std::size_t> candidates;
+  };
+  const Case cases[] = {
+      {40, 6, {}},
+      {40, 6, {3, 10, 10}},
+      {6, 4, {1, 3, g.snps() + 5, huge}},
+  };
+  for (const Case& c : cases) {
+    SweepScanParams params;
+    params.grid_points = c.grid;
+    params.window_snps = c.window;
+    params.window_candidates = c.candidates;
+    const std::vector<OmegaPoint> want =
+        oracle::naive_omega_scan(g, d.positions, params);
+    ASSERT_FALSE(want.empty());
+    if (c.candidates.empty()) {
+      EXPECT_LT(want.size(), c.grid) << "some window must be starved";
+    }
+    for (const std::size_t threshold : {std::size_t{0}, kSparseThresholdAuto}) {
+      for (const unsigned team : {1u, 2u, 4u}) {
+        SweepScanParams run = params;
+        run.gemm.sparse_threshold = threshold;
+        run.threads = team;
+        expect_same_points(omega_scan(g, d.positions, run), want,
+                           "window " + std::to_string(c.window) + " with " +
+                               std::to_string(c.candidates.size()) +
+                               " candidates, threshold " +
+                               std::to_string(threshold) + ", team " +
+                               std::to_string(team));
+      }
     }
   }
 }
@@ -230,27 +360,20 @@ TEST(SweepScan, HugeWindowSaturatesToTheRegion) {
   sp.base.seed = 31;
   const SimulatedDataset d = simulate_sweep(sp);
   const std::size_t huge = std::numeric_limits<std::size_t>::max();
-  const auto expect_same = [](const std::vector<OmegaPoint>& got,
-                              const std::vector<OmegaPoint>& want) {
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].window_begin, want[i].window_begin) << "point " << i;
-      EXPECT_EQ(got[i].window_end, want[i].window_end) << "point " << i;
-      EXPECT_EQ(got[i].best_split, want[i].best_split) << "point " << i;
-      EXPECT_DOUBLE_EQ(got[i].omega, want[i].omega) << "point " << i;
-    }
-  };
-
   SweepScanParams whole;
   whole.grid_points = 9;
   whole.window_snps = d.genotypes.snps();
   const auto want = omega_scan(d.genotypes, d.positions, whole);
   ASSERT_FALSE(want.empty());
   EXPECT_EQ(want.front().window_end, d.genotypes.snps());
+  expect_same_points(
+      want, oracle::naive_omega_scan(d.genotypes, d.positions, whole),
+      "whole region vs naive");
 
   SweepScanParams main_window = whole;
   main_window.window_snps = huge;
-  expect_same(omega_scan(d.genotypes, d.positions, main_window), want);
+  expect_same_points(omega_scan(d.genotypes, d.positions, main_window), want,
+                     "main window SIZE_MAX");
 
   // As a searched candidate it must also reach the whole region: against a
   // small main window, the candidate SIZE_MAX and the candidate g.snps()
@@ -260,7 +383,8 @@ TEST(SweepScan, HugeWindowSaturatesToTheRegion) {
   searched.window_candidates = {d.genotypes.snps()};
   const auto want_searched = omega_scan(d.genotypes, d.positions, searched);
   searched.window_candidates = {huge};
-  expect_same(omega_scan(d.genotypes, d.positions, searched), want_searched);
+  expect_same_points(omega_scan(d.genotypes, d.positions, searched),
+                     want_searched, "candidate SIZE_MAX");
 }
 
 TEST(SweepScan, RejectsBadInputs) {

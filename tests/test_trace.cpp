@@ -25,6 +25,7 @@
 #include "core/ld.hpp"
 #include "core/ld_stream.hpp"
 #include "core/parallel.hpp"
+#include "omega/sweep_scan.hpp"
 #include "sim/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -284,6 +285,80 @@ TEST_P(TraceCounters, SyrkMatchesAnalyticTriangularWalk) {
       EXPECT_EQ(dt.counters.kernel_calls, e.kernel_calls) << "team=" << team;
       EXPECT_EQ(dt.counters.kernel_words, e.kernel_words) << "team=" << team;
     }
+  }
+}
+
+// Analytic mirror of the ω scan's band fill at a team of one, for a region
+// whose SNPs are all polymorphic (ranks are SNP indices). Each grid point
+// covers the window of the largest half-width: the band restarts at the
+// window start when that start has passed every filled row, then 64-row
+// slabs are filled until the window end is covered. A slab is one SYRK
+// diagonal block plus one GEMM strip over the W - 1 rows before it,
+// clipped at the window start, where W = min(n, 2 * max_half).
+std::uint64_t expect_band_fill_words(const PackedBitMatrix& p,
+                                     const std::vector<double>& positions,
+                                     std::size_t grid_points,
+                                     std::size_t max_half) {
+  constexpr std::size_t kSlab = 64;
+  const std::size_t n = positions.size();
+  const std::size_t width = std::min(n, 2 * max_half);
+  std::uint64_t words = 0;
+  std::size_t done = 0;
+  for (std::size_t gp = 0; gp < grid_points; ++gp) {
+    const double x = (static_cast<double>(gp) + 0.5) /
+                     static_cast<double>(grid_points);
+    const auto center = static_cast<std::size_t>(
+        std::lower_bound(positions.begin(), positions.end(), x) -
+        positions.begin());
+    const std::size_t lo = center > max_half ? center - max_half : 0;
+    const std::size_t hi = std::min(n, center + max_half);
+    if (hi - lo < 4) continue;
+    if (lo >= done) done = lo;
+    while (done < hi) {
+      const std::size_t end = std::min(done + kSlab, n);
+      words += expect_fused_lower(p, done, end).kernel_words;
+      const std::size_t strip =
+          std::max(lo, done + 1 > width ? done + 1 - width : 0);
+      if (strip < done) {
+        words += expect_fused(p, done, end, strip, done).kernel_words;
+      }
+      done = end;
+    }
+  }
+  return words;
+}
+
+// Each band pair is computed once, so the scan's kernel work depends on the
+// band width alone: searched candidates no wider than the main window add
+// none. Two grids: dense (windows overlap, the band slides) and sparse
+// (every grid point restarts the band).
+TEST(TraceCounters, OmegaScanComputesEachBandPairOnce) {
+  if (!trace::compiled()) GTEST_SKIP() << "built with LDLA_TRACE=OFF";
+  const BitMatrix g = random_matrix(500, 200, 21);
+  std::vector<double> positions(g.snps());
+  for (std::size_t s = 0; s < g.snps(); ++s) {
+    positions[s] =
+        (static_cast<double>(s) + 0.5) / static_cast<double>(g.snps());
+  }
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), GemmConfig{});
+  ASSERT_FALSE(p.hybrid_dispatch());  // dense panel: no list kernels
+
+  for (const std::size_t grid : {60u, 5u}) {
+    SweepScanParams params;
+    params.grid_points = grid;
+    params.window_snps = 12;
+    params.packed = &p;
+    const auto scan_words = [&](const std::vector<std::size_t>& candidates) {
+      SweepScanParams run = params;
+      run.window_candidates = candidates;
+      const trace::TraceSnapshot before = trace::snapshot();
+      EXPECT_EQ(omega_scan(g, positions, run).size(), grid);
+      return trace::snapshot().since(before).counters.kernel_words;
+    };
+    const std::uint64_t alone = scan_words({});
+    EXPECT_EQ(scan_words({4, 8, 12}), alone) << "grid " << grid;
+    EXPECT_EQ(alone, expect_band_fill_words(p, positions, grid, 12))
+        << "grid " << grid;
   }
 }
 
