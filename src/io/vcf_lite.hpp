@@ -1,11 +1,26 @@
 // Minimal VCF reader for phased haplotype data (the 1000-Genomes-style
 // input of the paper's Dataset A).
 //
-// Supports the subset LD analysis needs: '#'-prefixed headers skipped,
-// tab-separated records, GT as the first FORMAT field, phased diploid
-// ("0|1") or haploid ("1") genotypes, biallelic sites. Multi-allelic sites
-// and missing genotypes ("./.") raise ParseError unless `skip_invalid` is
-// set, in which case those sites are dropped.
+// Accepted grammar (anything else is a ParseError, or a dropped site where
+// noted):
+//   - Lines end in '\n'; the last line may lack it. Empty lines are skipped.
+//     There is no CR handling: a "\r\n" line keeps its '\r' as data, so
+//     a record whose last sample field is a bare GT is unsupported.
+//   - Lines starting with '#' are skipped anywhere; one starting with
+//     "#CHROM" must come before the first record.
+//   - A record has at least 10 tab-separated columns (fewer is an error).
+//     POS (column 2) is one or more ASCII digits that fit in a u64; ID
+//     (column 3) is kept verbatim; ALT (column 5) may not contain ','.
+//   - Each sample column's GT is its first ':'-separated subfield: alleles
+//     '0' or '1' joined by '|', any ploidy ("1", "0|1", "1|0|1"). Unphased
+//     '/', missing '.', other alleles and a dangling separator ("0|") are
+//     unsupported.
+//   - Every kept record has the same haplotype count (the sum of the
+//     ploidies); a record that differs is an error.
+// An unsupported site (a ',' in ALT or an unsupported GT) raises ParseError
+// unless `skip_invalid` is set, in which case it is dropped and counted in
+// `skipped`. Checks run in this order per record: column count, genotypes,
+// haplotype count, POS.
 #pragma once
 
 #include <iosfwd>

@@ -156,6 +156,64 @@ TEST(VcfLite, MissingGenotypeThrowsOrSkips) {
   EXPECT_EQ(d.skipped, 1u);
 }
 
+// Expects `gt` in a one-sample record to be unsupported: a ParseError
+// naming the POS, or a skipped site under skip_invalid.
+void expect_unsupported_gt(const std::string& gt) {
+  SCOPED_TRACE("GT '" + gt + "'");
+  const std::string vcf =
+      "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\tS1\n"
+      "1\t10\t.\tA\tG\t.\t.\t.\tGT\t" + gt + "\n"
+      "1\t20\t.\tA\tG\t.\t.\t.\tGT\t1|0\n";
+  std::istringstream in(vcf);
+  try {
+    (void)parse_vcf(in);
+    ADD_FAILURE() << "accepted";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "vcf: unsupported genotype at POS 10");
+  }
+  std::istringstream in2(vcf);
+  const VcfData d = parse_vcf(in2, /*skip_invalid=*/true);
+  EXPECT_EQ(d.skipped, 1u);
+  ASSERT_EQ(d.positions.size(), 1u);
+  EXPECT_EQ(d.positions[0], 20u);
+}
+
+TEST(VcfLite, UnphasedGenotypeThrowsOrSkips) {
+  // A '/' het has no phase; reading it as phased would bias r².
+  for (const char* gt : {"0/1", "1/0", "0/0", "1|0/1"}) {
+    expect_unsupported_gt(gt);
+  }
+}
+
+TEST(VcfLite, DanglingSeparatorThrowsOrSkips) {
+  for (const char* gt : {"0|", "1/", "0|1|", "1|:5"}) {
+    expect_unsupported_gt(gt);
+  }
+}
+
+TEST(VcfLite, PosMustBeDigitsThatFitInU64) {
+  const auto parse_pos = [](const std::string& pos) {
+    std::istringstream in(
+        "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\tS1\n"
+        "1\t" + pos + "\t.\tA\tG\t.\t.\t.\tGT\t1|0\n");
+    return parse_vcf(in, /*skip_invalid=*/true).positions.at(0);
+  };
+  EXPECT_EQ(parse_pos("0"), 0u);
+  EXPECT_EQ(parse_pos("007"), 7u);
+  EXPECT_EQ(parse_pos("18446744073709551615"), 18446744073709551615u);
+  for (const char* bad : {"-1", "12abc", " 12", "+12", "12 ", "", "1e5",
+                          "18446744073709551616", "99999999999999999999"}) {
+    SCOPED_TRACE(std::string("POS '") + bad + "'");
+    try {
+      (void)parse_pos(bad);
+      ADD_FAILURE() << "accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("vcf: bad POS '") + bad + "'");
+    }
+  }
+}
+
 TEST(VcfLite, RecordBeforeHeaderThrows) {
   std::istringstream in("1\t10\t.\tA\tG\t.\t.\t.\tGT\t1|0\n");
   EXPECT_THROW(parse_vcf(in), ParseError);

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <iostream>
 
 #include "ldla.hpp"
@@ -49,6 +50,15 @@ LoadedDataset load_dataset(const std::string& path) {
                    vcf.skipped);
     }
     out.genotypes = std::move(vcf.genotypes);
+    // Positions are normalized by their offset from the first one, so they
+    // must not decrease (a second contig would wrap the unsigned offset).
+    const auto drop = std::adjacent_find(vcf.positions.begin(),
+                                         vcf.positions.end(), std::greater<>());
+    if (drop != vcf.positions.end()) {
+      throw Error("vcf: POS " + std::to_string(*(drop + 1)) +
+                  " decreases after POS " + std::to_string(*drop) +
+                  " (positions must be non-decreasing: one contig per file)");
+    }
     if (!vcf.positions.empty()) {
       const double span =
           static_cast<double>(vcf.positions.back() - vcf.positions.front()) +
