@@ -380,23 +380,21 @@ inline LdScanTiming time_gemm_ld_scan(const BitMatrix& g, unsigned threads,
   opts.stat = LdStatistic::kRSquared;
   opts.gemm = cfg;
   Timer timer;
-  ld_scan_parallel(
+  // Stat tiles hold only canonical pairs; with a team they arrive
+  // concurrently, so each call folds locally before taking the lock.
+  ld_stat_scan(
       g,
       [&](const LdTile& tile) {
         double local = 0.0;
-        std::uint64_t local_pairs = 0;
         for (std::size_t i = 0; i < tile.rows; ++i) {
-          const std::size_t gi = tile.row_begin + i;
           for (std::size_t j = 0; j < tile.cols; ++j) {
-            if (tile.col_begin + j > gi) continue;
             const double v = tile.at(i, j);
             if (v == v) local += v;  // finite (NaN != NaN)
-            ++local_pairs;
           }
         }
         const MutexLock lock(mu);
         out.sum += local;
-        out.pairs += local_pairs;
+        out.pairs += static_cast<std::uint64_t>(tile.rows) * tile.cols;
       },
       opts, threads);
   out.seconds = timer.seconds();
@@ -405,7 +403,7 @@ inline LdScanTiming time_gemm_ld_scan(const BitMatrix& g, unsigned threads,
 
 /// Dump the metrics registry as metrics_<name>.prom and metrics_<name>.json
 /// into $LDLA_METRICS_DUMP_DIR when that variable is set (the bench-smoke
-/// CI job and scripts/validate_metrics.py --run set it). Returns false only
+/// CI job and scripts/validate_telemetry.py --run set it). Returns false only
 /// when a dump was requested and a write failed.
 inline bool maybe_dump_metrics(const char* name) {
   const char* dir = std::getenv("LDLA_METRICS_DUMP_DIR");

@@ -18,6 +18,7 @@
 #include "core/detail/mirror.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/ld.hpp"
+#include "util/aligned_buffer.hpp"
 #include "util/contract.hpp"
 #include "util/trace.hpp"
 
@@ -166,35 +167,79 @@ inline void mirror_tile_stats(const CountTile& t, const StatWindow& dst) {
   mirror_lower_window(dst.data, dst.ld, r0, r0 + t.rows, c0, c0 + t.cols);
 }
 
-/// Deliver the selected part of `t` to `visit` as stat tiles built in
-/// `scratch` (at least t.rows * t.cols doubles, owned by the calling
-/// thread). A full tile, or a SYRK tile wholly on/below the diagonal, goes
-/// out as one LdTile; a diagonal-crossing SYRK tile goes out as one-row
-/// fragments holding only each row's canonical prefix, so no entry above
-/// the diagonal ever escapes.
-inline void visit_tile_stats(LdStatistic stat, const StatTables& ta,
-                             const StatTables& tb, const CountTile& t,
-                             TilePart part, double* scratch,
-                             const LdStatTileVisitor& visit) {
-  if (part == TilePart::kFull || t.col_begin + t.cols <= t.row_begin + 1) {
-    tile_stats(stat, ta, tb, t, TilePart::kFull,
-               {scratch, t.cols, t.row_begin, t.col_begin});
-    visit(LdTile{t.row_begin, t.col_begin, t.rows, t.cols, scratch, t.cols});
-    return;
+/// The one stat-tile emitter behind every streaming LD driver (ld_stat_scan,
+/// ld_cross_stat_scan, ld_matrix_stream, ld_cross_stream): it rebases each
+/// count tile to global SNP indices, converts the selected part and hands
+/// it to the visitor. A full tile, or a SYRK tile wholly on/below the
+/// diagonal, goes out as one LdTile; a diagonal-crossing SYRK tile goes out
+/// as one-row fragments holding only each row's canonical prefix, so no
+/// entry above the diagonal ever escapes.
+///
+/// Scratch is per team member and bounded by one cache tile of the plan
+/// that produces the tiles: a team of one converts into a buffer the
+/// emitter owns; any other team calls the emitter concurrently, and each
+/// member converts into its own thread-local buffer, grown once and reused
+/// for the life of its thread.
+class StatTileEmitter {
+ public:
+  /// Tiles come from `plan` over at most `rows` x `cols` SNP pairs; `team`
+  /// is the size handed to the tile driver (0 = default_thread_count()).
+  StatTileEmitter(LdStatistic stat, const StatTables& ta, const StatTables& tb,
+                  const GemmPlan& plan, std::size_t rows, std::size_t cols,
+                  unsigned team, const LdTileVisitor& visit)
+      : stat_(stat),
+        ta_(ta),
+        tb_(tb),
+        visit_(visit),
+        team_(team),
+        scratch_n_(std::min(plan.mc, rows) * std::min(plan.nc, cols)),
+        own_(team == 1 ? scratch_n_ : 0) {}
+
+  /// Emit the selected part of `t`, whose indices are local to operands
+  /// starting at global row `row_base` of `ta` and column `col_base` of
+  /// `tb`.
+  void operator()(CountTile t, TilePart part, std::size_t row_base = 0,
+                  std::size_t col_base = 0) const {
+    t.row_begin += row_base;
+    t.col_begin += col_base;
+    double* scratch = this->scratch();
+    if (part == TilePart::kFull || t.col_begin + t.cols <= t.row_begin + 1) {
+      tile_stats(stat_, ta_, tb_, t, TilePart::kFull,
+                 {scratch, t.cols, t.row_begin, t.col_begin});
+      visit_(LdTile{t.row_begin, t.col_begin, t.rows, t.cols, scratch,
+                    t.cols});
+      return;
+    }
+    // The span covers the interleaved visits too — fragment rows are tiny.
+    LDLA_TRACE_SPAN(kEpilogue);
+    std::uint64_t rows_converted = 0;
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      const std::size_t gi = t.row_begin + i;
+      if (gi < t.col_begin) continue;
+      const std::size_t width =
+          std::min(t.col_begin + t.cols, gi + 1) - t.col_begin;
+      stat_row(stat_, ta_, gi, tb_, t.col_begin, t.row(i), width, scratch);
+      ++rows_converted;
+      visit_(LdTile{gi, t.col_begin, 1, width, scratch, width});
+    }
+    LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
   }
-  // The span covers the interleaved visits too — fragment rows are tiny.
-  LDLA_TRACE_SPAN(kEpilogue);
-  std::uint64_t rows_converted = 0;
-  for (std::size_t i = 0; i < t.rows; ++i) {
-    const std::size_t gi = t.row_begin + i;
-    if (gi < t.col_begin) continue;
-    const std::size_t width =
-        std::min(t.col_begin + t.cols, gi + 1) - t.col_begin;
-    stat_row(stat, ta, gi, tb, t.col_begin, t.row(i), width, scratch);
-    ++rows_converted;
-    visit(LdTile{gi, t.col_begin, 1, width, scratch, width});
+
+ private:
+  double* scratch() const {
+    if (team_ == 1) return own_.data();
+    thread_local AlignedBuffer<double> buf;
+    if (buf.size() < scratch_n_) buf = AlignedBuffer<double>(scratch_n_);
+    return buf.data();
   }
-  LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
-}
+
+  LdStatistic stat_;
+  const StatTables& ta_;
+  const StatTables& tb_;
+  const LdTileVisitor& visit_;
+  unsigned team_;
+  std::size_t scratch_n_;
+  mutable AlignedBuffer<double> own_;  ///< a team of one's scratch
+};
 
 }  // namespace ldla::detail

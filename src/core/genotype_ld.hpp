@@ -34,8 +34,10 @@ namespace ldla {
 LdMatrix genotype_ld_matrix(const GenotypeMatrix& g,
                             const GemmConfig& cfg = {});
 
-/// Streaming row-slab variant covering pairs (i, j), j <= i, exactly once
-/// (same tile contract as ld_scan).
+/// Streaming variant in row slabs of `slab_rows` (> 0): the slab of rows
+/// [r0, r1) goes to `visit` as one lower-trapezoidal tile with columns
+/// [0, r1), so every pair (i, j) with j <= i appears in exactly one tile.
+/// Memory is O(slab_rows * n).
 void genotype_ld_scan(const GenotypeMatrix& g, const LdTileVisitor& visit,
                       const GemmConfig& cfg = {},
                       std::size_t slab_rows = 256);

@@ -136,9 +136,9 @@ unsigned resolve_threads(unsigned threads) {
   return threads == 0 ? default_thread_count() : threads;
 }
 
-// One body per shape. Each takes the team size it hands to the tile nest:
-// team = 1 is the sequential driver (whole cache tiles, inline), team > 1
-// the *_parallel twin.
+// One body per dense shape. Each takes the team size it hands to the tile
+// nest: team = 1 is the sequential driver (whole cache tiles, inline),
+// team > 1 the *_parallel twin.
 
 LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
                      unsigned team) {
@@ -196,72 +196,6 @@ LdMatrix cross_matrix_body(const BitMatrix& a, const BitMatrix& b,
   return out;
 }
 
-// Slab scans: the caller walks row slabs sequentially and the team works
-// inside each slab's nest. Tiles land in disjoint regions of the values
-// slab, and `visit` fires from this thread after the slab is complete.
-
-void scan_body(const BitMatrix& g, const LdTileVisitor& visit,
-               const LdOptions& opts, unsigned team) {
-  const std::size_t n = g.snps();
-  if (n == 0) return;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
-  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
-
-  std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix& packed = resolve_packed(
-      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
-  const detail::StatTables tables = detail::make_stat_tables(g);
-  const std::size_t slab = opts.slab_rows;
-  AlignedBuffer<double> values(std::min(slab, n) * n);
-  for (std::size_t r0 = 0; r0 < n; r0 += slab) {
-    const std::size_t rows = std::min(slab, n - r0);
-    const std::size_t cols = r0 + rows;  // lower-trapezoid: j < slab end
-    gemm_count_fused(
-        packed, r0, r0 + rows, packed, 0, cols,
-        [&](const CountTile& t) {
-          detail::tile_stats(opts.stat, tables, tables, t,
-                             detail::TilePart::kFull,
-                             {values.data(), cols, r0, 0});
-        },
-        team);
-    visit(LdTile{r0, 0, rows, cols, values.data(), cols});
-  }
-}
-
-void cross_scan_body(const BitMatrix& a, const BitMatrix& b,
-                     const LdTileVisitor& visit, const LdOptions& opts,
-                     unsigned team) {
-  LDLA_EXPECT(a.samples() == b.samples(),
-              "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  if (m == 0 || n == 0) return;
-  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
-  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
-
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
-                                             PackSides::kA, own_a, team);
-  const PackedBitMatrix& pb = resolve_packed(
-      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
-  const std::size_t slab = opts.slab_rows;
-  AlignedBuffer<double> values(std::min(slab, m) * n);
-  for (std::size_t r0 = 0; r0 < m; r0 += slab) {
-    const std::size_t rows = std::min(slab, m - r0);
-    gemm_count_fused(
-        pa, r0, r0 + rows, pb, 0, n,
-        [&](const CountTile& t) {
-          detail::tile_stats(opts.stat, ta, tb, t, detail::TilePart::kFull,
-                             {values.data(), n, r0, 0});
-        },
-        team);
-    visit(LdTile{r0, 0, rows, n, values.data(), n});
-  }
-}
-
 }  // namespace
 
 LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts) {
@@ -297,42 +231,8 @@ LdMatrix ld_cross_matrix_parallel(const BitMatrix& a, const BitMatrix& b,
   return cross_matrix_body(a, b, opts, resolve_threads(threads));
 }
 
-void ld_scan(const BitMatrix& g, const LdTileVisitor& visit,
-             const LdOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_scan_seconds", "ld_scan driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
-  scan_body(g, visit, opts, 1);
-}
-
-void ld_scan_parallel(const BitMatrix& g, const LdTileVisitor& visit,
-                      const LdOptions& opts, unsigned threads) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_scan_parallel_seconds",
-          "ld_scan_parallel driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
-  scan_body(g, visit, opts, resolve_threads(threads));
-}
-
-void ld_cross_scan(const BitMatrix& a, const BitMatrix& b,
-                   const LdTileVisitor& visit, const LdOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_cross_scan_seconds", "ld_cross_scan driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
-  cross_scan_body(a, b, visit, opts, 1);
-}
-
-void ld_cross_scan_parallel(const BitMatrix& a, const BitMatrix& b,
-                            const LdTileVisitor& visit, const LdOptions& opts,
-                            unsigned threads) {
-  cross_scan_body(a, b, visit, opts, resolve_threads(threads));
-}
-
-void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
-                  const LdOptions& opts) {
+void ld_stat_scan(const BitMatrix& g, const LdTileVisitor& visit,
+                  const LdOptions& opts, unsigned threads) {
   LDLA_METRICS_ONLY(
       static metrics::Histogram& h_call = metrics::histogram(
           "ldla_ld_stat_scan_seconds", "ld_stat_scan driver call latency");
@@ -342,21 +242,21 @@ void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
   LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
   LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
 
+  const unsigned team = resolve_threads(threads);
   std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix& packed =
-      resolve_packed(g.view(), opts.gemm, opts.packed, PackSides::kBoth, own);
+  const PackedBitMatrix& packed = resolve_packed(
+      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
   const detail::StatTables tables = detail::make_stat_tables(g);
-  const GemmPlan& plan = packed.plan();
-  AlignedBuffer<double> values(std::min(plan.mc, n) * std::min(plan.nc, n));
-  syrk_count_fused(packed, 0, n, [&](const CountTile& t) {
-    detail::visit_tile_stats(opts.stat, tables, tables, t,
-                             detail::TilePart::kLower, values.data(), visit);
-  });
+  const detail::StatTileEmitter emit(opts.stat, tables, tables, packed.plan(),
+                                     n, n, team, visit);
+  syrk_count_fused(
+      packed, 0, n,
+      [&](const CountTile& t) { emit(t, detail::TilePart::kLower); }, team);
 }
 
 void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
-                        const LdStatTileVisitor& visit,
-                        const LdOptions& opts) {
+                        const LdTileVisitor& visit, const LdOptions& opts,
+                        unsigned threads) {
   LDLA_METRICS_ONLY(
       static metrics::Histogram& h_call = metrics::histogram(
           "ldla_ld_cross_stat_scan_seconds",
@@ -370,21 +270,20 @@ void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
   LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
   LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
 
+  const unsigned team = resolve_threads(threads);
   std::optional<PackedBitMatrix> own_a;
   std::optional<PackedBitMatrix> own_b;
   const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
-                                             PackSides::kA, own_a);
-  const PackedBitMatrix& pb = resolve_packed(b.view(), opts.gemm,
-                                             opts.packed_b, PackSides::kB,
-                                             own_b);
+                                             PackSides::kA, own_a, team);
+  const PackedBitMatrix& pb = resolve_packed(
+      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
   const detail::StatTables ta = detail::make_stat_tables(a);
   const detail::StatTables tb = detail::make_stat_tables(b);
-  const GemmPlan& plan = pa.plan();
-  AlignedBuffer<double> values(std::min(plan.mc, m) * std::min(plan.nc, n));
-  gemm_count_fused(pa, 0, m, pb, 0, n, [&](const CountTile& t) {
-    detail::visit_tile_stats(opts.stat, ta, tb, t, detail::TilePart::kFull,
-                             values.data(), visit);
-  });
+  const detail::StatTileEmitter emit(opts.stat, ta, tb, pa.plan(), m, n, team,
+                                     visit);
+  gemm_count_fused(
+      pa, 0, m, pb, 0, n,
+      [&](const CountTile& t) { emit(t, detail::TilePart::kFull); }, team);
 }
 
 }  // namespace ldla

@@ -45,7 +45,7 @@ double ld_value(LdStatistic stat, std::uint64_t ci, std::uint64_t cj,
 struct LdOptions {
   LdStatistic stat = LdStatistic::kRSquared;
   GemmConfig gemm;
-  /// Row-slab height of the streaming drivers (memory/latency trade-off).
+  /// Row-slab height of ld_scan_missing (memory/latency trade-off).
   std::size_t slab_rows = 256;
   /// Optional persistent packed operand for the primary matrix (`g`, or
   /// `a` in the cross drivers). Must be packed from the same matrix with
@@ -98,7 +98,8 @@ class LdMatrix {
 
 /// All-pairs LD within one genomic matrix (full symmetric n x n result,
 /// diagonal = LD of a SNP with itself). Intended for moderate n; for large
-/// regions use ld_scan.
+/// regions stream the pairs with ld_stat_scan (or ld_matrix_stream when
+/// the panel itself does not fit in memory).
 LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts = {});
 
 /// LD between every SNP of `a` and every SNP of `b` (the Fig. 4 / long-range
@@ -108,7 +109,7 @@ LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
 
 /// A tile of LD values streamed out of a scan. Row/col indices are SNP
 /// indices in the input matrices; `values` is row-major with leading
-/// dimension `ld`.
+/// dimension `ld` and valid only for the duration of the visitor call.
 struct LdTile {
   std::size_t row_begin = 0;
   std::size_t col_begin = 0;
@@ -124,36 +125,27 @@ struct LdTile {
 
 using LdTileVisitor = std::function<void(const LdTile&)>;
 
-/// Streaming all-pairs LD over one matrix: emits row slabs covering every
-/// pair (i, j) with j <= i exactly once (tiles are lower-trapezoidal: a
-/// slab of rows [r0, r1) comes with columns [0, r1)). Memory use is
-/// O(slab_rows * n), independent of the number of pairs.
-void ld_scan(const BitMatrix& g, const LdTileVisitor& visit,
-             const LdOptions& opts = {});
-
-/// Streaming cross-matrix LD over row slabs of `a` (columns span all of b).
-void ld_cross_scan(const BitMatrix& a, const BitMatrix& b,
-                   const LdTileVisitor& visit, const LdOptions& opts = {});
-
-/// Visitor for stat tiles delivered straight from the fused GEMM epilogue:
-/// tile geometry follows the cache blocking (at most mc x nc), values are
-/// valid only for the duration of the call, and — unlike the slab scans —
-/// total resident memory is O(mc·nc), independent of n.
-using LdStatTileVisitor = std::function<void(const LdTile&)>;
-
-/// Lowest-memory streaming all-pairs LD: emits stat tiles directly from
-/// the fused epilogue, covering every canonical pair (j <= i, including
-/// the diagonal) exactly once and emitting no other entries. Diagonal-
-/// crossing cache tiles are delivered as per-row fragments so every
-/// emitted value is valid.
-void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
-                  const LdOptions& opts = {});
+/// Streaming all-pairs LD: emits stat tiles straight from the fused
+/// epilogue, covering every canonical pair (j <= i, including the
+/// diagonal) exactly once and emitting no other entries. Tile geometry
+/// follows the cache blocking (at most mc x nc); diagonal-crossing cache
+/// tiles are delivered as per-row fragments so every emitted value is
+/// valid. Resident memory is O(mc·nc) per team member, independent of n.
+///
+/// `threads` sizes the team (0 = default_thread_count()). A team of one
+/// calls `visit` from the calling thread, in tile order; a larger team
+/// calls it CONCURRENTLY on disjoint tiles, so a visitor writing disjoint
+/// output ranges needs no lock and any shared accumulator does. The values
+/// are identical at every team size; only the tile order and geometry may
+/// differ. Do not call with threads != 1 from inside a global_pool() task.
+void ld_stat_scan(const BitMatrix& g, const LdTileVisitor& visit,
+                  const LdOptions& opts = {}, unsigned threads = 1);
 
 /// Cross-matrix variant of ld_stat_scan: every (row of a, row of b) pair
-/// exactly once, in cache-tile geometry, O(mc·nc) resident.
+/// exactly once, with the same tile and team contract.
 void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
-                        const LdStatTileVisitor& visit,
-                        const LdOptions& opts = {});
+                        const LdTileVisitor& visit, const LdOptions& opts = {},
+                        unsigned threads = 1);
 
 /// Mirror the lower triangle (j < i) of a square LdMatrix into the upper
 /// triangle, cache-blocked. All three statistics are symmetric in (i, j)

@@ -15,17 +15,6 @@
 namespace ldla {
 namespace {
 
-/// Per-thread epilogue scratch for the nest-mode sinks: tiles arrive
-/// concurrently, each thread converts into its own buffer (grown once to
-/// the mc·nc bound, then reused for the whole stream).
-AlignedBuffer<double>& tile_scratch(std::size_t n) {
-  thread_local AlignedBuffer<double> buf;
-  if (buf.size() < n) {
-    buf = AlignedBuffer<double>(n);
-  }
-  return buf;
-}
-
 /// One shard-pair of the walk: row-side shard r, column-side shard c
 /// (r == c with a single store = the diagonal SYRK pair).
 struct StreamPair {
@@ -220,7 +209,7 @@ class PairWalker {
 
 }  // namespace
 
-void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
+void ld_matrix_stream(ShardStore& store, const LdTileVisitor& visit,
                       const StreamOptions& opts) {
   LDLA_METRICS_ONLY(
       static metrics::Histogram& h_call = metrics::histogram(
@@ -232,25 +221,13 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
   if (S == 0) return;
   const detail::StatTables tables = detail::make_stat_tables_from_counts(
       store.allele_counts(), store.samples());
-  const GemmPlan& plan = store.plan();
-  const std::size_t scratch_n = plan.mc * plan.nc;
-  const bool sequential = opts.threads == 1;
-  AlignedBuffer<double> seq_values(sequential ? scratch_n : 0);
-  const auto scratch = [&]() -> double* {
-    return sequential ? seq_values.data() : tile_scratch(scratch_n).data();
-  };
-
-  // ld_stat_scan's epilogue, with the tile rebased from shard-local to
-  // global indices. A diagonal pair (same shard both sides) keeps only the
+  // ld_stat_scan's emitter, with tiles rebased from shard-local to global
+  // indices. A diagonal pair (same shard both sides) keeps only the
   // canonical part; an off-diagonal pair lies strictly below the diagonal
   // (every column index < every row index), so its tiles go out whole.
-  const auto emit = [&](std::size_t rbase, std::size_t cbase, CountTile t,
-                        detail::TilePart part) {
-    t.row_begin += rbase;
-    t.col_begin += cbase;
-    detail::visit_tile_stats(opts.stat, tables, tables, t, part, scratch(),
-                             visit);
-  };
+  const detail::StatTileEmitter emit(opts.stat, tables, tables, store.plan(),
+                                     store.snps(), store.snps(), opts.threads,
+                                     visit);
 
   // Row-major over the lower triangle: consecutive pairs share the row
   // shard, so with any budget >= the floor, each row shard stalls at most
@@ -272,7 +249,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
       syrk_count_fused(
           pr, 0, rows,
           [&](const CountTile& t) {
-            emit(rbase, rbase, t, detail::TilePart::kLower);
+            emit(t, detail::TilePart::kLower, rbase, rbase);
           },
           opts.threads);
     } else {
@@ -280,7 +257,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
       gemm_count_fused(
           pr, 0, rows, pc, 0, store.shard_rows(p.c),
           [&](const CountTile& t) {
-            emit(rbase, cbase, t, detail::TilePart::kFull);
+            emit(t, detail::TilePart::kFull, rbase, cbase);
           },
           opts.threads);
     }
@@ -288,7 +265,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
 }
 
 void ld_cross_stream(ShardStore& a, ShardStore& b,
-                     const LdStatTileVisitor& visit,
+                     const LdTileVisitor& visit,
                      const StreamOptions& opts) {
   LDLA_METRICS_ONLY(
       static metrics::Histogram& h_call = metrics::histogram(
@@ -311,12 +288,8 @@ void ld_cross_stream(ShardStore& a, ShardStore& b,
       a.allele_counts(), a.samples());
   const detail::StatTables tb = detail::make_stat_tables_from_counts(
       b.allele_counts(), b.samples());
-  const std::size_t scratch_n = pa.mc * pa.nc;
-  const bool sequential = opts.threads == 1;
-  AlignedBuffer<double> seq_values(sequential ? scratch_n : 0);
-  const auto scratch = [&]() -> double* {
-    return sequential ? seq_values.data() : tile_scratch(scratch_n).data();
-  };
+  const detail::StatTileEmitter emit(opts.stat, ta, tb, pa, a.snps(),
+                                     b.snps(), opts.threads, visit);
 
   std::vector<StreamPair> pairs;
   pairs.reserve(sa * sb);
@@ -335,11 +308,8 @@ void ld_cross_stream(ShardStore& a, ShardStore& b,
     const std::size_t cols = b.shard_rows(p.c);
     gemm_count_fused(
         pr, 0, rows, pc, 0, cols,
-        [&](CountTile t) {
-          t.row_begin += rbase;
-          t.col_begin += cbase;
-          detail::visit_tile_stats(opts.stat, ta, tb, t,
-                                   detail::TilePart::kFull, scratch(), visit);
+        [&](const CountTile& t) {
+          emit(t, detail::TilePart::kFull, rbase, cbase);
         },
         opts.threads);
   });

@@ -54,14 +54,14 @@ struct StreamOptions {
 /// Stream the lower triangle (diagonal included) of the LD matrix of the
 /// store's SNP panel to `visit`. Tiles partition the triangle; coordinates
 /// are global SNP indices. Bit-identical to ld_stat_scan (see above).
-void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
+void ld_matrix_stream(ShardStore& store, const LdTileVisitor& visit,
                       const StreamOptions& opts = {});
 
 /// Stream the full rows(a) × rows(b) cross-LD rectangle between two stores
 /// (same sample universe, same plan geometry — in practice: ingested with
 /// the same config). Bit-identical to ld_cross_stat_scan.
 void ld_cross_stream(ShardStore& a, ShardStore& b,
-                     const LdStatTileVisitor& visit,
+                     const LdTileVisitor& visit,
                      const StreamOptions& opts = {});
 
 }  // namespace ldla

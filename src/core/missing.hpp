@@ -73,9 +73,11 @@ double ld_value_missing(LdStatistic stat, std::uint64_t ci_masked,
                         std::uint64_t cj_masked, std::uint64_t cij_masked,
                         std::uint64_t n_valid);
 
-/// Streaming all-pairs scan under missing data: emits lower-trapezoidal row
-/// slabs exactly like ld_scan (every pair (i, j) with j <= i appears in one
-/// tile), computing four rectangular GEMMs per slab. Memory stays
+/// Streaming all-pairs scan under missing data, in row slabs of
+/// opts.slab_rows (> 0): the slab of rows [r0, r1) goes to `visit` as one
+/// lower-trapezoidal tile with columns [0, r1), so every pair (i, j) with
+/// j <= i appears in exactly one tile (the entries above the diagonal are
+/// valid LD too). Four rectangular GEMMs per slab; memory stays
 /// O(slab_rows * n) regardless of pair count.
 void ld_scan_missing(const MaskedBitMatrix& g, const LdTileVisitor& visit,
                      const LdOptions& opts = {});

@@ -14,8 +14,10 @@
 // that owns the tile — ld_matrix_parallel's sink writes each tile's
 // transpose into the upper triangle while the tile is hot — so the output
 // is never zero-filled or mirrored serially, and the team first-touches
-// it. Results are bit-identical to the sequential drivers, and scan
-// visitors always fire from the calling thread.
+// it. Results are bit-identical to the sequential drivers. The streaming
+// drivers (ld_stat_scan, ld_cross_stat_scan, ld_matrix_stream,
+// ld_cross_stream) take their team size as a parameter and call the
+// visitor concurrently when it is larger than one.
 //
 // `threads` sizes the team (0 = default_thread_count(): the LDLA_THREADS
 // environment variable, else hardware concurrency); tasks execute on the
@@ -37,17 +39,5 @@ LdMatrix ld_matrix_parallel(const BitMatrix& g, const LdOptions& opts = {},
 LdMatrix ld_cross_matrix_parallel(const BitMatrix& a, const BitMatrix& b,
                                   const LdOptions& opts = {},
                                   unsigned threads = 0);
-
-/// Streaming all-pairs scan: the same slab tiles as ld_scan, delivered in
-/// the same order from the calling thread (the team parallelism lives
-/// inside each slab's nest), so `visit` needs no locking.
-void ld_scan_parallel(const BitMatrix& g, const LdTileVisitor& visit,
-                      const LdOptions& opts = {}, unsigned threads = 0);
-
-/// Streaming cross-matrix scan; same tiles and visitor contract as
-/// ld_cross_scan.
-void ld_cross_scan_parallel(const BitMatrix& a, const BitMatrix& b,
-                            const LdTileVisitor& visit,
-                            const LdOptions& opts = {}, unsigned threads = 0);
 
 }  // namespace ldla

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -472,6 +473,38 @@ bool same_pack_geometry(const GemmPlan& a, const GemmPlan& b) {
          a.kc_words == b.kc_words;
 }
 
+/// One section of a shard: its extent (offset 0 = absent, with 0 bytes)
+/// and whether the kernels alias it in place. materialize() copies or
+/// validates the other sections; shard() faults the aliased ones in.
+struct Section {
+  std::uint64_t off = 0;
+  std::uint64_t bytes = 0;
+  bool aliased = false;
+};
+
+/// The one list of a shard's sections, for a record parse_shard_index
+/// accepted. open() sums it into the shard's byte accounting, prefetch()
+/// and release() advise it to the kernel, and shard() touches its aliased
+/// part, so the four cannot disagree on what a shard is.
+std::array<Section, 10> shard_sections(const ShardRecord& rec,
+                                       const ShardIndex& idx) {
+  const std::uint64_t rows = rec.rows();
+  const auto section = [](std::uint64_t off, std::uint64_t bytes,
+                          bool aliased = false) {
+    return Section{off, off != 0 ? bytes : 0, aliased};
+  };
+  return {section(rec.a_off, rec.a_words * 8, true),
+          section(rec.b_off, rec.b_words * 8, true),
+          section(rec.pop_off, rows * 4),
+          section(rec.kind_off, rows),
+          section(rec.csr_off, (rows + 1) * 8),
+          section(rec.index_off, rec.index_count * 4),
+          section(rec.scaled_off, rec.index_count * 4),
+          section(rec.sm_off, idx.n_samples * rec.sm_stride * 8, true),
+          section(rec.aflags_off, slivers_for(rows, idx.plan.mr)),
+          section(rec.bflags_off, slivers_for(rows, idx.plan.nr))};
+}
+
 }  // namespace
 
 ShardStore ShardStore::open(const std::string& path,
@@ -535,13 +568,10 @@ ShardStore ShardStore::open(const std::string& path,
 
   s.shard_bytes_.reserve(s.index_.shards.size());
   for (const ShardRecord& rec : s.index_.shards) {
-    const std::uint64_t rows = rec.rows();
-    std::uint64_t bytes = rec.a_words * 8 + rec.b_words * 8 + rows * 4 +
-                          rows + (rows + 1) * 8 + rec.index_count * 4;
-    if (rec.scaled_off != 0) bytes += rec.index_count * 4;
-    if (rec.sm_off != 0) bytes += s.index_.n_samples * rec.sm_stride * 8;
-    if (rec.aflags_off != 0) bytes += slivers_for(rows, s.index_.plan.mr);
-    if (rec.bflags_off != 0) bytes += slivers_for(rows, s.index_.plan.nr);
+    std::uint64_t bytes = 0;
+    for (const Section& sec : shard_sections(rec, s.index_)) {
+      bytes += sec.bytes;
+    }
     s.shard_bytes_.push_back(static_cast<std::size_t>(bytes));
     s.total_payload_bytes_ += bytes;
     s.max_shard_bytes_ = std::max<std::size_t>(s.max_shard_bytes_, bytes);
@@ -575,29 +605,15 @@ std::vector<std::uint64_t> ShardStore::allele_counts() const {
 }
 
 void ShardStore::prefetch(std::size_t i) const {
-  const ShardRecord& rec = record(i);
   const long page = ::sysconf(_SC_PAGESIZE);
   const std::uint64_t mask = ~static_cast<std::uint64_t>(page - 1);
-  auto advise = [&](std::uint64_t off, std::uint64_t bytes) {
-    if (off == 0 || bytes == 0) return;
-    const std::uint64_t begin = off & mask;
-    const std::uint64_t end = off + bytes;
+  for (const Section& sec : shard_sections(record(i), index_)) {
+    if (sec.bytes == 0) continue;
+    const std::uint64_t begin = sec.off & mask;
+    const std::uint64_t end = sec.off + sec.bytes;
     ::madvise(const_cast<std::uint8_t*>(map_ + begin),
               static_cast<std::size_t>(end - begin), MADV_WILLNEED);
-  };
-  const std::uint64_t rows = rec.rows();
-  advise(rec.a_off, rec.a_words * 8);
-  advise(rec.b_off, rec.b_words * 8);
-  advise(rec.pop_off, rows * 4);
-  advise(rec.kind_off, rows);
-  advise(rec.csr_off, (rows + 1) * 8);
-  advise(rec.index_off, rec.index_count * 4);
-  advise(rec.scaled_off, rec.scaled_off != 0 ? rec.index_count * 4 : 0);
-  advise(rec.sm_off, index_.n_samples * rec.sm_stride * 8);
-  advise(rec.aflags_off,
-         rec.aflags_off != 0 ? slivers_for(rows, index_.plan.mr) : 0);
-  advise(rec.bflags_off,
-         rec.bflags_off != 0 ? slivers_for(rows, index_.plan.nr) : 0);
+  }
 }
 
 void ShardStore::touch_extent(std::uint64_t off, std::uint64_t bytes) const {
@@ -783,10 +799,9 @@ const PackedBitMatrix& ShardStore::shard(std::size_t i) {
     // path when called from the prefetch task, and account the whole
     // shard's payload to io_bytes_read.
     LDLA_TRACE_SPAN(kIo);
-    const ShardRecord& rec = record(i);
-    touch_extent(rec.a_off, rec.a_words * 8);
-    touch_extent(rec.b_off, rec.b_words * 8);
-    touch_extent(rec.sm_off, index_.n_samples * rec.sm_stride * 8);
+    for (const Section& sec : shard_sections(record(i), index_)) {
+      if (sec.aliased) touch_extent(sec.off, sec.bytes);
+    }
     LDLA_TRACE_ADD_IO_READ(shard_bytes_[i]);
     LDLA_METRICS_ONLY(
         static metrics::Counter& c_mat = metrics::counter(
@@ -824,26 +839,14 @@ void ShardStore::release(std::size_t i) {
   // Hand the pages back: page-align each extent inward-safely (WILLNEED in
   // prefetch() aligns outward; DONTNEED must not clip a neighboring
   // still-resident extent, so only fully-owned pages are dropped).
-  const ShardRecord& rec = record(i);
-  const long page = ::sysconf(_SC_PAGESIZE);
-  const std::uint64_t p = static_cast<std::uint64_t>(page);
-  auto drop = [&](std::uint64_t off, std::uint64_t bytes) {
-    if (off == 0 || bytes == 0) return;
-    const std::uint64_t begin = (off + p - 1) / p * p;
-    const std::uint64_t end = (off + bytes) / p * p;
-    if (end <= begin) return;
+  const std::uint64_t p = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  for (const Section& sec : shard_sections(record(i), index_)) {
+    const std::uint64_t begin = (sec.off + p - 1) / p * p;
+    const std::uint64_t end = (sec.off + sec.bytes) / p * p;
+    if (sec.bytes == 0 || end <= begin) continue;
     ::madvise(const_cast<std::uint8_t*>(map_ + begin),
               static_cast<std::size_t>(end - begin), MADV_DONTNEED);
-  };
-  const std::uint64_t rows = rec.rows();
-  drop(rec.a_off, rec.a_words * 8);
-  drop(rec.b_off, rec.b_words * 8);
-  drop(rec.pop_off, rows * 4);
-  drop(rec.kind_off, rows);
-  drop(rec.csr_off, (rows + 1) * 8);
-  drop(rec.index_off, rec.index_count * 4);
-  drop(rec.scaled_off, rec.scaled_off != 0 ? rec.index_count * 4 : 0);
-  drop(rec.sm_off, index_.n_samples * rec.sm_stride * 8);
+  }
 }
 
 std::size_t ShardStore::resident_bytes() const {

@@ -228,7 +228,10 @@ TileStoreReader::TileStoreReader(const std::string& path)
         rec.cols > cols_ || rec.col_begin > cols_ - rec.cols) {
       bad("tile outside the matrix");
     }
-    if (rec.raw_bytes != rec.rows * rec.cols * 8) {
+    // rows * cols * 8 can wrap (2^32 x 2^32 wraps to 0), which would let a
+    // forged shape pass with a tiny raw_bytes and an empty decoded tile.
+    if (rec.cols > std::numeric_limits<std::uint64_t>::max() / 8 / rec.rows ||
+        rec.raw_bytes != rec.rows * rec.cols * 8) {
       bad("raw size inconsistent with the tile shape");
     }
     if (rec.offset < kHeaderBytes || rec.offset > index_off ||
@@ -237,6 +240,11 @@ TileStoreReader::TileStoreReader(const std::string& path)
     }
     if (codec_ == TileCodec::kRaw && rec.bytes != rec.raw_bytes) {
       bad("raw tile with mismatched payload size");
+    }
+    // Every XOR value costs at least its control byte, so the payload
+    // bounds the decoded size (no allocation larger than 8x the file).
+    if (codec_ == TileCodec::kXor && rec.bytes < rec.rows * rec.cols) {
+      bad("XOR tile payload shorter than its value count");
     }
   }
   if (!in_) bad("index read failed");

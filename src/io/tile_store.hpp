@@ -59,7 +59,7 @@ struct TileData {
 };
 
 /// Append-only tile writer. Feed it the streaming driver's tiles (it is
-/// a valid LdStatTileVisitor body); close() writes index + footer.
+/// a valid LdTileVisitor body); close() writes index + footer.
 /// NOT thread-safe: nest-mode streams must serialize add() calls.
 class TileStoreWriter {
  public:

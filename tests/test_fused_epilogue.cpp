@@ -2,13 +2,16 @@
 // statistics straight from hot count tiles, and must match the naive
 // oracle bit-for-bit across stat x kernel arch x blocking params x ragged
 // shapes x unaligned band and omega windows x sequential/parallel drivers.
-// The scans must also keep their documented tile geometry.
+// The band scan must also keep its documented slab geometry, and the stat
+// scans must emit every pair exactly once at any team size.
 #include "core/ld.hpp"
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
+#include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -122,6 +125,43 @@ void expect_slab_tiles(const std::vector<TileRecord>& got, std::size_t n,
   }
 }
 
+// Every pair a stat scan emits, keyed by global (row, col), with a flag for
+// pairs emitted twice. The visitor may be called concurrently.
+struct PairSink {
+  std::mutex mu;
+  std::map<std::pair<std::size_t, std::size_t>, double> seen;
+  bool duplicate = false;
+
+  LdTileVisitor visitor() {
+    return [this](const LdTile& tile) {
+      const std::lock_guard lock(mu);
+      for (std::size_t i = 0; i < tile.rows; ++i) {
+        for (std::size_t j = 0; j < tile.cols; ++j) {
+          const auto key = std::pair(tile.row_begin + i, tile.col_begin + j);
+          duplicate |= !seen.emplace(key, tile.at(i, j)).second;
+        }
+      }
+    };
+  }
+};
+
+// The sink holds every pair of `want` (only j <= i when `canonical`)
+// exactly once, each with the oracle's exact bits.
+void expect_pairs_match(const PairSink& sink, const LdMatrix& want,
+                        bool canonical, const char* what) {
+  EXPECT_FALSE(sink.duplicate) << what << ": duplicate pair";
+  const std::size_t pairs = canonical ? ld_pair_count(want.rows())
+                                      : want.rows() * want.cols();
+  ASSERT_EQ(sink.seen.size(), pairs) << what;
+  for (const auto& [key, v] : sink.seen) {
+    ASSERT_TRUE(!canonical || key.second <= key.first)
+        << what << ": non-canonical entry emitted";
+    ASSERT_TRUE(key.first < want.rows() && key.second < want.cols()) << what;
+    ASSERT_TRUE(same_value(v, want(key.first, key.second)))
+        << what << " at (" << key.first << "," << key.second << ")";
+  }
+}
+
 class FusedEpilogue : public ::testing::TestWithParam<KernelArch> {};
 
 TEST_P(FusedEpilogue, LdMatrixMatchesNaive) {
@@ -157,36 +197,6 @@ TEST_P(FusedEpilogue, CrossMatrixMatchesNaive) {
   }
 }
 
-TEST_P(FusedEpilogue, ScansEmitSlabTilesMatchingNaive) {
-  const BitMatrix g = random_matrix(93, 323, 41);
-  const BitMatrix b = random_matrix(45, 323, 43);
-  const std::size_t slab = 17;  // off every tile boundary
-  for (const LdStatistic stat : kStats) {
-    const LdMatrix want = naive_ld_matrix(g, stat);
-    const LdMatrix want_cross = oracle::naive_cross_ld_matrix(g, b, stat);
-    for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-      LdOptions opts;
-      opts.gemm = cfg;
-      opts.stat = stat;
-      opts.slab_rows = slab;
-
-      std::vector<TileRecord> scan;
-      ld_scan(g, record_into(scan), opts);
-      expect_slab_tiles(
-          scan, g.snps(), slab, [](std::size_t) { return std::size_t{0}; },
-          [](std::size_t r0, std::size_t rows) { return r0 + rows; }, want,
-          "ld_scan");
-
-      std::vector<TileRecord> cross;
-      ld_cross_scan(g, b, record_into(cross), opts);
-      expect_slab_tiles(
-          cross, g.snps(), slab, [](std::size_t) { return std::size_t{0}; },
-          [&](std::size_t, std::size_t) { return b.snps(); }, want_cross,
-          "ld_cross_scan");
-    }
-  }
-}
-
 TEST_P(FusedEpilogue, BandScanMatchesNaiveAtUnalignedWindows) {
   const BitMatrix g = random_matrix(90, 129, 47);
   const std::size_t slab = 13;
@@ -211,27 +221,16 @@ TEST_P(FusedEpilogue, BandScanMatchesNaiveAtUnalignedWindows) {
 
 TEST_P(FusedEpilogue, StatScanCoversCanonicalPairsExactlyOnce) {
   const BitMatrix g = random_matrix(70, 129, 53);
-  const std::size_t n = g.snps();
-  const LdMatrix want = naive_ld_matrix(g);
-  for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-    LdOptions opts;
-    opts.gemm = cfg;
-    // Every canonical pair exactly once and nothing else.
-    std::map<std::pair<std::size_t, std::size_t>, double> seen;
-    ld_stat_scan(g, [&](const LdTile& tile) {
-      for (std::size_t i = 0; i < tile.rows; ++i) {
-        for (std::size_t j = 0; j < tile.cols; ++j) {
-          const auto key = std::pair(tile.row_begin + i, tile.col_begin + j);
-          ASSERT_LE(key.second, key.first) << "non-canonical entry emitted";
-          ASSERT_EQ(seen.count(key), 0u) << "duplicate pair";
-          seen[key] = tile.at(i, j);
-        }
-      }
-    }, opts);
-    ASSERT_EQ(seen.size(), ld_pair_count(n));
-    for (const auto& [key, v] : seen) {
-      ASSERT_TRUE(same_value(v, want(key.first, key.second)))
-          << "(" << key.first << "," << key.second << ")";
+  for (const LdStatistic stat : kStats) {
+    const LdMatrix want = naive_ld_matrix(g, stat);
+    for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+      LdOptions opts;
+      opts.gemm = cfg;
+      opts.stat = stat;
+      PairSink sink;
+      ld_stat_scan(g, sink.visitor(), opts);
+      expect_pairs_match(sink, want, /*canonical=*/true,
+                         ld_statistic_name(stat).c_str());
     }
   }
 }
@@ -239,24 +238,16 @@ TEST_P(FusedEpilogue, StatScanCoversCanonicalPairsExactlyOnce) {
 TEST_P(FusedEpilogue, CrossStatScanCoversEveryPairExactlyOnce) {
   const BitMatrix a = random_matrix(33, 323, 59);
   const BitMatrix b = random_matrix(23, 323, 61);
-  const LdMatrix want =
-      oracle::naive_cross_ld_matrix(a, b, LdStatistic::kRSquared);
-  for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-    LdOptions opts;
-    opts.gemm = cfg;
-    std::map<std::pair<std::size_t, std::size_t>, double> seen;
-    ld_cross_stat_scan(a, b, [&](const LdTile& tile) {
-      for (std::size_t i = 0; i < tile.rows; ++i) {
-        for (std::size_t j = 0; j < tile.cols; ++j) {
-          const auto key = std::pair(tile.row_begin + i, tile.col_begin + j);
-          ASSERT_EQ(seen.count(key), 0u) << "duplicate pair";
-          seen[key] = tile.at(i, j);
-        }
-      }
-    }, opts);
-    ASSERT_EQ(seen.size(), a.snps() * b.snps());
-    for (const auto& [key, v] : seen) {
-      ASSERT_TRUE(same_value(v, want(key.first, key.second)));
+  for (const LdStatistic stat : kStats) {
+    const LdMatrix want = oracle::naive_cross_ld_matrix(a, b, stat);
+    for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+      LdOptions opts;
+      opts.gemm = cfg;
+      opts.stat = stat;
+      PairSink sink;
+      ld_cross_stat_scan(a, b, sink.visitor(), opts);
+      expect_pairs_match(sink, want, /*canonical=*/false,
+                         ld_statistic_name(stat).c_str());
     }
   }
 }
@@ -273,32 +264,35 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- parallel drivers and omega windows ---------------------------------
 
-TEST(FusedEpilogueParallel, ParallelScansEmitSlabTilesMatchingNaive) {
+TEST(FusedEpilogueParallel, StatScansMatchNaiveAtEveryTeamSize) {
+  // A team calls the visitor concurrently on disjoint tiles; whatever the
+  // team size (0 = default_thread_count()), the set of emitted pairs and
+  // every value must equal the naive oracle bit-for-bit.
   const BitMatrix g = random_matrix(93, 200, 67);
   const BitMatrix b = random_matrix(33, 200, 69);
-  const std::size_t slab = 17;
+  GemmConfig small;  // many cache tiles, so every member gets chunks
+  small.kc_words = 2;
+  small.mc = 16;
+  small.nc = 24;
   for (const LdStatistic stat : kStats) {
     const LdMatrix want = naive_ld_matrix(g, stat);
     const LdMatrix want_cross = oracle::naive_cross_ld_matrix(g, b, stat);
-    LdOptions opts;
-    opts.stat = stat;
-    opts.slab_rows = slab;
-    for (const unsigned team : kTeams) {
-      // The team works inside each slab's nest; tiles still arrive in slab
-      // order from the calling thread, so no locking is needed here.
-      std::vector<TileRecord> scan;
-      ld_scan_parallel(g, record_into(scan), opts, team);
-      expect_slab_tiles(
-          scan, g.snps(), slab, [](std::size_t) { return std::size_t{0}; },
-          [](std::size_t r0, std::size_t rows) { return r0 + rows; }, want,
-          "ld_scan_parallel");
-
-      std::vector<TileRecord> cross;
-      ld_cross_scan_parallel(g, b, record_into(cross), opts, team);
-      expect_slab_tiles(
-          cross, g.snps(), slab, [](std::size_t) { return std::size_t{0}; },
-          [&](std::size_t, std::size_t) { return b.snps(); }, want_cross,
-          "ld_cross_scan_parallel");
+    for (const GemmConfig& cfg : {GemmConfig{}, small}) {
+      LdOptions opts;
+      opts.stat = stat;
+      opts.gemm = cfg;
+      for (const unsigned team : {1u, 2u, 3u, 4u, 0u}) {
+        const std::string what = ld_statistic_name(stat) +
+                                 " threads=" + std::to_string(team);
+        PairSink scan;
+        ld_stat_scan(g, scan.visitor(), opts, team);
+        expect_pairs_match(scan, want, /*canonical=*/true,
+                           (what + " ld_stat_scan").c_str());
+        PairSink cross;
+        ld_cross_stat_scan(g, b, cross.visitor(), opts, team);
+        expect_pairs_match(cross, want_cross, /*canonical=*/false,
+                           (what + " ld_cross_stat_scan").c_str());
+      }
     }
   }
 }

@@ -119,18 +119,22 @@ TEST(LdCrossMatrix, RejectsMismatchedSamples) {
   EXPECT_THROW((void)ld_cross_matrix(a, b), ContractViolation);
 }
 
-TEST(LdScan, CoversEveryLowerPairExactlyOnce) {
+TEST(LdStatScan, CoversEveryLowerPairExactlyOnce) {
   const BitMatrix g = test_matrix(47, 80, 9);
+  GemmConfig cfg;
+  cfg.mc = 10;  // several cache tiles with a ragged tail
+  cfg.nc = 12;
   LdOptions opts;
-  opts.slab_rows = 10;  // forces several slabs with ragged tail
+  opts.gemm = cfg;
   std::map<std::pair<std::size_t, std::size_t>, int> seen;
-  ld_scan(g, [&](const LdTile& tile) {
+  ld_stat_scan(g, [&](const LdTile& tile) {
     for (std::size_t i = 0; i < tile.rows; ++i) {
       for (std::size_t j = 0; j < tile.cols; ++j) {
         seen[{tile.row_begin + i, tile.col_begin + j}] += 1;
       }
     }
   }, opts);
+  EXPECT_EQ(seen.size(), ld_pair_count(g.snps()));
   for (std::size_t i = 0; i < g.snps(); ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       const auto key = std::make_pair(i, j);
@@ -140,12 +144,10 @@ TEST(LdScan, CoversEveryLowerPairExactlyOnce) {
   }
 }
 
-TEST(LdScan, ValuesMatchDenseDriver) {
+TEST(LdStatScan, ValuesMatchDenseDriver) {
   const BitMatrix g = test_matrix(33, 120, 10);
   const LdMatrix dense = ld_matrix(g);
-  LdOptions opts;
-  opts.slab_rows = 7;
-  ld_scan(g, [&](const LdTile& tile) {
+  ld_stat_scan(g, [&](const LdTile& tile) {
     for (std::size_t i = 0; i < tile.rows; ++i) {
       for (std::size_t j = 0; j < tile.cols; ++j) {
         const double want = dense(tile.row_begin + i, tile.col_begin + j);
@@ -157,22 +159,19 @@ TEST(LdScan, ValuesMatchDenseDriver) {
         }
       }
     }
-  }, opts);
+  });
 }
 
-TEST(LdCrossScan, ValuesMatchDenseDriver) {
+TEST(LdCrossStatScan, ValuesMatchDenseDriver) {
   const BitMatrix a = test_matrix(21, 70, 11);
   const BitMatrix b = test_matrix(13, 70, 12);
   const LdMatrix dense = ld_cross_matrix(a, b);
-  LdOptions opts;
-  opts.slab_rows = 4;
-  std::size_t rows_seen = 0;
-  ld_cross_scan(a, b, [&](const LdTile& tile) {
-    rows_seen += tile.rows;
-    EXPECT_EQ(tile.cols, b.snps());
+  std::size_t pairs_seen = 0;
+  ld_cross_stat_scan(a, b, [&](const LdTile& tile) {
+    pairs_seen += tile.rows * tile.cols;
     for (std::size_t i = 0; i < tile.rows; ++i) {
       for (std::size_t j = 0; j < tile.cols; ++j) {
-        const double want = dense(tile.row_begin + i, j);
+        const double want = dense(tile.row_begin + i, tile.col_begin + j);
         if (std::isnan(want)) {
           EXPECT_TRUE(std::isnan(tile.at(i, j)));
         } else {
@@ -180,8 +179,8 @@ TEST(LdCrossScan, ValuesMatchDenseDriver) {
         }
       }
     }
-  }, opts);
-  EXPECT_EQ(rows_seen, a.snps());
+  });
+  EXPECT_EQ(pairs_seen, a.snps() * b.snps());
 }
 
 TEST(LdInvariants, SamplePermutationDoesNotChangeLd) {
@@ -326,27 +325,16 @@ TEST(LdDrivers, MatrixEqualsStatScanPlusMirror) {
   }
 }
 
-TEST(LdScan, RejectsZeroSlab) {
-  // A zero slab would make the slab walk spin forever; every slab scan,
-  // sequential or parallel, rejects it up front.
-  const BitMatrix g = test_matrix(4, 64, 13);
-  const BitMatrix b = test_matrix(3, 64, 14);
-  LdOptions opts;
-  opts.slab_rows = 0;
-  const auto no_tiles = [](const LdTile&) {};
-  EXPECT_THROW(ld_scan(g, no_tiles, opts), ContractViolation);
-  EXPECT_THROW(ld_cross_scan(g, b, no_tiles, opts), ContractViolation);
+TEST(LdStatScan, EmptyMatrixEmitsNothing) {
+  const BitMatrix empty;
+  const BitMatrix some = test_matrix(3, 64, 13);
+  const BitMatrix no_snps(0, some.samples());
+  const auto no_tiles = [](const LdTile&) { FAIL() << "no tiles expected"; };
   for (const unsigned threads : {1u, 2u}) {
-    EXPECT_THROW(ld_scan_parallel(g, no_tiles, opts, threads),
-                 ContractViolation);
-    EXPECT_THROW(ld_cross_scan_parallel(g, b, no_tiles, opts, threads),
-                 ContractViolation);
+    ld_stat_scan(empty, no_tiles, {}, threads);
+    ld_cross_stat_scan(no_snps, some, no_tiles, {}, threads);
+    ld_cross_stat_scan(some, no_snps, no_tiles, {}, threads);
   }
-}
-
-TEST(LdScan, EmptyMatrixEmitsNothing) {
-  BitMatrix empty;
-  ld_scan(empty, [](const LdTile&) { FAIL() << "no tiles expected"; });
 }
 
 }  // namespace

@@ -197,25 +197,30 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- driver-level: one pack per call, checked against the oracle -------
 
-TEST(PackReuseDrivers, LdScanMatchesNaive) {
+TEST(PackReuseDrivers, StatScanMatchesNaive) {
   const BitMatrix g = random_matrix(93, 323, 41);
   const LdMatrix want = naive_ld_matrix(g);
+  // Per-call pack, then a caller-held pack.
   LdOptions opts;
-  opts.slab_rows = 17;
-  std::size_t pairs = 0;
-  ld_scan(g, [&](const LdTile& tile) {
-    for (std::size_t i = 0; i < tile.rows; ++i) {
-      const std::size_t gi = tile.row_begin + i;
-      for (std::size_t j = 0; j < tile.cols; ++j) {
-        const std::size_t gj = tile.col_begin + j;
-        if (gj > gi) continue;
-        ASSERT_TRUE(same_value(tile.at(i, j), want(gi, gj)))
-            << "(" << gi << "," << gj << ")";
-        ++pairs;
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), opts.gemm);
+  const std::array<const PackedBitMatrix*, 2> packs = {nullptr, &p};
+  for (const PackedBitMatrix* held : packs) {
+    opts.packed = held;
+    std::size_t pairs = 0;
+    ld_stat_scan(g, [&](const LdTile& tile) {
+      for (std::size_t i = 0; i < tile.rows; ++i) {
+        const std::size_t gi = tile.row_begin + i;
+        for (std::size_t j = 0; j < tile.cols; ++j) {
+          const std::size_t gj = tile.col_begin + j;
+          ASSERT_LE(gj, gi) << "non-canonical entry emitted";
+          ASSERT_TRUE(same_value(tile.at(i, j), want(gi, gj)))
+              << "(" << gi << "," << gj << ")";
+          ++pairs;
+        }
       }
-    }
-  }, opts);
-  EXPECT_EQ(pairs, ld_pair_count(g.snps()));
+    }, opts);
+    EXPECT_EQ(pairs, ld_pair_count(g.snps()));
+  }
 }
 
 TEST(PackReuseDrivers, BandScanMatchesNaive) {

@@ -60,14 +60,15 @@ TEST_P(ParallelThreads, CrossMatrixMatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelThreads,
                          ::testing::Values(1u, 2u, 3u, 4u, 8u));
 
-TEST(ParallelScan, CoversEveryLowerPairExactlyOnce) {
+TEST(ParallelStatScan, CoversEveryLowerPairExactlyOnce) {
   const BitMatrix g = test_matrix(37, 70, 4);
   LdOptions opts;
-  opts.slab_rows = 6;
+  opts.gemm.mc = 6;  // many chunks for a team of four
+  opts.gemm.nc = 8;
   std::mutex mu;
   std::set<std::pair<std::size_t, std::size_t>> seen;
   bool duplicate = false;
-  ld_scan_parallel(
+  ld_stat_scan(
       g,
       [&](const LdTile& tile) {
         std::lock_guard lock(mu);
@@ -81,6 +82,7 @@ TEST(ParallelScan, CoversEveryLowerPairExactlyOnce) {
       },
       opts, 4);
   EXPECT_FALSE(duplicate);
+  EXPECT_EQ(seen.size(), ld_pair_count(g.snps()));
   for (std::size_t i = 0; i < g.snps(); ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       EXPECT_TRUE(seen.contains({i, j})) << i << "," << j;
@@ -88,33 +90,28 @@ TEST(ParallelScan, CoversEveryLowerPairExactlyOnce) {
   }
 }
 
-TEST(ParallelScan, AggregateIndependentOfThreadCount) {
+TEST(ParallelStatScan, AggregateIndependentOfThreadCount) {
   const BitMatrix g = test_matrix(50, 128, 5);
   auto aggregate = [&](unsigned threads) {
     std::mutex mu;
     double sum = 0.0;
     std::uint64_t pairs = 0;
     LdOptions opts;
-    opts.slab_rows = 9;
-    ld_scan_parallel(
+    opts.gemm.mc = 9;
+    opts.gemm.nc = 16;
+    ld_stat_scan(
         g,
         [&](const LdTile& tile) {
           double local = 0.0;
-          std::uint64_t local_pairs = 0;
           for (std::size_t i = 0; i < tile.rows; ++i) {
-            // Only count the canonical j <= i triangle for the aggregate.
-            const std::size_t gi = tile.row_begin + i;
             for (std::size_t j = 0; j < tile.cols; ++j) {
-              const std::size_t gj = tile.col_begin + j;
-              if (gj > gi) continue;
               const double v = tile.at(i, j);
               if (std::isfinite(v)) local += v;
-              ++local_pairs;
             }
           }
           std::lock_guard lock(mu);
           sum += local;
-          pairs += local_pairs;
+          pairs += tile.rows * tile.cols;
         },
         opts, threads);
     return std::pair{sum, pairs};

@@ -544,5 +544,44 @@ TEST(TileStore, ReaderRejectsTruncationAndCorruptPayload) {
   EXPECT_THROW(r.read_tile(0), ParseError);
 }
 
+TEST(TileStore, ReaderRejectsForgedTileGeometry) {
+  // A one-record store written field by field: header (magic, stat, matrix
+  // rows, cols, codec), `payload` bytes, one index record, then the footer.
+  const auto forge = [](std::uint64_t n, TileCodec codec,
+                        std::uint64_t payload, std::uint64_t raw_bytes) {
+    const std::string path = temp_path("tile_geometry.ldtile");
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const auto put = [&](std::uint64_t v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    out.write("LDLATIL1", 8);
+    put(static_cast<std::uint64_t>(LdStatistic::kRSquared));
+    put(n);
+    put(n);
+    put(static_cast<std::uint64_t>(codec));
+    for (std::uint64_t b = 0; b < payload; ++b) out.put('\0');
+    for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{0}, n, n,
+                                  std::uint64_t{40}, payload, raw_bytes}) {
+      put(v);
+    }
+    put(40 + payload);
+    put(1);
+    out.write("LDLATIX1", 8);
+    return path;
+  };
+  // rows = cols = 2^32: rows * cols * 8 wraps to 0, which used to open and
+  // hand find() an empty tile to read through.
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  EXPECT_THROW(TileStoreReader{forge(big, TileCodec::kRaw, 0, 0)}, ParseError);
+  // 2^40 XOR values cannot fit in a one-byte payload (one control byte
+  // each); rejecting it at open bounds read_tile's allocation by the file.
+  const std::uint64_t wide = std::uint64_t{1} << 20;
+  EXPECT_THROW(
+      TileStoreReader{forge(wide, TileCodec::kXor, 1, wide * wide * 8)},
+      ParseError);
+  // The same writer makes a valid store when the shape is honest.
+  EXPECT_NO_THROW(TileStoreReader{forge(1, TileCodec::kRaw, 8, 8)});
+}
+
 }  // namespace
 }  // namespace ldla

@@ -535,7 +535,8 @@ TEST_F(TraceFixture, SessionLifecycleAndSnapshotDiff) {
 }
 
 TEST(TraceBasics, PhaseNamesAreStable) {
-  // validate_trace.py and the BenchJson schema key on these strings.
+  // scripts/validate_telemetry.py and the BenchJson schema key on these
+  // strings.
   EXPECT_STREQ(trace::phase_name(trace::Phase::kPackA), "pack_a");
   EXPECT_STREQ(trace::phase_name(trace::Phase::kPackB), "pack_b");
   EXPECT_STREQ(trace::phase_name(trace::Phase::kKernel), "kernel");
