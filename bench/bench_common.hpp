@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ldla.hpp"
@@ -65,7 +66,7 @@ class BenchJson {
     const MutexLock lock(mu_);
     rows_.push_back(Row{workload, kernel, snps, samples, seconds, lds_per_sec,
                         pct_peak, false, trace::TraceSnapshot{},
-                        std::numeric_limits<double>::quiet_NaN(), {}});
+                        std::numeric_limits<double>::quiet_NaN(), {}, {}});
   }
 
   /// Row with a per-phase breakdown: `phases` is the trace-snapshot delta
@@ -79,7 +80,7 @@ class BenchJson {
     const MutexLock lock(mu_);
     rows_.push_back(Row{workload, kernel, snps, samples, seconds, lds_per_sec,
                         pct_peak, trace::compiled(), phases,
-                        std::numeric_limits<double>::quiet_NaN(), {}});
+                        std::numeric_limits<double>::quiet_NaN(), {}, {}});
   }
 
   /// Annotate the most recently added row with its thread-scaling speedup
@@ -88,6 +89,29 @@ class BenchJson {
   void set_last_speedup(double speedup_vs_1t) {
     const MutexLock lock(mu_);
     if (!rows_.empty()) rows_.back().speedup_vs_1t = speedup_vs_1t;
+  }
+
+  /// Attach an extra field to the most recently added row, emitted as
+  /// "key": value after the fixed fields. Numbers follow the null-for-
+  /// non-finite rule; strings are escaped.
+  void set_last_field(const std::string& key, double value) {
+    const MutexLock lock(mu_);
+    if (rows_.empty()) return;
+    char buf[64];
+    if (std::isfinite(value)) {
+      std::snprintf(buf, sizeof buf, "%.9g", value);
+    } else {
+      std::snprintf(buf, sizeof buf, "null");
+    }
+    rows_.back().fields.emplace_back(key, buf);
+  }
+  void set_last_field(const std::string& key, const std::string& value) {
+    const MutexLock lock(mu_);
+    if (rows_.empty()) return;
+    std::string quoted(1, '"');
+    quoted += escape(value);
+    quoted += '"';
+    rows_.back().fields.emplace_back(key, std::move(quoted));
   }
 
   /// Embed a metrics snapshot (metrics::render_json()) into the most
@@ -123,6 +147,7 @@ class BenchJson {
     trace::TraceSnapshot phases;
     double speedup_vs_1t = std::numeric_limits<double>::quiet_NaN();
     std::string metrics_json;  ///< raw JSON object; empty = not annotated
+    std::vector<std::pair<std::string, std::string>> fields;  ///< key, JSON
   };
 
   bool write_report() LDLA_REQUIRES(mu_) {
@@ -150,6 +175,9 @@ class BenchJson {
       number(f, "pct_peak", r.pct_peak < 0.0 ? nan_value() : r.pct_peak);
       std::fputs(", ", f);
       number(f, "speedup_vs_1t", r.speedup_vs_1t);
+      for (const auto& [key, value] : r.fields) {
+        std::fprintf(f, ", \"%s\": %s", escape(key).c_str(), value.c_str());
+      }
       if (r.has_phases) write_phases(f, r.phases);
       if (!r.metrics_json.empty()) {
         std::fprintf(f, ", \"metrics\": %s", r.metrics_json.c_str());

@@ -14,7 +14,7 @@ std::size_t aligned_stride(std::size_t n_words) {
 }
 }  // namespace
 
-BitMatrix::BitMatrix(std::size_t n_snps, std::size_t n_samples)
+BitMatrix::BitMatrix(std::size_t n_snps, std::size_t n_samples, Unset)
     : n_snps_(n_snps),
       n_samples_(n_samples),
       n_words_(words_for_bits(n_samples)),
@@ -22,7 +22,15 @@ BitMatrix::BitMatrix(std::size_t n_snps, std::size_t n_samples)
       words_(n_snps * stride_) {
   LDLA_EXPECT(n_samples < (std::uint64_t{1} << 32),
               "sample counts beyond 2^32 overflow the count accumulators");
+}
+
+BitMatrix::BitMatrix(std::size_t n_snps, std::size_t n_samples)
+    : BitMatrix(n_snps, n_samples, Unset{}) {
   words_.zero();
+}
+
+BitMatrix BitMatrix::uninitialized(std::size_t n_snps, std::size_t n_samples) {
+  return BitMatrix(n_snps, n_samples, Unset{});
 }
 
 BitMatrix BitMatrix::clone() const {

@@ -54,6 +54,13 @@ class BitMatrix {
   BitMatrix(const BitMatrix&) = delete;
   BitMatrix& operator=(const BitMatrix&) = delete;
 
+  /// A matrix whose words, padding included, are left unset: for readers
+  /// that write every word anyway (the .ldm reader) and would otherwise
+  /// pay for zeroing them first. Before the matrix is used the caller must
+  /// write all stride_words() words of every row — the payload with its
+  /// tail bits past samples() clear, and zero pad words.
+  static BitMatrix uninitialized(std::size_t n_snps, std::size_t n_samples);
+
   /// Deep copy (explicit, because rows can be hundreds of MB).
   [[nodiscard]] BitMatrix clone() const;
 
@@ -112,6 +119,9 @@ class BitMatrix {
   [[nodiscard]] bool padding_is_clean() const;
 
  private:
+  struct Unset {};
+  BitMatrix(std::size_t n_snps, std::size_t n_samples, Unset);
+
   std::size_t n_snps_ = 0;
   std::size_t n_samples_ = 0;
   std::size_t n_words_ = 0;

@@ -1,7 +1,9 @@
-// Internal declarations for the ISA-specific popcount translation units.
+// Internal declarations for the ISA-specific popcount translation units
+// (which also hold the AVX-512 bit-transpose block kernel).
 //
 // These TUs are compiled with explicit -mavx2 / -mavx512* flags and must
-// only be *called* behind the CPUID checks in popcount.cpp.
+// only be *called* behind the CPUID checks in popcount.cpp and
+// bit_transpose.cpp.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +43,10 @@ std::uint64_t avx512_count_and(const std::uint64_t* a, const std::uint64_t* b,
                                std::size_t n);
 std::uint64_t avx512_count_and3(const std::uint64_t* a, const std::uint64_t* b,
                                 const std::uint64_t* m, std::size_t n);
+// 64x64 bit-block transpose (a BlockTransposeFn, core/bit_transpose.hpp):
+// reads src[i * src_stride], writes the transpose to dst[i * dst_stride].
+void avx512_transpose_64x64(const std::uint64_t* src, std::size_t src_stride,
+                            std::uint64_t* dst, std::size_t dst_stride);
 #endif
 
 }  // namespace ldla::detail

@@ -1,11 +1,9 @@
 #include "core/gemm/packed_bit_matrix.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "core/bit_transpose.hpp"
 #include "util/contract.hpp"
-#include "util/partition.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -45,7 +43,7 @@ PackedBitMatrix::PackedBitMatrix(const BitMatrixView& m, const GemmPlan& plan,
   // the slivers were packed from. Rides the pack phase for attribution.
   {
     LDLA_TRACE_SPAN(kPackA);
-    sparse_ = build_sparse_columns(m, plan.sparse_threshold);
+    sparse_ = classify_sparse_columns(m, plan.sparse_threshold, threads);
   }
   if (sparse_.sparse_count != 0) {
     if (a_.r != 0) {
@@ -59,49 +57,44 @@ PackedBitMatrix::PackedBitMatrix(const BitMatrixView& m, const GemmPlan& plan,
     };
     hybrid_ = any(a_sliver_sparse_) || any(b_sliver_sparse_);
     // Any sparse column may become the list side of a gather — even from a
-    // partner pack in a cross-matrix call — so the transpose is built
-    // whenever classification found anything. Dense packs skip it.
-    build_sample_major(m);
+    // partner pack in a cross-matrix call — so the lists and the transpose
+    // are built whenever classification found anything. Dense packs skip
+    // them.
+    build_sparse_side(m, threads);
   }
 }
 
-void PackedBitMatrix::build_sample_major(const BitMatrixView& m) {
-  LDLA_TRACE_SPAN(kPackA);
-  sm_stride_ = (n_snps_ + 63) / 64;
-  sample_major_ = AlignedBuffer<std::uint64_t>(n_samples_ * sm_stride_);
-  // 64×64 block transpose straight off the view (transpose_bits wants an
-  // owning BitMatrix). Every word of every real sample row is written:
-  // input rows past n_snps_ read as zero, input padding bits past
-  // n_samples_ land in output rows that are never emitted.
-  // Sample blocks outer: each cb iteration writes one contiguous 64-row
-  // output region (hot across all rb), and the reads walk the source rows
-  // at a constant stride the hardware prefetcher tracks.
-  std::array<std::uint64_t, 64> block;
-  for (std::size_t cb = 0; cb < m.n_words; ++cb) {
-    const std::size_t out_rows =
-        std::min<std::size_t>(64, n_samples_ - cb * 64);
-    for (std::size_t rb = 0; rb < sm_stride_; ++rb) {
-      const std::size_t rows = std::min<std::size_t>(64, n_snps_ - rb * 64);
-      for (std::size_t i = 0; i < 64; ++i) {
-        block[i] = i < rows ? m.row(rb * 64 + i)[cb] : 0;
-      }
-      transpose_64x64(block);
-      for (std::size_t i = 0; i < out_rows; ++i) {
-        sample_major_[(cb * 64 + i) * sm_stride_ + rb] = block[i];
-      }
-    }
-  }
-  // Prescale the index lists once: the gather's address chain is
-  // entry-load → scale → word-load, and baking sample × stride in here
-  // removes the multiply latency from every gathered address (the lists
-  // are read orders of magnitude more often than they are built).
-  LDLA_EXPECT(n_samples_ * sm_stride_ <= UINT32_MAX,
+namespace {
+
+void expect_payload_aligned(const void* p, const char* what) {
+  LDLA_EXPECT(reinterpret_cast<std::uintptr_t>(p) % 64 == 0, what);
+}
+
+// The prescaled lists address the sample-major transpose in 32-bit words.
+void expect_transpose_addressable(std::size_t n_samples,
+                                  std::size_t sm_stride) {
+  LDLA_EXPECT(n_samples == 0 || sm_stride <= UINT32_MAX / n_samples,
               "sample-major transpose exceeds 32-bit word addressing");
-  const std::uint32_t stride32 = static_cast<std::uint32_t>(sm_stride_);
-  scaled_index_ = AlignedBuffer<std::uint32_t>(sparse_.index.size());
-  for (std::size_t i = 0; i < sparse_.index.size(); ++i) {
-    scaled_index_[i] = sparse_.index[i] * stride32;
-  }
+}
+
+}  // namespace
+
+void PackedBitMatrix::build_sparse_side(const BitMatrixView& m,
+                                        unsigned threads) {
+  LDLA_TRACE_SPAN(kPackA);
+  const std::size_t stride = (n_snps_ + 63) / 64;
+  expect_transpose_addressable(n_samples_, stride);  // before any allocation
+  sm_stride_ = stride;
+  // The lists are written at their exact CSR sizes, prescaled in the same
+  // pass: the gather's address chain is entry-load → scale → word-load,
+  // and baking sample × stride in here removes the multiply latency from
+  // every gathered address (the lists are read orders of magnitude more
+  // often than they are built).
+  scaled_index_ = AlignedBuffer<std::uint32_t>(sparse_.offset.back());
+  extract_sparse_lists(m, sparse_, scaled_index_.data(),
+                       static_cast<std::uint32_t>(sm_stride_), threads);
+  sample_major_ = AlignedBuffer<std::uint64_t>(n_samples_ * sm_stride_);
+  transpose_bits_into(m, sample_major_.data(), sm_stride_, threads);
   sm_ptr_ = sample_major_.data();
   scaled_ptr_ = scaled_index_.data();
 }
@@ -125,14 +118,6 @@ PackedBitMatrix PackedBitMatrix::pack(const BitMatrixView& m,
                                       unsigned threads) {
   return PackedBitMatrix(m, resolve_plan(cfg, m.n_words), sides, threads);
 }
-
-namespace {
-
-void expect_payload_aligned(const void* p, const char* what) {
-  LDLA_EXPECT(reinterpret_cast<std::uintptr_t>(p) % 64 == 0, what);
-}
-
-}  // namespace
 
 PackedBitMatrix PackedBitMatrix::from_external(ExternalPack ext) {
   LDLA_EXPECT(ext.plan.mr != 0 && ext.plan.nr != 0 && ext.plan.ku != 0 &&
@@ -195,6 +180,7 @@ PackedBitMatrix PackedBitMatrix::from_external(ExternalPack ext) {
                            "external sample-major payload must be aligned");
     LDLA_EXPECT(ext.sm_stride == (ext.n_snps + 63) / 64,
                 "external sample-major stride does not match the SNP count");
+    expect_transpose_addressable(ext.n_samples, ext.sm_stride);
     LDLA_EXPECT(ext.scaled_index != nullptr || out.sparse_.index.empty(),
                 "external pack with a transpose must carry prescaled lists");
     out.sm_stride_ = ext.sm_stride;
@@ -223,26 +209,13 @@ void PackedBitMatrix::pack_side(const BitMatrixView& m, Side& side,
   const std::size_t words = init_side_layout(side, r);
   side.data = AlignedBuffer<std::uint64_t>(words);
   side.ptr = side.data.data();
-  const std::size_t team = std::max<std::size_t>(
-      1, std::min<std::size_t>(threads, side.slivers));
-  if (team <= 1) {
-    LDLA_TRACE_SPAN_EXPR(r == plan_.mr ? trace::Phase::kPackA
-                                       : trace::Phase::kPackB);
-    for (std::size_t p = 0; p < panels_; ++p) {
-      pack_panel(m, 0, n_snps_, panel_k_begin(p), panel_kc(p), r, plan_.ku,
-                 side.data.data() + side.panel_offset[p]);
-    }
-    return;
-  }
   // Team pack: each member owns a disjoint sliver range of every k panel.
   // pack_panel writes only its slivers' words and self-accounts the pack
   // counters, so the result (and the counter totals) are identical to the
   // sequential pack; one run_tasks barrier joins the side.
-  const std::vector<Range> ranges = split_uniform(side.slivers, team);
-  global_pool().run_tasks(ranges.size(), [&](std::size_t t) {
+  run_split(side.slivers, threads, [&](Range range) {
     LDLA_TRACE_SPAN_EXPR(r == plan_.mr ? trace::Phase::kPackA
                                        : trace::Phase::kPackB);
-    const Range range = ranges[t];
     const std::size_t row_begin = range.begin * r;
     const std::size_t rows =
         std::min(range.size() * r, n_snps_ - row_begin);

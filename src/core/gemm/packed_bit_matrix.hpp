@@ -220,7 +220,9 @@ class PackedBitMatrix {
   /// Fill the plan-implied sliver/panel geometry of a side; returns the
   /// total payload words (identical for owned and external storage).
   std::size_t init_side_layout(Side& side, std::size_t r) const;
-  void build_sample_major(const BitMatrixView& m);
+  /// Index lists (written with their prescaled copy) and sample-major
+  /// transpose, for a pack whose classification found sparse columns.
+  void build_sparse_side(const BitMatrixView& m, unsigned threads);
   [[nodiscard]] std::vector<std::uint8_t> sliver_flags(std::size_t r) const;
   [[nodiscard]] PackedPanelView side_panel(const Side& side, std::size_t p,
                                            std::size_t sliver_begin,

@@ -13,6 +13,10 @@ namespace ldla {
 namespace {
 constexpr std::array<char, 8> kMagic = {'L', 'D', 'L', 'A', 'B', 'M', '0', '1'};
 
+// Payload bytes per read (rounded down to whole rows, at least one row);
+// tests/test_io.cpp sizes its block-edge cases by it.
+constexpr std::size_t kReadBlockBytes = std::size_t{1} << 20;
+
 void write_u64(std::ostream& out, std::uint64_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -77,13 +81,33 @@ BitMatrix read_ldm(std::istream& in) {
     }
   }
 
-  BitMatrix m(snps, samples);
-  for (std::size_t s = 0; s < m.snps(); ++s) {
-    in.read(reinterpret_cast<char*>(m.row_data(s)),
-            static_cast<std::streamsize>(m.words_per_snp() *
-                                         sizeof(std::uint64_t)));
-    if (!in) throw ParseError("ldm: truncated payload at SNP " +
-                              std::to_string(s));
+  // The payload is read in blocks of whole rows straight into the matrix:
+  // each block lands packed at its first row and is spread out to the row
+  // stride in place, last row first so that no row is overwritten before
+  // it has moved, and then the pad words are zeroed. Nothing is
+  // zero-filled in advance.
+  BitMatrix m = BitMatrix::uninitialized(snps, samples);
+  const std::size_t row_bytes = m.words_per_snp() * sizeof(std::uint64_t);
+  const std::size_t stride_bytes = m.stride_words() * sizeof(std::uint64_t);
+  const std::size_t rows_per_block =
+      row_bytes == 0 ? 1
+                     : std::max<std::size_t>(1, kReadBlockBytes / row_bytes);
+  for (std::size_t first = 0; first < m.snps(); first += rows_per_block) {
+    const std::size_t rows = std::min(rows_per_block, m.snps() - first);
+    char* base = reinterpret_cast<char*>(m.row_data(first));
+    in.read(base, static_cast<std::streamsize>(rows * row_bytes));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (got != rows * row_bytes) {
+      throw ParseError("ldm: truncated payload at SNP " +
+                       std::to_string(first + got / row_bytes));
+    }
+    for (std::size_t r = rows; r-- > 0;) {
+      if (r != 0) {
+        std::memmove(base + r * stride_bytes, base + r * row_bytes, row_bytes);
+      }
+      std::memset(base + r * stride_bytes + row_bytes, 0,
+                  stride_bytes - row_bytes);
+    }
   }
   if (!m.padding_is_clean()) {
     throw ParseError("ldm: payload has non-zero padding bits");

@@ -101,7 +101,13 @@ std::size_t decode_genotypes(const char* p, const char* end,
     }
     if (p != end && *p == ':') {
       const void* tab = std::memchr(p, '\t', static_cast<std::size_t>(end - p));
-      p = tab != nullptr ? static_cast<const char*>(tab) : end;
+      if (tab == nullptr) {
+        // A CRLF line keeps its '\r' in the last field; a bare GT fails
+        // on it above, and a record ending in subfields fails here alike.
+        if (end[-1] == '\r') return kInvalidGenotype;
+        return bits.finish();
+      }
+      p = static_cast<const char*>(tab);
     }
     if (p == end) return bits.finish();
     ++p;  // the '\t' before the next field

@@ -4,8 +4,9 @@
 // Accepted grammar (anything else is a ParseError, or a dropped site where
 // noted):
 //   - Lines end in '\n'; the last line may lack it. Empty lines are skipped.
-//     There is no CR handling: a "\r\n" line keeps its '\r' as data, so
-//     a record whose last sample field is a bare GT is unsupported.
+//     There is no CR handling: a "\r\n" line keeps its '\r' as data, and
+//     a record line ending in '\r' has an unsupported genotype, whether
+//     its last sample field is a bare GT or carries ':'-subfields.
 //   - Lines starting with '#' are skipped anywhere; one starting with
 //     "#CHROM" must come before the first record.
 //   - A record has at least 10 tab-separated columns (fewer is an error).

@@ -232,18 +232,12 @@ std::vector<OmegaPoint> omega_scan(const BitMatrix& g,
 
   // Contiguous runs of the grid, one band each.
   std::vector<std::optional<OmegaPoint>> slots(params.grid_points);
-  const std::vector<Range> runs = split_uniform(params.grid_points, team);
-  const auto scan_run = [&](std::size_t r) {
+  run_split(params.grid_points, team, [&](Range run) {
     R2Band band(ctx);
-    for (std::size_t gp = runs[r].begin; gp < runs[r].end; ++gp) {
+    for (std::size_t gp = run.begin; gp < run.end; ++gp) {
       slots[gp] = scan_grid_point(ctx, positions, params.grid_points, gp, band);
     }
-  };
-  if (runs.size() == 1) {
-    scan_run(0);
-  } else {
-    global_pool().run_tasks(runs.size(), scan_run);
-  }
+  });
 
   std::vector<OmegaPoint> out;
   out.reserve(params.grid_points);

@@ -244,4 +244,17 @@ ThreadPool* global_pool_if_started() noexcept {
   return g_global_pool.load(std::memory_order_acquire);
 }
 
+void run_split(std::size_t n, unsigned threads,
+               const std::function<void(Range)>& fn) {
+  if (n == 0) return;
+  const std::size_t team = std::min<std::size_t>(std::max(threads, 1u), n);
+  if (team == 1) {
+    fn(Range{0, n});
+    return;
+  }
+  const std::vector<Range> ranges = split_uniform(n, team);
+  global_pool().run_tasks(ranges.size(),
+                          [&](std::size_t t) { fn(ranges[t]); });
+}
+
 }  // namespace ldla

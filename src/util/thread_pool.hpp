@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "util/annotations.hpp"
+#include "util/partition.hpp"
 #include "util/sync.hpp"
 #include "util/work_steal.hpp"
 
@@ -134,5 +135,11 @@ ThreadPool& global_pool();
 /// otherwise. Never creates the pool — observers (the metrics sampler)
 /// must not spawn a worker team as a side effect of looking at it.
 ThreadPool* global_pool_if_started() noexcept;
+
+/// Split [0, n) into min(threads, n) uniform ranges (split_uniform) and run
+/// fn on each: inline on the caller when that is one range, else as one
+/// global_pool() batch. threads 0 counts as 1.
+void run_split(std::size_t n, unsigned threads,
+               const std::function<void(Range)>& fn);
 
 }  // namespace ldla

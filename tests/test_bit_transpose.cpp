@@ -1,5 +1,7 @@
 #include "core/bit_transpose.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/rng.hpp"
@@ -48,6 +50,34 @@ TEST(Transpose64, InvolutionRestoresInput) {
   EXPECT_EQ(block, original);
 }
 
+TEST(Transpose64, VectorKernelMatchesScalar) {
+  const BlockTransposeFn vector = vector_block_transpose();
+  if (vector == nullptr) GTEST_SKIP() << "no vector block kernel on this CPU";
+  Rng rng(3);
+  for (std::size_t trial = 0; trial < 200; ++trial) {
+    // Strided source and destination, as the tiled transpose calls it.
+    const std::size_t src_stride = 1 + trial % 5 * 17;
+    const std::size_t dst_stride = 1 + trial % 3 * 29;
+    std::vector<std::uint64_t> src(64 * src_stride);
+    std::vector<std::uint64_t> dst(64 * dst_stride, 0);
+    std::array<std::uint64_t, 64> block;
+    for (std::size_t i = 0; i < 64; ++i) {
+      // Mix dense words with sparse and extreme ones.
+      const std::uint64_t r = rng.next_u64();
+      block[i] = trial % 4 == 0   ? r & rng.next_u64() & rng.next_u64()
+                 : trial % 4 == 1 ? ~std::uint64_t{0} >> (r % 64)
+                                  : r;
+      src[i * src_stride] = block[i];
+    }
+    vector(src.data(), src_stride, dst.data(), dst_stride);
+    transpose_64x64(block);
+    for (std::size_t i = 0; i < 64; ++i) {
+      ASSERT_EQ(dst[i * dst_stride], block[i])
+          << "trial " << trial << " word " << i;
+    }
+  }
+}
+
 BitMatrix random_matrix(std::size_t snps, std::size_t samples,
                         std::uint64_t seed) {
   Rng rng(seed);
@@ -86,6 +116,30 @@ TEST(TransposeBits, DoubleTransposeIsIdentity) {
   ASSERT_EQ(back.samples(), m.samples());
   for (std::size_t s = 0; s < m.snps(); ++s) {
     EXPECT_EQ(back.snp_string(s), m.snp_string(s));
+  }
+}
+
+TEST(TransposeBits, IntoWritesOnlyItsWordsForEveryTeam) {
+  // Several 512-sample column groups, a ragged last group and a ragged
+  // last row block; destination rows wider than the transpose.
+  const BitMatrix m = random_matrix(700, 1300, 11);
+  const BitMatrix t = transpose_bits(m);
+  const std::size_t words = (m.snps() + 63) / 64;
+  const std::size_t stride = words + 3;
+  constexpr std::uint64_t kSentinel = 0xa5a5a5a5a5a5a5a5ull;
+  for (const unsigned team : {1u, 2u, 4u, 7u}) {
+    std::vector<std::uint64_t> dst(m.samples() * stride + 5, kSentinel);
+    transpose_bits_into(m.view(), dst.data(), stride, team);
+    for (std::size_t s = 0; s < m.samples(); ++s) {
+      for (std::size_t w = 0; w < stride; ++w) {
+        const std::uint64_t want = w < words ? t.row_data(s)[w] : kSentinel;
+        ASSERT_EQ(dst[s * stride + w], want)
+            << "team " << team << " sample " << s << " word " << w;
+      }
+    }
+    for (std::size_t i = m.samples() * stride; i < dst.size(); ++i) {
+      ASSERT_EQ(dst[i], kSentinel) << "team " << team << " wrote past the end";
+    }
   }
 }
 

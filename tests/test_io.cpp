@@ -3,11 +3,16 @@
 #include "io/ms_format.hpp"
 #include "io/vcf_lite.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <streambuf>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "sim/rng.hpp"
 #include "sim/wright_fisher.hpp"
 #include "util/contract.hpp"
 
@@ -258,6 +263,112 @@ TEST(LdmBinary, RejectsTruncatedPayload) {
   bytes.resize(bytes.size() - 8);  // chop one word
   std::istringstream in(bytes, std::ios::binary);
   EXPECT_THROW(read_ldm(in), ParseError);
+}
+
+// read_ldm's payload read size (kReadBlockBytes in src/io/ldm_binary.cpp):
+// each read takes as many whole rows as fit in it, at least one.
+constexpr std::size_t kLdmReadBlock = std::size_t{1} << 20;
+
+BitMatrix random_matrix(std::size_t snps, std::size_t samples,
+                        std::uint64_t seed) {
+  Rng rng(seed);
+  BitMatrix m(snps, samples);
+  const std::size_t tail = samples % 64;
+  for (std::size_t s = 0; s < snps; ++s) {
+    std::uint64_t* row = m.row_data(s);
+    for (std::size_t w = 0; w < m.words_per_snp(); ++w) row[w] = rng.next_u64();
+    if (tail != 0) row[m.words_per_snp() - 1] &= (std::uint64_t{1} << tail) - 1;
+  }
+  return m;
+}
+
+std::string ldm_bytes(const BitMatrix& m) {
+  std::stringstream io(std::ios::in | std::ios::out | std::ios::binary);
+  write_ldm(io, m);
+  return io.str();
+}
+
+void expect_same_words(const BitMatrix& a, const BitMatrix& b) {
+  ASSERT_EQ(a.snps(), b.snps());
+  ASSERT_EQ(a.samples(), b.samples());
+  ASSERT_TRUE(b.padding_is_clean());
+  for (std::size_t s = 0; s < a.snps(); ++s) {
+    ASSERT_EQ(std::memcmp(a.row_data(s), b.row_data(s),
+                          a.stride_words() * sizeof(std::uint64_t)),
+              0)
+        << "row " << s;
+  }
+}
+
+TEST(LdmBinary, RoundTripsAcrossReadBlocks) {
+  struct Shape {
+    std::size_t samples;
+    std::size_t blocks;  // payload size in read blocks, rounded up
+  };
+  // 3000 samples: 376-byte rows with a pad word, so a block ends short of
+  // 1 MiB and the rows at its edges are spread to a wider stride. 1024
+  // samples: rows with no pad words. 9e6 samples: one row per block, each
+  // larger than the block size.
+  for (const Shape shape :
+       {Shape{3000, 3}, Shape{1024, 2}, Shape{9000000, 2}}) {
+    const std::size_t row_bytes = (shape.samples + 63) / 64 * 8;
+    const std::size_t rows_per_block =
+        std::max<std::size_t>(1, kLdmReadBlock / row_bytes);
+    const std::size_t snps = (shape.blocks - 1) * rows_per_block + 1;
+    const BitMatrix m = random_matrix(snps, shape.samples, shape.samples);
+    std::istringstream in(ldm_bytes(m), std::ios::binary);
+    expect_same_words(m, read_ldm(in));
+  }
+}
+
+// A stream that cannot seek, like a pipe: read_ldm cannot size-check the
+// header against it, so truncation surfaces in the payload reads.
+class OneWayBuf : public std::streambuf {
+ public:
+  explicit OneWayBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(LdmBinary, TruncationNamesTheFirstIncompleteRow) {
+  const std::size_t samples = 3000;
+  const std::size_t row_bytes = 47 * 8;
+  const std::size_t rows_per_block = kLdmReadBlock / row_bytes;
+  const BitMatrix m = random_matrix(2 * rows_per_block + 10, samples, 5);
+  const std::string bytes = ldm_bytes(m);
+  constexpr std::size_t kHeader = 24;
+  // Cut inside the second block, halfway through one of its rows.
+  const std::size_t row = rows_per_block + 7;
+  OneWayBuf buf(bytes.substr(0, kHeader + row * row_bytes + 100));
+  std::istream in(&buf);
+  try {
+    (void)read_ldm(in);
+    FAIL() << "truncated payload accepted";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "ldm: truncated payload at SNP " + std::to_string(row));
+  }
+}
+
+TEST(LdmBinary, RejectsDirtyTailBitsInAnyBlock) {
+  const std::size_t samples = 3000;  // 56 tail bits in the last word
+  const std::size_t row_bytes = 47 * 8;
+  const std::size_t rows_per_block = kLdmReadBlock / row_bytes;
+  const BitMatrix m = random_matrix(rows_per_block + 3, samples, 8);
+  std::string bytes = ldm_bytes(m);
+  // Set the top bit of the last word of the first row of the second block.
+  constexpr std::size_t kHeader = 24;
+  bytes[kHeader + (rows_per_block + 1) * row_bytes - 1] |= '\x80';
+  std::istringstream in(bytes, std::ios::binary);
+  try {
+    (void)read_ldm(in);
+    FAIL() << "dirty padding accepted";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "ldm: payload has non-zero padding bits");
+  }
 }
 
 // --- matrix writer -----------------------------------------------------------

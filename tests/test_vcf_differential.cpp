@@ -300,6 +300,32 @@ TEST(VcfDifferential, CrlfIsRejected) {
   }
 }
 
+TEST(VcfDifferential, CrlfIsRejectedAfterSubfields) {
+  // The '\r' lands in the last sample's subfields, which the GT grammar
+  // ignores, so only the line-end rule rejects the record.
+  const std::string crlf = "1\t5\trs1\tA\tG\t.\t.\t.\tGT:DP\t0|1:3\t1|1:7\r\n";
+  const std::string text = header(2) + crlf;
+  expect_same(text, false);
+  expect_same(text, true);
+  std::istringstream in(text);
+  try {
+    (void)parse_vcf(in);
+    FAIL() << "CRLF record with subfields accepted";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "vcf: unsupported genotype at POS 5");
+  }
+  // With skip_invalid the CRLF site is dropped and the LF site kept; a
+  // '\r' inside a subfield that a tab follows is ordinary subfield text.
+  std::istringstream skip_in(
+      text + "1\t9\trs2\tA\tG\t.\t.\t.\tGT:DP\t1|0:\r\t0|1:7\n");
+  const VcfData d = parse_vcf(skip_in, true);
+  EXPECT_EQ(d.skipped, 1u);
+  ASSERT_EQ(d.positions.size(), 1u);
+  EXPECT_EQ(d.genotypes.snp_string(0), "1001");
+  expect_same(text + "1\t9\trs2\tA\tG\t.\t.\t.\tGT:DP\t1|0:\r\t0|1:7\n",
+              true);
+}
+
 TEST(VcfDifferential, RecordsLongerThanOneReadBlock) {
   // Each record's genotype fields alone span more than one read block, so
   // every block edge falls inside them and the carried partial line is

@@ -88,7 +88,8 @@ inline VcfData reference_parse_vcf(std::istream& in, bool skip_invalid) {
       throw ParseError("vcf: record has fewer than 10 columns");
     }
     std::string row;
-    bool ok = cols[4].find(',') == std::string::npos;  // biallelic only
+    // Biallelic only, and no CRLF line: its '\r' would end the last field.
+    bool ok = cols[4].find(',') == std::string::npos && line.back() != '\r';
     for (std::size_t c = 9; c < cols.size() && ok; ++c) {
       ok = reference_append_gt(cols[c], row);
     }

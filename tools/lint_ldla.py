@@ -264,7 +264,10 @@ PUBLIC_API = {
         ("BitMatrix::derived_count", "expect"),
         ("BitMatrix::gather_rows", "expect"),
     ],
-    "src/core/bit_transpose.cpp": [("transpose_bits", "expect")],
+    "src/core/bit_transpose.cpp": [
+        ("transpose_bits", "expect"),
+        ("transpose_bits_into", "expect"),
+    ],
     "src/core/gemm/macro.cpp": [
         ("gemm_count", "expect"),
         ("gemm_count_packed", "expect"),
@@ -281,7 +284,11 @@ PUBLIC_API = {
         ("kernel_for_plan", "expect"),
         ("kernel_info", "expect"),
     ],
-    "src/core/gemm/sparse.cpp": [("build_sparse_columns", "expect")],
+    "src/core/gemm/sparse.cpp": [
+        ("classify_sparse_columns", "expect"),
+        ("extract_sparse_lists", "expect"),
+        ("build_sparse_columns", "expect"),
+    ],
     "src/core/gemm/packed_bit_matrix.cpp": [
         ("PackedBitMatrix::PackedBitMatrix", "expect"),
         ("expect_packed_matches", "expect"),
