@@ -21,7 +21,7 @@ namespace {
 /// One CPU-feature predicate per family — the only other fact a variant
 /// needs beyond its table row.
 bool family_runs_here(KernelArch arch) {
-  const CpuFeatures& f = cpu_info().features;
+  const CpuFeatures& f = cpu_features();
   switch (arch) {
     case KernelArch::kAuto:
     case KernelArch::kSwar:

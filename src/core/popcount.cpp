@@ -123,7 +123,7 @@ void positional_bitsliced(const std::uint64_t* rows, std::size_t n,
 }
 
 PopcountMethod resolve_auto() {
-  const CpuFeatures& f = cpu_info().features;
+  const CpuFeatures& f = cpu_features();
 #if LDLA_HAVE_AVX512_TU
   if (f.avx512vpopcntdq && f.avx512f) return PopcountMethod::kAvx512Vpopcnt;
 #endif
@@ -141,7 +141,7 @@ PopcountMethod resolve_auto() {
 
 PopcountMethod resolve_positional(PopcountMethod m) {
   if (m == PopcountMethod::kAuto) {
-    const CpuFeatures& f = cpu_info().features;
+    const CpuFeatures& f = cpu_features();
 #if LDLA_HAVE_AVX2_TU
     if (f.avx2) return PopcountMethod::kHarleySealAvx2;
 #endif
@@ -173,7 +173,7 @@ std::string popcount_method_name(PopcountMethod m) {
 }
 
 bool popcount_method_available(PopcountMethod m) {
-  const CpuFeatures& f = cpu_info().features;
+  const CpuFeatures& f = cpu_features();
   switch (m) {
     case PopcountMethod::kAuto:
     case PopcountMethod::kSwar:

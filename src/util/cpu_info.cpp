@@ -29,17 +29,31 @@ CpuidRegs cpuid(unsigned leaf, unsigned subleaf) {
   return r;
 }
 
+// XCR0: the register state the OS saves across context switches.
+std::uint64_t read_xcr0() {
+  unsigned lo = 0;
+  unsigned hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0u));
+  return (std::uint64_t{hi} << 32) | lo;
+}
+
 CpuFeatures detect_features() {
   CpuFeatures f;
   const CpuidRegs l1 = cpuid(1, 0);
   f.popcnt = (l1.ecx >> 23) & 1u;
   f.sse42 = (l1.ecx >> 20) & 1u;
   f.ssse3 = (l1.ecx >> 9) & 1u;
+  // AVX registers are usable only when the OS saves them: YMM needs XCR0
+  // bits 1-2, ZMM also needs the opmask and upper-ZMM bits 5-7.
+  const bool osxsave = (l1.ecx >> 27) & 1u;
+  const std::uint64_t xcr0 = osxsave ? read_xcr0() : 0;
+  const bool ymm = (xcr0 & 0x06) == 0x06;
+  const bool zmm = (xcr0 & 0xE6) == 0xE6;
   const CpuidRegs l7 = cpuid(7, 0);
-  f.avx2 = (l7.ebx >> 5) & 1u;
-  f.avx512f = (l7.ebx >> 16) & 1u;
-  f.avx512bw = (l7.ebx >> 30) & 1u;
-  f.avx512vpopcntdq = (l7.ecx >> 14) & 1u;
+  f.avx2 = ymm && ((l7.ebx >> 5) & 1u);
+  f.avx512f = zmm && ((l7.ebx >> 16) & 1u);
+  f.avx512bw = zmm && ((l7.ebx >> 30) & 1u);
+  f.avx512vpopcntdq = zmm && ((l7.ecx >> 14) & 1u);
   return f;
 }
 
@@ -119,7 +133,7 @@ CacheInfo detect_cache() {
 
 CpuInfo detect_all() {
   CpuInfo info;
-  info.features = detect_features();
+  info.features = cpu_features();
   info.cache = detect_cache();
   info.logical_cores = std::max(1u, std::thread::hardware_concurrency());
   info.brand = detect_brand();
@@ -131,6 +145,11 @@ CpuInfo detect_all() {
 const CpuInfo& cpu_info() {
   static const CpuInfo info = detect_all();
   return info;
+}
+
+const CpuFeatures& cpu_features() {
+  static const CpuFeatures features = detect_features();
+  return features;
 }
 
 bool pin_current_thread_to_core(unsigned core) {

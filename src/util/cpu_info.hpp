@@ -39,6 +39,13 @@ struct CpuInfo {
 /// Detect once and cache; thread-safe.
 const CpuInfo& cpu_info();
 
+/// The instruction-set bits alone (cpu_info().features holds the same
+/// value): CPUID and XCR0 reads on first use, no allocation. Every ISA
+/// dispatcher reads this one, so they cannot disagree, and a dispatch that
+/// runs first (the ms parser's transpose, the first popcount) leaves no
+/// strings between the caller's large buffers.
+const CpuFeatures& cpu_features();
+
 /// Human-readable one-line summary (for bench headers).
 std::string cpu_summary();
 

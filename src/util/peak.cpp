@@ -60,7 +60,7 @@ PeakEstimate calibrate() {
   for (int rep = 0; rep < 3; ++rep) {
     p.scalar_triples_per_sec =
         std::max(p.scalar_triples_per_sec, measure_scalar_triples());
-    if (cpu_info().features.avx512vpopcntdq) {
+    if (cpu_features().avx512vpopcntdq) {
       p.vector_triples_per_sec =
           std::max(p.vector_triples_per_sec, measure_vector_triples());
     }
