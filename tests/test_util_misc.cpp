@@ -46,6 +46,20 @@ TEST(CpuInfo, DetectionIsStable) {
   EXPECT_EQ(&a, &b) << "detection must run once and be cached";
 }
 
+TEST(CpuInfo, FeaturesAreTheSharedDetection) {
+  // Every ISA dispatcher reads cpu_features(); cpu_info() must agree.
+  const CpuFeatures& a = cpu_features();
+  const CpuFeatures& b = cpu_info().features;
+  EXPECT_EQ(&a, &cpu_features());
+  EXPECT_EQ(a.popcnt, b.popcnt);
+  EXPECT_EQ(a.sse42, b.sse42);
+  EXPECT_EQ(a.ssse3, b.ssse3);
+  EXPECT_EQ(a.avx2, b.avx2);
+  EXPECT_EQ(a.avx512f, b.avx512f);
+  EXPECT_EQ(a.avx512bw, b.avx512bw);
+  EXPECT_EQ(a.avx512vpopcntdq, b.avx512vpopcntdq);
+}
+
 TEST(CpuInfo, SummaryMentionsFeatures) {
   const std::string s = cpu_summary();
   EXPECT_NE(s.find("cores="), std::string::npos);
