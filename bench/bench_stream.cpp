@@ -2,7 +2,7 @@
 // store -> ld_matrix_stream under a residency budget, against the
 // all-in-RAM fused ld_stat_scan of the same panel.
 //
-// Three claims, measured:
+// Three claims, measured, plus one layer number:
 //   (1) residency: the stream's shard residency never exceeds the budget
 //       (sampled at every emitted tile; a violation FAILS the bench) while
 //       the store is >= 4x the budget — the out-of-core contract;
@@ -12,6 +12,11 @@
 //   (3) io overlap: traced io self-time stays a small fraction of wall
 //       (< 30% with prefetch on), because compute of pair k hides the
 //       fetch of pair k+1.
+//   (4) tile writes: TileStoreWriter throughput in GB/s of raw tile bytes —
+//       XOR encode alone (into /dev/null), XOR and raw encode + write into
+//       a file — set against a memcpy of the same tile rows into a 1 MiB
+//       block, the layer's roofline; all four sinks take the same hot
+//       tiles of one in-RAM scan.
 //
 // Results are XOR-checksummed over the value bit patterns: both drivers
 // emit every canonical pair exactly once and are bit-identical by
@@ -54,6 +59,23 @@ std::uint64_t xor_tile(const LdTile& t) {
     }
   }
   return acc;
+}
+
+/// Seconds each sink of the tile-write arm spent on the same tiles.
+struct WriteLayer {
+  double encode_s = 0.0;  ///< XOR writer into /dev/null
+  double xor_s = 0.0;     ///< XOR writer into a file
+  double raw_s = 0.0;     ///< raw writer into a file
+  double memcpy_s = 0.0;  ///< the tile rows copied into a 1 MiB ring
+  std::uint64_t bytes = 0;
+  std::uint64_t xor_payload = 0;
+};
+
+template <typename Fn>
+void timed(double& seconds, Fn&& fn) {
+  const Timer timer;
+  fn();
+  seconds += timer.seconds();
 }
 
 std::string mib(double bytes) {
@@ -147,6 +169,51 @@ int main(int argc, char** argv) {
     return r;
   });
 
+  // ---- layer: tile writes against a memcpy of the same bytes ------------
+  // Each scan tile goes, hot from the epilogue, to a row-by-row memcpy
+  // into a 1 MiB ring (the writer's block size) and to three writers.
+  const std::string tile_dir =
+      std::getenv("TMPDIR") != nullptr ? std::getenv("TMPDIR") : "/tmp";
+  const std::string xor_path = tile_dir + "/bench_stream_xor.ldtile";
+  const std::string raw_path = tile_dir + "/bench_stream_raw.ldtile";
+  WriteLayer layer;
+  {
+    TileStoreWriter ew("/dev/null", LdStatistic::kRSquared, n, n,
+                       TileCodec::kXor);
+    TileStoreWriter xw(xor_path, LdStatistic::kRSquared, n, n,
+                       TileCodec::kXor);
+    TileStoreWriter rw(raw_path, LdStatistic::kRSquared, n, n,
+                       TileCodec::kRaw);
+    AlignedBuffer<std::uint8_t> ring(std::size_t{1} << 20);
+    std::size_t fill = 0;
+    ld_stat_scan(
+        g,
+        [&](const LdTile& t) {
+          const std::size_t row_bytes = t.cols * 8;
+          timed(layer.memcpy_s, [&] {
+            for (std::size_t i = 0; i < t.rows; ++i) {
+              if (fill + row_bytes > ring.size()) fill = 0;
+              std::memcpy(ring.data() + fill, t.values + i * t.ld, row_bytes);
+              fill += row_bytes;
+            }
+          });
+          timed(layer.encode_s, [&] { ew.add(t); });
+          timed(layer.xor_s, [&] { xw.add(t); });
+          timed(layer.raw_s, [&] { rw.add(t); });
+          layer.bytes += t.rows * row_bytes;
+        },
+        opts);
+    timed(layer.encode_s, [&] { ew.close(); });
+    timed(layer.xor_s, [&] { xw.close(); });
+    timed(layer.raw_s, [&] { rw.close(); });
+    layer.xor_payload = xw.payload_bytes();
+  }
+  std::remove(xor_path.c_str());
+  std::remove(raw_path.c_str());
+  const auto gb_per_s = [&](double s) {
+    return static_cast<double>(layer.bytes) / s / 1e9;
+  };
+
   // Take one deterministic sample while a shard is provably materialized,
   // so the mincore gauge in the export reflects live residency rather than
   // whatever the last periodic tick happened to catch post-eviction.
@@ -189,6 +256,16 @@ int main(int argc, char** argv) {
   json.add("stream-budget", "auto", n, k, streamed.seconds,
            pairs / streamed.seconds, -1.0, streamed.phases);
   json.annotate_last_metrics(metrics::render_json());
+  const auto add_layer_row = [&](const char* arm, double s) {
+    json.add(arm, "auto", n, k, s, static_cast<double>(layer.bytes / 8) / s);
+    json.set_last_field("gb_per_s", gb_per_s(s));
+    json.set_last_field("pct_of_memcpy", 100.0 * layer.memcpy_s / s);
+  };
+  add_layer_row("tile-encode-xor", layer.encode_s);
+  add_layer_row("tile-write-xor", layer.xor_s);
+  json.set_last_field("payload_bytes", static_cast<double>(layer.xor_payload));
+  add_layer_row("tile-write-raw", layer.raw_s);
+  add_layer_row("tile-memcpy", layer.memcpy_s);
   table.add_row({"in-RAM ld_stat_scan", fmt_fixed(in_ram.seconds, 3), "-",
                  "-"});
   table.add_row({"ld_matrix_stream",
@@ -196,6 +273,16 @@ int main(int argc, char** argv) {
                  mib(static_cast<double>(streamed.peak_resident)),
                  fmt_fixed(io_self, 3)});
   std::fputs(table.str().c_str(), stdout);
+  std::printf(
+      "\ntile writes (%s of r2 tiles, GB/s of raw bytes): XOR encode "
+      "%.2f, XOR write %.2f, raw write %.2f, memcpy %.2f (XOR write at "
+      "%.0f%% of memcpy; payload/raw %.3f)\n",
+      mib(static_cast<double>(layer.bytes)).c_str(),
+      gb_per_s(layer.encode_s), gb_per_s(layer.xor_s),
+      gb_per_s(layer.raw_s), gb_per_s(layer.memcpy_s),
+      100.0 * layer.memcpy_s / layer.xor_s,
+      static_cast<double>(layer.xor_payload) /
+          static_cast<double>(layer.bytes));
   std::printf(
       "\nstream/in-RAM wall: %.2fx (budget %s, io %.1f%% of wall, "
       "%llu issued / %llu hits / %llu stalls)\n"

@@ -1,7 +1,10 @@
 #include "io/tile_store.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "util/contract.hpp"
 #include "util/metrics.hpp"
@@ -15,18 +18,22 @@ constexpr unsigned char kMagic[8] = {'L', 'D', 'L', 'A', 'T', 'I', 'L', '1'};
 constexpr unsigned char kFootMagic[8] = {'L', 'D', 'L', 'A',
                                          'T', 'I', 'X', '1'};
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 * 8;
-constexpr std::size_t kRecordU64s = 7;
-constexpr std::size_t kRecordBytes = kRecordU64s * 8;
+constexpr std::size_t kRecordBytes = 7 * 8;
 constexpr std::size_t kFooterBytes = 2 * 8 + sizeof(kFootMagic);
+// The writer's append block: header, payload, index and footer all pass
+// through it, and each full block leaves in one unbuffered write.
+constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+// Worst-case XOR value: control byte plus all 8 delta bytes.
+constexpr std::size_t kMaxValueBytes = 9;
+
+// Index records move as raw memory and XOR deltas as whole words: both
+// need a little-endian host and TileRecord's fields in on-disk order.
+static_assert(std::endian::native == std::endian::little);
+static_assert(std::is_standard_layout_v<TileRecord> &&
+              sizeof(TileRecord) == kRecordBytes);
 
 [[noreturn]] void bad(const std::string& what) {
   throw ParseError("tile store: " + what);
-}
-
-void put_u64(std::ostream& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, sizeof(v));
-  out.write(buf, sizeof(buf));
 }
 
 std::uint64_t get_u64(std::istream& in) {
@@ -37,28 +44,29 @@ std::uint64_t get_u64(std::istream& in) {
   return v;
 }
 
-/// XOR-encode `n` doubles into `enc`: per value, one control byte holding
-/// the count of significant low-order bytes of (bits ^ prev), then exactly
-/// those bytes. prev starts at 0 so the block is self-contained.
-void xor_encode(const double* v, std::size_t n,
-                std::vector<std::uint8_t>& enc) {
-  enc.clear();
-  enc.reserve(n * 9);
-  std::uint64_t prev = 0;
+/// XOR-encode `n` doubles to `dst`, continuing the chain from `prev`: per
+/// value, one control byte holding the count of significant low-order bytes
+/// of (bits ^ prev), then exactly those bytes. The whole delta is stored
+/// and the cursor skips its zero high bytes, so `dst` needs
+/// kMaxValueBytes * n bytes of room. Returns the bytes used.
+std::size_t xor_encode(const double* v, std::size_t n, std::uint64_t& prev,
+                       std::uint8_t* dst) {
+  std::uint64_t last = prev;
+  std::size_t pos = 0;
   for (std::size_t k = 0; k < n; ++k) {
     std::uint64_t bits;
     std::memcpy(&bits, &v[k], sizeof(bits));
-    const std::uint64_t delta = bits ^ prev;
-    prev = bits;
-    std::uint8_t sig = 8;
-    while (sig > 0 && (delta >> ((sig - 1) * 8)) == 0) {
-      --sig;
-    }
-    enc.push_back(sig);
-    for (std::uint8_t b = 0; b < sig; ++b) {
-      enc.push_back(static_cast<std::uint8_t>(delta >> (b * 8)));
-    }
+    const std::uint64_t delta = bits ^ last;
+    last = bits;
+    // delta | 1 spares countl_zero its zero test; (delta == 0) undoes the
+    // byte that costs a zero delta. No branch either way.
+    const int sig = (71 - std::countl_zero(delta | 1)) / 8 - (delta == 0);
+    dst[pos] = static_cast<std::uint8_t>(sig);
+    std::memcpy(dst + pos + 1, &delta, sizeof(delta));
+    pos += 1 + static_cast<std::size_t>(sig);
   }
+  prev = last;
+  return pos;
 }
 
 void xor_decode(const std::uint8_t* enc, std::size_t bytes, double* v,
@@ -70,9 +78,8 @@ void xor_decode(const std::uint8_t* enc, std::size_t bytes, double* v,
     const std::uint8_t sig = enc[pos++];
     if (sig > 8 || pos + sig > bytes) bad("corrupt XOR control byte");
     std::uint64_t delta = 0;
-    for (std::uint8_t b = 0; b < sig; ++b) {
-      delta |= static_cast<std::uint64_t>(enc[pos++]) << (b * 8);
-    }
+    std::memcpy(&delta, enc + pos, sig);
+    pos += sig;
     prev ^= delta;
     std::memcpy(&v[k], &prev, sizeof(prev));
   }
@@ -84,15 +91,15 @@ void xor_decode(const std::uint8_t* enc, std::size_t bytes, double* v,
 TileStoreWriter::TileStoreWriter(const std::string& path, LdStatistic stat,
                                  std::size_t matrix_rows,
                                  std::size_t matrix_cols, TileCodec codec)
-    : out_(path, std::ios::binary | std::ios::trunc),
-      path_(path),
-      codec_(codec) {
+    : path_(path), codec_(codec), block_(kBlockBytes) {
+  out_.rdbuf()->pubsetbuf(nullptr, 0);
+  out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) throw Error("tile store: cannot create " + path);
-  out_.write(reinterpret_cast<const char*>(kMagic), sizeof(kMagic));
-  put_u64(out_, static_cast<std::uint64_t>(stat));
-  put_u64(out_, matrix_rows);
-  put_u64(out_, matrix_cols);
-  put_u64(out_, static_cast<std::uint64_t>(codec));
+  const std::uint64_t head[4] = {static_cast<std::uint64_t>(stat),
+                                 matrix_rows, matrix_cols,
+                                 static_cast<std::uint64_t>(codec)};
+  append(kMagic, sizeof(kMagic));
+  append(head, sizeof(head));
 }
 
 TileStoreWriter::~TileStoreWriter() {
@@ -104,39 +111,46 @@ TileStoreWriter::~TileStoreWriter() {
   }
 }
 
+void TileStoreWriter::flush_block() {
+  out_.write(reinterpret_cast<const char*>(block_.data()),
+             static_cast<std::streamsize>(fill_));
+  if (!out_) throw Error("tile store: write failed for " + path_);
+  flushed_ += fill_;
+  fill_ = 0;
+}
+
+void TileStoreWriter::append(const void* data, std::size_t n) {
+  const auto* src = static_cast<const std::uint8_t*>(data);
+  for (std::size_t m = 0; n > 0; src += m, n -= m) {
+    if (fill_ == kBlockBytes) flush_block();
+    m = std::min(n, kBlockBytes - fill_);
+    std::memcpy(block_.data() + fill_, src, m);
+    fill_ += m;
+  }
+}
+
 void TileStoreWriter::add(const LdTile& t) {
   LDLA_EXPECT(!closed_, "tile store already closed");
-  TileRecord rec;
-  rec.row_begin = t.row_begin;
-  rec.col_begin = t.col_begin;
-  rec.rows = t.rows;
-  rec.cols = t.cols;
-  rec.offset = static_cast<std::uint64_t>(out_.tellp());
-  rec.raw_bytes = static_cast<std::uint64_t>(t.rows) * t.cols * 8;
+  TileRecord rec{t.row_begin, t.col_begin, t.rows, t.cols, flushed_ + fill_,
+                 0, std::uint64_t{t.rows} * t.cols * 8};
 
-  if (codec_ == TileCodec::kRaw) {
-    rec.bytes = rec.raw_bytes;
-    for (std::size_t i = 0; i < t.rows; ++i) {
-      out_.write(reinterpret_cast<const char*>(t.values + i * t.ld),
-                 static_cast<std::streamsize>(t.cols * 8));
-    }
-  } else {
-    // Pack the (possibly ld-strided) tile row-major, then XOR-encode.
-    std::vector<double> dense;
-    const double* src = t.values;
-    if (t.ld != t.cols && t.rows > 1) {
-      dense.resize(static_cast<std::size_t>(t.rows) * t.cols);
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        std::memcpy(dense.data() + i * t.cols, t.values + i * t.ld,
-                    t.cols * 8);
+  // Rows are read through `ld` and the XOR chain runs across them, so the
+  // payload is the row-major tile's without a packed copy.
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < t.rows; ++i) {
+    const double* row = t.values + i * t.ld;
+    for (std::size_t j = 0, m = 0; j < t.cols; j += m) {
+      if (kBlockBytes - fill_ < kMaxValueBytes) flush_block();
+      m = std::min(t.cols - j, (kBlockBytes - fill_) / kMaxValueBytes);
+      if (codec_ == TileCodec::kRaw) {
+        std::memcpy(block_.data() + fill_, row + j, m * 8);
+        fill_ += m * 8;
+      } else {
+        fill_ += xor_encode(row + j, m, prev, block_.data() + fill_);
       }
-      src = dense.data();
     }
-    xor_encode(src, static_cast<std::size_t>(t.rows) * t.cols, scratch_);
-    rec.bytes = scratch_.size();
-    out_.write(reinterpret_cast<const char*>(scratch_.data()),
-               static_cast<std::streamsize>(scratch_.size()));
   }
+  rec.bytes = flushed_ + fill_ - rec.offset;
   payload_bytes_ += rec.bytes;
   raw_bytes_ += rec.raw_bytes;
   index_.push_back(rec);
@@ -157,22 +171,13 @@ void TileStoreWriter::add(const LdTile& t) {
 void TileStoreWriter::close() {
   if (closed_) return;
   closed_ = true;
-  const std::uint64_t index_off = static_cast<std::uint64_t>(out_.tellp());
-  for (const TileRecord& rec : index_) {
-    put_u64(out_, rec.row_begin);
-    put_u64(out_, rec.col_begin);
-    put_u64(out_, rec.rows);
-    put_u64(out_, rec.cols);
-    put_u64(out_, rec.offset);
-    put_u64(out_, rec.bytes);
-    put_u64(out_, rec.raw_bytes);
-  }
-  put_u64(out_, index_off);
-  put_u64(out_, index_.size());
-  out_.write(reinterpret_cast<const char*>(kFootMagic), sizeof(kFootMagic));
-  out_.flush();
-  if (!out_) throw Error("tile store: write failed for " + path_);
+  const std::uint64_t foot[2] = {flushed_ + fill_, index_.size()};
+  append(index_.data(), index_.size() * kRecordBytes);
+  append(foot, sizeof(foot));
+  append(kFootMagic, sizeof(kFootMagic));
+  flush_block();
   out_.close();
+  if (!out_) throw Error("tile store: write failed for " + path_);
 }
 
 TileStoreReader::TileStoreReader(const std::string& path)
@@ -215,14 +220,9 @@ TileStoreReader::TileStoreReader(const std::string& path)
 
   in_.seekg(static_cast<std::streamoff>(index_off));
   index_.resize(count);
-  for (TileRecord& rec : index_) {
-    rec.row_begin = get_u64(in_);
-    rec.col_begin = get_u64(in_);
-    rec.rows = get_u64(in_);
-    rec.cols = get_u64(in_);
-    rec.offset = get_u64(in_);
-    rec.bytes = get_u64(in_);
-    rec.raw_bytes = get_u64(in_);
+  in_.read(reinterpret_cast<char*>(index_.data()),
+           static_cast<std::streamsize>(count * kRecordBytes));
+  for (const TileRecord& rec : index_) {
     if (rec.rows == 0 || rec.cols == 0) bad("empty tile record");
     if (rec.rows > rows_ || rec.row_begin > rows_ - rec.rows ||
         rec.cols > cols_ || rec.col_begin > cols_ - rec.cols) {
