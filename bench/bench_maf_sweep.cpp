@@ -24,18 +24,22 @@
 // alongside so the one-time classification + sample-major-transpose cost
 // of the hybrid arm stays visible rather than hidden.
 //
-// A pack-split section then times the hybrid pack of a rare-variant
-// biobank panel (30 000 SNPs x 25 000 haplotypes, rare_fraction 0.95 —
-// the e2ebench rare-band shape; smoke mode shrinks it) stage by stage at
-// pack teams 1 and 4: the dense slivers, the classification (popcounts,
-// lists and prescaled lists) and the sample-major transpose. Each row
-// carries an FNV-1a hash of the pack's sparse-side bytes, which must not
-// depend on the team size.
+// Two sections then use a rare-variant biobank panel (30 000 SNPs x
+// 25 000 haplotypes, rare_fraction 0.95 — the e2ebench rare-band shape;
+// smoke mode shrinks it). The banded rows time its one-thread r² band scan
+// (bandwidth 500, the e2ebench rare-band job) over a dense-only pack and
+// an auto-threshold pack, with exact checksum equality: the layer number
+// beside the end-to-end one. The pack-split rows time its hybrid pack stage
+// by stage at pack teams 1 and 4: the dense slivers, the classification
+// (popcounts, lists and prescaled lists) and the sample-major transpose.
+// Each carries an FNV-1a hash of the pack's sparse-side bytes, which must
+// not depend on the team size.
 //
 // Dense and hybrid arms are bit-identical by contract (integer counts,
 // same tile stream, same epilogue); the checksum comparison is exact
 // equality, not a tolerance, and a mismatch fails the bench.
 #include "bench_common.hpp"
+#include "core/band.hpp"
 #include "core/bit_transpose.hpp"
 
 using namespace ldla;
@@ -105,17 +109,76 @@ double best_seconds(int trials, Fn&& fn) {
   return best;
 }
 
-// The pack-split rows (see the header comment). Returns false when the
-// sparse-side hash differs between teams.
-bool pack_split(BenchJson& json, int trials) {
-  const std::size_t n = smoke_mode() ? 3000 : 30000;
-  const std::size_t k = smoke_mode() ? 2500 : 25000;
+// The rare-variant biobank panel of the banded and pack-split rows.
+BitMatrix rare95_panel() {
   MafSpectrumParams p;
-  p.n_snps = n;
-  p.n_samples = k;
+  p.n_snps = smoke_mode() ? 3000 : 30000;
+  p.n_samples = smoke_mode() ? 2500 : 25000;
   p.rare_fraction = 0.95;
   p.seed = 1;
-  const BitMatrix g = simulate_maf_spectrum(p);
+  return simulate_maf_spectrum(p);
+}
+
+// The banded rows (see the header comment). Returns false when the dense
+// and hybrid checksums differ.
+bool band_rows(BenchJson& json, const BitMatrix& g, int trials) {
+  constexpr std::size_t kBandwidth = 500;
+  const auto run = [&](std::size_t threshold) {
+    GemmConfig cfg;
+    cfg.sparse_threshold = threshold;
+    const PackedBitMatrix pk = PackedBitMatrix::pack(g.view(), cfg);
+    return best_of(trials, [&] {
+      BandOptions opts;
+      opts.gemm = cfg;
+      opts.packed = &pk;
+      double sum = 0.0;
+      const trace::TraceSnapshot before = trace::snapshot();
+      Timer timer;
+      ld_band_scan(g, kBandwidth, [&](const LdTile& t) {
+        for (std::size_t i = 0; i < t.rows; ++i) {
+          const std::size_t gi = t.row_begin + i;
+          for (std::size_t j = 0; j < t.cols; ++j) {
+            const std::size_t gj = t.col_begin + j;
+            const double v = t.at(i, j);
+            if (gj <= gi && gi - gj <= kBandwidth && v == v) sum += v;
+          }
+        }
+      }, opts);
+      return ArmResult{timer.seconds(), sum, trace::snapshot().since(before)};
+    });
+  };
+  const ArmResult dense = run(0);
+  const ArmResult hybrid = run(kSparseThresholdAuto);
+  std::uint64_t pairs = 0;
+  for (std::size_t i = 0; i < g.snps(); ++i) {
+    pairs += std::min(i, kBandwidth) + 1;
+  }
+  const auto rate = static_cast<double>(pairs);
+  json.add("band-rare95-dense", "auto", g.snps(), g.samples(), dense.seconds,
+           rate / dense.seconds, -1.0, dense.phases);
+  json.add("band-rare95-hybrid", "auto", g.snps(), g.samples(),
+           hybrid.seconds, rate / hybrid.seconds, -1.0, hybrid.phases);
+  json.set_last_speedup(dense.seconds / hybrid.seconds);
+  std::printf(
+      "\nband scan: %zu x %zu, rare_fraction 0.95, bandwidth %zu, one "
+      "thread (best of %d)\n  dense %.3fs, hybrid %.3fs, speedup %.2fx; "
+      "list x list tiles %llu, list x dense tiles %llu\n",
+      g.snps(), g.samples(), kBandwidth, trials, dense.seconds,
+      hybrid.seconds, dense.seconds / hybrid.seconds,
+      static_cast<unsigned long long>(hybrid.phases.counters.sparse_ll_tiles),
+      static_cast<unsigned long long>(hybrid.phases.counters.sparse_ld_tiles));
+  if (dense.checksum != hybrid.checksum) {
+    std::printf("BAND CHECKSUM MISMATCH\n");
+    return false;
+  }
+  return true;
+}
+
+// The pack-split rows (see the header comment). Returns false when the
+// sparse-side hash differs between teams.
+bool pack_split(BenchJson& json, const BitMatrix& g, int trials) {
+  const std::size_t n = g.snps();
+  const std::size_t k = g.samples();
   const BitMatrixView v = g.view();
   const GemmPlan plan = gemm_plan_for(v);
   GemmConfig dense_cfg;
@@ -303,7 +366,9 @@ int main(int argc, char** argv) {
       "path at each grid point.\n");
   std::printf("headline: rare80 speedup %.2fx; all-common control %.2fx\n",
               rare80_speedup, common_speedup);
-  if (!pack_split(json, trials)) rc = 1;
+  const BitMatrix rare95 = rare95_panel();
+  if (!band_rows(json, rare95, trials)) rc = 1;
+  if (!pack_split(json, rare95, trials)) rc = 1;
   const bool json_ok = json.flush();
   const bool trace_ok = finish_trace();
   return (json_ok && trace_ok) ? rc : 1;

@@ -100,7 +100,8 @@ struct TileChunk {
 /// the emitted tile. `scratch` holds (ic_end - ic) rows of `scratch_ld`.
 template <bool kLower>
 void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
-              std::size_t scratch_ld, const CountTileSink& sink) {
+              std::size_t scratch_ld, detail::ListIndex& ix,
+              const CountTileSink& sink) {
   const PackedBitMatrix& a = g.a;
   const PackedBitMatrix& b = g.b;
   const std::size_t mr = g.mr;
@@ -119,9 +120,9 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
 
   // All rank-kc updates for this tile before moving on: the tile is final
   // when the panel loop ends. When either pack carries sparse-classified
-  // slivers the register tiles split two ways: pairs with at least one
-  // all-sparse side are handed to the list kernels below (once, whole-k),
-  // the rest keep the dense micro-kernel panel walk — same scratch, same
+  // slivers the register tiles split three ways: list×list pairs go to the
+  // chunk-local sparse product, list×dense pairs to the gather, and the
+  // rest keep the dense micro-kernel panel walk — same scratch, same
   // integer counts, so the emitted CountTile is bit-identical either way.
   const bool hybrid = a.hybrid_dispatch() || b.hybrid_dispatch();
   {
@@ -154,25 +155,24 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
     if (hybrid) {
       detail::SparseTileCounters tc;
       std::uint64_t fallback_tiles = 0;
-      // Two passes, split by which side the gather's list comes from. Pass
-      // 1 (jr outer) takes every pair with a sparse B sliver — those
-      // gather the jr lists, which stay hot across the whole ir sweep.
-      // Pass 2 (ir outer) takes the a-sparse × b-dense remainder — those
-      // gather the ir lists against B's transpose, and with jr innermost
-      // each gathered sample's transpose row lines cover every dense jr
-      // word column of the tile, so only the first jr tile misses. The
-      // passes partition the sparse pairs, so every pair still runs once.
+      detail::list_list_chunk(a, b, kLower, ic, tile_rows, jc, tile_cols,
+                              scratch, scratch_ld, ix, tc);
+      // The list×dense gathers. Pass 1 (jr outer) gathers each sparse jr
+      // list against A's transpose, the list hot across the ir sweep. Pass 2
+      // (ir outer) gathers the ir lists against B's transpose; with jr
+      // innermost, each sample's transpose row lines serve every dense jr
+      // word column of the tile, so only the first jr tile misses.
       for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
         if (!b.b_sliver_sparse((jc + jr) / nr)) continue;
         for (std::size_t ir = 0; ir < tile_rows; ir += mr) {
           if (above_diagonal(ir, jr)) continue;
-          const bool a_sp = a.a_sliver_sparse((ic + ir) / mr);
-          if (!sparse_pair_ok(a, b, a_sp, true)) {
+          if (a.a_sliver_sparse((ic + ir) / mr)) continue;
+          if (!sparse_pair_ok(a, b, false, true)) {
             ++fallback_tiles;
             continue;
           }
-          detail::sparse_register_tile(a, b, a_sp, true, ic + ir, jc + jr, mr,
-                                       nr, &scratch[ir * scratch_ld + jr],
+          detail::sparse_register_tile(a, b, false, ic + ir, jc + jr, mr, nr,
+                                       &scratch[ir * scratch_ld + jr],
                                        scratch_ld, tc);
         }
       }
@@ -185,8 +185,8 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
             ++fallback_tiles;
             continue;
           }
-          detail::sparse_register_tile(a, b, true, false, ic + ir, jc + jr,
-                                       mr, nr, &scratch[ir * scratch_ld + jr],
+          detail::sparse_register_tile(a, b, true, ic + ir, jc + jr, mr, nr,
+                                       &scratch[ir * scratch_ld + jr],
                                        scratch_ld, tc);
         }
       }
@@ -298,9 +298,10 @@ void run_team(const TileGrid& g, const std::vector<TileChunk>& chunks,
   // publishes through the pool's own release/acquire deque+cv protocol.
   global_pool().run_tasks(blocks.size(), [&](std::size_t t) {
     AlignedBuffer<std::uint32_t> scratch(scratch_rows * q);
+    detail::ListIndex ix;
     drain_chunks(deques, t, [&](std::int64_t idx) {
       run_tile<kLower>(g, chunks[static_cast<std::size_t>(idx)],
-                       scratch.data(), q, sink);
+                       scratch.data(), q, ix, sink);
     });
   });
 }
@@ -328,8 +329,9 @@ void run_nest(const TileGrid& g, const CountTileSink& sink,
   const std::size_t q = std::min(g.nc, g.b_pad_end - g.jc0);
   AlignedBuffer<std::uint32_t> scratch(
       std::min(g.mc, g.a_pad_end - g.ic0) * q);
+  detail::ListIndex ix;
   for_each_chunk<kLower>(g, q, [&](const TileChunk& ch) {
-    run_tile<kLower>(g, ch, scratch.data(), q, sink);
+    run_tile<kLower>(g, ch, scratch.data(), q, ix, sink);
   });
 }
 

@@ -1,10 +1,12 @@
-// List×list and list×dense count kernels for sparse-classified columns.
-//
-// Both kernels produce the exact integer |Ai ∧ Bj| the dense micro-kernels
-// compute, just by a cheaper route: counts are sums of {0,1} indicators, so
-// any evaluation order — merge of two sorted lists, gather over one list,
-// or the dense AND+POPCNT panel walk — yields bit-identical results, and
-// the fused D/D′/r² epilogue downstream never knows which kernel ran.
+// Sparse routes to the exact counts |Ai ∧ Bj| (DESIGN.md §4.6). The tile
+// body splits a chunk's register tiles three ways:
+//   list×list (both slivers all-sparse) → list_list_chunk, a chunk-local
+//     index of the A lists by sample, each B list walked once;
+//   list×dense → sparse_register_tile, a gather of the list against the
+//     dense side's sample-major transpose;
+//   dense×dense → the micro-kernel.
+// Counts are sums of {0,1} indicators, so every route yields bit-identical
+// results and the fused D/D′/r² epilogue never knows which one ran.
 //
 // Complement algebra (n = samples, pi/pj = recorded popcounts, `inter` the
 // raw intersection of the two STORED lists):
@@ -16,25 +18,21 @@
 // inclusion–exclusion and rely only on the clean-padding invariant (bits
 // beyond n_samples are zero, enforced when the lists were built).
 //
-// These kernels are deliberately portable scalar code: the gather's work
-// per entry is ONE word load from the pack's sample-major transpose — the
-// word holding that sample's bits for all nr opposing rows at once — plus
-// a shift/mask/add per row, with no loop-carried dependency beyond the
-// accumulators, so it runs at load-issue throughput on any core. SIMD buys
-// little and would drag this header into the intrinsics-confinement set.
-// Gathering from the ku-interleaved slivers instead would cost nr strided
-// loads spanning nr cache lines per entry; the sorted-merge intersection
-// is kept as the reference implementation (and the oracle the unit tests
-// cross-check), but the tile dispatcher always prefers the gather because
-// the merge's two-pointer advance is a loop-carried dependency that costs
-// ~5 cycles per element against the gather's ~1.
+// A gather re-walks its list once per opposing sliver: in a list×list
+// chunk of R sparse rows every B list was re-read R/mr times. The chunk
+// product walks each B list once against an L2-resident index. Both are
+// portable scalar code; SIMD would drag this header into the
+// intrinsics-confinement set.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <type_traits>
+#include <vector>
 
 #include "core/gemm/packed_bit_matrix.hpp"
 #include "core/gemm/sparse.hpp"
@@ -49,24 +47,6 @@ struct SparseTileCounters {
   std::uint64_t ld_tiles = 0;       ///< list×dense register tiles
   std::uint64_t intersections = 0;  ///< row-pair intersections computed
 };
-
-/// Sorted-list intersection size (branch-light two-pointer merge).
-inline std::uint32_t list_intersect_count(const std::uint32_t* a,
-                                          std::size_t na,
-                                          const std::uint32_t* b,
-                                          std::size_t nb) {
-  std::uint32_t hits = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < na && j < nb) {
-    const std::uint32_t x = a[i];
-    const std::uint32_t y = b[j];
-    hits += static_cast<std::uint32_t>(x == y);
-    i += static_cast<std::size_t>(x <= y);
-    j += static_cast<std::size_t>(y <= x);
-  }
-  return hits;
-}
 
 /// The complement-algebra table above, as code.
 inline std::uint32_t sparse_corrected_count(ColumnKind ki, ColumnKind kj,
@@ -136,16 +116,16 @@ inline void gather_entries(const std::uint32_t* lo, const std::uint32_t* hi,
   for (std::size_t t = 0; t < DR; ++t) acc_s[t] = total[t];
 }
 
-/// Compute one register tile — rows [i0, i0+mr) × cols [j0, j0+nr) in
-/// global indices of `a`/`b` — where at least one side's sliver group is
-/// all-sparse, writing finished counts into the zeroed scratch block `c`
-/// (ldc-strided). Only real rows are written; padding entries stay zero,
-/// which is also what the dense micro-kernel produces for packed zero
-/// rows, so the emitted CountTile is bit-identical either way. `a` and `b`
-/// may be the same pack (SYRK) or different packs sharing a plan (cross).
+/// Compute one list×dense register tile — rows [i0, i0+mr) × cols
+/// [j0, j0+nr) of `a`/`b`, the `sparse_is_a` side all-sparse — writing
+/// finished counts into the zeroed scratch block `c` (ldc-strided). Only
+/// real rows are written; padding entries stay zero, which is also what
+/// the dense micro-kernel produces for packed zero rows, so the emitted
+/// CountTile is bit-identical either way. `a` and `b` may be the same pack
+/// (SYRK) or different packs sharing a plan (cross).
 inline void sparse_register_tile(const PackedBitMatrix& a,
-                                 const PackedBitMatrix& b, bool a_sparse,
-                                 bool b_sparse, std::size_t i0, std::size_t j0,
+                                 const PackedBitMatrix& b, bool sparse_is_a,
+                                 std::size_t i0, std::size_t j0,
                                  std::size_t mr, std::size_t nr,
                                  std::uint32_t* c, std::size_t ldc,
                                  SparseTileCounters& tc) {
@@ -153,32 +133,9 @@ inline void sparse_register_tile(const PackedBitMatrix& a,
   const SparseColumns& sb = b.sparse_columns();
   const std::size_t rows = std::min(mr, a.snps() - i0);
   const std::size_t cols = std::min(nr, b.snps() - j0);
+  ++tc.ld_tiles;
 
-  // Both paths below gather-test list entries of ONE side against the
-  // other pack's sample-major transpose. A per-pair sorted merge touches
-  // na + nb entries through a loop-carried two-pointer dependency (~5
-  // cycles/step, latency-bound); the gather walks only the list side's na
-  // entries with fully independent iterations AND covers ALL opposing rows
-  // per entry, so it is strictly cheaper — list×list tiles differ from
-  // mixed tiles only in getting to CHOOSE the cheaper gather orientation.
-  // Orientation: when both sides are sparse, gather the B (j) side's lists
-  // against the A side's transpose column. The tile bodies enumerate the
-  // sparse pass jr-outer / ir-inner, so the j sliver's list — and the
-  // handful of transpose cache lines its samples touch — stays resident
-  // across the whole ir sweep, while the A-side word column advances only
-  // once every 64/mr tiles. Choosing by list size instead (the smaller
-  // side) saves a few entries per tile but makes every tile's gather a
-  // cold scatter into the transpose, which costs far more than it saves.
-  bool sparse_is_a;
-  if (a_sparse && b_sparse) {
-    ++tc.ll_tiles;
-    sparse_is_a = false;
-  } else {
-    ++tc.ld_tiles;
-    sparse_is_a = a_sparse;
-  }
-
-  // Gather-test every list entry of the chosen side's rows against the
+  // Gather-test every list entry of the sparse side's rows against the
   // other pack's sample-major transpose: each entry is one word load whose
   // low bits (after the d0 shift) are that sample's states for ALL the
   // tile's dense-side rows. d0 is mr/nr-aligned and mr, nr ∈ {2, 4, 8}
@@ -251,6 +208,107 @@ inline void sparse_register_tile(const PackedBitMatrix& a,
         c[s * ldc + t] = cnt;
       } else {
         c[t * ldc + s] = cnt;
+      }
+    }
+  }
+}
+
+/// list_list_chunk's workspace, one per team member, reused like the count
+/// scratch and sized by the chunk's A-side list entries, never its width.
+struct ListIndex {
+  std::vector<std::size_t> rows;     ///< rows of all-sparse slivers, ascending
+  std::vector<std::size_t> comp;     ///< the kComplement subset of `rows`
+  std::vector<std::size_t> start;    ///< bucket b: entry[start[b], start[b+1])
+  std::vector<std::uint64_t> entry;  ///< sample << 32 | row, by bucket
+};
+
+/// Every list×list register tile of the chunk rows [ic, ic + tile_rows) ×
+/// cols [jc, jc + tile_cols), as one sparse product into the zeroed
+/// scratch `c`: bucket the all-sparse A rows' list entries by sample, walk
+/// each all-sparse B column's list once adding 1 per (row, col) hit, then
+/// correct every pair with a kComplement side — hit or not, since its count
+/// is not its intersection. With `lower`, register tiles strictly above the
+/// diagonal are left zero, as in the dense walk.
+inline void list_list_chunk(const PackedBitMatrix& a, const PackedBitMatrix& b,
+                            bool lower, std::size_t ic, std::size_t tile_rows,
+                            std::size_t jc, std::size_t tile_cols,
+                            std::uint32_t* c, std::size_t ldc, ListIndex& ix,
+                            SparseTileCounters& tc) {
+  const SparseColumns& sa = a.sparse_columns();
+  const SparseColumns& sb = b.sparse_columns();
+  const std::size_t mr = a.plan().mr;
+  const std::size_t nr = a.plan().nr;
+  ix.rows.clear();
+  ix.comp.clear();
+  std::size_t entries = 0;
+  for (std::size_t ir = 0; ir < tile_rows; ir += mr) {
+    if (!a.a_sliver_sparse((ic + ir) / mr)) continue;
+    for (std::size_t r = ir; r < std::min(ir + mr, a.snps() - ic); ++r) {
+      ix.rows.push_back(r);
+      if (sa.kind[ic + r] == ColumnKind::kComplement) ix.comp.push_back(r);
+      entries += sa.list_size(ic + r);
+    }
+  }
+  if (ix.rows.empty()) return;
+
+  // Counting sort into > 2 × entries buckets of consecutive samples (one
+  // per sample when samples are fewer); a sorted B list sweeps them in order.
+  const std::size_t sample_bits = std::bit_width(sa.n_samples);
+  const std::size_t shift =
+      sample_bits - std::min(std::bit_width(entries | 1) + 1, sample_bits);
+  const auto each_entry = [&](const auto& f) {
+    for (const std::size_t r : ix.rows) {
+      const std::uint32_t* l = sa.list(ic + r);
+      for (std::size_t e = 0; e < sa.list_size(ic + r); ++e) f(r, l[e]);
+    }
+  };
+  ix.start.assign((std::size_t{1} << (sample_bits - shift)) + 2, 0);
+  each_entry([&](std::size_t, std::uint32_t s) {
+    ++ix.start[(s >> shift) + 2];
+  });
+  std::partial_sum(ix.start.begin(), ix.start.end(), ix.start.begin());
+  ix.entry.resize(entries);
+  each_entry([&](std::size_t r, std::uint32_t s) {
+    ix.entry[ix.start[(s >> shift) + 1]++] = std::uint64_t{s} << 32 | r;
+  });
+
+  const auto n = static_cast<std::uint32_t>(sa.n_samples);
+  for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
+    if (!b.b_sliver_sparse((jc + jr) / nr)) continue;
+    // Rows at or past r_lo sit in register tiles on or below the diagonal.
+    const std::size_t r_lo = lower && jc + jr >= ic + mr
+                                 ? ((jc + jr - ic - mr) / mr + 1) * mr
+                                 : 0;
+    const auto first = std::lower_bound(ix.rows.begin(), ix.rows.end(), r_lo);
+    const auto comp = std::lower_bound(ix.comp.begin(), ix.comp.end(), r_lo);
+    const std::size_t cols = std::min(nr, b.snps() - (jc + jr));
+    for (std::size_t ir = r_lo; ir < tile_rows; ir += mr) {
+      tc.ll_tiles += a.a_sliver_sparse((ic + ir) / mr) ? 1u : 0u;
+    }
+    tc.intersections +=
+        static_cast<std::uint64_t>(ix.rows.end() - first) * cols;
+    for (std::size_t j = jr; j < jr + cols; ++j) {
+      const std::size_t gj = jc + j;
+      const std::uint32_t* l = sb.list(gj);
+      for (std::size_t e = 0; e < sb.list_size(gj); ++e) {
+        const std::uint32_t s = l[e];
+        for (std::size_t k = ix.start[s >> shift];
+             k < ix.start[(s >> shift) + 1]; ++k) {
+          const auto r = static_cast<std::uint32_t>(ix.entry[k]);
+          c[r * ldc + j] += static_cast<std::uint32_t>(
+              (ix.entry[k] >> 32 == s) & (r >= r_lo));
+        }
+      }
+      const auto correct = [&](std::size_t r) {
+        std::uint32_t& cnt = c[r * ldc + j];
+        cnt = sparse_corrected_count(sa.kind[ic + r], sb.kind[gj],
+                                     sa.popcount[ic + r], sb.popcount[gj], n,
+                                     cnt);
+      };
+      if (sb.kind[gj] == ColumnKind::kComplement) {
+        std::for_each(first, ix.rows.end(), correct);
+      } else {
+        std::for_each(comp, ix.comp.end(), correct);
       }
     }
   }

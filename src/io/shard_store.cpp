@@ -670,6 +670,23 @@ std::unique_ptr<PackedBitMatrix> ShardStore::materialize(std::size_t i) const {
       if (sp.index[j] >= index_.n_samples) bad("index entry out of range");
     }
   }
+  // Each list must hold exactly the samples its kind and popcount imply,
+  // once each: a forged duplicate would be counted twice by the kernels.
+  for (std::uint64_t c = 0; c < rows; ++c) {
+    std::uint64_t want = 0;
+    if (sp.kind[c] == ColumnKind::kList) want = sp.popcount[c];
+    if (sp.kind[c] == ColumnKind::kComplement) {
+      want = index_.n_samples - sp.popcount[c];
+    }
+    if (sp.offset[c + 1] - sp.offset[c] != want) {
+      bad("index list length disagrees with its kind and popcount");
+    }
+    for (std::uint64_t e = sp.offset[c] + 1; e < sp.offset[c + 1]; ++e) {
+      if (sp.index[e - 1] >= sp.index[e]) {
+        bad("index list not strictly increasing");
+      }
+    }
+  }
   const auto* scaled =
       rec.scaled_off != 0
           ? reinterpret_cast<const std::uint32_t*>(map_ + rec.scaled_off)

@@ -1,11 +1,12 @@
 // Oracle helpers shared by the driver property sweeps: naive references
-// for the cross-matrix LD and the ω scan (built on baselines/naive), and a
-// bitwise value comparison.
+// for the cross-matrix LD and the ω scan (built on baselines/naive), a
+// sorted-list intersection, and a bitwise value comparison.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -25,6 +26,25 @@ inline bool same_bits(double a, double b) {
 /// kernels produce 0 * inf, whose sign bit differs.
 inline bool same_value(double a, double b) {
   return same_bits(a, b) || (std::isnan(a) && std::isnan(b));
+}
+
+/// Sorted-list intersection size by a two-pointer merge: the reference
+/// for the sparse kernels' list counts.
+inline std::uint32_t list_intersect_count(const std::uint32_t* a,
+                                          std::size_t na,
+                                          const std::uint32_t* b,
+                                          std::size_t nb) {
+  std::uint32_t hits = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < na && j < nb) {
+    const std::uint32_t x = a[i];
+    const std::uint32_t y = b[j];
+    hits += static_cast<std::uint32_t>(x == y);
+    i += static_cast<std::size_t>(x <= y);
+    j += static_cast<std::size_t>(y <= x);
+  }
+  return hits;
 }
 
 /// LD between every SNP of `a` and every SNP of `b` via the per-bit loop.

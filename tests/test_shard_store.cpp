@@ -300,6 +300,78 @@ TEST(ShardStore, VerifyShardPopcountsCatchesCorruption) {
   }
 }
 
+TEST(ShardStore, MaterializeRejectsForgedIndexLists) {
+  // A rare panel (every column a list) with one near-fixed column, which
+  // classifies kComplement with a 3-entry list of its zero samples.
+  BitMatrix g = random_matrix(40, 300, 53, 0.02);
+  for (std::size_t b = 3; b < g.samples(); ++b) g.set(5, b, true);
+  GemmConfig cfg;
+  cfg.arch = KernelArch::kScalar;
+  cfg.kc_words = 4;
+  const std::string path = temp_path("forged_lists.ldshard");
+  write_shard_store(path, g.view(), cfg, /*rows_per_shard=*/40);
+  const std::vector<std::uint8_t> pristine = read_file(path);
+  const auto materialize = [&](const std::vector<std::uint8_t>& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    ShardStore s = open_shard_store(path);
+    (void)s.shard(0);
+  };
+  ASSERT_NO_THROW(materialize(pristine));
+
+  const auto u32_at = [](std::vector<std::uint8_t>& bytes, std::uint64_t off,
+                         std::size_t i) {
+    return reinterpret_cast<std::uint32_t*>(bytes.data() + off) + i;
+  };
+  const auto csr = [&](std::size_t c) {
+    std::uint64_t v;
+    std::memcpy(&v, pristine.data() + get_rec(pristine, 0, kRCsrOff) + c * 8,
+                8);
+    return v;
+  };
+  const std::uint8_t* kind = pristine.data() + get_rec(pristine, 0, kRKindOff);
+  ASSERT_EQ(kind[5], static_cast<std::uint8_t>(ColumnKind::kComplement));
+  ASSERT_EQ(csr(6) - csr(5), 3u);
+  std::size_t col = 0;  // a kList column holding at least two samples
+  while (kind[col] != static_cast<std::uint8_t>(ColumnKind::kList) ||
+         csr(col + 1) - csr(col) < 2) {
+    ++col;
+    ASSERT_LT(col, g.snps());
+  }
+  const std::uint64_t stride = get_rec(pristine, 0, kRSmStride);
+  // Rewrite entry e of the list and its prescaled copy together, so only
+  // the list-shape check can object.
+  const auto set_entry = [&](std::vector<std::uint8_t>& bytes, std::uint64_t e,
+                             std::uint32_t v) {
+    *u32_at(bytes, get_rec(bytes, 0, kRIndexOff), e) = v;
+    *u32_at(bytes, get_rec(bytes, 0, kRScaledOff), e) =
+        static_cast<std::uint32_t>(v * stride);
+  };
+
+  std::vector<std::uint8_t> bytes = pristine;
+  const std::uint32_t first = *u32_at(bytes, get_rec(bytes, 0, kRIndexOff),
+                                      csr(col));
+  set_entry(bytes, csr(col) + 1, first);
+  EXPECT_THROW(materialize(bytes), ParseError) << "duplicate entry";
+
+  bytes = pristine;
+  const std::uint32_t second = *u32_at(bytes, get_rec(bytes, 0, kRIndexOff),
+                                       csr(col) + 1);
+  set_entry(bytes, csr(col), second);
+  set_entry(bytes, csr(col) + 1, first);
+  EXPECT_THROW(materialize(bytes), ParseError) << "descending entries";
+
+  bytes = pristine;
+  ++*u32_at(bytes, get_rec(bytes, 0, kRPopOff), col);
+  EXPECT_THROW(materialize(bytes), ParseError) << "list shorter than popcount";
+
+  bytes = pristine;
+  ++*u32_at(bytes, get_rec(bytes, 0, kRPopOff), 5);
+  EXPECT_THROW(materialize(bytes), ParseError)
+      << "complement list longer than the zero count";
+}
+
 class ShardParseForgery : public ::testing::Test {
  protected:
   void SetUp() override {

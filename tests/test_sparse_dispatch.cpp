@@ -23,14 +23,16 @@
 
 #include "core/band.hpp"
 #include "core/gemm/kernel.hpp"
+#include "core/gemm/macro.hpp"
 #include "core/gemm/packed_bit_matrix.hpp"
-#include "core/gemm/sparse_kernel.hpp"
+#include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
 #include "core/parallel.hpp"
 #include "naive_oracle.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/maf_spectrum.hpp"
 #include "sim/rng.hpp"
+#include "util/sync.hpp"
 #include "util/trace.hpp"
 
 namespace ldla {
@@ -233,7 +235,7 @@ TEST(SparseKernel, ListIntersectCountMatchesPopcountAnd) {
     for (std::size_t b = 0; b < samples; ++b) {
       want += static_cast<std::uint32_t>(m.get(0, b) && m.get(1, b));
     }
-    EXPECT_EQ(detail::list_intersect_count(sc.list(0), sc.list_size(0),
+    EXPECT_EQ(oracle::list_intersect_count(sc.list(0), sc.list_size(0),
                                            sc.list(1), sc.list_size(1)),
               want);
   }
@@ -445,6 +447,142 @@ TEST_P(SparseDispatch, TraceCountersAttributeHybridWork) {
   EXPECT_EQ(after.counters.sparse_ld_tiles, 0u);
   EXPECT_EQ(after.counters.list_intersections, 0u);
   EXPECT_EQ(after.counters.dense_fallback_tiles, 0u);
+}
+
+// ---- chunk-local list×list product vs the oracle -----------------------
+
+/// Every kind pair in every chunk: rows cycle through list (10% ones),
+/// complement (90%), all-zero (empty list), all-ones (empty complement),
+/// and two mid densities, except rows [8, 16), which are monomorphic
+/// only: with mc = 8 that chunk's list×list index holds no entry at all,
+/// yet its all-ones rows still need the complement correction.
+BitMatrix kind_mix_matrix(std::size_t snps, std::size_t samples,
+                          std::uint64_t seed) {
+  Rng rng(seed);
+  BitMatrix m(snps, samples);
+  constexpr std::array<double, 6> kDensity = {0.1, 0.9, 0.0, 1.0, 0.3, 0.7};
+  for (std::size_t s = 0; s < snps; ++s) {
+    const double d = s >= 8 && s < 16 ? static_cast<double>(s % 2)
+                                      : kDensity[s % kDensity.size()];
+    for (std::size_t b = 0; b < samples; ++b) {
+      if (d == 1.0 || (d > 0.0 && rng.next_bool(d))) m.set(s, b, true);
+    }
+  }
+  return m;
+}
+
+using CountCells =
+    std::map<std::pair<std::size_t, std::size_t>, std::uint32_t>;
+
+/// Every count a fused driver emits, by global (row, col); each cell must
+/// be emitted once.
+template <typename Run>
+CountCells collect_cells(const Run& run) {
+  CountCells cells;
+  Mutex mu;
+  bool duplicate = false;
+  run([&](const CountTile& t) {
+    MutexLock lock(mu);
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      for (std::size_t j = 0; j < t.cols; ++j) {
+        duplicate |= !cells.emplace(std::pair(t.row_begin + i,
+                                              t.col_begin + j),
+                                    t.row(i)[j])
+                          .second;
+      }
+    }
+  });
+  EXPECT_FALSE(duplicate) << "a cell was emitted twice";
+  return cells;
+}
+
+GemmConfig chunk_config(KernelArch arch, std::size_t threshold) {
+  GemmConfig cfg;
+  cfg.arch = arch;
+  cfg.kc_words = 2;
+  cfg.mc = 8;
+  cfg.nc = 16;
+  cfg.sparse_threshold = threshold;
+  return cfg;
+}
+
+TEST_P(SparseDispatch, ChunkProductSyrkMatchesNaiveAndDensePack) {
+  for (const std::size_t samples : {130ul, 67ul}) {
+    const BitMatrix g = kind_mix_matrix(45, samples, samples);
+    const CountMatrix want = naive_count_matrix(g, g);
+    const PackedBitMatrix sparse = PackedBitMatrix::pack(
+        g.view(), chunk_config(GetParam(), samples / 2));
+    const PackedBitMatrix dense =
+        PackedBitMatrix::pack(g.view(), chunk_config(GetParam(), 0));
+    for (std::size_t i = 0; i < g.snps(); ++i) {
+      ASSERT_NE(sparse.sparse_columns().kind[i], ColumnKind::kDense);
+    }
+    const std::size_t mr = sparse.plan().mr;
+    const std::size_t nr = sparse.plan().nr;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      const auto syrk = [&](const PackedBitMatrix& p) {
+        return collect_cells([&](const CountTileSink& sink) {
+          syrk_count_fused(p, 0, p.snps(), sink, threads);
+        });
+      };
+      const trace::TraceSnapshot before = trace::snapshot();
+      const CountCells got = syrk(sparse);
+      const trace::PhaseCounters routed =
+          trace::snapshot().since(before).counters;
+      if (trace::compiled()) {
+        // Every column is sparse: every computed tile is list×list.
+        EXPECT_GT(routed.sparse_ll_tiles, 0u);
+        EXPECT_EQ(routed.sparse_ld_tiles, 0u);
+      }
+      EXPECT_EQ(got, syrk(dense)) << "threads " << threads;
+      for (std::size_t i = 0; i < g.snps(); ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+          ASSERT_EQ(got.count({i, j}), 1u) << "(" << i << "," << j << ")";
+        }
+      }
+      for (const auto& [key, v] : got) {
+        const auto [i, j] = key;
+        // Register tiles strictly above the diagonal read as zeros.
+        const bool above = i / mr * mr + mr <= j / nr * nr;
+        ASSERT_EQ(v, above ? 0u : want(i, j))
+            << "threads " << threads << " samples " << samples << " at ("
+            << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+TEST_P(SparseDispatch, ChunkProductCrossMatchesNaiveAndDensePack) {
+  const std::size_t samples = 130;
+  const BitMatrix a = kind_mix_matrix(45, samples, 3);
+  const BitMatrix b = kind_mix_matrix(29, samples, 5);
+  const CountMatrix want = naive_count_matrix(a, b);
+  const auto packs = [&](std::size_t threshold) {
+    const GemmConfig cfg = chunk_config(GetParam(), threshold);
+    return std::pair(PackedBitMatrix::pack(a.view(), cfg, PackSides::kA),
+                     PackedBitMatrix::pack(b.view(), cfg, PackSides::kB));
+  };
+  const auto [sa, sb] = packs(samples / 2);
+  const auto [da, db] = packs(0);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    // The whole product, then windows off the sliver grid on both sides.
+    for (const auto& [a0, b0] : {std::pair(0ul, 0ul), std::pair(3ul, 5ul)}) {
+      const auto cross = [&](const PackedBitMatrix& pa,
+                             const PackedBitMatrix& pb) {
+        return collect_cells([&](const CountTileSink& sink) {
+          gemm_count_fused(pa, a0, a.snps(), pb, b0, b.snps(), sink, threads);
+        });
+      };
+      const CountCells got = cross(sa, sb);
+      EXPECT_EQ(got, cross(da, db)) << "threads " << threads;
+      ASSERT_EQ(got.size(), (a.snps() - a0) * (b.snps() - b0));
+      for (const auto& [key, v] : got) {
+        ASSERT_EQ(v, want(key.first, key.second))
+            << "threads " << threads << " at (" << key.first << ","
+            << key.second << ")";
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

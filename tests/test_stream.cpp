@@ -19,6 +19,7 @@
 
 #include "core/ld.hpp"
 #include "core/parallel.hpp"
+#include "sim/maf_spectrum.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
 #include "util/sync.hpp"
@@ -74,15 +75,30 @@ void expect_identical(const Assembly& got, const Assembly& want,
 struct Case {
   std::size_t snps, samples, rows_per_shard;
   std::size_t kc_words, mc, nc;
+  bool rare = false;  ///< rare-variant panel (hybrid dispatch)
 };
 
+/// The case's panel. A rare one sits under the auto sparse threshold, so
+/// shard-adopted packs run the list kernels, across shard pairs too.
+BitMatrix case_matrix(const Case& c, std::size_t snps, std::uint64_t seed) {
+  if (!c.rare) return random_matrix(snps, c.samples, seed);
+  MafSpectrumParams p;
+  p.n_snps = snps;
+  p.n_samples = c.samples;
+  p.rare_fraction = 0.9;
+  p.seed = seed;
+  return simulate_maf_spectrum(p);
+}
+
 // Ragged everywhere: shard sizes off the row count, blocking off the shard
-// sizes, sample counts off the word/ku grids. The last case leaves a
-// 1-row final shard (row 96 of 97).
+// sizes, sample counts off the word/ku grids. The third case leaves a
+// 1-row final shard (row 96 of 97); the last two are rare-variant panels.
 const Case kCases[] = {
     {61, 130, 17, 2, 8, 8},
     {97, 1025, 32, 4, 16, 16},
     {97, 391, 24, 3, 8, 32},
+    {97, 1025, 24, 4, 16, 16, true},
+    {70, 391, 17, 3, 8, 32, true},
 };
 
 class StreamIdentity
@@ -90,7 +106,7 @@ class StreamIdentity
 
 TEST_P(StreamIdentity, MatrixStreamMatchesStatScan) {
   const auto [arch, c] = GetParam();
-  const BitMatrix g = random_matrix(c.snps, c.samples, 13 + c.snps);
+  const BitMatrix g = case_matrix(c, c.snps, 13 + c.snps);
   GemmConfig cfg;
   cfg.arch = arch;
   cfg.kc_words = c.kc_words;
@@ -102,6 +118,7 @@ TEST_P(StreamIdentity, MatrixStreamMatchesStatScan) {
   ShardStore store = ShardStore::open(path);
   EXPECT_EQ(store.shards(), (c.snps + c.rows_per_shard - 1) /
                                 c.rows_per_shard);
+  EXPECT_EQ(ShardStore::open(path).shard(0).hybrid_dispatch(), c.rare);
 
   for (const LdStatistic stat :
        {LdStatistic::kD, LdStatistic::kDPrime, LdStatistic::kRSquared}) {
@@ -126,8 +143,8 @@ TEST_P(StreamIdentity, MatrixStreamMatchesStatScan) {
 
 TEST_P(StreamIdentity, CrossStreamMatchesCrossStatScan) {
   const auto [arch, c] = GetParam();
-  const BitMatrix a = random_matrix(c.snps, c.samples, 17 + c.snps);
-  const BitMatrix b = random_matrix(c.snps / 2 + 3, c.samples, 23 + c.snps);
+  const BitMatrix a = case_matrix(c, c.snps, 17 + c.snps);
+  const BitMatrix b = case_matrix(c, c.snps / 2 + 3, 23 + c.snps);
   GemmConfig cfg;
   cfg.arch = arch;
   cfg.kc_words = c.kc_words;
