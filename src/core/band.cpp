@@ -46,9 +46,9 @@ void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
     gemm_count_fused(
         packed, r0, r0 + rows, packed, col_begin, col_end,
         [&](const CountTile& t) {
-          detail::tile_stats(opts.stat, tables, tables, t,
-                             detail::TilePart::kFull,
-                             {values.data(), cols, r0, col_begin});
+          detail::tile_stats(t, detail::TilePart::kFull,
+                             {values.data(), cols, r0, col_begin},
+                             detail::StatRows{opts.stat, tables, tables});
         },
         team);
     visit(LdTile{r0, col_begin, rows, cols, values.data(), cols});

@@ -1,5 +1,8 @@
-// Internal: per-row LD statistic evaluation over a row of pair counts, and
-// the one stat epilogue every LD driver hands its count tiles to.
+// Internal: per-row LD statistic evaluation over a row of pair counts, the
+// one stat epilogue every LD driver hands its count tiles to, and the dense
+// driver bodies built on it (matrix, cross matrix, scan), whose row
+// conversion is a parameter: the LD statistics, Tanimoto, or the per-pair
+// statistic of the two-plane drivers (missing data, genotype LD).
 //
 // The D = H - p pᵀ (and r²) pass is itself a dense O(n²) operation; doing
 // it with branch-free arithmetic over precomputed per-SNP factors lets the
@@ -12,11 +15,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/bit_matrix.hpp"
 #include "core/detail/mirror.hpp"
 #include "core/gemm/macro.hpp"
+#include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/contract.hpp"
@@ -33,42 +39,30 @@ struct StatTables {
   std::vector<std::uint64_t> c;  ///< raw derived counts (generic fallback)
 };
 
-inline StatTables make_stat_tables(const BitMatrix& g) {
-  StatTables t;
-  t.nseq = g.samples();
-  t.n = static_cast<double>(g.samples());
-  t.p.resize(g.snps());
-  t.inv.resize(g.snps());
-  t.c.resize(g.snps());
-  for (std::size_t s = 0; s < g.snps(); ++s) {
-    const std::uint64_t c = g.derived_count(s);
-    t.c[s] = c;
-    const double p = static_cast<double>(c) / t.n;
-    t.p[s] = p;
-    t.inv[s] = 1.0 / (p * (1.0 - p));
-  }
-  return t;
-}
-
-/// Same tables from already-known per-SNP derived counts (the shard store
-/// persists pack-time popcounts, so the streaming driver never touches the
-/// bit matrix). Arithmetic is identical operation-for-operation to
-/// make_stat_tables, which is what keeps streamed statistics bit-identical
-/// to the in-memory drivers.
+/// Tables from per-SNP derived counts. The shard store persists pack-time
+/// popcounts, so the streaming drivers never touch the bit matrix; the
+/// in-memory drivers pass the matrix's counts through the same arithmetic,
+/// which keeps streamed statistics bit-identical to theirs.
 inline StatTables make_stat_tables_from_counts(
-    const std::vector<std::uint64_t>& counts, std::uint64_t nseq) {
+    std::vector<std::uint64_t> counts, std::uint64_t nseq) {
   StatTables t;
   t.nseq = nseq;
   t.n = static_cast<double>(nseq);
   t.p.resize(counts.size());
   t.inv.resize(counts.size());
-  t.c = counts;
   for (std::size_t s = 0; s < counts.size(); ++s) {
     const double p = static_cast<double>(counts[s]) / t.n;
     t.p[s] = p;
     t.inv[s] = 1.0 / (p * (1.0 - p));
   }
+  t.c = std::move(counts);
   return t;
+}
+
+inline StatTables make_stat_tables(const BitMatrix& g) {
+  std::vector<std::uint64_t> counts(g.snps());
+  for (std::size_t s = 0; s < g.snps(); ++s) counts[s] = g.derived_count(s);
+  return make_stat_tables_from_counts(std::move(counts), g.samples());
 }
 
 /// out[j] = statistic(row SNP i of `ta`, column SNP col_begin + j of `tb`)
@@ -129,12 +123,27 @@ struct StatWindow {
   std::size_t col0 = 0;
 };
 
-/// Convert the selected part of count tile `t` (global indices: rows of
-/// `ta`, columns of `tb`) into `dst`. Distinct tiles write disjoint parts
-/// of the window, so concurrent team members may share one window.
-inline void tile_stats(LdStatistic stat, const StatTables& ta,
-                       const StatTables& tb, const CountTile& t, TilePart part,
-                       const StatWindow& dst) {
+/// The LD row conversion: statistic row `i` of count tile `t` (rows of
+/// `ta`, columns of `tb`) over the tile's first `cols` columns, into
+/// out[0, cols). The epilogue below takes any functor with this call
+/// signature; the Tanimoto and two-plane drivers pass their own.
+struct StatRows {
+  LdStatistic stat;
+  const StatTables& ta;
+  const StatTables& tb;
+
+  void operator()(const CountTile& t, std::size_t i, std::size_t cols,
+                  double* out) const {
+    stat_row(stat, ta, t.row_begin + i, tb, t.col_begin, t.row(i), cols, out);
+  }
+};
+
+/// Convert the selected part of count tile `t` (global indices) into `dst`
+/// with row conversion `row`. Distinct tiles write disjoint parts of the
+/// window, so concurrent team members may share one window.
+template <typename RowFn>
+void tile_stats(const CountTile& t, TilePart part, const StatWindow& dst,
+                const RowFn& row) {
   LDLA_TRACE_SPAN(kEpilogue);
   std::uint64_t rows_converted = 0;
   for (std::size_t i = 0; i < t.rows; ++i) {
@@ -144,68 +153,51 @@ inline void tile_stats(LdStatistic stat, const StatTables& ta,
       if (gi < t.col_begin) continue;
       width = std::min(t.col_begin + t.cols, gi + 1) - t.col_begin;
     }
-    stat_row(stat, ta, gi, tb, t.col_begin, t.row(i), width,
-             dst.data + (gi - dst.row0) * dst.ld + (t.col_begin - dst.col0));
+    row(t, i, width,
+        dst.data + (gi - dst.row0) * dst.ld + (t.col_begin - dst.col0));
     ++rows_converted;
   }
   LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
 }
 
-/// Second step of the symmetric sink: copy the strictly-lower statistics
-/// tile_stats just wrote for SYRK tile `t` onto their transposes above the
-/// diagonal of the square window `dst`, while the tile is still hot. Every
-/// strictly-lower pair lies in exactly one tile, so transposes of distinct
-/// tiles are disjoint and concurrent team members may share the window.
-/// All three statistics are bitwise symmetric in (i, j) (their formulas
-/// combine the operands only through commutative products and min), so
-/// this equals statistics of mirrored counts bit-for-bit.
-inline void mirror_tile_stats(const CountTile& t, const StatWindow& dst) {
-  LDLA_ASSERT_MSG(dst.row0 == dst.col0, "mirror needs a square window");
-  LDLA_TRACE_SPAN(kEpilogue);
-  const std::size_t r0 = t.row_begin - dst.row0;
-  const std::size_t c0 = t.col_begin - dst.col0;
-  mirror_lower_window(dst.data, dst.ld, r0, r0 + t.rows, c0, c0 + t.cols);
-}
-
 /// The one stat-tile emitter behind every streaming LD driver (ld_stat_scan,
-/// ld_cross_stat_scan, ld_matrix_stream, ld_cross_stream): it rebases each
-/// count tile to global SNP indices, converts the selected part and hands
-/// it to the visitor. A full tile, or a SYRK tile wholly on/below the
-/// diagonal, goes out as one LdTile; a diagonal-crossing SYRK tile goes out
-/// as one-row fragments holding only each row's canonical prefix, so no
-/// entry above the diagonal ever escapes.
+/// ld_cross_stat_scan, ld_matrix_stream, ld_cross_stream, ld_scan_missing,
+/// genotype_ld_scan): it rebases each count tile to global SNP indices,
+/// converts the selected part with the row conversion `RowFn` (StatRows, or
+/// a multi-plane driver's own) and hands it to the visitor. A full tile, or
+/// a SYRK tile wholly on/below the diagonal, goes out as one LdTile; a
+/// diagonal-crossing SYRK tile goes out as one-row fragments holding only
+/// each row's canonical prefix, so no entry above the diagonal ever
+/// escapes.
 ///
 /// Scratch is per team member and bounded by one cache tile of the plan
 /// that produces the tiles: a team of one converts into a buffer the
 /// emitter owns; any other team calls the emitter concurrently, and each
 /// member converts into its own thread-local buffer, grown once and reused
 /// for the life of its thread.
+template <typename RowFn>
 class StatTileEmitter {
  public:
   /// Tiles come from `plan` over at most `rows` x `cols` SNP pairs; `team`
   /// is the size handed to the tile driver (0 = default_thread_count()).
-  StatTileEmitter(LdStatistic stat, const StatTables& ta, const StatTables& tb,
-                  const GemmPlan& plan, std::size_t rows, std::size_t cols,
-                  unsigned team, const LdTileVisitor& visit)
-      : stat_(stat),
-        ta_(ta),
-        tb_(tb),
+  StatTileEmitter(RowFn row, const GemmPlan& plan, std::size_t rows,
+                  std::size_t cols, unsigned team, const LdTileVisitor& visit)
+      : row_(std::move(row)),
         visit_(visit),
         team_(team),
         scratch_n_(std::min(plan.mc, rows) * std::min(plan.nc, cols)),
         own_(team == 1 ? scratch_n_ : 0) {}
 
   /// Emit the selected part of `t`, whose indices are local to operands
-  /// starting at global row `row_base` of `ta` and column `col_base` of
-  /// `tb`.
+  /// starting at global row `row_base` and column `col_base`.
   void operator()(CountTile t, TilePart part, std::size_t row_base = 0,
                   std::size_t col_base = 0) const {
     t.row_begin += row_base;
     t.col_begin += col_base;
     double* scratch = this->scratch();
     if (part == TilePart::kFull || t.col_begin + t.cols <= t.row_begin + 1) {
-      tile_stats(stat_, ta_, tb_, t, TilePart::kFull,
-                 {scratch, t.cols, t.row_begin, t.col_begin});
+      tile_stats(t, TilePart::kFull,
+                 {scratch, t.cols, t.row_begin, t.col_begin}, row_);
       visit_(LdTile{t.row_begin, t.col_begin, t.rows, t.cols, scratch,
                     t.cols});
       return;
@@ -218,7 +210,7 @@ class StatTileEmitter {
       if (gi < t.col_begin) continue;
       const std::size_t width =
           std::min(t.col_begin + t.cols, gi + 1) - t.col_begin;
-      stat_row(stat_, ta_, gi, tb_, t.col_begin, t.row(i), width, scratch);
+      row_(t, i, width, scratch);
       ++rows_converted;
       visit_(LdTile{gi, t.col_begin, 1, width, scratch, width});
     }
@@ -233,13 +225,123 @@ class StatTileEmitter {
     return buf.data();
   }
 
-  LdStatistic stat_;
-  const StatTables& ta_;
-  const StatTables& tb_;
+  RowFn row_;
   const LdTileVisitor& visit_;
   unsigned team_;
   std::size_t scratch_n_;
   mutable AlignedBuffer<double> own_;  ///< a team of one's scratch
+};
+
+// ---- the dense driver bodies ----------------------------------------------
+//
+// `Unit` is the number of operand rows per SNP: 1, or 2 for the two-plane
+// drivers, whose rows 2i and 2i+1 hold SNP i's planes a_i and b_i. Tile
+// edges are even (resolve_plan keeps mc a multiple of lcm(mr, 2), the
+// registry admits only even nr), so their tiles hold whole pair blocks
+// [[a_i·a_j, a_i·b_j], [b_i·a_j, b_i·b_j]].
+
+/// Count tile `t` in SNP indices. For Unit 2, `ld` spans both count rows of
+/// a SNP row: row(i) holds a_i's products, ld / 2 words on b_i's.
+template <std::size_t Unit>
+CountTile snp_tile(const CountTile& t) {
+  if constexpr (Unit == 1) return t;
+  LDLA_ASSERT_MSG(t.row_begin % 2 == 0 && t.rows % 2 == 0 &&
+                      t.col_begin % 2 == 0 && t.cols % 2 == 0,
+                  "count tile edge splits a pair block");
+  return {t.row_begin / 2, t.col_begin / 2, t.rows / 2,
+          t.cols / 2,      t.counts,        2 * t.ld};
+}
+
+/// Symmetric body: each SYRK tile of `packed` writes its canonical
+/// statistics into the square `out`, then copies the strictly-lower ones
+/// onto their transposes while hot. Every strictly-lower pair lies in one
+/// tile, so each element is written once, by the member owning the tile.
+/// Every row conversion is bitwise symmetric in (i, j) (operands combine
+/// only through commutative products, integer sums and min), so this equals
+/// statistics of mirrored counts bit for bit.
+template <std::size_t Unit, typename RowFn>
+void symmetric_stats(const PackedBitMatrix& packed, const RowFn& row,
+                     LdMatrix& out, unsigned team = 1) {
+  syrk_count_fused(
+      packed, 0, packed.snps(),
+      [&](const CountTile& t) {
+        const CountTile s = snp_tile<Unit>(t);
+        tile_stats(s, TilePart::kLower, {out.data(), out.cols()}, row);
+        LDLA_TRACE_SPAN(kEpilogue);
+        mirror_lower_window(out.data(), out.cols(), s.row_begin,
+                            s.row_begin + s.rows, s.col_begin,
+                            s.col_begin + s.cols);
+      },
+      team);
+}
+
+/// Cross body: the statistic of every (SNP of pa, SNP of pb) pair.
+template <std::size_t Unit, typename RowFn>
+void cross_stats(const PackedBitMatrix& pa, const PackedBitMatrix& pb,
+                 const RowFn& row, LdMatrix& out, unsigned team = 1) {
+  gemm_count_fused(
+      pa, 0, pa.snps(), pb, 0, pb.snps(),
+      [&](const CountTile& t) {
+        tile_stats(snp_tile<Unit>(t), TilePart::kFull,
+                   {out.data(), out.cols()}, row);
+      },
+      team);
+}
+
+/// Scan body: the canonical statistics of `packed`, through one emitter.
+template <std::size_t Unit, typename RowFn>
+void symmetric_scan(const PackedBitMatrix& packed, RowFn row,
+                    const LdTileVisitor& visit, unsigned team = 1) {
+  const std::size_t n = packed.snps() / Unit;
+  const StatTileEmitter emit(std::move(row), packed.plan(), n, n, team,
+                             visit);
+  syrk_count_fused(
+      packed, 0, packed.snps(),
+      [&](const CountTile& t) { emit(snp_tile<Unit>(t), TilePart::kLower); },
+      team);
+}
+
+// ---- two planes per SNP ----------------------------------------------------
+
+/// Rows 2i and 2i+1 of the result are row i of `a` and of `b`.
+inline BitMatrix interleave_rows(const BitMatrix& a, const BitMatrix& b) {
+  LDLA_ASSERT(a.snps() == b.snps() && a.samples() == b.samples());
+  BitMatrix out = BitMatrix::uninitialized(2 * a.snps(), a.samples());
+  const std::size_t bytes = a.stride_words() * sizeof(std::uint64_t);
+  for (std::size_t i = 0; i < a.snps(); ++i) {
+    std::memcpy(out.row_data(2 * i), a.row_data(i), bytes);
+    std::memcpy(out.row_data(2 * i + 1), b.row_data(i), bytes);
+  }
+  return out;
+}
+
+/// The plane products of SNP pair (i, j): ab = a_i·b_j, ba = b_i·a_j.
+struct PairCounts {
+  std::uint32_t aa, ab, ba, bb;
+};
+
+/// Row conversion of a Unit 2 tile: out[j] = pair(gi, gj, counts) for the
+/// global SNP indices of row i and column j.
+template <typename PairFn>
+struct PairRows {
+  PairFn pair;
+  bool symmetric;  ///< both sides are one panel (SYRK tiles)
+
+  void operator()(const CountTile& t, std::size_t i, std::size_t cols,
+                  double* out) const {
+    const std::size_t gi = t.row_begin + i;
+    const std::uint32_t* ra = t.row(i);       // a_i against a_j, b_j
+    const std::uint32_t* rb = ra + t.ld / 2;  // b_i against a_j, b_j
+    for (std::size_t j = 0; j < cols; ++j) {
+      const std::size_t gj = t.col_begin + j;
+      // A diagonal pair's a_i·b_i lies above the count diagonal, which SYRK
+      // tiles leave unspecified; b_i·a_i is the same product.
+      const std::uint32_t ab =
+          symmetric && gj == gi ? rb[2 * j] : ra[2 * j + 1];
+      out[j] = pair(gi, gj, PairCounts{ra[2 * j], ab, rb[2 * j],
+                                       rb[2 * j + 1]});
+    }
+  }
 };
 
 }  // namespace ldla::detail

@@ -124,7 +124,11 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
         plan.mr, a_block_budget / (plan.kc_words * sizeof(std::uint64_t)));
     plan.mc = std::min<std::size_t>(plan.mc, 512);
   }
-  plan.mc = (plan.mc + plan.mr - 1) / plan.mr * plan.mr;
+  // Row blocks stay whole register tiles and even, so no tile edge splits
+  // the interleaved row pairs of the two-plane drivers; the pack layout
+  // does not depend on mc.
+  const std::size_t m_quantum = plan.mr % 2 == 0 ? plan.mr : 2 * plan.mr;
+  plan.mc = (plan.mc + m_quantum - 1) / m_quantum * m_quantum;
 
   // nc: packed B panel (nc * kc words) targets L3 (or a fixed budget when
   // L3 is undetected).

@@ -59,8 +59,10 @@ std::vector<KernelInfo> build_registry() {
     // drivers' edge-tile scratch is uint32_t[16*16].
     LDLA_EXPECT(k.mr != 0 && 64 % k.mr == 0,
                 "kernel registry: mr must divide 64");
-    LDLA_EXPECT(k.nr != 0 && 64 % k.nr == 0,
-                "kernel registry: nr must divide 64");
+    // Column tiles start on nr multiples, so an even nr keeps every tile
+    // edge on the row pairs of the interleaved two-plane drivers.
+    LDLA_EXPECT(k.nr >= 2 && 64 % k.nr == 0,
+                "kernel registry: nr must be even and divide 64");
     LDLA_EXPECT(k.mr * k.nr <= 256,
                 "kernel registry: tile exceeds the drivers' edge scratch");
     LDLA_EXPECT(k.ku != 0 && k.fn != nullptr && k.name[0] != '\0',

@@ -4,9 +4,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/gemm/count_matrix.hpp"
-#include "core/gemm/macro.hpp"
-#include "core/gemm/syrk.hpp"
+#include "core/detail/ld_stats_row.hpp"
 #include "util/contract.hpp"
 
 namespace ldla {
@@ -56,87 +54,47 @@ std::vector<Moments> plane_moments(const DosagePlanes& planes) {
   return m;
 }
 
+// The symmetric body over the interleaved (l_i, h_i) panel: the pair block
+// of SNPs (i, j) is [[LL, LH], [HL, HH]], so
+// sum_xy = LL + 2·LH(i,j) + 2·LH(j,i) + 4·HH.
+template <typename Body>
+void genotype_body(const GenotypeMatrix& g, const GemmConfig& cfg,
+                   const Body& body) {
+  LDLA_EXPECT(g.individuals() > 1, "need at least two individuals");
+  const DosagePlanes planes = extract_dosage_planes(g);
+  const std::vector<Moments> m = plane_moments(planes);
+  const double n = static_cast<double>(g.individuals());
+  const auto pair = [&m, n](std::size_t i, std::size_t j,
+                            const detail::PairCounts& k) {
+    const double sum_xy = static_cast<double>(k.aa) +
+                          2.0 * static_cast<double>(k.ab) +
+                          2.0 * static_cast<double>(k.ba) +
+                          4.0 * static_cast<double>(k.bb);
+    return r2_from(m[i], m[j], sum_xy, n);
+  };
+  const BitMatrix lh = detail::interleave_rows(planes.lo, planes.hi);
+  body(PackedBitMatrix::pack(lh.view(), cfg),
+       detail::PairRows<decltype(pair)>{pair, true});
+}
+
 }  // namespace
 
 LdMatrix genotype_ld_matrix(const GenotypeMatrix& g, const GemmConfig& cfg) {
-  const std::size_t n = g.snps();
-  LdMatrix out(n, n);
-  if (n == 0) return out;
-  LDLA_EXPECT(g.individuals() > 1, "need at least two individuals");
-
-  const DosagePlanes planes = extract_dosage_planes(g);
-  const std::vector<Moments> m = plane_moments(planes);
-
-  // Three GEMMs give every cross moment.
-  CountMatrix ll(n, n), hh(n, n), lh(n, n);
-  syrk_count(planes.lo.view(), ll.ref(), cfg);
-  syrk_count(planes.hi.view(), hh.ref(), cfg);
-  gemm_count(planes.lo.view(), planes.hi.view(), lh.ref(), cfg);
-
-  const double n_ind = static_cast<double>(g.individuals());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double sum_xy = static_cast<double>(ll(i, j)) +
-                            2.0 * static_cast<double>(lh(i, j)) +
-                            2.0 * static_cast<double>(lh(j, i)) +
-                            4.0 * static_cast<double>(hh(i, j));
-      out(i, j) = r2_from(m[i], m[j], sum_xy, n_ind);
-    }
-  }
+  LdMatrix out(g.snps(), g.snps());
+  if (g.snps() == 0) return out;
+  genotype_body(g, cfg, [&](const PackedBitMatrix& packed, const auto& rows) {
+    detail::symmetric_stats<2>(packed, rows, out);
+  });
   return out;
 }
 
 void genotype_ld_scan(const GenotypeMatrix& g, const LdTileVisitor& visit,
-                      const GemmConfig& cfg, std::size_t slab_rows) {
-  const std::size_t n = g.snps();
-  if (n == 0) return;
-  LDLA_EXPECT(g.individuals() > 1, "need at least two individuals");
-  LDLA_EXPECT(slab_rows > 0, "slab height must be positive");
-
-  const DosagePlanes planes = extract_dosage_planes(g);
-  const std::vector<Moments> m = plane_moments(planes);
-  const double n_ind = static_cast<double>(g.individuals());
-
-  const std::size_t max_rows = std::min(slab_rows, n);
-  CountMatrix ll(max_rows, n), hh(max_rows, n), lh(max_rows, n),
-      hl(max_rows, n);
-  AlignedBuffer<double> values(max_rows * n);
-
-  for (std::size_t r0 = 0; r0 < n; r0 += slab_rows) {
-    const std::size_t rows = std::min(slab_rows, n - r0);
-    const std::size_t cols = r0 + rows;
-    auto slab_ref = [&](CountMatrix& c) {
-      CountMatrixRef ref{c.ref().data, rows, cols, n};
-      for (std::size_t i = 0; i < rows; ++i) {
-        std::fill_n(&ref.at(i, 0), cols, 0u);
-      }
-      return ref;
-    };
-    CountMatrixRef ll_ref = slab_ref(ll);
-    CountMatrixRef hh_ref = slab_ref(hh);
-    CountMatrixRef lh_ref = slab_ref(lh);
-    CountMatrixRef hl_ref = slab_ref(hl);
-
-    gemm_count(planes.lo.view(r0, r0 + rows), planes.lo.view(0, cols), ll_ref,
-               cfg);
-    gemm_count(planes.hi.view(r0, r0 + rows), planes.hi.view(0, cols), hh_ref,
-               cfg);
-    gemm_count(planes.lo.view(r0, r0 + rows), planes.hi.view(0, cols), lh_ref,
-               cfg);
-    gemm_count(planes.hi.view(r0, r0 + rows), planes.lo.view(0, cols), hl_ref,
-               cfg);
-
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double sum_xy = static_cast<double>(ll_ref.at(i, j)) +
-                              2.0 * static_cast<double>(lh_ref.at(i, j)) +
-                              2.0 * static_cast<double>(hl_ref.at(i, j)) +
-                              4.0 * static_cast<double>(hh_ref.at(i, j));
-        values[i * cols + j] = r2_from(m[r0 + i], m[j], sum_xy, n_ind);
-      }
-    }
-    visit(LdTile{r0, 0, rows, cols, values.data(), cols});
-  }
+                      const GemmConfig& cfg) {
+  if (g.snps() == 0) return;
+  LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
+  genotype_body(g, cfg, [&](const PackedBitMatrix& packed, const auto& rows) {
+    detail::symmetric_scan<2>(packed, rows, visit);
+  });
 }
 
 }  // namespace ldla

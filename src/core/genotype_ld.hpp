@@ -10,9 +10,11 @@
 //   sum_xy(i,j) = LL(i,j) + 2·LH(i,j) + 2·LH(j,i) + 4·HH(i,j)
 //
 // where LL = L·Lᵀ and HH = H·Hᵀ are symmetric counts (SYRK) and LH = L·Hᵀ
-// one rectangular GEMM; per-SNP sums come from plane row counts. Three
-// GEMMs replace the baseline's per-pair nine-sweep loop, which is exactly
-// the transformation the paper performs for allele LD.
+// one rectangular GEMM; per-SNP sums come from plane row counts. The
+// drivers interleave L and H by row and make one fused SYRK, whose tiles
+// hold each pair's whole [[LL, LH], [HL, HH]] block. It replaces the
+// baseline's per-pair nine-sweep loop, which is exactly the transformation
+// the paper performs for allele LD.
 //
 // Limitation (documented): this fast path assumes complete data (no
 // missing genotypes) — with per-pair missingness the moments stop being
@@ -27,20 +29,19 @@
 namespace ldla {
 
 /// All-pairs genotype r^2 (squared Pearson correlation of dosage vectors)
-/// via three popcount-GEMMs. Requires complete data: throws if any
+/// via one fused popcount-SYRK. Requires complete data: throws if any
 /// genotype is missing. Matches plink_like_r2_pair bit-for-bit in the
 /// counts (verified by tests; the final floating-point normalization is
 /// evaluated identically).
 LdMatrix genotype_ld_matrix(const GenotypeMatrix& g,
                             const GemmConfig& cfg = {});
 
-/// Streaming variant in row slabs of `slab_rows` (> 0): the slab of rows
-/// [r0, r1) goes to `visit` as one lower-trapezoidal tile with columns
-/// [0, r1), so every pair (i, j) with j <= i appears in exactly one tile.
-/// Memory is O(slab_rows * n).
+/// Streaming variant with ld_stat_scan's tile contract for a team of one:
+/// every canonical pair (j <= i, including the diagonal) exactly once and
+/// no other entry, diagonal-crossing tiles as one-row fragments. Resident
+/// memory is one pack plus one cache tile.
 void genotype_ld_scan(const GenotypeMatrix& g, const LdTileVisitor& visit,
-                      const GemmConfig& cfg = {},
-                      std::size_t slab_rows = 256);
+                      const GemmConfig& cfg = {});
 
 /// Extract the dosage bit-planes of a complete-data genotype matrix
 /// (exposed for tests and for building custom pipelines). Throws if any

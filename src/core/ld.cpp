@@ -9,7 +9,6 @@
 
 #include "core/detail/ld_stats_row.hpp"
 #include "core/gemm/macro.hpp"
-#include "core/gemm/syrk.hpp"
 #include "core/parallel.hpp"
 #include "util/contract.hpp"
 #include "util/metrics.hpp"
@@ -151,18 +150,8 @@ LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
   const PackedBitMatrix& packed = resolve_packed(
       g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
   const detail::StatTables tables = detail::make_stat_tables(g);
-  // Triangular SYRK: each tile writes the canonical (j <= i) entries of
-  // its disjoint window of `out`, then their transposes, so every element
-  // is written exactly once, by the member that owns the tile.
-  const detail::StatWindow window{out.data(), n};
-  syrk_count_fused(
-      packed, 0, n,
-      [&](const CountTile& t) {
-        detail::tile_stats(opts.stat, tables, tables, t,
-                           detail::TilePart::kLower, window);
-        detail::mirror_tile_stats(t, window);
-      },
-      team);
+  detail::symmetric_stats<1>(
+      packed, detail::StatRows{opts.stat, tables, tables}, out, team);
   detail::LdOutput::check_written(out);
   return out;
 }
@@ -185,13 +174,8 @@ LdMatrix cross_matrix_body(const BitMatrix& a, const BitMatrix& b,
       b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
   const detail::StatTables ta = detail::make_stat_tables(a);
   const detail::StatTables tb = detail::make_stat_tables(b);
-  gemm_count_fused(
-      pa, 0, m, pb, 0, n,
-      [&](const CountTile& t) {
-        detail::tile_stats(opts.stat, ta, tb, t, detail::TilePart::kFull,
-                           {out.data(), n});
-      },
-      team);
+  detail::cross_stats<1>(pa, pb, detail::StatRows{opts.stat, ta, tb}, out,
+                         team);
   detail::LdOutput::check_written(out);
   return out;
 }
@@ -247,11 +231,9 @@ void ld_stat_scan(const BitMatrix& g, const LdTileVisitor& visit,
   const PackedBitMatrix& packed = resolve_packed(
       g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
   const detail::StatTables tables = detail::make_stat_tables(g);
-  const detail::StatTileEmitter emit(opts.stat, tables, tables, packed.plan(),
-                                     n, n, team, visit);
-  syrk_count_fused(
-      packed, 0, n,
-      [&](const CountTile& t) { emit(t, detail::TilePart::kLower); }, team);
+  detail::symmetric_scan<1>(packed,
+                            detail::StatRows{opts.stat, tables, tables}, visit,
+                            team);
 }
 
 void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
@@ -279,8 +261,8 @@ void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
       b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
   const detail::StatTables ta = detail::make_stat_tables(a);
   const detail::StatTables tb = detail::make_stat_tables(b);
-  const detail::StatTileEmitter emit(opts.stat, ta, tb, pa.plan(), m, n, team,
-                                     visit);
+  const detail::StatTileEmitter emit(detail::StatRows{opts.stat, ta, tb},
+                                     pa.plan(), m, n, team, visit);
   gemm_count_fused(
       pa, 0, m, pb, 0, n,
       [&](const CountTile& t) { emit(t, detail::TilePart::kFull); }, team);

@@ -45,8 +45,6 @@ double ld_value(LdStatistic stat, std::uint64_t ci, std::uint64_t cj,
 struct LdOptions {
   LdStatistic stat = LdStatistic::kRSquared;
   GemmConfig gemm;
-  /// Row-slab height of ld_scan_missing (memory/latency trade-off).
-  std::size_t slab_rows = 256;
   /// Optional persistent packed operand for the primary matrix (`g`, or
   /// `a` in the cross drivers). Must be packed from the same matrix with
   /// the same GemmConfig (shape is checked, content is the caller's

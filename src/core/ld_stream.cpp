@@ -225,9 +225,9 @@ void ld_matrix_stream(ShardStore& store, const LdTileVisitor& visit,
   // indices. A diagonal pair (same shard both sides) keeps only the
   // canonical part; an off-diagonal pair lies strictly below the diagonal
   // (every column index < every row index), so its tiles go out whole.
-  const detail::StatTileEmitter emit(opts.stat, tables, tables, store.plan(),
-                                     store.snps(), store.snps(), opts.threads,
-                                     visit);
+  const detail::StatTileEmitter emit(
+      detail::StatRows{opts.stat, tables, tables}, store.plan(), store.snps(),
+      store.snps(), opts.threads, visit);
 
   // Row-major over the lower triangle: consecutive pairs share the row
   // shard, so with any budget >= the floor, each row shard stalls at most
@@ -288,8 +288,8 @@ void ld_cross_stream(ShardStore& a, ShardStore& b,
       a.allele_counts(), a.samples());
   const detail::StatTables tb = detail::make_stat_tables_from_counts(
       b.allele_counts(), b.samples());
-  const detail::StatTileEmitter emit(opts.stat, ta, tb, pa, a.snps(),
-                                     b.snps(), opts.threads, visit);
+  const detail::StatTileEmitter emit(detail::StatRows{opts.stat, ta, tb}, pa,
+                                     a.snps(), b.snps(), opts.threads, visit);
 
   std::vector<StreamPair> pairs;
   pairs.reserve(sa * sb);

@@ -17,8 +17,10 @@
 //   POPCNT(c_ij & s_i)       = POPCNT(x_i & c_j)      -> GEMM(X, C)
 //   POPCNT(c_ij)             = POPCNT(c_i & c_j)      -> GEMM(C, C)
 //
-// so missing-data LD is three popcount-GEMMs — still pure dense linear
-// algebra, inheriting all kernel/blocking machinery.
+// so missing-data LD is still dense linear algebra. The drivers interleave
+// X and C by row (row 2i = x_i, row 2i+1 = c_i) and make one fused call over
+// that 2n-row pack, whose tiles hold each pair's whole 2x2 block of these
+// counts; a per-pair sink converts them (core/detail/ld_stats_row.hpp).
 #pragma once
 
 #include "core/bit_matrix.hpp"
@@ -62,7 +64,8 @@ class MaskedBitMatrix {
 LdMatrix ld_matrix_missing(const MaskedBitMatrix& g,
                            const LdOptions& opts = {});
 
-/// Cross-matrix variant (four GEMMs: XA·XBᵀ, XA·CBᵀ, CA·XBᵀ, CA·CBᵀ).
+/// Cross-matrix variant: one fused GEMM of the interleaved A panel against
+/// the interleaved B panel.
 LdMatrix ld_cross_matrix_missing(const MaskedBitMatrix& a,
                                  const MaskedBitMatrix& b,
                                  const LdOptions& opts = {});
@@ -73,12 +76,11 @@ double ld_value_missing(LdStatistic stat, std::uint64_t ci_masked,
                         std::uint64_t cj_masked, std::uint64_t cij_masked,
                         std::uint64_t n_valid);
 
-/// Streaming all-pairs scan under missing data, in row slabs of
-/// opts.slab_rows (> 0): the slab of rows [r0, r1) goes to `visit` as one
-/// lower-trapezoidal tile with columns [0, r1), so every pair (i, j) with
-/// j <= i appears in exactly one tile (the entries above the diagonal are
-/// valid LD too). Four rectangular GEMMs per slab; memory stays
-/// O(slab_rows * n) regardless of pair count.
+/// Streaming all-pairs scan under missing data, with ld_stat_scan's tile
+/// contract for a team of one: every canonical pair (j <= i, including the
+/// diagonal) exactly once and no other entry, diagonal-crossing tiles as
+/// one-row fragments, tiles delivered from the calling thread. Resident
+/// memory is one pack plus one cache tile, independent of the pair count.
 void ld_scan_missing(const MaskedBitMatrix& g, const LdTileVisitor& visit,
                      const LdOptions& opts = {});
 

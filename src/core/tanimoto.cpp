@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <thread>
 
+#include "core/detail/ld_stats_row.hpp"
 #include "core/gemm/count_matrix.hpp"
 #include "core/gemm/macro.hpp"
-#include "core/gemm/syrk.hpp"
 #include "core/popcount.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
@@ -25,6 +25,20 @@ std::vector<std::uint64_t> row_counts(const BitMatrix& m) {
   std::vector<std::uint64_t> c(m.snps());
   for (std::size_t i = 0; i < m.snps(); ++i) c[i] = m.derived_count(i);
   return c;
+}
+
+// Row conversion of a count tile (detail::tile_stats): Tanimoto of row
+// fingerprint i against the tile's columns, from both sides' row counts.
+auto similarity_rows(const std::vector<std::uint64_t>& ca,
+                     const std::vector<std::uint64_t>& cb) {
+  return [&ca, &cb](const CountTile& t, std::size_t i, std::size_t cols,
+                    double* out) {
+    const std::uint64_t p = ca[t.row_begin + i];
+    const std::uint32_t* x = t.row(i);
+    for (std::size_t j = 0; j < cols; ++j) {
+      out[j] = tanimoto_from_counts(p, cb[t.col_begin + j], x[j]);
+    }
+  };
 }
 
 }  // namespace
@@ -70,15 +84,11 @@ LdMatrix tanimoto_matrix(const BitMatrix& fps, const GemmConfig& cfg) {
   LdMatrix out(n, n);
   if (n == 0) return out;
 
-  CountMatrix x(n, n);
-  syrk_count(fps.view(), x.ref(), cfg);
+  // Eq. 7 is symmetric operation for operation, so the symmetric body's
+  // mirrored canonical pairs are exact.
   const std::vector<std::uint64_t> counts = row_counts(fps);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      out(i, j) = tanimoto_from_counts(counts[i], counts[j], x(i, j));
-    }
-  }
+  detail::symmetric_stats<1>(PackedBitMatrix::pack(fps.view(), cfg),
+                             similarity_rows(counts, counts), out);
   return out;
 }
 
@@ -90,16 +100,11 @@ LdMatrix tanimoto_cross_matrix(const BitMatrix& a, const BitMatrix& b,
   LdMatrix out(m, n);
   if (m == 0 || n == 0) return out;
 
-  CountMatrix x(m, n);
-  gemm_count(a.view(), b.view(), x.ref(), cfg);
   const std::vector<std::uint64_t> ca = row_counts(a);
   const std::vector<std::uint64_t> cb = row_counts(b);
-
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      out(i, j) = tanimoto_from_counts(ca[i], cb[j], x(i, j));
-    }
-  }
+  detail::cross_stats<1>(PackedBitMatrix::pack(a.view(), cfg, PackSides::kA),
+                         PackedBitMatrix::pack(b.view(), cfg, PackSides::kB),
+                         similarity_rows(ca, cb), out);
   return out;
 }
 

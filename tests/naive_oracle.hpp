@@ -1,6 +1,7 @@
 // Oracle helpers shared by the driver property sweeps: naive references
 // for the cross-matrix LD and the ω scan (built on baselines/naive), a
-// sorted-list intersection, and a bitwise value comparison.
+// sorted-list intersection, a bitwise value comparison, and the plan sweep
+// of the two-plane drivers.
 #pragma once
 
 #include <algorithm>
@@ -9,9 +10,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "baselines/naive.hpp"
+#include "core/gemm/kernel.hpp"
 #include "omega/omega_stat.hpp"
 #include "omega/sweep_scan.hpp"
 
@@ -45,6 +48,39 @@ inline std::uint32_t list_intersect_count(const std::uint32_t* a,
     j += static_cast<std::size_t>(y <= x);
   }
   return hits;
+}
+
+/// Plans for the two-plane drivers (missing data, genotype LD), whose
+/// interleaved row pairs must never straddle a tile edge: the default
+/// plan, a small scalar blocking that crosses many cache tiles and k
+/// panels, and — where one runs here — a 1x8 variant with an odd mc that
+/// resolve_plan has to round to an even row block.
+inline std::vector<GemmConfig> pair_block_configs() {
+  std::vector<GemmConfig> cfgs(2);
+  cfgs[1].arch = KernelArch::kScalar;
+  cfgs[1].kc_words = 1;
+  cfgs[1].mc = 8;
+  cfgs[1].nc = 8;
+  for (const KernelInfo* k : available_kernel_variants()) {
+    if (k->mr != 1 || k->nr != 8) continue;
+    GemmConfig odd;
+    odd.arch = k->arch;
+    odd.mr = k->mr;
+    odd.nr = k->nr;
+    odd.ku = k->ku;
+    odd.kc_words = k->ku;
+    odd.mc = 5;
+    odd.nc = 16;
+    cfgs.push_back(odd);
+    break;
+  }
+  return cfgs;
+}
+
+/// A plan of the sweep, for failure messages.
+inline std::string describe_plan(const GemmConfig& cfg) {
+  return kernel_arch_name(cfg.arch) + " mr " + std::to_string(cfg.mr) +
+         " mc " + std::to_string(cfg.mc);
 }
 
 /// LD between every SNP of `a` and every SNP of `b` via the per-bit loop.

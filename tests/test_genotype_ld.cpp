@@ -1,9 +1,11 @@
 #include "core/genotype_ld.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "naive_oracle.hpp"
 #include "sim/wright_fisher.hpp"
 #include "util/contract.hpp"
 
@@ -19,44 +21,51 @@ GenotypeMatrix test_genotypes(std::size_t snps, std::size_t haplotypes,
   return GenotypeMatrix::from_haplotypes(simulate_genotypes(p));
 }
 
-TEST(GenotypeLd, MatchesPairwiseBaselineExactly) {
+TEST(GenotypeLd, MatchesPairwiseBaselineBitForBit) {
   const GenotypeMatrix g = test_genotypes(35, 200, 1);
-  const LdMatrix gemm = genotype_ld_matrix(g);
-  for (std::size_t i = 0; i < g.snps(); ++i) {
-    for (std::size_t j = 0; j < g.snps(); ++j) {
-      const double want = plink_like_r2_pair(g, i, j);
-      const double got = gemm(i, j);
-      if (std::isnan(want)) {
-        EXPECT_TRUE(std::isnan(got)) << i << "," << j;
-      } else {
-        EXPECT_DOUBLE_EQ(got, want) << i << "," << j;
+  const LdMatrix want = plink_like_matrix(g);
+  for (const GemmConfig& cfg : oracle::pair_block_configs()) {
+    const LdMatrix got = genotype_ld_matrix(g, cfg);
+    for (std::size_t i = 0; i < g.snps(); ++i) {
+      for (std::size_t j = 0; j < g.snps(); ++j) {
+        ASSERT_TRUE(oracle::same_bits(got(i, j), want(i, j)))
+            << oracle::describe_plan(cfg) << " at " << i << "," << j;
       }
     }
   }
 }
 
-TEST(GenotypeLd, ScanMatchesDense) {
+TEST(GenotypeLd, ScanEmitsEachCanonicalPairOnceMatchingBaseline) {
   const GenotypeMatrix g = test_genotypes(41, 150, 2);
-  const LdMatrix dense = genotype_ld_matrix(g);
-  std::size_t covered = 0;
-  genotype_ld_scan(
-      g,
-      [&](const LdTile& tile) {
-        for (std::size_t i = 0; i < tile.rows; ++i) {
-          for (std::size_t j = 0; j < tile.cols; ++j) {
-            const double want = dense(tile.row_begin + i, j);
-            const double got = tile.at(i, j);
-            if (std::isnan(want)) {
-              EXPECT_TRUE(std::isnan(got));
-            } else {
-              EXPECT_DOUBLE_EQ(got, want);
+  const std::size_t n = g.snps();
+  const LdMatrix want = plink_like_matrix(g);
+  for (const GemmConfig& cfg : oracle::pair_block_configs()) {
+    std::vector<int> seen(n * n, 0);
+    genotype_ld_scan(
+        g,
+        [&](const LdTile& tile) {
+          ASSERT_LE(tile.row_begin + tile.rows, n);
+          ASSERT_LE(tile.col_begin + tile.cols, n);
+          for (std::size_t i = 0; i < tile.rows; ++i) {
+            for (std::size_t j = 0; j < tile.cols; ++j) {
+              const std::size_t gi = tile.row_begin + i;
+              const std::size_t gj = tile.col_begin + j;
+              ASSERT_LE(gj, gi)
+                  << oracle::describe_plan(cfg) << ": above the diagonal";
+              ++seen[gi * n + gj];
+              ASSERT_TRUE(oracle::same_bits(tile.at(i, j), want(gi, gj)))
+                  << oracle::describe_plan(cfg) << " at " << gi << "," << gj;
             }
-            if (j <= tile.row_begin + i) ++covered;
           }
-        }
-      },
-      {}, /*slab_rows=*/9);
-  EXPECT_EQ(covered, ld_pair_count(g.snps()));
+        },
+        cfg);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        ASSERT_EQ(seen[i * n + j], 1)
+            << oracle::describe_plan(cfg) << " pair " << i << "," << j;
+      }
+    }
+  }
 }
 
 TEST(GenotypeLd, DiagonalIsOneForVariableSnps) {
@@ -64,7 +73,7 @@ TEST(GenotypeLd, DiagonalIsOneForVariableSnps) {
   const LdMatrix m = genotype_ld_matrix(g);
   for (std::size_t s = 0; s < g.snps(); ++s) {
     if (!std::isnan(m(s, s))) {
-      EXPECT_DOUBLE_EQ(m(s, s), 1.0);
+      EXPECT_TRUE(oracle::same_bits(m(s, s), 1.0)) << s;
     }
   }
 }
@@ -102,7 +111,7 @@ TEST(GenotypeLd, MonomorphicGenotypeIsNaN) {
   const LdMatrix m = genotype_ld_matrix(g);
   EXPECT_TRUE(std::isnan(m(0, 1)));
   EXPECT_TRUE(std::isnan(m(0, 0)));
-  EXPECT_DOUBLE_EQ(m(1, 1), 1.0);
+  EXPECT_TRUE(oracle::same_bits(m(1, 1), 1.0));
 }
 
 TEST(GenotypeLd, EmptyMatrixIsSafe) {

@@ -62,6 +62,7 @@ TEST(KernelRegistry, GeometryInvariants) {
     EXPECT_NE(k.ku, 0u) << k.name;
     EXPECT_EQ(64 % k.mr, 0u) << k.name;  // sparse transpose gather contract
     EXPECT_EQ(64 % k.nr, 0u) << k.name;
+    EXPECT_EQ(k.nr % 2, 0u) << k.name;  // even column tile edges
     EXPECT_LE(k.mr * k.nr, 256u) << k.name;  // drivers' edge-tile scratch
     EXPECT_TRUE(ids.emplace(k.arch, k.mr, k.nr, k.ku).second)
         << "duplicate identity: " << k.name;
@@ -329,6 +330,24 @@ TEST(ResolvePlan, ExplicitGeometrySelectsVariant) {
   EXPECT_EQ(plan.nr, 8u);
   EXPECT_EQ(plan.ku, 1u);
   EXPECT_EQ(&kernel_for_plan(plan), find_kernel(KernelArch::kScalar, 2, 8, 1));
+}
+
+TEST(ResolvePlan, OddRowBlockRoundsToEvenForOneRowTiles) {
+  // Tile rows start at multiples of mc, and the two-plane drivers need
+  // every tile edge even: mr = 1 with mc = 5 must resolve to mc = 6.
+  std::size_t checked = 0;
+  for (const KernelInfo* k : available_kernel_variants()) {
+    if (k->mr != 1) continue;
+    GemmConfig cfg;
+    cfg.arch = k->arch;
+    cfg.mr = k->mr;
+    cfg.nr = k->nr;
+    cfg.ku = k->ku;
+    cfg.mc = 5;
+    EXPECT_EQ(resolve_plan(cfg, 64).mc, 6u) << k->name;
+    ++checked;
+  }
+  if (checked == 0) GTEST_SKIP() << "no mr = 1 variant runs on this CPU";
 }
 
 TEST(ResolvePlan, UnknownGeometryThrows) {

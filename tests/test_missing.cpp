@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/gemm/packed_bit_matrix.hpp"
+#include "naive_oracle.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
+#include "util/trace.hpp"
 
 namespace ldla {
 namespace {
@@ -85,20 +88,104 @@ TEST(MaskedBitMatrix, RejectsDimensionMismatch) {
                ContractViolation);
 }
 
+// Oracle for one cross pair (row i of `a`, row j of `b`), per sample.
+double oracle_cross_pair(const MaskedBitMatrix& a, std::size_t i,
+                         const MaskedBitMatrix& b, std::size_t j,
+                         LdStatistic stat) {
+  std::uint64_t ci = 0, cj = 0, cij = 0, nv = 0;
+  for (std::size_t s = 0; s < a.samples(); ++s) {
+    if (!a.valid().get(i, s) || !b.valid().get(j, s)) continue;
+    ++nv;
+    ci += a.states().get(i, s);
+    cj += b.states().get(j, s);
+    cij += a.states().get(i, s) && b.states().get(j, s);
+  }
+  return ld_value_missing(stat, ci, cj, cij, nv);
+}
+
+// Gap-heavy data, and near-complete data whose validity rows are
+// near-all-ones (complement lists under the sparse dispatch).
+std::vector<MaskedBitMatrix> sweep_panels() {
+  std::vector<MaskedBitMatrix> out;
+  out.push_back(random_masked(41, 150, 0.15, 42));
+  out.push_back(random_masked(23, 90, 0.01, 43));
+  return out;
+}
+
 class MissingStat : public ::testing::TestWithParam<LdStatistic> {};
 
-TEST_P(MissingStat, GemmFormulationMatchesPerSampleOracle) {
-  const MaskedBitMatrix g = random_masked(23, 150, 0.15, 42);
-  LdOptions opts;
-  opts.stat = GetParam();
-  const LdMatrix got = ld_matrix_missing(g, opts);
-  for (std::size_t i = 0; i < g.snps(); ++i) {
-    for (std::size_t j = 0; j < g.snps(); ++j) {
-      const double want = oracle_pair(g, i, j, GetParam());
-      if (std::isnan(want)) {
-        EXPECT_TRUE(std::isnan(got(i, j))) << i << "," << j;
-      } else {
-        EXPECT_NEAR(got(i, j), want, 1e-12) << i << "," << j;
+TEST_P(MissingStat, MatrixMatchesPerSampleOracleBitForBit) {
+  for (const MaskedBitMatrix& g : sweep_panels()) {
+    std::vector<double> want(g.snps() * g.snps());
+    for (std::size_t i = 0; i < g.snps(); ++i) {
+      for (std::size_t j = 0; j < g.snps(); ++j) {
+        want[i * g.snps() + j] = oracle_pair(g, i, j, GetParam());
+      }
+    }
+    for (const GemmConfig& cfg : oracle::pair_block_configs()) {
+      LdOptions opts;
+      opts.stat = GetParam();
+      opts.gemm = cfg;
+      const LdMatrix got = ld_matrix_missing(g, opts);
+      for (std::size_t i = 0; i < g.snps(); ++i) {
+        for (std::size_t j = 0; j < g.snps(); ++j) {
+          ASSERT_TRUE(oracle::same_bits(got(i, j), want[i * g.snps() + j]))
+              << oracle::describe_plan(cfg) << " at " << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(MissingStat, CrossMatrixMatchesOracleBitForBit) {
+  const MaskedBitMatrix a = random_masked(11, 100, 0.2, 8);
+  const MaskedBitMatrix b = random_masked(7, 100, 0.1, 9);
+  for (const GemmConfig& cfg : oracle::pair_block_configs()) {
+    LdOptions opts;
+    opts.stat = GetParam();
+    opts.gemm = cfg;
+    const LdMatrix got = ld_cross_matrix_missing(a, b, opts);
+    ASSERT_EQ(got.rows(), a.snps());
+    ASSERT_EQ(got.cols(), b.snps());
+    for (std::size_t i = 0; i < a.snps(); ++i) {
+      for (std::size_t j = 0; j < b.snps(); ++j) {
+        ASSERT_TRUE(oracle::same_bits(
+            got(i, j), oracle_cross_pair(a, i, b, j, GetParam())))
+            << oracle::describe_plan(cfg) << " at " << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST_P(MissingStat, ScanEmitsEachCanonicalPairOnceMatchingOracle) {
+  for (const MaskedBitMatrix& g : sweep_panels()) {
+    const std::size_t n = g.snps();
+    for (const GemmConfig& cfg : oracle::pair_block_configs()) {
+      LdOptions opts;
+      opts.stat = GetParam();
+      opts.gemm = cfg;
+      std::vector<int> seen(n * n, 0);
+      ld_scan_missing(g, [&](const LdTile& tile) {
+        ASSERT_LE(tile.row_begin + tile.rows, n);
+        ASSERT_LE(tile.col_begin + tile.cols, n);
+        for (std::size_t i = 0; i < tile.rows; ++i) {
+          for (std::size_t j = 0; j < tile.cols; ++j) {
+            const std::size_t gi = tile.row_begin + i;
+            const std::size_t gj = tile.col_begin + j;
+            ASSERT_LE(gj, gi)
+                << oracle::describe_plan(cfg) << ": above the diagonal";
+            ++seen[gi * n + gj];
+            ASSERT_TRUE(oracle::same_bits(tile.at(i, j),
+                                          oracle_pair(g, gi, gj, GetParam())))
+                << oracle::describe_plan(cfg) << " at " << gi << "," << gj;
+          }
+        }
+      }, opts);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+          ASSERT_EQ(seen[i * n + j], 1)
+              << oracle::describe_plan(cfg) << " pair " << i << "," << j;
+        }
       }
     }
   }
@@ -117,17 +204,14 @@ INSTANTIATE_TEST_SUITE_P(AllStatistics, MissingStat,
                          });
 
 TEST(Missing, AllValidReducesToPlainLd) {
-  // With no gaps, the masked computation must equal the ISM path exactly.
+  // With no gaps, the masked computation must equal the ISM path bit for
+  // bit (NaNs aside: the two paths produce NaNs with different sign bits).
   const MaskedBitMatrix masked = random_masked(19, 120, 0.0, 7);
   const LdMatrix got = ld_matrix_missing(masked);
   const LdMatrix want = ld_matrix(masked.states().clone());
   for (std::size_t i = 0; i < 19; ++i) {
     for (std::size_t j = 0; j < 19; ++j) {
-      if (std::isnan(want(i, j))) {
-        EXPECT_TRUE(std::isnan(got(i, j)));
-      } else {
-        EXPECT_DOUBLE_EQ(got(i, j), want(i, j));
-      }
+      EXPECT_TRUE(oracle::same_value(got(i, j), want(i, j))) << i << "," << j;
     }
   }
 }
@@ -140,60 +224,28 @@ TEST(Missing, FullyMissingPairIsNaN) {
   EXPECT_TRUE(std::isnan(r2(1, 0)));
 }
 
-TEST(Missing, CrossMatrixMatchesOracle) {
-  const MaskedBitMatrix a = random_masked(11, 100, 0.2, 8);
-  const MaskedBitMatrix b = random_masked(7, 100, 0.1, 9);
-  const LdMatrix got = ld_cross_matrix_missing(a, b);
-  for (std::size_t i = 0; i < a.snps(); ++i) {
-    for (std::size_t j = 0; j < b.snps(); ++j) {
-      std::uint64_t ci = 0, cj = 0, cij = 0, nv = 0;
-      for (std::size_t s = 0; s < a.samples(); ++s) {
-        if (!a.valid().get(i, s) || !b.valid().get(j, s)) continue;
-        ++nv;
-        ci += a.states().get(i, s);
-        cj += b.states().get(j, s);
-        cij += a.states().get(i, s) && b.states().get(j, s);
-      }
-      const double want = ld_value_missing(LdStatistic::kRSquared, ci, cj,
-                                           cij, nv);
-      if (std::isnan(want)) {
-        EXPECT_TRUE(std::isnan(got(i, j)));
-      } else {
-        EXPECT_NEAR(got(i, j), want, 1e-12);
-      }
+TEST(Missing, ScanPacksTheInterleavedMatrixOnce) {
+  if (!trace::compiled()) GTEST_SKIP() << "built with LDLA_TRACE=OFF";
+  const MaskedBitMatrix g = random_masked(41, 2048, 0.06, 12);
+  // The operand the scan packs: row 2i = x_i, row 2i+1 = c_i.
+  BitMatrix interleaved(2 * g.snps(), g.samples());
+  for (std::size_t i = 0; i < g.snps(); ++i) {
+    for (std::size_t s = 0; s < g.samples(); ++s) {
+      interleaved.set(2 * i, s, g.states().get(i, s));
+      interleaved.set(2 * i + 1, s, g.valid().get(i, s));
     }
   }
-}
+  trace::TraceSnapshot before = trace::snapshot();
+  (void)PackedBitMatrix::pack(interleaved.view());
+  const std::uint64_t one_pack =
+      trace::snapshot().since(before).counters.bytes_packed;
+  ASSERT_GT(one_pack, 0u);
 
-TEST(Missing, ScanMatchesDenseDriver) {
-  const MaskedBitMatrix g = random_masked(41, 90, 0.2, 10);
-  const LdMatrix dense = ld_matrix_missing(g);
-  LdOptions opts;
-  opts.slab_rows = 7;
-  std::size_t covered = 0;
-  ld_scan_missing(g, [&](const LdTile& tile) {
-    for (std::size_t i = 0; i < tile.rows; ++i) {
-      for (std::size_t j = 0; j < tile.cols; ++j) {
-        const double want = dense(tile.row_begin + i, tile.col_begin + j);
-        const double got = tile.at(i, j);
-        if (std::isnan(want)) {
-          EXPECT_TRUE(std::isnan(got));
-        } else {
-          EXPECT_NEAR(got, want, 1e-12);
-        }
-        if (tile.col_begin + j <= tile.row_begin + i) ++covered;
-      }
-    }
-  }, opts);
-  EXPECT_EQ(covered, ld_pair_count(g.snps()));
-}
-
-TEST(Missing, ScanRejectsZeroSlab) {
-  const MaskedBitMatrix g = random_masked(5, 32, 0.1, 11);
-  LdOptions opts;
-  opts.slab_rows = 0;
-  EXPECT_THROW(ld_scan_missing(g, [](const LdTile&) {}, opts),
-               ContractViolation);
+  before = trace::snapshot();
+  std::size_t tiles = 0;
+  ld_scan_missing(g, [&](const LdTile&) { ++tiles; });
+  EXPECT_EQ(trace::snapshot().since(before).counters.bytes_packed, one_pack);
+  EXPECT_GT(tiles, 0u);
 }
 
 TEST(Missing, ValueMissingWithZeroValidIsNaN) {

@@ -42,18 +42,14 @@ class ParallelThreads : public ::testing::TestWithParam<unsigned> {};
 TEST_P(ParallelThreads, SymmetricMatrixMatchesSequential) {
   const BitMatrix g = test_matrix(43, 150, 1);
   const LdMatrix sequential = ld_matrix(g);
-  LdOptions opts;
-  opts.slab_rows = 8;
-  expect_matrices_equal(ld_matrix_parallel(g, opts, GetParam()), sequential);
+  expect_matrices_equal(ld_matrix_parallel(g, {}, GetParam()), sequential);
 }
 
 TEST_P(ParallelThreads, CrossMatrixMatchesSequential) {
   const BitMatrix a = test_matrix(19, 90, 2);
   const BitMatrix b = test_matrix(27, 90, 3);
   const LdMatrix sequential = ld_cross_matrix(a, b);
-  LdOptions opts;
-  opts.slab_rows = 5;
-  expect_matrices_equal(ld_cross_matrix_parallel(a, b, opts, GetParam()),
+  expect_matrices_equal(ld_cross_matrix_parallel(a, b, {}, GetParam()),
                         sequential);
 }
 

@@ -458,7 +458,6 @@ TEST_F(TraceFixture, SessionEventsNestExactlyOnceUnderParallelDrivers) {
   const BitMatrix g = random_matrix(n, 400, 31);
   LdOptions opts;
   opts.gemm = small_blocking(KernelArch::kScalar);
-  opts.slab_rows = 24;
 
   trace::start_session("test_trace_nesting");
   ASSERT_TRUE(trace::session_active());
