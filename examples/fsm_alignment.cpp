@@ -1,7 +1,8 @@
 // Finite-sites-model LD (Section VII): Zaykin's T statistic over a DNA
-// alignment with four nucleotide states and gaps, computed as 21 popcount-
-// GEMMs over per-nucleotide bit-planes. Simulates an alignment where one
-// block of columns coevolves and shows T separating it from the background.
+// alignment with four nucleotide states and gaps, computed as one popcount
+// product over the row-interleaved nucleotide bit-planes (fsm_t_matrix).
+// Simulates an alignment where one block of columns coevolves and shows T
+// separating it from the background.
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -83,7 +84,7 @@ int main(int argc, char** argv) try {
 
   ldla::Timer timer;
   const ldla::LdMatrix t = ldla::fsm_t_matrix(fsm);
-  std::printf("Zaykin T for %zu pairs (21 popcount-GEMMs) in %.3f s\n\n",
+  std::printf("Zaykin T for %zu pairs (one popcount product) in %.3f s\n\n",
               columns * (columns + 1) / 2, timer.seconds());
 
   double in_sum = 0, out_sum = 0;

@@ -2,7 +2,8 @@
 // one stat epilogue every LD driver hands its count tiles to, and the dense
 // driver bodies built on it (matrix, cross matrix, scan), whose row
 // conversion is a parameter: the LD statistics, Tanimoto, or the per-pair
-// statistic of the two-plane drivers (missing data, genotype LD).
+// statistic of the multi-plane drivers (missing data, genotype LD, Zaykin's
+// T).
 //
 // The D = H - p pᵀ (and r²) pass is itself a dense O(n²) operation; doing
 // it with branch-free arithmetic over precomputed per-SNP factors lets the
@@ -16,6 +17,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -234,22 +237,25 @@ class StatTileEmitter {
 
 // ---- the dense driver bodies ----------------------------------------------
 //
-// `Unit` is the number of operand rows per SNP: 1, or 2 for the two-plane
-// drivers, whose rows 2i and 2i+1 hold SNP i's planes a_i and b_i. Tile
-// edges are even (resolve_plan keeps mc a multiple of lcm(mr, 2), the
-// registry admits only even nr), so their tiles hold whole pair blocks
-// [[a_i·a_j, a_i·b_j], [b_i·a_j, b_i·b_j]].
+// `Unit` is the number of operand rows per SNP: 1, 2 for the two-plane
+// drivers (rows 2i and 2i+1 hold SNP i's planes a_i and b_i), or 4 for
+// Zaykin's T (rows 4i..4i+3 hold SNP i's nucleotide planes). Every tile edge
+// is a multiple of kTileEdgeRows (gemm/config.hpp), so tiles hold whole
+// Unit x Unit plane blocks of each SNP pair.
 
-/// Count tile `t` in SNP indices. For Unit 2, `ld` spans both count rows of
-/// a SNP row: row(i) holds a_i's products, ld / 2 words on b_i's.
+/// Count tile `t` in SNP indices. For Unit > 1, `ld` spans all count rows
+/// of a SNP row: row(i) holds plane 0's products, plane p's start p·ld/Unit
+/// words on, and column j's plane q product sits at offset Unit·j + q.
 template <std::size_t Unit>
 CountTile snp_tile(const CountTile& t) {
+  static_assert(Unit == 1 || Unit == 2 || Unit == 4,
+                "tile edges are multiples of kTileEdgeRows rows");
   if constexpr (Unit == 1) return t;
-  LDLA_ASSERT_MSG(t.row_begin % 2 == 0 && t.rows % 2 == 0 &&
-                      t.col_begin % 2 == 0 && t.cols % 2 == 0,
-                  "count tile edge splits a pair block");
-  return {t.row_begin / 2, t.col_begin / 2, t.rows / 2,
-          t.cols / 2,      t.counts,        2 * t.ld};
+  LDLA_ASSERT_MSG(t.row_begin % Unit == 0 && t.rows % Unit == 0 &&
+                      t.col_begin % Unit == 0 && t.cols % Unit == 0,
+                  "count tile edge splits a per-SNP plane block");
+  return {t.row_begin / Unit, t.col_begin / Unit, t.rows / Unit,
+          t.cols / Unit,      t.counts,           Unit * t.ld};
 }
 
 /// Symmetric body: each SYRK tile of `packed` writes its canonical
@@ -301,16 +307,25 @@ void symmetric_scan(const PackedBitMatrix& packed, RowFn row,
       team);
 }
 
-// ---- two planes per SNP ----------------------------------------------------
+// ---- several planes per SNP ------------------------------------------------
 
-/// Rows 2i and 2i+1 of the result are row i of `a` and of `b`.
-inline BitMatrix interleave_rows(const BitMatrix& a, const BitMatrix& b) {
-  LDLA_ASSERT(a.snps() == b.snps() && a.samples() == b.samples());
-  BitMatrix out = BitMatrix::uninitialized(2 * a.snps(), a.samples());
-  const std::size_t bytes = a.stride_words() * sizeof(std::uint64_t);
-  for (std::size_t i = 0; i < a.snps(); ++i) {
-    std::memcpy(out.row_data(2 * i), a.row_data(i), bytes);
-    std::memcpy(out.row_data(2 * i + 1), b.row_data(i), bytes);
+/// Row N·i + p of the result is row i of planes[p] (N = planes.size()).
+inline BitMatrix interleave_rows(
+    std::initializer_list<std::reference_wrapper<const BitMatrix>> planes) {
+  const BitMatrix& first = *planes.begin();
+  const std::size_t units = planes.size();
+  BitMatrix out =
+      BitMatrix::uninitialized(units * first.snps(), first.samples());
+  for ([[maybe_unused]] const BitMatrix& plane : planes) {
+    LDLA_ASSERT(plane.snps() == first.snps() &&
+                plane.samples() == first.samples());
+  }
+  const std::size_t bytes = first.stride_words() * sizeof(std::uint64_t);
+  std::size_t row = 0;
+  for (std::size_t i = 0; i < first.snps(); ++i) {
+    for (const BitMatrix& plane : planes) {
+      std::memcpy(out.row_data(row++), plane.row_data(i), bytes);
+    }
   }
   return out;
 }

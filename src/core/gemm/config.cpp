@@ -1,6 +1,7 @@
 #include "core/gemm/config.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/gemm/kernel.hpp"
 #include "core/gemm/tune_cache.hpp"
@@ -124,10 +125,10 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
         plan.mr, a_block_budget / (plan.kc_words * sizeof(std::uint64_t)));
     plan.mc = std::min<std::size_t>(plan.mc, 512);
   }
-  // Row blocks stay whole register tiles and even, so no tile edge splits
-  // the interleaved row pairs of the two-plane drivers; the pack layout
-  // does not depend on mc.
-  const std::size_t m_quantum = plan.mr % 2 == 0 ? plan.mr : 2 * plan.mr;
+  // Row blocks stay whole register tiles on the kTileEdgeRows grid, so no
+  // tile edge splits the interleaved planes of a multi-plane driver; the
+  // pack layout does not depend on mc or nc.
+  const std::size_t m_quantum = std::lcm(plan.mr, kTileEdgeRows);
   plan.mc = (plan.mc + m_quantum - 1) / m_quantum * m_quantum;
 
   // nc: packed B panel (nc * kc words) targets L3 (or a fixed budget when
@@ -140,7 +141,8 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
         plan.nr, (l3 / 2) / (plan.kc_words * sizeof(std::uint64_t)));
     plan.nc = std::min<std::size_t>(plan.nc, 8192);
   }
-  plan.nc = (plan.nc + plan.nr - 1) / plan.nr * plan.nr;
+  const std::size_t n_quantum = std::lcm(plan.nr, kTileEdgeRows);
+  plan.nc = (plan.nc + n_quantum - 1) / n_quantum * n_quantum;
 
   // Sparse-column threshold: auto resolves to the crossover allele count.
   // A dense register-tile row pair costs ~k_words AND+POPCNT word ops per

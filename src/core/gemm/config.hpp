@@ -66,6 +66,14 @@ struct GemmConfig {
   std::size_t sparse_threshold = kSparseThresholdAuto;
 };
 
+/// Every cache-tile and team-chunk edge of the fused nest falls on a
+/// multiple of this many operand rows: resolve_plan rounds mc and nc to
+/// multiples of lcm(register tile, kTileEdgeRows), and team chunks are
+/// multiples of lcm(nr, kTileEdgeRows). Drivers that interleave up to four
+/// planes per SNP by row (missing data, genotype LD, Zaykin's T) therefore
+/// always receive whole per-SNP blocks.
+inline constexpr std::size_t kTileEdgeRows = 4;
+
 /// Fully-resolved blocking plan for a concrete problem.
 struct GemmPlan {
   KernelArch arch = KernelArch::kScalar;

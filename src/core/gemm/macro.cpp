@@ -5,6 +5,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -231,14 +232,16 @@ void for_each_chunk(const TileGrid& g, std::size_t q, const Visit& visit) {
 /// Column quantum for chunking a jc panel: wide enough to amortize the
 /// deque traffic and keep B slivers streaming, narrow enough that every
 /// panel yields ~8 chunks per team member to steal from. Always a multiple
-/// of nr so chunk boundaries stay on the packed sliver grid.
+/// of lcm(nr, kTileEdgeRows), so chunk boundaries stay on the packed
+/// sliver grid and never split a multi-plane driver's per-SNP rows.
 std::size_t chunk_quantum(std::size_t total_cols, std::size_t nr,
                           std::size_t nc, std::size_t team) {
+  const std::size_t unit = std::lcm(nr, kTileEdgeRows);
   const std::size_t target =
       total_cols / std::max<std::size_t>(1, team * 8);
-  std::size_t q = std::max(nr, (target + nr - 1) / nr * nr);
-  q = std::min(q, std::min(nc, (total_cols + nr - 1) / nr * nr));
-  return std::max<std::size_t>(q, nr);
+  std::size_t q = std::max(unit, (target + unit - 1) / unit * unit);
+  q = std::min(q, std::min(nc, (total_cols + unit - 1) / unit * unit));
+  return std::max(q, unit);
 }
 
 /// Drain the team's chunk deques from member `t`'s seat: LIFO-pop the own

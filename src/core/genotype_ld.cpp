@@ -72,7 +72,7 @@ void genotype_body(const GenotypeMatrix& g, const GemmConfig& cfg,
                           4.0 * static_cast<double>(k.bb);
     return r2_from(m[i], m[j], sum_xy, n);
   };
-  const BitMatrix lh = detail::interleave_rows(planes.lo, planes.hi);
+  const BitMatrix lh = detail::interleave_rows({planes.lo, planes.hi});
   body(PackedBitMatrix::pack(lh.view(), cfg),
        detail::PairRows<decltype(pair)>{pair, true});
 }

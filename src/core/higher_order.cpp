@@ -4,6 +4,7 @@
 
 #include "core/gemm/count_matrix.hpp"
 #include "core/gemm/macro.hpp"
+#include "core/gemm/packed_bit_matrix.hpp"
 #include "core/gemm/syrk.hpp"
 
 namespace ldla {
@@ -59,14 +60,16 @@ ThirdOrderTensor third_order_d(const BitMatrix& g, std::size_t snp_begin,
   const BitMatrixView window = g.view(snp_begin, snp_end);
   const double n = static_cast<double>(g.samples());
 
-  // Pairwise counts: one symmetric GEMM.
+  // The window is packed once; its pairwise counts are one symmetric
+  // product over that pack.
+  const PackedBitMatrix packed = PackedBitMatrix::pack(window, cfg);
   CountMatrix pair(w, w);
-  syrk_count(window, pair.ref(), cfg);
+  syrk_count_packed(packed, 0, w, pair.ref());
 
-  // Three-way counts: one GEMM per conditioning SNP k over the k-masked
-  // window X_k = S & s_k.
+  // Three-way counts: one product per conditioning SNP k of the k-masked
+  // window X_k = S & s_k (packed as the A side only) against the window's
+  // B side; each count tile becomes D_ijk in place.
   BitMatrix masked(w, g.samples());
-  CountMatrix triple(w, w);
   for (std::size_t k = 0; k < w; ++k) {
     const std::uint64_t* sk = window.row(k);
     for (std::size_t r = 0; r < w; ++r) {
@@ -76,16 +79,20 @@ ThirdOrderTensor third_order_d(const BitMatrix& g, std::size_t snp_begin,
         dst[word] = src[word] & sk[word];
       }
     }
-    triple.zero();
-    gemm_count(masked.view(), window, triple.ref(), cfg);
-
-    for (std::size_t i = 0; i < w; ++i) {
-      for (std::size_t j = 0; j < w; ++j) {
-        out(i, j, k) = d3_from_counts(
-            n, pair(i, i), pair(j, j), pair(k, k), pair(i, j), pair(i, k),
-            pair(j, k), triple(i, j));
+    const PackedBitMatrix xk =
+        PackedBitMatrix::pack(masked.view(), cfg, PackSides::kA);
+    gemm_count_fused(xk, 0, w, packed, 0, w, [&](const CountTile& t) {
+      for (std::size_t r = 0; r < t.rows; ++r) {
+        const std::size_t i = t.row_begin + r;
+        const std::uint32_t* triple = t.row(r);
+        for (std::size_t c = 0; c < t.cols; ++c) {
+          const std::size_t j = t.col_begin + c;
+          out(i, j, k) = d3_from_counts(n, pair(i, i), pair(j, j),
+                                        pair(k, k), pair(i, j), pair(i, k),
+                                        pair(j, k), triple[c]);
+        }
       }
-    }
+    });
   }
   return out;
 }

@@ -11,9 +11,11 @@
 //
 //   c_ijk = POPCNT(s_i & s_j & s_k)  =  POPCNT((s_i & s_k) & s_j)
 //
-// for all (i, j) are one popcount-GEMM between the k-masked matrix
-// X_k = S & s_k and S itself — so a w-SNP window costs w GEMMs, every one
-// of them going through the same packed micro-kernels.
+// for all (i, j) are one popcount product between the k-masked matrix
+// X_k = S & s_k and S itself. The window is packed once (its pairwise
+// counts are one symmetric product over that pack); each X_k is packed as
+// the A side only and multiplied with the window's B side through the fused
+// nest, whose count tiles become D_ijk in place.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +52,9 @@ class ThirdOrderTensor {
   AlignedBuffer<double> buf_;
 };
 
-/// All D_ijk for the SNP window [snp_begin, snp_end) via w popcount-GEMMs.
+/// All D_ijk for the SNP window [snp_begin, snp_end): one pack of the
+/// window and one fused product per conditioning SNP. Every entry equals
+/// third_order_d_reference bit for bit.
 /// The result is symmetric in all three indices; entries with repeated
 /// indices reduce to lower-order quantities and are computed consistently.
 /// Window width is capped (the tensor is O(w^3) doubles).

@@ -77,7 +77,7 @@ auto missing_rows(LdStatistic stat, bool symmetric) {
 
 PackedBitMatrix pack_interleaved(const MaskedBitMatrix& g,
                                  const GemmConfig& cfg, PackSides sides) {
-  const BitMatrix xc = detail::interleave_rows(g.states(), g.valid());
+  const BitMatrix xc = detail::interleave_rows({g.states(), g.valid()});
   return PackedBitMatrix::pack(xc.view(), cfg, sides);
 }
 

@@ -1,10 +1,8 @@
 #include "core/tanimoto.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "core/detail/ld_stats_row.hpp"
-#include "core/gemm/count_matrix.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/popcount.hpp"
 #include "util/contract.hpp"
@@ -19,6 +17,12 @@ double tanimoto_from_counts(std::uint64_t p, std::uint64_t q,
   const std::uint64_t denom = p + q - x;
   if (denom == 0) return 0.0;  // two empty fingerprints
   return static_cast<double>(x) / static_cast<double>(denom);
+}
+
+// The order of a top-k list: similarity descending, then index ascending.
+bool ranks_before(const TanimotoHit& a, const TanimotoHit& b) {
+  if (a.similarity != b.similarity) return a.similarity > b.similarity;
+  return a.index < b.index;
 }
 
 std::vector<std::uint64_t> row_counts(const BitMatrix& m) {
@@ -42,32 +46,6 @@ auto similarity_rows(const std::vector<std::uint64_t>& ca,
 }
 
 }  // namespace
-
-std::vector<std::vector<TanimotoHit>> tanimoto_top_k_parallel(
-    const BitMatrix& queries, const BitMatrix& database, std::size_t k,
-    const GemmConfig& cfg, unsigned threads) {
-  LDLA_EXPECT(queries.samples() == database.samples(),
-              "fingerprint widths differ");
-  LDLA_EXPECT(k > 0, "k must be positive");
-  const std::size_t nq = queries.snps();
-  std::vector<std::vector<TanimotoHit>> results(nq);
-  if (nq == 0 || database.snps() == 0) return results;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-
-  ThreadPool pool(threads);
-  pool.parallel_for(0, nq, [&](std::size_t lo, std::size_t hi) {
-    std::vector<std::size_t> rows(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) rows[i - lo] = i;
-    const BitMatrix chunk = queries.gather_rows(rows);
-    auto chunk_results = tanimoto_top_k(chunk, database, k, cfg);
-    for (std::size_t i = lo; i < hi; ++i) {
-      results[i] = std::move(chunk_results[i - lo]);
-    }
-  });
-  return results;
-}
 
 double tanimoto_pair(const BitMatrix& a, std::size_t i, const BitMatrix& b,
                      std::size_t j) {
@@ -110,7 +88,7 @@ LdMatrix tanimoto_cross_matrix(const BitMatrix& a, const BitMatrix& b,
 
 std::vector<std::vector<TanimotoHit>> tanimoto_top_k(
     const BitMatrix& queries, const BitMatrix& database, std::size_t k,
-    const GemmConfig& cfg) {
+    const GemmConfig& cfg, unsigned threads) {
   LDLA_EXPECT(queries.samples() == database.samples(),
               "fingerprint widths differ");
   LDLA_EXPECT(k > 0, "k must be positive");
@@ -118,46 +96,43 @@ std::vector<std::vector<TanimotoHit>> tanimoto_top_k(
   const std::size_t nd = database.snps();
   std::vector<std::vector<TanimotoHit>> results(nq);
   if (nq == 0 || nd == 0) return results;
+  if (threads == 0) threads = default_thread_count();
 
   const std::vector<std::uint64_t> cq = row_counts(queries);
   const std::vector<std::uint64_t> cd = row_counts(database);
+  const PackedBitMatrix pq =
+      PackedBitMatrix::pack(queries.view(), cfg, PackSides::kA, threads);
+  const PackedBitMatrix pd =
+      PackedBitMatrix::pack(database.view(), cfg, PackSides::kB, threads);
 
-  // Stream the database in slabs to bound memory.
-  constexpr std::size_t kSlab = 1024;
-  CountMatrix x(nq, std::min(kSlab, nd));
-  for (std::size_t d0 = 0; d0 < nd; d0 += kSlab) {
-    const std::size_t cols = std::min(kSlab, nd - d0);
-    x.zero();
-    CountMatrixRef xref{x.ref().data, nq, cols, x.ld()};
-    gemm_count(queries.view(), database.view(d0, d0 + cols), xref, cfg);
-    for (std::size_t qi = 0; qi < nq; ++qi) {
-      auto& hits = results[qi];
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double sim =
-            tanimoto_from_counts(cq[qi], cd[d0 + j], xref.at(qi, j));
-        hits.push_back({d0 + j, sim});
-      }
-      // Keep only the current top-k to bound memory across slabs.
-      const auto by_sim = [](const TanimotoHit& a, const TanimotoHit& b) {
-        if (a.similarity != b.similarity) return a.similarity > b.similarity;
-        return a.index < b.index;
-      };
-      if (hits.size() > k) {
-        std::partial_sort(hits.begin(),
-                          hits.begin() + static_cast<std::ptrdiff_t>(k),
-                          hits.end(), by_sim);
-        hits.resize(k);
+  // Each query's list is a heap under ranks_before, so its front is the
+  // worst hit kept; a candidate enters only by ranking before it.
+  const CountTileSink keep = [&](const CountTile& t) {
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      const std::size_t qi = t.row_begin + i;
+      std::vector<TanimotoHit>& heap = results[qi];
+      const std::uint32_t* x = t.row(i);
+      for (std::size_t j = 0; j < t.cols; ++j) {
+        const std::size_t dj = t.col_begin + j;
+        const TanimotoHit hit{dj, tanimoto_from_counts(cq[qi], cd[dj], x[j])};
+        if (heap.size() < k) {
+          heap.push_back(hit);
+          std::push_heap(heap.begin(), heap.end(), ranks_before);
+        } else if (ranks_before(hit, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), ranks_before);
+          heap.back() = hit;
+          std::push_heap(heap.begin(), heap.end(), ranks_before);
+        }
       }
     }
-  }
-  for (auto& hits : results) {
-    std::sort(hits.begin(), hits.end(),
-              [](const TanimotoHit& a, const TanimotoHit& b) {
-                if (a.similarity != b.similarity) {
-                  return a.similarity > b.similarity;
-                }
-                return a.index < b.index;
-              });
+  };
+  // Every part runs a team of one over its own query rows, so the sink
+  // touches only that part's lists.
+  run_split(nq, threads, [&](Range part) {
+    gemm_count_fused(pq, part.begin, part.end, pd, 0, nd, keep);
+  });
+  for (auto& heap : results) {
+    std::sort_heap(heap.begin(), heap.end(), ranks_before);
   }
   return results;
 }

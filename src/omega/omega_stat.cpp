@@ -4,9 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/gemm/count_matrix.hpp"
-#include "core/gemm/syrk.hpp"
-#include "core/popcount.hpp"
 #include "util/contract.hpp"
 
 namespace ldla {
@@ -106,29 +103,5 @@ OmegaMax omega_max(const R2UpperView& r2) {
 }
 
 OmegaMax omega_max(const LdMatrix& r2) { return omega_max(upper_view(r2)); }
-
-LdMatrix window_r2(const BitMatrix& g, std::size_t snp_begin,
-                   std::size_t snp_end, const GemmConfig& cfg) {
-  LDLA_EXPECT(snp_begin <= snp_end && snp_end <= g.snps(),
-              "window out of range");
-  const std::size_t w = snp_end - snp_begin;
-  LdMatrix out(w, w);
-  if (w == 0) return out;
-
-  const BitMatrixView view = g.view(snp_begin, snp_end);
-  CountMatrix counts(w, w);
-  syrk_count(view, counts.ref(), cfg);
-
-  std::vector<std::uint64_t> ci(w);
-  for (std::size_t s = 0; s < w; ++s) {
-    ci[s] = popcount_words({view.row(s), view.n_words});
-  }
-  for (std::size_t i = 0; i < w; ++i) {
-    for (std::size_t j = 0; j < w; ++j) {
-      out(i, j) = ld_r_squared(ci[i], ci[j], counts(i, j), g.samples());
-    }
-  }
-  return out;
-}
 
 }  // namespace ldla

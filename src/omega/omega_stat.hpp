@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/bit_matrix.hpp"
 #include "core/ld.hpp"
 
 namespace ldla {
@@ -49,10 +48,5 @@ OmegaMax omega_max(const R2UpperView& r2);
 
 /// Same over a square matrix (only its upper triangle is read).
 OmegaMax omega_max(const LdMatrix& r2);
-
-/// Pairwise r^2 matrix of a contiguous SNP window via the GEMM engine
-/// (a convenience for small windows; the scan reads a shared band instead).
-LdMatrix window_r2(const BitMatrix& g, std::size_t snp_begin,
-                   std::size_t snp_end, const GemmConfig& cfg = {});
 
 }  // namespace ldla

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "naive_oracle.hpp"
 #include "sim/wright_fisher.hpp"
 #include "util/contract.hpp"
 
@@ -26,7 +27,8 @@ TEST(ThirdOrder, GemmMatchesPerSampleReference) {
   for (std::size_t i = 0; i < g.snps(); ++i) {
     for (std::size_t j = 0; j < g.snps(); ++j) {
       for (std::size_t k = 0; k < g.snps(); ++k) {
-        EXPECT_NEAR(d3(i, j, k), third_order_d_reference(g, i, j, k), 1e-12)
+        EXPECT_TRUE(oracle::same_bits(d3(i, j, k),
+                                      third_order_d_reference(g, i, j, k)))
             << i << "," << j << "," << k;
       }
     }
@@ -55,8 +57,9 @@ TEST(ThirdOrder, WindowOffsetsSelectSubRegion) {
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = 0; j < 6; ++j) {
       for (std::size_t k = 0; k < 6; ++k) {
-        EXPECT_NEAR(window(i, j, k),
-                    third_order_d_reference(g, 5 + i, 5 + j, 5 + k), 1e-12);
+        EXPECT_TRUE(oracle::same_bits(
+            window(i, j, k), third_order_d_reference(g, 5 + i, 5 + j, 5 + k)))
+            << i << "," << j << "," << k;
       }
     }
   }

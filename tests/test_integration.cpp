@@ -139,7 +139,7 @@ TEST(Integration, FingerprintPipelineFindsPlantedNeighbor) {
   query.set(0, 5, !query.get(0, 5));
   query.set(0, 700, !query.get(0, 700));
 
-  const auto hits = tanimoto_top_k_parallel(query, db, 3, {}, 2);
+  const auto hits = tanimoto_top_k(query, db, 3, {}, 2);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0][0].index, 123u)
       << "the perturbed source fingerprint must be the nearest neighbor";

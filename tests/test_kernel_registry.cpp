@@ -8,6 +8,7 @@
 
 #include "core/gemm/kernel.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cctype>
 #include <cstdio>
@@ -22,7 +23,9 @@
 
 #include "baselines/naive.hpp"
 #include "core/gemm/macro.hpp"
+#include "core/gemm/packed_bit_matrix.hpp"
 #include "core/gemm/packing.hpp"
+#include "core/gemm/syrk.hpp"
 #include "core/gemm/tune_cache.hpp"
 #include "sim/rng.hpp"
 #include "util/aligned_buffer.hpp"
@@ -333,8 +336,9 @@ TEST(ResolvePlan, ExplicitGeometrySelectsVariant) {
 }
 
 TEST(ResolvePlan, OddRowBlockRoundsToEvenForOneRowTiles) {
-  // Tile rows start at multiples of mc, and the two-plane drivers need
-  // every tile edge even: mr = 1 with mc = 5 must resolve to mc = 6.
+  // Tile rows start at multiples of mc, and the multi-plane drivers need
+  // every tile edge on a multiple of kTileEdgeRows (4): mr = 1 with mc = 5
+  // must resolve to mc = 8.
   std::size_t checked = 0;
   for (const KernelInfo* k : available_kernel_variants()) {
     if (k->mr != 1) continue;
@@ -344,10 +348,47 @@ TEST(ResolvePlan, OddRowBlockRoundsToEvenForOneRowTiles) {
     cfg.nr = k->nr;
     cfg.ku = k->ku;
     cfg.mc = 5;
-    EXPECT_EQ(resolve_plan(cfg, 64).mc, 6u) << k->name;
+    EXPECT_EQ(resolve_plan(cfg, 64).mc, 8u) << k->name;
     ++checked;
   }
   if (checked == 0) GTEST_SKIP() << "no mr = 1 variant runs on this CPU";
+}
+
+TEST(ResolvePlan, EveryTileEdgeIsAMultipleOfFourRows) {
+  // Small odd blocks (mc 5, nc 6) on every variant, through both fused
+  // drivers at teams {1, 2, 4}: no tile edge may split a group of
+  // kTileEdgeRows operand rows.
+  static_assert(kTileEdgeRows == 4);
+  const BitMatrix a = random_matrix(4 * 37, 200, 31);
+  const BitMatrix b = random_matrix(4 * 29, 200, 32);
+  const auto on_edge = [](const CountTile& t) {
+    return t.row_begin % 4 == 0 && t.rows % 4 == 0 && t.col_begin % 4 == 0 &&
+           t.cols % 4 == 0;
+  };
+  for (const KernelInfo* k : available_kernel_variants()) {
+    GemmConfig cfg;
+    cfg.arch = k->arch;
+    cfg.mr = k->mr;
+    cfg.nr = k->nr;
+    cfg.ku = k->ku;
+    cfg.mc = 5;
+    cfg.nc = 6;
+    const PackedBitMatrix pa = PackedBitMatrix::pack(a.view(), cfg);
+    const PackedBitMatrix pb =
+        PackedBitMatrix::pack(b.view(), cfg, PackSides::kB);
+    for (const unsigned team : {1u, 2u, 4u}) {
+      std::atomic<std::size_t> tiles{0};
+      std::atomic<std::size_t> split{0};
+      const CountTileSink check = [&](const CountTile& t) {
+        ++tiles;
+        if (!on_edge(t)) ++split;
+      };
+      gemm_count_fused(pa, 0, a.snps(), pb, 0, b.snps(), check, team);
+      syrk_count_fused(pa, 0, a.snps(), check, team);
+      EXPECT_GT(tiles.load(), 2u) << k->name << " team " << team;
+      EXPECT_EQ(split.load(), 0u) << k->name << " team " << team;
+    }
+  }
 }
 
 TEST(ResolvePlan, UnknownGeometryThrows) {

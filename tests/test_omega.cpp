@@ -56,7 +56,7 @@ LdMatrix random_r2(std::size_t w, std::uint64_t seed) {
   p.n_samples = 100;
   p.seed = seed;
   const BitMatrix g = simulate_genotypes(p);
-  return window_r2(g, 0, w);
+  return ld_matrix(g);
 }
 
 TEST(OmegaStat, SplitMatchesBruteForce) {
@@ -136,26 +136,6 @@ TEST(OmegaStat, UpperViewReadsOnlyTheStrictUpperTriangle) {
         omega_max(upper_only)}) {
     EXPECT_TRUE(oracle::same_bits(got.omega, want.omega));
     EXPECT_EQ(got.split, want.split);
-  }
-}
-
-TEST(WindowR2, MatchesFullLdMatrix) {
-  WrightFisherParams p;
-  p.n_snps = 30;
-  p.n_samples = 80;
-  p.seed = 4;
-  const BitMatrix g = simulate_genotypes(p);
-  const LdMatrix full = ld_matrix(g);
-  const LdMatrix win = window_r2(g, 10, 22);
-  for (std::size_t i = 0; i < 12; ++i) {
-    for (std::size_t j = 0; j < 12; ++j) {
-      const double want = full(10 + i, 10 + j);
-      if (std::isnan(want)) {
-        EXPECT_TRUE(std::isnan(win(i, j)));
-      } else {
-        EXPECT_DOUBLE_EQ(win(i, j), want);
-      }
-    }
   }
 }
 

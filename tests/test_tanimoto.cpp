@@ -1,7 +1,11 @@
 #include "core/tanimoto.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "naive_oracle.hpp"
 #include "sim/fingerprint_sim.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
@@ -103,10 +107,13 @@ TEST(TanimotoTopK, FindsExactNeighbors) {
 }
 
 TEST(TanimotoTopK, SlabBoundariesDoNotLoseHits) {
-  // More database entries than the internal slab, with k spanning slabs.
+  // A narrow column block spreads every query's candidates over ~33 count
+  // tiles, with k spanning several of them.
   const BitMatrix db = random_fps(2100, 64, 10);
   const BitMatrix queries = random_fps(2, 64, 11);
-  const auto results = tanimoto_top_k(queries, db, 50);
+  GemmConfig narrow;
+  narrow.nc = 64;
+  const auto results = tanimoto_top_k(queries, db, 50, narrow);
   const LdMatrix full = tanimoto_cross_matrix(queries, db);
   for (std::size_t q = 0; q < 2; ++q) {
     std::vector<double> row(db.snps());
@@ -119,17 +126,55 @@ TEST(TanimotoTopK, SlabBoundariesDoNotLoseHits) {
 }
 
 TEST(TanimotoTopK, ParallelMatchesSequential) {
-  const BitMatrix db = random_fps(300, 256, 14);
-  const BitMatrix queries = random_fps(11, 256, 15);
-  const auto seq = tanimoto_top_k(queries, db, 7);
-  for (unsigned t : {1u, 2u, 4u}) {
-    const auto par = tanimoto_top_k_parallel(queries, db, 7, {}, t);
-    ASSERT_EQ(par.size(), seq.size());
-    for (std::size_t q = 0; q < seq.size(); ++q) {
-      ASSERT_EQ(par[q].size(), seq[q].size());
-      for (std::size_t r = 0; r < seq[q].size(); ++r) {
-        EXPECT_EQ(par[q][r].index, seq[q][r].index) << q << "," << r;
-        EXPECT_DOUBLE_EQ(par[q][r].similarity, seq[q][r].similarity);
+  // Rows 300..399 of the database repeat rows 0..99, and queries 0..3 are
+  // database rows, so equal similarities must be ordered by index.
+  std::vector<std::size_t> rows(400);
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i % 300;
+  const BitMatrix db = random_fps(300, 256, 14).gather_rows(rows);
+  std::vector<std::size_t> picks = {0, 42, 99, 250};
+  BitMatrix queries = random_fps(11, 256, 15);
+  const BitMatrix copies = db.gather_rows(picks);
+  for (std::size_t q = 0; q < picks.size(); ++q) {
+    for (std::size_t b = 0; b < queries.samples(); ++b) {
+      queries.set(q, b, copies.get(q, b));
+    }
+  }
+  constexpr std::size_t k = 7;
+
+  // The expected ranking: every row of the dense similarity matrix sorted
+  // by similarity descending, then index ascending.
+  const LdMatrix full = tanimoto_cross_matrix(queries, db);
+  std::vector<std::vector<TanimotoHit>> want(queries.snps());
+  for (std::size_t q = 0; q < queries.snps(); ++q) {
+    for (std::size_t j = 0; j < db.snps(); ++j) {
+      want[q].push_back({j, full(q, j)});
+    }
+    std::sort(want[q].begin(), want[q].end(),
+              [](const TanimotoHit& a, const TanimotoHit& b) {
+                if (a.similarity != b.similarity) {
+                  return a.similarity > b.similarity;
+                }
+                return a.index < b.index;
+              });
+    want[q].resize(k);
+  }
+  EXPECT_EQ(want[0][0].index, 0u);
+  EXPECT_EQ(want[0][1].index, 300u) << "the duplicate ranks second";
+
+  const auto one = tanimoto_top_k(queries, db, k);
+  for (unsigned t : {0u, 1u, 2u, 4u}) {
+    const auto got = tanimoto_top_k(queries, db, k, {}, t);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t q = 0; q < want.size(); ++q) {
+      ASSERT_EQ(got[q].size(), k);
+      for (std::size_t r = 0; r < k; ++r) {
+        EXPECT_EQ(got[q][r].index, want[q][r].index)
+            << "threads " << t << " at " << q << "," << r;
+        EXPECT_EQ(got[q][r].index, one[q][r].index);
+        EXPECT_TRUE(oracle::same_bits(got[q][r].similarity,
+                                      want[q][r].similarity));
+        EXPECT_TRUE(oracle::same_bits(got[q][r].similarity,
+                                      one[q][r].similarity));
       }
     }
   }

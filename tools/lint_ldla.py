@@ -304,17 +304,18 @@ PUBLIC_API = {
         ("ld_scan_missing", "expect"),
         ("ld_cross_matrix_missing", "expect"),
     ],
-    "src/core/tanimoto.cpp": [("tanimoto_top_k", "expect")],
+    "src/core/tanimoto.cpp": [
+        ("tanimoto_cross_matrix", "expect"),
+        ("tanimoto_top_k", "expect"),
+    ],
+    "src/core/fsm.cpp": [("fsm_t_matrix", "expect")],
     "src/core/genotype_ld.cpp": [
         ("extract_dosage_planes", "expect"),
         ("genotype_ld_matrix", "expect"),
         ("genotype_ld_scan", "expect"),
     ],
     "src/core/higher_order.cpp": [("third_order_d", "expect")],
-    "src/omega/omega_stat.cpp": [
-        ("omega_at_split", "expect"),
-        ("window_r2", "expect"),
-    ],
+    "src/omega/omega_stat.cpp": [("omega_at_split", "expect")],
     "src/omega/sweep_scan.cpp": [("omega_scan", "expect")],
     "src/util/partition.cpp": [
         ("split_uniform", "expect"),
