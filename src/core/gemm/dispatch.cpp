@@ -59,8 +59,8 @@ std::vector<KernelInfo> build_registry() {
     // drivers' edge-tile scratch is uint32_t[16*16].
     LDLA_EXPECT(k.mr != 0 && 64 % k.mr == 0,
                 "kernel registry: mr must divide 64");
-    // Column tiles start on nr multiples, so an even nr keeps every tile
-    // edge on the row pairs of the interleaved two-plane drivers.
+    // Tile edges of the interleaved multi-plane drivers are kept on
+    // kTileEdgeRows by resolve_plan and chunk_quantum, not by nr.
     LDLA_EXPECT(k.nr >= 2 && 64 % k.nr == 0,
                 "kernel registry: nr must be even and divide 64");
     LDLA_EXPECT(k.mr * k.nr <= 256,
