@@ -429,25 +429,20 @@ inline LdScanTiming time_gemm_ld_scan(const BitMatrix& g, unsigned threads,
   return out;
 }
 
-/// Dump the metrics registry as metrics_<name>.prom and metrics_<name>.json
-/// into $LDLA_METRICS_DUMP_DIR when that variable is set (the bench-smoke
-/// CI job and scripts/validate_telemetry.py --run set it). Returns false only
-/// when a dump was requested and a write failed.
+/// Dump the metrics registry as metrics_<name>.json into
+/// $LDLA_METRICS_DUMP_DIR when that variable is set (the bench-smoke CI job
+/// and scripts/validate_telemetry.py --run set it). Returns false only when
+/// a dump was requested and the write failed.
 inline bool maybe_dump_metrics(const char* name) {
   const char* dir = std::getenv("LDLA_METRICS_DUMP_DIR");
   if (dir == nullptr || dir[0] == '\0') return true;
-  const std::string base = std::string(dir) + "/metrics_" + name;
-  bool ok = true;
-  if (!metrics::dump_prometheus(base + ".prom")) {
-    std::fprintf(stderr, "metrics: cannot write %s.prom\n", base.c_str());
-    ok = false;
+  const std::string path = std::string(dir) + "/metrics_" + name + ".json";
+  if (!metrics::dump_json(path)) {
+    std::fprintf(stderr, "metrics: cannot write %s\n", path.c_str());
+    return false;
   }
-  if (!metrics::dump_json(base + ".json")) {
-    std::fprintf(stderr, "metrics: cannot write %s.json\n", base.c_str());
-    ok = false;
-  }
-  if (ok) std::printf("wrote %s.prom / .json\n", base.c_str());
-  return ok;
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 inline std::string human_rate(double per_sec) {

@@ -113,18 +113,6 @@ int main(int argc, char** argv) {
   json.add("ingest", "auto", n, k, ingest_seconds,
            static_cast<double>(n) / ingest_seconds);
 
-  // Health sampler: poll /proc self-stats plus a mincore probe against the
-  // shard mapping every 50 ms for the duration of the streamed arms, so the
-  // exported ldla_shard_mincore_resident_bytes gauge cross-checks the
-  // store's own residency accounting with what the kernel actually holds.
-  metrics::Sampler::add_probe(
-      "ldla_shard_mincore_resident_bytes",
-      [](void* ctx) -> std::uint64_t {
-        return static_cast<const ShardStore*>(ctx)->probe_resident_bytes();
-      },
-      &store);
-  metrics::Sampler::start(50);
-
   // Budget: a quarter of the store, floored at the walker's minimum.
   const std::size_t budget =
       std::max(4 * store.max_shard_bytes(), store.total_payload_bytes() / 4);
@@ -214,11 +202,13 @@ int main(int argc, char** argv) {
     return static_cast<double>(layer.bytes) / s / 1e9;
   };
 
-  // Take one deterministic sample while a shard is provably materialized,
-  // so the mincore gauge in the export reflects live residency rather than
-  // whatever the last periodic tick happened to catch post-eviction.
+  // Probe mincore once while a shard is provably materialized, so the
+  // exported ldla_shard_mincore_resident_bytes gauge cross-checks the
+  // store's own residency accounting with what the kernel actually holds.
   (void)store.shard(0);
-  metrics::Sampler::sample_now();
+  metrics::gauge("ldla_shard_mincore_resident_bytes",
+                 "shard-mapping bytes mincore reports resident")
+      .set(store.probe_resident_bytes());
   store.release(0);
 
   // ---- the three claims -------------------------------------------------
@@ -297,10 +287,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(
           streamed.phases.counters.prefetch_stalls));
   const bool dump_ok = maybe_dump_metrics("stream");
-  // Stop the sampler (and drop its probe into `store`) before the store
-  // leaves scope and the backing file is removed.
-  metrics::Sampler::stop();
-  metrics::Sampler::clear_probes();
   std::remove(store_path.c_str());
   const bool json_ok = json.flush();
   const bool trace_ok = finish_trace();

@@ -1,45 +1,39 @@
 #!/usr/bin/env python3
 """Validate ldla's telemetry exports: trace_<run>.json reports written by
-src/util/trace.cpp and metrics_<run>.prom / metrics_<run>.json dumps written
-by src/util/metrics.cpp.
+src/util/trace.cpp and metrics_<run>.json dumps written by
+src/util/metrics.cpp.
 
-Counters have one store (the metrics registry), so they have one check:
-the "counters" object of a trace report and of a metrics JSON dump both map
-a Prometheus-valid `*_total` name to {"help": str, "value": int >= 0}, and
-check_counters() validates both. A trace report must additionally list
-every phase counter (TRACE_COUNTERS).
+The metrics registry has one renderer (metrics::render_json), so there is
+one metrics check: validate_metrics_json() takes a metrics dump as it is,
+and a trace report's "metrics" member, which embeds the same object. Its
+"counters" map a `*_total` name to {"help": str, "value": int >= 0}; a
+trace report must additionally list every phase counter there
+(TRACE_COUNTERS). Beyond the counters: the `ldla-metrics-v1` schema
+envelope, quantile ordering p50 <= p90 <= p99 <= p999, and cumulative
+bucket counts whose last entry equals `count`.
 
-Trace reports: the metadata / counters / phases / traceEvents schema, the
+Trace reports: the metadata / metrics / phases / traceEvents schema, the
 phase-name vocabulary, and the invariant Perfetto rendering relies on:
 within each thread lane the "X" complete events form a laminar family —
 every pair of spans is either disjoint or properly nested, never partially
 overlapping (RAII spans cannot interleave).
 
-Prometheus text (exposition format 0.0.4): every metric carries a # HELP
-and a # TYPE line before its samples, names are Prometheus-valid, counters
-end in `_total`, histogram buckets are cumulative (non-decreasing in le
-order), the `+Inf` bucket equals `_count`, and `_sum`/`_count` are present.
-Metrics JSON: the `ldla-metrics-v1` schema envelope, quantile ordering
-p50 <= p90 <= p99 <= p999, and cumulative bucket counts whose last entry
-equals `count`.
-
 Usage:
-    scripts/validate_telemetry.py FILE [FILE ...]
+    scripts/validate_telemetry.py FILE [FILE ...] [--require a,b]
     scripts/validate_telemetry.py --run BENCH_BINARY [--require a,b] [-- args]
 
-FILE is a trace_*.json report, a metrics_*.json dump or a metrics_*.prom
-dump. With --run, the bench binary executes in a temporary directory with
-LDLA_SMOKE=1, tracing on (LDLA_TRACE=1) and LDLA_TRACE_DIR /
-LDLA_METRICS_DUMP_DIR pointing at that directory; it must write at least
-one trace report and one metrics dump, and every file it wrote is
-validated. This is the ctest / CI entry point: it proves the whole chain
-(instrumentation -> registry -> exporters and session writer) emits
-loadable, self-consistent files.
+FILE is a trace_*.json report or a metrics_*.json dump. With --run, the
+bench binary executes in a temporary directory with LDLA_SMOKE=1, tracing
+on (LDLA_TRACE=1) and LDLA_TRACE_DIR / LDLA_METRICS_DUMP_DIR pointing at
+that directory; it must write at least one trace report and one metrics
+dump, and every file it wrote is validated. This is the ctest / CI entry
+point: it proves the whole chain (instrumentation -> registry -> renderer
+and session writer) emits loadable, self-consistent files.
 
 --require NAMES (comma-separated) additionally demands that each named
-metric is present with a non-trivial (> 0) value in every validated .prom
-file — the gate that residency/prefetch/pool instrumentation actually
-fired.
+metric is present with a non-trivial value in every validated metrics dump:
+a counter or gauge `value` > 0, or a histogram `count` > 0 — the gate that
+residency/prefetch/pool instrumentation actually fired.
 
 Exit status: 0 = valid, 1 = validation failure, 2 = usage/setup error.
 """
@@ -47,7 +41,6 @@ Exit status: 0 = valid, 1 = validation failure, 2 = usage/setup error.
 import argparse
 import glob
 import json
-import math
 import os
 import re
 import subprocess
@@ -55,19 +48,12 @@ import sys
 import tempfile
 
 NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-# One optional label pair: histogram buckets carry le="..."; info gauges
-# (ldla_kernel_variant etc.) carry their single identifying label.
-SAMPLE_RE = re.compile(
-    r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)'
-    r'(?:\{(?P<label>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<lvalue>[^"]*)"\})?'
-    r' (?P<value>\S+)$')
 QUANTILES = ["p50", "p90", "p99", "p999"]
 
 PHASES = ["pack_a", "pack_b", "kernel", "epilogue", "mirror", "io",
           "task_run", "task_wait", "barrier"]
 METADATA_KEYS = {"run", "clock", "session_ns", "tsc_hz", "core_hz",
-                 "scalar_peak_triples_per_sec", "cpu", "perf",
-                 "events_dropped"}
+                 "scalar_peak_triples_per_sec", "cpu", "events_dropped"}
 CPU_KEYS = {"brand", "logical_cores", "l1d", "l2", "l3", "line"}
 # The registry counters behind trace::PhaseCounters (the counter table in
 # src/util/trace.cpp); steals and failed_steals have a pool and a nest row.
@@ -88,9 +74,9 @@ EVENT_KEYS = {"name", "cat", "ph", "ts", "dur", "pid", "tid"}
 
 
 def check_counters(path, counters, errors, required=()):
-    """The shared counter check: `counters` maps a Prometheus-valid
-    `*_total` name to {"help": non-empty str, "value": int >= 0}, and lists
-    every name in `required`."""
+    """The counter check: `counters` maps a valid `*_total` metric name
+    to {"help": non-empty str, "value": int >= 0}, and lists every name in
+    `required`."""
     if not isinstance(counters, dict):
         errors.append(f"{path}: missing 'counters' object")
         return
@@ -100,7 +86,7 @@ def check_counters(path, counters, errors, required=()):
     for name, body in sorted(counters.items()):
         if not NAME_RE.match(name) or not name.endswith("_total"):
             errors.append(f"{path}: counters.{name}: counter name must be "
-                          "Prometheus-valid and end in _total")
+                          "a valid metric name ending in _total")
         if not isinstance(body, dict):
             errors.append(f"{path}: counters.{name} must be an object")
             continue
@@ -112,162 +98,16 @@ def check_counters(path, counters, errors, required=()):
             errors.append(f"{path}: counters.{name} missing help")
 
 
-# --- Prometheus text ---------------------------------------------------------
-
-def parse_number(text):
-    if text == "+Inf":
-        return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def parse_prom(path, errors):
-    """Parse into {family: {"type": str, "help": str, "samples": [...]}}
-    where histogram samples keep (le, value) pairs in file order."""
-    families = {}
-    current = None
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        errors.append(f"{path}: cannot read: {e}")
-        return families
-    for i, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        if line.startswith("# HELP "):
-            parts = line.split(" ", 3)
-            if len(parts) < 4 or not parts[3]:
-                errors.append(f"{path}:{i}: HELP line without text")
-                continue
-            current = families.setdefault(
-                parts[2], {"type": None, "help": None, "samples": []})
-            current["help"] = parts[3]
-        elif line.startswith("# TYPE "):
-            parts = line.split(" ")
-            if len(parts) != 4 or parts[3] not in ("counter", "gauge",
-                                                   "histogram"):
-                errors.append(f"{path}:{i}: malformed TYPE line: {line}")
-                continue
-            fam = families.setdefault(
-                parts[2], {"type": None, "help": None, "samples": []})
-            fam["type"] = parts[3]
-        elif line.startswith("#"):
-            continue
-        else:
-            m = SAMPLE_RE.match(line)
-            if m is None:
-                errors.append(f"{path}:{i}: unparseable sample: {line}")
-                continue
-            value = parse_number(m.group("value"))
-            if value is None:
-                errors.append(f"{path}:{i}: non-numeric value: {line}")
-                continue
-            le = m.group("lvalue") if m.group("label") == "le" else None
-            families.setdefault(
-                family_of(m.group("name")),
-                {"type": None, "help": None, "samples": []})["samples"].append(
-                    (m.group("name"), le, value, m.group("label")))
-    return families
-
-
-def family_of(sample_name):
-    for suffix in ("_bucket", "_sum", "_count"):
-        if sample_name.endswith(suffix):
-            return sample_name[: -len(suffix)]
-    return sample_name
-
-
-def validate_prom(path):
-    errors = []
-    families = parse_prom(path, errors)
-    if not families and not errors:
-        errors.append(f"{path}: no metric families found")
-    for name, fam in sorted(families.items()):
-        where = f"{path}: {name}"
-        if not NAME_RE.match(name):
-            errors.append(f"{where}: invalid metric name")
-        if fam["type"] is None:
-            errors.append(f"{where}: missing # TYPE line")
-            continue
-        if fam["help"] is None:
-            errors.append(f"{where}: missing # HELP line")
-        if not fam["samples"]:
-            errors.append(f"{where}: no samples")
-            continue
-        if fam["type"] == "counter":
-            if not name.endswith("_total"):
-                errors.append(f"{where}: counter name must end in _total")
-            for sample_name, le, value, label in fam["samples"]:
-                if sample_name != name or label is not None:
-                    errors.append(f"{where}: unexpected counter sample "
-                                  f"{sample_name}")
-                elif value < 0:
-                    errors.append(f"{where}: negative counter value {value}")
-        elif fam["type"] == "gauge":
-            for sample_name, le, value, label in fam["samples"]:
-                if sample_name != name:
-                    errors.append(f"{where}: unexpected gauge sample "
-                                  f"{sample_name}")
-                elif label == "le":
-                    errors.append(f"{where}: gauge sample with an le label")
-                elif label is not None and value != 1:
-                    # Info-style gauge: the label carries the payload, the
-                    # sample value is pinned to 1 by convention.
-                    errors.append(f"{where}: info gauge value must be 1, "
-                                  f"got {value}")
-        else:
-            validate_prom_histogram(name, fam, errors, path)
-    return errors
-
-
-def validate_prom_histogram(name, fam, errors, path):
-    where = f"{path}: {name}"
-    buckets, total, sum_seconds = [], None, None
-    for sample_name, le, value, label in fam["samples"]:
-        if sample_name == name + "_bucket":
-            upper = parse_number(le) if le is not None else None
-            if upper is None:
-                errors.append(f"{where}: bucket without a numeric le")
-            else:
-                buckets.append((upper, value))
-        elif sample_name == name + "_count":
-            total = value
-        elif sample_name == name + "_sum":
-            sum_seconds = value
-        else:
-            errors.append(f"{where}: unexpected sample {sample_name}")
-    if total is None or sum_seconds is None:
-        errors.append(f"{where}: histogram missing _sum/_count")
-        return
-    if not buckets or buckets[-1][0] != math.inf:
-        errors.append(f"{where}: histogram must end with a +Inf bucket")
-        return
-    if buckets[-1][1] != total:
-        errors.append(f"{where}: +Inf bucket {buckets[-1][1]} != _count "
-                      f"{total}")
-    uppers = [b[0] for b in buckets]
-    counts = [b[1] for b in buckets]
-    if uppers != sorted(uppers) or len(set(uppers)) != len(uppers):
-        errors.append(f"{where}: bucket le values not strictly increasing")
-    if counts != sorted(counts):
-        errors.append(f"{where}: cumulative bucket counts decrease")
-    if total > 0 and sum_seconds < 0:
-        errors.append(f"{where}: negative _sum")
-
-
 # --- metrics JSON ------------------------------------------------------------
 
-def validate_metrics_json(path, data):
+def validate_metrics_json(path, data, required_counters=()):
     errors = []
     if data.get("schema") != "ldla-metrics-v1":
         errors.append(f"{path}: schema must be 'ldla-metrics-v1', got "
                       f"{data.get('schema')!r}")
     if not isinstance(data.get("enabled"), bool):
         errors.append(f"{path}: 'enabled' must be a boolean")
-    check_counters(path, data.get("counters"), errors)
+    check_counters(path, data.get("counters"), errors, required_counters)
     for section in ("gauges", "histograms"):
         if not isinstance(data.get(section), dict):
             errors.append(f"{path}: missing '{section}' object")
@@ -340,24 +180,19 @@ def validate_json_histogram(path, name, body, errors):
         errors.append(f"{where}: empty histogram with non-empty buckets")
 
 
-def check_required(path, required, errors):
-    """Every required metric must appear in the .prom file with a
-    non-trivial (> 0) scalar value (counters/gauges) or count
-    (histograms)."""
-    families = parse_prom(path, errors)
+def check_required(path, data, required, errors):
+    """Every required metric must appear in the metrics dump with a
+    non-trivial (> 0) value (counters/gauges) or count (histograms)."""
     for name in required:
-        fam = families.get(name)
-        if fam is None:
-            errors.append(f"{path}: required metric '{name}' is absent")
-            continue
         value = None
-        for sample_name, le, v, label in fam["samples"]:
-            if sample_name == name or sample_name == name + "_count":
-                value = v
+        for section, key in (("counters", "value"), ("gauges", "value"),
+                             ("histograms", "count")):
+            body = data.get(section, {}).get(name)
+            if isinstance(body, dict):
+                value = body.get(key)
         if value is None:
-            errors.append(f"{path}: required metric '{name}' has no value "
-                          "sample")
-        elif value <= 0:
+            errors.append(f"{path}: required metric '{name}' is absent")
+        elif not isinstance(value, (int, float)) or value <= 0:
             errors.append(f"{path}: required metric '{name}' is trivial "
                           f"({value}); its instrumentation never fired")
 
@@ -405,19 +240,18 @@ def validate_trace(path, data):
         cpu = meta.get("cpu")
         if not isinstance(cpu, dict) or CPU_KEYS - cpu.keys():
             errors.append(f"{path}: metadata.cpu missing keys")
-        perf = meta.get("perf")
-        if (not isinstance(perf, dict)
-                or not isinstance(perf.get("available"), bool)
-                or not isinstance(perf.get("status"), str)):
-            errors.append(f"{path}: metadata.perf needs bool 'available' "
-                          "and string 'status'")
         dropped = meta.get("events_dropped", 0)
         if dropped:
             print(f"{path}: warning: {dropped} event(s) dropped "
                   "(ring buffer full — trace is truncated, not invalid)",
                   file=sys.stderr)
 
-    check_counters(path, data.get("counters"), errors, TRACE_COUNTERS)
+    metrics = data.get("metrics")
+    if not isinstance(metrics, dict):
+        errors.append(f"{path}: missing metrics object")
+    else:
+        errors += validate_metrics_json(f"{path}: metrics", metrics,
+                                        TRACE_COUNTERS)
 
     phases = data.get("phases")
     if not isinstance(phases, list):
@@ -428,12 +262,10 @@ def validate_trace(path, data):
             errors.append(f"{path}: phases must list {PHASES} in order, "
                           f"got {names}")
         for p in phases:
-            for key in ("self_ns", "cycles", "instructions", "llc_loads",
-                        "llc_misses"):
-                v = p.get(key)
-                if not (isinstance(v, int) and v >= 0):
-                    errors.append(f"{path}: phases[{p.get('phase')}].{key} "
-                                  f"must be a non-negative integer")
+            v = p.get("self_ns")
+            if not (isinstance(v, int) and v >= 0):
+                errors.append(f"{path}: phases[{p.get('phase')}].self_ns "
+                              "must be a non-negative integer")
 
     events = data.get("traceEvents")
     if not isinstance(events, list):
@@ -460,15 +292,10 @@ def validate_trace(path, data):
 
 
 def validate_path(path, required=()):
-    """Dispatch on the file kind: .prom text, or JSON that is either a trace
-    report (it has traceEvents) or a metrics dump."""
-    if path.endswith(".prom"):
-        errors = validate_prom(path)
-        if required and not errors:
-            check_required(path, required, errors)
-        return errors
+    """Dispatch on the JSON kind: a trace report (it has traceEvents) or a
+    metrics dump."""
     if not path.endswith(".json"):
-        return [f"{path}: expected a .prom or .json file"]
+        return [f"{path}: expected a .json file"]
     try:
         with open(path) as f:
             data = json.load(f)
@@ -478,7 +305,10 @@ def validate_path(path, required=()):
         return [f"{path}: top level must be an object"]
     if "traceEvents" in data:
         return validate_trace(path, data)
-    return validate_metrics_json(path, data)
+    errors = validate_metrics_json(path, data)
+    if required and not errors:
+        check_required(path, data, required, errors)
+    return errors
 
 
 def validate_all(paths, required=()):
@@ -514,12 +344,11 @@ def run_and_validate(binary, extra_args, required):
                   file=sys.stderr)
             return 1
         traces = sorted(glob.glob(os.path.join(tmp, "trace_*.json")))
-        dumps = sorted(glob.glob(os.path.join(tmp, "metrics_*.prom"))
-                       + glob.glob(os.path.join(tmp, "metrics_*.json")))
+        dumps = sorted(glob.glob(os.path.join(tmp, "metrics_*.json")))
         if not traces or not dumps:
             print(proc.stdout)
             print(f"error: {binary} wrote {len(traces)} trace_*.json and "
-                  f"{len(dumps)} metrics_* files; it must write both "
+                  f"{len(dumps)} metrics_*.json files; it must write both "
                   "(built with LDLA_TRACE=OFF?)", file=sys.stderr)
             return 1
         return validate_all(traces + dumps, required)
@@ -529,13 +358,13 @@ def main():
     parser = argparse.ArgumentParser(
         description="Validate ldla trace reports and metrics dumps.")
     parser.add_argument("paths", nargs="*",
-                        help="trace_*.json / metrics_*.{prom,json} files")
+                        help="trace_*.json / metrics_*.json files")
     parser.add_argument("--run", metavar="BINARY",
                         help="run this bench in a temp dir with tracing and "
                              "metrics dumping on, then validate its output")
     parser.add_argument("--require", metavar="NAMES", default="",
                         help="comma-separated metric names that must be "
-                             "present and non-trivial in every .prom file")
+                             "present and non-trivial in every metrics dump")
     args, extra = parser.parse_known_args()
     if extra and extra[0] == "--":
         extra = extra[1:]

@@ -134,20 +134,6 @@ unsigned FsmMatrix::states_present(std::size_t snp) const {
   return v;
 }
 
-BitMatrix FsmMatrix::validity() const {
-  BitMatrix out(snps(), samples());
-  for (std::size_t s = 0; s < snps(); ++s) {
-    std::uint64_t* dst = out.row_data(s);
-    for (std::size_t p = 0; p < 4; ++p) {
-      const std::uint64_t* src = planes_[p].row_data(s);
-      for (std::size_t w = 0; w < out.words_per_snp(); ++w) {
-        dst[w] |= src[w];
-      }
-    }
-  }
-  return out;
-}
-
 double fsm_t_pair_reference(const FsmMatrix& g, std::size_t i, std::size_t j) {
   const std::size_t samples = g.samples();
   // Joint contingency counts over jointly valid samples.

@@ -64,9 +64,6 @@ class FsmMatrix {
   /// Number of distinct states present at a SNP (v_i in Eq. 6).
   [[nodiscard]] unsigned states_present(std::size_t snp) const;
 
-  /// Validity mask: union of the four planes (1 bit per valid sample).
-  [[nodiscard]] BitMatrix validity() const;
-
  private:
   std::array<BitMatrix, 4> planes_;
 };

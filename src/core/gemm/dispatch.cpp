@@ -61,8 +61,8 @@ std::vector<KernelInfo> build_registry() {
                 "kernel registry: mr must divide 64");
     // Tile edges of the interleaved multi-plane drivers are kept on
     // kTileEdgeRows by resolve_plan and chunk_quantum, not by nr.
-    LDLA_EXPECT(k.nr >= 2 && 64 % k.nr == 0,
-                "kernel registry: nr must be even and divide 64");
+    LDLA_EXPECT(k.nr != 0 && 64 % k.nr == 0,
+                "kernel registry: nr must divide 64");
     LDLA_EXPECT(k.mr * k.nr <= 256,
                 "kernel registry: tile exceeds the drivers' edge scratch");
     LDLA_EXPECT(k.ku != 0 && k.fn != nullptr && k.name[0] != '\0',

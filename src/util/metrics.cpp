@@ -1,15 +1,11 @@
 #include "util/metrics.hpp"
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
 #include "util/contract.hpp"
 #include "util/sync.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ldla::metrics {
 
@@ -49,6 +45,35 @@ std::uint64_t now_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+void append_json_escaped(std::string& out, const char* s) {
+  for (const char* p = s; *p != '\0'; ++p) {
+    const char c = *p;
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 }  // namespace detail
@@ -121,35 +146,6 @@ bool name_in_use(const char* name, const Counter* skip_kind_c,
   return false;
 }
 
-void append_json_escaped(std::string& out, const char* s) {
-  for (const char* p = s; *p != '\0'; ++p) {
-    const char c = *p;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_double(std::string& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
@@ -167,6 +163,8 @@ void append_u64(std::string& out, std::uint64_t v) {
                 static_cast<unsigned long long>(v));
   out += buf;
 }
+
+using detail::append_json_escaped;
 
 }  // namespace
 
@@ -270,105 +268,8 @@ Info& info(const char* name, const char* label, const char* help) {
 }
 
 // ---------------------------------------------------------------------------
-// Exporters
+// Renderer
 // ---------------------------------------------------------------------------
-
-std::string render_prometheus() {
-  std::string out;
-  out.reserve(8192);
-  const auto help_line = [&out](const char* name, const char* help,
-                                const char* type) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    // Exposition format escapes backslash and newline in help text.
-    for (const char* p = help; *p != '\0'; ++p) {
-      if (*p == '\\') {
-        out += "\\\\";
-      } else if (*p == '\n') {
-        out += "\\n";
-      } else {
-        out += *p;
-      }
-    }
-    out += "\n# TYPE ";
-    out += name;
-    out += ' ';
-    out += type;
-    out += '\n';
-  };
-  MutexLock lock(g_registry_mu);
-  for (std::size_t i = 0; i < g_n_counters; ++i) {
-    const Counter& c = g_counters[i];
-    help_line(c.name(), c.help(), "counter");
-    out += c.name();
-    out += ' ';
-    append_u64(out, c.value());
-    out += '\n';
-  }
-  for (std::size_t i = 0; i < g_n_gauges; ++i) {
-    const Gauge& g = g_gauges[i];
-    help_line(g.name(), g.help(), "gauge");
-    out += g.name();
-    out += ' ';
-    append_double(out, g.value());
-    out += '\n';
-  }
-  for (std::size_t i = 0; i < g_n_infos; ++i) {
-    const Info& m = g_infos[i];
-    const char* v = m.value();
-    if (v == nullptr) continue;  // never set — no sample to expose
-    help_line(m.name(), m.help(), "gauge");
-    out += m.name();
-    out += '{';
-    out += m.label();
-    out += "=\"";
-    // Exposition format escapes backslash, quote, and newline in label
-    // values.
-    for (const char* p = v; *p != '\0'; ++p) {
-      if (*p == '\\') {
-        out += "\\\\";
-      } else if (*p == '"') {
-        out += "\\\"";
-      } else if (*p == '\n') {
-        out += "\\n";
-      } else {
-        out += *p;
-      }
-    }
-    out += "\"} 1\n";
-  }
-  for (std::size_t i = 0; i < g_n_histograms; ++i) {
-    const Histogram& h = g_histograms[i];
-    help_line(h.name(), h.help(), "histogram");
-    std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < Histogram::kBucketCount; ++b) {
-      const std::uint64_t n = h.bucket_count_at(b);
-      if (n == 0) continue;
-      cum += n;
-      out += h.name();
-      out += "_bucket{le=\"";
-      append_double(out, static_cast<double>(Histogram::bucket_upper(b)) *
-                             1e-9);
-      out += "\"} ";
-      append_u64(out, cum);
-      out += '\n';
-    }
-    out += h.name();
-    out += "_bucket{le=\"+Inf\"} ";
-    append_u64(out, h.count());
-    out += '\n';
-    out += h.name();
-    out += "_sum ";
-    append_double(out, h.sum_seconds());
-    out += '\n';
-    out += h.name();
-    out += "_count ";
-    append_u64(out, h.count());
-    out += '\n';
-  }
-  return out;
-}
 
 std::string render_json() {
   std::string out;
@@ -463,231 +364,13 @@ std::string render_json() {
   return out;
 }
 
-namespace {
-
-bool write_whole_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return (std::fclose(f) == 0) && ok;
-}
-
-}  // namespace
-
-bool dump_prometheus(const std::string& path) {
-  LDLA_EXPECT(!path.empty(), "dump_prometheus: path is empty");
-  return write_whole_file(path, render_prometheus());
-}
-
 bool dump_json(const std::string& path) {
   LDLA_EXPECT(!path.empty(), "dump_json: path is empty");
-  return write_whole_file(path, render_json());
-}
-
-// ---------------------------------------------------------------------------
-// Sampler
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::size_t kMaxProbes = 8;
-
-struct Probe {
-  const char* gauge_name = nullptr;
-  std::uint64_t (*fn)(void*) = nullptr;
-  void* ctx = nullptr;
-};
-
-// Tick-state mutex: taken by the sampler thread, probes, and accessors.
-Mutex g_sampler_mu;
-CondVar g_sampler_cv;
-bool g_sampler_stop LDLA_GUARDED_BY(g_sampler_mu) = false;
-bool g_sampler_running LDLA_GUARDED_BY(g_sampler_mu) = false;
-std::uint64_t g_sampler_interval_ms LDLA_GUARDED_BY(g_sampler_mu) = 0;
-Probe g_probes[kMaxProbes] LDLA_GUARDED_BY(g_sampler_mu);
-std::size_t g_n_probes LDLA_GUARDED_BY(g_sampler_mu) = 0;
-std::atomic<std::uint64_t> g_sampler_ticks{0};
-
-// Control mutex: serializes start/stop (which own the thread handle). The
-// sampler thread never takes it, so joining under it cannot deadlock.
-Mutex g_sampler_ctl_mu;
-std::thread g_sampler_thread LDLA_GUARDED_BY(g_sampler_ctl_mu);
-
-bool read_small_file(const char* path, char* buf, std::size_t cap,
-                     std::size_t* len) {
-  std::FILE* f = std::fopen(path, "re");
+  const std::string body = render_json();
+  std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
-  *len = std::fread(buf, 1, cap - 1, f);
-  buf[*len] = '\0';
-  std::fclose(f);
-  return *len > 0;
-}
-
-std::uint64_t page_size_bytes() {
-  static const long ps = ::sysconf(_SC_PAGESIZE);
-  return ps > 0 ? static_cast<std::uint64_t>(ps) : 4096;
-}
-
-void sample_proc_self() {
-  char buf[2048];
-  std::size_t len = 0;
-  if (read_small_file("/proc/self/statm", buf, sizeof(buf), &len)) {
-    unsigned long long vsz = 0;
-    unsigned long long rss = 0;
-    if (std::sscanf(buf, "%llu %llu", &vsz, &rss) == 2) {
-      static Gauge& g_rss = gauge("ldla_process_rss_bytes",
-                                  "resident set size (statm, bytes)");
-      g_rss.set(static_cast<std::uint64_t>(rss) * page_size_bytes());
-    }
-  }
-  if (read_small_file("/proc/self/stat", buf, sizeof(buf), &len)) {
-    // Fields after the parenthesized comm: state ppid pgrp session tty_nr
-    // tpgid flags minflt cminflt majflt ...
-    const char* p = std::strrchr(buf, ')');
-    char state = 0;
-    long ppid = 0;
-    long pgrp = 0;
-    long session = 0;
-    long tty = 0;
-    long tpgid = 0;
-    unsigned long flags = 0;
-    unsigned long minflt = 0;
-    unsigned long cminflt = 0;
-    unsigned long majflt = 0;
-    if (p != nullptr &&
-        std::sscanf(p + 1, " %c %ld %ld %ld %ld %ld %lu %lu %lu %lu", &state,
-                    &ppid, &pgrp, &session, &tty, &tpgid, &flags, &minflt,
-                    &cminflt, &majflt) == 10) {
-      static Gauge& g_minflt = gauge("ldla_process_minor_faults",
-                                     "minor page faults since process start");
-      static Gauge& g_majflt = gauge("ldla_process_major_faults",
-                                     "major page faults since process start");
-      g_minflt.set(static_cast<std::uint64_t>(minflt));
-      g_majflt.set(static_cast<std::uint64_t>(majflt));
-    }
-  }
-  // May be unreadable in restricted containers; skipped silently then.
-  if (read_small_file("/proc/self/io", buf, sizeof(buf), &len)) {
-    const auto field = [&buf](const char* key) -> std::uint64_t {
-      const char* p = std::strstr(buf, key);
-      if (p == nullptr) return 0;
-      return std::strtoull(p + std::strlen(key), nullptr, 10);
-    };
-    static Gauge& g_rd = gauge("ldla_process_io_read_bytes",
-                               "bytes read by the process (rchar)");
-    static Gauge& g_wr = gauge("ldla_process_io_write_bytes",
-                               "bytes written by the process (wchar)");
-    g_rd.set(field("rchar:"));
-    g_wr.set(field("wchar:"));
-  }
-}
-
-void sample_pool() {
-  ThreadPool* pool = global_pool_if_started();
-  if (pool == nullptr) return;
-  static Gauge& g_depth = gauge("ldla_pool_queue_depth",
-                                "task nodes resident in submission deques");
-  static Gauge& g_workers =
-      gauge("ldla_pool_workers", "spawned worker threads in the global pool");
-  g_depth.set(static_cast<std::uint64_t>(pool->pending_tasks()));
-  g_workers.set(static_cast<std::uint64_t>(pool->size()));
-}
-
-void sample_probes() {
-  Probe local[kMaxProbes];
-  std::size_t n = 0;
-  {
-    MutexLock lock(g_sampler_mu);
-    n = g_n_probes;
-    for (std::size_t i = 0; i < n; ++i) local[i] = g_probes[i];
-  }
-  // Run probe callbacks outside the sampler mutex: they may touch their own
-  // locks (e.g. ShardStore residency), and the registry has its own mutex.
-  for (std::size_t i = 0; i < n; ++i) {
-    gauge(local[i].gauge_name, "registered sampler probe")
-        .set(local[i].fn(local[i].ctx));
-  }
-}
-
-void sample_tick() {
-  sample_proc_self();
-  sample_pool();
-  sample_probes();
-  g_sampler_ticks.fetch_add(1, std::memory_order_relaxed);
-  static Counter& c_ticks =
-      counter("ldla_sampler_ticks_total", "health sampler ticks executed");
-  c_ticks.inc();
-}
-
-void sampler_loop() {
-  for (;;) {
-    {
-      MutexLock lock(g_sampler_mu);
-      if (g_sampler_stop) return;
-      g_sampler_cv.wait_for(lock, g_sampler_interval_ms);
-      if (g_sampler_stop) return;
-    }
-    sample_tick();
-  }
-}
-
-void stop_impl() LDLA_REQUIRES(g_sampler_ctl_mu) {
-  {
-    MutexLock lock(g_sampler_mu);
-    if (!g_sampler_running) return;
-    g_sampler_stop = true;
-  }
-  g_sampler_cv.notify_all();
-  if (g_sampler_thread.joinable()) g_sampler_thread.join();
-  MutexLock lock(g_sampler_mu);
-  g_sampler_running = false;
-}
-
-}  // namespace
-
-void Sampler::start(std::uint64_t interval_ms) {
-  LDLA_EXPECT(interval_ms > 0, "Sampler::start: interval_ms must be > 0");
-  MutexLock ctl(g_sampler_ctl_mu);
-  stop_impl();
-  {
-    MutexLock lock(g_sampler_mu);
-    g_sampler_stop = false;
-    g_sampler_interval_ms = interval_ms;
-    g_sampler_running = true;
-  }
-  g_sampler_thread = std::thread(sampler_loop);
-}
-
-void Sampler::stop() {
-  MutexLock ctl(g_sampler_ctl_mu);
-  stop_impl();
-}
-
-bool Sampler::running() {
-  MutexLock lock(g_sampler_mu);
-  return g_sampler_running;
-}
-
-std::uint64_t Sampler::ticks() {
-  return g_sampler_ticks.load(std::memory_order_relaxed);
-}
-
-void Sampler::sample_now() { sample_tick(); }
-
-int Sampler::add_probe(const char* gauge_name, std::uint64_t (*fn)(void*),
-                       void* ctx) {
-  LDLA_EXPECT(gauge_name != nullptr && fn != nullptr,
-              "Sampler::add_probe: null name or callback");
-  MutexLock lock(g_sampler_mu);
-  if (g_n_probes >= kMaxProbes) return -1;
-  g_probes[g_n_probes] = Probe{gauge_name, fn, ctx};
-  return static_cast<int>(g_n_probes++);
-}
-
-void Sampler::clear_probes() {
-  MutexLock lock(g_sampler_mu);
-  g_n_probes = 0;
+  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  return (std::fclose(f) == 0) && ok;
 }
 
 }  // namespace ldla::metrics

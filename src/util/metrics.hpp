@@ -1,10 +1,10 @@
-// Always-on runtime metrics: lock-free counters, gauges, and log-linear
-// latency histograms with Prometheus / JSON exporters and a background
-// process-health sampler.
+// Always-on runtime metrics: lock-free counters, gauges, log-linear latency
+// histograms and info labels, with one JSON renderer.
 //
 // This registry is the only counter store: the trace layer's phase counters
 // (util/trace.hpp, trace::PhaseCounters) are registry counters named by the
 // table in util/trace.cpp, and trace::snapshot() reads them back from here.
+// The trace report embeds render_json() as its "metrics" member.
 //
 // Hot-path cost model:
 //   Counter::add   — one relaxed fetch_add on a thread-striped cache line
@@ -12,9 +12,9 @@
 //   Gauge::set     — one relaxed store.
 //   Histogram::record_ns — bucket index from bit_width (no float math, no
 //                    search), then three relaxed fetch_adds.
-// No sink allocates, locks, or syscalls. Aggregation happens at scrape
-// time (render_prometheus / render_json), which takes the registry mutex
-// and sums stripes/buckets with relaxed loads.
+// No sink allocates, locks, or syscalls. Aggregation happens at render
+// time (render_json), which takes the registry mutex and sums
+// stripes/buckets with relaxed loads.
 //
 // Registration (`metrics::counter(name, help)` etc.) is find-or-create by
 // name in fixed-capacity static storage; call it once per site through a
@@ -29,10 +29,10 @@
 // process); the registry stores the pointers, not copies.
 //
 // The CMake option LDLA_TRACE (default ON) gates every instrumentation
-// macro, LDLA_METRICS_ONLY(...) included: the registry, exporters, and
-// sampler are always compiled and linkable, so tooling and tests work in
-// every preset, while -DLDLA_TRACE=OFF is the compiled-out control for
-// overhead measurement (library hot paths carry no instrumentation at all).
+// macro, LDLA_METRICS_ONLY(...) included: the registry and its renderer are
+// always compiled and linkable, so tooling and tests work in every preset,
+// while -DLDLA_TRACE=OFF is the compiled-out control for overhead
+// measurement (library hot paths carry no instrumentation at all).
 #pragma once
 
 #include <atomic>
@@ -67,8 +67,12 @@ inline std::uint32_t stripe_index() noexcept {
   return idx;
 }
 
-/// Monotonic nanoseconds (steady clock); used by ScopedLatency.
+/// Monotonic nanoseconds (steady clock); used by ScopedLatency and the trace
+/// layer's spans.
 std::uint64_t now_ns() noexcept;
+
+/// Append `s` to `out` with JSON string escaping (no surrounding quotes).
+void append_json_escaped(std::string& out, const char* s);
 
 struct Registry;  // registration/render internals (metrics.cpp)
 
@@ -215,12 +219,12 @@ class Histogram {
   const char* help_ = "";
 };
 
-/// Prometheus "info"-style metric: one label whose value is a string, the
-/// sample value is always 1 (`name{label="value"} 1`, rendered as a
-/// gauge). The label value must be a string literal or otherwise outlive
-/// the process — the pointer is stored in one atomic, which is what keeps
-/// set() a single relaxed store (kernel dispatch calls it per macro-tile
-/// panel sweep). Until the first set() the metric renders no sample.
+/// Info-style metric: one label whose value is a string (rendered under
+/// "infos" as {"label": ..., "value": ...}). The label value must be a
+/// string literal or otherwise outlive the process — the pointer is stored
+/// in one atomic, which is what keeps set() a single relaxed store (kernel
+/// dispatch calls it per macro-tile panel sweep). Until the first set() the
+/// value renders as null.
 class Info {
  public:
   void set(const char* value) noexcept {
@@ -245,9 +249,9 @@ class Info {
   const char* help_ = "";
 };
 
-/// Find-or-create by name. Names must be valid Prometheus metric names
-/// ([a-zA-Z_:][a-zA-Z0-9_:]*), unique across all four kinds, and string
-/// literals (the pointer is stored). Capacity is fixed; exceeding it or
+/// Find-or-create by name. Names must match [a-zA-Z_:][a-zA-Z0-9_:]*, be
+/// unique across all four kinds, and be string literals (the pointer is
+/// stored). Capacity is fixed; exceeding it or
 /// reusing a name for a different kind throws ContractViolation. For
 /// info(), `label` must also be a valid label name and is pinned at first
 /// registration (re-registering with a different label throws).
@@ -274,49 +278,16 @@ class ScopedLatency {
   std::uint64_t t0_;
 };
 
-/// Render every registered metric in Prometheus text exposition format
-/// 0.0.4 (# HELP / # TYPE / samples; histograms emit cumulative
-/// `_bucket{le="..."}` series in seconds plus `_sum`/`_count`).
-std::string render_prometheus();
-
-/// Render a JSON snapshot: {"schema":"ldla-metrics-v1","counters":{...},
-/// "gauges":{...},"histograms":{...}}. Histogram entries carry count,
-/// sum_seconds, p50/p90/p99/p999, and the non-empty cumulative buckets as
-/// [upper_seconds, cumulative_count] pairs. The object is suitable for
-/// embedding into a BenchJson row.
+/// Render a JSON snapshot: {"schema":"ldla-metrics-v1","enabled":...,
+/// "counters":{...},"gauges":{...},"infos":{...},"histograms":{...}}.
+/// Histogram entries carry count, sum_seconds, p50/p90/p99/p999, and the
+/// non-empty cumulative buckets as [upper_seconds, cumulative_count] pairs.
+/// The object is suitable for embedding into a BenchJson row or a trace
+/// report.
 std::string render_json();
 
-/// Write render_prometheus() / render_json() to `path`. Returns false on
-/// I/O failure. `path` must be non-empty.
-bool dump_prometheus(const std::string& path);
+/// Write render_json() to `path`. Returns false on I/O failure. `path`
+/// must be non-empty.
 bool dump_json(const std::string& path);
-
-/// Background health sampler. All state is internal to metrics.cpp; the
-/// class only namespaces the static entry points. Each tick sets process
-/// gauges from /proc/self (RSS, minor/major faults, io read/write bytes),
-/// polls the global thread pool's queue depth and worker count when it
-/// has been started, and runs every registered probe. Ticks are counted
-/// in `ldla_sampler_ticks_total`.
-class Sampler {
- public:
-  /// Start the sampler thread at the given period. interval_ms must be
-  /// > 0. Restarts (stop + start) if already running.
-  static void start(std::uint64_t interval_ms);
-  /// Stop and join the sampler thread; no-op when not running.
-  static void stop();
-  static bool running();
-  /// Ticks executed since process start (monotonic across restarts).
-  static std::uint64_t ticks();
-  /// Run one synchronous tick on the calling thread (works with the
-  /// thread stopped; used by tests and pre-scrape refreshes).
-  static void sample_now();
-
-  /// Register a gauge probe: each tick sets gauge `gauge_name` to
-  /// fn(ctx). `ctx` must outlive the probe (clear_probes() or process
-  /// exit). Returns a probe id, or -1 when the probe table is full.
-  static int add_probe(const char* gauge_name, std::uint64_t (*fn)(void*),
-                       void* ctx);
-  static void clear_probes();
-};
 
 }  // namespace ldla::metrics

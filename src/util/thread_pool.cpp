@@ -216,32 +216,9 @@ void ThreadPool::run_tasks(std::size_t tasks,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  LDLA_EXPECT(begin <= end, "parallel_for range is inverted");
-  const std::size_t n = end - begin;
-  if (n == 0) return;
-  const std::size_t parts = std::min<std::size_t>(size() + 1, n);
-  run_tasks(parts, [&](std::size_t t) {
-    const std::size_t lo = begin + n * t / parts;
-    const std::size_t hi = begin + n * (t + 1) / parts;
-    if (lo < hi) fn(lo, hi);
-  });
-}
-
-namespace {
-std::atomic<ThreadPool*> g_global_pool{nullptr};
-}  // namespace
-
 ThreadPool& global_pool() {
   static ThreadPool pool;
-  g_global_pool.store(&pool, std::memory_order_release);
   return pool;
-}
-
-ThreadPool* global_pool_if_started() noexcept {
-  return g_global_pool.load(std::memory_order_acquire);
 }
 
 void run_split(std::size_t n, unsigned threads,

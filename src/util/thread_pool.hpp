@@ -1,4 +1,4 @@
-// A fixed-size work-stealing worker pool with a parallel_for primitive.
+// A fixed-size work-stealing worker pool.
 //
 // Task distribution is BLIS-style fork-join over Chase–Lev deques
 // (util/work_steal.hpp): the caller of run_tasks claims a submission deque,
@@ -9,7 +9,7 @@
 // workers idle behind a static split.
 //
 // Concurrency contract (unchanged from the FIFO pool):
-//  - run_tasks / parallel_for are safe to call from multiple threads
+//  - run_tasks is safe to call from multiple threads
 //    concurrently on the same pool (including global_pool()): every call
 //    owns a private task set, so completion tracking never crosses calls.
 //  - Exceptions thrown by tasks do not escape worker threads. The first
@@ -63,24 +63,12 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Instantaneous count of task nodes resident in submission deques
-  /// (relaxed; the metrics sampler polls this as a queue-depth gauge).
-  [[nodiscard]] std::size_t pending_tasks() const noexcept {
-    return pending_.load(std::memory_order_relaxed);
-  }
-
   /// Run fn(t) for t in [0, tasks) across the pool and wait for completion.
   /// The calling thread participates, so a pool of size 1 still provides
   /// two-way overlap-free execution with zero queueing overhead.
   /// If any task throws, the first captured exception is rethrown here after
   /// every task of this call has finished.
   void run_tasks(std::size_t tasks, const std::function<void(std::size_t)>& fn)
-      LDLA_EXCLUDES(mutex_);
-
-  /// Split [begin, end) into contiguous chunks, one per worker (including
-  /// the caller), and run fn(chunk_begin, chunk_end) on each.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t, std::size_t)>& fn)
       LDLA_EXCLUDES(mutex_);
 
  private:
@@ -130,11 +118,6 @@ class ThreadPool {
 
 /// Process-wide pool sized to the machine; created on first use.
 ThreadPool& global_pool();
-
-/// The global pool if some caller has already instantiated it, nullptr
-/// otherwise. Never creates the pool — observers (the metrics sampler)
-/// must not spawn a worker team as a side effect of looking at it.
-ThreadPool* global_pool_if_started() noexcept;
 
 /// Split [0, n) into min(threads, n) uniform ranges (split_uniform) and run
 /// fn on each: inline on the caller when that is one range, else as one

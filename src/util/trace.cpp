@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -26,7 +25,6 @@
 #include "util/cpu_info.hpp"
 #include "util/metrics.hpp"
 #include "util/peak.hpp"
-#include "util/perf_counters.hpp"
 #include "util/timer.hpp"
 
 namespace ldla::trace {
@@ -148,13 +146,6 @@ TraceSnapshot TraceSnapshot::since(const TraceSnapshot& earlier) const {
   }
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     d.phase_self_ns[i] = phase_self_ns[i] - earlier.phase_self_ns[i];
-    d.phase_perf[i].cycles = phase_perf[i].cycles - earlier.phase_perf[i].cycles;
-    d.phase_perf[i].instructions =
-        phase_perf[i].instructions - earlier.phase_perf[i].instructions;
-    d.phase_perf[i].llc_loads =
-        phase_perf[i].llc_loads - earlier.phase_perf[i].llc_loads;
-    d.phase_perf[i].llc_misses =
-        phase_perf[i].llc_misses - earlier.phase_perf[i].llc_misses;
   }
   return d;
 }
@@ -177,7 +168,6 @@ namespace {
 constexpr std::uint32_t kMaxSlots = 128;
 constexpr int kMaxDepth = 16;
 constexpr std::size_t kMaxEventsPerThread = std::size_t{1} << 20;
-constexpr std::size_t kNumPerf = 4;
 
 // Compile-time index of the `nth` row feeding `field` (a missing row fails
 // the build).
@@ -202,18 +192,12 @@ metrics::Counter& registry_counter(std::size_t r) {
   return *counters[r];
 }
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using metrics::detail::now_ns;
 
 struct alignas(64) Slot {
   // Any-thread-readable, owner-written (overflow threads may share writes;
   // fetch_add keeps the totals exact either way).
   std::atomic<std::uint64_t> phase_ns[kPhaseCount] = {};
-  std::atomic<std::uint64_t> perf[kPhaseCount][kNumPerf] = {};
   std::atomic<bool> shared{false};
   std::uint32_t tid = 0;
 
@@ -222,8 +206,6 @@ struct alignas(64) Slot {
     Phase phase = Phase::kKernel;
     std::uint64_t t0 = 0;
     std::uint64_t child_ns = 0;
-    PerfReading p0;
-    std::uint64_t child_perf[kNumPerf] = {0, 0, 0, 0};
   };
   Frame stack[kMaxDepth];
   int depth = 0;
@@ -239,7 +221,6 @@ Slot g_slots[kMaxSlots];
 std::atomic<std::uint32_t> g_next_slot{0};
 
 std::atomic<bool> g_session{false};
-std::atomic<bool> g_session_perf{false};
 std::atomic<std::uint64_t> g_epoch{0};
 std::atomic<std::uint64_t> g_session_t0{0};
 
@@ -314,27 +295,6 @@ std::uint64_t gather_dropped() LDLA_REQUIRES(g_session_mutex) {
   return dropped;
 }
 
-void json_escape_to(std::string& out, const std::string& in) {
-  for (const char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 std::string sanitize_for_filename(const std::string& name) {
   std::string out;
   for (const char c : name) {
@@ -367,14 +327,11 @@ std::string write_report(const std::string& run_name)
   const std::uint64_t t0 = g_session_t0.load(std::memory_order_relaxed);
   const CpuInfo& cpu = cpu_info();
   const TimingCalibration& cal = timing_calibration();
-  const bool perf_ok = perf_counters_available();
 
   std::string brand;
-  json_escape_to(brand, cpu.brand);
-  std::string perf_status;
-  json_escape_to(perf_status, perf_counters_status());
+  metrics::detail::append_json_escaped(brand, cpu.brand.c_str());
   std::string run_escaped;
-  json_escape_to(run_escaped, run_name);
+  metrics::detail::append_json_escaped(run_escaped, run_name.c_str());
 
   // Metadata block: everything needed to interpret the numbers offline.
   std::fprintf(f, "{\n\"metadata\": {\n");
@@ -394,40 +351,24 @@ std::string write_report(const std::string& run_name)
                static_cast<unsigned long long>(cpu.cache.l2),
                static_cast<unsigned long long>(cpu.cache.l3),
                static_cast<unsigned long long>(cpu.cache.line));
-  std::fprintf(f,
-               "  \"perf\": {\"available\": %s, \"status\": \"%s\"},\n",
-               perf_ok ? "true" : "false", perf_status.c_str());
   std::fprintf(f, "  \"events_dropped\": %llu\n",
                static_cast<unsigned long long>(dropped));
   std::fprintf(f, "},\n");
 
-  // Cumulative registry counters (process lifetime; diff two traces to
-  // window them), in the shape render_json() gives its "counters" object.
-  std::fprintf(f, "\"counters\": {");
-  for (std::size_t i = 0; i < kNumRows; ++i) {
-    std::fprintf(f, "%s\n  \"%s\": {\"help\": \"%s\", \"value\": %llu}",
-                 i == 0 ? "" : ",", kCounterRows[i].name, kCounterRows[i].help,
-                 static_cast<unsigned long long>(registry_counter(i).value()));
-  }
-  std::fprintf(f, "\n},\n");
+  // The whole registry (process lifetime; diff two traces to window it),
+  // phase counters included.
+  std::fprintf(f, "\"metrics\": %s,\n", metrics::render_json().c_str());
 
-  // Per-phase roofline table: self time, perf deltas, and the derived
-  // words/cycle + %-of-scalar-peak for the kernel phase (the paper's
-  // 3-ops/cycle argument) plus bytes-per-LLC-load when LLC events exist.
+  // Per-phase table: self time, plus words/second and %-of-scalar-peak for
+  // the kernel phase (the paper's 3-ops/cycle argument).
   std::fprintf(f, "\"phases\": [\n");
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     const Phase p = static_cast<Phase>(i);
     const double self_s =
         static_cast<double>(snap.phase_self_ns[i]) * 1e-9;
-    std::fprintf(
-        f,
-        "  {\"phase\": \"%s\", \"self_ns\": %llu, \"cycles\": %llu, "
-        "\"instructions\": %llu, \"llc_loads\": %llu, \"llc_misses\": %llu",
-        phase_name(p), static_cast<unsigned long long>(snap.phase_self_ns[i]),
-        static_cast<unsigned long long>(snap.phase_perf[i].cycles),
-        static_cast<unsigned long long>(snap.phase_perf[i].instructions),
-        static_cast<unsigned long long>(snap.phase_perf[i].llc_loads),
-        static_cast<unsigned long long>(snap.phase_perf[i].llc_misses));
+    std::fprintf(f, "  {\"phase\": \"%s\", \"self_ns\": %llu",
+                 phase_name(p),
+                 static_cast<unsigned long long>(snap.phase_self_ns[i]));
     if (p == Phase::kKernel && self_s > 0.0) {
       const double words_per_sec =
           static_cast<double>(snap.counters.kernel_words) / self_s;
@@ -436,17 +377,6 @@ std::string write_report(const std::string& run_name)
       if (peak > 0.0) {
         std::fprintf(f, ", \"pct_scalar_peak\": %.4g",
                      100.0 * words_per_sec / peak);
-      }
-      if (snap.phase_perf[i].cycles > 0) {
-        std::fprintf(f, ", \"words_per_cycle\": %.4g",
-                     static_cast<double>(snap.counters.kernel_words) /
-                         static_cast<double>(snap.phase_perf[i].cycles));
-      }
-      if (snap.phase_perf[i].llc_loads > 0) {
-        // Operand traffic: two packed input words per word-triple.
-        std::fprintf(f, ", \"bytes_per_llc_load\": %.4g",
-                     static_cast<double>(snap.counters.kernel_words) * 16.0 /
-                         static_cast<double>(snap.phase_perf[i].llc_loads));
       }
     }
     std::fprintf(f, "}%s\n", i + 1 < kPhaseCount ? "," : "");
@@ -563,13 +493,7 @@ Span::Span(Phase p) noexcept {
   Slot::Frame& f = s->stack[s->depth];
   f.phase = p;
   f.child_ns = 0;
-  for (std::uint64_t& c : f.child_perf) c = 0;
-  f.p0 = PerfReading{};
-  if (g_session_perf.load(std::memory_order_relaxed) &&
-      g_session.load(std::memory_order_acquire)) {
-    f.p0 = perf_read_thread_counters();
-  }
-  f.t0 = now_ns();  // last, so the perf read is outside the timed window
+  f.t0 = now_ns();
   ++s->depth;
   slot_ = s;
 }
@@ -583,21 +507,6 @@ Span::~Span() {
   const std::uint64_t self = dur > f.child_ns ? dur - f.child_ns : 0;
   const auto pi = static_cast<std::size_t>(f.phase);
   s->phase_ns[pi].fetch_add(self, std::memory_order_relaxed);
-
-  if (f.p0.valid) {
-    const PerfReading p1 = perf_read_thread_counters();
-    if (p1.valid) {
-      const std::uint64_t delta[kNumPerf] = {
-          p1.cycles - f.p0.cycles, p1.instructions - f.p0.instructions,
-          p1.llc_loads - f.p0.llc_loads, p1.llc_misses - f.p0.llc_misses};
-      for (std::size_t j = 0; j < kNumPerf; ++j) {
-        const std::uint64_t self_perf =
-            delta[j] > f.child_perf[j] ? delta[j] - f.child_perf[j] : 0;
-        s->perf[pi][j].fetch_add(self_perf, std::memory_order_relaxed);
-        if (s->depth >= 2) s->stack[s->depth - 2].child_perf[j] += delta[j];
-      }
-    }
-  }
 
   --s->depth;
   if (s->depth > 0) s->stack[s->depth - 1].child_ns += dur;
@@ -618,14 +527,6 @@ TraceSnapshot snapshot() {
     const Slot& s = g_slots[i];
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
       out.phase_self_ns[p] += s.phase_ns[p].load(std::memory_order_relaxed);
-      out.phase_perf[p].cycles +=
-          s.perf[p][0].load(std::memory_order_relaxed);
-      out.phase_perf[p].instructions +=
-          s.perf[p][1].load(std::memory_order_relaxed);
-      out.phase_perf[p].llc_loads +=
-          s.perf[p][2].load(std::memory_order_relaxed);
-      out.phase_perf[p].llc_misses +=
-          s.perf[p][3].load(std::memory_order_relaxed);
     }
   }
   return out;
@@ -638,7 +539,6 @@ void start_session(const std::string& run_name) {
   const MutexLock lock(g_session_mutex);
   g_session_name = run_name;
   g_epoch.fetch_add(1, std::memory_order_relaxed);  // invalidate old buffers
-  g_session_perf.store(perf_counters_available(), std::memory_order_relaxed);
   g_session_t0.store(now_ns(), std::memory_order_relaxed);
   g_session.store(true, std::memory_order_release);
   static const int registered = std::atexit(atexit_write);

@@ -21,13 +21,10 @@
 //     accounting (a nested span's duration is subtracted from its parent's
 //     phase bucket, so per-phase totals partition wall time instead of
 //     double counting). When a session is active every span is also buffered
-//     as a Chrome-trace/Perfetto event and written to trace_<run>.json.
-//
-//  3. Optional perf-counter attribution — when a session is active and
-//     perf_event_open is permitted (util/perf_counters.hpp), spans read a
-//     per-thread (cycles, instructions, LLC-loads, LLC-misses) group at the
-//     boundaries and attribute the deltas per phase, enabling the
-//     %-of-peak / bytes-per-word roofline table in the trace report.
+//     as a Chrome-trace/Perfetto event and written to trace_<run>.json,
+//     together with the per-phase self times, the kernel phase's
+//     words/second against the scalar popcount peak, and the whole registry
+//     (metrics::render_json()) as its "metrics" member.
 //
 // Concurrency contract: counters/phase times may be written from any number
 // of threads concurrently (relaxed atomics). snapshot() may race with
@@ -90,14 +87,6 @@ struct PhaseCounters {
 std::vector<std::pair<const char*, std::uint64_t>> counter_fields(
     const PhaseCounters& c);
 
-/// Per-phase perf-event totals (all zero when perf attribution was off).
-struct PerfTotals {
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t llc_loads = 0;
-  std::uint64_t llc_misses = 0;
-};
-
 /// Aggregate view over every thread, suitable for before/after diffing
 /// around a workload: `auto d = trace::snapshot().since(before);`.
 struct TraceSnapshot {
@@ -105,7 +94,6 @@ struct TraceSnapshot {
   /// Per-phase *self* nanoseconds (children subtracted; phases partition
   /// the instrumented wall time).
   std::array<std::uint64_t, kPhaseCount> phase_self_ns{};
-  std::array<PerfTotals, kPhaseCount> phase_perf{};
 
   [[nodiscard]] TraceSnapshot since(const TraceSnapshot& earlier) const;
   [[nodiscard]] double phase_seconds(Phase p) const {
@@ -135,9 +123,9 @@ constexpr bool compiled() {
 /// phase times. All-zero when the layer is compiled out.
 TraceSnapshot snapshot();
 
-/// Begin buffering span events (and, when available, per-phase perf-counter
-/// attribution) for a Chrome-trace report named `run_name`. The report is
-/// written by stop_session_and_write(), or automatically at process exit.
+/// Begin buffering span events for a Chrome-trace report named `run_name`.
+/// The report is written by stop_session_and_write(), or automatically at
+/// process exit.
 void start_session(const std::string& run_name);
 bool session_active();
 

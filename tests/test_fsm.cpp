@@ -65,16 +65,6 @@ TEST(FsmMatrix, SetStateClearsPreviousPlane) {
   EXPECT_EQ(m.state(0, 0), -1);
 }
 
-TEST(FsmMatrix, ValidityIsUnionOfPlanes) {
-  const std::vector<std::string> rows = {"AC-T"};
-  const FsmMatrix m = FsmMatrix::from_snp_strings(rows);
-  const BitMatrix v = m.validity();
-  EXPECT_TRUE(v.get(0, 0));
-  EXPECT_TRUE(v.get(0, 1));
-  EXPECT_FALSE(v.get(0, 2));
-  EXPECT_TRUE(v.get(0, 3));
-}
-
 // The oracle's plans plus one nr = 2 variant, whose column tiles would
 // split a SNP's four plane rows without the 4-row edge rule (nc 6 -> 8).
 std::vector<GemmConfig> fsm_plans() {

@@ -1,8 +1,7 @@
 // Tests for the always-on metrics layer (util/metrics.hpp): striped
 // counter aggregation, the runtime enable switch, analytic histogram
-// bucket layout and quantile math, exporter output shape, the background
-// health sampler's lifecycle and probes, and trace::snapshot() reading the
-// phase counters back out of the registry.
+// bucket layout and quantile math, the JSON renderer's output, and
+// trace::snapshot() reading the phase counters back out of the registry.
 //
 // The registry is process-global find-or-create storage, so tests reuse
 // fixed names freely — re-registering a name returns the same object.
@@ -10,6 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +18,7 @@
 #include "core/gemm/macro.hpp"
 #include "core/ld_stream.hpp"
 #include "io/shard_store.hpp"
+#include "phase_counter_names.hpp"
 #include "sim/maf_spectrum.hpp"
 #include "sim/rng.hpp"
 #include "util/metrics.hpp"
@@ -27,6 +28,9 @@
 namespace ldla {
 namespace {
 
+using counter_names::field_sources;
+using counter_names::FieldSource;
+using counter_names::registry_sum;
 using metrics::Histogram;
 
 BitMatrix random_matrix(std::size_t snps, std::size_t samples,
@@ -196,29 +200,13 @@ TEST(Metrics, HistogramConcurrentWritersLoseNoSamples) {
   EXPECT_EQ(h.count() - before, kTasks * kPerTask);
 }
 
-TEST(Metrics, RenderPrometheusHasTheExpositionShape) {
-  metrics::set_enabled(true);
-  metrics::counter("test_render_total", "render help text").inc();
-  metrics::gauge("test_render_gauge", "g").set(3.5);
-  metrics::histogram("test_render_seconds", "h").record_ns(1500);
-  const std::string out = metrics::render_prometheus();
-
-  EXPECT_NE(out.find("# HELP test_render_total render help text"),
-            std::string::npos);
-  EXPECT_NE(out.find("# TYPE test_render_total counter"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE test_render_gauge gauge"), std::string::npos);
-  EXPECT_NE(out.find("test_render_gauge 3.5"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE test_render_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(out.find("test_render_seconds_bucket{le=\"+Inf\"}"),
-            std::string::npos);
-  EXPECT_NE(out.find("test_render_seconds_sum"), std::string::npos);
-  EXPECT_NE(out.find("test_render_seconds_count"), std::string::npos);
-}
-
 TEST(Metrics, RenderJsonHasTheSchemaEnvelope) {
   metrics::set_enabled(true);
   metrics::counter("test_json_total", "j").add(3);
+  metrics::gauge("test_json_gauge", "g").set(3.5);
+  Histogram& h = metrics::histogram("test_json_seconds", "h");
+  ASSERT_EQ(h.count(), 0u) << "test requires a fresh histogram name";
+  h.record_ns(1500);
   const std::string out = metrics::render_json();
   EXPECT_EQ(out.find('{'), 0u);
   EXPECT_EQ(out.rfind('}'), out.size() - 1);
@@ -226,65 +214,28 @@ TEST(Metrics, RenderJsonHasTheSchemaEnvelope) {
   EXPECT_NE(out.find("\"counters\""), std::string::npos);
   EXPECT_NE(out.find("\"gauges\""), std::string::npos);
   EXPECT_NE(out.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(out.find("\"test_json_total\""), std::string::npos);
-}
+  EXPECT_NE(out.find("\"test_json_total\": {\"help\": \"j\", \"value\": 3}"),
+            std::string::npos);
+  EXPECT_NE(
+      out.find("\"test_json_gauge\": {\"help\": \"g\", \"value\": 3.5}"),
+      std::string::npos);
 
-TEST(Metrics, SamplerLifecycleStartsTicksStopsAndRestarts) {
-  metrics::set_enabled(true);
-  ASSERT_FALSE(metrics::Sampler::running());
-  const std::uint64_t t0 = metrics::Sampler::ticks();
-
-  metrics::Sampler::start(5);
-  EXPECT_TRUE(metrics::Sampler::running());
-  // Wait (bounded) for at least two periodic ticks.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (metrics::Sampler::ticks() < t0 + 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(metrics::Sampler::ticks(), t0 + 2);
-
-  metrics::Sampler::stop();
-  EXPECT_FALSE(metrics::Sampler::running());
-  const std::uint64_t t1 = metrics::Sampler::ticks();
-
-  // Restart must work after a stop; stop is idempotent.
-  metrics::Sampler::start(5);
-  EXPECT_TRUE(metrics::Sampler::running());
-  metrics::Sampler::stop();
-  metrics::Sampler::stop();
-  EXPECT_FALSE(metrics::Sampler::running());
-  EXPECT_GE(metrics::Sampler::ticks(), t1);
-}
-
-TEST(Metrics, SampleNowSetsProcessHealthGaugesSynchronously) {
-  metrics::set_enabled(true);
-  ASSERT_FALSE(metrics::Sampler::running());
-  metrics::Sampler::sample_now();
-  // A live Linux process has a nonzero RSS and has minor-faulted.
-  EXPECT_GT(metrics::gauge("ldla_process_rss_bytes", "").value(), 0.0);
-  EXPECT_GT(metrics::gauge("ldla_process_minor_faults", "").value(), 0.0);
-  EXPECT_GT(metrics::counter("ldla_sampler_ticks_total", "").value(), 0u);
-}
-
-TEST(Metrics, ProbesFeedTheirGaugeEachSample) {
-  metrics::set_enabled(true);
-  static std::uint64_t probe_value = 0;
-  probe_value = 12345;
-  const int id = metrics::Sampler::add_probe(
-      "test_probe_gauge",
-      [](void* ctx) { return *static_cast<std::uint64_t*>(ctx); },
-      &probe_value);
-  ASSERT_GE(id, 0);
-  metrics::Sampler::sample_now();
-  EXPECT_DOUBLE_EQ(metrics::gauge("test_probe_gauge", "").value(), 12345.0);
-  probe_value = 54321;
-  metrics::Sampler::sample_now();
-  EXPECT_DOUBLE_EQ(metrics::gauge("test_probe_gauge", "").value(), 54321.0);
-  metrics::Sampler::clear_probes();
-  metrics::Sampler::sample_now();  // must not touch the cleared probe
-  EXPECT_DOUBLE_EQ(metrics::gauge("test_probe_gauge", "").value(), 54321.0);
+  // One sample: count 1, its sum in seconds, and one cumulative bucket
+  // (the sample's) whose count equals the histogram's.
+  const std::size_t at = out.find("\"test_json_seconds\": {");
+  ASSERT_NE(at, std::string::npos);
+  const std::string body = out.substr(at, out.find('}', at) + 1 - at);
+  EXPECT_NE(body.find("\"count\": 1, \"sum_seconds\": 1.5e-06,"),
+            std::string::npos)
+      << body;
+  char last_bucket[64];
+  std::snprintf(last_bucket, sizeof last_bucket, "[[%.10g, 1]]}",
+                static_cast<double>(Histogram::bucket_upper(
+                    Histogram::bucket_index(1500))) *
+                    1e-9);
+  EXPECT_NE(body.find(std::string("\"buckets\": ") + last_bucket),
+            std::string::npos)
+      << body;
 }
 
 TEST(Metrics, ScopedLatencyRecordsOneSample) {
@@ -297,47 +248,6 @@ TEST(Metrics, ScopedLatencyRecordsOneSample) {
   }
   EXPECT_EQ(h.count(), before + 1);
   EXPECT_GE(h.sum_seconds(), 0.0005);
-}
-
-// Each PhaseCounters field and the registry counters that store it. The
-// registry names are public (Prometheus scrapes key on them), so this list
-// pins them; the steal fields sum the pool's and the nest's counters.
-struct FieldSource {
-  std::uint64_t trace::PhaseCounters::*field;
-  std::vector<const char*> names;
-};
-
-std::vector<FieldSource> field_sources() {
-  using P = trace::PhaseCounters;
-  return {
-      {&P::bytes_packed, {"ldla_pack_bytes_total"}},
-      {&P::slivers_packed, {"ldla_pack_slivers_total"}},
-      {&P::slivers_reused, {"ldla_pack_slivers_reused_total"}},
-      {&P::kernel_calls, {"ldla_kernel_calls_total"}},
-      {&P::kernel_words, {"ldla_kernel_words_total"}},
-      {&P::tiles_emitted, {"ldla_tiles_emitted_total"}},
-      {&P::epilogue_rows, {"ldla_epilogue_rows_total"}},
-      {&P::task_runs, {"ldla_pool_tasks_total"}},
-      {&P::steals, {"ldla_pool_steals_total", "ldla_nest_steals_total"}},
-      {&P::failed_steals,
-       {"ldla_pool_failed_steals_total", "ldla_nest_failed_steals_total"}},
-      {&P::parks, {"ldla_pool_parks_total"}},
-      {&P::barrier_waits, {"ldla_pool_barrier_waits_total"}},
-      {&P::sparse_ll_tiles, {"ldla_sparse_ll_tiles_total"}},
-      {&P::sparse_ld_tiles, {"ldla_sparse_ld_tiles_total"}},
-      {&P::list_intersections, {"ldla_sparse_intersections_total"}},
-      {&P::dense_fallback_tiles, {"ldla_sparse_dense_fallback_tiles_total"}},
-      {&P::io_bytes_read, {"ldla_shard_io_bytes_total"}},
-      {&P::prefetch_issued, {"ldla_stream_prefetch_issued_total"}},
-      {&P::prefetch_hits, {"ldla_stream_prefetch_hits_total"}},
-      {&P::prefetch_stalls, {"ldla_stream_prefetch_stalls_total"}},
-  };
-}
-
-std::uint64_t registry_sum(const std::vector<const char*>& names) {
-  std::uint64_t total = 0;
-  for (const char* name : names) total += metrics::counter(name, "").value();
-  return total;
 }
 
 TEST(Telemetry, SnapshotReadsTheRegistry) {

@@ -4,11 +4,10 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "util/contract.hpp"
 
 namespace ldla {
 namespace {
@@ -41,32 +40,40 @@ TEST(ThreadPool, SizeReportsWorkerCount) {
   EXPECT_EQ(solo.size(), 0u);
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::mutex mu;
-  std::set<std::size_t> seen;
-  pool.parallel_for(10, 250, [&](std::size_t lo, std::size_t hi) {
-    std::lock_guard lock(mu);
-    for (std::size_t i = lo; i < hi; ++i) {
-      EXPECT_TRUE(seen.insert(i).second) << "index " << i << " visited twice";
-    }
-  });
-  EXPECT_EQ(seen.size(), 240u);
-  EXPECT_EQ(*seen.begin(), 10u);
-  EXPECT_EQ(*seen.rbegin(), 249u);
+TEST(ThreadPool, RunSplitCoversRange) {
+  // threads 0 counts as 1, and a team larger than n shrinks to n ranges;
+  // one range runs inline on the caller.
+  struct Case {
+    std::size_t n;
+    unsigned threads;
+    std::size_t parts;
+  };
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const Case c : {Case{240, 3, 3}, Case{240, 1, 1}, Case{240, 0, 1},
+                       Case{5, 8, 5}}) {
+    std::mutex mu;
+    std::set<std::size_t> seen;
+    std::size_t calls = 0;
+    run_split(c.n, c.threads, [&](Range r) {
+      std::lock_guard lock(mu);
+      ++calls;
+      EXPECT_FALSE(r.empty());
+      if (c.parts == 1) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+      }
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        EXPECT_TRUE(seen.insert(i).second) << "index " << i << " visited twice";
+      }
+    });
+    EXPECT_EQ(calls, c.parts) << "n " << c.n << " threads " << c.threads;
+    EXPECT_EQ(seen.size(), c.n);
+    EXPECT_EQ(*seen.begin(), 0u);
+    EXPECT_EQ(*seen.rbegin(), c.n - 1);
+  }
 }
 
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  pool.parallel_for(5, 5, [](std::size_t, std::size_t) {
-    FAIL() << "must not be called";
-  });
-}
-
-TEST(ThreadPool, ParallelForRejectsInvertedRange) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(10, 5, [](std::size_t, std::size_t) {}),
-               ContractViolation);
+TEST(ThreadPool, RunSplitEmptyRange) {
+  run_split(0, 4, [](Range) { FAIL() << "must not be called"; });
 }
 
 TEST(ThreadPool, ResultsAreDeterministicAcrossRuns) {

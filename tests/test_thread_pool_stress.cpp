@@ -41,8 +41,8 @@ TEST(ThreadPoolStress, ConcurrentCallersShareOnePool) {
   EXPECT_EQ(total.load(), kCallers * kRounds * kTasks);
 }
 
-TEST(ThreadPoolStress, ConcurrentParallelForCoversEveryRange) {
-  ThreadPool pool(3);
+TEST(ThreadPoolStress, ConcurrentRunSplitCoversEveryRange) {
+  // run_split forks onto global_pool(), so concurrent callers share it.
   constexpr std::size_t kCallers = 6;
   constexpr std::size_t kN = 1000;
 
@@ -53,9 +53,9 @@ TEST(ThreadPoolStress, ConcurrentParallelForCoversEveryRange) {
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (std::size_t c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&pool, &hits, c] {
-      pool.parallel_for(0, kN, [&hits, c](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
+    callers.emplace_back([&hits, c] {
+      run_split(kN, 3, [&hits, c](Range r) {
+        for (std::size_t i = r.begin; i < r.end; ++i) {
           hits[c][i].fetch_add(1, std::memory_order_relaxed);
         }
       });
@@ -142,18 +142,18 @@ TEST(ThreadPoolStress, PoolIsReusableAfterException) {
   }
 }
 
-TEST(ThreadPoolStress, ParallelForPropagatesExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(0, 100,
-                        [](std::size_t lo, std::size_t) {
-                          if (lo == 0) throw std::runtime_error("chunk 0");
-                        }),
-      std::runtime_error);
-  // and stays usable
+TEST(ThreadPoolStress, RunSplitPropagatesExceptions) {
+  EXPECT_THROW(run_split(100, 4,
+                         [](Range r) {
+                           if (r.begin == 0) {
+                             throw std::runtime_error("range 0");
+                           }
+                         }),
+               std::runtime_error);
+  // and the pool stays usable
   std::atomic<int> n{0};
-  pool.parallel_for(0, 100, [&n](std::size_t lo, std::size_t hi) {
-    n.fetch_add(static_cast<int>(hi - lo));
+  run_split(100, 4, [&n](Range r) {
+    n.fetch_add(static_cast<int>(r.size()));
   });
   EXPECT_EQ(n.load(), 100);
 }

@@ -15,6 +15,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +31,7 @@
 #include "core/ld_stream.hpp"
 #include "core/parallel.hpp"
 #include "omega/sweep_scan.hpp"
+#include "phase_counter_names.hpp"
 #include "sim/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -531,6 +537,63 @@ TEST_F(TraceFixture, SessionLifecycleAndSnapshotDiff) {
   trace::start_session("test_trace_lifecycle_2");
   EXPECT_TRUE(trace::session_events().empty());
   trace::cancel_session();
+}
+
+TEST_F(TraceFixture, ReportEmbedsTheRegistryCounters) {
+  // The report's "metrics" member is metrics::render_json(): its counters
+  // hold every phase counter, valued as trace::snapshot() reads them.
+  // Parked workers may still bump ldla_pool_parks_total, so retry until
+  // the snapshots on both sides of the write agree.
+  const std::string dir = ::testing::TempDir();
+  ASSERT_EQ(::setenv("LDLA_TRACE_DIR", dir.c_str(), 1), 0);
+  std::string path;
+  trace::TraceSnapshot snap;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    trace::start_session("test_trace_report");
+    {
+      const BitMatrix g = random_matrix(8, 130, 3);
+      CountMatrix c(8, 8);
+      gemm_count(g.view(), g.view(), c.ref(),
+                 small_blocking(KernelArch::kScalar));
+    }
+    snap = trace::snapshot();
+    path = trace::stop_session_and_write();
+    if (trace::counter_fields(trace::snapshot().counters) ==
+        trace::counter_fields(snap.counters)) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::unsetenv("LDLA_TRACE_DIR");
+  ASSERT_FALSE(path.empty());
+
+  std::stringstream file;
+  file << std::ifstream(path).rdbuf();
+  const std::string report = file.str();
+  std::remove(path.c_str());
+  const std::size_t metrics_at =
+      report.find("\"metrics\": {\"schema\": \"ldla-metrics-v1\"");
+  ASSERT_NE(metrics_at, std::string::npos);
+  const std::size_t counters_at = report.find("\"counters\": {", metrics_at);
+  const std::size_t gauges_at = report.find("\"gauges\": {", metrics_at);
+  ASSERT_LT(counters_at, gauges_at);
+  const std::string counters =
+      report.substr(counters_at, gauges_at - counters_at);
+  const auto value_of = [&counters](const char* name) -> std::uint64_t {
+    const std::size_t at = counters.find(std::string("\"") + name + "\": {");
+    if (at == std::string::npos) {
+      ADD_FAILURE() << name << " missing from the report's metrics.counters";
+      return 0;
+    }
+    const std::size_t v = counters.find("\"value\": ", at);
+    return std::strtoull(counters.c_str() + v + 9, nullptr, 10);
+  };
+  for (const counter_names::FieldSource& f : counter_names::field_sources()) {
+    std::uint64_t sum = 0;
+    for (const char* name : f.names) sum += value_of(name);
+    EXPECT_EQ(sum, snap.counters.*f.field) << f.names.front();
+  }
+  EXPECT_GT(snap.counters.kernel_words, 0u);
 }
 
 TEST(TraceBasics, PhaseNamesAreStable) {

@@ -21,11 +21,8 @@ Rules that clang-tidy cannot express, enforced as a CI/ctest gate:
      renamed or deleted entry fails the lint (with a nearest-match
      suggestion) until the manifest is updated.
 
-  4. perf-event-confinement — perf_event_open and its kernel ABI surface
-     (perf_event_attr, PERF_COUNT_*, <linux/perf_event.h>) may appear only
-     in src/util/perf_counters.{hpp,cpp}, so graceful degradation when the
-     syscall is unavailable (containers, perf_event_paranoid) is decided in
-     exactly one place.
+  (Rule 4, perf-event confinement, retired with the hardware-counter
+  layer it confined; the other rules keep their numbers.)
 
   5. atomics-confinement — raw std::atomic / std::memory_order /
      atomic_thread_fence may appear only in the files whose orderings are
@@ -44,8 +41,8 @@ Rules that clang-tidy cannot express, enforced as a CI/ctest gate:
   7. thread-confinement — std::thread / std::jthread construction and
      pthread_create may appear only in util/thread_pool.*: library code
      parallelizes through the pool (which joins every worker in its
-     destructor), never through ad-hoc threads that can leak past their
-     scope. (std::thread::hardware_concurrency() is a query, not a spawn,
+     destructor), never through ad-hoc threads or background daemons that
+     can leak past their scope. (std::thread::hardware_concurrency() is a query, not a spawn,
      and stays allowed everywhere.)
 
   8. mmap-confinement — mmap/munmap/madvise/mincore/pread and
@@ -58,11 +55,9 @@ Rules that clang-tidy cannot express, enforced as a CI/ctest gate:
      on large buffers) but none of the mapping or I/O calls.
 
   9. proc-confinement — "/proc/..." path literals may appear only in
-     src/util/metrics.cpp (the health sampler), src/util/cpu_info.cpp
-     (topology probing), and src/util/perf_counters.cpp
-     (perf_event_paranoid): parsing kernel text interfaces is brittle, so
-     every procfs read lives behind one of those three audited probes.
-     This rule scans RAW source text (the shared strip pass blanks string
+     src/util/cpu_info.cpp (topology probing): parsing kernel text
+     interfaces is brittle, so every procfs read lives behind that one
+     audited probe. This rule scans RAW source text (the shared strip pass blanks string
      literals, which is exactly where the paths live).
 
 The rules run as regular expressions over comment- and string-stripped
@@ -125,21 +120,6 @@ ALLOC_ALLOWED = {
     "src/util/aligned_buffer.cpp",
 }
 
-# --- rule 4: perf_event_open confinement --------------------------------------
-
-PERF_EVENT_RE = re.compile(
-    r"(\bperf_event_open\b|\bperf_event_attr\b|\bPERF_COUNT_\w+|"
-    r"#\s*include\s*<linux/perf_event\.h>)"
-)
-
-PERF_EVENT_ALLOWED = {
-    "src/util/perf_counters.cpp",
-    # The header declares the counter-group API (event kinds, readings);
-    # naming the ABI surface in declarations/doc-comments is part of its
-    # job, and it still funnels every syscall into the one .cpp.
-    "src/util/perf_counters.hpp",
-}
-
 # --- rule 5: atomics confinement ----------------------------------------------
 
 ATOMIC_RE = re.compile(
@@ -154,8 +134,8 @@ ATOMICS_ALLOWED = {
     # against the deque protocol and stress-tested under TSan.
     "src/util/thread_pool.hpp",
     "src/util/thread_pool.cpp",
-    # Per-thread span slots (phase self-time, perf deltas, session event
-    # buffers) and the session flags; its counters live in the registry.
+    # Per-thread span slots (phase self-time, session event buffers) and
+    # the session flags; its counters live in the registry.
     "src/util/trace.cpp",
     # The one counter store: striped relaxed counters (the trace phase
     # counters included), the registry enable flag, and log-linear
@@ -195,10 +175,6 @@ THREAD_RE = re.compile(
 THREAD_ALLOWED = {
     "src/util/thread_pool.hpp",
     "src/util/thread_pool.cpp",
-    # The metrics health sampler owns one long-lived background thread with
-    # an explicit start/stop lifecycle (joined under its control mutex) —
-    # a daemon, not ad-hoc parallelism, so the pool is the wrong home.
-    "src/util/metrics.cpp",
 }
 
 # --- rule 8: mmap confinement --------------------------------------------------
@@ -244,12 +220,8 @@ def mmap_scan(rel: str, code: str, findings: list["Finding"]) -> None:
 PROC_RE = re.compile(r'"/proc/')
 
 PROC_ALLOWED = {
-    # The health sampler parses /proc/self/{statm,stat,io} on its tick.
-    "src/util/metrics.cpp",
     # Topology/cache probing.
     "src/util/cpu_info.cpp",
-    # Reads /proc/sys/kernel/perf_event_paranoid to predict EACCES.
-    "src/util/perf_counters.cpp",
 }
 
 # --- rule 3: public API guard manifest ---------------------------------------
@@ -321,7 +293,6 @@ PUBLIC_API = {
         ("split_uniform", "expect"),
         ("split_triangle_rows", "expect"),
     ],
-    "src/util/thread_pool.cpp": [("ThreadPool::parallel_for", "expect")],
     "src/util/trace.cpp": [("start_session", "expect")],
     "src/sim/maf_spectrum.cpp": [
         ("sample_maf_spectrum", "expect"),
@@ -339,11 +310,7 @@ PUBLIC_API = {
         ("ld_matrix_stream", "expect"),
         ("ld_cross_stream", "expect"),
     ],
-    "src/util/metrics.cpp": [
-        ("Sampler::start", "expect"),
-        ("dump_prometheus", "expect"),
-        ("dump_json", "expect"),
-    ],
+    "src/util/metrics.cpp": [("dump_json", "expect")],
 }
 
 GUARD_TOKENS = {
@@ -486,8 +453,8 @@ def proc_scan(rel: str, raw: str, findings: list["Finding"]) -> None:
         if PROC_RE.search(line):
             findings.append(Finding(
                 rel, lineno, "proc-confinement",
-                "procfs path literal outside the audited probes "
-                "(util/metrics, util/cpu_info, util/perf_counters)"))
+                "procfs path literal outside the audited probe "
+                "(util/cpu_info)"))
 
 
 def project_sources(root: pathlib.Path,
@@ -531,7 +498,7 @@ class Linter:
 
     def _confinement_rules(self) -> list[Finding]:
         findings: list[Finding] = []
-        # Rules 1/2/4 keep their original src/-only scope; the concurrency
+        # Rules 1/2/8 keep their original src/-only scope; the concurrency
         # rules (5/6/7) also cover bench/, whose harness shares the
         # library's locking discipline.
         for path in project_sources(self.root, ("src",)):
@@ -544,9 +511,6 @@ class Linter:
                                "no-naked-allocation",
                                "util/aligned_buffer", findings,
                                preprocess=lambda l: DELETED_MEMBER_RE.sub("", l))
-            self._scan_pattern(rel, code, PERF_EVENT_RE, PERF_EVENT_ALLOWED,
-                               "perf-event-confinement",
-                               "util/perf_counters", findings)
             mmap_scan(rel, code, findings)
         for path in project_sources(self.root, ("src", "bench")):
             rel = path.relative_to(self.root).as_posix()
