@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -341,6 +342,26 @@ struct CountScanResult {
   std::uint64_t checksum = 0;     ///< defeats dead-code elimination
 };
 
+/// One slab of the count benches: pack both operands (once, both sides,
+/// when the views alias) and add the fused nest's tiles into C.
+inline void count_slab(const BitMatrixView& a, const BitMatrixView& b,
+                       CountMatrixRef c, const GemmConfig& cfg) {
+  const GemmPlan plan = resolve_plan(cfg, a.n_words);
+  const bool same = a.data == b.data && a.n_snps == b.n_snps;
+  const PackedBitMatrix pa(a, plan, same ? PackSides::kBoth : PackSides::kA);
+  std::optional<PackedBitMatrix> pb;
+  if (!same) pb.emplace(b, plan, PackSides::kB);
+  gemm_count_fused(pa, 0, a.n_snps, same ? pa : *pb, 0, b.n_snps,
+                   [&](const CountTile& t) {
+                     for (std::size_t i = 0; i < t.rows; ++i) {
+                       std::uint32_t* dst = &c.at(t.row_begin + i, t.col_begin);
+                       for (std::size_t j = 0; j < t.cols; ++j) {
+                         dst[j] += t.row(i)[j];
+                       }
+                     }
+                   });
+}
+
 /// Time the symmetric haplotype-count computation (the H matrix of Figs.
 /// 3/5 and the GEMM rows of Tables I-III) with a streaming row-slab driver,
 /// so memory stays O(slab x n) for any problem size.
@@ -359,7 +380,7 @@ inline CountScanResult time_symmetric_counts(const BitMatrix& g,
     for (std::size_t i = 0; i < rows; ++i) {
       std::fill_n(&cref.at(i, 0), cols, 0u);
     }
-    gemm_count(g.view(r0, r0 + rows), g.view(0, cols), cref, cfg);
+    count_slab(g.view(r0, r0 + rows), g.view(0, cols), cref, cfg);
     out.checksum += cref.at(0, 0) + cref.at(rows - 1, cols - 1);
     out.pairs += static_cast<std::uint64_t>(rows) * cols;
   }
@@ -383,7 +404,7 @@ inline CountScanResult time_cross_counts(const BitMatrix& a,
     const std::size_t rows = std::min(slab_rows, m - r0);
     counts.zero();
     CountMatrixRef cref{counts.ref().data, rows, n, n};
-    gemm_count(a.view(r0, r0 + rows), b.view(), cref, cfg);
+    count_slab(a.view(r0, r0 + rows), b.view(), cref, cfg);
     out.checksum += cref.at(0, 0) + cref.at(rows - 1, n - 1);
     out.pairs += static_cast<std::uint64_t>(rows) * n;
   }

@@ -55,7 +55,8 @@ int main(int argc, char** argv) try {
   std::printf("\n");
 
   ldla::Timer timer;
-  const ldla::LdMatrix ld = ldla::ld_cross_matrix_parallel(region_a, region_b);
+  const ldla::LdMatrix ld =
+      ldla::ld_cross_matrix(region_a, region_b, {}, /*threads=*/0);
   const double seconds = timer.seconds();
   std::printf(
       "cross-region GEMM: %zu x %zu = %zu LD values over %zu samples "

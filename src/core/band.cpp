@@ -11,17 +11,23 @@
 
 namespace ldla {
 
+namespace {
+
+/// Rows per stripe: each slab multiplies against the column range its band
+/// intersects.
+constexpr std::size_t kSlabRows = 256;
+
+}  // namespace
+
 void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
                   const LdTileVisitor& visit, const BandOptions& opts) {
   const std::size_t n = g.snps();
   if (n == 0) return;
   LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
   LDLA_EXPECT(bandwidth > 0, "bandwidth must be positive");
-  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
 
   const detail::StatTables tables = detail::make_stat_tables(g);
-  const std::size_t slab = opts.slab_rows;
-  const std::size_t max_rows = std::min(slab, n);
+  const std::size_t max_rows = std::min(kSlabRows, n);
   // A slab of rows [r0, r1) needs columns [max(0, r0 - W), r1). The sum
   // saturates: a bandwidth near SIZE_MAX means "every column".
   const std::size_t max_cols =
@@ -34,8 +40,8 @@ void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
       g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
 
   AlignedBuffer<double> values(max_rows * max_cols);
-  for (std::size_t r0 = 0; r0 < n; r0 += slab) {
-    const std::size_t rows = std::min(slab, n - r0);
+  for (std::size_t r0 = 0; r0 < n; r0 += kSlabRows) {
+    const std::size_t rows = std::min(kSlabRows, n - r0);
     const std::size_t col_begin = r0 > bandwidth ? r0 - bandwidth : 0;
     const std::size_t col_end = r0 + rows;
     const std::size_t cols = col_end - col_begin;

@@ -19,7 +19,6 @@ namespace ldla {
 struct BandOptions {
   LdStatistic stat = LdStatistic::kRSquared;
   GemmConfig gemm;
-  std::size_t slab_rows = 256;
   /// Optional persistent packed operand for `g` (see LdOptions::packed).
   /// Consecutive slabs read overlapping column stripes, so one pack —
   /// this one, or one made per call — serves the whole band.

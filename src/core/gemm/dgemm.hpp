@@ -8,8 +8,8 @@
 // FMA lanes' worth of arithmetic. bench_dgemm_comparison measures exactly
 // how much the paper's bit-packed semiring buys over this route.
 //
-// Same operand convention as gemm_count: A is m x k row-major, B is n x k
-// row-major, and C[i][j] += sum_k A[i][k] * B[j][k] (an "NT" product).
+// Same operand convention as gemm_count_fused: A is m x k row-major, B is
+// n x k row-major, and C[i][j] += sum_k A[i][k] * B[j][k] (an "NT" product).
 #pragma once
 
 #include <cstddef>

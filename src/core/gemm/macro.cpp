@@ -6,7 +6,6 @@
 #include <deque>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "core/gemm/kernel.hpp"
@@ -24,13 +23,6 @@
 namespace ldla {
 
 namespace {
-
-// Do the two views alias the same packed rows? (One PackedBitMatrix can
-// then serve both operand sides.)
-bool same_operand(const BitMatrixView& a, const BitMatrixView& b) {
-  return a.data == b.data && a.n_snps == b.n_snps &&
-         a.stride_words == b.stride_words;
-}
 
 // ---- The tile nest ----------------------------------------------------------
 //
@@ -344,46 +336,6 @@ GemmPlan gemm_plan_for(const BitMatrixView& a, const GemmConfig& cfg) {
   return resolve_plan(cfg, a.n_words);
 }
 
-void gemm_count(const BitMatrixView& a, const BitMatrixView& b,
-                CountMatrixRef c, const GemmConfig& cfg) {
-  if (a.empty() || b.empty()) return;
-  LDLA_EXPECT(a.n_words == b.n_words,
-              "operands disagree on words per SNP (different sample sets?)");
-  LDLA_EXPECT(c.rows >= a.n_snps && c.cols >= b.n_snps,
-              "output matrix is too small");
-  LDLA_EXPECT(c.ld >= c.cols, "output leading dimension too small");
-
-  const GemmPlan plan = resolve_plan(cfg, a.n_words);
-  const bool same = same_operand(a, b);
-  const PackedBitMatrix pa(a, plan, same ? PackSides::kBoth : PackSides::kA);
-  std::optional<PackedBitMatrix> pb;
-  if (!same) pb.emplace(b, plan, PackSides::kB);
-  gemm_count_packed(pa, 0, a.n_snps, same ? pa : *pb, 0, b.n_snps, c);
-}
-
-void gemm_count_packed(const PackedBitMatrix& a, std::size_t a_begin,
-                       std::size_t a_end, const PackedBitMatrix& b,
-                       std::size_t b_begin, std::size_t b_end,
-                       CountMatrixRef c) {
-  LDLA_EXPECT(a_begin <= a_end && a_end <= a.snps(),
-              "A row range out of range");
-  LDLA_EXPECT(b_begin <= b_end && b_end <= b.snps(),
-              "B row range out of range");
-  LDLA_EXPECT(c.rows >= a_end - a_begin && c.cols >= b_end - b_begin,
-              "output matrix is too small");
-  LDLA_EXPECT(c.ld >= c.cols, "output leading dimension too small");
-  gemm_count_fused(a, a_begin, a_end, b, b_begin, b_end,
-                   [&](const CountTile& t) {
-                     for (std::size_t i = 0; i < t.rows; ++i) {
-                       std::uint32_t* dst = &c.at(t.row_begin + i - a_begin,
-                                                  t.col_begin - b_begin);
-                       for (std::size_t j = 0; j < t.cols; ++j) {
-                         dst[j] += t.row(i)[j];
-                       }
-                     }
-                   });
-}
-
 void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
                       std::size_t a_end, const PackedBitMatrix& b,
                       std::size_t b_begin, std::size_t b_end,
@@ -471,6 +423,8 @@ GemmConfig tune_gemm_config(const BitMatrixView& sample,
   }
 
   // A problem-shaped probe: up to 128 rows of the sample against itself.
+  // Each trial packs the probe once (both sides) and accumulates the full
+  // probe x probe product into a count matrix.
   BitMatrixView probe = sample;
   probe.n_snps = std::min<std::size_t>(probe.n_snps, 128);
   CountMatrix c(probe.n_snps, probe.n_snps);
@@ -480,7 +434,18 @@ GemmConfig tune_gemm_config(const BitMatrixView& sample,
     for (int rep = 0; rep < 2; ++rep) {
       c.zero();
       Timer t;
-      gemm_count(probe, probe, c.ref(), cfg);
+      const PackedBitMatrix p(probe, resolve_plan(cfg, probe.n_words),
+                              PackSides::kBoth);
+      gemm_count_fused(p, 0, p.snps(), p, 0, p.snps(),
+                       [&](const CountTile& tile) {
+                         for (std::size_t i = 0; i < tile.rows; ++i) {
+                           std::uint32_t* dst =
+                               &c(tile.row_begin + i, tile.col_begin);
+                           for (std::size_t j = 0; j < tile.cols; ++j) {
+                             dst[j] += tile.row(i)[j];
+                           }
+                         }
+                       });
       fastest = std::min(fastest, t.seconds());
     }
     return fastest;

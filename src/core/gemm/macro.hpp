@@ -11,7 +11,8 @@
 // gemm_count_fused and syrk_count_fused (syrk.hpp) are the only tile
 // drivers. Both run one tile enumerator (macro.cpp), parameterized by the
 // shape (rectangle or lower triangle) and the team size; every count
-// matrix and LD statistic is a sink of it.
+// matrix and LD statistic is a sink of it. Callers pack the operands
+// (PackedBitMatrix) and pass row ranges of the packs.
 #pragma once
 
 #include <cstdint>
@@ -42,27 +43,6 @@ struct CountTile {
 
 /// Consumer of finalized count tiles (the fused statistics epilogue).
 using CountTileSink = std::function<void(const CountTile&)>;
-
-/// Full rectangular count GEMM. C must be at least a.n_snps x b.n_snps.
-/// Both operands must have the same word count (same sample universe).
-/// The operands are packed whole (once for both sides when a aliases b)
-/// and the fused nest accumulates its count tiles into C.
-void gemm_count(const BitMatrixView& a, const BitMatrixView& b,
-                CountMatrixRef c, const GemmConfig& cfg = {});
-
-/// Count GEMM over pre-packed operands: rows [a_begin, a_end) of `a`
-/// against rows [b_begin, b_end) of `b`, accumulating into C at local
-/// indices (i - a_begin, j - b_begin). Callers zero C for assignment
-/// semantics. The ranges may start/end anywhere — sliver-boundary
-/// crossings are handled like edge tiles — so windowed callers slice one
-/// persistent packed copy instead of re-packing per window. This is
-/// gemm_count_fused with a sink that adds each tile into C. `a` needs an
-/// A side, `b` a B side, and both must be packed for compatible plans
-/// (same kernel, register tile, kc, ku).
-void gemm_count_packed(const PackedBitMatrix& a, std::size_t a_begin,
-                       std::size_t a_end, const PackedBitMatrix& b,
-                       std::size_t b_begin, std::size_t b_end,
-                       CountMatrixRef c);
 
 /// The loop nest itself: the k (panel) loop runs innermost per (ic, jc)
 /// cache tile — legal and cheap over persistently packed slivers — so

@@ -8,11 +8,6 @@
 
 namespace ldla {
 
-void mirror_lower_to_upper(CountMatrixRef c, std::size_t n) {
-  LDLA_EXPECT(c.rows >= n && c.cols >= n, "matrix is too small to mirror");
-  detail::mirror_lower_blocked(c.data, c.ld, n);
-}
-
 void syrk_count_packed(const PackedBitMatrix& a, std::size_t row_begin,
                        std::size_t row_end, CountMatrixRef c,
                        bool triangular_only) {
@@ -35,16 +30,7 @@ void syrk_count_packed(const PackedBitMatrix& a, std::size_t row_begin,
                   width * sizeof(std::uint32_t));
     }
   });
-  if (!triangular_only) mirror_lower_to_upper(c, n);
-}
-
-void syrk_count(const BitMatrixView& a, CountMatrixRef c,
-                const GemmConfig& cfg, bool triangular_only) {
-  const std::size_t n = a.n_snps;
-  LDLA_EXPECT(c.rows >= n && c.cols >= n, "output matrix is too small");
-  if (n == 0) return;
-  const PackedBitMatrix pa(a, resolve_plan(cfg, a.n_words), PackSides::kBoth);
-  syrk_count_packed(pa, 0, n, c, triangular_only);
+  if (!triangular_only) detail::mirror_lower_blocked(c.data, c.ld, n);
 }
 
 }  // namespace ldla

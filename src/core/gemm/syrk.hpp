@@ -2,32 +2,25 @@
 // matrix, exploiting  POPCNT(s_i & s_j) = POPCNT(s_j & s_i)  to compute only
 // register tiles that touch the lower triangle, then mirroring. The same
 // tile enumerator as the rectangular driver (macro.hpp) walks the lower
-// triangle; count matrices are sinks.
+// triangle; a count matrix is one sink of it (syrk_count_packed).
 #pragma once
 
-#include "core/bit_matrix.hpp"
-#include "core/gemm/config.hpp"
 #include "core/gemm/count_matrix.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/gemm/packed_bit_matrix.hpp"
 
 namespace ldla {
 
-/// Fill the symmetric count matrix (C[i][i] is the derived-allele count of
-/// SNP i). C must be n x n where n = a.n_snps, and is overwritten (not
-/// accumulated). With triangular_only only the lower triangle and diagonal
-/// are guaranteed valid (the upper triangle is unspecified) — consumers
-/// that read C(i, j) with i >= j only skip the mirror pass entirely.
-/// The operand is packed whole — once for both sides when mr == nr — and
-/// syrk_count_packed runs over it.
-void syrk_count(const BitMatrixView& a, CountMatrixRef c,
-                const GemmConfig& cfg = {}, bool triangular_only = false);
-
-/// Symmetric count over rows [row_begin, row_end) of a pre-packed operand
-/// (needs both A and B sides). C is local: entry (i - row_begin,
-/// j - row_begin), overwritten. The range may start anywhere; windowed
-/// consumers slice one persistent packed copy instead of gathering and
-/// re-packing each window. A count sink over syrk_count_fused.
+/// Symmetric count matrix over rows [row_begin, row_end) of a pre-packed
+/// operand (needs both A and B sides); C[i][i] is the derived-allele count
+/// of SNP i. C is local: entry (i - row_begin, j - row_begin), overwritten
+/// (not accumulated), and must be at least n x n. With triangular_only
+/// only the lower triangle and diagonal are guaranteed valid (the upper
+/// triangle is unspecified) — consumers that read C(i, j) with i >= j only
+/// skip the cache-blocked mirror pass entirely. The range may start
+/// anywhere; windowed consumers slice one persistent packed copy instead
+/// of gathering and re-packing each window. A count sink over
+/// syrk_count_fused.
 void syrk_count_packed(const PackedBitMatrix& a, std::size_t row_begin,
                        std::size_t row_end, CountMatrixRef c,
                        bool triangular_only = false);
@@ -46,10 +39,5 @@ void syrk_count_packed(const PackedBitMatrix& a, std::size_t row_begin,
 void syrk_count_fused(const PackedBitMatrix& a, std::size_t row_begin,
                       std::size_t row_end, const CountTileSink& sink,
                       unsigned threads = 1);
-
-/// Mirror the lower triangle of the leading n x n block of `c` into the
-/// upper triangle, cache-blocked so the column-strided writes of the naive
-/// row-major transpose loop stay resident.
-void mirror_lower_to_upper(CountMatrixRef c, std::size_t n);
 
 }  // namespace ldla

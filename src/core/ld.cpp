@@ -135,10 +135,9 @@ unsigned resolve_threads(unsigned threads) {
   return threads == 0 ? default_thread_count() : threads;
 }
 
-// One body per dense shape. Each takes the team size it hands to the tile
-// nest: team = 1 is the sequential driver (whole cache tiles, inline),
-// team > 1 the *_parallel twin.
-
+// The self-matrix body takes the team size it hands to the tile nest:
+// team = 1 is ld_matrix (whole cache tiles, inline), team > 1 its parallel
+// twin.
 LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
                      unsigned team) {
   const std::size_t n = g.snps();
@@ -152,30 +151,6 @@ LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
   const detail::StatTables tables = detail::make_stat_tables(g);
   detail::symmetric_stats<1>(
       packed, detail::StatRows{opts.stat, tables, tables}, out, team);
-  detail::LdOutput::check_written(out);
-  return out;
-}
-
-LdMatrix cross_matrix_body(const BitMatrix& a, const BitMatrix& b,
-                           const LdOptions& opts, unsigned team) {
-  LDLA_EXPECT(a.samples() == b.samples(),
-              "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  LdMatrix out = detail::LdOutput::make(m, n);
-  if (m == 0 || n == 0) return out;
-  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
-
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
-                                             PackSides::kA, own_a, team);
-  const PackedBitMatrix& pb = resolve_packed(
-      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
-  detail::cross_stats<1>(pa, pb, detail::StatRows{opts.stat, ta, tb}, out,
-                         team);
   detail::LdOutput::check_written(out);
   return out;
 }
@@ -201,18 +176,33 @@ LdMatrix ld_matrix_parallel(const BitMatrix& g, const LdOptions& opts,
 }
 
 LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
-                         const LdOptions& opts) {
+                         const LdOptions& opts, unsigned threads) {
   LDLA_METRICS_ONLY(
       static metrics::Histogram& h_call = metrics::histogram(
           "ldla_ld_cross_matrix_seconds",
           "ld_cross_matrix driver call latency");
       metrics::ScopedLatency metrics_lat(h_call);)
-  return cross_matrix_body(a, b, opts, 1);
-}
+  LDLA_EXPECT(a.samples() == b.samples(),
+              "cross-matrix LD needs matching sample sets");
+  const std::size_t m = a.snps();
+  const std::size_t n = b.snps();
+  LdMatrix out = detail::LdOutput::make(m, n);
+  if (m == 0 || n == 0) return out;
+  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
 
-LdMatrix ld_cross_matrix_parallel(const BitMatrix& a, const BitMatrix& b,
-                                  const LdOptions& opts, unsigned threads) {
-  return cross_matrix_body(a, b, opts, resolve_threads(threads));
+  const unsigned team = resolve_threads(threads);
+  std::optional<PackedBitMatrix> own_a;
+  std::optional<PackedBitMatrix> own_b;
+  const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
+                                             PackSides::kA, own_a, team);
+  const PackedBitMatrix& pb = resolve_packed(
+      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
+  const detail::StatTables ta = detail::make_stat_tables(a);
+  const detail::StatTables tb = detail::make_stat_tables(b);
+  detail::cross_stats<1>(pa, pb, detail::StatRows{opts.stat, ta, tb}, out,
+                         team);
+  detail::LdOutput::check_written(out);
+  return out;
 }
 
 void ld_stat_scan(const BitMatrix& g, const LdTileVisitor& visit,

@@ -102,8 +102,11 @@ LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts = {});
 
 /// LD between every SNP of `a` and every SNP of `b` (the Fig. 4 / long-range
 /// association use case). Both matrices must cover the same samples.
+/// `threads` sizes the team of the in-nest parallel drivers (0 =
+/// default_thread_count(); see core/parallel.hpp); the result is identical
+/// at every team size.
 LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
-                         const LdOptions& opts = {});
+                         const LdOptions& opts = {}, unsigned threads = 1);
 
 /// A tile of LD values streamed out of a scan. Row/col indices are SNP
 /// indices in the input matrices; `values` is row-major with leading

@@ -40,10 +40,9 @@ class PairWalker {
       const std::size_t pair_ws =
           rs_->max_shard_bytes() +
           (cs_ == rs_ ? rs_->max_shard_bytes() : cs_->max_shard_bytes());
-      const std::size_t floor = (opts_.prefetch ? 2 : 1) * pair_ws;
-      LDLA_EXPECT(opts_.cache_bytes >= floor,
+      LDLA_EXPECT(opts_.cache_bytes >= 2 * pair_ws,
                   "stream cache budget below the working set (needs two "
-                  "pairs of shards with prefetch, one without)");
+                  "pairs of shards)");
       // A warm store (earlier stream, caller-materialized shards) starts
       // with residency this walk did not create; adopt those shards as
       // coldest LRU entries so the budget invariant holds from pair 0.
@@ -61,21 +60,21 @@ class PairWalker {
   void run(const std::vector<StreamPair>& pairs,
            const std::function<void(const StreamPair&, const PackedBitMatrix&,
                                     const PackedBitMatrix&)>& compute) {
-    const bool overlap = opts_.threads == 1 && opts_.prefetch;
+    const bool overlap = opts_.threads == 1;
     for (std::size_t k = 0; k < pairs.size(); ++k) {
       const StreamPair& cur = pairs[k];
       const ShardKey rkey{rs_, cur.r};
       const ShardKey ckey{cs_, cur.c};
 
-      // Pin set for this iteration: the current pair plus — when prefetch
-      // will touch them before the next make_room — the next pair. Every
+      // Pin set for this iteration: the current pair plus the next pair,
+      // which prefetch touches before the next make_room. Every
       // shard this iteration materializes (current stalls, overlap
       // prefetches) is pinned, so make_room can reserve exact headroom and
       // the budget holds at every instant, not just between pairs.
       std::vector<ShardKey> pinned{rkey};
       if (ckey != rkey) pinned.push_back(ckey);
       std::vector<ShardKey> next;
-      if (opts_.prefetch && k + 1 < pairs.size()) {
+      if (k + 1 < pairs.size()) {
         next.push_back({rs_, pairs[k + 1].r});
         const ShardKey nc{cs_, pairs[k + 1].c};
         if (nc != next.front()) next.push_back(nc);

@@ -21,9 +21,9 @@
 // Residency: peak store residency is bounded by StreamOptions::cache_bytes
 // (shard payload bytes, the store's own accounting) via LRU eviction that
 // pins the in-flight and next pairs; the scratch on top is O(mc·nc)
-// doubles. cache_bytes must cover two pair working sets (4 shards with
-// prefetch, 2 without); larger budgets keep shards cached across the grid
-// walk and turn repeat visits into prefetch_hits.
+// doubles. cache_bytes must cover two pair working sets (4 shards: the
+// current pair and the prefetched next one); larger budgets keep shards
+// cached across the grid walk and turn repeat visits into prefetch_hits.
 #pragma once
 
 #include "core/ld.hpp"
@@ -40,9 +40,6 @@ struct StreamOptions {
   /// must cover the floor documented above, which makes the peak-residency
   /// bound provable rather than best-effort.
   std::size_t cache_bytes = 0;
-
-  /// Prefetch the next pair's shards while the current pair computes.
-  bool prefetch = true;
 
   /// 1 = sequential fused compute with the overlapped-io double buffer;
   /// > 1 (or 0 = default_thread_count()) = in-nest parallel drivers, with

@@ -430,7 +430,6 @@ ShardStore& ShardStore::operator=(ShardStore&& other) noexcept {
     map_ = std::exchange(other.map_, nullptr);
     map_size_ = std::exchange(other.map_size_, 0);
     index_ = std::move(other.index_);
-    repack_plan_ = std::exchange(other.repack_plan_, std::nullopt);
     shard_bytes_ = std::move(other.shard_bytes_);
     total_payload_bytes_ = std::exchange(other.total_payload_bytes_, 0);
     max_shard_bytes_ = std::exchange(other.max_shard_bytes_, 0);
@@ -454,8 +453,8 @@ void ShardStore::unmap() noexcept {
 
 namespace {
 
-/// "arch=avx2 mr=4 nr=4 ku=4 kc=256" — the geometry half of the guard's
-/// error message, for both the stored and the expected plan.
+/// "arch=avx2 mr=4 nr=4 ku=4 kc=256" — the geometry half of the open
+/// check's error message.
 std::string plan_geometry(const GemmPlan& p) {
   std::string s = "arch=" + kernel_arch_name(p.arch);
   s += " mr=" + std::to_string(p.mr);
@@ -463,14 +462,6 @@ std::string plan_geometry(const GemmPlan& p) {
   s += " ku=" + std::to_string(p.ku);
   s += " kc=" + std::to_string(p.kc_words);
   return s;
-}
-
-/// The five plan fields that determine the persisted sliver layout. mc/nc
-/// are loop blocking and sparse_threshold only reclassifies columns — none
-/// of those change the bytes on disk, so they never trip the guard.
-bool same_pack_geometry(const GemmPlan& a, const GemmPlan& b) {
-  return a.arch == b.arch && a.mr == b.mr && a.nr == b.nr && a.ku == b.ku &&
-         a.kc_words == b.kc_words;
 }
 
 /// One section of a shard: its extent (offset 0 = absent, with 0 bytes)
@@ -507,8 +498,7 @@ std::array<Section, 10> shard_sections(const ShardRecord& rec,
 
 }  // namespace
 
-ShardStore ShardStore::open(const std::string& path,
-                            const ShardOpenOptions& opts) {
+ShardStore ShardStore::open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw Error("shard store: cannot open " + path);
   struct stat st {};
@@ -539,31 +529,6 @@ ShardStore ShardStore::open(const std::string& path,
                 plan_geometry(stored) +
                 ") that this build/machine cannot run; re-ingest with "
                 "ldla_ingest (--arch picks a portable family)");
-  }
-  if (opts.expect_plan != nullptr &&
-      !same_pack_geometry(stored, *opts.expect_plan)) {
-    if (!opts.repack_on_mismatch) {
-      throw Error(
-          "shard store " + path + ": pack geometry (" + plan_geometry(stored) +
-          ") does not match the expected plan (" +
-          plan_geometry(*opts.expect_plan) +
-          ") — the tuned register tile changed since ingest. Either "
-          "re-ingest the dataset with ldla_ingest under the current plan, "
-          "pass the stored plan explicitly (GemmConfig{.arch,.mr,.nr,.ku,"
-          ".kc_words}), or open with ShardOpenOptions{.repack_on_mismatch "
-          "= true} to re-pack each shard at materialization");
-    }
-    const GemmPlan& want = *opts.expect_plan;
-    LDLA_EXPECT(want.mr != 0 && want.nr != 0 && want.ku != 0 &&
-                    want.kc_words != 0,
-                "repack-on-mismatch needs a fully resolved packing plan");
-    if (find_kernel(want.arch, want.mr, want.nr, want.ku) == nullptr ||
-        !kernel_available(want.arch)) {
-      throw Error("shard store " + path + ": expected plan (" +
-                  plan_geometry(want) +
-                  ") names a kernel variant this build/machine cannot run");
-    }
-    s.repack_plan_ = want;
   }
 
   s.shard_bytes_.reserve(s.index_.shards.size());
@@ -743,23 +708,8 @@ std::unique_ptr<PackedBitMatrix> ShardStore::materialize(std::size_t i) const {
     bad("sparse columns recorded without a sample-major transpose");
   }
   ext.sparse = std::move(sp);
-  auto mapped = std::make_unique<PackedBitMatrix>(
+  return std::make_unique<PackedBitMatrix>(
       PackedBitMatrix::from_external(std::move(ext)));
-  if (!repack_plan_) return mapped;
-  // Repack fallback (ShardOpenOptions): reconstruct the shard's rows from
-  // the mapped slivers and pack both sides fresh under the expected plan.
-  // The mapped wrapper above already ran the full payload validation, so
-  // the repack starts from checked data; the result owns its memory (the
-  // resident-byte accounting keeps the mapped sizes as an approximation).
-  const BitMatrix m = unpack_packed(*mapped);
-  mapped.reset();
-  LDLA_METRICS_ONLY(
-      static metrics::Counter& c_rp = metrics::counter(
-          "ldla_shard_repacks_total",
-          "shards re-packed at materialization (pack-geometry mismatch)");
-      c_rp.inc();)
-  return std::make_unique<PackedBitMatrix>(m.view(), *repack_plan_,
-                                           PackSides::kBoth);
 }
 
 bool ShardStore::verify_shard_popcounts(std::size_t i) const {
@@ -887,10 +837,9 @@ std::size_t ShardStore::probe_resident_bytes() const {
   return resident;
 }
 
-ShardStore open_shard_store(const std::string& path,
-                            const ShardOpenOptions& opts) {
+ShardStore open_shard_store(const std::string& path) {
   LDLA_EXPECT(!path.empty(), "open_shard_store needs a file path");
-  return ShardStore::open(path, opts);
+  return ShardStore::open(path);
 }
 
 }  // namespace ldla

@@ -27,12 +27,17 @@
 // rejects forged inputs the way io/ldm_binary.cpp does — bad magic,
 // truncated maps, extents outside the file, overlapping extents, sliver
 // geometry inconsistent with the plan, absurd counts — all via ParseError.
+//
+// Plan check: the LDLASH01 header pins the (arch, mr, nr, ku, kc) geometry
+// the slivers were packed with, and plan() is always that stored plan, so
+// every shard aliases the mapping and resident_bytes() is exact. open()
+// rejects a store whose plan names a kernel variant this build never
+// compiled or this machine cannot run; the remedy is to re-ingest it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,27 +93,6 @@ struct ShardIndex {
 /// materialization (ShardStore::shard).
 ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size);
 
-/// Options for opening a store whose pack geometry must match a plan the
-/// caller already resolved (typically resolve_plan() under the current
-/// tuning cache). An LDLASH01 header pins the (arch, mr, nr, ku, kc)
-/// geometry its slivers were packed with; when a tuner update changes the
-/// preferred register tile, an old store silently reopened under the new
-/// plan would hand the drivers slivers in the wrong interleave. The guard
-/// turns that into a decision at open time:
-///  * expect_plan == nullptr      — accept whatever geometry is stored
-///    (the store's plan() is authoritative; pre-guard behavior).
-///  * mismatch, repack off        — Error naming both geometries and the
-///    two remedies (re-ingest, or opt into repack).
-///  * mismatch, repack_on_mismatch — open succeeds; each shard is
-///    re-packed under `expect_plan` at materialization time (unpack the
-///    mapped slivers, pack both sides fresh). Costs one pack per shard and
-///    owns its memory instead of aliasing the map; resident-byte
-///    accounting keeps using the mapped payload sizes as an approximation.
-struct ShardOpenOptions {
-  const GemmPlan* expect_plan = nullptr;
-  bool repack_on_mismatch = false;
-};
-
 /// Split `m` into shards of `rows_per_shard` SNP rows, pack each with the
 /// plan `cfg` resolves to, and write the store to `path`. Packing runs
 /// shard-at-a-time, so ingest memory is O(one shard), independent of the
@@ -134,12 +118,10 @@ class ShardStore {
   ShardStore& operator=(const ShardStore&) = delete;
 
   /// mmap `path` read-only and validate its index. Throws Error on I/O
-  /// failure, ParseError on a malformed file, and rejects stores whose
-  /// plan names a kernel variant this build never compiled or this
-  /// machine cannot run. With `opts.expect_plan` set, additionally
-  /// enforces the pack-geometry guard documented on ShardOpenOptions.
-  static ShardStore open(const std::string& path,
-                         const ShardOpenOptions& opts = {});
+  /// failure, ParseError on a malformed file, and rejects (Error naming the
+  /// re-ingest remedy) stores whose plan names a kernel variant this build
+  /// never compiled or this machine cannot run.
+  static ShardStore open(const std::string& path);
 
   [[nodiscard]] std::size_t shards() const noexcept {
     return index_.shards.size();
@@ -151,20 +133,9 @@ class ShardStore {
   [[nodiscard]] std::size_t words_per_snp() const noexcept {
     return index_.n_words;
   }
-  /// The plan shards materialize under: the stored plan, or the expected
-  /// plan when the open opted into repack-on-mismatch.
-  [[nodiscard]] const GemmPlan& plan() const noexcept {
-    return repack_plan_ ? *repack_plan_ : index_.plan;
-  }
-  /// The plan recorded in the LDLASH01 header (the on-disk geometry).
-  [[nodiscard]] const GemmPlan& stored_plan() const noexcept {
-    return index_.plan;
-  }
-  /// True when materialization re-packs shards under plan() instead of
-  /// aliasing the mapped slivers.
-  [[nodiscard]] bool repacks_on_materialize() const noexcept {
-    return repack_plan_.has_value();
-  }
+  /// The plan recorded in the LDLASH01 header; every shard materializes
+  /// under it, aliasing the mapped slivers.
+  [[nodiscard]] const GemmPlan& plan() const noexcept { return index_.plan; }
   [[nodiscard]] const ShardRecord& record(std::size_t i) const;
   [[nodiscard]] std::size_t shard_row_begin(std::size_t i) const {
     return record(i).row_begin;
@@ -230,7 +201,6 @@ class ShardStore {
   const std::uint8_t* map_ = nullptr;
   std::size_t map_size_ = 0;
   ShardIndex index_;
-  std::optional<GemmPlan> repack_plan_;  ///< set = repack at materialization
   std::vector<std::size_t> shard_bytes_;
   std::size_t total_payload_bytes_ = 0;
   std::size_t max_shard_bytes_ = 0;
@@ -241,7 +211,6 @@ class ShardStore {
 };
 
 /// Convenience: ShardStore::open (the PUBLIC_API manifest entry point).
-ShardStore open_shard_store(const std::string& path,
-                            const ShardOpenOptions& opts = {});
+ShardStore open_shard_store(const std::string& path);
 
 }  // namespace ldla

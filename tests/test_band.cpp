@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <limits>
-#include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,49 +22,53 @@ BitMatrix test_matrix(std::size_t snps, std::size_t samples,
   return simulate_genotypes(p);
 }
 
-TEST(BandScan, CoversEveryBandPairExactlyOnce) {
-  const BitMatrix g = test_matrix(83, 70, 1);
-  const std::size_t w = 9;
-  BandOptions opts;
-  opts.slab_rows = 7;
-  std::map<std::pair<std::size_t, std::size_t>, int> seen;
-  ld_band_scan(g, w, [&](const LdTile& tile) {
-    for (std::size_t i = 0; i < tile.rows; ++i) {
-      for (std::size_t j = 0; j < tile.cols; ++j) {
-        seen[{tile.row_begin + i, tile.col_begin + j}] += 1;
-      }
-    }
-  }, opts);
+// The driver cuts rows into 256-row slabs: 600 SNPs leave a ragged last
+// slab of 88 rows, and a bandwidth of 300 reaches past one slab.
+constexpr std::size_t kRaggedSnps = 600;
 
-  for (std::size_t i = 0; i < g.snps(); ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const auto key = std::make_pair(i, j);
-      if (i - j <= w) {
-        ASSERT_TRUE(seen.contains(key)) << i << "," << j;
-        EXPECT_EQ(seen[key], 1) << i << "," << j;
+TEST(BandScan, CoversEveryBandPairExactlyOnce) {
+  const BitMatrix g = test_matrix(kRaggedSnps, 70, 1);
+  const std::size_t n = g.snps();
+  for (const std::size_t w : {9u, 300u}) {
+    std::vector<int> seen(n * n, 0);
+    std::size_t short_slabs = 0;
+    ld_band_scan(g, w, [&](const LdTile& tile) {
+      if (tile.rows < 256) ++short_slabs;
+      for (std::size_t i = 0; i < tile.rows; ++i) {
+        for (std::size_t j = 0; j < tile.cols; ++j) {
+          ++seen[(tile.row_begin + i) * n + tile.col_begin + j];
+        }
+      }
+    });
+    EXPECT_EQ(short_slabs, 1u) << "w=" << w;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        if (i - j <= w) {
+          ASSERT_EQ(seen[i * n + j], 1) << "w=" << w << " " << i << "," << j;
+        }
       }
     }
   }
 }
 
 TEST(BandScan, ValuesMatchFullMatrix) {
-  const BitMatrix g = test_matrix(50, 120, 2);
+  const BitMatrix g = test_matrix(kRaggedSnps, 120, 2);
   const LdMatrix full = ld_matrix(g);
-  BandOptions opts;
-  opts.slab_rows = 8;
-  ld_band_scan(g, 12, [&](const LdTile& tile) {
-    for (std::size_t i = 0; i < tile.rows; ++i) {
-      for (std::size_t j = 0; j < tile.cols; ++j) {
-        const double want = full(tile.row_begin + i, tile.col_begin + j);
-        const double got = tile.at(i, j);
-        if (std::isnan(want)) {
-          EXPECT_TRUE(std::isnan(got));
-        } else {
-          EXPECT_DOUBLE_EQ(got, want);
+  for (const std::size_t w : {12u, 300u}) {
+    ld_band_scan(g, w, [&](const LdTile& tile) {
+      for (std::size_t i = 0; i < tile.rows; ++i) {
+        for (std::size_t j = 0; j < tile.cols; ++j) {
+          const double want = full(tile.row_begin + i, tile.col_begin + j);
+          const double got = tile.at(i, j);
+          if (std::isnan(want)) {
+            ASSERT_TRUE(std::isnan(got));
+          } else {
+            ASSERT_DOUBLE_EQ(got, want);
+          }
         }
       }
-    }
-  }, opts);
+    });
+  }
 }
 
 TEST(BandScan, WideBandEqualsFullScan) {
@@ -112,10 +116,6 @@ TEST(BandScan, HugeBandwidthMeansEveryColumn) {
 TEST(BandScan, RejectsBadArguments) {
   const BitMatrix g = test_matrix(10, 64, 4);
   EXPECT_THROW(ld_band_scan(g, 0, [](const LdTile&) {}), ContractViolation);
-  BandOptions opts;
-  opts.slab_rows = 0;
-  EXPECT_THROW(ld_band_scan(g, 2, [](const LdTile&) {}, opts),
-               ContractViolation);
 }
 
 TEST(BandScan, EmptyMatrixEmitsNothing) {

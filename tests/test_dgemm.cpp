@@ -7,6 +7,7 @@
 #include "baselines/naive.hpp"
 #include "core/gemm/count_matrix.hpp"
 #include "core/gemm/macro.hpp"
+#include "count_sink.hpp"
 #include "sim/rng.hpp"
 #include "sim/wright_fisher.hpp"
 #include "util/contract.hpp"
@@ -106,8 +107,7 @@ TEST(Dgemm, ExpandedBinaryMatrixReproducesPopcountCounts) {
   std::vector<double> h(n * n, 0.0);
   dgemm_nt(n, n, k, dense.data(), k, dense.data(), k, h.data(), n);
 
-  CountMatrix counts(n, n);
-  gemm_count(g.view(), g.view(), counts.ref());
+  const CountMatrix counts = test::count_product(g.view(), g.view());
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       ASSERT_EQ(static_cast<std::uint32_t>(h[i * n + j] + 0.5),

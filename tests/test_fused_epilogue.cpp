@@ -198,16 +198,17 @@ TEST_P(FusedEpilogue, CrossMatrixMatchesNaive) {
 }
 
 TEST_P(FusedEpilogue, BandScanMatchesNaiveAtUnalignedWindows) {
-  const BitMatrix g = random_matrix(90, 129, 47);
-  const std::size_t slab = 13;
+  // The driver's slabs are 256 rows: 600 SNPs leave a ragged last slab,
+  // and a bandwidth of 300 reaches past one slab.
+  const BitMatrix g = random_matrix(600, 129, 47);
+  const std::size_t slab = 256;
   const LdMatrix want = naive_ld_matrix(g, LdStatistic::kRSquared);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-    // Bandwidths and slabs chosen so column windows start/end off every
-    // sliver and cache-tile boundary.
-    for (const std::size_t bandwidth : {1ul, 11ul, 37ul}) {
+    // Bandwidths chosen so column windows start/end off every sliver and
+    // cache-tile boundary.
+    for (const std::size_t bandwidth : {1ul, 11ul, 37ul, 300ul}) {
       BandOptions opts;
       opts.gemm = cfg;
-      opts.slab_rows = slab;
       std::vector<TileRecord> band;
       ld_band_scan(g, bandwidth, record_into(band), opts);
       expect_slab_tiles(
@@ -308,8 +309,8 @@ TEST(FusedEpilogueParallel, ParallelMatricesMatchNaive) {
     for (const unsigned team : kTeams) {
       expect_same_matrix(ld_matrix_parallel(g, opts, team), want,
                          "ld_matrix_parallel");
-      expect_same_matrix(ld_cross_matrix_parallel(g, b, opts, team),
-                         want_cross, "ld_cross_matrix_parallel");
+      expect_same_matrix(ld_cross_matrix(g, b, opts, team), want_cross,
+                         "ld_cross_matrix team");
     }
   }
 }

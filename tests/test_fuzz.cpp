@@ -8,6 +8,7 @@
 #include "baselines/naive.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
+#include "count_sink.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
 
@@ -49,8 +50,7 @@ TEST(GemmFuzz, RandomShapesMatchOracle) {
       cfg.nc = n;
     }
 
-    CountMatrix c(m, n);
-    gemm_count(a.view(), b.view(), c.ref(), cfg);
+    const CountMatrix c = test::count_product(a.view(), b.view(), cfg);
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(c(i, j), expected(i, j))
@@ -79,8 +79,7 @@ TEST(GemmFuzz, RandomSymmetricShapesMatchOracle) {
     cfg.mc = 1 + rng.next_below(32);
     cfg.nc = 1 + rng.next_below(32);
 
-    CountMatrix c(n, n);
-    syrk_count(g.view(), c.ref(), cfg);
+    const CountMatrix c = test::symmetric_product(g.view(), cfg);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(c(i, j), expected(i, j))

@@ -7,6 +7,7 @@
 
 #include "baselines/naive.hpp"
 #include "core/gemm/kernel.hpp"
+#include "count_sink.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
 
@@ -49,8 +50,7 @@ TEST_P(GemmOracle, MatchesNaiveBitLoop) {
 
   GemmConfig cfg;
   cfg.arch = arch;
-  CountMatrix c(m, n);
-  gemm_count(a.view(), b.view(), c.ref(), cfg);
+  const CountMatrix c = test::count_product(a.view(), b.view(), cfg);
 
   const CountMatrix expected = naive_count_matrix(a, b);
   expect_equal_counts(c, expected);
@@ -96,17 +96,14 @@ TEST(Gemm, AllKernelsAgreeOnLargerProblem) {
   const auto kernels = available_kernels();
   ASSERT_FALSE(kernels.empty());
 
-  CountMatrix reference(53, 61);
-  {
-    GemmConfig cfg;
-    cfg.arch = kernels.front();
-    gemm_count(a.view(), b.view(), reference.ref(), cfg);
-  }
+  GemmConfig ref_cfg;
+  ref_cfg.arch = kernels.front();
+  const CountMatrix reference =
+      test::count_product(a.view(), b.view(), ref_cfg);
   for (std::size_t ki = 1; ki < kernels.size(); ++ki) {
     GemmConfig cfg;
     cfg.arch = kernels[ki];
-    CountMatrix c(53, 61);
-    gemm_count(a.view(), b.view(), c.ref(), cfg);
+    const CountMatrix c = test::count_product(a.view(), b.view(), cfg);
     SCOPED_TRACE(kernel_arch_name(kernels[ki]));
     expect_equal_counts(c, reference);
   }
@@ -124,8 +121,7 @@ TEST(Gemm, ResultInvariantUnderBlockingParameters) {
     cfg.kc_words = kc;
     cfg.mc = mc;
     cfg.nc = nc;
-    CountMatrix c(40, 35);
-    gemm_count(a.view(), b.view(), c.ref(), cfg);
+    const CountMatrix c = test::count_product(a.view(), b.view(), cfg);
     SCOPED_TRACE("kc=" + std::to_string(kc) + " mc=" + std::to_string(mc) +
                  " nc=" + std::to_string(nc));
     expect_equal_counts(c, expected);
@@ -148,28 +144,45 @@ TEST(Gemm, SingleBlockPlanMatches) {
     cfg.kc_words = kc;
     cfg.mc = mc;
     cfg.nc = nc;
-    CountMatrix c(21, 19);
-    gemm_count(a.view(), b.view(), c.ref(), cfg);
-    expect_equal_counts(c, expected);
+    expect_equal_counts(test::count_product(a.view(), b.view(), cfg),
+                        expected);
   }
 }
 
-TEST(Gemm, AccumulatesIntoExistingOutput) {
-  const BitMatrix a = random_matrix(6, 64, 17);
-  const BitMatrix b = random_matrix(6, 64, 18);
-  CountMatrix c(6, 6);
-  gemm_count(a.view(), b.view(), c.ref());
-  const std::uint32_t first = c(2, 3);
-  gemm_count(a.view(), b.view(), c.ref());
-  EXPECT_EQ(c(2, 3), 2 * first);
+TEST(Gemm, TilesPartitionTheWindow) {
+  // Every element of a ragged window arrives in exactly one tile, and no
+  // tile reaches outside the window.
+  const BitMatrix g = random_matrix(37, 200, 17);
+  GemmConfig cfg;
+  cfg.mc = 8;
+  cfg.nc = 8;
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), cfg);
+  const std::size_t a0 = 3, a1 = 30, b0 = 5, b1 = 36;
+  CountMatrix hits(g.snps(), g.snps());
+  gemm_count_fused(p, a0, a1, p, b0, b1, [&](const CountTile& t) {
+    ASSERT_GE(t.row_begin, a0);
+    ASSERT_LE(t.row_begin + t.rows, a1);
+    ASSERT_GE(t.col_begin, b0);
+    ASSERT_LE(t.col_begin + t.cols, b1);
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      for (std::size_t j = 0; j < t.cols; ++j) {
+        ++hits(t.row_begin + i, t.col_begin + j);
+      }
+    }
+  });
+  for (std::size_t i = 0; i < g.snps(); ++i) {
+    for (std::size_t j = 0; j < g.snps(); ++j) {
+      const bool inside = i >= a0 && i < a1 && j >= b0 && j < b1;
+      ASSERT_EQ(hits(i, j), inside ? 1u : 0u) << i << "," << j;
+    }
+  }
 }
 
 TEST(Gemm, PaddingBitsNeverLeakIntoCounts) {
   // samples = 1: rows are 1/64th full; any kernel reading padding would
   // inflate counts.
   const BitMatrix a = random_matrix(9, 1, 19, 1.0);  // all ones (1 bit)
-  CountMatrix c(9, 9);
-  gemm_count(a.view(), a.view(), c.ref());
+  const CountMatrix c = test::count_product(a.view(), a.view());
   for (std::size_t i = 0; i < 9; ++i) {
     for (std::size_t j = 0; j < 9; ++j) {
       EXPECT_EQ(c(i, j), 1u);
@@ -177,12 +190,13 @@ TEST(Gemm, PaddingBitsNeverLeakIntoCounts) {
   }
 }
 
-TEST(Gemm, SubViewsComputeSubBlocks) {
+TEST(Gemm, RowRangesComputeSubBlocks) {
   const BitMatrix g = random_matrix(20, 300, 20);
   const CountMatrix full = naive_count_matrix(g, g);
 
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view());
   CountMatrix c(5, 8);
-  gemm_count(g.view(10, 15), g.view(2, 10), c.ref());
+  test::add_count_tiles(p, 10, 15, p, 2, 10, c.ref());
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 8; ++j) {
       EXPECT_EQ(c(i, j), full(10 + i, 2 + j));
@@ -190,25 +204,31 @@ TEST(Gemm, SubViewsComputeSubBlocks) {
   }
 }
 
+void fail_on_tile(const CountTile&) { FAIL() << "unexpected tile"; }
+
 TEST(Gemm, RejectsMismatchedOperands) {
   const BitMatrix a = random_matrix(4, 64, 21);
   const BitMatrix b = random_matrix(4, 128, 22);
-  CountMatrix c(4, 4);
-  EXPECT_THROW(gemm_count(a.view(), b.view(), c.ref()), ContractViolation);
+  const PackedBitMatrix pa = PackedBitMatrix::pack(a.view(), {}, PackSides::kA);
+  const PackedBitMatrix pb = PackedBitMatrix::pack(b.view(), {}, PackSides::kB);
+  EXPECT_THROW(gemm_count_fused(pa, 0, 4, pb, 0, 4, fail_on_tile),
+               ContractViolation);
 }
 
-TEST(Gemm, RejectsTooSmallOutput) {
+TEST(Gemm, RejectsOutOfRangeRows) {
   const BitMatrix a = random_matrix(4, 64, 23);
-  CountMatrix c(3, 4);
-  EXPECT_THROW(gemm_count(a.view(), a.view(), c.ref()), ContractViolation);
+  const PackedBitMatrix p = PackedBitMatrix::pack(a.view());
+  EXPECT_THROW(gemm_count_fused(p, 0, 5, p, 0, 4, fail_on_tile),
+               ContractViolation);
+  EXPECT_THROW(gemm_count_fused(p, 0, 4, p, 3, 2, fail_on_tile),
+               ContractViolation);
 }
 
-TEST(Gemm, EmptyOperandsAreNoops) {
+TEST(Gemm, EmptyRangesAreNoops) {
   const BitMatrix a = random_matrix(4, 64, 24);
-  BitMatrix empty;
-  CountMatrix c(4, 4);
-  gemm_count(empty.view(), a.view(), c.ref());  // must not crash
-  gemm_count(a.view(), empty.view(), c.ref());
+  const PackedBitMatrix p = PackedBitMatrix::pack(a.view());
+  gemm_count_fused(p, 2, 2, p, 0, 4, fail_on_tile);
+  gemm_count_fused(p, 0, 4, p, 4, 4, fail_on_tile);
 }
 
 // Threaded counts: a team pack, then the in-nest team with a count sink.
@@ -256,8 +276,7 @@ TEST(GemmTuner, ReturnsValidConfigThatComputesCorrectly) {
   const GemmConfig tuned = tune_gemm_config(g.view());
   EXPECT_GT(tuned.kc_words, 0u);
   EXPECT_GT(tuned.mc, 0u);
-  CountMatrix c(60, 60);
-  gemm_count(g.view(), g.view(), c.ref(), tuned);
+  const CountMatrix c = test::count_product(g.view(), g.view(), tuned);
   const CountMatrix expected = naive_count_matrix(g, g);
   expect_equal_counts(c, expected);
 }

@@ -27,6 +27,7 @@
 #include "core/gemm/packing.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/gemm/tune_cache.hpp"
+#include "count_sink.hpp"
 #include "sim/rng.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/contract.hpp"
@@ -192,8 +193,7 @@ TEST_P(VariantOracle, GemmCountMatchesNaive) {
   cfg.nr = k.nr;
   cfg.ku = k.ku;
   cfg.kc_words = 4;  // force multiple k panels
-  CountMatrix c(a.snps(), b.snps());
-  gemm_count(a.view(), b.view(), c.ref(), cfg);
+  const CountMatrix c = test::count_product(a.view(), b.view(), cfg);
   const CountMatrix expected = naive_count_matrix(a, b);
   for (std::size_t i = 0; i < c.rows(); ++i) {
     for (std::size_t j = 0; j < c.cols(); ++j) {

@@ -316,9 +316,8 @@ TEST(LdDrivers, MatrixEqualsStatScanPlusMirror) {
           const std::string team = " threads=" + std::to_string(threads);
           expect_same_bits(ld_matrix_parallel(g, opts, threads), want,
                            what + team + " ld_matrix_parallel");
-          expect_same_bits(ld_cross_matrix_parallel(g, b, opts, threads),
-                           want_cross,
-                           what + team + " ld_cross_matrix_parallel");
+          expect_same_bits(ld_cross_matrix(g, b, opts, threads), want_cross,
+                           what + team + " ld_cross_matrix");
         }
       }
     }

@@ -17,6 +17,7 @@
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
+#include "count_sink.hpp"
 #include "naive_oracle.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/rng.hpp"
@@ -71,22 +72,21 @@ TEST_P(PackReuse, PackedGemmMatchesNaive) {
     const BitMatrix b = random_matrix((n * 2) / 3 + 1, k, n * 91 + k);
     const CountMatrix expected = naive_count_matrix(a, b);
     for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-      // gemm_count packs per call; the caller-held packs below are reused.
-      CountMatrix per_call(n, b.snps());
-      gemm_count(a.view(), b.view(), per_call.ref(), cfg);
-
+      // Caller-held packs, one per side, reused by two products.
       const PackedBitMatrix pa =
           PackedBitMatrix::pack(a.view(), cfg, PackSides::kA);
       const PackedBitMatrix pb =
           PackedBitMatrix::pack(b.view(), cfg, PackSides::kB);
       CountMatrix packed(n, b.snps());
-      gemm_count_packed(pa, 0, n, pb, 0, b.snps(), packed.ref());
+      test::add_count_tiles(pa, 0, n, pb, 0, b.snps(), packed.ref());
+      CountMatrix again(n, b.snps());
+      test::add_count_tiles(pa, 0, n, pb, 0, b.snps(), again.ref());
 
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < b.snps(); ++j) {
           ASSERT_EQ(packed(i, j), expected(i, j))
               << "n=" << n << " k=" << k << " at (" << i << "," << j << ")";
-          ASSERT_EQ(per_call(i, j), expected(i, j));
+          ASSERT_EQ(again(i, j), expected(i, j));
         }
       }
     }
@@ -105,7 +105,7 @@ TEST_P(PackReuse, RangedPackedGemmMatchesSubmatrix) {
              {0, n, 0, n}, {3, 11, 1, 70}, {17, 42, 29, 30},
              {63, 70, 5, 64}}) {
       CountMatrix c(a1 - a0, b1 - b0);
-      gemm_count_packed(p, a0, a1, p, b0, b1, c.ref());
+      test::add_count_tiles(p, a0, a1, p, b0, b1, c.ref());
       for (std::size_t i = a0; i < a1; ++i) {
         for (std::size_t j = b0; j < b1; ++j) {
           ASSERT_EQ(c(i - a0, j - b0), expected(i, j))
@@ -224,26 +224,27 @@ TEST(PackReuseDrivers, StatScanMatchesNaive) {
 }
 
 TEST(PackReuseDrivers, BandScanMatchesNaive) {
-  const BitMatrix g = random_matrix(90, 129, 43);
+  // 600 SNPs in the driver's 256-row slabs: a ragged last slab, and a
+  // bandwidth of 300 that reaches past one slab.
+  const BitMatrix g = random_matrix(600, 129, 43);
   const LdMatrix want = naive_ld_matrix(g);
-  const std::size_t w = 11;
-  BandOptions opts;
-  opts.slab_rows = 13;
-  std::size_t pairs = 0;
-  ld_band_scan(g, w, [&](const LdTile& tile) {
-    for (std::size_t i = 0; i < tile.rows; ++i) {
-      const std::size_t gi = tile.row_begin + i;
-      for (std::size_t j = 0; j < tile.cols; ++j) {
-        const std::size_t gj = tile.col_begin + j;
-        if (gj > gi || gi - gj > w) continue;
-        ASSERT_TRUE(same_value(tile.at(i, j), want(gi, gj)))
-            << "(" << gi << "," << gj << ")";
-        ++pairs;
+  for (const std::size_t w : {11ul, 300ul}) {
+    std::size_t pairs = 0;
+    ld_band_scan(g, w, [&](const LdTile& tile) {
+      for (std::size_t i = 0; i < tile.rows; ++i) {
+        const std::size_t gi = tile.row_begin + i;
+        for (std::size_t j = 0; j < tile.cols; ++j) {
+          const std::size_t gj = tile.col_begin + j;
+          if (gj > gi || gi - gj > w) continue;
+          ASSERT_TRUE(same_value(tile.at(i, j), want(gi, gj)))
+              << "w=" << w << " (" << gi << "," << gj << ")";
+          ++pairs;
+        }
       }
-    }
-  }, opts);
-  // Every in-band canonical pair exactly once: n(w+1) - w(w+1)/2.
-  EXPECT_EQ(pairs, g.snps() * (w + 1) - w * (w + 1) / 2);
+    });
+    // Every in-band canonical pair exactly once: n(w+1) - w(w+1)/2.
+    EXPECT_EQ(pairs, g.snps() * (w + 1) - w * (w + 1) / 2) << "w=" << w;
+  }
 }
 
 TEST(PackReuseDrivers, OmegaScanMatchesNaive) {

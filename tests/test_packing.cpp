@@ -112,7 +112,8 @@ TEST(Packing, RejectsOutOfRangeStart) {
 
 // unpack_packed is the exact inverse of the persistent pack, across ragged
 // row/word edges, multiple k panels, and ku interleaves — the shard
-// store's repack fallback depends on this round trip being lossless.
+// store's popcount check of dense shards depends on this round trip being
+// lossless.
 TEST(Packing, UnpackPackedRoundTripsEveryGeometry) {
   const BitMatrix m = random_matrix(37, 64 * 5 + 29, 11);
   for (const auto& [mr, nr, ku] :

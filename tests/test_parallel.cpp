@@ -49,8 +49,7 @@ TEST_P(ParallelThreads, CrossMatrixMatchesSequential) {
   const BitMatrix a = test_matrix(19, 90, 2);
   const BitMatrix b = test_matrix(27, 90, 3);
   const LdMatrix sequential = ld_cross_matrix(a, b);
-  expect_matrices_equal(ld_cross_matrix_parallel(a, b, {}, GetParam()),
-                        sequential);
+  expect_matrices_equal(ld_cross_matrix(a, b, {}, GetParam()), sequential);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelThreads,

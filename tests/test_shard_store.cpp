@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/gemm/kernel.hpp"
 #include "core/gemm/packed_bit_matrix.hpp"
 #include "io/tile_store.hpp"
 #include "sim/rng.hpp"
@@ -196,71 +197,38 @@ TEST(ShardStore, OpenRejectsMissingAndForeignFiles) {
   EXPECT_THROW(ShardStore::open(bogus), ParseError);
 }
 
-TEST(ShardStore, GeometryGuardDetectsTunedPlanDrift) {
+TEST(ShardStore, OpenRejectsAPlanNoVariantRuns) {
   const BitMatrix g = random_matrix(90, 400, 21, 0.08);
   GemmConfig cfg;
-  cfg.arch = KernelArch::kScalar;  // stored under the scalar default (4x4)
+  cfg.arch = KernelArch::kScalar;  // stored under the scalar default, 4x4u1
   cfg.kc_words = 4;
-  const std::string path = temp_path("guard.ldshard");
+  const std::string path = temp_path("plan_check.ldshard");
   write_shard_store(path, g.view(), cfg, /*rows_per_shard=*/40);
+  std::vector<std::uint8_t> bytes = read_file(path);
+  ASSERT_EQ(get_field(bytes, kFMr), 4u);
+  ASSERT_EQ(get_field(bytes, kFNr), 4u);
+  ASSERT_EQ(get_field(bytes, kFKu), 1u);
 
-  // The plan a re-tuned session would resolve: same family, different
-  // register tile — exactly the drift the guard exists to catch.
-  GemmConfig tuned_cfg = cfg;
-  tuned_cfg.mr = 2;
-  tuned_cfg.nr = 8;
-  tuned_cfg.ku = 1;
-  const GemmPlan tuned = resolve_plan(tuned_cfg, g.words_per_snp());
+  // Rename the family only: every extent stays consistent with the plan,
+  // but no AVX-512 variant has a 4x4u1 register tile.
+  set_field(bytes, kFArch, static_cast<std::uint64_t>(KernelArch::kAvx512));
+  ASSERT_EQ(find_kernel(KernelArch::kAvx512, 4, 4, 1), nullptr);
+  EXPECT_NO_THROW((void)parse_shard_index(bytes.data(), bytes.size()));
+  const std::string forged = temp_path("plan_check_forged.ldshard");
+  std::ofstream(forged, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
 
-  {
-    // A matching expectation opens clean and does not repack.
-    const GemmPlan same = resolve_plan(cfg, g.words_per_snp());
-    ShardOpenOptions opts;
-    opts.expect_plan = &same;
-    ShardStore s = open_shard_store(path, opts);
-    EXPECT_FALSE(s.repacks_on_materialize());
-  }
-
-  // Mismatch without the repack opt-in: an Error naming both geometries
-  // and the remedies, not a deep contract trip.
   try {
-    ShardOpenOptions opts;
-    opts.expect_plan = &tuned;
-    open_shard_store(path, opts);
-    FAIL() << "geometry mismatch must throw";
+    (void)ShardStore::open(forged);
+    FAIL() << "a plan no variant runs must be rejected at open";
   } catch (const Error& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("re-ingest"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("repack_on_mismatch"), std::string::npos) << msg;
     EXPECT_NE(msg.find("mr=4"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("mr=2"), std::string::npos) << msg;
   }
-
-  // Repack fallback: every shard materializes under the expected plan,
-  // byte-identical to packing the same rows fresh.
-  ShardOpenOptions opts;
-  opts.expect_plan = &tuned;
-  opts.repack_on_mismatch = true;
-  ShardStore s = open_shard_store(path, opts);
-  EXPECT_TRUE(s.repacks_on_materialize());
-  EXPECT_EQ(s.plan().mr, 2u);
-  EXPECT_EQ(s.plan().nr, 8u);
-  EXPECT_EQ(s.stored_plan().mr, 4u);
-  for (std::size_t i = 0; i < s.shards(); ++i) {
-    const std::size_t r0 = s.shard_row_begin(i);
-    const BitMatrixView sub{g.row_data(r0), s.shard_rows(i),
-                            g.words_per_snp(), g.stride_words(), g.samples()};
-    const PackedBitMatrix expect(sub, tuned, PackSides::kBoth);
-    const PackedBitMatrix& got = s.shard(i);
-    EXPECT_EQ(got.plan().mr, tuned.mr);
-    ASSERT_EQ(got.a_data_words(), expect.a_data_words());
-    EXPECT_EQ(std::memcmp(got.a_data(), expect.a_data(),
-                          expect.a_data_words() * 8),
-              0)
-        << "shard " << i;
-    EXPECT_EQ(got.sparse_columns().popcount,
-              expect.sparse_columns().popcount);
-  }
+  std::remove(forged.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(ShardStore, VerifyShardPopcountsCatchesCorruption) {

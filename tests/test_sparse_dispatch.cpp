@@ -337,13 +337,14 @@ TEST_P(SparseDispatch, StatScanCoversCanonicalPairsExactlyOnceHybrid) {
 }
 
 TEST_P(SparseDispatch, BandScanBitIdenticalAtUnalignedWindows) {
-  const BitMatrix g = rare_panel(90, 129, 79);
+  // 600 SNPs in 256-row slabs: a ragged last slab, and a bandwidth of 300
+  // that reaches past one slab.
+  const BitMatrix g = rare_panel(600, 129, 79);
   for (const GemmConfig& base : blocking_configs(GetParam())) {
-    for (const std::size_t bandwidth : {1ul, 11ul, 37ul}) {
+    for (const std::size_t bandwidth : {1ul, 11ul, 37ul, 300ul}) {
       BandOptions dense;
       dense.gemm = base;
       dense.gemm.sparse_threshold = 0;
-      dense.slab_rows = 13;
       BandOptions sparse = dense;
       sparse.gemm.sparse_threshold = kSparseThresholdAuto;
 

@@ -200,12 +200,10 @@ TEST(StreamBudget, ResidencyNeverExceedsTheBudgetAndResultsMatch) {
   Assembly want(g.snps(), g.snps());
   ld_stat_scan(g, [&](const LdTile& t) { want.add(t); }, opts);
 
-  for (const bool prefetch : {true, false}) {
+  {
     StreamOptions sopts;
-    sopts.prefetch = prefetch;
     // The documented floor exactly: the tightest legal budget.
-    sopts.cache_bytes =
-        (prefetch ? 4 : 2) * store.max_shard_bytes();
+    sopts.cache_bytes = 4 * store.max_shard_bytes();
     std::size_t peak = 0;
     Assembly got(g.snps(), g.snps());
     ld_matrix_stream(store,
@@ -214,12 +212,10 @@ TEST(StreamBudget, ResidencyNeverExceedsTheBudgetAndResultsMatch) {
                        peak = std::max(peak, store.resident_bytes());
                      },
                      sopts);
-    EXPECT_LE(peak, sopts.cache_bytes) << "prefetch=" << prefetch;
+    EXPECT_LE(peak, sopts.cache_bytes);
     EXPECT_LE(store.resident_bytes(), sopts.cache_bytes);
     EXPECT_GT(peak, 0u);
-    expect_identical(got, want,
-                     std::string("budget prefetch=") +
-                         (prefetch ? "on" : "off"));
+    expect_identical(got, want, "budget at the floor");
   }
 
   // Below-floor budgets are a contract violation, not a silent degrade.

@@ -4,6 +4,7 @@
 
 #include "baselines/naive.hpp"
 #include "core/gemm/kernel.hpp"
+#include "count_sink.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
 
@@ -33,8 +34,7 @@ TEST_P(SyrkKernel, MatchesNaiveOnRaggedShapes) {
            {70, 129}}) {
     const BitMatrix g = random_matrix(n, k, n * 31 + k);
     const CountMatrix expected = naive_count_matrix(g, g);
-    CountMatrix c(n, n);
-    syrk_count(g.view(), c.ref(), cfg);
+    const CountMatrix c = test::symmetric_product(g.view(), cfg);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(c(i, j), expected(i, j))
@@ -56,8 +56,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Syrk, OutputIsSymmetricWithDiagonalCounts) {
   const BitMatrix g = random_matrix(40, 500, 3);
-  CountMatrix c(40, 40);
-  syrk_count(g.view(), c.ref());
+  const CountMatrix c = test::symmetric_product(g.view());
   for (std::size_t i = 0; i < 40; ++i) {
     EXPECT_EQ(c(i, i), g.derived_count(i));
     for (std::size_t j = 0; j < i; ++j) {
@@ -74,8 +73,7 @@ TEST(Syrk, SmallBlockingStillCorrect) {
   cfg.kc_words = 2;
   cfg.mc = 8;
   cfg.nc = 8;
-  CountMatrix c(23, 23);
-  syrk_count(g.view(), c.ref(), cfg);
+  const CountMatrix c = test::symmetric_product(g.view(), cfg);
   for (std::size_t i = 0; i < 23; ++i) {
     for (std::size_t j = 0; j < 23; ++j) {
       ASSERT_EQ(c(i, j), expected(i, j)) << i << "," << j;
@@ -89,7 +87,8 @@ TEST(Syrk, OverwritesPreviousContents) {
   for (std::size_t i = 0; i < 10; ++i) {
     for (std::size_t j = 0; j < 10; ++j) c(i, j) = 777;
   }
-  syrk_count(g.view(), c.ref());
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view());
+  syrk_count_packed(p, 0, g.snps(), c.ref());
   const CountMatrix expected = naive_count_matrix(g, g);
   for (std::size_t i = 0; i < 10; ++i) {
     for (std::size_t j = 0; j < 10; ++j) {
@@ -100,14 +99,16 @@ TEST(Syrk, OverwritesPreviousContents) {
 
 TEST(Syrk, RejectsTooSmallOutput) {
   const BitMatrix g = random_matrix(5, 64, 7);
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view());
   CountMatrix c(4, 5);
-  EXPECT_THROW(syrk_count(g.view(), c.ref()), ContractViolation);
+  EXPECT_THROW(syrk_count_packed(p, 0, g.snps(), c.ref()), ContractViolation);
 }
 
-TEST(Syrk, EmptyMatrixIsANoop) {
-  BitMatrix empty;
+TEST(Syrk, EmptyRangeIsANoop) {
+  const BitMatrix g = random_matrix(5, 64, 7);
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view());
   CountMatrix c(0, 0);
-  syrk_count(empty.view(), c.ref());
+  syrk_count_packed(p, 3, 3, c.ref());
 }
 
 }  // namespace

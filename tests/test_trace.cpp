@@ -3,10 +3,10 @@
 // The phase counters are specified as *exact*: for a resolved GemmPlan the
 // traced kernel/pack/tile counts must equal the analytic values implied by
 // the blocking (DESIGN.md "Observability"). The walkers below mirror the
-// documented loop structure of gemm_count_packed / gemm_count_fused /
-// syrk_count_fused and PackedBitMatrix::pack_side; any drift between the
-// drivers and their instrumentation shows up here as an off-by-a-tile
-// mismatch.
+// documented loop structure of gemm_count_fused / syrk_count_fused (and
+// the syrk_count_packed count sink) and PackedBitMatrix::pack_side; any
+// drift between the drivers and their instrumentation shows up here as an
+// off-by-a-tile mismatch.
 //
 // Counter deltas are read with trace::snapshot().since(before), which is
 // exact as long as no unrelated instrumented work runs concurrently — true
@@ -30,6 +30,7 @@
 #include "core/ld.hpp"
 #include "core/ld_stream.hpp"
 #include "core/parallel.hpp"
+#include "count_sink.hpp"
 #include "omega/sweep_scan.hpp"
 #include "phase_counter_names.hpp"
 #include "sim/rng.hpp"
@@ -170,21 +171,19 @@ class TraceCounters
 
 TEST_P(TraceCounters, CountSinkMatchesAnalyticBlocking) {
   const auto [arch, shape] = GetParam();
-  const BitMatrix a = random_matrix(shape.m, shape.samples, 7 + shape.m);
-  const BitMatrix b = random_matrix(shape.n, shape.samples, 11 + shape.n);
+  const BitMatrix g = random_matrix(shape.m, shape.samples, 7 + shape.m);
   const GemmConfig cfg = small_blocking(arch);
-  const GemmPlan plan = gemm_plan_for(a.view(), cfg);
-  const PackedBitMatrix pa(a.view(), plan, PackSides::kA);
-  const PackedBitMatrix pb(b.view(), plan, PackSides::kB);
+  const GemmPlan plan = gemm_plan_for(g.view(), cfg);
+  const PackedBitMatrix p(g.view(), plan, PackSides::kBoth);
 
-  CountMatrix c(shape.m, shape.n);
+  CountMatrix c(shape.m, shape.m);
   const trace::TraceSnapshot before = trace::snapshot();
-  gemm_count_packed(pa, 0, shape.m, pb, 0, shape.n, c.ref());
+  syrk_count_packed(p, 0, shape.m, c.ref());
   const trace::TraceSnapshot d = trace::snapshot().since(before);
 
   // The count matrix is a sink of the fused nest: same tiles, no stat
   // epilogue.
-  const Expected e = expect_fused(pa, 0, shape.m, 0, shape.n);
+  const Expected e = expect_fused_lower(p, 0, shape.m);
   EXPECT_EQ(d.counters.kernel_calls, e.kernel_calls);
   EXPECT_EQ(d.counters.kernel_words, e.kernel_words);
   EXPECT_EQ(d.counters.slivers_reused, e.slivers_reused);
@@ -233,26 +232,17 @@ TEST_P(TraceCounters, RaggedRangesMatchAnalyticBlocking) {
   const std::size_t a_begin = 3, a_end = shape.m + 1;
   const std::size_t b_begin = 5, b_end = shape.n + 2;
 
-  CountMatrix c(a_end - a_begin, b_end - b_begin);
-  const trace::TraceSnapshot t0 = trace::snapshot();
-  gemm_count_packed(p, a_begin, a_end, p, b_begin, b_end, c.ref());
-  const trace::TraceSnapshot d1 = trace::snapshot().since(t0);
-  const Expected e1 = expect_fused(p, a_begin, a_end, b_begin, b_end);
-  EXPECT_EQ(d1.counters.kernel_calls, e1.kernel_calls);
-  EXPECT_EQ(d1.counters.kernel_words, e1.kernel_words);
-  EXPECT_EQ(d1.counters.slivers_reused, e1.slivers_reused);
-  EXPECT_EQ(d1.counters.tiles_emitted, e1.tiles_emitted);
-
-  const trace::TraceSnapshot t1 = trace::snapshot();
   std::uint64_t sink_rows = 0;
+  const trace::TraceSnapshot t0 = trace::snapshot();
   gemm_count_fused(p, a_begin, a_end, p, b_begin, b_end,
                    [&](const CountTile& t) { sink_rows += t.rows; });
-  const trace::TraceSnapshot d2 = trace::snapshot().since(t1);
-  const Expected e2 = expect_fused(p, a_begin, a_end, b_begin, b_end);
-  EXPECT_EQ(d2.counters.kernel_calls, e2.kernel_calls);
-  EXPECT_EQ(d2.counters.kernel_words, e2.kernel_words);
-  EXPECT_EQ(d2.counters.tiles_emitted, e2.tiles_emitted);
-  EXPECT_EQ(sink_rows, e2.epilogue_rows);
+  const trace::TraceSnapshot d = trace::snapshot().since(t0);
+  const Expected e = expect_fused(p, a_begin, a_end, b_begin, b_end);
+  EXPECT_EQ(d.counters.kernel_calls, e.kernel_calls);
+  EXPECT_EQ(d.counters.kernel_words, e.kernel_words);
+  EXPECT_EQ(d.counters.slivers_reused, e.slivers_reused);
+  EXPECT_EQ(d.counters.tiles_emitted, e.tiles_emitted);
+  EXPECT_EQ(sink_rows, e.epilogue_rows);
 }
 
 TEST_P(TraceCounters, SyrkMatchesAnalyticTriangularWalk) {
@@ -528,9 +518,8 @@ TEST_F(TraceFixture, SessionLifecycleAndSnapshotDiff) {
   trace::start_session("test_trace_lifecycle");
   {
     const BitMatrix g = random_matrix(8, 130, 2);
-    CountMatrix c(8, 8);
-    gemm_count(g.view(), g.view(), c.ref(),
-               small_blocking(KernelArch::kScalar));
+    (void)test::count_product(g.view(), g.view(),
+                              small_blocking(KernelArch::kScalar));
   }
   EXPECT_FALSE(trace::session_events().empty());
   trace::cancel_session();
@@ -552,9 +541,8 @@ TEST_F(TraceFixture, ReportEmbedsTheRegistryCounters) {
     trace::start_session("test_trace_report");
     {
       const BitMatrix g = random_matrix(8, 130, 3);
-      CountMatrix c(8, 8);
-      gemm_count(g.view(), g.view(), c.ref(),
-                 small_blocking(KernelArch::kScalar));
+      (void)test::count_product(g.view(), g.view(),
+                                small_blocking(KernelArch::kScalar));
     }
     snap = trace::snapshot();
     path = trace::stop_session_and_write();
@@ -688,8 +676,8 @@ TEST_F(TraceFixture, NestDriversExposeStealCounters) {
 //   prefetch_hits    = acquires that found the shard already materialized
 //   prefetch_issued  = next-pair shards found cold at prefetch time
 //   io_bytes_read    = payload bytes of every materialization
-// For a 2-shard store walked (0,0) (1,0) (1,1) with threads=1, prefetch on
-// and no budget, the schedule is fully determined: pair (0,0) stalls on
+// For a 2-shard store walked (0,0) (1,0) (1,1) with threads=1 and no
+// budget, the schedule is fully determined: pair (0,0) stalls on
 // shard 0 and prefetches shard 1 in the overlap task; the run_tasks join
 // makes every later acquire a hit (the diagonal's shared key is acquired
 // once). Totals: 1 stall, 3 hits, 1 issue, io = both payloads.
@@ -713,28 +701,6 @@ TEST_F(TraceFixture, StreamCountersMatchTheDeterministicWalk) {
   EXPECT_EQ(d.counters.prefetch_issued, 1u);
   EXPECT_EQ(d.counters.io_bytes_read, payload);
   EXPECT_GT(d.phase_self_ns[static_cast<std::size_t>(trace::Phase::kIo)], 0u);
-}
-
-TEST_F(TraceFixture, StreamCountersWithoutPrefetchAreAllStalls) {
-  const BitMatrix g = random_matrix(40, 300, 78);
-  GemmConfig cfg = small_blocking(KernelArch::kScalar);
-  const std::string path = ::testing::TempDir() + "trace_stream_np.ldshard";
-  write_shard_store(path, g.view(), cfg, /*rows_per_shard=*/20);
-  ShardStore store = ShardStore::open(path);
-  ASSERT_EQ(store.shards(), 2u);
-
-  StreamOptions opts;
-  opts.prefetch = false;
-  const trace::TraceSnapshot before = trace::snapshot();
-  ld_matrix_stream(store, [](const LdTile&) {}, opts);
-  const trace::TraceSnapshot d = trace::snapshot().since(before);
-
-  // (0,0): stall 0. (1,0): stall 1, hit 0. (1,1): hit 1.
-  EXPECT_EQ(d.counters.prefetch_stalls, 2u);
-  EXPECT_EQ(d.counters.prefetch_hits, 2u);
-  EXPECT_EQ(d.counters.prefetch_issued, 0u);
-  EXPECT_EQ(d.counters.io_bytes_read,
-            store.shard_bytes(0) + store.shard_bytes(1));
 }
 
 }  // namespace

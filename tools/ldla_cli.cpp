@@ -250,7 +250,7 @@ int cmd_cross(int argc, const char* const* argv) {
               a.genotypes.snps(), b.genotypes.snps(), a.genotypes.samples());
 
   Timer timer;
-  const LdMatrix ld = ld_cross_matrix_parallel(
+  const LdMatrix ld = ld_cross_matrix(
       a.genotypes, b.genotypes, {},
       static_cast<unsigned>(args.integer("threads")));
   std::printf("%zu cross-LD values in %.3f s\n\n",

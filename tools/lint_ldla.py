@@ -241,15 +241,10 @@ PUBLIC_API = {
         ("transpose_bits_into", "expect"),
     ],
     "src/core/gemm/macro.cpp": [
-        ("gemm_count", "expect"),
-        ("gemm_count_packed", "expect"),
         ("gemm_count_fused", "expect"),
         ("syrk_count_fused", "expect"),
     ],
-    "src/core/gemm/syrk.cpp": [
-        ("syrk_count", "expect"),
-        ("syrk_count_packed", "expect"),
-    ],
+    "src/core/gemm/syrk.cpp": [("syrk_count_packed", "expect")],
     "src/core/gemm/packing.cpp": [("pack_panel", "expect")],
     "src/core/gemm/config.cpp": [("resolve_plan", "expect")],
     "src/core/gemm/dispatch.cpp": [
@@ -267,6 +262,7 @@ PUBLIC_API = {
         ("unpack_packed", "expect"),
     ],
     "src/core/ld.cpp": [
+        ("ld_cross_matrix", "expect"),
         ("ld_stat_scan", "expect"),
         ("ld_cross_stat_scan", "expect"),
     ],
