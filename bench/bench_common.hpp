@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -342,19 +341,15 @@ struct CountScanResult {
   std::uint64_t checksum = 0;     ///< defeats dead-code elimination
 };
 
-/// One slab of the count benches: pack both operands (once, both sides,
-/// when the views alias) and add the fused nest's tiles into C.
-inline void count_slab(const BitMatrixView& a, const BitMatrixView& b,
-                       CountMatrixRef c, const GemmConfig& cfg) {
-  const GemmPlan plan = resolve_plan(cfg, a.n_words);
-  const bool same = a.data == b.data && a.n_snps == b.n_snps;
-  const PackedBitMatrix pa(a, plan, same ? PackSides::kBoth : PackSides::kA);
-  std::optional<PackedBitMatrix> pb;
-  if (!same) pb.emplace(b, plan, PackSides::kB);
-  gemm_count_fused(pa, 0, a.n_snps, same ? pa : *pb, 0, b.n_snps,
+/// Add the fused nest's tiles of rows [r0, r0 + c.rows) of `pa` against
+/// columns [0, c.cols) of `pb` into C (row r0 lands in C's row 0).
+inline void add_count_rows(const PackedBitMatrix& pa, std::size_t r0,
+                           const PackedBitMatrix& pb, CountMatrixRef c) {
+  gemm_count_fused(pa, r0, r0 + c.rows, pb, 0, c.cols,
                    [&](const CountTile& t) {
                      for (std::size_t i = 0; i < t.rows; ++i) {
-                       std::uint32_t* dst = &c.at(t.row_begin + i, t.col_begin);
+                       std::uint32_t* dst =
+                           &c.at(t.row_begin - r0 + i, t.col_begin);
                        for (std::size_t j = 0; j < t.cols; ++j) {
                          dst[j] += t.row(i)[j];
                        }
@@ -363,8 +358,9 @@ inline void count_slab(const BitMatrixView& a, const BitMatrixView& b,
 }
 
 /// Time the symmetric haplotype-count computation (the H matrix of Figs.
-/// 3/5 and the GEMM rows of Tables I-III) with a streaming row-slab driver,
-/// so memory stays O(slab x n) for any problem size.
+/// 3/5 and the GEMM rows of Tables I-III): one pack of `g` per call, inside
+/// the timer, then a streaming row-slab driver over row ranges of it, so
+/// the count memory stays O(slab x n) for any problem size.
 inline CountScanResult time_symmetric_counts(const BitMatrix& g,
                                              const GemmConfig& cfg,
                                              std::size_t slab_rows = 256) {
@@ -373,6 +369,7 @@ inline CountScanResult time_symmetric_counts(const BitMatrix& g,
   if (n == 0) return out;
   CountMatrix counts(std::min(slab_rows, n), n);
   Timer timer;
+  const PackedBitMatrix packed = PackedBitMatrix::pack(g.view(), cfg);
   for (std::size_t r0 = 0; r0 < n; r0 += slab_rows) {
     const std::size_t rows = std::min(slab_rows, n - r0);
     const std::size_t cols = r0 + rows;
@@ -380,7 +377,7 @@ inline CountScanResult time_symmetric_counts(const BitMatrix& g,
     for (std::size_t i = 0; i < rows; ++i) {
       std::fill_n(&cref.at(i, 0), cols, 0u);
     }
-    count_slab(g.view(r0, r0 + rows), g.view(0, cols), cref, cfg);
+    add_count_rows(packed, r0, packed, cref);
     out.checksum += cref.at(0, 0) + cref.at(rows - 1, cols - 1);
     out.pairs += static_cast<std::uint64_t>(rows) * cols;
   }
@@ -389,7 +386,8 @@ inline CountScanResult time_symmetric_counts(const BitMatrix& g,
   return out;
 }
 
-/// Time the rectangular (two-matrix) count GEMM of Fig. 4.
+/// Time the rectangular (two-matrix) count GEMM of Fig. 4: one pack of
+/// each operand per call, inside the timer, then row slabs of `a`.
 inline CountScanResult time_cross_counts(const BitMatrix& a,
                                          const BitMatrix& b,
                                          const GemmConfig& cfg,
@@ -400,11 +398,15 @@ inline CountScanResult time_cross_counts(const BitMatrix& a,
   if (m == 0 || n == 0) return out;
   CountMatrix counts(std::min(slab_rows, m), n);
   Timer timer;
+  const PackedBitMatrix pa =
+      PackedBitMatrix::pack(a.view(), cfg, PackSides::kA);
+  const PackedBitMatrix pb =
+      PackedBitMatrix::pack(b.view(), cfg, PackSides::kB);
   for (std::size_t r0 = 0; r0 < m; r0 += slab_rows) {
     const std::size_t rows = std::min(slab_rows, m - r0);
     counts.zero();
     CountMatrixRef cref{counts.ref().data, rows, n, n};
-    count_slab(a.view(r0, r0 + rows), b.view(), cref, cfg);
+    add_count_rows(pa, r0, pb, cref);
     out.checksum += cref.at(0, 0) + cref.at(rows - 1, n - 1);
     out.pairs += static_cast<std::uint64_t>(rows) * n;
   }

@@ -11,7 +11,7 @@
 #include "baselines/omegaplus_like.hpp"
 #include "baselines/plink_like.hpp"
 #include "bench_common.hpp"
-#include "core/parallel.hpp"
+#include "core/ld.hpp"
 #include "sim/wright_fisher.hpp"
 
 using namespace ldla;
@@ -32,7 +32,7 @@ GemmArm time_ld_matrix(const BitMatrix& haps, unsigned threads) {
   GemmArm arm;
   const trace::TraceSnapshot before = trace::snapshot();
   Timer timer;
-  const LdMatrix out = ld_matrix_parallel(haps, opts, threads);
+  const LdMatrix out = ld_matrix(haps, opts, threads);
   arm.seconds = timer.seconds();
   arm.phases = trace::snapshot().since(before);
   // Touch a few entries so the computation cannot be elided.

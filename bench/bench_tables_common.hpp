@@ -140,10 +140,12 @@ inline int run_dataset_table(const char* title, const char* paper_ref,
     const BaselineScanResult pairwise = plink_like_scan(genos, 1);
     const double pairwise_s = pair_timer.seconds();
 
+    LdOptions geno_opts;
+    geno_opts.gemm = gemm_scalar;
     Timer gemm_timer;
     double checksum = 0.0;
     std::uint64_t geno_pairs = 0;
-    genotype_ld_scan(genos, [&](const LdTile& tile) {
+    ld_stat_scan(genos, [&](const LdTile& tile) {
       for (std::size_t i = 0; i < tile.rows; ++i) {
         for (std::size_t j = 0; j < tile.cols; ++j) {
           const double v = tile.at(i, j);
@@ -151,7 +153,7 @@ inline int run_dataset_table(const char* title, const char* paper_ref,
           ++geno_pairs;
         }
       }
-    }, gemm_scalar);
+    }, geno_opts);
     const double gemm_s = gemm_timer.seconds();
     std::printf(
         "\ngenotype LD as DLA (extension): pairwise PLINK-like kernel "

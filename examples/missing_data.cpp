@@ -47,7 +47,7 @@ int main(int argc, char** argv) try {
   ldla::BitMatrix naive_states = states.clone();
   const ldla::MaskedBitMatrix masked(std::move(states), std::move(valid));
 
-  const ldla::LdMatrix ld_masked = ldla::ld_matrix_missing(masked);
+  const ldla::LdMatrix ld_masked = ldla::ld_matrix(masked);
   const ldla::LdMatrix ld_naive = ldla::ld_matrix(naive_states);
 
   // Compare both estimates against the ground truth.

@@ -60,7 +60,7 @@ int main(int argc, char** argv) try {
   const auto threads = static_cast<unsigned>(args.integer("threads"));
 
   ldla::Timer timer;
-  const ldla::LdMatrix ld = ldla::ld_matrix_parallel(genotypes, opts, threads);
+  const ldla::LdMatrix ld = ldla::ld_matrix(genotypes, opts, threads);
   const double seconds = timer.seconds();
 
   const std::uint64_t pairs = ldla::ld_pair_count(genotypes.snps());

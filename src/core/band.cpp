@@ -19,14 +19,12 @@ constexpr std::size_t kSlabRows = 256;
 
 }  // namespace
 
-void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
+void ld_band_scan(const LdOperand& g, std::size_t bandwidth,
                   const LdTileVisitor& visit, const BandOptions& opts) {
   const std::size_t n = g.snps();
   if (n == 0) return;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
   LDLA_EXPECT(bandwidth > 0, "bandwidth must be positive");
 
-  const detail::StatTables tables = detail::make_stat_tables(g);
   const std::size_t max_rows = std::min(kSlabRows, n);
   // A slab of rows [r0, r1) needs columns [max(0, r0 - W), r1). The sum
   // saturates: a bandwidth near SIZE_MAX means "every column".
@@ -35,30 +33,33 @@ void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
 
   const unsigned team =
       opts.threads == 0 ? default_thread_count() : opts.threads;
-  std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix& packed = resolve_packed(
-      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
+  detail::visit_rows(g, g, opts.stat, [&](auto unit, const auto& row) {
+    std::optional<PackedBitMatrix> own;
+    const PackedBitMatrix& packed = resolve_packed(
+        g.rows().view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
 
-  AlignedBuffer<double> values(max_rows * max_cols);
-  for (std::size_t r0 = 0; r0 < n; r0 += kSlabRows) {
-    const std::size_t rows = std::min(kSlabRows, n - r0);
-    const std::size_t col_begin = r0 > bandwidth ? r0 - bandwidth : 0;
-    const std::size_t col_end = r0 + rows;
-    const std::size_t cols = col_end - col_begin;
-    LDLA_ASSERT(rows <= max_rows && cols <= max_cols);
-    // Row r0+i pairs with global columns [col_begin, col_end); the whole
-    // stripe is converted (values outside the band are still valid LD
-    // values; consumers filter by index).
-    gemm_count_fused(
-        packed, r0, r0 + rows, packed, col_begin, col_end,
-        [&](const CountTile& t) {
-          detail::tile_stats(t, detail::TilePart::kFull,
-                             {values.data(), cols, r0, col_begin},
-                             detail::StatRows{opts.stat, tables, tables});
-        },
-        team);
-    visit(LdTile{r0, col_begin, rows, cols, values.data(), cols});
-  }
+    AlignedBuffer<double> values(max_rows * max_cols);
+    for (std::size_t r0 = 0; r0 < n; r0 += kSlabRows) {
+      const std::size_t rows = std::min(kSlabRows, n - r0);
+      const std::size_t col_begin = r0 > bandwidth ? r0 - bandwidth : 0;
+      const std::size_t col_end = r0 + rows;
+      const std::size_t cols = col_end - col_begin;
+      LDLA_ASSERT(rows <= max_rows && cols <= max_cols);
+      // Row r0+i pairs with global columns [col_begin, col_end); the whole
+      // stripe is converted (values outside the band are still valid LD
+      // values; consumers filter by index).
+      gemm_count_fused(
+          packed, unit * r0, unit * (r0 + rows), packed, unit * col_begin,
+          unit * col_end,
+          [&](const CountTile& t) {
+            detail::tile_stats(detail::snp_tile<unit>(t),
+                               detail::TilePart::kFull,
+                               {values.data(), cols, r0, col_begin}, row);
+          },
+          team);
+      visit(LdTile{r0, col_begin, rows, cols, values.data(), cols});
+    }
+  });
 }
 
 namespace {

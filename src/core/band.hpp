@@ -19,7 +19,8 @@ namespace ldla {
 struct BandOptions {
   LdStatistic stat = LdStatistic::kRSquared;
   GemmConfig gemm;
-  /// Optional persistent packed operand for `g` (see LdOptions::packed).
+  /// Optional persistent packed operand for `g`'s rows (see
+  /// LdOptions::packed).
   /// Consecutive slabs read overlapping column stripes, so one pack —
   /// this one, or one made per call — serves the whole band.
   const PackedBitMatrix* packed = nullptr;
@@ -34,8 +35,9 @@ struct BandOptions {
 /// Streaming banded scan: emits tiles covering every pair (i, j) with
 /// j <= i and i - j <= bandwidth exactly once (tiles may also carry values
 /// outside the band — consumers filter by index, the values are valid LD).
-/// Tile columns start at col_begin (not 0), unlike the full scan.
-void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
+/// Tile columns start at col_begin (not 0), unlike the full scan. Any
+/// operand kind (core/ld.hpp's LdOperand) runs the same stripe loop.
+void ld_band_scan(const LdOperand& g, std::size_t bandwidth,
                   const LdTileVisitor& visit, const BandOptions& opts = {});
 
 /// Mean finite LD per distance bin, computed with one banded scan.

@@ -1,9 +1,9 @@
 // Internal: per-row LD statistic evaluation over a row of pair counts, the
-// one stat epilogue every LD driver hands its count tiles to, and the dense
+// one stat epilogue every LD driver hands its count tiles to, the dense
 // driver bodies built on it (matrix, cross matrix, scan), whose row
-// conversion is a parameter: the LD statistics, Tanimoto, or the per-pair
-// statistic of the multi-plane drivers (missing data, genotype LD, Zaykin's
-// T).
+// conversion is a parameter, and the one dispatch on the LdOperand kinds
+// that picks it: the LD statistics, or the per-pair statistic of missing
+// data and genotype LD. Tanimoto and Zaykin's T pass their own.
 //
 // The D = H - p pᵀ (and r²) pass is itself a dense O(n²) operation; doing
 // it with branch-free arithmetic over precomputed per-SNP factors lets the
@@ -15,11 +15,15 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <initializer_list>
+#include <limits>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/bit_matrix.hpp"
@@ -27,6 +31,7 @@
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
+#include "core/missing.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/contract.hpp"
 #include "util/trace.hpp"
@@ -164,10 +169,10 @@ void tile_stats(const CountTile& t, TilePart part, const StatWindow& dst,
 }
 
 /// The one stat-tile emitter behind every streaming LD driver (ld_stat_scan,
-/// ld_cross_stat_scan, ld_matrix_stream, ld_cross_stream, ld_scan_missing,
-/// genotype_ld_scan): it rebases each count tile to global SNP indices,
-/// converts the selected part with the row conversion `RowFn` (StatRows, or
-/// a multi-plane driver's own) and hands it to the visitor. A full tile, or
+/// ld_cross_stat_scan, ld_matrix_stream, ld_cross_stream): it rebases each
+/// count tile to global SNP indices, converts the selected part with the
+/// row conversion `RowFn` (StatRows, or a two-plane kind's PairRows) and
+/// hands it to the visitor. A full tile, or
 /// a SYRK tile wholly on/below the diagonal, goes out as one LdTile; a
 /// diagonal-crossing SYRK tile goes out as one-row fragments holding only
 /// each row's canonical prefix, so no entry above the diagonal ever
@@ -237,6 +242,13 @@ class StatTileEmitter {
 
 // ---- the dense driver bodies ----------------------------------------------
 //
+// The matrix bodies build their output through LdOutput: every element is
+// written once from the team, so the matrix is not zero-filled and each
+// page is first touched by the member that writes it. Checked builds fill
+// it with a signalling-NaN pattern no statistic can produce (stat
+// arithmetic only ever yields quiet NaNs) and assert on return that no
+// element kept it.
+//
 // `Unit` is the number of operand rows per SNP: 1, 2 for the two-plane
 // drivers (rows 2i and 2i+1 hold SNP i's planes a_i and b_i), or 4 for
 // Zaykin's T (rows 4i..4i+3 hold SNP i's nucleotide planes). Every tile edge
@@ -258,16 +270,44 @@ CountTile snp_tile(const CountTile& t) {
           t.cols / Unit,      t.counts,           Unit * t.ld};
 }
 
+struct LdOutput {
+#if LDLA_CHECKED_BUILD
+  static constexpr std::uint64_t kPoisonBits = 0x7FF4'0000'DEAD'BEEF;
+#endif
+
+  static LdMatrix make(std::size_t rows, std::size_t cols) {
+    LdMatrix m(rows, cols, LdMatrix::Unzeroed{});
+#if LDLA_CHECKED_BUILD
+    std::fill_n(m.data(), rows * cols, std::bit_cast<double>(kPoisonBits));
+#endif
+    return m;
+  }
+
+  static void check_written([[maybe_unused]] const LdMatrix& m) {
+#if LDLA_CHECKED_BUILD
+    const double* v = m.data();
+    LDLA_ASSERT_MSG(std::none_of(v, v + m.rows() * m.cols(),
+                                 [](double x) {
+                                   return std::bit_cast<std::uint64_t>(x) ==
+                                          kPoisonBits;
+                                 }),
+                    "dense LD driver left an output element unwritten");
+#endif
+  }
+};
+
 /// Symmetric body: each SYRK tile of `packed` writes its canonical
-/// statistics into the square `out`, then copies the strictly-lower ones
+/// statistics into the square result, then copies the strictly-lower ones
 /// onto their transposes while hot. Every strictly-lower pair lies in one
 /// tile, so each element is written once, by the member owning the tile.
 /// Every row conversion is bitwise symmetric in (i, j) (operands combine
 /// only through commutative products, integer sums and min), so this equals
 /// statistics of mirrored counts bit for bit.
 template <std::size_t Unit, typename RowFn>
-void symmetric_stats(const PackedBitMatrix& packed, const RowFn& row,
-                     LdMatrix& out, unsigned team = 1) {
+LdMatrix symmetric_stats(const PackedBitMatrix& packed, const RowFn& row,
+                         unsigned team = 1) {
+  const std::size_t n = packed.snps() / Unit;
+  LdMatrix out = LdOutput::make(n, n);
   syrk_count_fused(
       packed, 0, packed.snps(),
       [&](const CountTile& t) {
@@ -279,12 +319,15 @@ void symmetric_stats(const PackedBitMatrix& packed, const RowFn& row,
                             s.col_begin + s.cols);
       },
       team);
+  LdOutput::check_written(out);
+  return out;
 }
 
 /// Cross body: the statistic of every (SNP of pa, SNP of pb) pair.
 template <std::size_t Unit, typename RowFn>
-void cross_stats(const PackedBitMatrix& pa, const PackedBitMatrix& pb,
-                 const RowFn& row, LdMatrix& out, unsigned team = 1) {
+LdMatrix cross_stats(const PackedBitMatrix& pa, const PackedBitMatrix& pb,
+                     const RowFn& row, unsigned team = 1) {
+  LdMatrix out = LdOutput::make(pa.snps() / Unit, pb.snps() / Unit);
   gemm_count_fused(
       pa, 0, pa.snps(), pb, 0, pb.snps(),
       [&](const CountTile& t) {
@@ -292,6 +335,8 @@ void cross_stats(const PackedBitMatrix& pa, const PackedBitMatrix& pb,
                    {out.data(), out.cols()}, row);
       },
       team);
+  LdOutput::check_written(out);
+  return out;
 }
 
 /// Scan body: the canonical statistics of `packed`, through one emitter.
@@ -358,5 +403,86 @@ struct PairRows {
     }
   }
 };
+
+// ---- the operand kinds -----------------------------------------------------
+
+/// Pearson r² of two dosage vectors from pair-separable moments: the
+/// arithmetic of the pairwise baseline (baselines/plink_like.cpp), so the
+/// two agree exactly on complete data.
+inline double dosage_r2(const LdOperand::Dosages::Moments& mi,
+                        const LdOperand::Dosages::Moments& mj, double sum_xy,
+                        double n) {
+  const double cov = n * sum_xy - mi.sum * mj.sum;
+  const double var_i = n * mi.sum_sq - mi.sum * mi.sum;
+  const double var_j = n * mj.sum_sq - mj.sum * mj.sum;
+  const double denom = var_i * var_j;
+  if (denom <= 0.0) return std::numeric_limits<double>::quiet_NaN();
+  const double r2 = (cov * cov) / denom;
+  return r2 > 1.0 ? 1.0 : r2;
+}
+
+/// The Unit of operand kind `Kind`, as visit_rows hands it to its body.
+template <typename Kind>
+using UnitOf = std::integral_constant<std::size_t, Kind::kUnit>;
+
+template <typename... Fn>
+struct Overloaded : Fn... {
+  using Fn::operator()...;
+};
+
+/// The one dispatch of every LD driver on its operands' kind, once per
+/// call: `body(unit, row)` runs with the kind's Unit (UnitOf, a constant
+/// the body passes on to the driver bodies) and the row conversion of rows
+/// of `a` against columns of `b`. A self product passes one operand twice.
+/// Operands of two kinds, and a genotype operand with a statistic other
+/// than r^2, throw ContractViolation before any work starts.
+///
+/// The two-plane kinds' pair block of SNPs (i, j) is [[a_i·a_j, a_i·b_j],
+/// [b_i·a_j, b_i·b_j]] (PairCounts). Missing data (a = x, b = c) reads the
+/// haplotype count, both masked marginals and the valid-pair count from
+/// it; genotypes (a = l, b = h) read sum_xy = LL + 2·LH + 2·HL + 4·HH.
+template <typename Body>
+void visit_rows(const LdOperand& a, const LdOperand& b, LdStatistic stat,
+                const Body& body) {
+  const bool self = &a == &b;
+  std::visit(
+      Overloaded{
+          [&](const LdOperand::Haplotypes&, const LdOperand::Haplotypes&) {
+            const StatTables ta = make_stat_tables(a.rows());
+            if (self) {
+              body(UnitOf<LdOperand::Haplotypes>{}, StatRows{stat, ta, ta});
+            } else {
+              const StatTables tb = make_stat_tables(b.rows());
+              body(UnitOf<LdOperand::Haplotypes>{}, StatRows{stat, ta, tb});
+            }
+          },
+          [&](const LdOperand::Masked&, const LdOperand::Masked&) {
+            const auto pair = [stat](std::size_t, std::size_t,
+                                     const PairCounts& c) {
+              return ld_value_missing(stat, c.ab, c.ba, c.aa, c.bb);
+            };
+            body(UnitOf<LdOperand::Masked>{},
+                 PairRows<decltype(pair)>{pair, self});
+          },
+          [&](const LdOperand::Dosages& k, const LdOperand::Dosages& kb) {
+            LDLA_EXPECT(stat == LdStatistic::kRSquared,
+                        "genotype LD computes r^2 only");
+            const double n = static_cast<double>(a.rows().samples());
+            const auto pair = [&k, &kb, n](std::size_t i, std::size_t j,
+                                           const PairCounts& c) {
+              const double sum_xy = static_cast<double>(c.aa) +
+                                    2.0 * static_cast<double>(c.ab) +
+                                    2.0 * static_cast<double>(c.ba) +
+                                    4.0 * static_cast<double>(c.bb);
+              return dosage_r2(k.moments[i], kb.moments[j], sum_xy, n);
+            };
+            body(UnitOf<LdOperand::Dosages>{},
+                 PairRows<decltype(pair)>{pair, self});
+          },
+          [](const auto&, const auto&) {
+            LDLA_EXPECT(false, "cross-matrix LD needs operands of one kind");
+          }},
+      a.kind(), b.kind());
+}
 
 }  // namespace ldla::detail

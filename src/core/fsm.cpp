@@ -174,8 +174,7 @@ double fsm_t_pair_reference(const FsmMatrix& g, std::size_t i, std::size_t j) {
 
 LdMatrix fsm_t_matrix(const FsmMatrix& g, const GemmConfig& cfg) {
   const std::size_t n = g.snps();
-  LdMatrix out(n, n);
-  if (n == 0) return out;
+  if (n == 0) return {};
   LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
 
   std::vector<unsigned> v_states(n);
@@ -186,8 +185,7 @@ LdMatrix fsm_t_matrix(const FsmMatrix& g, const GemmConfig& cfg) {
   const BitMatrix planes = detail::interleave_rows(
       {g.plane(kA), g.plane(kC), g.plane(kG), g.plane(kT)});
   const PackedBitMatrix packed = PackedBitMatrix::pack(planes.view(), cfg);
-  detail::cross_stats<4>(packed, packed, t_rows(v_states), out);
-  return out;
+  return detail::cross_stats<4>(packed, packed, t_rows(v_states));
 }
 
 }  // namespace ldla

@@ -251,8 +251,8 @@ class PackedBitMatrix {
 /// Reconstruct the row-major bit matrix from a pack's slivers — the exact
 /// inverse of pack_panel over every k panel (reading the A side when
 /// materialized, else the B side; padding rows and words are dropped).
-/// The shard store's repack fallback uses this to re-pack a mapped shard
-/// under a different register-tile geometry without the original source.
+/// ShardStore::verify_shard_popcounts uses it to recount the rows of a
+/// mapped dense shard (which persists no transpose) without the source.
 [[nodiscard]] BitMatrix unpack_packed(const PackedBitMatrix& p);
 
 /// Guard helper for drivers accepting a caller-supplied packed operand:

@@ -10,16 +10,22 @@
 //   sum_xy(i,j) = LL(i,j) + 2·LH(i,j) + 2·LH(j,i) + 4·HH(i,j)
 //
 // where LL = L·Lᵀ and HH = H·Hᵀ are symmetric counts (SYRK) and LH = L·Hᵀ
-// one rectangular GEMM; per-SNP sums come from plane row counts. The
-// drivers interleave L and H by row and make one fused SYRK, whose tiles
-// hold each pair's whole [[LL, LH], [HL, HH]] block. It replaces the
-// baseline's per-pair nine-sweep loop, which is exactly the transformation
-// the paper performs for allele LD.
+// one rectangular GEMM; per-SNP sums come from plane row counts. A
+// GenotypeMatrix is an LdOperand (core/ld.hpp): it interleaves L and H by
+// row, and every LD driver (ld_matrix, ld_cross_matrix, ld_stat_scan,
+// ld_cross_stat_scan, ld_band_scan) makes one fused call over that pack,
+// whose tiles hold each pair's whole [[LL, LH], [HL, HH]] block. The
+// statistic is r^2 (squared Pearson correlation of dosage vectors); a
+// driver asked for another throws ContractViolation. It matches
+// plink_like_r2_pair bit-for-bit (the counts are exact and the final
+// normalization is evaluated identically), and replaces the baseline's
+// per-pair nine-sweep loop, which is exactly the transformation the paper
+// performs for allele LD.
 //
 // Limitation (documented): this fast path assumes complete data (no
-// missing genotypes) — with per-pair missingness the moments stop being
-// pair-separable and the pairwise kernel in baselines/plink_like.* is the
-// correct tool.
+// missing genotypes; the operand's constructor throws otherwise) — with
+// per-pair missingness the moments stop being pair-separable and the
+// pairwise kernel in baselines/plink_like.* is the correct tool.
 #pragma once
 
 #include "baselines/plink_like.hpp"
@@ -27,21 +33,6 @@
 #include "core/ld.hpp"
 
 namespace ldla {
-
-/// All-pairs genotype r^2 (squared Pearson correlation of dosage vectors)
-/// via one fused popcount-SYRK. Requires complete data: throws if any
-/// genotype is missing. Matches plink_like_r2_pair bit-for-bit in the
-/// counts (verified by tests; the final floating-point normalization is
-/// evaluated identically).
-LdMatrix genotype_ld_matrix(const GenotypeMatrix& g,
-                            const GemmConfig& cfg = {});
-
-/// Streaming variant with ld_stat_scan's tile contract for a team of one:
-/// every canonical pair (j <= i, including the diagonal) exactly once and
-/// no other entry, diagonal-crossing tiles as one-row fragments. Resident
-/// memory is one pack plus one cache tile.
-void genotype_ld_scan(const GenotypeMatrix& g, const LdTileVisitor& visit,
-                      const GemmConfig& cfg = {});
 
 /// Extract the dosage bit-planes of a complete-data genotype matrix
 /// (exposed for tests and for building custom pipelines). Throws if any

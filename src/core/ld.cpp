@@ -1,7 +1,6 @@
 #include "core/ld.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -93,41 +92,10 @@ void mirror_ld_lower_to_upper(LdMatrix& m) {
   detail::mirror_lower_blocked(m.data(), m.cols(), m.rows());
 }
 
-namespace detail {
-
-/// The dense drivers' output. matrix_body and cross_matrix_body write every
-/// element from the team, so the matrix is built without the zero-fill and
-/// each page is first touched by the member that writes it. Checked builds
-/// fill it with a signalling-NaN pattern no statistic can produce (stat
-/// arithmetic only ever yields quiet NaNs) and assert on return that no
-/// element kept it.
-struct LdOutput {
-#if LDLA_CHECKED_BUILD
-  static constexpr std::uint64_t kPoisonBits = 0x7FF4'0000'DEAD'BEEF;
-#endif
-
-  static LdMatrix make(std::size_t rows, std::size_t cols) {
-    LdMatrix m(rows, cols, LdMatrix::Unzeroed{});
-#if LDLA_CHECKED_BUILD
-    std::fill_n(m.data(), rows * cols, std::bit_cast<double>(kPoisonBits));
-#endif
-    return m;
-  }
-
-  static void check_written([[maybe_unused]] const LdMatrix& m) {
-#if LDLA_CHECKED_BUILD
-    const double* v = m.data();
-    LDLA_ASSERT_MSG(std::none_of(v, v + m.rows() * m.cols(),
-                                 [](double x) {
-                                   return std::bit_cast<std::uint64_t>(x) ==
-                                          kPoisonBits;
-                                 }),
-                    "dense LD driver left an output element unwritten");
-#endif
-  }
-};
-
-}  // namespace detail
+LdOperand::LdOperand(const BitMatrix& g)
+    : rows_(&g), snps_(g.snps()), kind_(Haplotypes{}) {
+  LDLA_EXPECT(g.snps() == 0 || g.samples() > 0, "matrix has no samples");
+}
 
 namespace {
 
@@ -135,98 +103,75 @@ unsigned resolve_threads(unsigned threads) {
   return threads == 0 ? default_thread_count() : threads;
 }
 
-// The self-matrix body takes the team size it hands to the tile nest:
-// team = 1 is ld_matrix (whole cache tiles, inline), team > 1 its parallel
-// twin.
-LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
-                     unsigned team) {
-  const std::size_t n = g.snps();
-  LdMatrix out = detail::LdOutput::make(n, n);
-  if (n == 0) return out;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
-
-  std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix& packed = resolve_packed(
-      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
-  const detail::StatTables tables = detail::make_stat_tables(g);
-  detail::symmetric_stats<1>(
-      packed, detail::StatRows{opts.stat, tables, tables}, out, team);
-  detail::LdOutput::check_written(out);
-  return out;
-}
-
 }  // namespace
 
-LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts) {
+LdMatrix ld_matrix(const LdOperand& g, const LdOptions& opts,
+                   unsigned threads) {
   LDLA_METRICS_ONLY(
       static metrics::Histogram& h_call = metrics::histogram(
           "ldla_ld_matrix_seconds", "ld_matrix driver call latency");
       metrics::ScopedLatency metrics_lat(h_call);)
-  return matrix_body(g, opts, 1);
+  if (g.snps() == 0) return {};
+  const unsigned team = resolve_threads(threads);
+  LdMatrix out;
+  detail::visit_rows(g, g, opts.stat, [&](auto unit, const auto& row) {
+    std::optional<PackedBitMatrix> own;
+    const PackedBitMatrix& packed = resolve_packed(
+        g.rows().view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
+    out = detail::symmetric_stats<unit>(packed, row, team);
+  });
+  return out;
 }
 
 LdMatrix ld_matrix_parallel(const BitMatrix& g, const LdOptions& opts,
                             unsigned threads) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_matrix_parallel_seconds",
-          "ld_matrix_parallel driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
-  return matrix_body(g, opts, resolve_threads(threads));
+  return ld_matrix(g, opts, threads);
 }
 
-LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
+LdMatrix ld_cross_matrix(const LdOperand& a, const LdOperand& b,
                          const LdOptions& opts, unsigned threads) {
   LDLA_METRICS_ONLY(
       static metrics::Histogram& h_call = metrics::histogram(
           "ldla_ld_cross_matrix_seconds",
           "ld_cross_matrix driver call latency");
       metrics::ScopedLatency metrics_lat(h_call);)
-  LDLA_EXPECT(a.samples() == b.samples(),
+  LDLA_EXPECT(a.rows().samples() == b.rows().samples(),
               "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  LdMatrix out = detail::LdOutput::make(m, n);
-  if (m == 0 || n == 0) return out;
-  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
+  if (a.snps() == 0 || b.snps() == 0) return LdMatrix(a.snps(), b.snps());
 
   const unsigned team = resolve_threads(threads);
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
-                                             PackSides::kA, own_a, team);
-  const PackedBitMatrix& pb = resolve_packed(
-      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
-  detail::cross_stats<1>(pa, pb, detail::StatRows{opts.stat, ta, tb}, out,
-                         team);
-  detail::LdOutput::check_written(out);
+  LdMatrix out;
+  detail::visit_rows(a, b, opts.stat, [&](auto unit, const auto& row) {
+    std::optional<PackedBitMatrix> own_a;
+    std::optional<PackedBitMatrix> own_b;
+    const PackedBitMatrix& pa = resolve_packed(
+        a.rows().view(), opts.gemm, opts.packed, PackSides::kA, own_a, team);
+    const PackedBitMatrix& pb = resolve_packed(
+        b.rows().view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
+    out = detail::cross_stats<unit>(pa, pb, row, team);
+  });
   return out;
 }
 
-void ld_stat_scan(const BitMatrix& g, const LdTileVisitor& visit,
+void ld_stat_scan(const LdOperand& g, const LdTileVisitor& visit,
                   const LdOptions& opts, unsigned threads) {
   LDLA_METRICS_ONLY(
       static metrics::Histogram& h_call = metrics::histogram(
           "ldla_ld_stat_scan_seconds", "ld_stat_scan driver call latency");
       metrics::ScopedLatency metrics_lat(h_call);)
-  const std::size_t n = g.snps();
-  if (n == 0) return;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
+  if (g.snps() == 0) return;
   LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
 
   const unsigned team = resolve_threads(threads);
-  std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix& packed = resolve_packed(
-      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
-  const detail::StatTables tables = detail::make_stat_tables(g);
-  detail::symmetric_scan<1>(packed,
-                            detail::StatRows{opts.stat, tables, tables}, visit,
-                            team);
+  detail::visit_rows(g, g, opts.stat, [&](auto unit, const auto& row) {
+    std::optional<PackedBitMatrix> own;
+    const PackedBitMatrix& packed = resolve_packed(
+        g.rows().view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
+    detail::symmetric_scan<unit>(packed, row, visit, team);
+  });
 }
 
-void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
+void ld_cross_stat_scan(const LdOperand& a, const LdOperand& b,
                         const LdTileVisitor& visit, const LdOptions& opts,
                         unsigned threads) {
   LDLA_METRICS_ONLY(
@@ -234,28 +179,28 @@ void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
           "ldla_ld_cross_stat_scan_seconds",
           "ld_cross_stat_scan driver call latency");
       metrics::ScopedLatency metrics_lat(h_call);)
-  LDLA_EXPECT(a.samples() == b.samples(),
+  LDLA_EXPECT(a.rows().samples() == b.rows().samples(),
               "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  if (m == 0 || n == 0) return;
-  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
+  if (a.snps() == 0 || b.snps() == 0) return;
   LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
 
   const unsigned team = resolve_threads(threads);
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
-                                             PackSides::kA, own_a, team);
-  const PackedBitMatrix& pb = resolve_packed(
-      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
-  const detail::StatTileEmitter emit(detail::StatRows{opts.stat, ta, tb},
-                                     pa.plan(), m, n, team, visit);
-  gemm_count_fused(
-      pa, 0, m, pb, 0, n,
-      [&](const CountTile& t) { emit(t, detail::TilePart::kFull); }, team);
+  detail::visit_rows(a, b, opts.stat, [&](auto unit, const auto& row) {
+    std::optional<PackedBitMatrix> own_a;
+    std::optional<PackedBitMatrix> own_b;
+    const PackedBitMatrix& pa = resolve_packed(
+        a.rows().view(), opts.gemm, opts.packed, PackSides::kA, own_a, team);
+    const PackedBitMatrix& pb = resolve_packed(
+        b.rows().view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, team);
+    const detail::StatTileEmitter emit(row, pa.plan(), a.snps(), b.snps(),
+                                       team, visit);
+    gemm_count_fused(
+        pa, 0, pa.snps(), pb, 0, pb.snps(),
+        [&](const CountTile& t) {
+          emit(detail::snp_tile<unit>(t), detail::TilePart::kFull);
+        },
+        team);
+  });
 }
 
 }  // namespace ldla

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <variant>
 #include <vector>
 
 #include "core/bit_matrix.hpp"
@@ -45,19 +46,75 @@ double ld_value(LdStatistic stat, std::uint64_t ci, std::uint64_t cj,
 struct LdOptions {
   LdStatistic stat = LdStatistic::kRSquared;
   GemmConfig gemm;
-  /// Optional persistent packed operand for the primary matrix (`g`, or
-  /// `a` in the cross drivers). Must be packed from the same matrix with
-  /// the same GemmConfig (shape is checked, content is the caller's
-  /// responsibility). Repeated-call workloads pack once per dataset and
-  /// pass it here; when null, drivers pack internally per call.
+  /// Optional persistent packed operand for the primary operand (`g`, or
+  /// `a` in the cross drivers). Must be packed from its row matrix
+  /// (LdOperand::rows()) with the same GemmConfig (shape is checked,
+  /// content is the caller's responsibility). Repeated-call workloads pack
+  /// once per dataset and pass it here; when null, drivers pack internally
+  /// per call.
   const PackedBitMatrix* packed = nullptr;
   /// Same for the second matrix of the cross drivers (needs a B side).
   const PackedBitMatrix* packed_b = nullptr;
 };
 
 namespace detail {
-struct LdOutput;  // core/ld.cpp: the dense drivers' output construction
+struct LdOutput;  // core/detail/ld_stats_row.hpp: the dense bodies' output
 }  // namespace detail
+
+class MaskedBitMatrix;  // core/missing.hpp
+class GenotypeMatrix;   // baselines/plink_like.hpp
+
+/// The operand of every LD driver: one panel of haplotypes, of haplotypes
+/// with missing data, or of genotype dosages. It holds the row matrix the
+/// drivers pack, with Unit rows per SNP, and the per-SNP data of its row
+/// conversion; each driver dispatches on the kind once per call
+/// (detail::visit_rows, core/detail/ld_stats_row.hpp). A BitMatrix converts
+/// by reference and copies nothing, so it must outlive the operand (a
+/// temporary converted at a driver call lives through the call); the
+/// two-plane kinds interleave their planes by row into a matrix the operand
+/// owns. Both operands of a cross product must be of one kind.
+class LdOperand {
+ public:
+  /// Haplotypes, Unit 1: Section II's D, D' and r^2.
+  LdOperand(const BitMatrix& g);
+  /// Missing data (core/missing.hpp), Unit 2: rows 2i and 2i+1 hold the
+  /// cleaned states x_i and the validity mask c_i.
+  LdOperand(const MaskedBitMatrix& g);
+  /// Genotype dosages (core/genotype_ld.hpp), Unit 2: rows 2i and 2i+1 hold
+  /// the dosage planes l_i (dosage 1) and h_i (dosage 2). r^2 only, over
+  /// complete data: throws if any genotype is missing.
+  LdOperand(const GenotypeMatrix& g);
+
+  LdOperand(const LdOperand&) = delete;  // rows() may point into *this
+  LdOperand& operator=(const LdOperand&) = delete;
+
+  struct Haplotypes {
+    static constexpr std::size_t kUnit = 1;
+  };
+  struct Masked {
+    static constexpr std::size_t kUnit = 2;
+  };
+  struct Dosages {
+    static constexpr std::size_t kUnit = 2;
+    struct Moments {
+      double sum = 0.0;     ///< sum of dosages
+      double sum_sq = 0.0;  ///< sum of squared dosages
+    };
+    std::vector<Moments> moments;  ///< one per SNP
+  };
+  using Kind = std::variant<Haplotypes, Masked, Dosages>;
+
+  [[nodiscard]] const Kind& kind() const noexcept { return kind_; }
+  /// The matrix the drivers pack (and LdOptions::packed must match).
+  [[nodiscard]] const BitMatrix& rows() const noexcept { return *rows_; }
+  [[nodiscard]] std::size_t snps() const noexcept { return snps_; }
+
+ private:
+  BitMatrix interleaved_;  ///< the two-plane kinds' rows
+  const BitMatrix* rows_ = &interleaved_;
+  std::size_t snps_ = 0;
+  Kind kind_;
+};
 
 /// Dense row-major matrix of doubles (LD values).
 class LdMatrix {
@@ -94,18 +151,19 @@ class LdMatrix {
   AlignedBuffer<double> buf_;
 };
 
-/// All-pairs LD within one genomic matrix (full symmetric n x n result,
-/// diagonal = LD of a SNP with itself). Intended for moderate n; for large
-/// regions stream the pairs with ld_stat_scan (or ld_matrix_stream when
-/// the panel itself does not fit in memory).
-LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts = {});
+/// All-pairs LD within one panel (full symmetric n x n result, diagonal =
+/// LD of a SNP with itself). Intended for moderate n; for large regions
+/// stream the pairs with ld_stat_scan (or ld_matrix_stream when the panel
+/// itself does not fit in memory). `threads` sizes the team of the in-nest
+/// parallel drivers (0 = default_thread_count(); see core/parallel.hpp);
+/// the result is identical at every team size.
+LdMatrix ld_matrix(const LdOperand& g, const LdOptions& opts = {},
+                   unsigned threads = 1);
 
 /// LD between every SNP of `a` and every SNP of `b` (the Fig. 4 / long-range
-/// association use case). Both matrices must cover the same samples.
-/// `threads` sizes the team of the in-nest parallel drivers (0 =
-/// default_thread_count(); see core/parallel.hpp); the result is identical
-/// at every team size.
-LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
+/// association use case). Both operands must be of one kind and cover the
+/// same samples. `threads` as for ld_matrix.
+LdMatrix ld_cross_matrix(const LdOperand& a, const LdOperand& b,
                          const LdOptions& opts = {}, unsigned threads = 1);
 
 /// A tile of LD values streamed out of a scan. Row/col indices are SNP
@@ -139,12 +197,12 @@ using LdTileVisitor = std::function<void(const LdTile&)>;
 /// output ranges needs no lock and any shared accumulator does. The values
 /// are identical at every team size; only the tile order and geometry may
 /// differ. Do not call with threads != 1 from inside a global_pool() task.
-void ld_stat_scan(const BitMatrix& g, const LdTileVisitor& visit,
+void ld_stat_scan(const LdOperand& g, const LdTileVisitor& visit,
                   const LdOptions& opts = {}, unsigned threads = 1);
 
 /// Cross-matrix variant of ld_stat_scan: every (row of a, row of b) pair
 /// exactly once, with the same tile and team contract.
-void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
+void ld_cross_stat_scan(const LdOperand& a, const LdOperand& b,
                         const LdTileVisitor& visit, const LdOptions& opts = {},
                         unsigned threads = 1);
 

@@ -62,57 +62,11 @@ double ld_value_missing(LdStatistic stat, std::uint64_t ci_masked,
   return ld_value(stat, ci_masked, cj_masked, cij_masked, n_valid);
 }
 
-namespace {
-
-// Row conversion of the interleaved (x_i, c_i) panel: the pair block of
-// SNPs (i, j) is [[x_i·x_j, x_i·c_j], [c_i·x_j, c_i·c_j]], the haplotype
-// count, both masked marginals and the valid-pair count.
-auto missing_rows(LdStatistic stat, bool symmetric) {
-  const auto pair = [stat](std::size_t, std::size_t,
-                           const detail::PairCounts& k) {
-    return ld_value_missing(stat, k.ab, k.ba, k.aa, k.bb);
-  };
-  return detail::PairRows<decltype(pair)>{pair, symmetric};
-}
-
-PackedBitMatrix pack_interleaved(const MaskedBitMatrix& g,
-                                 const GemmConfig& cfg, PackSides sides) {
-  const BitMatrix xc = detail::interleave_rows({g.states(), g.valid()});
-  return PackedBitMatrix::pack(xc.view(), cfg, sides);
-}
-
-}  // namespace
-
-LdMatrix ld_matrix_missing(const MaskedBitMatrix& g, const LdOptions& opts) {
-  LdMatrix out(g.snps(), g.snps());
-  if (g.snps() == 0) return out;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
-  detail::symmetric_stats<2>(pack_interleaved(g, opts.gemm, PackSides::kBoth),
-                             missing_rows(opts.stat, true), out);
-  return out;
-}
-
-void ld_scan_missing(const MaskedBitMatrix& g, const LdTileVisitor& visit,
-                     const LdOptions& opts) {
-  if (g.snps() == 0) return;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
-  LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
-  detail::symmetric_scan<2>(pack_interleaved(g, opts.gemm, PackSides::kBoth),
-                            missing_rows(opts.stat, true), visit);
-}
-
-LdMatrix ld_cross_matrix_missing(const MaskedBitMatrix& a,
-                                 const MaskedBitMatrix& b,
-                                 const LdOptions& opts) {
-  LDLA_EXPECT(a.samples() == b.samples(),
-              "cross-matrix LD needs matching sample sets");
-  LdMatrix out(a.snps(), b.snps());
-  if (a.snps() == 0 || b.snps() == 0) return out;
-  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
-  detail::cross_stats<2>(pack_interleaved(a, opts.gemm, PackSides::kA),
-                         pack_interleaved(b, opts.gemm, PackSides::kB),
-                         missing_rows(opts.stat, false), out);
-  return out;
+LdOperand::LdOperand(const MaskedBitMatrix& g)
+    : interleaved_(detail::interleave_rows({g.states(), g.valid()})),
+      snps_(g.snps()),
+      kind_(Masked{}) {
+  LDLA_EXPECT(g.snps() == 0 || g.samples() > 0, "matrix has no samples");
 }
 
 }  // namespace ldla

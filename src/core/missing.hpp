@@ -17,10 +17,14 @@
 //   POPCNT(c_ij & s_i)       = POPCNT(x_i & c_j)      -> GEMM(X, C)
 //   POPCNT(c_ij)             = POPCNT(c_i & c_j)      -> GEMM(C, C)
 //
-// so missing-data LD is still dense linear algebra. The drivers interleave
-// X and C by row (row 2i = x_i, row 2i+1 = c_i) and make one fused call over
+// so missing-data LD is still dense linear algebra. A MaskedBitMatrix is an
+// LdOperand (core/ld.hpp): it interleaves X and C by row (row 2i = x_i, row
+// 2i+1 = c_i), and every LD driver (ld_matrix, ld_cross_matrix,
+// ld_stat_scan, ld_cross_stat_scan, ld_band_scan) makes one fused call over
 // that 2n-row pack, whose tiles hold each pair's whole 2x2 block of these
-// counts; a per-pair sink converts them (core/detail/ld_stats_row.hpp).
+// counts; a per-pair row conversion turns them into statistics
+// (core/detail/ld_stats_row.hpp). Pairs whose joint valid-sample count is
+// zero (or whose conditional frequencies are degenerate) yield NaN.
 #pragma once
 
 #include "core/bit_matrix.hpp"
@@ -59,29 +63,10 @@ class MaskedBitMatrix {
   BitMatrix valid_;
 };
 
-/// All-pairs LD under missing data. Pairs whose joint valid-sample count is
-/// zero (or whose conditional frequencies are degenerate) yield NaN.
-LdMatrix ld_matrix_missing(const MaskedBitMatrix& g,
-                           const LdOptions& opts = {});
-
-/// Cross-matrix variant: one fused GEMM of the interleaved A panel against
-/// the interleaved B panel.
-LdMatrix ld_cross_matrix_missing(const MaskedBitMatrix& a,
-                                 const MaskedBitMatrix& b,
-                                 const LdOptions& opts = {});
-
-/// Scalar reference for one pair (used by tests and the oracle): counts are
-/// the masked counts defined above.
+/// The statistic of one pair from the masked counts defined above: the
+/// missing-data row conversion, and the tests' per-sample oracle.
 double ld_value_missing(LdStatistic stat, std::uint64_t ci_masked,
                         std::uint64_t cj_masked, std::uint64_t cij_masked,
                         std::uint64_t n_valid);
-
-/// Streaming all-pairs scan under missing data, with ld_stat_scan's tile
-/// contract for a team of one: every canonical pair (j <= i, including the
-/// diagonal) exactly once and no other entry, diagonal-crossing tiles as
-/// one-row fragments, tiles delivered from the calling thread. Resident
-/// memory is one pack plus one cache tile, independent of the pair count.
-void ld_scan_missing(const MaskedBitMatrix& g, const LdTileVisitor& visit,
-                     const LdOptions& opts = {});
 
 }  // namespace ldla

@@ -58,32 +58,26 @@ double tanimoto_pair(const BitMatrix& a, std::size_t i, const BitMatrix& b,
 }
 
 LdMatrix tanimoto_matrix(const BitMatrix& fps, const GemmConfig& cfg) {
-  const std::size_t n = fps.snps();
-  LdMatrix out(n, n);
-  if (n == 0) return out;
+  if (fps.snps() == 0) return {};
 
   // Eq. 7 is symmetric operation for operation, so the symmetric body's
   // mirrored canonical pairs are exact.
   const std::vector<std::uint64_t> counts = row_counts(fps);
-  detail::symmetric_stats<1>(PackedBitMatrix::pack(fps.view(), cfg),
-                             similarity_rows(counts, counts), out);
-  return out;
+  return detail::symmetric_stats<1>(PackedBitMatrix::pack(fps.view(), cfg),
+                                    similarity_rows(counts, counts));
 }
 
 LdMatrix tanimoto_cross_matrix(const BitMatrix& a, const BitMatrix& b,
                                const GemmConfig& cfg) {
   LDLA_EXPECT(a.samples() == b.samples(), "fingerprint widths differ");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  LdMatrix out(m, n);
-  if (m == 0 || n == 0) return out;
+  if (a.snps() == 0 || b.snps() == 0) return LdMatrix(a.snps(), b.snps());
 
   const std::vector<std::uint64_t> ca = row_counts(a);
   const std::vector<std::uint64_t> cb = row_counts(b);
-  detail::cross_stats<1>(PackedBitMatrix::pack(a.view(), cfg, PackSides::kA),
-                         PackedBitMatrix::pack(b.view(), cfg, PackSides::kB),
-                         similarity_rows(ca, cb), out);
-  return out;
+  return detail::cross_stats<1>(
+      PackedBitMatrix::pack(a.view(), cfg, PackSides::kA),
+      PackedBitMatrix::pack(b.view(), cfg, PackSides::kB),
+      similarity_rows(ca, cb));
 }
 
 std::vector<std::vector<TanimotoHit>> tanimoto_top_k(

@@ -8,7 +8,7 @@
 //
 //   #include "ldla.hpp"
 //   ldla::BitMatrix g = ldla::parse_ms_file("data.ms")[0].genotypes;
-//   ldla::LdMatrix r2 = ldla::ld_matrix_parallel(g);   // all-pairs r^2
+//   ldla::LdMatrix r2 = ldla::ld_matrix(g, {}, 0);   // all-pairs r^2, all cores
 //
 // See README.md for a tour and DESIGN.md for the architecture.
 #pragma once
@@ -20,13 +20,13 @@
 #include "core/gemm/macro.hpp"      // rectangular popcount-GEMM
 #include "core/gemm/packed_bit_matrix.hpp"  // persistent packed operand
 #include "core/gemm/syrk.hpp"       // symmetric count driver
-#include "core/ld.hpp"              // D / D' / r^2 statistics and drivers
+#include "core/ld.hpp"              // D / D' / r^2, LdOperand, the LD drivers
 #include "core/ld_stream.hpp"       // out-of-core streaming drivers
 #include "core/band.hpp"            // banded scans and LD-decay profiles
 #include "core/ld_blocks.hpp"       // haplotype-block partitioning
 #include "core/genotype_ld.hpp"     // genotype-dosage LD at GEMM speed
 #include "core/higher_order.hpp"    // three-locus disequilibrium
-#include "core/parallel.hpp"        // multi-threaded drivers
+#include "core/parallel.hpp"        // ld_matrix_parallel (adapter forwarder)
 #include "core/missing.hpp"         // alignment-gap extension (Section VII)
 #include "core/fsm.hpp"             // finite-sites extension (Section VII)
 #include "core/tanimoto.hpp"        // fingerprint similarity (Section VII)

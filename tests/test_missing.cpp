@@ -1,11 +1,13 @@
 #include "core/missing.hpp"
 
+#include <array>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/band.hpp"
 #include "core/gemm/packed_bit_matrix.hpp"
 #include "naive_oracle.hpp"
 #include "sim/rng.hpp"
@@ -126,7 +128,7 @@ TEST_P(MissingStat, MatrixMatchesPerSampleOracleBitForBit) {
       LdOptions opts;
       opts.stat = GetParam();
       opts.gemm = cfg;
-      const LdMatrix got = ld_matrix_missing(g, opts);
+      const LdMatrix got = ld_matrix(g, opts);
       for (std::size_t i = 0; i < g.snps(); ++i) {
         for (std::size_t j = 0; j < g.snps(); ++j) {
           ASSERT_TRUE(oracle::same_bits(got(i, j), want[i * g.snps() + j]))
@@ -144,7 +146,7 @@ TEST_P(MissingStat, CrossMatrixMatchesOracleBitForBit) {
     LdOptions opts;
     opts.stat = GetParam();
     opts.gemm = cfg;
-    const LdMatrix got = ld_cross_matrix_missing(a, b, opts);
+    const LdMatrix got = ld_cross_matrix(a, b, opts);
     ASSERT_EQ(got.rows(), a.snps());
     ASSERT_EQ(got.cols(), b.snps());
     for (std::size_t i = 0; i < a.snps(); ++i) {
@@ -165,7 +167,7 @@ TEST_P(MissingStat, ScanEmitsEachCanonicalPairOnceMatchingOracle) {
       opts.stat = GetParam();
       opts.gemm = cfg;
       std::vector<int> seen(n * n, 0);
-      ld_scan_missing(g, [&](const LdTile& tile) {
+      ld_stat_scan(g, [&](const LdTile& tile) {
         ASSERT_LE(tile.row_begin + tile.rows, n);
         ASSERT_LE(tile.col_begin + tile.cols, n);
         for (std::size_t i = 0; i < tile.rows; ++i) {
@@ -207,7 +209,7 @@ TEST(Missing, AllValidReducesToPlainLd) {
   // With no gaps, the masked computation must equal the ISM path bit for
   // bit (NaNs aside: the two paths produce NaNs with different sign bits).
   const MaskedBitMatrix masked = random_masked(19, 120, 0.0, 7);
-  const LdMatrix got = ld_matrix_missing(masked);
+  const LdMatrix got = ld_matrix(masked);
   const LdMatrix want = ld_matrix(masked.states().clone());
   for (std::size_t i = 0; i < 19; ++i) {
     for (std::size_t j = 0; j < 19; ++j) {
@@ -219,7 +221,7 @@ TEST(Missing, AllValidReducesToPlainLd) {
 TEST(Missing, FullyMissingPairIsNaN) {
   const std::vector<std::string> rows = {"--11", "11--"};
   const MaskedBitMatrix g = MaskedBitMatrix::from_snp_strings(rows);
-  const LdMatrix r2 = ld_matrix_missing(g);
+  const LdMatrix r2 = ld_matrix(g);
   EXPECT_TRUE(std::isnan(r2(0, 1)));
   EXPECT_TRUE(std::isnan(r2(1, 0)));
 }
@@ -243,9 +245,154 @@ TEST(Missing, ScanPacksTheInterleavedMatrixOnce) {
 
   before = trace::snapshot();
   std::size_t tiles = 0;
-  ld_scan_missing(g, [&](const LdTile&) { ++tiles; });
+  ld_stat_scan(g, [&](const LdTile&) { ++tiles; });
   EXPECT_EQ(trace::snapshot().since(before).counters.bytes_packed, one_pack);
   EXPECT_GT(tiles, 0u);
+}
+
+// Per-sample masked counts (ci, cj, cij, n_valid) of every ordered pair,
+// row-major: the oracle of the banded scan, whose stripes also carry pairs
+// above the diagonal.
+std::vector<std::array<std::uint64_t, 4>> oracle_counts(
+    const MaskedBitMatrix& g) {
+  const std::size_t n = g.snps();
+  std::vector<std::array<std::uint64_t, 4>> out(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      std::uint64_t ci = 0, cj = 0, cij = 0, nv = 0;
+      for (std::size_t s = 0; s < g.samples(); ++s) {
+        if (!g.valid().get(i, s) || !g.valid().get(j, s)) continue;
+        ++nv;
+        const bool si = g.states().get(i, s);
+        const bool sj = g.states().get(j, s);
+        ci += si;
+        cj += sj;
+        cij += si && sj;
+      }
+      out[i * n + j] = {ci, cj, cij, nv};
+      out[j * n + i] = {cj, ci, cij, nv};
+    }
+  }
+  return out;
+}
+
+TEST(Missing, BandScanMatchesPerSampleOracleBitForBit) {
+  // Two slabs of 256 rows and a ragged one of 88; bandwidth 300 is wider
+  // than a slab.
+  const MaskedBitMatrix g = random_masked(600, 96, 0.1, 21);
+  const std::size_t n = g.snps();
+  const std::vector<std::array<std::uint64_t, 4>> counts = oracle_counts(g);
+  for (const LdStatistic stat :
+       {LdStatistic::kD, LdStatistic::kDPrime, LdStatistic::kRSquared}) {
+    for (const std::size_t bandwidth : {1u, 7u, 300u}) {
+      for (const GemmConfig& cfg : oracle::pair_block_configs()) {
+        const std::string what = ld_statistic_name(stat) + " bandwidth " +
+                                 std::to_string(bandwidth) + " " +
+                                 oracle::describe_plan(cfg);
+        BandOptions opts;
+        opts.stat = stat;
+        opts.gemm = cfg;
+        std::vector<int> seen(n * n, 0);
+        ld_band_scan(g, bandwidth, [&](const LdTile& tile) {
+          ASSERT_LE(tile.row_begin + tile.rows, n);
+          ASSERT_LE(tile.col_begin + tile.cols, n);
+          for (std::size_t i = 0; i < tile.rows; ++i) {
+            for (std::size_t j = 0; j < tile.cols; ++j) {
+              const std::size_t gi = tile.row_begin + i;
+              const std::size_t gj = tile.col_begin + j;
+              ++seen[gi * n + gj];
+              const auto& k = counts[gi * n + gj];
+              ASSERT_TRUE(oracle::same_bits(
+                  tile.at(i, j), ld_value_missing(stat, k[0], k[1], k[2],
+                                                  k[3])))
+                  << what << " at " << gi << "," << gj;
+            }
+          }
+        }, opts);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = i > bandwidth ? i - bandwidth : 0; j <= i;
+               ++j) {
+            ASSERT_EQ(seen[i * n + j], 1) << what << " pair " << i << ","
+                                          << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Missing, TeamsAreBitIdenticalToATeamOfOne) {
+  const MaskedBitMatrix g = random_masked(150, 300, 0.1, 22);
+  const std::size_t n = g.snps();
+  for (const GemmConfig& cfg : oracle::pair_block_configs()) {
+    LdOptions opts;
+    opts.gemm = cfg;
+    const LdMatrix want = ld_matrix(g, opts);
+    for (const unsigned team : {1u, 2u, 4u}) {
+      const std::string what =
+          oracle::describe_plan(cfg) + " team " + std::to_string(team);
+      const LdMatrix got = ld_matrix(g, opts, team);
+      std::vector<double> scanned(n * n, 0.0);
+      std::vector<int> seen(n * n, 0);
+      // Tiles of a team arrive concurrently but are disjoint.
+      ld_stat_scan(g, [&](const LdTile& tile) {
+        for (std::size_t i = 0; i < tile.rows; ++i) {
+          for (std::size_t j = 0; j < tile.cols; ++j) {
+            const std::size_t at =
+                (tile.row_begin + i) * n + tile.col_begin + j;
+            scanned[at] = tile.at(i, j);
+            ++seen[at];
+          }
+        }
+      }, opts, team);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_TRUE(oracle::same_bits(got(i, j), want(i, j)))
+              << what << " at " << i << "," << j;
+          ASSERT_EQ(seen[i * n + j], j <= i ? 1 : 0)
+              << what << " pair " << i << "," << j;
+          if (j <= i) {
+            ASSERT_TRUE(oracle::same_bits(scanned[i * n + j], want(i, j)))
+                << what << " scan at " << i << "," << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Missing, CallerHeldPackMustHoldTheOperandRows) {
+  const MaskedBitMatrix g = random_masked(30, 130, 0.1, 23);
+  const LdTileVisitor ignore = [](const LdTile&) {};
+  // A pack of the states alone has n rows, not the operand's 2n.
+  const PackedBitMatrix states = PackedBitMatrix::pack(g.states().view());
+  LdOptions opts;
+  opts.packed = &states;
+  EXPECT_THROW((void)ld_matrix(g, opts), ContractViolation);
+  EXPECT_THROW(ld_stat_scan(g, ignore, opts), ContractViolation);
+  BandOptions band;
+  band.packed = &states;
+  EXPECT_THROW(ld_band_scan(g, 4, ignore, band), ContractViolation);
+
+  // A pack of the operand's rows is used as is.
+  const LdOperand op(g);
+  const PackedBitMatrix rows = PackedBitMatrix::pack(op.rows().view());
+  opts.packed = &rows;
+  const LdMatrix got = ld_matrix(op, opts);
+  const LdMatrix want = ld_matrix(g);
+  for (std::size_t i = 0; i < g.snps(); ++i) {
+    for (std::size_t j = 0; j < g.snps(); ++j) {
+      ASSERT_TRUE(oracle::same_bits(got(i, j), want(i, j))) << i << "," << j;
+    }
+  }
+}
+
+TEST(Missing, CrossProductOfTwoKindsIsRejected) {
+  const MaskedBitMatrix g = random_masked(12, 80, 0.1, 24);
+  const LdTileVisitor ignore = [](const LdTile&) {};
+  EXPECT_THROW((void)ld_cross_matrix(g, g.states()), ContractViolation);
+  EXPECT_THROW((void)ld_cross_matrix(g.states(), g), ContractViolation);
+  EXPECT_THROW(ld_cross_stat_scan(g, g.states(), ignore), ContractViolation);
 }
 
 TEST(Missing, ValueMissingWithZeroValidIsNaN) {

@@ -150,7 +150,7 @@ int cmd_compute(int argc, const char* const* argv) {
   LdOptions opts;
   opts.stat = parse_stat(args.str("stat"));
   Timer timer;
-  const LdMatrix ld = ld_matrix_parallel(
+  const LdMatrix ld = ld_matrix(
       data.genotypes, opts, static_cast<unsigned>(args.integer("threads")));
   const double seconds = timer.seconds();
   const std::uint64_t pairs = ld_pair_count(data.genotypes.snps());

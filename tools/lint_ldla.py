@@ -262,16 +262,14 @@ PUBLIC_API = {
         ("unpack_packed", "expect"),
     ],
     "src/core/ld.cpp": [
+        ("LdOperand::LdOperand", "expect"),
         ("ld_cross_matrix", "expect"),
         ("ld_stat_scan", "expect"),
         ("ld_cross_stat_scan", "expect"),
     ],
     "src/core/band.cpp": [("ld_band_scan", "expect")],
     "src/core/ld_blocks.cpp": [("find_ld_blocks", "expect")],
-    "src/core/missing.cpp": [
-        ("ld_scan_missing", "expect"),
-        ("ld_cross_matrix_missing", "expect"),
-    ],
+    "src/core/missing.cpp": [("LdOperand::LdOperand", "expect")],
     "src/core/tanimoto.cpp": [
         ("tanimoto_cross_matrix", "expect"),
         ("tanimoto_top_k", "expect"),
@@ -279,8 +277,7 @@ PUBLIC_API = {
     "src/core/fsm.cpp": [("fsm_t_matrix", "expect")],
     "src/core/genotype_ld.cpp": [
         ("extract_dosage_planes", "expect"),
-        ("genotype_ld_matrix", "expect"),
-        ("genotype_ld_scan", "expect"),
+        ("LdOperand::LdOperand", "expect"),
     ],
     "src/core/higher_order.cpp": [("third_order_d", "expect")],
     "src/omega/omega_stat.cpp": [("omega_at_split", "expect")],
