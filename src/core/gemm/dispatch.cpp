@@ -69,7 +69,7 @@ std::vector<KernelInfo> build_registry() {
                 "kernel registry: incomplete variant row");
     for (std::size_t w = 0; w < v; ++w) {
       // (arch, mr, nr, ku) is the variant's identity — a GemmPlan (or an
-      // LDLASH01 header) must name exactly one kernel — and names key the
+      // LDLASH02 header) must name exactly one kernel — and names key the
       // tuning cache.
       LDLA_EXPECT(reg[w].arch != k.arch || reg[w].mr != k.mr ||
                       reg[w].nr != k.nr || reg[w].ku != k.ku,

@@ -20,7 +20,7 @@
 // units; each TU exports its slice of the grid as a variant table, and the
 // registry (dispatch.cpp) concatenates them. (arch, mr, nr, ku) uniquely
 // identifies a variant, so a GemmPlan — including one read back from an
-// LDLASH01 shard header — pins its kernel with no extra state.
+// LDLASH02 shard header — pins its kernel with no extra state.
 #pragma once
 
 #include <cstddef>

@@ -45,21 +45,12 @@ PackedBitMatrix::PackedBitMatrix(const BitMatrixView& m, const GemmPlan& plan,
     LDLA_TRACE_SPAN(kPackA);
     sparse_ = classify_sparse_columns(m, plan.sparse_threshold, threads);
   }
+  derive_sliver_flags();
+  // Any sparse column may become the list side of a gather — even from a
+  // partner pack in a cross-matrix call — so the lists and the transpose
+  // are built whenever classification found anything. Dense packs skip
+  // them.
   if (sparse_.sparse_count != 0) {
-    if (a_.r != 0) {
-      a_sliver_sparse_ = sliver_flags(plan.mr);
-    }
-    if (b_.r != 0) {
-      b_sliver_sparse_ = sliver_flags(plan.nr);
-    }
-    const auto any = [](const std::vector<std::uint8_t>& v) {
-      return std::find(v.begin(), v.end(), std::uint8_t{1}) != v.end();
-    };
-    hybrid_ = any(a_sliver_sparse_) || any(b_sliver_sparse_);
-    // Any sparse column may become the list side of a gather — even from a
-    // partner pack in a cross-matrix call — so the lists and the transpose
-    // are built whenever classification found anything. Dense packs skip
-    // them.
     build_sparse_side(m, threads);
   }
 }
@@ -70,33 +61,41 @@ void expect_payload_aligned(const void* p, const char* what) {
   LDLA_EXPECT(reinterpret_cast<std::uintptr_t>(p) % 64 == 0, what);
 }
 
-// The prescaled lists address the sample-major transpose in 32-bit words.
-void expect_transpose_addressable(std::size_t n_samples,
-                                  std::size_t sm_stride) {
-  LDLA_EXPECT(n_samples == 0 || sm_stride <= UINT32_MAX / n_samples,
-              "sample-major transpose exceeds 32-bit word addressing");
-}
-
 }  // namespace
+
+void PackedBitMatrix::init_sparse_side() {
+  const std::size_t stride = words_for_bits(n_snps_);
+  // The prescaled lists address the sample-major transpose in 32-bit words.
+  LDLA_EXPECT(stride <= UINT32_MAX / n_samples_,
+              "sample-major transpose exceeds 32-bit word addressing");
+  sm_stride_ = stride;
+  scaled_index_ = AlignedBuffer<std::uint32_t>(sparse_.offset.back());
+}
 
 void PackedBitMatrix::build_sparse_side(const BitMatrixView& m,
                                         unsigned threads) {
   LDLA_TRACE_SPAN(kPackA);
-  const std::size_t stride = (n_snps_ + 63) / 64;
-  expect_transpose_addressable(n_samples_, stride);  // before any allocation
-  sm_stride_ = stride;
+  init_sparse_side();  // checks the bound before any allocation
   // The lists are written at their exact CSR sizes, prescaled in the same
   // pass: the gather's address chain is entry-load → scale → word-load,
   // and baking sample × stride in here removes the multiply latency from
   // every gathered address (the lists are read orders of magnitude more
   // often than they are built).
-  scaled_index_ = AlignedBuffer<std::uint32_t>(sparse_.offset.back());
   extract_sparse_lists(m, sparse_, scaled_index_.data(),
                        static_cast<std::uint32_t>(sm_stride_), threads);
   sample_major_ = AlignedBuffer<std::uint64_t>(n_samples_ * sm_stride_);
   transpose_bits_into(m, sample_major_.data(), sm_stride_, threads);
   sm_ptr_ = sample_major_.data();
-  scaled_ptr_ = scaled_index_.data();
+}
+
+void PackedBitMatrix::derive_sliver_flags() {
+  if (sparse_.sparse_count == 0) return;
+  if (a_.r != 0) a_sliver_sparse_ = sliver_flags(plan_.mr);
+  if (b_.r != 0) b_sliver_sparse_ = sliver_flags(plan_.nr);
+  const auto any = [](const std::vector<std::uint8_t>& v) {
+    return std::find(v.begin(), v.end(), std::uint8_t{1}) != v.end();
+  };
+  hybrid_ = any(a_sliver_sparse_) || any(b_sliver_sparse_);
 }
 
 std::vector<std::uint8_t> PackedBitMatrix::sliver_flags(std::size_t r) const {
@@ -152,40 +151,26 @@ PackedBitMatrix PackedBitMatrix::from_external(ExternalPack ext) {
   }
 
   LDLA_EXPECT(ext.sparse.popcount.size() == ext.n_snps &&
-                  ext.sparse.kind.size() == ext.n_snps,
+                  ext.sparse.kind.size() == ext.n_snps &&
+                  ext.sparse.offset.size() == ext.n_snps + 1 &&
+                  ext.sparse.offset.back() == ext.sparse.index.size(),
               "external sparse metadata does not cover every column");
-  LDLA_EXPECT(ext.sparse.offset.empty() ||
-                  (ext.sparse.offset.size() == ext.n_snps + 1 &&
-                   ext.sparse.offset.back() == ext.sparse.index.size()),
-              "external sparse CSR offsets are inconsistent");
+  LDLA_EXPECT((ext.sample_major != nullptr) == (ext.sparse.sparse_count != 0),
+              "external pack must carry a transpose exactly when a column "
+              "is sparse");
   out.sparse_ = std::move(ext.sparse);
-
-  const auto check_flags = [](const std::vector<std::uint8_t>& v,
-                              std::size_t slivers) {
-    LDLA_EXPECT(v.empty() || v.size() == slivers,
-                "external sliver-sparse flags do not match the sliver grid");
-  };
-  check_flags(ext.a_sliver_sparse, out.a_.slivers);
-  check_flags(ext.b_sliver_sparse,
-              out.b_shares_a_ ? out.a_.slivers : out.b_.slivers);
-  out.a_sliver_sparse_ = std::move(ext.a_sliver_sparse);
-  out.b_sliver_sparse_ = std::move(ext.b_sliver_sparse);
-  const auto any = [](const std::vector<std::uint8_t>& v) {
-    return std::find(v.begin(), v.end(), std::uint8_t{1}) != v.end();
-  };
-  out.hybrid_ = any(out.a_sliver_sparse_) || any(out.b_sliver_sparse_);
+  out.derive_sliver_flags();
 
   if (ext.sample_major != nullptr) {
     expect_payload_aligned(ext.sample_major,
                            "external sample-major payload must be aligned");
-    LDLA_EXPECT(ext.sm_stride == (ext.n_snps + 63) / 64,
-                "external sample-major stride does not match the SNP count");
-    expect_transpose_addressable(ext.n_samples, ext.sm_stride);
-    LDLA_EXPECT(ext.scaled_index != nullptr || out.sparse_.index.empty(),
-                "external pack with a transpose must carry prescaled lists");
-    out.sm_stride_ = ext.sm_stride;
+    out.init_sparse_side();
+    const auto scale = static_cast<std::uint32_t>(out.sm_stride_);
+    const std::vector<std::uint32_t>& index = out.sparse_.index;
+    for (std::size_t j = 0; j < index.size(); ++j) {
+      out.scaled_index_[j] = index[j] * scale;
+    }
     out.sm_ptr_ = ext.sample_major;
-    out.scaled_ptr_ = ext.scaled_index;
   }
   return out;
 }

@@ -19,9 +19,10 @@
 // caller-managed memory via from_external(): the shard store (io/
 // shard_store.hpp) persists exactly this layout on disk and memory-maps it
 // back, so a mapped shard is consumed by every packed/fused/nest driver
-// with zero copy. The large payloads (slivers, sample-major transpose,
-// prescaled index lists) alias the external memory; the small sparse
-// metadata (CSR offsets, kinds, popcounts, sliver flags) is copied in.
+// with zero copy. The large payloads (slivers, sample-major transpose)
+// alias the external memory; the sparse columns come in classified, and
+// the rest of the sparse metadata (sliver flags, the hybrid switch, the
+// prescaled lists) is derived here by the code an owned pack runs.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +44,12 @@ namespace ldla {
 enum class PackSides { kBoth, kA, kB };
 
 /// Descriptor for adopting an externally materialized pack (the mmap'd
-/// shard store). Payload pointers must be 64-byte aligned, immutable, and
-/// outlive the PackedBitMatrix; metadata members are moved in. A null
+/// shard store): only what cannot be re-derived. Payload pointers must be
+/// 64-byte aligned, immutable, and outlive the PackedBitMatrix; `sparse`
+/// (classified by classify_popcounts, lists filled in) is moved in. A null
 /// b_data with mr == nr shares the A payload between both operand sides.
+/// The transpose (ceil(n_snps/64) words per sample row) is present exactly
+/// when a column is sparse, as in an owned pack.
 struct ExternalPack {
   GemmPlan plan;
   std::size_t n_snps = 0;
@@ -54,11 +58,7 @@ struct ExternalPack {
   const std::uint64_t* a_data = nullptr;
   const std::uint64_t* b_data = nullptr;
   SparseColumns sparse;
-  std::vector<std::uint8_t> a_sliver_sparse;
-  std::vector<std::uint8_t> b_sliver_sparse;
   const std::uint64_t* sample_major = nullptr;  ///< null = transpose absent
-  std::size_t sm_stride = 0;
-  const std::uint32_t* scaled_index = nullptr;  ///< null = transpose absent
 };
 
 class PackedBitMatrix {
@@ -81,9 +81,12 @@ class PackedBitMatrix {
 
   /// Adopt a pack whose payloads live in caller-managed memory (see
   /// ExternalPack). Byte-for-byte the layout an owning pack of the same
-  /// matrix and plan would hold, so the drivers cannot tell the difference.
-  /// Contract-checks plan resolution, payload alignment, and that the
-  /// metadata sizes are consistent with the plan-implied sliver geometry.
+  /// matrix and plan would hold, so the drivers cannot tell the difference:
+  /// sliver flags, hybrid_dispatch() and the prescaled lists are derived
+  /// from the sparse columns exactly as an owned pack derives them.
+  /// Contract-checks plan resolution, payload alignment, the sparse
+  /// metadata sizes, and that the transpose is present exactly when a
+  /// column is sparse.
   static PackedBitMatrix from_external(ExternalPack ext);
 
   PackedBitMatrix(PackedBitMatrix&&) noexcept = default;
@@ -132,14 +135,6 @@ class PackedBitMatrix {
   [[nodiscard]] std::size_t a_data_words() const noexcept { return a_.words; }
   [[nodiscard]] const std::uint64_t* b_data() const noexcept { return b_.ptr; }
   [[nodiscard]] std::size_t b_data_words() const noexcept { return b_.words; }
-  [[nodiscard]] const std::vector<std::uint8_t>& a_sliver_flags()
-      const noexcept {
-    return a_sliver_sparse_;
-  }
-  [[nodiscard]] const std::vector<std::uint8_t>& b_sliver_flags()
-      const noexcept {
-    return b_sliver_sparse_;
-  }
 
   /// View of `slivers` consecutive A-side (r = mr) groups of k-panel `p`,
   /// starting at group `sliver_begin` (rows [sliver_begin*mr, ...)).
@@ -202,7 +197,7 @@ class PackedBitMatrix {
   /// dispatcher falls back to the unscaled lists for cross-matrix partners
   /// of a different stride. Null when the transpose was not built.
   [[nodiscard]] const std::uint32_t* scaled_index() const noexcept {
-    return scaled_ptr_;
+    return scaled_index_.data();
   }
 
  private:
@@ -223,6 +218,12 @@ class PackedBitMatrix {
   /// Index lists (written with their prescaled copy) and sample-major
   /// transpose, for a pack whose classification found sparse columns.
   void build_sparse_side(const BitMatrixView& m, unsigned threads);
+  /// Sliver flags and hybrid_ from the classified kinds, for every
+  /// materialized side (owned and external packs alike).
+  void derive_sliver_flags();
+  /// Set the transpose stride for n_snps_ (contract-checking the 32-bit
+  /// list addressing before any allocation) and size the prescaled lists.
+  void init_sparse_side();
   [[nodiscard]] std::vector<std::uint8_t> sliver_flags(std::size_t r) const;
   [[nodiscard]] PackedPanelView side_panel(const Side& side, std::size_t p,
                                            std::size_t sliver_begin,
@@ -245,7 +246,6 @@ class PackedBitMatrix {
   std::size_t sm_stride_ = 0;                  ///< 0 = transpose not built
   AlignedBuffer<std::uint32_t> scaled_index_;  ///< index × sm_stride_
   const std::uint64_t* sm_ptr_ = nullptr;      ///< transpose (owned/external)
-  const std::uint32_t* scaled_ptr_ = nullptr;  ///< prescaled lists (ditto)
 };
 
 /// Reconstruct the row-major bit matrix from a pack's slivers — the exact

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <span>
+#include <utility>
 
 #include "core/popcount.hpp"
 #include "util/contract.hpp"
@@ -66,49 +67,56 @@ void extract_row(const std::uint64_t* row, std::size_t n_words,
 
 }  // namespace
 
+SparseColumns classify_popcounts(std::vector<std::uint32_t> popcount,
+                                 std::size_t n_samples,
+                                 std::size_t threshold) {
+  SparseColumns sc;
+  sc.threshold = threshold;
+  sc.n_samples = n_samples;
+  const std::size_t n = popcount.size();
+  sc.popcount = std::move(popcount);
+  sc.kind.assign(n, ColumnKind::kDense);
+  sc.offset.assign(n + 1, 0);
+  if (threshold == 0) return sc;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t pc = sc.popcount[i];
+    LDLA_ASSERT(pc <= n_samples);
+    std::uint64_t len = 0;
+    if (pc <= threshold) {
+      sc.kind[i] = ColumnKind::kList;
+      len = pc;
+    } else if (n_samples - pc <= threshold) {
+      sc.kind[i] = ColumnKind::kComplement;
+      len = n_samples - pc;
+    }
+    if (sc.kind[i] != ColumnKind::kDense) ++sc.sparse_count;
+    sc.offset[i + 1] = sc.offset[i] + len;
+  }
+  return sc;
+}
+
 SparseColumns classify_sparse_columns(const BitMatrixView& m,
                                       std::size_t threshold,
                                       unsigned threads) {
-  SparseColumns sc;
-  sc.threshold = threshold;
-  sc.n_samples = m.n_samples;
-  const std::size_t n = m.n_snps;
-  sc.popcount.resize(n);
-  sc.kind.assign(n, ColumnKind::kDense);
-  sc.offset.assign(n + 1, 0);
-  if (n == 0 || m.n_words == 0) {
-    return sc;
-  }
-  // Resolve the backend once — per-row kAuto re-resolution was measurable
-  // across the million-row packs the shard ingester feeds through here.
-  const PopcountMethod pm = resolve_popcount_method();
-  const std::uint64_t padding = ~tail_mask(m.n_words, m.n_samples);
-  // Counts: offset[i + 1] holds column i's list length until the prefix
-  // sum below turns the lengths into CSR offsets.
-  run_split(n, threads, [&](Range rows) {
-    for (std::size_t i = rows.begin; i < rows.end; ++i) {
-      const std::uint64_t* row = m.row(i);
-      // Clean padding makes every list exactly its popcount-derived size.
-      LDLA_EXPECT((row[m.n_words - 1] & padding) == 0,
-                  "row padding bits past n_samples must be zero");
-      const std::uint64_t pc =
-          popcount_words(std::span<const std::uint64_t>(row, m.n_words), pm);
-      sc.popcount[i] = static_cast<std::uint32_t>(pc);
-      if (threshold == 0) continue;
-      if (pc <= threshold) {
-        sc.kind[i] = ColumnKind::kList;
-        sc.offset[i + 1] = pc;
-      } else if (m.n_samples - pc <= threshold) {
-        sc.kind[i] = ColumnKind::kComplement;
-        sc.offset[i + 1] = m.n_samples - pc;
+  std::vector<std::uint32_t> popcount(m.n_snps);
+  if (m.n_snps != 0 && m.n_words != 0) {
+    // Resolve the backend once — per-row kAuto re-resolution was
+    // measurable across the million-row packs the shard ingester feeds
+    // through here.
+    const PopcountMethod pm = resolve_popcount_method();
+    const std::uint64_t padding = ~tail_mask(m.n_words, m.n_samples);
+    run_split(m.n_snps, threads, [&](Range rows) {
+      for (std::size_t i = rows.begin; i < rows.end; ++i) {
+        const std::uint64_t* row = m.row(i);
+        // Clean padding makes every list exactly its popcount-derived size.
+        LDLA_EXPECT((row[m.n_words - 1] & padding) == 0,
+                    "row padding bits past n_samples must be zero");
+        popcount[i] = static_cast<std::uint32_t>(popcount_words(
+            std::span<const std::uint64_t>(row, m.n_words), pm));
       }
-    }
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sc.kind[i] != ColumnKind::kDense) ++sc.sparse_count;
-    sc.offset[i + 1] += sc.offset[i];
+    });
   }
-  return sc;
+  return classify_popcounts(std::move(popcount), m.n_samples, threshold);
 }
 
 void extract_sparse_lists(const BitMatrixView& m, SparseColumns& sc,

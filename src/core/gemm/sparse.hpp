@@ -54,12 +54,20 @@ struct SparseColumns {
   }
 };
 
-/// Classification pass: record every column's popcount and kind, and size
-/// each list from its popcount so `offset` holds the exact CSR layout;
-/// `index` is left empty. `threads` > 1 splits the rows across a
-/// global_pool() team. A column qualifying both ways (threshold >=
-/// n_samples/2) is stored as kList. Rows must have clean padding (bits past
-/// n_samples zero); a dirty row is a contract violation.
+/// The popcount → kind rule, the one place it lives: a column whose
+/// popcount is within `threshold` is kList, one whose zero count is, is
+/// kComplement (kList wins when both qualify, threshold >= n_samples/2),
+/// the rest kDense. Fills kind, the exact CSR layout (each list sized from
+/// its popcount) and sparse_count; `index` is left empty. Every popcount
+/// must be <= n_samples. Both an owned pack (through
+/// classify_sparse_columns) and a mapped shard (ShardStore) classify here.
+SparseColumns classify_popcounts(std::vector<std::uint32_t> popcount,
+                                 std::size_t n_samples, std::size_t threshold);
+
+/// Classification pass: count every column's set bits (`threads` > 1
+/// splits the rows across a global_pool() team) and classify them with
+/// classify_popcounts. Rows must have clean padding (bits past n_samples
+/// zero); a dirty row is a contract violation.
 SparseColumns classify_sparse_columns(const BitMatrixView& m,
                                       std::size_t threshold,
                                       unsigned threads = 1);

@@ -24,11 +24,14 @@
 namespace ldla {
 namespace {
 
-// "LDLASH01": LDLA SHard store, format version 01.
-constexpr unsigned char kMagic[8] = {'L', 'D', 'L', 'A', 'S', 'H', '0', '1'};
+// "LDLASH02": LDLA SHard store, format version 02. Version 01 also stored
+// the data a pack derives (kinds, CSR offsets, prescaled lists, sliver
+// flags); it is recognized only to name the remedy.
+constexpr unsigned char kMagic[8] = {'L', 'D', 'L', 'A', 'S', 'H', '0', '2'};
+constexpr unsigned char kMagicV01[8] = {'L', 'D', 'L', 'A', 'S', 'H', '0', '1'};
 constexpr std::size_t kHeaderU64s = 14;
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + kHeaderU64s * 8;
-constexpr std::size_t kRecordU64s = 16;
+constexpr std::size_t kRecordU64s = 8;
 constexpr std::size_t kRecordBytes = kRecordU64s * 8;
 constexpr std::size_t kAlign = 64;  ///< every section offset (payload pointers
                                     ///< must satisfy AlignedBuffer alignment)
@@ -52,13 +55,15 @@ std::uint64_t mul_checked(std::uint64_t a, std::uint64_t b) {
   return static_cast<std::uint64_t>(wide);
 }
 
-/// The pack geometry a shard of `rows` SNPs must have under `plan`: the
-/// exact words-per-side formula of PackedBitMatrix::init_side_layout, in
-/// closed form (every panel but the last holds kc words, so the padded
-/// panel sum needs no per-panel walk — forged headers cannot make this
-/// slow). Any recorded sliver extent differing from this is forged.
-std::uint64_t expected_side_words(const GemmPlan& plan, std::uint64_t rows,
-                                  std::uint64_t n_words, std::uint64_t r) {
+/// The bytes of one sliver side of a shard of `rows` SNPs: the exact
+/// words-per-side formula of PackedBitMatrix::init_side_layout, in closed
+/// form (every panel but the last holds kc words, so the padded panel sum
+/// needs no per-panel walk — forged headers cannot make this slow). The
+/// store never records a sliver extent; this is the only size it has.
+std::uint64_t side_bytes(const ShardIndex& idx, std::uint64_t rows,
+                         std::uint64_t r) {
+  const GemmPlan& plan = idx.plan;
+  const std::uint64_t n_words = idx.n_words;
   const std::uint64_t k_padded = (n_words + plan.ku - 1) / plan.ku * plan.ku;
   const std::uint64_t kc = plan.kc_words < k_padded ? plan.kc_words : k_padded;
   const std::uint64_t panels = (n_words + kc - 1) / kc;
@@ -68,15 +73,12 @@ std::uint64_t expected_side_words(const GemmPlan& plan, std::uint64_t rows,
   const std::uint64_t kcp_last = (last_kc + plan.ku - 1) / plan.ku * plan.ku;
   const __uint128_t kcp_sum =
       static_cast<__uint128_t>(panels - 1) * kcp_full + kcp_last;
-  const __uint128_t words = static_cast<__uint128_t>(slivers) * r * kcp_sum;
-  if (words > std::numeric_limits<std::uint64_t>::max()) {
+  const __uint128_t bytes =
+      static_cast<__uint128_t>(slivers) * r * kcp_sum * 8;
+  if (bytes > std::numeric_limits<std::uint64_t>::max()) {
     bad("side payload size overflows (absurd geometry)");
   }
-  return static_cast<std::uint64_t>(words);
-}
-
-std::uint64_t slivers_for(std::uint64_t rows, std::uint64_t r) {
-  return (rows + r - 1) / r;
+  return static_cast<std::uint64_t>(bytes);
 }
 
 /// Validate one recorded extent and remember it for the overlap check.
@@ -103,6 +105,10 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
   LDLA_EXPECT(data != nullptr || size == 0,
               "parse_shard_index requires a valid byte span");
   if (size < kHeaderBytes) bad("truncated header");
+  if (std::memcmp(data, kMagicV01, sizeof(kMagicV01)) == 0) {
+    bad("LDLASH01 stores are no longer readable (format 02 re-derives their "
+        "sparse metadata); re-ingest the source with ldla_ingest");
+  }
   if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) bad("bad magic");
 
   std::uint64_t h[kHeaderU64s];
@@ -170,19 +176,11 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
     rec.row_begin = r[0];
     rec.row_end = r[1];
     rec.a_off = r[2];
-    rec.a_words = r[3];
-    rec.b_off = r[4];
-    rec.b_words = r[5];
-    rec.pop_off = r[6];
-    rec.kind_off = r[7];
-    rec.csr_off = r[8];
-    rec.index_off = r[9];
-    rec.index_count = r[10];
-    rec.scaled_off = r[11];
-    rec.sm_off = r[12];
-    rec.sm_stride = r[13];
-    rec.aflags_off = r[14];
-    rec.bflags_off = r[15];
+    rec.b_off = r[3];
+    rec.pop_off = r[4];
+    rec.index_off = r[5];
+    rec.index_count = r[6];
+    rec.sm_off = r[7];
 
     // Shards must partition [0, n_snps) contiguously in order.
     const std::uint64_t expect_begin = s == 0 ? 0 : out.shards[s - 1].row_end;
@@ -195,38 +193,24 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
     }
     const std::uint64_t rows = rec.rows();
 
-    // Sliver payloads must have EXACTLY the plan-implied size — this is
-    // the "absurd sliver count" defense: a forged a_words cannot smuggle
-    // an oversized (or undersized) panel past the drivers.
-    if (rec.a_words !=
-        expected_side_words(out.plan, rows, out.n_words, out.plan.mr)) {
-      bad("A-side extent inconsistent with the plan geometry");
-    }
-    check_extent(rec.a_off, mul_checked(rec.a_words, 8), out.file_bytes,
-                 "A slivers", &spans);
+    // Sliver extents are the plan-implied sizes, never recorded, so a
+    // forged directory cannot smuggle an oversized (or undersized) panel
+    // past the drivers. B is stored exactly when the tile is not square.
+    check_extent(rec.a_off, side_bytes(out, rows, out.plan.mr),
+                 out.file_bytes, "A slivers", &spans);
     if (rec.a_off == 0) bad("shard lacks an A payload");
-    if (rec.b_off == 0) {
-      if (rec.b_words != 0) bad("shared B side must record zero words");
-      if (out.plan.mr != out.plan.nr) {
-        bad("B side absent but register tile is not square");
-      }
-    } else {
-      if (rec.b_words !=
-          expected_side_words(out.plan, rows, out.n_words, out.plan.nr)) {
-        bad("B-side extent inconsistent with the plan geometry");
-      }
-      check_extent(rec.b_off, mul_checked(rec.b_words, 8), out.file_bytes,
-                   "B slivers", &spans);
+    if ((rec.b_off != 0) != (out.plan.mr != out.plan.nr)) {
+      bad(rec.b_off != 0 ? "B slivers recorded for a square register tile"
+                         : "B side absent but register tile is not square");
+    }
+    if (rec.b_off != 0) {
+      check_extent(rec.b_off, side_bytes(out, rows, out.plan.nr),
+                   out.file_bytes, "B slivers", &spans);
     }
 
     check_extent(rec.pop_off, mul_checked(rows, 4), out.file_bytes,
                  "popcounts", &spans);
-    check_extent(rec.kind_off, rows, out.file_bytes, "column kinds", &spans);
-    check_extent(rec.csr_off, mul_checked(rows + 1, 8), out.file_bytes,
-                 "CSR offsets", &spans);
-    if (rec.pop_off == 0 || rec.kind_off == 0 || rec.csr_off == 0) {
-      bad("shard lacks sparse metadata sections");
-    }
+    if (rec.pop_off == 0) bad("shard lacks its popcounts");
     if (rec.index_count > mul_checked(rows, out.n_samples)) {
       bad("absurd index-list count");
     }
@@ -237,38 +221,14 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
                  out.file_bytes, "index lists", &spans);
 
     if (rec.sm_off != 0) {
-      if (rec.sm_stride != words_for_bits(rows)) {
-        bad("sample-major stride inconsistent with the shard rows");
-      }
-      const std::uint64_t sm_words = mul_checked(out.n_samples, rec.sm_stride);
+      const std::uint64_t sm_words =
+          mul_checked(out.n_samples, words_for_bits(rows));
       if (sm_words > std::numeric_limits<std::uint32_t>::max()) {
         bad("sample-major transpose too large for prescaled 32-bit lists");
       }
       check_extent(rec.sm_off, mul_checked(sm_words, 8), out.file_bytes,
                    "sample-major transpose", &spans);
-    } else if (rec.sm_stride != 0) {
-      bad("sample-major stride recorded without a transpose");
     }
-    // Prescaled lists exist exactly when there are lists to scale AND a
-    // transpose to scale against.
-    if ((rec.scaled_off != 0) !=
-        (rec.index_count != 0 && rec.sm_off != 0)) {
-      bad("prescaled list presence inconsistent with transpose/lists");
-    }
-    check_extent(rec.scaled_off,
-                 rec.scaled_off != 0 ? mul_checked(rec.index_count, 4) : 0,
-                 out.file_bytes, "prescaled lists", &spans);
-
-    // Sliver flags are optional (absent when no sliver classified sparse).
-    check_extent(rec.aflags_off,
-                 rec.aflags_off != 0 ? slivers_for(rows, out.plan.mr) : 0,
-                 out.file_bytes, "A sliver flags", &spans);
-    if (rec.b_off == 0 && rec.bflags_off != 0) {
-      bad("B sliver flags recorded for a shared B side");
-    }
-    check_extent(rec.bflags_off,
-                 rec.bflags_off != 0 ? slivers_for(rows, out.plan.nr) : 0,
-                 out.file_bytes, "B sliver flags", &spans);
   }
 
   // No two recorded extents may overlap (a forged directory aliasing the
@@ -365,35 +325,18 @@ void write_shard_store(const std::string& path, const BitMatrixView& m,
     ShardRecord& rec = records[s];
     rec.row_begin = r0;
     rec.row_end = r1;
-    rec.a_words = pk.a_data_words();
-    rec.a_off = put_section(out, pk.a_data(), rec.a_words * 8);
+    rec.a_off = put_section(out, pk.a_data(), pk.a_data_words() * 8);
     if (pk.b_data() != nullptr) {  // mr != nr: distinct B payload
-      rec.b_words = pk.b_data_words();
-      rec.b_off = put_section(out, pk.b_data(), rec.b_words * 8);
+      rec.b_off = put_section(out, pk.b_data(), pk.b_data_words() * 8);
     }
     rec.pop_off = put_section(out, sp.popcount.data(), sub.n_snps * 4);
-    rec.kind_off = put_section(out, sp.kind.data(), sub.n_snps);
-    rec.csr_off = put_section(out, sp.offset.data(), (sub.n_snps + 1) * 8);
     rec.index_count = sp.index.size();
     if (rec.index_count != 0) {
       rec.index_off = put_section(out, sp.index.data(), rec.index_count * 4);
     }
     if (pk.has_sample_major()) {
-      rec.sm_stride = pk.sample_major_stride();
       rec.sm_off = put_section(out, pk.sample_major(),
-                               m.n_samples * rec.sm_stride * 8);
-      if (rec.index_count != 0) {
-        rec.scaled_off =
-            put_section(out, pk.scaled_index(), rec.index_count * 4);
-      }
-    }
-    if (!pk.a_sliver_flags().empty()) {
-      rec.aflags_off = put_section(out, pk.a_sliver_flags().data(),
-                                   pk.a_sliver_flags().size());
-    }
-    if (!pk.b_sliver_flags().empty() && pk.b_data() != nullptr) {
-      rec.bflags_off = put_section(out, pk.b_sliver_flags().data(),
-                                   pk.b_sliver_flags().size());
+                               m.n_samples * pk.sample_major_stride() * 8);
     }
   }
 
@@ -402,10 +345,8 @@ void write_shard_store(const std::string& path, const BitMatrixView& m,
   dir.reserve(shard_count * kRecordU64s);
   for (const ShardRecord& rec : records) {
     const std::uint64_t fields[kRecordU64s] = {
-        rec.row_begin, rec.row_end,   rec.a_off,       rec.a_words,
-        rec.b_off,     rec.b_words,   rec.pop_off,     rec.kind_off,
-        rec.csr_off,   rec.index_off, rec.index_count, rec.scaled_off,
-        rec.sm_off,    rec.sm_stride, rec.aflags_off,  rec.bflags_off};
+        rec.row_begin, rec.row_end,   rec.a_off,       rec.b_off,
+        rec.pop_off,   rec.index_off, rec.index_count, rec.sm_off};
     dir.insert(dir.end(), fields, fields + kRecordU64s);
   }
   const std::uint64_t dir_off =
@@ -465,7 +406,7 @@ std::string plan_geometry(const GemmPlan& p) {
 }
 
 /// One section of a shard: its extent (offset 0 = absent, with 0 bytes)
-/// and whether the kernels alias it in place. materialize() copies or
+/// and whether the kernels alias it in place. materialize() copies and
 /// validates the other sections; shard() faults the aliased ones in.
 struct Section {
   std::uint64_t off = 0;
@@ -477,23 +418,18 @@ struct Section {
 /// accepted. open() sums it into the shard's byte accounting, prefetch()
 /// and release() advise it to the kernel, and shard() touches its aliased
 /// part, so the four cannot disagree on what a shard is.
-std::array<Section, 10> shard_sections(const ShardRecord& rec,
-                                       const ShardIndex& idx) {
+std::array<Section, 5> shard_sections(const ShardRecord& rec,
+                                      const ShardIndex& idx) {
   const std::uint64_t rows = rec.rows();
   const auto section = [](std::uint64_t off, std::uint64_t bytes,
                           bool aliased = false) {
     return Section{off, off != 0 ? bytes : 0, aliased};
   };
-  return {section(rec.a_off, rec.a_words * 8, true),
-          section(rec.b_off, rec.b_words * 8, true),
+  return {section(rec.a_off, side_bytes(idx, rows, idx.plan.mr), true),
+          section(rec.b_off, side_bytes(idx, rows, idx.plan.nr), true),
           section(rec.pop_off, rows * 4),
-          section(rec.kind_off, rows),
-          section(rec.csr_off, (rows + 1) * 8),
           section(rec.index_off, rec.index_count * 4),
-          section(rec.scaled_off, rec.index_count * 4),
-          section(rec.sm_off, idx.n_samples * rec.sm_stride * 8, true),
-          section(rec.aflags_off, slivers_for(rows, idx.plan.mr)),
-          section(rec.bflags_off, slivers_for(rows, idx.plan.nr))};
+          section(rec.sm_off, idx.n_samples * words_for_bits(rows) * 8, true)};
 }
 
 }  // namespace
@@ -596,117 +532,54 @@ void ShardStore::touch_extent(std::uint64_t off, std::uint64_t bytes) const {
 std::unique_ptr<PackedBitMatrix> ShardStore::materialize(std::size_t i) const {
   const ShardRecord& rec = record(i);
   const std::uint64_t rows = rec.rows();
-  const std::size_t count = static_cast<std::size_t>(rec.index_count);
+  const std::uint64_t n = index_.n_samples;
 
   // The index parse bounded every extent; here the *contents* get their
   // one-time semantic validation, so the kernels can gather unchecked.
-  SparseColumns sp;
-  sp.threshold = index_.plan.sparse_threshold;
-  sp.n_samples = index_.n_samples;
+  // Kinds and CSR offsets are derived from the popcounts by the packer's
+  // own rule, so only the lists themselves can disagree with them.
   const auto* pop = reinterpret_cast<const std::uint32_t*>(map_ + rec.pop_off);
-  sp.popcount.assign(pop, pop + rows);
   for (std::uint64_t c = 0; c < rows; ++c) {
-    if (sp.popcount[c] > index_.n_samples) {
-      bad("popcount exceeds the sample count");
-    }
+    if (pop[c] > n) bad("popcount exceeds the sample count");
   }
-  const std::uint8_t* kind = map_ + rec.kind_off;
-  sp.kind.resize(rows);
-  for (std::uint64_t c = 0; c < rows; ++c) {
-    if (kind[c] > static_cast<std::uint8_t>(ColumnKind::kComplement)) {
-      bad("unknown column kind");
-    }
-    sp.kind[c] = static_cast<ColumnKind>(kind[c]);
-    if (sp.kind[c] != ColumnKind::kDense) ++sp.sparse_count;
+  SparseColumns sp = classify_popcounts({pop, pop + rows}, n,
+                                        index_.plan.sparse_threshold);
+  if (sp.offset.back() != rec.index_count) {
+    bad("index list count disagrees with the popcount-derived total");
   }
-  const auto* csr = reinterpret_cast<const std::uint64_t*>(map_ + rec.csr_off);
-  sp.offset.assign(csr, csr + rows + 1);
-  if (sp.offset.front() != 0 || sp.offset.back() != rec.index_count) {
-    bad("CSR offsets do not span the index lists");
-  }
-  for (std::uint64_t c = 0; c < rows; ++c) {
-    if (sp.offset[c] > sp.offset[c + 1]) bad("CSR offsets not monotone");
-  }
-  if (count != 0) {
+  if (rec.index_count != 0) {
     const auto* idx =
         reinterpret_cast<const std::uint32_t*>(map_ + rec.index_off);
-    sp.index.assign(idx, idx + count);
-    for (std::size_t j = 0; j < count; ++j) {
-      if (sp.index[j] >= index_.n_samples) bad("index entry out of range");
-    }
+    sp.index.assign(idx, idx + rec.index_count);
   }
-  // Each list must hold exactly the samples its kind and popcount imply,
-  // once each: a forged duplicate would be counted twice by the kernels.
+  // Each list must hold its samples once each, in order: a forged
+  // duplicate would be counted twice by the kernels.
   for (std::uint64_t c = 0; c < rows; ++c) {
-    std::uint64_t want = 0;
-    if (sp.kind[c] == ColumnKind::kList) want = sp.popcount[c];
-    if (sp.kind[c] == ColumnKind::kComplement) {
-      want = index_.n_samples - sp.popcount[c];
-    }
-    if (sp.offset[c + 1] - sp.offset[c] != want) {
-      bad("index list length disagrees with its kind and popcount");
-    }
-    for (std::uint64_t e = sp.offset[c] + 1; e < sp.offset[c + 1]; ++e) {
-      if (sp.index[e - 1] >= sp.index[e]) {
+    for (std::uint64_t e = sp.offset[c]; e < sp.offset[c + 1]; ++e) {
+      if (sp.index[e] >= n) bad("index entry out of range");
+      if (e > sp.offset[c] && sp.index[e - 1] >= sp.index[e]) {
         bad("index list not strictly increasing");
       }
     }
   }
-  const auto* scaled =
-      rec.scaled_off != 0
-          ? reinterpret_cast<const std::uint32_t*>(map_ + rec.scaled_off)
-          : nullptr;
-  if (scaled != nullptr) {
-    // The prescaled entries are the gather's unchecked addresses: each must
-    // be exactly index*stride, which also bounds it inside the transpose.
-    for (std::size_t j = 0; j < count; ++j) {
-      if (scaled[j] != sp.index[j] * rec.sm_stride) {
-        bad("prescaled list entry does not match its index");
-      }
-    }
+  if ((rec.sm_off != 0) != (sp.sparse_count != 0)) {
+    bad(rec.sm_off != 0
+            ? "sample-major transpose recorded for an all-dense shard"
+            : "sparse columns recorded without a sample-major transpose");
   }
-
-  auto read_flags = [&](std::uint64_t off, std::uint64_t r) {
-    std::vector<std::uint8_t> flags;
-    if (off != 0) {
-      const std::uint8_t* f = map_ + off;
-      flags.assign(f, f + slivers_for(rows, r));
-      // A flag may only claim a sliver sparse when every real row in the
-      // group is list/complement classified (the dispatch precondition the
-      // list kernels rely on).
-      for (std::size_t s = 0; s < flags.size(); ++s) {
-        if (flags[s] == 0) continue;
-        const std::uint64_t lo = s * r;
-        const std::uint64_t hi = std::min<std::uint64_t>(rows, lo + r);
-        for (std::uint64_t c = lo; c < hi; ++c) {
-          if (sp.kind[c] == ColumnKind::kDense) {
-            bad("sliver flagged sparse over a dense column");
-          }
-        }
-      }
-    }
-    return flags;
-  };
 
   ExternalPack ext;
   ext.plan = index_.plan;
   ext.n_snps = rows;
   ext.n_words = index_.n_words;
-  ext.n_samples = index_.n_samples;
+  ext.n_samples = n;
   ext.a_data = reinterpret_cast<const std::uint64_t*>(map_ + rec.a_off);
   ext.b_data = rec.b_off != 0 ? reinterpret_cast<const std::uint64_t*>(
                                     map_ + rec.b_off)
                               : nullptr;
-  ext.a_sliver_sparse = read_flags(rec.aflags_off, index_.plan.mr);
-  ext.b_sliver_sparse = read_flags(rec.bflags_off, index_.plan.nr);
-  if (rec.sm_off != 0) {
-    ext.sample_major =
-        reinterpret_cast<const std::uint64_t*>(map_ + rec.sm_off);
-    ext.sm_stride = rec.sm_stride;
-    ext.scaled_index = scaled;
-  } else if (sp.sparse_count != 0) {
-    bad("sparse columns recorded without a sample-major transpose");
-  }
+  ext.sample_major =
+      rec.sm_off != 0 ? reinterpret_cast<const std::uint64_t*>(map_ + rec.sm_off)
+                      : nullptr;
   ext.sparse = std::move(sp);
   return std::make_unique<PackedBitMatrix>(
       PackedBitMatrix::from_external(std::move(ext)));
@@ -723,9 +596,10 @@ bool ShardStore::verify_shard_popcounts(std::size_t i) const {
     // of samples with bit b of transpose word w set, i.e. the derived
     // count of shard-local SNP w*64 + b.
     const auto* sm = reinterpret_cast<const std::uint64_t*>(map_ + rec.sm_off);
-    std::vector<std::uint32_t> counts(rec.sm_stride * 64);
-    positional_popcount_strip(sm, index_.n_samples, rec.sm_stride,
-                              rec.sm_stride, counts.data());
+    const std::uint64_t stride = words_for_bits(rows);
+    std::vector<std::uint32_t> counts(stride * 64);
+    positional_popcount_strip(sm, index_.n_samples, stride, stride,
+                              counts.data());
     for (std::uint64_t c = 0; c < rows; ++c) {
       if (counts[c] != pop[c]) return false;
     }

@@ -4,13 +4,17 @@
 // Every driver consumes packed slivers through PackedBitMatrix, so packing
 // is the natural persistence boundary: write_shard_store() splits the SNP
 // rows into shards, packs each one with a single resolved GemmPlan, and
-// serializes the payloads byte-for-byte (slivers, sparse index lists,
-// sample-major transpose blocks, prescaled gather lists — everything
-// DESIGN.md §4.6 builds at pack time). Packing cost is paid once per
+// serializes byte-for-byte the payloads that cannot be re-derived: the
+// slivers, the per-column popcounts, the sparse index lists and the
+// sample-major transpose (DESIGN.md §4.6). Packing cost is paid once per
 // dataset, at ingest (tools/ldla_ingest.cpp); at compute time the store is
 // mmap'd read-only and each shard is adopted into a PackedBitMatrix via
-// from_external(), aliasing the mapping with zero copy — the packed /
-// fused / nest drivers cannot tell a mapped shard from an owned pack.
+// from_external(), aliasing the slivers and the transpose with zero copy —
+// the packed / fused / nest drivers cannot tell a mapped shard from an
+// owned pack. Everything else a pack holds is derived at materialize time
+// by the packer's own code: column kinds and CSR offsets from the
+// popcounts (classify_popcounts), sliver flags and the prescaled lists in
+// from_external().
 //
 // Residency model: the store is the only layer allowed to issue
 // mmap/madvise/mincore syscalls (lint-enforced). A shard becomes resident
@@ -20,15 +24,23 @@
 // this process). resident_bytes() is the store's own accounting of
 // materialized payload bytes — the deterministic quantity the streaming
 // driver budgets against; probe_resident_bytes() asks the kernel (mincore)
-// for the actual page residency of the mapping as a cross-check.
+// for the actual page residency of the mapping as a cross-check. The
+// heap side of a materialized shard (its copied popcounts and lists plus
+// the derived kinds, CSR offsets, sliver flags and prescaled lists: about
+// 13 bytes per row and 8 per list entry) does NOT count toward
+// shard_bytes() or resident_bytes(), which count exactly the mapped bytes
+// a shard faults in.
 //
 // Format hardening: the header/index parser is exposed over a raw byte
 // span (parse_shard_index) so the fuzz harness drives it directly, and it
 // rejects forged inputs the way io/ldm_binary.cpp does — bad magic,
-// truncated maps, extents outside the file, overlapping extents, sliver
-// geometry inconsistent with the plan, absurd counts — all via ParseError.
+// truncated maps, extents outside the file, overlapping extents, a B side
+// on a square tile (or none on a non-square one), absurd counts — all via
+// ParseError. Sliver and transpose extents are not recorded at all: they
+// are the plan- and row-implied sizes. An LDLASH01 store (which persisted
+// the derived metadata too) is rejected with the ldla_ingest remedy.
 //
-// Plan check: the LDLASH01 header pins the (arch, mr, nr, ku, kc) geometry
+// Plan check: the LDLASH02 header pins the (arch, mr, nr, ku, kc) geometry
 // the slivers were packed with, and plan() is always that stored plan, so
 // every shard aliases the mapping and resident_bytes() is exact. open()
 // rejects a store whose plan names a kernel variant this build never
@@ -49,26 +61,23 @@
 
 namespace ldla {
 
-/// Directory record of one shard: byte offsets (from file start, 64-byte
-/// aligned) and element counts of every serialized section. Offset 0 marks
-/// an absent optional section.
+/// Directory record of one shard (8 × u64 on disk, in this order): byte
+/// offsets (from file start, 64-byte aligned) of its at most five sections,
+/// plus the list-entry count. Offset 0 marks an absent optional section.
+/// Section sizes that follow from the plan and the row count are not
+/// recorded: each sliver side is expected_side_words (the pack's own
+/// layout formula) and the transpose stride is words_for_bits(rows).
 struct ShardRecord {
   std::uint64_t row_begin = 0;  ///< first SNP row (global index)
   std::uint64_t row_end = 0;    ///< one past the last SNP row
-  std::uint64_t a_off = 0;      ///< A-side slivers (u64 × a_words)
-  std::uint64_t a_words = 0;
-  std::uint64_t b_off = 0;      ///< B-side slivers; absent when shared (mr==nr)
-  std::uint64_t b_words = 0;
+  std::uint64_t a_off = 0;      ///< A-side slivers (mr grid)
+  std::uint64_t b_off = 0;      ///< B-side slivers; present iff mr != nr
   std::uint64_t pop_off = 0;    ///< per-column popcounts (u32 × rows)
-  std::uint64_t kind_off = 0;   ///< per-column ColumnKind (u8 × rows)
-  std::uint64_t csr_off = 0;    ///< CSR offsets (u64 × (rows+1))
   std::uint64_t index_off = 0;  ///< concatenated index lists (u32 × count)
-  std::uint64_t index_count = 0;
-  std::uint64_t scaled_off = 0;  ///< prescaled lists (u32 × count)
-  std::uint64_t sm_off = 0;      ///< sample-major transpose (u64 × samples·stride)
-  std::uint64_t sm_stride = 0;   ///< words per transpose row (0 = absent)
-  std::uint64_t aflags_off = 0;  ///< mr-sliver sparse flags (u8 × slivers)
-  std::uint64_t bflags_off = 0;  ///< nr-sliver sparse flags (absent when shared)
+  std::uint64_t index_count = 0;  ///< the popcount-derived list total
+  std::uint64_t sm_off = 0;  ///< sample-major transpose (u64 × samples ×
+                             ///< words_for_bits(rows)); present iff a
+                             ///< column is sparse
 
   [[nodiscard]] std::uint64_t rows() const noexcept {
     return row_end - row_begin;
@@ -87,9 +96,9 @@ struct ShardIndex {
 
 /// Parse and validate a shard-store header + directory from a byte span
 /// (the mmap'd file, or fuzzer-supplied bytes). Throws ParseError on any
-/// malformed input; on success every recorded extent is in-bounds,
-/// 64-byte aligned, non-overlapping, and consistent with the plan-implied
-/// sliver geometry. Payload *contents* are validated lazily at shard
+/// malformed input; on success every section extent (recorded offset,
+/// plan- or row-implied size) is in-bounds, 64-byte aligned and
+/// non-overlapping. Payload *contents* are validated lazily at shard
 /// materialization (ShardStore::shard).
 ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size);
 
@@ -133,7 +142,7 @@ class ShardStore {
   [[nodiscard]] std::size_t words_per_snp() const noexcept {
     return index_.n_words;
   }
-  /// The plan recorded in the LDLASH01 header; every shard materializes
+  /// The plan recorded in the LDLASH02 header; every shard materializes
   /// under it, aliasing the mapped slivers.
   [[nodiscard]] const GemmPlan& plan() const noexcept { return index_.plan; }
   [[nodiscard]] const ShardRecord& record(std::size_t i) const;
@@ -163,9 +172,13 @@ class ShardStore {
   void prefetch(std::size_t i) const;
 
   /// Materialize shard `i`: adopt the mapped payloads into a
-  /// PackedBitMatrix (validating payload invariants; throws ParseError on
-  /// corrupt contents) and explicitly fault its pages in under the io
-  /// phase (counted in io_bytes_read). Idempotent; returns the shard.
+  /// PackedBitMatrix, deriving its sparse metadata, and explicitly fault
+  /// its pages in under the io phase (counted in io_bytes_read).
+  /// Idempotent; returns the shard. Throws ParseError on corrupt contents:
+  /// a popcount above the sample count, a list-entry count other than the
+  /// popcount-derived total, a list entry out of range or out of order, or
+  /// a transpose that is present without a sparse column (or absent with
+  /// one).
   const PackedBitMatrix& shard(std::size_t i);
 
   /// Was shard `i` materialized (and not yet released)?

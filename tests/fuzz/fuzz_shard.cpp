@@ -1,12 +1,28 @@
-// Fuzz harness for the shard-store header/directory parser.
+// Fuzz harness for the shard store: the header/directory parser and shard
+// materialization.
 //
 // parse_shard_index consumes an attacker-controlled byte span (the mmap'd
 // file) and its output drives pointer arithmetic into the mapping, so the
 // invariants checked here on ACCEPTED inputs are exactly the ones the
-// ShardStore relies on for memory safety: every extent in-bounds and
-// aligned, extents pairwise disjoint, the row partition contiguous over
-// [0, n_snps), and the sliver word counts equal to what the plan implies.
+// ShardStore relies on for memory safety: every section extent (recorded
+// offset, plan- or row-implied size) in-bounds and aligned, extents
+// pairwise disjoint, the row partition contiguous over [0, n_snps), and a
+// B side present exactly when the register tile is not square.
+//
+// An accepted input is then opened as a store (through a per-process temp
+// file: ShardStore maps paths) and every shard materialized, so the content
+// checks that live only in materialize face the same inputs. A shard that
+// materializes must hold what the kernels gather through unchecked: every
+// list entry a sample index, ascending within its column, the prescaled
+// copy equal to index × stride, and a transpose exactly when a column is
+// sparse.
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,14 +36,83 @@ namespace {
 void check_extent(std::vector<std::pair<std::uint64_t, std::uint64_t>>& spans,
                   std::uint64_t off, std::uint64_t bytes,
                   std::uint64_t file_bytes) {
-  if (off == 0) {
-    ldla::fuzz::require(bytes == 0, "shard: absent section with bytes");
-    return;
-  }
+  if (off == 0) return;
+  ldla::fuzz::require(bytes != 0, "shard: present section with no bytes");
   ldla::fuzz::require(off % 64 == 0, "shard: misaligned extent");
   ldla::fuzz::require(off <= file_bytes && bytes <= file_bytes - off,
                       "shard: extent outside the file");
   spans.emplace_back(off, bytes);
+}
+
+/// Words of one sliver side, walked panel by panel as the pack lays them
+/// out (independent of the parser's closed form). Bounded by the file size
+/// on accepted inputs: every panel adds at least one word per row.
+std::uint64_t side_words(const ldla::ShardIndex& idx, std::uint64_t rows,
+                         std::uint64_t r) {
+  const ldla::GemmPlan& p = idx.plan;
+  const std::uint64_t k_padded = (idx.n_words + p.ku - 1) / p.ku * p.ku;
+  const std::uint64_t kc = std::min<std::uint64_t>(p.kc_words, k_padded);
+  std::uint64_t words = 0;
+  for (std::uint64_t k0 = 0; k0 < idx.n_words; k0 += kc) {
+    const std::uint64_t kcp =
+        (std::min(kc, idx.n_words - k0) + p.ku - 1) / p.ku * p.ku;
+    words += (rows + r - 1) / r * r * kcp;
+  }
+  return words;
+}
+
+const std::string& input_path() {
+  static const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ldla_fuzz_shard_" + std::to_string(::getpid()) + ".ldshard"))
+          .string();
+  return path;
+}
+
+void check_pack(const ldla::PackedBitMatrix& pk, std::uint64_t rows) {
+  const ldla::SparseColumns& sc = pk.sparse_columns();
+  ldla::fuzz::require(pk.snps() == rows && sc.kind.size() == rows &&
+                          sc.offset.size() == rows + 1 &&
+                          sc.offset.back() == sc.index.size(),
+                      "shard: sparse metadata does not cover the shard");
+  ldla::fuzz::require(pk.has_sample_major() == (sc.sparse_count != 0),
+                      "shard: transpose presence disagrees with the kinds");
+  for (std::size_t c = 0; c < rows; ++c) {
+    for (std::uint64_t e = sc.offset[c]; e < sc.offset[c + 1]; ++e) {
+      ldla::fuzz::require(sc.index[e] < pk.samples() &&
+                              (e == sc.offset[c] ||
+                               sc.index[e - 1] < sc.index[e]),
+                          "shard: list entry out of range or order");
+      ldla::fuzz::require(
+          !pk.has_sample_major() ||
+              pk.scaled_index()[e] == sc.index[e] * pk.sample_major_stride(),
+          "shard: prescaled entry differs from index x stride");
+    }
+  }
+}
+
+/// Open the accepted bytes as a store and materialize every shard; a
+/// corrupt payload may throw ldla::Error from any shard.
+void materialize_all(const std::uint8_t* data, std::size_t size) {
+  {
+    std::ofstream out(input_path(), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(data),
+              static_cast<std::streamsize>(size));
+    if (!out) ldla::fuzz::invariant_failure("shard: cannot write temp input");
+  }
+  try {
+    ldla::ShardStore store = ldla::ShardStore::open(input_path());
+    for (std::size_t i = 0; i < store.shards(); ++i) {
+      try {
+        check_pack(store.shard(i), store.shard_rows(i));
+        (void)store.verify_shard_popcounts(i);
+        store.release(i);
+      } catch (const ldla::Error&) {
+      }
+    }
+  } catch (const ldla::Error&) {
+  }
+  std::remove(input_path().c_str());
 }
 
 }  // namespace
@@ -48,26 +133,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       ldla::fuzz::require(rec.row_begin == next_row && rec.row_end > next_row,
                           "shard: broken row partition");
       next_row = rec.row_end;
-      check_extent(spans, rec.a_off, rec.a_words * 8, idx.file_bytes);
-      check_extent(spans, rec.b_off, rec.b_words * 8, idx.file_bytes);
-      check_extent(spans, rec.pop_off, rec.rows() * 4, idx.file_bytes);
-      check_extent(spans, rec.kind_off, rec.rows(), idx.file_bytes);
-      check_extent(spans, rec.csr_off, (rec.rows() + 1) * 8, idx.file_bytes);
-      check_extent(spans, rec.index_off, rec.index_count * 4, idx.file_bytes);
-      check_extent(spans, rec.scaled_off,
-                   rec.scaled_off != 0 ? rec.index_count * 4 : 0,
-                   idx.file_bytes);
-      check_extent(spans, rec.sm_off, idx.n_samples * rec.sm_stride * 8,
-                   idx.file_bytes);
-      ldla::fuzz::require(rec.pop_off != 0 && rec.kind_off != 0 &&
-                              rec.csr_off != 0,
+      const std::uint64_t rows = rec.rows();
+      ldla::fuzz::require(rec.a_off != 0 && rec.pop_off != 0,
                           "shard: mandatory section missing");
-      ldla::fuzz::require(rec.a_off != 0 && rec.a_words != 0,
-                          "shard: A slivers missing");
-      if (rec.b_off == 0) {
-        ldla::fuzz::require(idx.plan.mr == idx.plan.nr && rec.b_words == 0,
-                            "shard: shared B on asymmetric tile");
-      }
+      ldla::fuzz::require((rec.b_off != 0) == (idx.plan.mr != idx.plan.nr),
+                          "shard: B side disagrees with the tile shape");
+      check_extent(spans, rec.a_off, side_words(idx, rows, idx.plan.mr) * 8,
+                   idx.file_bytes);
+      check_extent(spans, rec.b_off, side_words(idx, rows, idx.plan.nr) * 8,
+                   idx.file_bytes);
+      check_extent(spans, rec.pop_off, rows * 4, idx.file_bytes);
+      ldla::fuzz::require((rec.index_off != 0) == (rec.index_count != 0),
+                          "shard: index lists disagree with their count");
+      check_extent(spans, rec.index_off, rec.index_count * 4, idx.file_bytes);
+      check_extent(spans, rec.sm_off,
+                   idx.n_samples * ldla::words_for_bits(rows) * 8,
+                   idx.file_bytes);
     }
     ldla::fuzz::require(next_row == idx.n_snps,
                         "shard: partition does not cover the matrix");
@@ -79,6 +160,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                           "shard: overlapping extents");
     }
   } catch (const ldla::Error&) {
+    return 0;
   }
+  materialize_all(data, size);
   return 0;
 }

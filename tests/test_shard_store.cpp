@@ -1,13 +1,16 @@
 // Shard-store round-trip, residency accounting and forged-input rejection,
 // plus the tile-store codec round trip.
 //
-// The store's contract is byte-exactness: a shard mmap'd back must alias
-// payloads bit-identical to what an in-memory pack of the same row window
-// under the same plan produces — slivers, sparse metadata, transpose and
-// prescaled gather lists alike. The forgery tests drive parse_shard_index
-// directly (the same entry point the fuzzer owns) with targeted single-field
-// corruptions of a genuine file, so every validation branch is known to be
-// reachable from real bytes.
+// The store's contract is byte-exactness: a shard mmap'd back must equal an
+// in-memory pack of the same row window under the same plan — the aliased
+// slivers and transpose bit for bit, and everything LDLASH02 re-derives
+// (kinds, CSR offsets, prescaled gather lists, sliver flags, the hybrid
+// switch) field for field — under a square plan (shared B) and a
+// non-square one (a B section on disk). The forgery tests drive
+// parse_shard_index directly (the same entry point the fuzzer owns) with
+// targeted single-field corruptions of a genuine file, and materialize
+// forged payloads through ShardStore, so every validation branch is known
+// to be reachable from real bytes.
 #include "io/shard_store.hpp"
 
 #include <cmath>
@@ -55,7 +58,7 @@ enum HeaderField : std::size_t {
   kFSnps = 0, kFWords, kFSamples, kFArch, kFMr, kFNr, kFKu, kFKc, kFMc, kFNc,
   kFSparse, kFShardCount, kFFileBytes, kFDirOff,
 };
-constexpr std::size_t kRecordU64s = 16;
+constexpr std::size_t kRecordU64s = 8;
 
 std::uint64_t get_field(const std::vector<std::uint8_t>& f, std::size_t i) {
   std::uint64_t v;
@@ -85,68 +88,143 @@ void set_rec(std::vector<std::uint8_t>& f, std::size_t shard,
 
 // ShardRecord field indices within a directory record.
 enum RecField : std::size_t {
-  kRRowBegin = 0, kRRowEnd, kRAOff, kRAWords, kRBOff, kRBWords, kRPopOff,
-  kRKindOff, kRCsrOff, kRIndexOff, kRIndexCount, kRScaledOff, kRSmOff,
-  kRSmStride, kRAFlagsOff, kRBFlagsOff,
+  kRRowBegin = 0, kRRowEnd, kRAOff, kRBOff, kRPopOff, kRIndexOff,
+  kRIndexCount, kRSmOff,
 };
 
-TEST(ShardStore, RoundTripAliasesPackIdenticalPayloads) {
-  // Sparse threshold forced on so index lists, transpose and prescaled
-  // sections are all exercised; ragged shard split (3 shards of 40/40/23).
-  const BitMatrix g = random_matrix(103, 530, 99, 0.05);
+void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(b.data()),
+             static_cast<std::streamsize>(b.size()));
+}
+
+/// Append `bytes` zero bytes at the next 64-byte boundary of the file (and
+/// record the new size in the header); returns the section's offset, for
+/// forging a section that is in-bounds, aligned and disjoint from the rest.
+std::uint64_t append_section(std::vector<std::uint8_t>& f, std::size_t bytes) {
+  const std::uint64_t off = (f.size() + 63) / 64 * 64;
+  f.resize(off + bytes, 0);
+  set_field(f, kFFileBytes, f.size());
+  return off;
+}
+
+/// The scalar square default (4x4, B shares A) and the scalar 2x8 variant
+/// (B stored as its own section).
+GemmConfig scalar_config(bool square) {
   GemmConfig cfg;
   cfg.arch = KernelArch::kScalar;
   cfg.kc_words = 4;
-
-  const std::string path = temp_path("roundtrip.ldshard");
-  write_shard_store(path, g.view(), cfg, /*rows_per_shard=*/40);
-  ShardStore store = ShardStore::open(path);
-  ASSERT_EQ(store.shards(), 3u);
-  ASSERT_EQ(store.snps(), g.snps());
-  ASSERT_EQ(store.samples(), g.samples());
-  ASSERT_EQ(store.words_per_snp(), g.words_per_snp());
-
-  for (std::size_t i = 0; i < store.shards(); ++i) {
-    const std::size_t r0 = store.shard_row_begin(i);
-    const std::size_t rows = store.shard_rows(i);
-    const BitMatrixView sub{g.row_data(r0), rows, g.words_per_snp(),
-                            g.stride_words(), g.samples()};
-    const PackedBitMatrix expect(sub, store.plan(), PackSides::kBoth);
-    const PackedBitMatrix& got = store.shard(i);
-
-    ASSERT_EQ(got.a_data_words(), expect.a_data_words());
-    EXPECT_EQ(std::memcmp(got.a_data(), expect.a_data(),
-                          expect.a_data_words() * 8), 0);
-    ASSERT_EQ(got.b_data_words(), expect.b_data_words());
-    if (expect.b_data_words() != 0) {
-      EXPECT_EQ(std::memcmp(got.b_data(), expect.b_data(),
-                            expect.b_data_words() * 8), 0);
-    }
-    const SparseColumns& se = expect.sparse_columns();
-    const SparseColumns& sg = got.sparse_columns();
-    EXPECT_EQ(sg.threshold, se.threshold);
-    EXPECT_EQ(sg.popcount, se.popcount);
-    EXPECT_EQ(sg.kind, se.kind);
-    EXPECT_EQ(sg.offset, se.offset);
-    EXPECT_EQ(sg.index, se.index);
-    EXPECT_EQ(sg.sparse_count, se.sparse_count);
-    EXPECT_EQ(got.a_sliver_flags(), expect.a_sliver_flags());
-    EXPECT_EQ(got.b_sliver_flags(), expect.b_sliver_flags());
-    ASSERT_EQ(got.has_sample_major(), expect.has_sample_major());
-    if (expect.has_sample_major()) {
-      ASSERT_EQ(got.sample_major_stride(), expect.sample_major_stride());
-      EXPECT_EQ(std::memcmp(got.sample_major(), expect.sample_major(),
-                            g.samples() * expect.sample_major_stride() * 8),
-                0);
-    }
+  if (!square) {
+    cfg.mr = 2;
+    cfg.nr = 8;
+    cfg.ku = 1;
   }
+  return cfg;
+}
 
-  // Persisted popcounts reproduce the matrix's derived counts globally.
-  const std::vector<std::uint64_t> counts = store.allele_counts();
-  ASSERT_EQ(counts.size(), g.snps());
-  for (std::size_t s = 0; s < g.snps(); ++s) {
-    EXPECT_EQ(counts[s], g.derived_count(s)) << "snp " << s;
+TEST(ShardStore, RoundTripAliasesPackIdenticalPayloads) {
+  // Sparse threshold forced on so index lists, transpose and the derived
+  // prescaled lists and sliver flags are all exercised; ragged shard split
+  // (3 shards of 40/40/23). Columns 0..9 are made common so some slivers
+  // are dense and some all-sparse.
+  BitMatrix g = random_matrix(103, 530, 99, 0.05);
+  for (std::size_t s = 0; s < 10; ++s) {
+    for (std::size_t b = s; b < g.samples(); b += 2) g.set(s, b, true);
   }
+  for (const bool square : {true, false}) {
+    SCOPED_TRACE(square ? "square plan" : "2x8 plan");
+    GemmConfig cfg = scalar_config(square);
+    cfg.sparse_threshold = 40;  // the rare columns hold ~26 samples each
+    const std::string path = temp_path("roundtrip.ldshard");
+    write_shard_store(path, g.view(), cfg, /*rows_per_shard=*/40);
+    ShardStore store = ShardStore::open(path);
+    ASSERT_EQ(store.shards(), 3u);
+    ASSERT_EQ(store.snps(), g.snps());
+    ASSERT_EQ(store.samples(), g.samples());
+    ASSERT_EQ(store.words_per_snp(), g.words_per_snp());
+    ASSERT_EQ(store.plan().mr == store.plan().nr, square);
+
+    bool any_hybrid = false;
+    for (std::size_t i = 0; i < store.shards(); ++i) {
+      const std::size_t r0 = store.shard_row_begin(i);
+      const std::size_t rows = store.shard_rows(i);
+      const BitMatrixView sub{g.row_data(r0), rows, g.words_per_snp(),
+                              g.stride_words(), g.samples()};
+      const PackedBitMatrix expect(sub, store.plan(), PackSides::kBoth);
+      const PackedBitMatrix& got = store.shard(i);
+
+      ASSERT_EQ(got.a_data_words(), expect.a_data_words());
+      EXPECT_EQ(std::memcmp(got.a_data(), expect.a_data(),
+                            expect.a_data_words() * 8), 0);
+      ASSERT_EQ(got.b_data_words(), expect.b_data_words());
+      ASSERT_EQ(expect.b_data_words() != 0, !square);
+      if (expect.b_data_words() != 0) {
+        EXPECT_EQ(std::memcmp(got.b_data(), expect.b_data(),
+                              expect.b_data_words() * 8), 0);
+      }
+      const SparseColumns& se = expect.sparse_columns();
+      const SparseColumns& sg = got.sparse_columns();
+      EXPECT_EQ(sg.threshold, se.threshold);
+      EXPECT_EQ(sg.popcount, se.popcount);
+      EXPECT_EQ(sg.kind, se.kind);
+      EXPECT_EQ(sg.offset, se.offset);
+      EXPECT_EQ(sg.index, se.index);
+      EXPECT_EQ(sg.sparse_count, se.sparse_count);
+      ASSERT_EQ(got.scaled_index() != nullptr,
+                expect.scaled_index() != nullptr);
+      if (expect.scaled_index() != nullptr) {
+        EXPECT_EQ(std::memcmp(got.scaled_index(), expect.scaled_index(),
+                              se.index.size() * 4), 0);
+      }
+      // One past the last sliver too: both must report it not sparse.
+      const std::size_t mr = store.plan().mr;
+      const std::size_t nr = store.plan().nr;
+      for (std::size_t s = 0; s <= (rows + mr - 1) / mr; ++s) {
+        EXPECT_EQ(got.a_sliver_sparse(s), expect.a_sliver_sparse(s))
+            << "A sliver " << s;
+      }
+      for (std::size_t s = 0; s <= (rows + nr - 1) / nr; ++s) {
+        EXPECT_EQ(got.b_sliver_sparse(s), expect.b_sliver_sparse(s))
+            << "B sliver " << s;
+      }
+      EXPECT_EQ(got.hybrid_dispatch(), expect.hybrid_dispatch());
+      any_hybrid = any_hybrid || expect.hybrid_dispatch();
+      ASSERT_EQ(got.has_sample_major(), expect.has_sample_major());
+      if (expect.has_sample_major()) {
+        ASSERT_EQ(got.sample_major_stride(), expect.sample_major_stride());
+        EXPECT_EQ(std::memcmp(got.sample_major(), expect.sample_major(),
+                              g.samples() * expect.sample_major_stride() * 8),
+                  0);
+      }
+    }
+    EXPECT_TRUE(any_hybrid) << "the fixture must exercise sparse slivers";
+
+    // Persisted popcounts reproduce the matrix's derived counts globally.
+    const std::vector<std::uint64_t> counts = store.allele_counts();
+    ASSERT_EQ(counts.size(), g.snps());
+    for (std::size_t s = 0; s < g.snps(); ++s) {
+      EXPECT_EQ(counts[s], g.derived_count(s)) << "snp " << s;
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ShardStore, OpenRejectsFormat01WithTheReingestRemedy) {
+  const BitMatrix g = random_matrix(30, 100, 4);
+  const std::string path = temp_path("v01.ldshard");
+  write_shard_store(path, g.view(), scalar_config(true), /*rows_per_shard=*/8);
+  std::vector<std::uint8_t> bytes = read_file(path);
+  std::memcpy(bytes.data(), "LDLASH01", 8);
+  write_file(path, bytes);
+  try {
+    (void)ShardStore::open(path);
+    FAIL() << "an LDLASH01 store must be rejected at open";
+  } catch (const ParseError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("LDLASH01"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("ldla_ingest"), std::string::npos) << msg;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ShardStore, ResidencyAccountingTracksMaterializeAndRelease) {
@@ -253,7 +331,7 @@ TEST(ShardStore, VerifyShardPopcountsCatchesCorruption) {
     // Nudge one persisted popcount (staying within n_samples so the
     // materialize-time range check cannot be the thing that fires).
     std::vector<std::uint8_t> bytes = read_file(path);
-    const std::uint64_t pop_off = get_rec(bytes, 1, 6);
+    const std::uint64_t pop_off = get_rec(bytes, 1, kRPopOff);
     std::uint32_t pop0;
     std::memcpy(&pop0, bytes.data() + pop_off, 4);
     pop0 = pop0 > 0 ? pop0 - 1 : 1;
@@ -273,62 +351,50 @@ TEST(ShardStore, MaterializeRejectsForgedIndexLists) {
   // classifies kComplement with a 3-entry list of its zero samples.
   BitMatrix g = random_matrix(40, 300, 53, 0.02);
   for (std::size_t b = 3; b < g.samples(); ++b) g.set(5, b, true);
-  GemmConfig cfg;
-  cfg.arch = KernelArch::kScalar;
-  cfg.kc_words = 4;
   const std::string path = temp_path("forged_lists.ldshard");
-  write_shard_store(path, g.view(), cfg, /*rows_per_shard=*/40);
+  write_shard_store(path, g.view(), scalar_config(true), /*rows_per_shard=*/40);
   const std::vector<std::uint8_t> pristine = read_file(path);
   const auto materialize = [&](const std::vector<std::uint8_t>& bytes) {
-    std::ofstream(path, std::ios::binary | std::ios::trunc)
-        .write(reinterpret_cast<const char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
+    write_file(path, bytes);
     ShardStore s = open_shard_store(path);
     (void)s.shard(0);
   };
   ASSERT_NO_THROW(materialize(pristine));
+  // The kinds and CSR offsets a pack derives from the persisted popcounts.
+  const SparseColumns sc = [&] {
+    ShardStore s = open_shard_store(path);
+    return s.shard(0).sparse_columns();
+  }();
 
   const auto u32_at = [](std::vector<std::uint8_t>& bytes, std::uint64_t off,
                          std::size_t i) {
     return reinterpret_cast<std::uint32_t*>(bytes.data() + off) + i;
   };
-  const auto csr = [&](std::size_t c) {
-    std::uint64_t v;
-    std::memcpy(&v, pristine.data() + get_rec(pristine, 0, kRCsrOff) + c * 8,
-                8);
-    return v;
-  };
-  const std::uint8_t* kind = pristine.data() + get_rec(pristine, 0, kRKindOff);
-  ASSERT_EQ(kind[5], static_cast<std::uint8_t>(ColumnKind::kComplement));
-  ASSERT_EQ(csr(6) - csr(5), 3u);
+  ASSERT_EQ(sc.kind[5], ColumnKind::kComplement);
+  ASSERT_EQ(sc.list_size(5), 3u);
   std::size_t col = 0;  // a kList column holding at least two samples
-  while (kind[col] != static_cast<std::uint8_t>(ColumnKind::kList) ||
-         csr(col + 1) - csr(col) < 2) {
+  while (sc.kind[col] != ColumnKind::kList || sc.list_size(col) < 2) {
     ++col;
     ASSERT_LT(col, g.snps());
   }
-  const std::uint64_t stride = get_rec(pristine, 0, kRSmStride);
-  // Rewrite entry e of the list and its prescaled copy together, so only
-  // the list-shape check can object.
-  const auto set_entry = [&](std::vector<std::uint8_t>& bytes, std::uint64_t e,
-                             std::uint32_t v) {
-    *u32_at(bytes, get_rec(bytes, 0, kRIndexOff), e) = v;
-    *u32_at(bytes, get_rec(bytes, 0, kRScaledOff), e) =
-        static_cast<std::uint32_t>(v * stride);
+  const auto entry = [&](std::vector<std::uint8_t>& bytes, std::uint64_t e) {
+    return u32_at(bytes, get_rec(bytes, 0, kRIndexOff), e);
   };
 
   std::vector<std::uint8_t> bytes = pristine;
-  const std::uint32_t first = *u32_at(bytes, get_rec(bytes, 0, kRIndexOff),
-                                      csr(col));
-  set_entry(bytes, csr(col) + 1, first);
+  const std::uint32_t first = *entry(bytes, sc.offset[col]);
+  *entry(bytes, sc.offset[col] + 1) = first;
   EXPECT_THROW(materialize(bytes), ParseError) << "duplicate entry";
 
   bytes = pristine;
-  const std::uint32_t second = *u32_at(bytes, get_rec(bytes, 0, kRIndexOff),
-                                       csr(col) + 1);
-  set_entry(bytes, csr(col), second);
-  set_entry(bytes, csr(col) + 1, first);
+  const std::uint32_t second = *entry(bytes, sc.offset[col] + 1);
+  *entry(bytes, sc.offset[col]) = second;
+  *entry(bytes, sc.offset[col] + 1) = first;
   EXPECT_THROW(materialize(bytes), ParseError) << "descending entries";
+
+  bytes = pristine;
+  *entry(bytes, sc.offset[col]) = static_cast<std::uint32_t>(g.samples());
+  EXPECT_THROW(materialize(bytes), ParseError) << "entry out of range";
 
   bytes = pristine;
   ++*u32_at(bytes, get_rec(bytes, 0, kRPopOff), col);
@@ -338,17 +404,52 @@ TEST(ShardStore, MaterializeRejectsForgedIndexLists) {
   ++*u32_at(bytes, get_rec(bytes, 0, kRPopOff), 5);
   EXPECT_THROW(materialize(bytes), ParseError)
       << "complement list longer than the zero count";
+
+  bytes = pristine;
+  *u32_at(bytes, get_rec(bytes, 0, kRPopOff), 0) =
+      static_cast<std::uint32_t>(g.samples() + 1);
+  EXPECT_THROW(materialize(bytes), ParseError) << "popcount above n";
+
+  // Popcounts untouched, the recorded count one short of their total: the
+  // index parse accepts the smaller extent, materialize does not.
+  bytes = pristine;
+  set_rec(bytes, 0, kRIndexCount, get_rec(bytes, 0, kRIndexCount) - 1);
+  ASSERT_NO_THROW((void)parse_shard_index(bytes.data(), bytes.size()));
+  EXPECT_THROW(materialize(bytes), ParseError)
+      << "index_count off the popcount-derived total";
+
+  bytes = pristine;
+  set_rec(bytes, 0, kRSmOff, 0);
+  ASSERT_NO_THROW((void)parse_shard_index(bytes.data(), bytes.size()));
+  EXPECT_THROW(materialize(bytes), ParseError) << "sparse shard, no transpose";
+  std::remove(path.c_str());
+}
+
+TEST(ShardStore, MaterializeRejectsATransposeOnAnAllDenseShard) {
+  const BitMatrix g = random_matrix(40, 300, 8, 0.5);
+  GemmConfig cfg = scalar_config(true);
+  cfg.sparse_threshold = 0;
+  const std::string path = temp_path("dense_transpose.ldshard");
+  write_shard_store(path, g.view(), cfg, /*rows_per_shard=*/40);
+  std::vector<std::uint8_t> bytes = read_file(path);
+  ASSERT_EQ(get_rec(bytes, 0, kRSmOff), 0u);
+  // A well-formed transpose extent the header and index parse accept.
+  set_rec(bytes, 0, kRSmOff,
+          append_section(bytes, g.samples() * words_for_bits(40) * 8));
+  ASSERT_NO_THROW((void)parse_shard_index(bytes.data(), bytes.size()));
+  write_file(path, bytes);
+  ShardStore s = open_shard_store(path);
+  EXPECT_THROW((void)s.shard(0), ParseError);
+  std::remove(path.c_str());
 }
 
 class ShardParseForgery : public ::testing::Test {
  protected:
   void SetUp() override {
     const BitMatrix g = random_matrix(50, 200, 7, 0.05);
-    GemmConfig cfg;
-    cfg.arch = KernelArch::kScalar;
-    cfg.kc_words = 4;
     path_ = temp_path("forgery.ldshard");
-    write_shard_store(path_, g.view(), cfg, /*rows_per_shard=*/20);
+    write_shard_store(path_, g.view(), scalar_config(true),
+                      /*rows_per_shard=*/20);
     bytes_ = read_file(path_);
     ASSERT_GE(bytes_.size(), 120u);
     // The pristine file parses.
@@ -450,32 +551,46 @@ TEST_F(ShardParseForgery, ExtentViolations) {
 
 TEST_F(ShardParseForgery, SliverGeometryMismatch) {
   auto fresh = bytes_;
-  set_rec(bytes_, 0, kRAWords, get_rec(bytes_, 0, kRAWords) + 8);
-  expect_reject("a_words off the plan-implied size");
+  // The A extent is the plan-implied size, never recorded: an offset whose
+  // implied extent runs past the end of the file is rejected.
+  set_rec(bytes_, 2, kRAOff, (bytes_.size() - 64) / 64 * 64);
+  expect_reject("A slivers past the end of the file");
   bytes_ = fresh;
-  // mr == nr stores share B with A: forging a B extent must be rejected.
-  ASSERT_EQ(get_rec(bytes_, 0, kRBWords), 0u);
-  set_rec(bytes_, 0, kRBWords, get_rec(bytes_, 0, kRAWords));
-  expect_reject("B words on a shared-side store");
+  // mr == nr stores share B with A: a B section, however well-formed (a
+  // copy of the A extent, which the popcounts follow directly), is forged.
+  ASSERT_EQ(get_field(bytes_, kFMr), get_field(bytes_, kFNr));
+  ASSERT_EQ(get_rec(bytes_, 0, kRBOff), 0u);
+  set_rec(bytes_, 0, kRBOff,
+          append_section(bytes_, get_rec(bytes_, 0, kRPopOff) -
+                                     get_rec(bytes_, 0, kRAOff)));
+  expect_reject("B slivers on a square register tile");
+}
+
+TEST(ShardParse, NonSquareTileRequiresItsBSide) {
+  const BitMatrix g = random_matrix(50, 200, 7, 0.05);
+  const std::string path = temp_path("forgery_2x8.ldshard");
+  write_shard_store(path, g.view(), scalar_config(false),
+                    /*rows_per_shard=*/20);
+  std::vector<std::uint8_t> bytes = read_file(path);
+  ASSERT_NO_THROW((void)parse_shard_index(bytes.data(), bytes.size()));
+  ASSERT_NE(get_rec(bytes, 1, kRBOff), 0u);
+  set_rec(bytes, 1, kRBOff, 0);
+  EXPECT_THROW((void)parse_shard_index(bytes.data(), bytes.size()),
+               ParseError);
+  std::remove(path.c_str());
 }
 
 TEST_F(ShardParseForgery, SparseSectionConsistency) {
   auto fresh = bytes_;
   // index_count without an index extent.
+  ASSERT_NE(get_rec(bytes_, 0, kRIndexCount), 0u);
   set_rec(bytes_, 0, kRIndexOff, 0);
-  if (get_rec(bytes_, 0, kRIndexCount) != 0) {
-    expect_reject("count without list data");
-  }
+  expect_reject("count without list data");
   bytes_ = fresh;
   set_rec(bytes_, 0, kRIndexCount,
           get_rec(bytes_, 0, kRIndexCount) +
               (std::uint64_t{1} << 40));
   expect_reject("absurd index count");
-  bytes_ = fresh;
-  if (get_rec(bytes_, 0, kRSmOff) != 0) {
-    set_rec(bytes_, 0, kRSmStride, get_rec(bytes_, 0, kRSmStride) + 1);
-    expect_reject("transpose stride off words_for_bits(rows)");
-  }
 }
 
 TEST(TileStore, RoundTripBothCodecsAndRandomLookup) {

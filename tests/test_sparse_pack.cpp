@@ -211,7 +211,6 @@ TEST(SparsePack, ExternalTransposeBeyond32BitAddressingIsRejected) {
   // contract before any payload is touched; the payloads here are never
   // read.
   alignas(64) static const std::uint64_t payload[8] = {};
-  alignas(64) static const std::uint32_t scaled[16] = {};
   const auto forged = [&](std::size_t n_snps, std::size_t n_samples) {
     ExternalPack ext;
     ext.n_snps = n_snps;
@@ -220,11 +219,10 @@ TEST(SparsePack, ExternalTransposeBeyond32BitAddressingIsRejected) {
     ext.plan = resolve_plan(GemmConfig{}, ext.n_words);
     ext.plan.nr = ext.plan.mr;
     ext.a_data = payload;
-    ext.sparse.popcount.assign(n_snps, 0);
-    ext.sparse.kind.assign(n_snps, ColumnKind::kDense);
+    // Monomorphic columns: every one an empty list, so a transpose is due.
+    ext.sparse = classify_popcounts(std::vector<std::uint32_t>(n_snps, 0),
+                                    n_samples, 1);
     ext.sample_major = payload;
-    ext.sm_stride = (n_snps + 63) / 64;
-    ext.scaled_index = scaled;
     return ext;
   };
   // 2^29 samples x 8 words = 2^32 words: one past the addressable range.
