@@ -120,9 +120,13 @@ BitMatrix rare95_panel() {
 }
 
 // The banded rows (see the header comment). Returns false when the dense
-// and hybrid checksums differ.
+// and hybrid checksums differ, or when either arm's visitor receives any
+// number of entries but the band's n(W+1) - W(W+1)/2 pairs.
 bool band_rows(BenchJson& json, const BitMatrix& g, int trials) {
   constexpr std::size_t kBandwidth = 500;
+  const std::uint64_t pairs =
+      g.snps() * (kBandwidth + 1) - kBandwidth * (kBandwidth + 1) / 2;
+  bool exact = true;
   const auto run = [&](std::size_t threshold) {
     GemmConfig cfg;
     cfg.sparse_threshold = threshold;
@@ -132,27 +136,25 @@ bool band_rows(BenchJson& json, const BitMatrix& g, int trials) {
       opts.gemm = cfg;
       opts.packed = &pk;
       double sum = 0.0;
+      std::uint64_t entries = 0;
       const trace::TraceSnapshot before = trace::snapshot();
       Timer timer;
       ld_band_scan(g, kBandwidth, [&](const LdTile& t) {
+        entries += t.rows * t.cols;
         for (std::size_t i = 0; i < t.rows; ++i) {
-          const std::size_t gi = t.row_begin + i;
           for (std::size_t j = 0; j < t.cols; ++j) {
-            const std::size_t gj = t.col_begin + j;
             const double v = t.at(i, j);
-            if (gj <= gi && gi - gj <= kBandwidth && v == v) sum += v;
+            if (v == v) sum += v;
           }
         }
       }, opts);
-      return ArmResult{timer.seconds(), sum, trace::snapshot().since(before)};
+      const double seconds = timer.seconds();
+      exact = exact && entries == pairs;
+      return ArmResult{seconds, sum, trace::snapshot().since(before)};
     });
   };
   const ArmResult dense = run(0);
   const ArmResult hybrid = run(kSparseThresholdAuto);
-  std::uint64_t pairs = 0;
-  for (std::size_t i = 0; i < g.snps(); ++i) {
-    pairs += std::min(i, kBandwidth) + 1;
-  }
   const auto rate = static_cast<double>(pairs);
   json.add("band-rare95-dense", "auto", g.snps(), g.samples(), dense.seconds,
            rate / dense.seconds, -1.0, dense.phases);
@@ -169,6 +171,12 @@ bool band_rows(BenchJson& json, const BitMatrix& g, int trials) {
       static_cast<unsigned long long>(hybrid.phases.counters.sparse_ld_tiles));
   if (dense.checksum != hybrid.checksum) {
     std::printf("BAND CHECKSUM MISMATCH\n");
+    return false;
+  }
+  if (!exact) {
+    std::printf("BAND COVERAGE MISMATCH: a visitor did not receive exactly "
+                "the %llu in-band pairs\n",
+                static_cast<unsigned long long>(pairs));
     return false;
   }
   return true;

@@ -5,9 +5,10 @@
 #include <optional>
 
 #include "core/detail/ld_stats_row.hpp"
-#include "core/gemm/macro.hpp"
+#include "core/gemm/syrk.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 namespace ldla {
 
@@ -30,6 +31,10 @@ void ld_band_scan(const LdOperand& g, std::size_t bandwidth,
   // saturates: a bandwidth near SIZE_MAX means "every column".
   const std::size_t max_cols =
       bandwidth >= n - max_rows ? n : max_rows + bandwidth;
+  // SNP row i's in-band run: columns [max(i - W, 0), i].
+  const auto run_begin = [bandwidth](std::size_t i) {
+    return i > bandwidth ? i - bandwidth : 0;
+  };
 
   const unsigned team =
       opts.threads == 0 ? default_thread_count() : opts.threads;
@@ -37,27 +42,46 @@ void ld_band_scan(const LdOperand& g, std::size_t bandwidth,
     std::optional<PackedBitMatrix> own;
     const PackedBitMatrix& packed = resolve_packed(
         g.rows().view(), opts.gemm, opts.packed, PackSides::kBoth, own, team);
+    // Operand rows unit·i + p and unit·j + q (p, q < unit) of an in-band
+    // SNP pair lie at most unit·W + unit - 1 rows apart: the nest's band.
+    const std::size_t width =
+        bandwidth >= n ? kUnboundedBand : unit * bandwidth + unit - 1;
 
     AlignedBuffer<double> values(max_rows * max_cols);
     for (std::size_t r0 = 0; r0 < n; r0 += kSlabRows) {
       const std::size_t rows = std::min(kSlabRows, n - r0);
-      const std::size_t col_begin = r0 > bandwidth ? r0 - bandwidth : 0;
-      const std::size_t col_end = r0 + rows;
-      const std::size_t cols = col_end - col_begin;
+      const std::size_t col_begin = run_begin(r0);
+      const std::size_t cols = r0 + rows - col_begin;
       LDLA_ASSERT(rows <= max_rows && cols <= max_cols);
-      // Row r0+i pairs with global columns [col_begin, col_end); the whole
-      // stripe is converted (values outside the band are still valid LD
-      // values; consumers filter by index).
-      gemm_count_fused(
-          packed, unit * r0, unit * (r0 + rows), packed, unit * col_begin,
-          unit * col_end,
-          [&](const CountTile& t) {
-            detail::tile_stats(detail::snp_tile<unit>(t),
-                               detail::TilePart::kFull,
-                               {values.data(), cols, r0, col_begin}, row);
+      // Each tile converts only its part of every row's in-band run; the
+      // tiles of one slab write disjoint parts of the stripe.
+      syrk_count_fused(
+          packed, unit * r0, unit * (r0 + rows),
+          [&](const CountTile& ct) {
+            const CountTile t = detail::snp_tile<unit>(ct);
+            LDLA_TRACE_SPAN(kEpilogue);
+            std::uint64_t rows_converted = 0;
+            for (std::size_t i = 0; i < t.rows; ++i) {
+              const std::size_t gi = t.row_begin + i;
+              const std::size_t lo = std::max(t.col_begin, run_begin(gi));
+              const std::size_t hi = std::min(t.col_begin + t.cols, gi + 1);
+              if (lo >= hi) continue;
+              CountTile run = t;
+              run.col_begin = lo;
+              run.counts += unit * (lo - t.col_begin);
+              row(run, i, hi - lo,
+                  values.data() + (gi - r0) * cols + (lo - col_begin));
+              ++rows_converted;
+            }
+            LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
           },
-          team);
-      visit(LdTile{r0, col_begin, rows, cols, values.data(), cols});
+          team, SyrkBand{unit * (r0 - col_begin), width});
+      for (std::size_t i = r0; i < r0 + rows; ++i) {
+        const std::size_t lo = run_begin(i);
+        visit(LdTile{i, lo, 1, i + 1 - lo,
+                     values.data() + (i - r0) * cols + (lo - col_begin),
+                     cols});
+      }
     }
   });
 }
@@ -100,10 +124,8 @@ DecayProfile ld_decay_profile(const BitMatrix& g, std::size_t max_distance,
         for (std::size_t i = 0; i < tile.rows; ++i) {
           const std::size_t gi = tile.row_begin + i;
           for (std::size_t j = 0; j < tile.cols; ++j) {
-            const std::size_t gj = tile.col_begin + j;
-            if (gj >= gi) break;  // canonical j < i only
-            const std::size_t dist = gi - gj;
-            if (dist > max_distance) continue;
+            const std::size_t dist = gi - (tile.col_begin + j);
+            if (dist == 0) continue;  // self-pairs excluded
             const double v = tile.at(i, j);
             if (!std::isfinite(v)) continue;
             auto b = static_cast<std::size_t>(
@@ -142,9 +164,7 @@ DecayProfile ld_decay_by_position(const BitMatrix& g,
         for (std::size_t i = 0; i < tile.rows; ++i) {
           const std::size_t gi = tile.row_begin + i;
           for (std::size_t j = 0; j < tile.cols; ++j) {
-            const std::size_t gj = tile.col_begin + j;
-            if (gj >= gi) break;
-            const double dist = positions[gi] - positions[gj];
+            const double dist = positions[gi] - positions[tile.col_begin + j];
             if (dist > max_dist || dist <= 0.0) continue;
             const double v = tile.at(i, j);
             if (!std::isfinite(v)) continue;

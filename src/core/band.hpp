@@ -3,10 +3,12 @@
 // Real scans rarely need all N(N+1)/2 pairs — LD decays with distance, and
 // tools bound the pair set (PLINK's --ld-window, OmegaPlus's per-window
 // evaluation; the paper notes OmegaPlus computes "only the LD values
-// required"). The banded driver keeps the GEMM formulation: each row slab
-// multiplies against just the column range its band intersects, so work is
-// O(n · W) instead of O(n²) while every tile still goes through the packed
-// micro-kernels.
+// required"). The banded driver keeps the GEMM formulation: each 256-row
+// slab runs the symmetric nest over just the column range its band
+// intersects, with the band as the nest's shape (syrk.hpp's SyrkBand), so
+// only register tiles that meet the band are counted, only in-band pairs
+// are converted, and work is O(n · W) instead of O(n²) while every tile
+// still goes through the packed micro-kernels.
 #pragma once
 
 #include <cstdint>
@@ -24,19 +26,20 @@ struct BandOptions {
   /// Consecutive slabs read overlapping column stripes, so one pack —
   /// this one, or one made per call — serves the whole band.
   const PackedBitMatrix* packed = nullptr;
-  /// Team size for in-nest parallel stripes: 1 (default) runs the stripes
-  /// sequentially, 0 means default_thread_count(). The team cooperates
-  /// *inside* each stripe's nest (work-stealing macro-tile chunks), so the
-  /// visitor still fires sequentially from the calling thread — decay
-  /// accumulators need no locking.
+  /// Team size for in-nest parallel slabs: 1 (default) runs each slab's
+  /// nest on the calling thread, 0 means default_thread_count(). The team
+  /// cooperates *inside* each slab's nest (work-stealing chunks that meet
+  /// the band) and converts into the slab's stripe buffer; the visitor
+  /// fires only after the slab's nest joins, sequentially from the calling
+  /// thread — decay accumulators need no locking.
   unsigned threads = 1;
 };
 
-/// Streaming banded scan: emits tiles covering every pair (i, j) with
-/// j <= i and i - j <= bandwidth exactly once (tiles may also carry values
-/// outside the band — consumers filter by index, the values are valid LD).
-/// Tile columns start at col_begin (not 0), unlike the full scan. Any
-/// operand kind (core/ld.hpp's LdOperand) runs the same stripe loop.
+/// Streaming banded scan: emits every in-band canonical pair (i, j) —
+/// j <= i and i - j <= bandwidth — exactly once, and no other entries, as
+/// ld_stat_scan does for the whole triangle. Each SNP row i arrives as one
+/// one-row tile holding its run [max(i - bandwidth, 0), i], in row order.
+/// Any operand kind (core/ld.hpp's LdOperand) runs the same slab loop.
 void ld_band_scan(const LdOperand& g, std::size_t bandwidth,
                   const LdTileVisitor& visit, const BandOptions& opts = {});
 

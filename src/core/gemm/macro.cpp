@@ -29,9 +29,14 @@ namespace {
 // One enumerator serves both fused drivers. It walks the cache-tile grid
 // jc -> ic -> column chunks of width q and runs one tile body per chunk.
 // Two parameters vary, never the loops themselves:
-//  - the shape: the full rectangle, or the lower triangle of a
-//    same-operand call (row blocks start at the panel's diagonal block,
-//    and register tiles strictly above the diagonal are skipped);
+//  - the shape (Shape): the full rectangle, or a band of a same-operand
+//    call — the pairs (i, j) with 0 <= i - j <= width. The lower triangle
+//    is the unbounded band. Under a band every route walks only the
+//    register tiles that meet it (loop bounds from rows_meeting and
+//    cols_meeting, no test per register tile), the enumerator drops
+//    chunks that miss it, and a panel's row blocks start at the block
+//    holding its diagonal. The shape is a compile-time parameter;
+//    the rectangle compiles without any of this;
 //  - the team size: a team of one runs whole mc x nc cache tiles inline
 //    (q = tile width, no chunk list, no pool); a larger team cuts every
 //    panel into chunk_quantum()-wide chunks and drains them through
@@ -39,6 +44,8 @@ namespace {
 // Chunks keep the register-tile grid of the inline walk, so every element
 // gets the same arithmetic at any team size and the kernel-call, kernel-word
 // and sparse counters are the same; only the tile granularity differs.
+
+enum class Shape { kRect, kBand };
 
 /// A register tile may leave the dense walk for the list kernels only when
 /// the gather's dense side carries the sample-major transpose. Same-matrix
@@ -57,7 +64,8 @@ bool sparse_pair_ok(const PackedBitMatrix& a, const PackedBitMatrix& b,
 
 /// Operands, clamp window and blocking of one nest call. ic0/jc0 snap the
 /// window start down to the sliver grid, the pad ends round its end up.
-/// For the lower triangle `b` is `a` and both windows are the row window.
+/// For a band `b` is `a`, the column window ends with the row window, and
+/// `width` bounds i - j in operand rows (kUnboundedBand: the triangle).
 struct TileGrid {
   const PackedBitMatrix& a;
   const PackedBitMatrix& b;
@@ -65,15 +73,59 @@ struct TileGrid {
   std::size_t mr, nr, mc, nc;
   std::size_t a_begin, a_end, b_begin, b_end;
   std::size_t ic0, jc0, a_pad_end, b_pad_end;
+  std::size_t width;
 
   TileGrid(const PackedBitMatrix& pa, std::size_t a0, std::size_t a1,
-           const PackedBitMatrix& pb, std::size_t b0, std::size_t b1)
+           const PackedBitMatrix& pb, std::size_t b0, std::size_t b1,
+           std::size_t band_width = kUnboundedBand)
       : a(pa), b(pb), kern(kernel_for_plan(pa.plan())), mr(pa.plan().mr),
         nr(pa.plan().nr), mc(pa.plan().mc), nc(pa.plan().nc), a_begin(a0),
         a_end(a1), b_begin(b0), b_end(b1), ic0(a0 / mr * mr),
         jc0(b0 / nr * nr), a_pad_end((a1 + mr - 1) / mr * mr),
-        b_pad_end((b1 + nr - 1) / nr * nr) {}
+        b_pad_end((b1 + nr - 1) / nr * nr), width(band_width) {}
+
+  /// The last row within the band of column `c` (saturating).
+  std::size_t band_reach(std::size_t c) const {
+    return width > kUnboundedBand - c ? kUnboundedBand : c + width;
+  }
 };
+
+/// Local offsets [begin, end) of a sweep's register tiles.
+struct Span {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The `step`-wide slivers of [base, base + extent) (extent a multiple of
+/// step) whose last index is >= `first` and whose first index is <= `last`.
+Span slivers_between(std::size_t base, std::size_t step, std::size_t extent,
+                     std::size_t first, std::size_t last) {
+  const std::size_t begin =
+      first < base + step ? 0 : ((first - base - step) / step + 1) * step;
+  if (last < base) return {begin, 0};
+  const std::size_t n = (last - base) / step;  // the sliver holding `last`
+  return {begin, n < extent / step ? (n + 1) * step : extent};
+}
+
+/// The row slivers of the chunk rows [ic, ic + rows) that meet the shape
+/// beside the column sliver starting at global column `c`: under a band,
+/// those not wholly above the diagonal and not wholly beyond its edge.
+template <Shape S>
+Span rows_meeting(const TileGrid& g, std::size_t ic, std::size_t rows,
+                  std::size_t c) {
+  if constexpr (S == Shape::kRect) return {0, rows};
+  return slivers_between(ic, g.mr, rows, c, g.band_reach(c + g.nr - 1));
+}
+
+/// The column slivers of the chunk columns [jc, jc + cols) that meet the
+/// shape beside the row sliver starting at global row `r`.
+template <Shape S>
+Span cols_meeting(const TileGrid& g, std::size_t jc, std::size_t cols,
+                  std::size_t r) {
+  if constexpr (S == Shape::kRect) return {0, cols};
+  return slivers_between(jc, g.nr, cols, r > g.width ? r - g.width : 0,
+                         r + g.mr - 1);
+}
 
 /// One unit of work: the row block [ic, ic_end) of one jc panel crossed
 /// with its column slice [c0, c1). Boundaries sit on the sliver grid (or
@@ -87,11 +139,11 @@ struct TileChunk {
 };
 
 /// The tile body: zero the chunk's scratch, accumulate every kc panel into
-/// it, clamp it to the caller's window and hand it to the sink. With
-/// kLower, register tiles strictly above the diagonal are skipped in every
-/// pass; the zeroed scratch makes them read as deterministic zeros inside
-/// the emitted tile. `scratch` holds (ic_end - ic) rows of `scratch_ld`.
-template <bool kLower>
+/// it, clamp it to the caller's window and hand it to the sink. Under a
+/// band, every pass walks only the register tiles that meet it; the
+/// zeroed scratch makes the others read as deterministic zeros inside the
+/// emitted tile. `scratch` holds (ic_end - ic) rows of `scratch_ld`.
+template <Shape S>
 void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
               std::size_t scratch_ld, detail::ListIndex& ix,
               const CountTileSink& sink) {
@@ -103,8 +155,11 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
   const std::size_t jc = ch.c0;
   const std::size_t tile_rows = ch.ic_end - ic;
   const std::size_t tile_cols = ch.c1 - jc;
-  const auto above_diagonal = [&](std::size_t ir, std::size_t jr) {
-    return kLower && ic + ir + mr <= jc + jr;
+  const auto rows_of = [&](std::size_t jr) {
+    return rows_meeting<S>(g, ic, tile_rows, jc + jr);
+  };
+  const auto cols_of = [&](std::size_t ir) {
+    return cols_meeting<S>(g, jc, tile_cols, ic + ir);
   };
   for (std::size_t i = 0; i < tile_rows; ++i) {
     std::memset(&scratch[i * scratch_ld], 0,
@@ -129,8 +184,8 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
       for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
         const std::uint64_t* bp = b_panel.sliver(jr / nr);
         const bool b_sp = hybrid && b.b_sliver_sparse((jc + jr) / nr);
-        for (std::size_t ir = 0; ir < tile_rows; ir += mr) {
-          if (above_diagonal(ir, jr)) continue;
+        const Span rows = rows_of(jr);
+        for (std::size_t ir = rows.begin; ir < rows.end; ir += mr) {
           if (hybrid &&
               sparse_pair_ok(a, b, a.a_sliver_sparse((ic + ir) / mr), b_sp)) {
             continue;
@@ -148,7 +203,7 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
     if (hybrid) {
       detail::SparseTileCounters tc;
       std::uint64_t fallback_tiles = 0;
-      detail::list_list_chunk(a, b, kLower, ic, tile_rows, jc, tile_cols,
+      detail::list_list_chunk(a, b, ic, tile_rows, jc, tile_cols, rows_of,
                               scratch, scratch_ld, ix, tc);
       // The list×dense gathers. Pass 1 (jr outer) gathers each sparse jr
       // list against A's transpose, the list hot across the ir sweep. Pass 2
@@ -157,8 +212,8 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
       // word column of the tile, so only the first jr tile misses.
       for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
         if (!b.b_sliver_sparse((jc + jr) / nr)) continue;
-        for (std::size_t ir = 0; ir < tile_rows; ir += mr) {
-          if (above_diagonal(ir, jr)) continue;
+        const Span rows = rows_of(jr);
+        for (std::size_t ir = rows.begin; ir < rows.end; ir += mr) {
           if (a.a_sliver_sparse((ic + ir) / mr)) continue;
           if (!sparse_pair_ok(a, b, false, true)) {
             ++fallback_tiles;
@@ -171,8 +226,8 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
       }
       for (std::size_t ir = 0; ir < tile_rows; ir += mr) {
         if (!a.a_sliver_sparse((ic + ir) / mr)) continue;
-        for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
-          if (above_diagonal(ir, jr)) continue;
+        const Span cols = cols_of(ir);
+        for (std::size_t jr = cols.begin; jr < cols.end; jr += nr) {
           if (b.b_sliver_sparse((jc + jr) / nr)) continue;
           if (!sparse_pair_ok(a, b, true, false)) {
             ++fallback_tiles;
@@ -198,24 +253,28 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
                  scratch_ld});
 }
 
-/// The enumerator: jc (nc) -> ic (mc) -> column chunks of width q. The
-/// triangle starts each panel at the mc block holding its diagonal and
-/// drops chunks wholly above the diagonal (ic_end <= c0: every register
-/// tile in them would be skipped), so the triangle saving survives a
-/// chunk grid finer than the cache tiles.
-template <bool kLower, typename Visit>
+/// The enumerator: jc (nc) -> ic (mc) -> column chunks of width q. A band
+/// starts each panel at the mc block holding its diagonal and drops chunks
+/// wholly above the diagonal (ic_end <= c0) or wholly beyond its edge (the
+/// chunk's first row lies past the band of its last column): every
+/// register tile in them would be skipped, so the saving survives a chunk
+/// grid finer than the cache tiles.
+template <Shape S, typename Visit>
 void for_each_chunk(const TileGrid& g, std::size_t q, const Visit& visit) {
   const std::size_t mc = g.mc;
   const std::size_t nc = g.nc;
   for (std::size_t jc = g.jc0; jc < g.b_end; jc += nc) {
     const std::size_t jc_end = std::min(jc + nc, g.b_pad_end);
     std::size_t ic = g.ic0;
-    if (kLower && jc > g.ic0) ic += (jc - g.ic0) / mc * mc;
+    if (S == Shape::kBand && jc > g.ic0) ic += (jc - g.ic0) / mc * mc;
     for (; ic < g.a_end; ic += mc) {
       const std::size_t ic_end = std::min(ic + mc, g.a_pad_end);
       for (std::size_t c0 = jc; c0 < jc_end; c0 += q) {
-        if (kLower && ic_end <= c0) continue;
-        visit(TileChunk{ic, ic_end, c0, std::min(c0 + q, jc_end)});
+        const std::size_t c1 = std::min(c0 + q, jc_end);
+        if (S == Shape::kBand && (ic_end <= c0 || ic > g.band_reach(c1 - 1))) {
+          continue;
+        }
+        visit(TileChunk{ic, ic_end, c0, c1});
       }
     }
   }
@@ -275,7 +334,7 @@ void drain_chunks(std::deque<WorkStealDeque<std::int64_t>>& deques,
 /// contiguous blocks (pushed in reverse so the owner pops in ascending,
 /// jc-major order while thieves bite off the far end), then let each member
 /// drain through its own q-wide scratch. The sink is called concurrently.
-template <bool kLower>
+template <Shape S>
 void run_team(const TileGrid& g, const std::vector<TileChunk>& chunks,
               std::size_t team, std::size_t q, const CountTileSink& sink) {
   const std::vector<Range> blocks = split_uniform(chunks.size(), team);
@@ -295,14 +354,14 @@ void run_team(const TileGrid& g, const std::vector<TileChunk>& chunks,
     AlignedBuffer<std::uint32_t> scratch(scratch_rows * q);
     detail::ListIndex ix;
     drain_chunks(deques, t, [&](std::int64_t idx) {
-      run_tile<kLower>(g, chunks[static_cast<std::size_t>(idx)],
-                       scratch.data(), q, ix, sink);
+      run_tile<S>(g, chunks[static_cast<std::size_t>(idx)], scratch.data(),
+                  q, ix, sink);
     });
   });
 }
 
 /// Both fused drivers end here, with validated, non-empty windows.
-template <bool kLower>
+template <Shape S>
 void run_nest(const TileGrid& g, const CountTileSink& sink,
               unsigned threads) {
   if (threads == 0) threads = default_thread_count();
@@ -310,11 +369,10 @@ void run_nest(const TileGrid& g, const CountTileSink& sink,
     const std::size_t q =
         chunk_quantum(g.b_pad_end - g.jc0, g.nr, g.nc, threads);
     std::vector<TileChunk> chunks;
-    for_each_chunk<kLower>(g, q,
-                           [&](const TileChunk& ch) { chunks.push_back(ch); });
+    for_each_chunk<S>(g, q, [&](const TileChunk& ch) { chunks.push_back(ch); });
     const std::size_t team = std::min<std::size_t>(threads, chunks.size());
     if (team > 1) {
-      run_team<kLower>(g, chunks, team, q, sink);
+      run_team<S>(g, chunks, team, q, sink);
       return;
     }
   }
@@ -325,8 +383,8 @@ void run_nest(const TileGrid& g, const CountTileSink& sink,
   AlignedBuffer<std::uint32_t> scratch(
       std::min(g.mc, g.a_pad_end - g.ic0) * q);
   detail::ListIndex ix;
-  for_each_chunk<kLower>(g, q, [&](const TileChunk& ch) {
-    run_tile<kLower>(g, ch, scratch.data(), q, ix, sink);
+  for_each_chunk<S>(g, q, [&](const TileChunk& ch) {
+    run_tile<S>(g, ch, scratch.data(), q, ix, sink);
   });
 }
 
@@ -355,21 +413,24 @@ void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
                   a.kc_words() == b.kc_words() &&
                   a.words_per_snp() == b.words_per_snp(),
               "packed operands were built for incompatible plans");
-  run_nest<false>(TileGrid(a, a_begin, a_end, b, b_begin, b_end), sink,
-                  threads);
+  run_nest<Shape::kRect>(TileGrid(a, a_begin, a_end, b, b_begin, b_end), sink,
+                         threads);
 }
 
 void syrk_count_fused(const PackedBitMatrix& a, std::size_t row_begin,
                       std::size_t row_end, const CountTileSink& sink,
-                      unsigned threads) {
+                      unsigned threads, const SyrkBand& band) {
   LDLA_EXPECT(row_begin <= row_end && row_end <= a.snps(),
               "row range out of range");
+  LDLA_EXPECT(band.col_lead <= row_begin, "band columns start before row 0");
   LDLA_EXPECT(sink != nullptr, "fused driver needs a tile sink");
   if (row_begin == row_end) return;
   LDLA_EXPECT(a.has_a_side() && a.has_b_side(),
               "symmetric driver needs both operand sides packed");
-  run_nest<true>(TileGrid(a, row_begin, row_end, a, row_begin, row_end), sink,
-                 threads);
+  run_nest<Shape::kBand>(TileGrid(a, row_begin, row_end, a,
+                                  row_begin - band.col_lead, row_end,
+                                  band.width),
+                         sink, threads);
 }
 
 namespace {

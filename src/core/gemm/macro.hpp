@@ -10,9 +10,11 @@
 //
 // gemm_count_fused and syrk_count_fused (syrk.hpp) are the only tile
 // drivers. Both run one tile enumerator (macro.cpp), parameterized by the
-// shape (rectangle or lower triangle) and the team size; every count
-// matrix and LD statistic is a sink of it. Callers pack the operands
-// (PackedBitMatrix) and pass row ranges of the packs.
+// shape and the team size. The shape is the rectangle, or a band of one
+// operand against itself (the pairs with 0 <= i - j <= width): the lower
+// triangle is the unbounded band, the banded scan's stripes a bounded one.
+// Every count matrix and LD statistic is a sink of it. Callers pack the
+// operands (PackedBitMatrix) and pass row ranges of the packs.
 #pragma once
 
 #include <cstdint>

@@ -227,12 +227,16 @@ struct ListIndex {
 /// scratch `c`: bucket the all-sparse A rows' list entries by sample, walk
 /// each all-sparse B column's list once adding 1 per (row, col) hit, then
 /// correct every pair with a kComplement side — hit or not, since its count
-/// is not its intersection. With `lower`, register tiles strictly above the
-/// diagonal are left zero, as in the dense walk.
+/// is not its intersection. `rows_of(jr)` is the column sliver's row window
+/// {r_lo, r_hi} (chunk-local, on the mr grid): the register tiles of the
+/// nest's shape. Rows outside it are left zero, as in the dense walk, and
+/// a sliver with an empty window is skipped.
+template <typename RowWindow>
 inline void list_list_chunk(const PackedBitMatrix& a, const PackedBitMatrix& b,
-                            bool lower, std::size_t ic, std::size_t tile_rows,
+                            std::size_t ic, std::size_t tile_rows,
                             std::size_t jc, std::size_t tile_cols,
-                            std::uint32_t* c, std::size_t ldc, ListIndex& ix,
+                            const RowWindow& rows_of, std::uint32_t* c,
+                            std::size_t ldc, ListIndex& ix,
                             SparseTileCounters& tc) {
   const SparseColumns& sa = a.sparse_columns();
   const SparseColumns& sb = b.sparse_columns();
@@ -275,18 +279,18 @@ inline void list_list_chunk(const PackedBitMatrix& a, const PackedBitMatrix& b,
   const auto n = static_cast<std::uint32_t>(sa.n_samples);
   for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
     if (!b.b_sliver_sparse((jc + jr) / nr)) continue;
-    // Rows at or past r_lo sit in register tiles on or below the diagonal.
-    const std::size_t r_lo = lower && jc + jr >= ic + mr
-                                 ? ((jc + jr - ic - mr) / mr + 1) * mr
-                                 : 0;
+    const auto [r_lo, r_hi] = rows_of(jr);
+    if (r_lo >= r_hi) continue;
     const auto first = std::lower_bound(ix.rows.begin(), ix.rows.end(), r_lo);
+    const auto last = std::lower_bound(first, ix.rows.end(), r_hi);
     const auto comp = std::lower_bound(ix.comp.begin(), ix.comp.end(), r_lo);
+    const auto comp_last = std::lower_bound(comp, ix.comp.end(), r_hi);
     const std::size_t cols = std::min(nr, b.snps() - (jc + jr));
-    for (std::size_t ir = r_lo; ir < tile_rows; ir += mr) {
+    for (std::size_t ir = r_lo; ir < r_hi; ir += mr) {
       tc.ll_tiles += a.a_sliver_sparse((ic + ir) / mr) ? 1u : 0u;
     }
-    tc.intersections +=
-        static_cast<std::uint64_t>(ix.rows.end() - first) * cols;
+    tc.intersections += static_cast<std::uint64_t>(last - first) * cols;
+    const std::size_t window = r_hi - r_lo;
     for (std::size_t j = jr; j < jr + cols; ++j) {
       const std::size_t gj = jc + j;
       const std::uint32_t* l = sb.list(gj);
@@ -296,7 +300,7 @@ inline void list_list_chunk(const PackedBitMatrix& a, const PackedBitMatrix& b,
              k < ix.start[(s >> shift) + 1]; ++k) {
           const auto r = static_cast<std::uint32_t>(ix.entry[k]);
           c[r * ldc + j] += static_cast<std::uint32_t>(
-              (ix.entry[k] >> 32 == s) & (r >= r_lo));
+              (ix.entry[k] >> 32 == s) & (r - r_lo < window));
         }
       }
       const auto correct = [&](std::size_t r) {
@@ -306,9 +310,9 @@ inline void list_list_chunk(const PackedBitMatrix& a, const PackedBitMatrix& b,
                                      cnt);
       };
       if (sb.kind[gj] == ColumnKind::kComplement) {
-        std::for_each(first, ix.rows.end(), correct);
+        std::for_each(first, last, correct);
       } else {
-        std::for_each(comp, ix.comp.end(), correct);
+        std::for_each(comp, comp_last, correct);
       }
     }
   }

@@ -26,10 +26,8 @@ std::vector<LdBlock> find_ld_blocks(const BitMatrix& g,
     for (std::size_t i = 0; i < tile.rows; ++i) {
       const std::size_t gi = tile.row_begin + i;
       for (std::size_t j = 0; j < tile.cols; ++j) {
-        const std::size_t gj = tile.col_begin + j;
-        if (gj >= gi) break;
-        const std::size_t d = gi - gj;
-        if (d > span) continue;
+        const std::size_t d = gi - (tile.col_begin + j);
+        if (d == 0) continue;  // self-pairs excluded
         const double v = tile.at(i, j);
         band[gi * span + (d - 1)] = std::isfinite(v) ? v : 0.0;
       }

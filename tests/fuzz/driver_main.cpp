@@ -3,10 +3,13 @@
 //
 //   1. Replay: every file in the given corpus files/directories is fed to
 //      LLVMFuzzerTestOneInput verbatim — a deterministic regression gate.
-//   2. Mutation smoke: a fixed-seed PRNG applies byte-level mutations
-//      (replace / insert / erase / truncate / duplicate) to corpus inputs
-//      for a bounded number of rounds, approximating a short fuzz session
-//      reproducibly.
+//   2. Mutation smoke: a fixed-seed PRNG applies byte-level mutations to
+//      corpus inputs for a bounded number of rounds, approximating a short
+//      fuzz session reproducibly. Even rounds may change the length
+//      (replace / insert / erase / truncate / duplicate); odd rounds keep
+//      it (replace / bit flip), so fixed-size formats, whose headers
+//      record the file size, get past their size checks to their content
+//      checks.
 //
 // Usage: fuzz_<target> [--rounds N] [--seed S] <corpus file or dir>...
 #include <algorithm>
@@ -49,9 +52,20 @@ void collect_inputs(const std::filesystem::path& path,
   }
 }
 
-void mutate(std::vector<std::uint8_t>& bytes, std::mt19937_64& rng) {
+void mutate(std::vector<std::uint8_t>& bytes, std::mt19937_64& rng,
+            bool keep_length) {
   const std::size_t edits = 1 + rng() % 8;
   for (std::size_t e = 0; e < edits; ++e) {
+    if (keep_length) {
+      if (bytes.empty()) return;
+      std::uint8_t& b = bytes[rng() % bytes.size()];
+      if (rng() % 2 == 0) {  // replace one byte
+        b = static_cast<std::uint8_t>(rng());
+      } else {  // flip one bit
+        b ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+      }
+      continue;
+    }
     const std::uint64_t op = bytes.empty() ? 1 : rng() % 5;
     switch (op) {
       case 0:  // replace one byte
@@ -113,7 +127,7 @@ int main(int argc, char** argv) {
   std::mt19937_64 rng(seed);
   for (std::size_t r = 0; r < rounds; ++r) {
     std::vector<std::uint8_t> bytes = corpus[rng() % corpus.size()];
-    mutate(bytes, rng);
+    mutate(bytes, rng, /*keep_length=*/r % 2 == 1);
     LLVMFuzzerTestOneInput(bytes.data(), bytes.size());
   }
   std::printf("ran %zu mutation rounds (seed %llu)\n", rounds,

@@ -1,13 +1,22 @@
 #include "core/band.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/naive.hpp"
+#include "baselines/plink_like.hpp"
+#include "core/missing.hpp"
+#include "naive_oracle.hpp"
+#include "sim/maf_spectrum.hpp"
+#include "sim/rng.hpp"
 #include "sim/wright_fisher.hpp"
 #include "util/contract.hpp"
+#include "util/trace.hpp"
 
 namespace ldla {
 namespace {
@@ -26,25 +35,127 @@ BitMatrix test_matrix(std::size_t snps, std::size_t samples,
 // slab of 88 rows, and a bandwidth of 300 reaches past one slab.
 constexpr std::size_t kRaggedSnps = 600;
 
-TEST(BandScan, CoversEveryBandPairExactlyOnce) {
-  const BitMatrix g = test_matrix(kRaggedSnps, 70, 1);
+// Rare-variant-dominated panel, so the auto threshold sends some register
+// tiles down every sparse route (list×list, both list×dense passes).
+BitMatrix rare_panel(std::size_t snps, std::size_t samples,
+                     std::uint64_t seed) {
+  MafSpectrumParams p;
+  p.n_snps = snps;
+  p.n_samples = samples;
+  p.rare_fraction = 0.8;
+  p.rare_max_maf = 0.01;
+  p.seed = seed;
+  return simulate_maf_spectrum(p);
+}
+
+// One operand kind of the sweep below, with its per-pair oracle.
+struct BandCase {
+  const char* kind;
+  LdOperand operand;
+  LdMatrix want;
+};
+
+// Masked counts straight from the state and validity planes (the
+// missing-data statistic's definition, core/missing.hpp).
+LdMatrix masked_oracle(const MaskedBitMatrix& g) {
   const std::size_t n = g.snps();
-  for (const std::size_t w : {9u, 300u}) {
-    std::vector<int> seen(n * n, 0);
-    std::size_t short_slabs = 0;
-    ld_band_scan(g, w, [&](const LdTile& tile) {
-      if (tile.rows < 256) ++short_slabs;
-      for (std::size_t i = 0; i < tile.rows; ++i) {
-        for (std::size_t j = 0; j < tile.cols; ++j) {
-          ++seen[(tile.row_begin + i) * n + tile.col_begin + j];
-        }
-      }
-    });
-    EXPECT_EQ(short_slabs, 1u) << "w=" << w;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j <= i; ++j) {
-        if (i - j <= w) {
-          ASSERT_EQ(seen[i * n + j], 1) << "w=" << w << " " << i << "," << j;
+  const BitMatrix& x = g.states();
+  const BitMatrix& c = g.valid();
+  LdMatrix out(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      out(i, j) = ld_value_missing(
+          LdStatistic::kRSquared, naive_pair_count(x, i, c, j),
+          naive_pair_count(c, i, x, j), naive_pair_count(x, i, x, j),
+          naive_pair_count(c, i, c, j));
+    }
+  }
+  return out;
+}
+
+// The band contract, over every operand kind x kernel x bandwidth x sparse
+// threshold x team: every in-band canonical pair arrives exactly once, no
+// entry lies outside 0 <= i - j <= W, every value is bit-identical to the
+// oracle, and the visitor is never entered concurrently. 300 SNPs leave a
+// ragged second slab of 44 rows; bandwidths 255/256/257 straddle the slab
+// height, and 300 and SIZE_MAX reach row 0 from the last row. Rare
+// alleles and few gaps keep both planes of the masked and genotype
+// operands list-classified, so the auto threshold runs the sparse routes
+// for every kind.
+TEST(BandScan, CoversEveryBandPairExactlyOnce) {
+  constexpr std::size_t kSnps = 300;
+  const BitMatrix haps = rare_panel(kSnps, 130, 1);
+  BitMatrix valid(kSnps, haps.samples());
+  Rng rng(2);
+  for (std::size_t s = 0; s < kSnps; ++s) {
+    for (std::size_t b = 0; b < haps.samples(); ++b) {
+      valid.set(s, b, !rng.next_bool(0.01));
+    }
+  }
+  const MaskedBitMatrix masked(haps.clone(), std::move(valid));
+  const GenotypeMatrix geno = GenotypeMatrix::from_haplotypes(haps);
+  const BandCase cases[] = {
+      {"haplotypes", haps, naive_ld_matrix(haps, LdStatistic::kRSquared)},
+      {"masked", masked, masked_oracle(masked)},
+      {"genotypes", geno, plink_like_matrix(geno)},
+  };
+  const std::size_t n = kSnps;
+  for (const BandCase& c : cases) {
+    for (const KernelArch arch : available_kernels()) {
+      for (const std::size_t w :
+           {std::size_t{1}, std::size_t{3}, std::size_t{11}, std::size_t{37},
+            std::size_t{255}, std::size_t{256}, std::size_t{257},
+            std::size_t{300}, std::numeric_limits<std::size_t>::max()}) {
+        for (const std::size_t threshold : {std::size_t{0},
+                                            kSparseThresholdAuto}) {
+          for (const unsigned team : {1u, 2u, 4u}) {
+            BandOptions opts;
+            opts.gemm.arch = arch;
+            opts.gemm.sparse_threshold = threshold;
+            opts.threads = team;
+            const std::string what =
+                std::string(c.kind) + " " + kernel_arch_name(arch) + " w " +
+                std::to_string(w) + " threshold " +
+                std::to_string(threshold) + " team " + std::to_string(team);
+            std::vector<int> seen(n * n, 0);
+            std::atomic<bool> inside{false};
+            bool concurrent = false;
+            bool outside = false;
+            bool mismatch = false;
+            const trace::TraceSnapshot before = trace::snapshot();
+            ld_band_scan(c.operand, w, [&](const LdTile& tile) {
+              concurrent |= inside.exchange(true);
+              for (std::size_t i = 0; i < tile.rows; ++i) {
+                for (std::size_t j = 0; j < tile.cols; ++j) {
+                  const std::size_t gi = tile.row_begin + i;
+                  const std::size_t gj = tile.col_begin + j;
+                  if (gi >= n || gj > gi || gi - gj > w) {
+                    outside = true;
+                    continue;
+                  }
+                  ++seen[gi * n + gj];
+                  mismatch |=
+                      !oracle::same_value(tile.at(i, j), c.want(gi, gj));
+                }
+              }
+              inside = false;
+            }, opts);
+            const trace::PhaseCounters d =
+                trace::snapshot().since(before).counters;
+            if (trace::compiled() && threshold != 0) {
+              EXPECT_GT(d.sparse_ll_tiles, 0u) << what;
+              EXPECT_GT(d.sparse_ld_tiles, 0u) << what;
+            }
+            EXPECT_FALSE(concurrent) << what;
+            ASSERT_FALSE(outside) << what << ": entry outside the band";
+            ASSERT_FALSE(mismatch) << what << ": value differs from oracle";
+            for (std::size_t i = 0; i < n; ++i) {
+              for (std::size_t j = 0; j <= i; ++j) {
+                ASSERT_EQ(seen[i * n + j], i - j <= w ? 1 : 0)
+                    << what << " pair " << i << "," << j;
+              }
+            }
+          }
         }
       }
     }
@@ -86,18 +197,18 @@ TEST(BandScan, WideBandEqualsFullScan) {
 }
 
 TEST(BandScan, HugeBandwidthMeansEveryColumn) {
-  // A bandwidth near SIZE_MAX must saturate to full-width slabs: the stripe
-  // buffer is sized from max_rows + bandwidth, and a wrapped sum would
-  // under-allocate it while the tiles still write every column.
+  // A bandwidth near SIZE_MAX must saturate to full-width stripes: the
+  // stripe buffer is sized from max_rows + bandwidth, and a wrapped sum
+  // would under-allocate it while each row's run still reaches column 0.
   const BitMatrix g = test_matrix(100, 64, 9);
   const std::size_t huge = std::numeric_limits<std::size_t>::max();
   std::size_t pairs = 0;
   ld_band_scan(g, huge, [&](const LdTile& tile) {
+    // One fragment per row i: its whole run [0, i].
+    EXPECT_EQ(tile.rows, 1u);
     EXPECT_EQ(tile.col_begin, 0u);
-    EXPECT_EQ(tile.cols, tile.row_begin + tile.rows);
-    for (std::size_t i = 0; i < tile.rows; ++i) {
-      pairs += tile.row_begin + i + 1;
-    }
+    EXPECT_EQ(tile.cols, tile.row_begin + 1);
+    pairs += tile.cols;
   });
   EXPECT_EQ(pairs, ld_pair_count(g.snps()));
 

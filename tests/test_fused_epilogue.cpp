@@ -2,8 +2,8 @@
 // statistics straight from hot count tiles, and must match the naive
 // oracle bit-for-bit across stat x kernel arch x blocking params x ragged
 // shapes x unaligned band and omega windows x sequential/parallel drivers.
-// The band scan must also keep its documented slab geometry, and the stat
-// scans must emit every pair exactly once at any team size.
+// The band scan must emit exactly its in-band pairs, and the stat scans
+// every pair exactly once at any team size.
 #include "core/ld.hpp"
 
 #include <algorithm>
@@ -77,54 +77,6 @@ void expect_same_matrix(const LdMatrix& got, const LdMatrix& want,
   }
 }
 
-// Full tile capture (geometry + payload).
-struct TileRecord {
-  std::size_t row_begin, col_begin, rows, cols;
-  std::vector<double> values;
-};
-
-LdTileVisitor record_into(std::vector<TileRecord>& acc) {
-  return [&acc](const LdTile& tile) {
-    TileRecord r{tile.row_begin, tile.col_begin, tile.rows, tile.cols, {}};
-    r.values.reserve(tile.rows * tile.cols);
-    for (std::size_t i = 0; i < tile.rows; ++i) {
-      for (std::size_t j = 0; j < tile.cols; ++j) {
-        r.values.push_back(tile.at(i, j));
-      }
-    }
-    acc.push_back(std::move(r));
-  };
-}
-
-// A slab scan's tiles: slab s covers rows [s·slab, min(n, (s+1)·slab)) and
-// columns [col_lo(r0), col_hi(r0, rows)); every value (including the
-// trapezoid's above-diagonal slack, which is still valid LD) must equal
-// the oracle's.
-template <typename ColLo, typename ColHi>
-void expect_slab_tiles(const std::vector<TileRecord>& got, std::size_t n,
-                       std::size_t slab, const ColLo& col_lo,
-                       const ColHi& col_hi, const LdMatrix& want,
-                       const char* what) {
-  ASSERT_EQ(got.size(), (n + slab - 1) / slab) << what;
-  for (std::size_t t = 0; t < got.size(); ++t) {
-    const std::size_t r0 = t * slab;
-    const std::size_t rows = std::min(slab, n - r0);
-    const std::size_t c0 = col_lo(r0);
-    ASSERT_EQ(got[t].row_begin, r0) << what << " tile " << t;
-    ASSERT_EQ(got[t].col_begin, c0) << what << " tile " << t;
-    ASSERT_EQ(got[t].rows, rows) << what << " tile " << t;
-    ASSERT_EQ(got[t].cols, col_hi(r0, rows) - c0) << what << " tile " << t;
-    for (std::size_t i = 0; i < got[t].rows; ++i) {
-      for (std::size_t j = 0; j < got[t].cols; ++j) {
-        ASSERT_TRUE(same_value(got[t].values[i * got[t].cols + j],
-                               want(r0 + i, c0 + j)))
-            << what << " tile " << t << " at (" << r0 + i << "," << c0 + j
-            << ")";
-      }
-    }
-  }
-}
-
 // Every pair a stat scan emits, keyed by global (row, col), with a flag for
 // pairs emitted twice. The visitor may be called concurrently.
 struct PairSink {
@@ -145,17 +97,26 @@ struct PairSink {
   }
 };
 
-// The sink holds every pair of `want` (only j <= i when `canonical`)
-// exactly once, each with the oracle's exact bits.
+// The sink holds every pair of `want` exactly once — only the canonical
+// ones, 0 <= i - j <= bandwidth, when `canonical` — and nothing else, each
+// with the oracle's exact bits.
 void expect_pairs_match(const PairSink& sink, const LdMatrix& want,
-                        bool canonical, const char* what) {
+                        bool canonical, const char* what,
+                        std::size_t bandwidth = kUnboundedBand) {
   EXPECT_FALSE(sink.duplicate) << what << ": duplicate pair";
-  const std::size_t pairs = canonical ? ld_pair_count(want.rows())
-                                      : want.rows() * want.cols();
+  std::size_t pairs = want.rows() * want.cols();
+  if (canonical) {
+    pairs = 0;
+    for (std::size_t i = 0; i < want.rows(); ++i) {
+      pairs += std::min(i, bandwidth) + 1;
+    }
+  }
   ASSERT_EQ(sink.seen.size(), pairs) << what;
   for (const auto& [key, v] : sink.seen) {
-    ASSERT_TRUE(!canonical || key.second <= key.first)
-        << what << ": non-canonical entry emitted";
+    ASSERT_TRUE(!canonical || (key.second <= key.first &&
+                               key.first - key.second <= bandwidth))
+        << what << ": entry (" << key.first << "," << key.second
+        << ") outside the canonical band";
     ASSERT_TRUE(key.first < want.rows() && key.second < want.cols()) << what;
     ASSERT_TRUE(same_value(v, want(key.first, key.second)))
         << what << " at (" << key.first << "," << key.second << ")";
@@ -201,7 +162,6 @@ TEST_P(FusedEpilogue, BandScanMatchesNaiveAtUnalignedWindows) {
   // The driver's slabs are 256 rows: 600 SNPs leave a ragged last slab,
   // and a bandwidth of 300 reaches past one slab.
   const BitMatrix g = random_matrix(600, 129, 47);
-  const std::size_t slab = 256;
   const LdMatrix want = naive_ld_matrix(g, LdStatistic::kRSquared);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
     // Bandwidths chosen so column windows start/end off every sliver and
@@ -209,13 +169,10 @@ TEST_P(FusedEpilogue, BandScanMatchesNaiveAtUnalignedWindows) {
     for (const std::size_t bandwidth : {1ul, 11ul, 37ul, 300ul}) {
       BandOptions opts;
       opts.gemm = cfg;
-      std::vector<TileRecord> band;
-      ld_band_scan(g, bandwidth, record_into(band), opts);
-      expect_slab_tiles(
-          band, g.snps(), slab,
-          [&](std::size_t r0) { return r0 > bandwidth ? r0 - bandwidth : 0; },
-          [](std::size_t r0, std::size_t rows) { return r0 + rows; }, want,
-          "ld_band_scan");
+      PairSink sink;
+      ld_band_scan(g, bandwidth, sink.visitor(), opts);
+      expect_pairs_match(sink, want, /*canonical=*/true, "ld_band_scan",
+                         bandwidth);
     }
   }
 }

@@ -251,8 +251,7 @@ TEST(Missing, ScanPacksTheInterleavedMatrixOnce) {
 }
 
 // Per-sample masked counts (ci, cj, cij, n_valid) of every ordered pair,
-// row-major: the oracle of the banded scan, whose stripes also carry pairs
-// above the diagonal.
+// row-major: the oracle of the banded scan.
 std::vector<std::array<std::uint64_t, 4>> oracle_counts(
     const MaskedBitMatrix& g) {
   const std::size_t n = g.snps();

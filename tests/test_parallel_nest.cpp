@@ -59,21 +59,29 @@ std::vector<GemmConfig> blocking_configs(KernelArch arch) {
 // Dense per-element capture of a tile stream over the rectangle
 // [r0, r1) x [c0, c1). Records each in-window element exactly once (a
 // duplicate delivery fails the test). With lower_only the window is the
-// canonical gj <= gi band — strictly-upper slack of diagonal-straddling
-// SYRK tiles is ignored, exactly as the real consumers ignore it.
+// SYRK band 0 <= gi - gj <= width — the slack of register tiles that
+// straddle the diagonal or the band edge is ignored, exactly as the real
+// consumers ignore it.
 struct ElementCapture {
   std::size_t r0, r1, c0, c1;
-  bool lower_only;  ///< restrict the window to gj <= gi (SYRK canonical)
+  bool lower_only;  ///< restrict the window to the band below
+  std::size_t width;
   std::vector<std::uint32_t> counts;
   std::vector<std::uint8_t> seen;
   std::mutex mu;
   bool duplicate = false;
 
   ElementCapture(std::size_t row_begin, std::size_t row_end,
-                 std::size_t col_begin, std::size_t col_end, bool lower)
+                 std::size_t col_begin, std::size_t col_end, bool lower,
+                 std::size_t band_width = kUnboundedBand)
       : r0(row_begin), r1(row_end), c0(col_begin), c1(col_end),
-        lower_only(lower), counts((row_end - row_begin) * (col_end - col_begin)),
+        lower_only(lower), width(band_width),
+        counts((row_end - row_begin) * (col_end - col_begin)),
         seen((row_end - row_begin) * (col_end - col_begin)) {}
+
+  bool in_window(std::size_t gi, std::size_t gj) const {
+    return !lower_only || (gj <= gi && gi - gj <= width);
+  }
 
   CountTileSink sink() {
     return [this](const CountTile& t) {
@@ -82,7 +90,7 @@ struct ElementCapture {
         const std::size_t gi = t.row_begin + i;
         for (std::size_t j = 0; j < t.cols; ++j) {
           const std::size_t gj = t.col_begin + j;
-          if (lower_only && gj > gi) continue;
+          if (!in_window(gi, gj)) continue;
           const std::size_t at = (gi - r0) * (c1 - c0) + (gj - c0);
           if (seen[at]) duplicate = true;
           seen[at] = 1;
@@ -101,7 +109,7 @@ void expect_naive_capture(const ElementCapture& got, const CountMatrix& naive,
                               << ": element delivered twice";
   for (std::size_t gi = got.r0; gi < got.r1; ++gi) {
     for (std::size_t gj = got.c0; gj < got.c1; ++gj) {
-      if (got.lower_only && gj > gi) continue;
+      if (!got.in_window(gi, gj)) continue;
       const std::size_t at = (gi - got.r0) * (got.c1 - got.c0) + (gj - got.c0);
       ASSERT_TRUE(got.seen[at] != 0)
           << what << " team=" << team << " missed (" << gi << ", " << gj << ")";
@@ -186,6 +194,33 @@ TEST_P(ParallelNest, SyrkSubRangesMatchNaive) {
   }
 }
 
+TEST_P(ParallelNest, SyrkBandsMatchNaive) {
+  // Bounded bands whose columns start before the row window, with widths
+  // under and over the register tile and the window: every in-band element
+  // exactly once, equal to the naive count.
+  const BitMatrix g = random_matrix(90, 413, 29);
+  const CountMatrix naive = naive_count_matrix(g, g);
+  struct Window {
+    std::size_t r0, r1, lead;
+  };
+  for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+    const GemmPlan plan = resolve_plan(cfg, g.view().n_words);
+    const PackedBitMatrix pg(g.view(), plan, PackSides::kBoth);
+    for (const Window& w : {Window{40, 87, 40}, Window{17, 33, 5},
+                            Window{3, 90, 3}, Window{64, 90, 13}}) {
+      for (const std::size_t width : {0u, 1u, 6u, 13u, 200u}) {
+        for (const unsigned team : kTeams) {
+          ElementCapture got(w.r0, w.r1, w.r0 - w.lead, w.r1,
+                             /*lower=*/true, width);
+          syrk_count_fused(pg, w.r0, w.r1, got.sink(), team,
+                           SyrkBand{w.lead, width});
+          expect_naive_capture(got, naive, "syrk band", team);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, ParallelNest, ::testing::ValuesIn(available_kernels()),
     [](const ::testing::TestParamInfo<KernelArch>& param_info) {
@@ -233,6 +268,9 @@ TEST(FusedDriverContracts, RejectsBadRangesAndMissingSink) {
         syrk_count_fused(pg, 0, 11, [](const CountTile&) {}, team),
         ContractViolation);
     EXPECT_THROW(syrk_count_fused(pg, 0, 10, nullptr, team),
+                 ContractViolation);
+    EXPECT_THROW(syrk_count_fused(pg, 2, 10, [](const CountTile&) {}, team,
+                                  SyrkBand{3}),
                  ContractViolation);
     EXPECT_THROW(
         gemm_count_fused(pg, 0, 11, pg, 0, 10, [](const CountTile&) {}, team),

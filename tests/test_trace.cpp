@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/band.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
@@ -355,6 +356,63 @@ TEST(TraceCounters, OmegaScanComputesEachBandPairOnce) {
     EXPECT_EQ(scan_words({4, 8, 12}), alone) << "grid " << grid;
     EXPECT_EQ(alone, expect_band_fill_words(p, positions, grid, 12))
         << "grid " << grid;
+  }
+}
+
+// Analytic mirror of ld_band_scan's kernel work at a team of one over a
+// dense single-plane pack: each 256-row slab [r0, r1) runs the nest over
+// columns [max(r0 - W, 0), r1), and exactly the register tiles that meet
+// the band reach the micro-kernel — row sliver R against column sliver C
+// when R + mr > C (not wholly above the diagonal) and R <= C + nr - 1 + W
+// (not wholly beyond the band edge), once per k panel.
+std::uint64_t expect_band_scan_words(const PackedBitMatrix& p,
+                                     std::size_t bandwidth) {
+  constexpr std::size_t kSlab = 256;
+  const std::size_t n = p.snps();
+  const std::size_t mr = p.plan().mr;
+  const std::size_t nr = p.plan().nr;
+  std::uint64_t panel_words = 0;
+  for (std::size_t panel = 0; panel < p.panels(); ++panel) {
+    panel_words += mr * nr * p.panel_kc_padded(panel);
+  }
+  std::uint64_t words = 0;
+  for (std::size_t r0 = 0; r0 < n; r0 += kSlab) {
+    const std::size_t r1 = std::min(r0 + kSlab, n);
+    const std::size_t c0 = r0 > bandwidth ? r0 - bandwidth : 0;
+    for (std::size_t row = r0 / mr * mr; row < r1; row += mr) {
+      for (std::size_t col = c0 / nr * nr; col < r1; col += nr) {
+        if (row + mr > col && row <= col + nr - 1 + bandwidth) {
+          words += panel_words;
+        }
+      }
+    }
+  }
+  return words;
+}
+
+// The band walk computes only the register tiles that meet the band, on
+// every kernel and on a cache-tile grid finer than the slabs as well as on
+// the default one.
+TEST(TraceCounters, BandScanWalksOnlyTheBandsRegisterTiles) {
+  if (!trace::compiled()) GTEST_SKIP() << "built with LDLA_TRACE=OFF";
+  const BitMatrix g = random_matrix(600, 300, 23);
+  for (const KernelArch arch : available_kernels()) {
+    for (GemmConfig cfg : {GemmConfig{}, small_blocking(arch)}) {
+      cfg.arch = arch;
+      cfg.sparse_threshold = 0;
+      const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), cfg);
+      ASSERT_FALSE(p.hybrid_dispatch());
+      for (const std::size_t w : {1u, 9u, 300u}) {
+        BandOptions opts;
+        opts.gemm = cfg;
+        opts.packed = &p;
+        const trace::TraceSnapshot before = trace::snapshot();
+        ld_band_scan(g, w, [](const LdTile&) {}, opts);
+        EXPECT_EQ(trace::snapshot().since(before).counters.kernel_words,
+                  expect_band_scan_words(p, w))
+            << kernel_arch_name(arch) << " mc " << p.plan().mc << " w " << w;
+      }
+    }
   }
 }
 
