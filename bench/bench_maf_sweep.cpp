@@ -30,10 +30,15 @@
 // (bandwidth 500, the e2ebench rare-band job) over a dense-only pack and
 // an auto-threshold pack, with exact checksum equality: the layer number
 // beside the end-to-end one. The pack-split rows time its hybrid pack stage
-// by stage at pack teams 1 and 4: the dense slivers, the classification
-// (popcounts, lists and prescaled lists) and the sample-major transpose.
-// Each carries an FNV-1a hash of the pack's sparse-side bytes, which must
-// not depend on the team size.
+// by stage at pack teams 1 and 4, each stage the function the pack calls
+// on the inputs the pack gives it: the classification (popcounts, kinds),
+// the dense slivers, the lists with their prescaled copy, and the compact
+// transpose of the kept 8-row groups. Each row carries the MiB of the
+// dense words, the transpose and the lists, and an FNV-1a hash of the
+// pack's bytes (dense payload, slot tables, sparse side), which must not
+// depend on the team size; the bench fails unless the dense words and
+// the transpose bytes are exactly what the sliver flags and the kept
+// groups imply.
 //
 // Dense and hybrid arms are bit-identical by contract (integer counts,
 // same tile stream, same epilogue); the checksum comparison is exact
@@ -41,6 +46,7 @@
 #include "bench_common.hpp"
 #include "core/band.hpp"
 #include "core/bit_transpose.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace ldla;
 using namespace ldla::bench;
@@ -74,10 +80,18 @@ struct Fnv1a {
   }
 };
 
-// Kinds, popcounts, offsets, lists, prescaled lists and transpose.
-std::string sparse_side_hash(const PackedBitMatrix& p) {
+// Dense payload, slot tables, kinds, popcounts, offsets, lists, prescaled
+// lists, the transpose's group table and bytes.
+std::string pack_hash(const PackedBitMatrix& p) {
   const SparseColumns& sc = p.sparse_columns();
   Fnv1a f;
+  if (p.a_data_words() != 0) f.add(p.a_data(), p.a_data_words() * 8);
+  if (p.b_data_words() != 0) f.add(p.b_data(), p.b_data_words() * 8);
+  for (const std::vector<std::uint32_t>* slot :
+       {&p.a_sliver_slots(), &p.b_sliver_slots(),
+        &p.sample_major().group_slot}) {
+    f.add(slot->data(), slot->size() * sizeof(std::uint32_t));
+  }
   f.add(sc.kind.data(), sc.kind.size() * sizeof(ColumnKind));
   f.add(sc.popcount.data(), sc.popcount.size() * sizeof(std::uint32_t));
   f.add(sc.offset.data(), sc.offset.size() * sizeof(std::uint64_t));
@@ -85,9 +99,8 @@ std::string sparse_side_hash(const PackedBitMatrix& p) {
   if (p.scaled_index() != nullptr) {
     f.add(p.scaled_index(), sc.index.size() * sizeof(std::uint32_t));
   }
-  if (p.has_sample_major()) {
-    f.add(p.sample_major(),
-          p.samples() * p.sample_major_stride() * sizeof(std::uint64_t));
+  if (p.sample_major_stride() != 0) {
+    f.add(p.sample_major().bytes, p.samples() * p.sample_major_stride());
   }
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -182,64 +195,156 @@ bool band_rows(BenchJson& json, const BitMatrix& g, int trials) {
   return true;
 }
 
+// The hybrid pack's dense stage, as PackedBitMatrix runs it: pack_panel
+// writes each dense sliver of each side into its slot of every k panel,
+// a team splitting the slivers.
+AlignedBuffer<std::uint64_t> pack_dense_slivers(const BitMatrixView& v,
+                                                const PackedBitMatrix& pk,
+                                                unsigned team) {
+  AlignedBuffer<std::uint64_t> out(pk.packed_words());
+  const GemmPlan& plan = pk.plan();
+  std::size_t base = 0;
+  const auto side = [&](const std::vector<std::uint32_t>& slot,
+                        std::size_t r) {
+    const auto dense = static_cast<std::size_t>(
+        std::count_if(slot.begin(), slot.end(),
+                      [](std::uint32_t x) { return x != kNoSlot; }));
+    std::vector<std::size_t> panel_base;
+    for (std::size_t p = 0; p < pk.panels(); ++p) {
+      panel_base.push_back(base);
+      base += dense * r * pk.panel_kc_padded(p);
+    }
+    run_split(slot.size(), team, [&](Range range) {
+      for (std::size_t s = range.begin; s < range.end; ++s) {
+        if (slot[s] == kNoSlot) continue;
+        for (std::size_t p = 0; p < pk.panels(); ++p) {
+          pack_panel(v, s * r, std::min(r, v.n_snps - s * r),
+                     pk.panel_k_begin(p), pk.panel_kc(p), r, plan.ku,
+                     out.data() + panel_base[p] +
+                         slot[s] * r * pk.panel_kc_padded(p));
+        }
+      }
+    });
+  };
+  side(pk.a_sliver_slots(), plan.mr);
+  if (plan.nr != plan.mr) side(pk.b_sliver_slots(), plan.nr);
+  return out;
+}
+
+// True when the pack holds exactly the dense words its sliver flags imply
+// and exactly one transpose byte per sample per 8-row group with a dense
+// column.
+bool pack_sizes_exact(const PackedBitMatrix& pk) {
+  const GemmPlan& plan = pk.plan();
+  const std::size_t n = pk.snps();
+  std::size_t kcp_sum = 0;
+  for (std::size_t p = 0; p < pk.panels(); ++p) {
+    kcp_sum += pk.panel_kc_padded(p);
+  }
+  const auto side_words = [&](std::size_t r, bool a_side) {
+    std::size_t dense = 0;
+    for (std::size_t s = 0; s * r < n; ++s) {
+      const bool sparse =
+          a_side ? pk.a_sliver_sparse(s) : pk.b_sliver_sparse(s);
+      if (!sparse) ++dense;
+    }
+    return dense * r * kcp_sum;
+  };
+  std::size_t words = side_words(plan.mr, true);
+  if (plan.nr != plan.mr) words += side_words(plan.nr, false);
+  const std::vector<ColumnKind>& kind = pk.sparse_columns().kind;
+  std::size_t kept = 0;
+  for (std::size_t g = 0; g * 8 < n; ++g) {
+    const auto first = kind.begin() + static_cast<std::ptrdiff_t>(g * 8);
+    const auto last =
+        kind.begin() + static_cast<std::ptrdiff_t>(std::min(n, g * 8 + 8));
+    if (std::find(first, last, ColumnKind::kDense) != last) ++kept;
+  }
+  const std::size_t sm_bytes =
+      pk.sparse_columns().sparse_count != 0 ? pk.samples() * kept : 0;
+  return pk.packed_words() == words &&
+         pk.sample_major().owned.size() == sm_bytes;
+}
+
 // The pack-split rows (see the header comment). Returns false when the
-// sparse-side hash differs between teams.
+// pack hash differs between teams or the pack's sizes are not exact.
 bool pack_split(BenchJson& json, const BitMatrix& g, int trials) {
   const std::size_t n = g.snps();
   const std::size_t k = g.samples();
   const BitMatrixView v = g.view();
   const GemmPlan plan = gemm_plan_for(v);
-  GemmConfig dense_cfg;
-  dense_cfg.sparse_threshold = 0;
+  constexpr double kMiB = 1024.0 * 1024.0;
 
-  Table table({"pack team", "dense s", "classify s", "transpose s",
-               "sparse side s", "hybrid pack s", "sparse-side hash"});
+  Table table({"pack team", "classify s", "dense s", "lists s",
+               "transpose s", "hybrid pack s", "dense MiB", "transpose MiB",
+               "lists MiB", "pack hash"});
   std::string first_hash;
   bool same = true;
+  bool exact = true;
   for (const unsigned team : {1u, 4u}) {
-    const double dense_s = best_seconds(trials, [&] {
-      return PackedBitMatrix::pack(v, dense_cfg, PackSides::kBoth, team);
-    });
-    const std::uint32_t stride = static_cast<std::uint32_t>((n + 63) / 64);
+    const PackedBitMatrix pk =
+        PackedBitMatrix::pack(v, GemmConfig{}, PackSides::kBoth, team);
+    const SparseColumns& sc = pk.sparse_columns();
+    const SampleMajor& sm = pk.sample_major();
     const double classify_s = best_seconds(trials, [&] {
-      SparseColumns sc =
-          classify_sparse_columns(v, plan.sparse_threshold, team);
+      return classify_sparse_columns(v, plan.sparse_threshold, team);
+    });
+    const double dense_s =
+        best_seconds(trials, [&] { return pack_dense_slivers(v, pk, team); });
+    const double lists_s = best_seconds(trials, [&] {
+      SparseColumns lists = sc;
       AlignedBuffer<std::uint32_t> scaled(sc.offset.back());
-      extract_sparse_lists(v, sc, scaled.data(), stride, team);
-      return std::make_pair(std::move(sc), std::move(scaled));
+      extract_sparse_lists(v, lists, scaled.data(),
+                           static_cast<std::uint32_t>(sm.row_bytes), team);
+      return std::make_pair(std::move(lists), std::move(scaled));
     });
     const double transpose_s = best_seconds(trials, [&] {
-      AlignedBuffer<std::uint64_t> sm(k * stride);
-      transpose_bits_into(v, sm.data(), stride, team);
-      return sm;
+      AlignedBuffer<std::uint8_t> bytes(k * sm.row_bytes);
+      transpose_groups_into(v, sm.group_slot.data(), bytes.data(),
+                            sm.row_bytes, team);
+      return bytes;
     });
     const double pack_s = best_seconds(trials, [&] {
       return PackedBitMatrix::pack(v, GemmConfig{}, PackSides::kBoth, team);
     });
-    const std::string hash = sparse_side_hash(
-        PackedBitMatrix::pack(v, GemmConfig{}, PackSides::kBoth, team));
+    const double dense_mib =
+        static_cast<double>(pk.packed_words() * 8) / kMiB;
+    const double transpose_mib = static_cast<double>(sm.owned.size()) / kMiB;
+    // The lists and their prescaled copy.
+    const double lists_mib =
+        static_cast<double>(2 * sc.index.size() * sizeof(std::uint32_t)) /
+        kMiB;
+    const std::string hash = pack_hash(pk);
     if (first_hash.empty()) first_hash = hash;
     same = same && hash == first_hash;
+    exact = exact && pack_sizes_exact(pk);
 
     char label[32];
     std::snprintf(label, sizeof label, "pack-rare95-t%u", team);
     json.add(label, "auto", n, k, pack_s, 0.0);
     json.set_last_field("pack_team", static_cast<double>(team));
-    json.set_last_field("dense_s", dense_s);
     json.set_last_field("classify_s", classify_s);
+    json.set_last_field("dense_s", dense_s);
+    json.set_last_field("lists_s", lists_s);
     json.set_last_field("transpose_s", transpose_s);
-    json.set_last_field("sparse_side_s", classify_s + transpose_s);
-    json.set_last_field("sparse_hash", hash);
-    table.add_row({std::to_string(team), fmt_fixed(dense_s, 3),
-                   fmt_fixed(classify_s, 3), fmt_fixed(transpose_s, 3),
-                   fmt_fixed(classify_s + transpose_s, 3),
-                   fmt_fixed(pack_s, 3), hash});
+    json.set_last_field("dense_mib", dense_mib);
+    json.set_last_field("transpose_mib", transpose_mib);
+    json.set_last_field("lists_mib", lists_mib);
+    json.set_last_field("pack_hash", hash);
+    table.add_row({std::to_string(team), fmt_fixed(classify_s, 3),
+                   fmt_fixed(dense_s, 3), fmt_fixed(lists_s, 3),
+                   fmt_fixed(transpose_s, 3), fmt_fixed(pack_s, 3),
+                   fmt_fixed(dense_mib, 1), fmt_fixed(transpose_mib, 1),
+                   fmt_fixed(lists_mib, 1), hash});
   }
   std::printf("\npack split: %zu x %zu, rare_fraction 0.95 (best of %d)\n", n,
               k, trials);
   std::fputs(table.str().c_str(), stdout);
-  if (!same) std::printf("PACK-SPLIT SPARSE HASH DIFFERS ACROSS TEAMS\n");
-  return same;
+  if (!same) std::printf("PACK-SPLIT HASH DIFFERS ACROSS TEAMS\n");
+  if (!exact) {
+    std::printf("PACK SIZES DIFFER FROM THE SLIVER FLAGS AND KEPT GROUPS\n");
+  }
+  return same && exact;
 }
 
 }  // namespace
@@ -310,7 +415,8 @@ int main(int argc, char** argv) {
     const PackedBitMatrix dense_pack = pack_arm(0, &dense_pack_s);
     const PackedBitMatrix hybrid_pack =
         pack_arm(kSparseThresholdAuto, &hybrid_pack_s);
-    std::printf("  pack: dense %.3fs, hybrid %.3fs (classify + transpose)\n",
+    std::printf("  pack: dense %.3fs, hybrid %.3fs (classify, dense slivers, "
+                "lists, transpose)\n",
                 dense_pack_s, hybrid_pack_s);
 
     const auto run = [&](std::size_t threshold, const PackedBitMatrix* pk) {
@@ -369,9 +475,8 @@ int main(int argc, char** argv) {
       "panels classify nothing sparse (hybrid == dense path, <= noise), a\n"
       "rare-dominated panel replaces most register tiles with index-list\n"
       "merges whose cost tracks allele counts, not sample width. The\n"
-      "counters rows attribute the work: sparse_ll/ld_tiles vs\n"
-      "dense_fallback_tiles shows how many tiles actually left the dense\n"
-      "path at each grid point.\n");
+      "counters rows attribute the work: sparse_ll/ld_tiles show how many\n"
+      "register tiles left the dense path at each grid point.\n");
   std::printf("headline: rare80 speedup %.2fx; all-common control %.2fx\n",
               rare80_speedup, common_speedup);
   const BitMatrix rare95 = rare95_panel();

@@ -49,33 +49,6 @@ void bench_popcount_and(benchmark::State& state, PopcountMethod method) {
       benchmark::Counter::kIsRate);
 }
 
-// Positional (column-wise) popcount over a strip of transpose rows: the
-// pack-time allele-count engine. Arg is the row count; the strip is 8
-// words wide (512 column counters), matching the AVX2 backend's native
-// strip so every method is timed on the same memory footprint.
-void bench_positional_strip(benchmark::State& state, PopcountMethod method) {
-  if (!ldla::popcount_method_available(method)) {
-    state.SkipWithError("backend unavailable on this CPU");
-    return;
-  }
-  constexpr std::size_t kWidth = 8;
-  const std::size_t rows = static_cast<std::size_t>(state.range(0));
-  const Operands ops = make_operands(rows * kWidth);
-  std::vector<std::uint32_t> counts(kWidth * 64);
-  for (auto _ : state) {
-    ldla::positional_popcount_strip(ops.a.data(), rows, kWidth, kWidth,
-                                    counts.data(), method);
-    benchmark::DoNotOptimize(counts.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rows * kWidth) * 8);
-  state.counters["words/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(rows * kWidth),
-      benchmark::Counter::kIsRate);
-}
-
 }  // namespace
 
 // Sizes: one SNP row of a small cohort (64 words = 4096 samples), an
@@ -94,21 +67,6 @@ LDLA_POPCOUNT_BENCH(avx2_harley_seal, PopcountMethod::kHarleySealAvx2);
 LDLA_POPCOUNT_BENCH(simd_extract_strawman, PopcountMethod::kSimdExtract);
 LDLA_POPCOUNT_BENCH(avx512_vpopcntdq, PopcountMethod::kAvx512Vpopcnt);
 
-// Positional variants: row counts below / at / above the 8-bit lane
-// saturation point (255 rows) and a shard-sized strip. Only the three
-// positional backends are registered; the scalar AND+POPCNT methods
-// above have no column-wise counterpart.
-#define LDLA_POSITIONAL_BENCH(name, method)                           \
-  BENCHMARK_CAPTURE(bench_positional_strip, name, method)             \
-      ->Arg(64)                                                       \
-      ->Arg(255)                                                      \
-      ->Arg(4096)
-
-LDLA_POSITIONAL_BENCH(positional_hardware, PopcountMethod::kHardware);
-LDLA_POSITIONAL_BENCH(positional_swar_bitsliced, PopcountMethod::kSwar);
-LDLA_POSITIONAL_BENCH(positional_avx2_harley_seal,
-                      PopcountMethod::kHarleySealAvx2);
-
 namespace {
 
 // Console output as usual, with every finished run mirrored into the
@@ -123,13 +81,8 @@ class JsonMirrorReporter : public benchmark::ConsoleReporter {
       if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
       const auto it = run.counters.find("words/s");
       const double rate = it != run.counters.end() ? it->second.value : 0.0;
-      // Name shape: "bench_popcount_and/<method>/<words>" or
-      // "bench_positional_strip/<method>/<rows>".
-      const std::string name = run.benchmark_name();
-      const bool positional = name.rfind("bench_positional_strip", 0) == 0;
-      ldla::bench::add_gbench_row(json_, name,
-                                  positional ? "positional-strip"
-                                             : "popcount-and",
+      // Name shape: "bench_popcount_and/<method>/<words>".
+      ldla::bench::add_gbench_row(json_, run.benchmark_name(), "popcount-and",
                                   run.real_accumulated_time, rate);
     }
   }

@@ -66,8 +66,7 @@ TRACE_COUNTERS = {
     "ldla_pool_failed_steals_total", "ldla_nest_failed_steals_total",
     "ldla_pool_parks_total", "ldla_pool_barrier_waits_total",
     "ldla_sparse_ll_tiles_total", "ldla_sparse_ld_tiles_total",
-    "ldla_sparse_intersections_total",
-    "ldla_sparse_dense_fallback_tiles_total", "ldla_shard_io_bytes_total",
+    "ldla_sparse_intersections_total", "ldla_shard_io_bytes_total",
     "ldla_stream_prefetch_issued_total", "ldla_stream_prefetch_hits_total",
     "ldla_stream_prefetch_stalls_total"}
 EVENT_KEYS = {"name", "cat", "ph", "ts", "dur", "pid", "tid"}

@@ -28,13 +28,6 @@ std::uint64_t avx2_count_and3(const std::uint64_t* a, const std::uint64_t* b,
 std::uint64_t avx2_count_extract(const std::uint64_t* p, std::size_t n);
 std::uint64_t avx2_count_and_extract(const std::uint64_t* a,
                                      const std::uint64_t* b, std::size_t n);
-// Positional popcount strip: counts[w*64 + b] += rows with bit b of word w
-// set (counts must be pre-zeroed by the caller). Bits expand into byte
-// lanes, accumulate in 8-bit lanes, drain to 16-bit lanes every 255 rows,
-// and reach the u32 counts only at u16 saturation or the end.
-void avx2_positional_strip(const std::uint64_t* rows, std::size_t n,
-                           std::size_t stride, std::size_t width,
-                           std::uint32_t* counts);
 #endif
 
 #if LDLA_HAVE_AVX512_TU

@@ -47,21 +47,6 @@ namespace {
 
 enum class Shape { kRect, kBand };
 
-/// A register tile may leave the dense walk for the list kernels only when
-/// the gather's dense side carries the sample-major transpose. Same-matrix
-/// calls always qualify (a sparse sliver implies the pack classified
-/// columns, which builds the transpose); in a cross-matrix call a partner
-/// packed from an all-dense matrix lacks it, and the pair stays on the
-/// dense micro-kernel. The dense walk and the sparse pass must agree on
-/// this predicate — every pair is computed exactly once.
-bool sparse_pair_ok(const PackedBitMatrix& a, const PackedBitMatrix& b,
-                    bool a_sp, bool b_sp) {
-  if (a_sp && b_sp) return true;  // both packs built their transposes
-  if (a_sp) return b.has_sample_major();
-  if (b_sp) return a.has_sample_major();
-  return false;
-}
-
 /// Operands, clamp window and blocking of one nest call. ic0/jc0 snap the
 /// window start down to the sliver grid, the pad ends round its end up.
 /// For a band `b` is `a`, the column window ends with the row window, and
@@ -69,19 +54,23 @@ bool sparse_pair_ok(const PackedBitMatrix& a, const PackedBitMatrix& b,
 struct TileGrid {
   const PackedBitMatrix& a;
   const PackedBitMatrix& b;
+  const SampleMajor& a_sm;  ///< what B's lists gather against
+  const SampleMajor& b_sm;  ///< what A's lists gather against
   const KernelInfo& kern;
   std::size_t mr, nr, mc, nc;
   std::size_t a_begin, a_end, b_begin, b_end;
   std::size_t ic0, jc0, a_pad_end, b_pad_end;
   std::size_t width;
 
-  TileGrid(const PackedBitMatrix& pa, std::size_t a0, std::size_t a1,
-           const PackedBitMatrix& pb, std::size_t b0, std::size_t b1,
+  TileGrid(const PackedBitMatrix& pa, const SampleMajor& sa, std::size_t a0,
+           std::size_t a1, const PackedBitMatrix& pb, const SampleMajor& sb,
+           std::size_t b0, std::size_t b1,
            std::size_t band_width = kUnboundedBand)
-      : a(pa), b(pb), kern(kernel_for_plan(pa.plan())), mr(pa.plan().mr),
-        nr(pa.plan().nr), mc(pa.plan().mc), nc(pa.plan().nc), a_begin(a0),
-        a_end(a1), b_begin(b0), b_end(b1), ic0(a0 / mr * mr),
-        jc0(b0 / nr * nr), a_pad_end((a1 + mr - 1) / mr * mr),
+      : a(pa), b(pb), a_sm(sa), b_sm(sb), kern(kernel_for_plan(pa.plan())),
+        mr(pa.plan().mr), nr(pa.plan().nr), mc(pa.plan().mc),
+        nc(pa.plan().nc), a_begin(a0), a_end(a1), b_begin(b0), b_end(b1),
+        ic0(a0 / mr * mr), jc0(b0 / nr * nr),
+        a_pad_end((a1 + mr - 1) / mr * mr),
         b_pad_end((b1 + nr - 1) / nr * nr), width(band_width) {}
 
   /// The last row within the band of column `c` (saturating).
@@ -167,11 +156,13 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
   }
 
   // All rank-kc updates for this tile before moving on: the tile is final
-  // when the panel loop ends. When either pack carries sparse-classified
-  // slivers the register tiles split three ways: list×list pairs go to the
-  // chunk-local sparse product, list×dense pairs to the gather, and the
-  // rest keep the dense micro-kernel panel walk — same scratch, same
-  // integer counts, so the emitted CountTile is bit-identical either way.
+  // when the panel loop ends. When either pack carries all-sparse slivers
+  // the register tiles split three ways: list×list pairs go to the
+  // chunk-local sparse product, list×dense pairs to the gather, and
+  // dense×dense pairs keep the micro-kernel panel walk — same scratch,
+  // same integer counts, so the emitted CountTile is bit-identical either
+  // way. An all-sparse sliver has no dense words, so the walk never reads
+  // it.
   const bool hybrid = a.hybrid_dispatch() || b.hybrid_dispatch();
   {
     LDLA_TRACE_SPAN(kKernel);
@@ -182,14 +173,11 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
       const PackedPanelView b_panel = b.b_panel(p, jc / nr, tile_cols / nr);
       const PackedPanelView a_panel = a.a_panel(p, ic / mr, tile_rows / mr);
       for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
+        if (hybrid && b.b_sliver_sparse((jc + jr) / nr)) continue;
         const std::uint64_t* bp = b_panel.sliver(jr / nr);
-        const bool b_sp = hybrid && b.b_sliver_sparse((jc + jr) / nr);
         const Span rows = rows_of(jr);
         for (std::size_t ir = rows.begin; ir < rows.end; ir += mr) {
-          if (hybrid &&
-              sparse_pair_ok(a, b, a.a_sliver_sparse((ic + ir) / mr), b_sp)) {
-            continue;
-          }
+          if (hybrid && a.a_sliver_sparse((ic + ir) / mr)) continue;
           const std::uint64_t* ap = a_panel.sliver(ir / mr);
           LDLA_ASSERT_ALIGNED(ap, 8);
           LDLA_ASSERT_ALIGNED(bp, 8);
@@ -202,25 +190,20 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
     LDLA_TRACE_ADD_KERNEL(tile_calls, tile_words);
     if (hybrid) {
       detail::SparseTileCounters tc;
-      std::uint64_t fallback_tiles = 0;
       detail::list_list_chunk(a, b, ic, tile_rows, jc, tile_cols, rows_of,
                               scratch, scratch_ld, ix, tc);
       // The list×dense gathers. Pass 1 (jr outer) gathers each sparse jr
       // list against A's transpose, the list hot across the ir sweep. Pass 2
       // (ir outer) gathers the ir lists against B's transpose; with jr
       // innermost, each sample's transpose row lines serve every dense jr
-      // word column of the tile, so only the first jr tile misses.
+      // column of the tile, so only the first jr tile misses.
       for (std::size_t jr = 0; jr < tile_cols; jr += nr) {
         if (!b.b_sliver_sparse((jc + jr) / nr)) continue;
         const Span rows = rows_of(jr);
         for (std::size_t ir = rows.begin; ir < rows.end; ir += mr) {
           if (a.a_sliver_sparse((ic + ir) / mr)) continue;
-          if (!sparse_pair_ok(a, b, false, true)) {
-            ++fallback_tiles;
-            continue;
-          }
-          detail::sparse_register_tile(a, b, false, ic + ir, jc + jr, mr, nr,
-                                       &scratch[ir * scratch_ld + jr],
+          detail::sparse_register_tile(a, b, g.a_sm, false, ic + ir, jc + jr,
+                                       mr, nr, &scratch[ir * scratch_ld + jr],
                                        scratch_ld, tc);
         }
       }
@@ -229,17 +212,12 @@ void run_tile(const TileGrid& g, const TileChunk& ch, std::uint32_t* scratch,
         const Span cols = cols_of(ir);
         for (std::size_t jr = cols.begin; jr < cols.end; jr += nr) {
           if (b.b_sliver_sparse((jc + jr) / nr)) continue;
-          if (!sparse_pair_ok(a, b, true, false)) {
-            ++fallback_tiles;
-            continue;
-          }
-          detail::sparse_register_tile(a, b, true, ic + ir, jc + jr, mr, nr,
-                                       &scratch[ir * scratch_ld + jr],
+          detail::sparse_register_tile(a, b, g.b_sm, true, ic + ir, jc + jr,
+                                       mr, nr, &scratch[ir * scratch_ld + jr],
                                        scratch_ld, tc);
         }
       }
-      LDLA_TRACE_ADD_SPARSE(tc.ll_tiles, tc.ld_tiles, tc.intersections,
-                            fallback_tiles);
+      LDLA_TRACE_ADD_SPARSE(tc.ll_tiles, tc.ld_tiles, tc.intersections);
     }
   }
 
@@ -413,8 +391,24 @@ void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
                   a.kc_words() == b.kc_words() &&
                   a.words_per_snp() == b.words_per_snp(),
               "packed operands were built for incompatible plans");
-  run_nest<Shape::kRect>(TileGrid(a, a_begin, a_end, b, b_begin, b_end), sink,
-                         threads);
+  // A list×dense tile gathers against the dense side's transpose. A pack
+  // that classified nothing sparse carries none, so when its partner has
+  // all-sparse slivers it gets one here, once per call, from its slivers.
+  const auto transpose_for = [](const PackedBitMatrix& dense_side,
+                                const PackedBitMatrix& list_side,
+                                SampleMajor& built) -> const SampleMajor& {
+    if (dense_side.has_sample_major() || !list_side.hybrid_dispatch()) {
+      return dense_side.sample_major();
+    }
+    built = sample_major_from_slivers(dense_side);
+    return built;
+  };
+  SampleMajor a_built;
+  SampleMajor b_built;
+  run_nest<Shape::kRect>(
+      TileGrid(a, transpose_for(a, b, a_built), a_begin, a_end, b,
+               transpose_for(b, a, b_built), b_begin, b_end),
+      sink, threads);
 }
 
 void syrk_count_fused(const PackedBitMatrix& a, std::size_t row_begin,
@@ -427,9 +421,11 @@ void syrk_count_fused(const PackedBitMatrix& a, std::size_t row_begin,
   if (row_begin == row_end) return;
   LDLA_EXPECT(a.has_a_side() && a.has_b_side(),
               "symmetric driver needs both operand sides packed");
-  run_nest<Shape::kBand>(TileGrid(a, row_begin, row_end, a,
-                                  row_begin - band.col_lead, row_end,
-                                  band.width),
+  // One pack on both sides: an all-sparse sliver implies a sparse column,
+  // which built the pack's transpose.
+  run_nest<Shape::kBand>(TileGrid(a, a.sample_major(), row_begin, row_end, a,
+                                  a.sample_major(), row_begin - band.col_lead,
+                                  row_end, band.width),
                          sink, threads);
 }
 

@@ -7,22 +7,30 @@
 // so the pack is hoisted out of the nest: pack once per dataset (or once
 // per call, by resolve_packed), then every driver reads immutable slivers.
 //
+// One representation per sliver. The columns are classified before
+// anything is packed (sparse.hpp): a sliver whose real rows are all index
+// lists is stored as its lists only, and every other sliver as dense
+// words. Each side keeps a sliver -> slot table; the dense slivers fill
+// the slots in sliver order, and an all-sparse sliver has no slot.
+//
 // Layout: the k dimension is split into the plan's kc-word panels. Within a
-// panel every sliver (group of r rows, r = mr for the A side, nr for the B
-// side) is stored contiguously in exactly the pack_panel layout, so a
-// PackedPanelView over any contiguous sliver range aliases the persistent
-// buffer with zero copying. When mr == nr one copy serves both operand
-// sides. Memory cost: ceil(n_snps/r)*r * ceil(k/ku)*ku words per side
-// (~ the bit matrix itself per side).
+// panel every dense sliver (group of r rows, r = mr for the A side, nr for
+// the B side) is stored contiguously in exactly the pack_panel layout, in
+// its slot, so a PackedPanelView over any sliver range aliases the
+// persistent buffer with zero copying and resolves each sliver through the
+// slot table. When mr == nr one copy serves both operand sides. Memory
+// cost per side: dense slivers * r * ceil(k/ku)*ku words (the bit matrix
+// itself for a pack that classified nothing sparse), plus the lists and
+// the compact sample-major transpose of a pack that did.
 //
 // Storage can be owned (packed here from a BitMatrixView) or adopted from
 // caller-managed memory via from_external(): the shard store (io/
 // shard_store.hpp) persists exactly this layout on disk and memory-maps it
 // back, so a mapped shard is consumed by every packed/fused/nest driver
-// with zero copy. The large payloads (slivers, sample-major transpose)
-// alias the external memory; the sparse columns come in classified, and
-// the rest of the sparse metadata (sliver flags, the hybrid switch, the
-// prescaled lists) is derived here by the code an owned pack runs.
+// with zero copy. The large payloads (dense slivers, sample-major
+// transpose) alias the external memory; the sparse columns come in
+// classified, and the rest (slot tables, sliver flags, the hybrid switch,
+// the prescaled lists) is derived here by the code an owned pack runs.
 #pragma once
 
 #include <cstddef>
@@ -43,13 +51,45 @@ namespace ldla {
 /// share storage when mr == nr); cross-matrix drivers pack A-only / B-only.
 enum class PackSides { kBoth, kA, kB };
 
+/// The compact sample-major transpose the list×dense gathers read: for
+/// every kept 8-row group (one holding a dense column, so every dense
+/// sliver of either grid lies in one), one byte per sample — bit b of it is
+/// that sample's state in row 8g + b (zero past the SNP count). Sample s's
+/// bytes are at bytes + s * row_bytes; group g's byte is at offset
+/// group_slot[g] within them. A pack with sparse columns needs mr and nr
+/// to divide 8 (every registered kernel's do), so a sliver's rows never
+/// straddle two bytes.
+struct SampleMajor {
+  std::vector<std::uint32_t> group_slot;  ///< per 8-row group; kNoSlot: dropped
+  std::size_t row_bytes = 0;              ///< kept groups (bytes per sample)
+  AlignedBuffer<std::uint8_t> owned;      ///< empty when adopted
+  const std::uint8_t* bytes = nullptr;    ///< samples × row_bytes
+
+  /// The byte column of the group holding `row`, which must be kept.
+  [[nodiscard]] const std::uint8_t* column(std::size_t row) const {
+    LDLA_BOUNDS_CHECK(row / 8 < group_slot.size() &&
+                          group_slot[row / 8] != kNoSlot,
+                      "transpose group was not kept");
+    return bytes + group_slot[row / 8];
+  }
+};
+
+/// Slot of every r-row sliver of columns classified `kind`: an all-sparse
+/// sliver (every real row kList or kComplement) gets kNoSlot, the others
+/// count up from 0 in sliver order; `dense` receives their number. With
+/// r = 8 this is the transpose's group table. Owned packs, adopted packs
+/// and the shard parser all size their payloads through it.
+std::vector<std::uint32_t> sliver_slots(const std::vector<ColumnKind>& kind,
+                                        std::size_t r, std::size_t& dense);
+
 /// Descriptor for adopting an externally materialized pack (the mmap'd
 /// shard store): only what cannot be re-derived. Payload pointers must be
 /// 64-byte aligned, immutable, and outlive the PackedBitMatrix; `sparse`
-/// (classified by classify_popcounts, lists filled in) is moved in. A null
-/// b_data with mr == nr shares the A payload between both operand sides.
-/// The transpose (ceil(n_snps/64) words per sample row) is present exactly
-/// when a column is sparse, as in an owned pack.
+/// (classified by classify_popcounts, lists filled in) is moved in. The
+/// payload sizes follow from the kinds: a side holds its dense slivers
+/// only (b_data is read only when mr != nr; B shares A otherwise), and the
+/// transpose (samples × kept groups bytes) is present when a column is
+/// sparse. A payload whose derived size is zero must be null.
 struct ExternalPack {
   GemmPlan plan;
   std::size_t n_snps = 0;
@@ -58,7 +98,7 @@ struct ExternalPack {
   const std::uint64_t* a_data = nullptr;
   const std::uint64_t* b_data = nullptr;
   SparseColumns sparse;
-  const std::uint64_t* sample_major = nullptr;  ///< null = transpose absent
+  const std::uint8_t* sample_major = nullptr;
 };
 
 class PackedBitMatrix {
@@ -82,11 +122,11 @@ class PackedBitMatrix {
   /// Adopt a pack whose payloads live in caller-managed memory (see
   /// ExternalPack). Byte-for-byte the layout an owning pack of the same
   /// matrix and plan would hold, so the drivers cannot tell the difference:
-  /// sliver flags, hybrid_dispatch() and the prescaled lists are derived
-  /// from the sparse columns exactly as an owned pack derives them.
-  /// Contract-checks plan resolution, payload alignment, the sparse
-  /// metadata sizes, and that the transpose is present exactly when a
-  /// column is sparse.
+  /// slot tables, sliver flags, hybrid_dispatch() and the prescaled lists
+  /// are derived from the sparse columns exactly as an owned pack derives
+  /// them. Contract-checks plan resolution, payload alignment, the sparse
+  /// metadata sizes, and that each payload is present exactly when its
+  /// derived size is nonzero.
   static PackedBitMatrix from_external(ExternalPack ext);
 
   PackedBitMatrix(PackedBitMatrix&&) noexcept = default;
@@ -122,7 +162,7 @@ class PackedBitMatrix {
     return (panel_kc(p) + ku - 1) / ku * ku;
   }
 
-  /// Total words held across both sides (memory footprint; external
+  /// Dense words held across both sides (memory footprint; external
   /// payloads count the words they alias).
   [[nodiscard]] std::size_t packed_words() const noexcept {
     return a_.words + b_.words;
@@ -130,11 +170,23 @@ class PackedBitMatrix {
 
   // Raw payload access for the shard-store writer (io/shard_store.cpp):
   // the serialized sections are exactly these spans. b_data() is null when
-  // the B side shares A's storage or was not materialized.
+  // the B side shares A's storage or was not materialized; a side with no
+  // dense sliver has no payload.
   [[nodiscard]] const std::uint64_t* a_data() const noexcept { return a_.ptr; }
   [[nodiscard]] std::size_t a_data_words() const noexcept { return a_.words; }
   [[nodiscard]] const std::uint64_t* b_data() const noexcept { return b_.ptr; }
   [[nodiscard]] std::size_t b_data_words() const noexcept { return b_.words; }
+
+  /// Slot tables (sliver_slots) of the A (mr) and B (nr) grids; empty for
+  /// a side the pack did not materialize. B is A's when they share.
+  [[nodiscard]] const std::vector<std::uint32_t>& a_sliver_slots()
+      const noexcept {
+    return a_.slot;
+  }
+  [[nodiscard]] const std::vector<std::uint32_t>& b_sliver_slots()
+      const noexcept {
+    return b_shares_a_ ? a_.slot : b_.slot;
+  }
 
   /// View of `slivers` consecutive A-side (r = mr) groups of k-panel `p`,
   /// starting at group `sliver_begin` (rows [sliver_begin*mr, ...)).
@@ -157,43 +209,42 @@ class PackedBitMatrix {
   [[nodiscard]] bool hybrid_dispatch() const noexcept { return hybrid_; }
 
   /// A sliver group is "sparse" when every real row in it is list- or
-  /// complement-classified; register tiles whose sides are both sparse (or
-  /// one sparse, one dense) dispatch to the list kernels. Padding rows in
-  /// the last group are all-zero and never consulted, so a partial group
-  /// is classified by its real rows alone. Returns false for sliver grids
-  /// the pack did not materialize or when the threshold is 0.
+  /// complement-classified; it then has no dense words, and every register
+  /// tile it meets goes to the list kernels. Padding rows in the last group
+  /// are all-zero and never consulted, so a partial group is classified by
+  /// its real rows alone. Returns false past the sliver grid and for grids
+  /// the pack did not materialize.
   [[nodiscard]] bool a_sliver_sparse(std::size_t s) const noexcept {
-    return s < a_sliver_sparse_.size() && a_sliver_sparse_[s] != 0;
+    return s < a_.slot.size() && a_.slot[s] == kNoSlot;
   }
   [[nodiscard]] bool b_sliver_sparse(std::size_t s) const noexcept {
-    const std::vector<std::uint8_t>& v =
-        b_shares_a_ ? a_sliver_sparse_ : b_sliver_sparse_;
-    return s < v.size() && v[s] != 0;
+    const std::vector<std::uint32_t>& slot = b_sliver_slots();
+    return s < slot.size() && slot[s] == kNoSlot;
   }
 
-  /// Sample-major transpose of the source matrix — one row per sample,
-  /// ceil(snps/64) words per row — built at pack time whenever any column
-  /// classified sparse. The list kernels gather against it: one word load
-  /// per list entry tests that sample against ALL nr rows of a register
-  /// tile at once, where the ku-interleaved slivers would cost nr strided
-  /// loads spanning nr cache lines. Fully dense packs never build it
-  /// (stride 0), so the dense path pays nothing.
+  /// True when the pack carries its compact sample-major transpose (see
+  /// SampleMajor): built whenever any column classified sparse, since any
+  /// dense sliver of such a pack may meet a list — its own or, in a cross
+  /// call, a partner's. A pack that classified nothing sparse has none; a
+  /// cross call whose partner has all-sparse slivers builds one for it
+  /// (sample_major_from_slivers), so the dense path pays nothing.
   [[nodiscard]] bool has_sample_major() const noexcept {
-    return sm_stride_ != 0;
+    return !sm_.group_slot.empty();
   }
-  [[nodiscard]] const std::uint64_t* sample_major() const noexcept {
-    return sm_ptr_;
+  [[nodiscard]] const SampleMajor& sample_major() const noexcept {
+    return sm_;
   }
-  /// Words per sample-major row (0 when the transpose was not built).
+  /// Bytes per sample row of the transpose (its kept groups; 0 when it was
+  /// not built or no group holds a dense column).
   [[nodiscard]] std::size_t sample_major_stride() const noexcept {
-    return sm_stride_;
+    return sm_.row_bytes;
   }
 
   /// The sparse columns' index lists with every entry pre-multiplied by
   /// sample_major_stride() (same CSR offsets as sparse_columns().offset).
-  /// The gather's critical path is entry-load → scale → word-load; baking
+  /// The gather's critical path is entry-load → scale → byte-load; baking
   /// the scale in at pack time takes the multiply latency off every
-  /// address. Valid against THIS pack's transpose stride only — the tile
+  /// address. Valid against a transpose of THIS stride only — the tile
   /// dispatcher falls back to the unscaled lists for cross-matrix partners
   /// of a different stride. Null when the transpose was not built.
   [[nodiscard]] const std::uint32_t* scaled_index() const noexcept {
@@ -202,8 +253,9 @@ class PackedBitMatrix {
 
  private:
   struct Side {
-    std::size_t r = 0;        ///< register blocking (0 = side not packed)
-    std::size_t slivers = 0;  ///< ceil(n_snps / r)
+    std::size_t r = 0;                ///< register blocking (0 = not packed)
+    std::vector<std::uint32_t> slot;  ///< sliver_slots(kinds, r)
+    std::size_t dense = 0;            ///< dense slivers (slots in use)
     std::vector<std::size_t> panel_offset;  ///< word offset of each k panel
     AlignedBuffer<std::uint64_t> data;      ///< empty for external payloads
     const std::uint64_t* ptr = nullptr;     ///< payload (owned or external)
@@ -212,19 +264,18 @@ class PackedBitMatrix {
 
   void pack_side(const BitMatrixView& m, Side& side, std::size_t r,
                  unsigned threads);
-  /// Fill the plan-implied sliver/panel geometry of a side; returns the
-  /// total payload words (identical for owned and external storage).
+  /// Fill the slot table and panel geometry of a side from the kinds;
+  /// returns the payload words (identical for owned and external storage).
   std::size_t init_side_layout(Side& side, std::size_t r) const;
-  /// Index lists (written with their prescaled copy) and sample-major
+  /// Index lists (written with their prescaled copy) and the compact
   /// transpose, for a pack whose classification found sparse columns.
   void build_sparse_side(const BitMatrixView& m, unsigned threads);
-  /// Sliver flags and hybrid_ from the classified kinds, for every
-  /// materialized side (owned and external packs alike).
-  void derive_sliver_flags();
-  /// Set the transpose stride for n_snps_ (contract-checking the 32-bit
-  /// list addressing before any allocation) and size the prescaled lists.
+  /// hybrid_ from the materialized sides' slot tables.
+  void derive_hybrid();
+  /// The transpose's group table and stride from the kinds (contract-
+  /// checking the 32-bit list addressing before any allocation), and the
+  /// prescaled lists' storage.
   void init_sparse_side();
-  [[nodiscard]] std::vector<std::uint8_t> sliver_flags(std::size_t r) const;
   [[nodiscard]] PackedPanelView side_panel(const Side& side, std::size_t p,
                                            std::size_t sliver_begin,
                                            std::size_t slivers) const;
@@ -239,20 +290,23 @@ class PackedBitMatrix {
   Side a_;
   Side b_;
   SparseColumns sparse_;
-  std::vector<std::uint8_t> a_sliver_sparse_;  ///< mr-grid, empty when none
-  std::vector<std::uint8_t> b_sliver_sparse_;  ///< nr-grid (A's when shared)
   bool hybrid_ = false;
-  AlignedBuffer<std::uint64_t> sample_major_;  ///< samples × sm_stride_ words
-  std::size_t sm_stride_ = 0;                  ///< 0 = transpose not built
-  AlignedBuffer<std::uint32_t> scaled_index_;  ///< index × sm_stride_
-  const std::uint64_t* sm_ptr_ = nullptr;      ///< transpose (owned/external)
+  SampleMajor sm_;                             ///< group_slot empty: not built
+  AlignedBuffer<std::uint32_t> scaled_index_;  ///< index × sm_.row_bytes
 };
 
-/// Reconstruct the row-major bit matrix from a pack's slivers — the exact
-/// inverse of pack_panel over every k panel (reading the A side when
-/// materialized, else the B side; padding rows and words are dropped).
-/// ShardStore::verify_shard_popcounts uses it to recount the rows of a
-/// mapped dense shard (which persists no transpose) without the source.
+/// The compact transpose of a pack that carries none (nothing classified
+/// sparse, so every group is kept), built from its dense slivers: what a
+/// cross call gathers a partner's lists against.
+[[nodiscard]] SampleMajor sample_major_from_slivers(const PackedBitMatrix& p);
+
+/// Reconstruct the row-major bit matrix from a pack — the exact inverse of
+/// pack_panel over every k panel for the dense slivers (reading the A side
+/// when materialized, else the B side; padding rows and words are
+/// dropped), and the index lists for the rows of all-sparse slivers.
+/// ShardStore::verify_shard_popcounts uses it to recount and cross-check a
+/// mapped shard without the source; cross calls use it to transpose a
+/// partner that carries no transpose.
 [[nodiscard]] BitMatrix unpack_packed(const PackedBitMatrix& p);
 
 /// Guard helper for drivers accepting a caller-supplied packed operand:

@@ -20,23 +20,29 @@ namespace ldla {
 std::size_t packed_panel_words(std::size_t rows, std::size_t kc, std::size_t r,
                                std::size_t ku);
 
+/// Slot-table entry of a sliver that holds no dense words (every real row
+/// of it is an index list; see PackedBitMatrix).
+inline constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
 /// Non-owning view of a packed operand panel: `slivers` groups of `r` rows,
 /// each `kc_padded` words long in the interleaved layout the micro-kernels
-/// consume (see kernel.hpp). Sliver lookup is bounds-checked in debug /
-/// checked builds, so macro-kernel indexing bugs fault loudly instead of
-/// reading past the packing buffer.
+/// consume (see kernel.hpp). Sliver s sits in slot `slot[s]` of `data`, or
+/// in slot s when there is no slot table; a sliver whose slot is kNoSlot
+/// has no dense words. Sliver lookup is bounds-checked in debug / checked
+/// builds, so macro-kernel indexing bugs (and reads of a sliver stored
+/// only as lists) fault loudly instead of reading past the packing buffer.
 struct PackedPanelView {
   const std::uint64_t* data = nullptr;
   std::size_t slivers = 0;    ///< number of r-row groups
   std::size_t r = 0;          ///< register blocking (rows per sliver)
   std::size_t kc_padded = 0;  ///< words per row, padded to the k-unroll
+  const std::uint32_t* slot = nullptr;  ///< per-sliver slot (null: identity)
 
   [[nodiscard]] const std::uint64_t* sliver(std::size_t s) const {
     LDLA_BOUNDS_CHECK(s < slivers, "packed panel sliver out of range");
-    return data + s * r * kc_padded;
-  }
-  [[nodiscard]] std::size_t words() const noexcept {
-    return slivers * r * kc_padded;
+    const std::size_t at = slot == nullptr ? s : slot[s];
+    LDLA_BOUNDS_CHECK(at != kNoSlot, "an all-sparse sliver has no dense words");
+    return data + at * r * kc_padded;
   }
 };
 

@@ -8,9 +8,11 @@
 // count (it already touches every word) and, for columns whose allele
 // count — or zero count, for the near-all-ones complement trick — falls
 // within GemmConfig::sparse_threshold, extracts a sorted sample-index list.
-// The dense slivers are always kept alongside the lists: the lists are a
-// faster *route* to the same integer counts, never a replacement
-// representation, so every windowed/ablation path can fall back freely.
+// The classification runs before anything is packed, and a sliver whose
+// real rows all classify sparse is stored as its lists only: for those
+// rows the lists replace the dense words. A column inside a sliver that
+// keeps its dense words still gets its list (the kinds and CSR layout are
+// per column), though no route reads it there.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +26,7 @@ namespace ldla {
 
 /// Pack-time classification of one SNP row (a "column" of the cohort).
 enum class ColumnKind : std::uint8_t {
-  kDense = 0,       ///< dense sliver only (allele count above threshold)
+  kDense = 0,       ///< dense words only (allele count above threshold)
   kList = 1,        ///< sorted indices of the SET bits (rare allele)
   kComplement = 2,  ///< sorted indices of the ZERO bits (near-fixed allele)
 };

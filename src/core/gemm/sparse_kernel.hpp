@@ -3,7 +3,7 @@
 //   list×list (both slivers all-sparse) → list_list_chunk, a chunk-local
 //     index of the A lists by sample, each B list walked once;
 //   list×dense → sparse_register_tile, a gather of the list against the
-//     dense side's sample-major transpose;
+//     dense side's compact sample-major transpose;
 //   dense×dense → the micro-kernel.
 // Counts are sums of {0,1} indicators, so every route yields bit-identical
 // results and the fused D/D′/r² epilogue never knows which one ran.
@@ -60,9 +60,9 @@ inline std::uint32_t sparse_corrected_count(ColumnKind ki, ColumnKind kj,
 }
 
 /// Gather-accumulate one row's list entries against DR opposing rows via
-/// the sample-major transpose: `col` points at the word column holding the
-/// DR rows' bits (pre-shifted by `shift` within the word), `stride` is
-/// words per sample row. One load per entry serves all DR rows, and the
+/// the compact sample-major transpose: `col` points at the byte column
+/// holding the DR rows' bits (at `shift` within the byte), `stride` is
+/// bytes per sample row. One load per entry serves all DR rows, and the
 /// per-entry update is SWAR, not a per-row loop: spreading the DR gathered
 /// bits into 16-bit lanes of a 64-bit accumulator costs one multiply and
 /// one mask regardless of DR (two for DR > 4), where per-row shift+mask+
@@ -73,10 +73,10 @@ inline std::uint32_t sparse_corrected_count(ColumnKind ki, ColumnKind kj,
 /// 2^16 − 1 entries; the outer chunk loop re-drains every 2^15 so
 /// arbitrarily long lists (large thresholds) stay exact.
 ///
-/// Prescaled: when true, entries are pack-time pre-multiplied word offsets
+/// Prescaled: when true, entries are pack-time pre-multiplied byte offsets
 /// (sample × stride) and the load is col[*e] directly. The distinction is
 /// the gather's critical path, not its µop count: each address is
-/// entry-load → scale → word-load, and with the runtime multiply on that
+/// entry-load → scale → byte-load, and with the runtime multiply on that
 /// chain every miss resolves ~3 cycles later, which at the limited
 /// miss-level parallelism of a pointer-chase costs ~1.8× wall time (the
 /// value-side spread multiply is off the chain and free). The tile
@@ -86,7 +86,7 @@ inline std::uint32_t sparse_corrected_count(ColumnKind ki, ColumnKind kj,
 /// stride.
 template <std::size_t DR, bool Prescaled>
 inline void gather_entries(const std::uint32_t* lo, const std::uint32_t* hi,
-                           const std::uint64_t* col, std::size_t stride,
+                           const std::uint8_t* col, std::size_t stride,
                            unsigned shift, std::uint32_t* acc_s) {
   static_assert(DR <= 8, "register tiles gather at most 8 opposing rows");
   constexpr std::uint64_t kSpread = 0x0000200040008001ull;
@@ -98,7 +98,8 @@ inline void gather_entries(const std::uint32_t* lo, const std::uint32_t* hi,
     std::uint64_t lanes_hi = 0;
     for (const std::uint32_t* e = lo; e != stop; ++e) {
       const std::uint64_t v =
-          (Prescaled ? col[*e] : col[*e * stride]) >> shift;
+          static_cast<std::uint64_t>(Prescaled ? col[*e] : col[*e * stride]) >>
+          shift;
       lanes_lo += ((v & 0xFu) * kSpread) & kLanes;
       if constexpr (DR > 4) {
         lanes_hi += (((v >> 4) & 0xFu) * kSpread) & kLanes;
@@ -118,13 +119,15 @@ inline void gather_entries(const std::uint32_t* lo, const std::uint32_t* hi,
 
 /// Compute one list×dense register tile — rows [i0, i0+mr) × cols
 /// [j0, j0+nr) of `a`/`b`, the `sparse_is_a` side all-sparse — writing
-/// finished counts into the zeroed scratch block `c` (ldc-strided). Only
-/// real rows are written; padding entries stay zero, which is also what
-/// the dense micro-kernel produces for packed zero rows, so the emitted
-/// CountTile is bit-identical either way. `a` and `b` may be the same pack
-/// (SYRK) or different packs sharing a plan (cross).
+/// finished counts into the zeroed scratch block `c` (ldc-strided). `dsm`
+/// is the dense side's transpose (its pack's own, or one a cross call
+/// built for it). Only real rows are written; padding entries stay zero,
+/// which is also what the dense micro-kernel produces for packed zero
+/// rows, so the emitted CountTile is bit-identical either way. `a` and `b`
+/// may be the same pack (SYRK) or different packs sharing a plan (cross).
 inline void sparse_register_tile(const PackedBitMatrix& a,
-                                 const PackedBitMatrix& b, bool sparse_is_a,
+                                 const PackedBitMatrix& b,
+                                 const SampleMajor& dsm, bool sparse_is_a,
                                  std::size_t i0, std::size_t j0,
                                  std::size_t mr, std::size_t nr,
                                  std::uint32_t* c, std::size_t ldc,
@@ -136,12 +139,12 @@ inline void sparse_register_tile(const PackedBitMatrix& a,
   ++tc.ld_tiles;
 
   // Gather-test every list entry of the sparse side's rows against the
-  // other pack's sample-major transpose: each entry is one word load whose
-  // low bits (after the d0 shift) are that sample's states for ALL the
-  // tile's dense-side rows. d0 is mr/nr-aligned and mr, nr ∈ {2, 4, 8}
-  // divide 64, so the rows' bits never straddle a word. `acc` holds the
-  // raw intersections |stored-list ∧ dense-row| until the complement
-  // correction at the end.
+  // dense side's compact transpose: each entry is one byte load whose low
+  // bits (after the d0 shift) are that sample's states for ALL the tile's
+  // dense-side rows. d0 is mr/nr-aligned and mr, nr divide 8,
+  // so the rows' bits never straddle a byte, and the dense sliver's group
+  // is kept. `acc` holds the raw intersections |stored-list ∧ dense-row|
+  // until the complement correction at the end.
   const SparseColumns& ss = sparse_is_a ? sa : sb;
   const SparseColumns& sd = sparse_is_a ? sb : sa;
   const std::size_t s0 = sparse_is_a ? i0 : j0;
@@ -153,18 +156,13 @@ inline void sparse_register_tile(const PackedBitMatrix& a,
   std::array<std::uint32_t, 64> acc;
   LDLA_BOUNDS_CHECK(s_rows * d_rows <= acc.size(),
                     "register tile exceeds sparse accumulator capacity");
-  const PackedBitMatrix& dpk = sparse_is_a ? b : a;
   const PackedBitMatrix& lpk = sparse_is_a ? a : b;
-  // The tile body only routes pairs here when the dense side's pack built
-  // its transpose (sparse_pair_ok in macro.cpp).
-  LDLA_ASSERT(dpk.has_sample_major());
-  const std::size_t stride = dpk.sample_major_stride();
-  const std::uint64_t* col = dpk.sample_major() + (d0 >> 6);
-  const unsigned shift = static_cast<unsigned>(d0 & 63u);
+  const std::size_t stride = dsm.row_bytes;
+  const std::uint8_t* col = dsm.column(d0);
+  const unsigned shift = static_cast<unsigned>(d0 & 7u);
   // The list side's prescaled entries were scaled by ITS pack's transpose
   // stride; they address the dense side's transpose only when the strides
-  // agree (trivially true for same-matrix SYRK, and for cross-matrix packs
-  // of equal SNP count).
+  // agree (trivially true for same-matrix SYRK).
   const std::uint32_t* scaled =
       lpk.sample_major_stride() == stride ? lpk.scaled_index() : nullptr;
   const auto gather_all = [&](auto prescaled, const std::uint32_t* entries) {
@@ -173,7 +171,7 @@ inline void sparse_register_tile(const PackedBitMatrix& a,
       const std::uint32_t* lo = entries + ss.offset[s0 + s];
       const std::uint32_t* hi = entries + ss.offset[s0 + s + 1];
       std::uint32_t* const acc_s = &acc[s * d_rows];
-      // Registered kernels use nr/mr in {2, 4, 8}; the other widths only
+      // Registered kernels use nr/mr in {1, 2, 4, 8}; the other widths only
       // occur on the ragged last sliver.
       switch (d_rows) {
         case 8: gather_entries<8, P>(lo, hi, col, stride, shift, acc_s); break;

@@ -59,69 +59,6 @@ std::uint64_t count_lut16(const std::uint64_t* p, std::size_t n) {
   return acc;
 }
 
-// ---------------------------------------------------------------------------
-// Positional (per-bit-lane) backends
-// ---------------------------------------------------------------------------
-
-// Set-bit iteration: cost scales with the popcount, which at genomic
-// minor-allele densities is far below 64 per word.
-void positional_setbits(const std::uint64_t* rows, std::size_t n,
-                        std::size_t stride, std::size_t width,
-                        std::uint32_t* counts) {
-  for (std::size_t w = 0; w < width; ++w) {
-    std::uint32_t* cw = counts + w * 64;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t x = rows[i * stride + w];
-      while (x != 0) {
-        cw[static_cast<std::size_t>(__builtin_ctzll(x))] += 1;
-        x &= x - 1;
-      }
-    }
-  }
-}
-
-// Bit-sliced carry-save adder: four 64-wide bit planes hold a 4-bit
-// vertical counter per column; planes drain into the u32 counts every 15
-// rows. Density-independent and free of per-bit branches.
-void positional_bitsliced(const std::uint64_t* rows, std::size_t n,
-                          std::size_t stride, std::size_t width,
-                          std::uint32_t* counts) {
-  for (std::size_t w = 0; w < width; ++w) {
-    std::uint32_t* cw = counts + w * 64;
-    std::uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-    std::size_t in_group = 0;
-    const auto drain = [&] {
-      const std::uint64_t planes[4] = {c0, c1, c2, c3};
-      for (std::size_t j = 0; j < 4; ++j) {
-        std::uint64_t p = planes[j];
-        const std::uint32_t weight = 1u << j;
-        while (p != 0) {
-          cw[static_cast<std::size_t>(__builtin_ctzll(p))] += weight;
-          p &= p - 1;
-        }
-      }
-      c0 = c1 = c2 = c3 = 0;
-      in_group = 0;
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t x = rows[i * stride + w];
-      std::uint64_t carry = c0 & x;
-      c0 ^= x;
-      x = carry;
-      carry = c1 & x;
-      c1 ^= x;
-      x = carry;
-      carry = c2 & x;
-      c2 ^= x;
-      // 15 rows per group keep the vertical counter within 4 bits, so the
-      // top plane never carries out.
-      c3 ^= carry;
-      if (++in_group == 15) drain();
-    }
-    if (in_group != 0) drain();
-  }
-}
-
 PopcountMethod resolve_auto() {
   const CpuFeatures& f = cpu_features();
 #if LDLA_HAVE_AVX512_TU
@@ -137,23 +74,6 @@ PopcountMethod resolve_auto() {
 [[noreturn]] void unavailable(PopcountMethod m) {
   throw ContractViolation("popcount backend '" + popcount_method_name(m) +
                           "' is unavailable on this CPU/build");
-}
-
-PopcountMethod resolve_positional(PopcountMethod m) {
-  if (m == PopcountMethod::kAuto) {
-    const CpuFeatures& f = cpu_features();
-#if LDLA_HAVE_AVX2_TU
-    if (f.avx2) return PopcountMethod::kHarleySealAvx2;
-#endif
-    if (f.popcnt) return PopcountMethod::kHardware;
-    return PopcountMethod::kSwar;
-  }
-  LDLA_EXPECT(m == PopcountMethod::kHardware || m == PopcountMethod::kSwar ||
-                  m == PopcountMethod::kHarleySealAvx2,
-              "positional popcount supports kHardware, kSwar, and "
-              "kHarleySealAvx2 only");
-  if (!popcount_method_available(m)) unavailable(m);
-  return m;
 }
 
 }  // namespace
@@ -340,44 +260,6 @@ std::uint64_t popcount_and3(std::span<const std::uint64_t> a,
       return acc;
     }
   }
-}
-
-void positional_popcount_strip(const std::uint64_t* rows, std::size_t n,
-                               std::size_t stride, std::size_t width,
-                               std::uint32_t* counts, PopcountMethod m) {
-  if (width == 0) return;
-  LDLA_EXPECT(counts != nullptr, "positional popcount needs a counts buffer");
-  LDLA_EXPECT(n == 0 || rows != nullptr,
-              "positional popcount needs row data");
-  LDLA_EXPECT(n == 0 || stride >= width,
-              "row stride shorter than the strip width");
-  for (std::size_t i = 0; i < width * 64; ++i) counts[i] = 0;
-  if (n == 0) return;
-  m = resolve_positional(m);
-  switch (m) {
-    case PopcountMethod::kHardware:
-      positional_setbits(rows, n, stride, width, counts);
-      return;
-    case PopcountMethod::kSwar:
-      positional_bitsliced(rows, n, stride, width, counts);
-      return;
-#if LDLA_HAVE_AVX2_TU
-    case PopcountMethod::kHarleySealAvx2:
-      detail::avx2_positional_strip(rows, n, stride, width, counts);
-      return;
-#endif
-    default:
-      positional_bitsliced(rows, n, stride, width, counts);
-      return;
-  }
-}
-
-void positional_popcount(const std::uint64_t* words, std::size_t n,
-                         std::size_t stride, std::uint32_t* counts,
-                         PopcountMethod m) {
-  LDLA_EXPECT(stride != 0 || n <= 1,
-              "zero stride re-reads one word; pass n <= 1");
-  positional_popcount_strip(words, n, stride == 0 ? 1 : stride, 1, counts, m);
 }
 
 }  // namespace ldla

@@ -58,33 +58,6 @@ std::uint64_t popcount_and3(std::span<const std::uint64_t> a,
                             std::span<const std::uint64_t> mask,
                             PopcountMethod m = PopcountMethod::kAuto);
 
-/// Positional popcount (per-bit-lane column sums): counts[b] = number of
-/// rows i in [0, n) whose word `words[i * stride]` has bit b set. This is
-/// the pack-time allele-frequency primitive: one word of the sample-major
-/// transpose covers 64 SNP columns, so a single pass over the samples
-/// yields 64 per-SNP allele counts at once. `counts` (64 entries) is
-/// overwritten, not accumulated into.
-///
-/// Methods: kHardware iterates set bits (fast at genomic minor-allele
-/// densities), kSwar runs a bit-sliced carry-save adder (portable,
-/// density-independent), kHarleySealAvx2 expands bits into byte lanes and
-/// accumulates in 8-bit then 16-bit SIMD lanes (the positional-popcount
-/// strip engine). kAuto resolves among those three; other methods throw.
-void positional_popcount(const std::uint64_t* words, std::size_t n,
-                         std::size_t stride, std::uint32_t* counts,
-                         PopcountMethod m = PopcountMethod::kAuto);
-
-/// Strip variant over `width` consecutive words per row: counts[w*64 + b]
-/// = number of rows i with bit b of `rows[i * stride + w]` set, for w in
-/// [0, width). The AVX2 backend walks rows once per 8-word strip, so one
-/// transpose-row load feeds 512 column counters — the amortization that
-/// makes whole-matrix allele counting bandwidth-bound rather than
-/// instruction-bound. `counts` (width * 64 entries) is overwritten.
-void positional_popcount_strip(const std::uint64_t* rows, std::size_t n,
-                               std::size_t stride, std::size_t width,
-                               std::uint32_t* counts,
-                               PopcountMethod m = PopcountMethod::kAuto);
-
 /// Single-word portable popcount used by the SWAR backend (exposed for tests).
 constexpr std::uint64_t popcount_u64_swar(std::uint64_t x) {
   x -= (x >> 1) & 0x5555555555555555ull;

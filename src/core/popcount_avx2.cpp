@@ -129,110 +129,6 @@ std::uint64_t avx2_count_and3(const std::uint64_t* a, const std::uint64_t* b,
   return head + tail;
 }
 
-namespace {
-
-// One word-column's positional accumulators. 64 byte lanes live in two
-// ymm registers (acc8); every 255 rows they drain into four 16-lane u16
-// vectors (acc16), and the u16 layer reaches the u32 counts only at its
-// own saturation horizon (255 * 256 rows) or at the end — so per row the
-// column pays two vector ops per 32 counters.
-struct PosAcc {
-  __m256i acc8[2];
-  __m256i acc16[4];
-};
-
-inline void pos_drain8(PosAcc& a) {
-  a.acc16[0] = _mm256_add_epi16(
-      a.acc16[0], _mm256_cvtepu8_epi16(_mm256_castsi256_si128(a.acc8[0])));
-  a.acc16[1] = _mm256_add_epi16(
-      a.acc16[1], _mm256_cvtepu8_epi16(_mm256_extracti128_si256(a.acc8[0], 1)));
-  a.acc16[2] = _mm256_add_epi16(
-      a.acc16[2], _mm256_cvtepu8_epi16(_mm256_castsi256_si128(a.acc8[1])));
-  a.acc16[3] = _mm256_add_epi16(
-      a.acc16[3], _mm256_cvtepu8_epi16(_mm256_extracti128_si256(a.acc8[1], 1)));
-  a.acc8[0] = _mm256_setzero_si256();
-  a.acc8[1] = _mm256_setzero_si256();
-}
-
-inline void pos_drain16(PosAcc& a, std::uint32_t* cw) {
-  for (int k = 0; k < 4; ++k) {
-    const __m256i lo =
-        _mm256_cvtepu16_epi32(_mm256_castsi256_si128(a.acc16[k]));
-    const __m256i hi =
-        _mm256_cvtepu16_epi32(_mm256_extracti128_si256(a.acc16[k], 1));
-    __m256i* c0 = reinterpret_cast<__m256i*>(cw + k * 16);
-    __m256i* c1 = reinterpret_cast<__m256i*>(cw + k * 16 + 8);
-    _mm256_storeu_si256(c0, _mm256_add_epi32(_mm256_loadu_si256(c0), lo));
-    _mm256_storeu_si256(c1, _mm256_add_epi32(_mm256_loadu_si256(c1), hi));
-    a.acc16[k] = _mm256_setzero_si256();
-  }
-}
-
-}  // namespace
-
-void avx2_positional_strip(const std::uint64_t* rows, std::size_t n,
-                           std::size_t stride, std::size_t width,
-                           std::uint32_t* counts) {
-  // Byte b of the broadcast word lands in byte lanes [8b, 8b+8); the
-  // per-byte selector then isolates one bit per lane, so byte lane p of
-  // (lo, hi) tracks column p and 32 + p respectively.
-  const __m256i shuf_lo = _mm256_setr_epi8(
-      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
-      2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
-  const __m256i shuf_hi = _mm256_setr_epi8(
-      4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5,
-      6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7);
-  const __m256i bitsel = _mm256_set1_epi64x(
-      static_cast<long long>(0x8040201008040201ull));
-
-  // Strips of up to 8 word-columns: each loaded row then feeds 512 column
-  // counters, amortizing the transpose-row traffic that dominates when
-  // columns are counted one at a time.
-  constexpr std::size_t kStrip = 8;
-  for (std::size_t w0 = 0; w0 < width; w0 += kStrip) {
-    const std::size_t ww = width - w0 < kStrip ? width - w0 : kStrip;
-    PosAcc acc[kStrip];
-    for (std::size_t j = 0; j < ww; ++j) {
-      acc[j].acc8[0] = _mm256_setzero_si256();
-      acc[j].acc8[1] = _mm256_setzero_si256();
-      for (int k = 0; k < 4; ++k) acc[j].acc16[k] = _mm256_setzero_si256();
-    }
-
-    std::size_t in8 = 0;
-    std::size_t in16 = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t* row = rows + i * stride + w0;
-      for (std::size_t j = 0; j < ww; ++j) {
-        const __m256i w =
-            _mm256_set1_epi64x(static_cast<long long>(row[j]));
-        const __m256i x_lo = _mm256_shuffle_epi8(w, shuf_lo);
-        const __m256i x_hi = _mm256_shuffle_epi8(w, shuf_hi);
-        const __m256i m_lo =
-            _mm256_cmpeq_epi8(_mm256_and_si256(x_lo, bitsel), bitsel);
-        const __m256i m_hi =
-            _mm256_cmpeq_epi8(_mm256_and_si256(x_hi, bitsel), bitsel);
-        // cmpeq yields -1 per set bit; subtracting adds 1 to the lane.
-        acc[j].acc8[0] = _mm256_sub_epi8(acc[j].acc8[0], m_lo);
-        acc[j].acc8[1] = _mm256_sub_epi8(acc[j].acc8[1], m_hi);
-      }
-      if (++in8 == 255) {
-        for (std::size_t j = 0; j < ww; ++j) pos_drain8(acc[j]);
-        in8 = 0;
-        if (++in16 == 256) {
-          for (std::size_t j = 0; j < ww; ++j) {
-            pos_drain16(acc[j], counts + (w0 + j) * 64);
-          }
-          in16 = 0;
-        }
-      }
-    }
-    for (std::size_t j = 0; j < ww; ++j) {
-      if (in8 != 0) pos_drain8(acc[j]);
-      pos_drain16(acc[j], counts + (w0 + j) * 64);
-    }
-  }
-}
-
 std::uint64_t avx2_count_extract(const std::uint64_t* p, std::size_t n) {
   __m256i acc = _mm256_setzero_si256();
   std::size_t i = 0;

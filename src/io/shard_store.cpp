@@ -16,19 +16,21 @@
 #include <limits>
 #include <utility>
 
+#include "core/bit_transpose.hpp"
 #include "core/gemm/kernel.hpp"
-#include "core/popcount.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace ldla {
 namespace {
 
-// "LDLASH02": LDLA SHard store, format version 02. Version 01 also stored
+// "LDLASH03": LDLA SHard store, format version 03. Version 01 also stored
 // the data a pack derives (kinds, CSR offsets, prescaled lists, sliver
-// flags); it is recognized only to name the remedy.
-constexpr unsigned char kMagic[8] = {'L', 'D', 'L', 'A', 'S', 'H', '0', '2'};
+// flags); version 02 stored every sliver densely and a full-width
+// transpose. Both are recognized only to name the remedy.
+constexpr unsigned char kMagic[8] = {'L', 'D', 'L', 'A', 'S', 'H', '0', '3'};
 constexpr unsigned char kMagicV01[8] = {'L', 'D', 'L', 'A', 'S', 'H', '0', '1'};
+constexpr unsigned char kMagicV02[8] = {'L', 'D', 'L', 'A', 'S', 'H', '0', '2'};
 constexpr std::size_t kHeaderU64s = 14;
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + kHeaderU64s * 8;
 constexpr std::size_t kRecordU64s = 8;
@@ -55,19 +57,18 @@ std::uint64_t mul_checked(std::uint64_t a, std::uint64_t b) {
   return static_cast<std::uint64_t>(wide);
 }
 
-/// The bytes of one sliver side of a shard of `rows` SNPs: the exact
+/// The bytes of one sliver side holding `slivers` dense slivers: the exact
 /// words-per-side formula of PackedBitMatrix::init_side_layout, in closed
 /// form (every panel but the last holds kc words, so the padded panel sum
 /// needs no per-panel walk — forged headers cannot make this slow). The
 /// store never records a sliver extent; this is the only size it has.
-std::uint64_t side_bytes(const ShardIndex& idx, std::uint64_t rows,
+std::uint64_t side_bytes(const ShardIndex& idx, std::uint64_t slivers,
                          std::uint64_t r) {
   const GemmPlan& plan = idx.plan;
   const std::uint64_t n_words = idx.n_words;
   const std::uint64_t k_padded = (n_words + plan.ku - 1) / plan.ku * plan.ku;
   const std::uint64_t kc = plan.kc_words < k_padded ? plan.kc_words : k_padded;
   const std::uint64_t panels = (n_words + kc - 1) / kc;
-  const std::uint64_t slivers = (rows + r - 1) / r;
   const std::uint64_t kcp_full = (kc + plan.ku - 1) / plan.ku * plan.ku;
   const std::uint64_t last_kc = n_words - (panels - 1) * kc;
   const std::uint64_t kcp_last = (last_kc + plan.ku - 1) / plan.ku * plan.ku;
@@ -79,6 +80,38 @@ std::uint64_t side_bytes(const ShardIndex& idx, std::uint64_t rows,
     bad("side payload size overflows (absurd geometry)");
   }
   return static_cast<std::uint64_t>(bytes);
+}
+
+/// Fill `rec`'s derived extents from its popcounts (`pop`, rec.rows()
+/// u32s, in-bounds): classify them under the plan's threshold, then count
+/// what a pack of these kinds holds — the dense slivers of each side and,
+/// when a column is sparse, the kept 8-row groups of the transpose.
+void derive_extents(const ShardIndex& idx, const std::uint8_t* pop,
+                    ShardRecord& rec) {
+  std::vector<std::uint32_t> counts(rec.rows());
+  std::memcpy(counts.data(), pop, counts.size() * 4);
+  for (const std::uint32_t c : counts) {
+    if (c > idx.n_samples) bad("popcount exceeds the sample count");
+  }
+  const SparseColumns sc = classify_popcounts(
+      std::move(counts), idx.n_samples, idx.plan.sparse_threshold);
+  std::size_t dense = 0;
+  (void)sliver_slots(sc.kind, idx.plan.mr, dense);
+  rec.a_bytes = side_bytes(idx, dense, idx.plan.mr);
+  rec.b_bytes = 0;
+  if (idx.plan.nr != idx.plan.mr) {
+    (void)sliver_slots(sc.kind, idx.plan.nr, dense);
+    rec.b_bytes = side_bytes(idx, dense, idx.plan.nr);
+  }
+  rec.sm_bytes = 0;
+  if (sc.sparse_count != 0) {
+    std::size_t kept = 0;
+    (void)sliver_slots(sc.kind, 8, kept);
+    if (kept > std::numeric_limits<std::uint32_t>::max() / idx.n_samples) {
+      bad("sample-major transpose too large for prescaled 32-bit lists");
+    }
+    rec.sm_bytes = idx.n_samples * kept;
+  }
 }
 
 /// Validate one recorded extent and remember it for the overlap check.
@@ -105,9 +138,12 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
   LDLA_EXPECT(data != nullptr || size == 0,
               "parse_shard_index requires a valid byte span");
   if (size < kHeaderBytes) bad("truncated header");
-  if (std::memcmp(data, kMagicV01, sizeof(kMagicV01)) == 0) {
-    bad("LDLASH01 stores are no longer readable (format 02 re-derives their "
-        "sparse metadata); re-ingest the source with ldla_ingest");
+  if (std::memcmp(data, kMagicV01, sizeof(kMagicV01)) == 0 ||
+      std::memcmp(data, kMagicV02, sizeof(kMagicV02)) == 0) {
+    bad(std::string(reinterpret_cast<const char*>(data), 8) +
+        " stores are no longer readable (format 03 stores each sliver "
+        "once, as dense words or as lists); re-ingest the source with "
+        "ldla_ingest");
   }
   if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) bad("bad magic");
 
@@ -193,21 +229,6 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
     }
     const std::uint64_t rows = rec.rows();
 
-    // Sliver extents are the plan-implied sizes, never recorded, so a
-    // forged directory cannot smuggle an oversized (or undersized) panel
-    // past the drivers. B is stored exactly when the tile is not square.
-    check_extent(rec.a_off, side_bytes(out, rows, out.plan.mr),
-                 out.file_bytes, "A slivers", &spans);
-    if (rec.a_off == 0) bad("shard lacks an A payload");
-    if ((rec.b_off != 0) != (out.plan.mr != out.plan.nr)) {
-      bad(rec.b_off != 0 ? "B slivers recorded for a square register tile"
-                         : "B side absent but register tile is not square");
-    }
-    if (rec.b_off != 0) {
-      check_extent(rec.b_off, side_bytes(out, rows, out.plan.nr),
-                   out.file_bytes, "B slivers", &spans);
-    }
-
     check_extent(rec.pop_off, mul_checked(rows, 4), out.file_bytes,
                  "popcounts", &spans);
     if (rec.pop_off == 0) bad("shard lacks its popcounts");
@@ -220,15 +241,19 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
     check_extent(rec.index_off, mul_checked(rec.index_count, 4),
                  out.file_bytes, "index lists", &spans);
 
-    if (rec.sm_off != 0) {
-      const std::uint64_t sm_words =
-          mul_checked(out.n_samples, words_for_bits(rows));
-      if (sm_words > std::numeric_limits<std::uint32_t>::max()) {
-        bad("sample-major transpose too large for prescaled 32-bit lists");
-      }
-      check_extent(rec.sm_off, mul_checked(sm_words, 8), out.file_bytes,
-                   "sample-major transpose", &spans);
+    // Sliver and transpose extents are never recorded: they follow from
+    // the popcounts under the plan's threshold, through the packer's own
+    // rules, so a forged directory cannot smuggle an oversized (or
+    // undersized) panel past the drivers. B is stored only when the tile
+    // is not square.
+    derive_extents(out, data + rec.pop_off, rec);
+    check_extent(rec.a_off, rec.a_bytes, out.file_bytes, "A slivers", &spans);
+    if (rec.b_off != 0 && out.plan.mr == out.plan.nr) {
+      bad("B slivers recorded for a square register tile");
     }
+    check_extent(rec.b_off, rec.b_bytes, out.file_bytes, "B slivers", &spans);
+    check_extent(rec.sm_off, rec.sm_bytes, out.file_bytes,
+                 "sample-major transpose", &spans);
   }
 
   // No two recorded extents may overlap (a forged directory aliasing the
@@ -325,8 +350,10 @@ void write_shard_store(const std::string& path, const BitMatrixView& m,
     ShardRecord& rec = records[s];
     rec.row_begin = r0;
     rec.row_end = r1;
-    rec.a_off = put_section(out, pk.a_data(), pk.a_data_words() * 8);
-    if (pk.b_data() != nullptr) {  // mr != nr: distinct B payload
+    if (pk.a_data_words() != 0) {
+      rec.a_off = put_section(out, pk.a_data(), pk.a_data_words() * 8);
+    }
+    if (pk.b_data_words() != 0) {  // mr != nr: distinct B payload
       rec.b_off = put_section(out, pk.b_data(), pk.b_data_words() * 8);
     }
     rec.pop_off = put_section(out, sp.popcount.data(), sub.n_snps * 4);
@@ -334,9 +361,9 @@ void write_shard_store(const std::string& path, const BitMatrixView& m,
     if (rec.index_count != 0) {
       rec.index_off = put_section(out, sp.index.data(), rec.index_count * 4);
     }
-    if (pk.has_sample_major()) {
-      rec.sm_off = put_section(out, pk.sample_major(),
-                               m.n_samples * pk.sample_major_stride() * 8);
+    if (pk.sample_major_stride() != 0) {
+      rec.sm_off = put_section(out, pk.sample_major().bytes,
+                               m.n_samples * pk.sample_major_stride());
     }
   }
 
@@ -418,18 +445,12 @@ struct Section {
 /// accepted. open() sums it into the shard's byte accounting, prefetch()
 /// and release() advise it to the kernel, and shard() touches its aliased
 /// part, so the four cannot disagree on what a shard is.
-std::array<Section, 5> shard_sections(const ShardRecord& rec,
-                                      const ShardIndex& idx) {
-  const std::uint64_t rows = rec.rows();
-  const auto section = [](std::uint64_t off, std::uint64_t bytes,
-                          bool aliased = false) {
-    return Section{off, off != 0 ? bytes : 0, aliased};
-  };
-  return {section(rec.a_off, side_bytes(idx, rows, idx.plan.mr), true),
-          section(rec.b_off, side_bytes(idx, rows, idx.plan.nr), true),
-          section(rec.pop_off, rows * 4),
-          section(rec.index_off, rec.index_count * 4),
-          section(rec.sm_off, idx.n_samples * words_for_bits(rows) * 8, true)};
+std::array<Section, 5> shard_sections(const ShardRecord& rec) {
+  return {Section{rec.a_off, rec.a_bytes, true},
+          Section{rec.b_off, rec.b_bytes, true},
+          Section{rec.pop_off, rec.rows() * 4},
+          Section{rec.index_off, rec.index_count * 4},
+          Section{rec.sm_off, rec.sm_bytes, true}};
 }
 
 }  // namespace
@@ -470,7 +491,7 @@ ShardStore ShardStore::open(const std::string& path) {
   s.shard_bytes_.reserve(s.index_.shards.size());
   for (const ShardRecord& rec : s.index_.shards) {
     std::uint64_t bytes = 0;
-    for (const Section& sec : shard_sections(rec, s.index_)) {
+    for (const Section& sec : shard_sections(rec)) {
       bytes += sec.bytes;
     }
     s.shard_bytes_.push_back(static_cast<std::size_t>(bytes));
@@ -508,7 +529,7 @@ std::vector<std::uint64_t> ShardStore::allele_counts() const {
 void ShardStore::prefetch(std::size_t i) const {
   const long page = ::sysconf(_SC_PAGESIZE);
   const std::uint64_t mask = ~static_cast<std::uint64_t>(page - 1);
-  for (const Section& sec : shard_sections(record(i), index_)) {
+  for (const Section& sec : shard_sections(record(i))) {
     if (sec.bytes == 0) continue;
     const std::uint64_t begin = sec.off & mask;
     const std::uint64_t end = sec.off + sec.bytes;
@@ -534,14 +555,12 @@ std::unique_ptr<PackedBitMatrix> ShardStore::materialize(std::size_t i) const {
   const std::uint64_t rows = rec.rows();
   const std::uint64_t n = index_.n_samples;
 
-  // The index parse bounded every extent; here the *contents* get their
+  // The index parse bounded every extent (checking the popcounts against
+  // the sample count on the way); here the list *contents* get their
   // one-time semantic validation, so the kernels can gather unchecked.
   // Kinds and CSR offsets are derived from the popcounts by the packer's
   // own rule, so only the lists themselves can disagree with them.
   const auto* pop = reinterpret_cast<const std::uint32_t*>(map_ + rec.pop_off);
-  for (std::uint64_t c = 0; c < rows; ++c) {
-    if (pop[c] > n) bad("popcount exceeds the sample count");
-  }
   SparseColumns sp = classify_popcounts({pop, pop + rows}, n,
                                         index_.plan.sparse_threshold);
   if (sp.offset.back() != rec.index_count) {
@@ -562,24 +581,18 @@ std::unique_ptr<PackedBitMatrix> ShardStore::materialize(std::size_t i) const {
       }
     }
   }
-  if ((rec.sm_off != 0) != (sp.sparse_count != 0)) {
-    bad(rec.sm_off != 0
-            ? "sample-major transpose recorded for an all-dense shard"
-            : "sparse columns recorded without a sample-major transpose");
-  }
 
+  const auto at = [&](std::uint64_t off) {
+    return off != 0 ? map_ + off : nullptr;
+  };
   ExternalPack ext;
   ext.plan = index_.plan;
   ext.n_snps = rows;
   ext.n_words = index_.n_words;
   ext.n_samples = n;
-  ext.a_data = reinterpret_cast<const std::uint64_t*>(map_ + rec.a_off);
-  ext.b_data = rec.b_off != 0 ? reinterpret_cast<const std::uint64_t*>(
-                                    map_ + rec.b_off)
-                              : nullptr;
-  ext.sample_major =
-      rec.sm_off != 0 ? reinterpret_cast<const std::uint64_t*>(map_ + rec.sm_off)
-                      : nullptr;
+  ext.a_data = reinterpret_cast<const std::uint64_t*>(at(rec.a_off));
+  ext.b_data = reinterpret_cast<const std::uint64_t*>(at(rec.b_off));
+  ext.sample_major = at(rec.sm_off);
   ext.sparse = std::move(sp);
   return std::make_unique<PackedBitMatrix>(
       PackedBitMatrix::from_external(std::move(ext)));
@@ -588,36 +601,27 @@ std::unique_ptr<PackedBitMatrix> ShardStore::materialize(std::size_t i) const {
 bool ShardStore::verify_shard_popcounts(std::size_t i) const {
   LDLA_EXPECT(i < index_.shards.size(), "shard index out of range");
   const ShardRecord& rec = record(i);
-  const std::uint64_t rows = rec.rows();
   const auto* pop = reinterpret_cast<const std::uint32_t*>(map_ + rec.pop_off);
-  if (rec.sm_off != 0) {
-    // One positional-popcount strip pass over the sample-major transpose
-    // yields every column's count at once: counts[w*64 + b] is the number
-    // of samples with bit b of transpose word w set, i.e. the derived
-    // count of shard-local SNP w*64 + b.
-    const auto* sm = reinterpret_cast<const std::uint64_t*>(map_ + rec.sm_off);
-    const std::uint64_t stride = words_for_bits(rows);
-    std::vector<std::uint32_t> counts(stride * 64);
-    positional_popcount_strip(sm, index_.n_samples, stride, stride,
-                              counts.data());
-    for (std::uint64_t c = 0; c < rows; ++c) {
-      if (counts[c] != pop[c]) return false;
-    }
-    // Padding columns beyond the shard's rows must be empty in every
-    // sample row, or the transpose itself is corrupt.
-    for (std::size_t c = rows; c < counts.size(); ++c) {
-      if (counts[c] != 0) return false;
-    }
-    return true;
-  }
-  // Fully dense shards persist no transpose: reconstruct the rows from the
-  // slivers and count each directly.
+  // Rebuild the rows from the payloads — dense slivers where they exist,
+  // lists elsewhere — and hold every other payload to them: the recorded
+  // popcounts, the lists of columns inside dense slivers, and the kept
+  // transpose groups.
   const std::unique_ptr<PackedBitMatrix> pm = materialize(i);
   const BitMatrix m = unpack_packed(*pm);
-  for (std::uint64_t c = 0; c < rows; ++c) {
+  for (std::uint64_t c = 0; c < rec.rows(); ++c) {
     if (m.derived_count(c) != pop[c]) return false;
   }
-  return true;
+  const SparseColumns& sc = pm->sparse_columns();
+  if (build_sparse_columns(m.view(), sc.threshold).index != sc.index) {
+    return false;
+  }
+  if (!pm->has_sample_major()) return true;
+  const SampleMajor& sm = pm->sample_major();
+  const std::size_t bytes = index_.n_samples * sm.row_bytes;
+  std::vector<std::uint8_t> want(bytes);
+  transpose_groups_into(m.view(), sm.group_slot.data(), want.data(),
+                        sm.row_bytes);
+  return bytes == 0 || std::memcmp(want.data(), sm.bytes, bytes) == 0;
 }
 
 const PackedBitMatrix& ShardStore::shard(std::size_t i) {
@@ -640,7 +644,7 @@ const PackedBitMatrix& ShardStore::shard(std::size_t i) {
     // path when called from the prefetch task, and account the whole
     // shard's payload to io_bytes_read.
     LDLA_TRACE_SPAN(kIo);
-    for (const Section& sec : shard_sections(record(i), index_)) {
+    for (const Section& sec : shard_sections(record(i))) {
       if (sec.aliased) touch_extent(sec.off, sec.bytes);
     }
     LDLA_TRACE_ADD_IO_READ(shard_bytes_[i]);
@@ -681,7 +685,7 @@ void ShardStore::release(std::size_t i) {
   // prefetch() aligns outward; DONTNEED must not clip a neighboring
   // still-resident extent, so only fully-owned pages are dropped).
   const std::uint64_t p = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-  for (const Section& sec : shard_sections(record(i), index_)) {
+  for (const Section& sec : shard_sections(record(i))) {
     const std::uint64_t begin = (sec.off + p - 1) / p * p;
     const std::uint64_t end = (sec.off + sec.bytes) / p * p;
     if (sec.bytes == 0 || end <= begin) continue;

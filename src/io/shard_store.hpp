@@ -5,16 +5,18 @@
 // is the natural persistence boundary: write_shard_store() splits the SNP
 // rows into shards, packs each one with a single resolved GemmPlan, and
 // serializes byte-for-byte the payloads that cannot be re-derived: the
-// slivers, the per-column popcounts, the sparse index lists and the
-// sample-major transpose (DESIGN.md §4.6). Packing cost is paid once per
-// dataset, at ingest (tools/ldla_ingest.cpp); at compute time the store is
-// mmap'd read-only and each shard is adopted into a PackedBitMatrix via
-// from_external(), aliasing the slivers and the transpose with zero copy —
-// the packed / fused / nest drivers cannot tell a mapped shard from an
-// owned pack. Everything else a pack holds is derived at materialize time
-// by the packer's own code: column kinds and CSR offsets from the
-// popcounts (classify_popcounts), sliver flags and the prescaled lists in
-// from_external().
+// dense slivers (an all-sparse sliver is stored as its lists only), the
+// per-column popcounts, the sparse index lists and the compact
+// sample-major transpose of the 8-row groups that hold a dense column
+// (DESIGN.md §4.6). Packing cost is paid once per dataset, at ingest
+// (tools/ldla_ingest.cpp); at compute time the store is mmap'd read-only
+// and each shard is adopted into a PackedBitMatrix via from_external(),
+// aliasing the slivers and the transpose with zero copy — the packed /
+// fused / nest drivers cannot tell a mapped shard from an owned pack.
+// Everything else a pack holds is derived at materialize time by the
+// packer's own code: column kinds and CSR offsets from the popcounts
+// (classify_popcounts), slot tables, sliver flags and the prescaled lists
+// in from_external().
 //
 // Residency model: the store is the only layer allowed to issue
 // mmap/madvise/mincore syscalls (lint-enforced). A shard becomes resident
@@ -26,21 +28,25 @@
 // driver budgets against; probe_resident_bytes() asks the kernel (mincore)
 // for the actual page residency of the mapping as a cross-check. The
 // heap side of a materialized shard (its copied popcounts and lists plus
-// the derived kinds, CSR offsets, sliver flags and prescaled lists: about
-// 13 bytes per row and 8 per list entry) does NOT count toward
+// the derived kinds, CSR offsets, slot tables and prescaled lists: about
+// 16 bytes per row and 8 per list entry) does NOT count toward
 // shard_bytes() or resident_bytes(), which count exactly the mapped bytes
-// a shard faults in.
+// a shard faults in: the dense slivers and the compact transpose, which
+// for a rare-variant shard are a fraction of its rows' bits.
 //
 // Format hardening: the header/index parser is exposed over a raw byte
 // span (parse_shard_index) so the fuzz harness drives it directly, and it
 // rejects forged inputs the way io/ldm_binary.cpp does — bad magic,
 // truncated maps, extents outside the file, overlapping extents, a B side
-// on a square tile (or none on a non-square one), absurd counts — all via
-// ParseError. Sliver and transpose extents are not recorded at all: they
-// are the plan- and row-implied sizes. An LDLASH01 store (which persisted
-// the derived metadata too) is rejected with the ldla_ingest remedy.
+// on a square tile, a popcount above the sample count, absurd counts — all
+// via ParseError. Sliver and transpose extents are not recorded at all:
+// the parser derives them from each shard's popcounts under the plan's
+// threshold, through the packer's own rules (dense slivers per side, kept
+// transpose groups). An LDLASH01 store (which persisted the derived
+// metadata too) or LDLASH02 store (dense words for every sliver, a
+// full-width transpose) is rejected with the ldla_ingest remedy.
 //
-// Plan check: the LDLASH02 header pins the (arch, mr, nr, ku, kc) geometry
+// Plan check: the LDLASH03 header pins the (arch, mr, nr, ku, kc) geometry
 // the slivers were packed with, and plan() is always that stored plan, so
 // every shard aliases the mapping and resident_bytes() is exact. open()
 // rejects a store whose plan names a kernel variant this build never
@@ -63,10 +69,11 @@ namespace ldla {
 
 /// Directory record of one shard (8 × u64 on disk, in this order): byte
 /// offsets (from file start, 64-byte aligned) of its at most five sections,
-/// plus the list-entry count. Offset 0 marks an absent optional section.
-/// Section sizes that follow from the plan and the row count are not
-/// recorded: each sliver side is expected_side_words (the pack's own
-/// layout formula) and the transpose stride is words_for_bits(rows).
+/// plus the list-entry count. Offset 0 marks an absent section; a section
+/// is present exactly when its derived size is nonzero. Section sizes are
+/// not recorded: parse_shard_index derives them from the popcounts (the
+/// pack's own classification, slot and layout rules) into the trailing
+/// fields.
 struct ShardRecord {
   std::uint64_t row_begin = 0;  ///< first SNP row (global index)
   std::uint64_t row_end = 0;    ///< one past the last SNP row
@@ -75,9 +82,11 @@ struct ShardRecord {
   std::uint64_t pop_off = 0;    ///< per-column popcounts (u32 × rows)
   std::uint64_t index_off = 0;  ///< concatenated index lists (u32 × count)
   std::uint64_t index_count = 0;  ///< the popcount-derived list total
-  std::uint64_t sm_off = 0;  ///< sample-major transpose (u64 × samples ×
-                             ///< words_for_bits(rows)); present iff a
-                             ///< column is sparse
+  std::uint64_t sm_off = 0;      ///< compact sample-major transpose
+  // Derived by parse_shard_index, not stored:
+  std::uint64_t a_bytes = 0;   ///< dense mr-slivers
+  std::uint64_t b_bytes = 0;   ///< dense nr-slivers (0 when mr == nr)
+  std::uint64_t sm_bytes = 0;  ///< samples × kept groups (0: no sparse column)
 
   [[nodiscard]] std::uint64_t rows() const noexcept {
     return row_end - row_begin;
@@ -97,9 +106,10 @@ struct ShardIndex {
 /// Parse and validate a shard-store header + directory from a byte span
 /// (the mmap'd file, or fuzzer-supplied bytes). Throws ParseError on any
 /// malformed input; on success every section extent (recorded offset,
-/// plan- or row-implied size) is in-bounds, 64-byte aligned and
-/// non-overlapping. Payload *contents* are validated lazily at shard
-/// materialization (ShardStore::shard).
+/// size derived from the popcounts) is in-bounds, 64-byte aligned and
+/// non-overlapping, and every popcount is at most the sample count. The
+/// other payload *contents* are validated lazily at shard materialization
+/// (ShardStore::shard).
 ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size);
 
 /// Split `m` into shards of `rows_per_shard` SNP rows, pack each with the
@@ -142,7 +152,7 @@ class ShardStore {
   [[nodiscard]] std::size_t words_per_snp() const noexcept {
     return index_.n_words;
   }
-  /// The plan recorded in the LDLASH02 header; every shard materializes
+  /// The plan recorded in the LDLASH03 header; every shard materializes
   /// under it, aliasing the mapped slivers.
   [[nodiscard]] const GemmPlan& plan() const noexcept { return index_.plan; }
   [[nodiscard]] const ShardRecord& record(std::size_t i) const;
@@ -175,22 +185,20 @@ class ShardStore {
   /// PackedBitMatrix, deriving its sparse metadata, and explicitly fault
   /// its pages in under the io phase (counted in io_bytes_read).
   /// Idempotent; returns the shard. Throws ParseError on corrupt contents:
-  /// a popcount above the sample count, a list-entry count other than the
-  /// popcount-derived total, a list entry out of range or out of order, or
-  /// a transpose that is present without a sparse column (or absent with
-  /// one).
+  /// a list-entry count other than the popcount-derived total, or a list
+  /// entry out of range or out of order.
   const PackedBitMatrix& shard(std::size_t i);
 
   /// Was shard `i` materialized (and not yet released)?
   [[nodiscard]] bool is_materialized(std::size_t i) const;
 
-  /// Integrity cross-check: recompute shard `i`'s per-column popcounts
-  /// from its payloads and compare against the persisted popcount section.
-  /// Uses the positional-popcount strip engine over the mapped
-  /// sample-major transpose when present (one pass over the samples covers
-  /// every column, padding columns included); fully dense shards carry no
-  /// transpose, so those unpack the slivers and count rows directly.
-  /// Returns false on any disagreement. Does not materialize into the
+  /// Integrity cross-check: rebuild shard `i`'s rows from its payloads
+  /// (unpack_packed: dense slivers, lists for the all-sparse ones) and
+  /// compare the persisted popcounts, the lists of sparse columns inside
+  /// dense slivers and the kept transpose groups against them. A list of
+  /// a column whose group holds no dense column is its row's only copy,
+  /// so nothing can contradict it. Returns false on any disagreement;
+  /// throws what materialization throws. Does not materialize into the
   /// resident set.
   [[nodiscard]] bool verify_shard_popcounts(std::size_t i) const;
 

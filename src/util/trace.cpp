@@ -104,9 +104,6 @@ constexpr CounterRow kCounterRows[] = {
                      "list x dense register-tile kernel calls"),
     LDLA_COUNTER_ROW(list_intersections, "ldla_sparse_intersections_total",
                      "sparse row-pair intersections computed"),
-    LDLA_COUNTER_ROW(dense_fallback_tiles,
-                     "ldla_sparse_dense_fallback_tiles_total",
-                     "register tiles kept dense inside hybrid tiles"),
     LDLA_COUNTER_ROW(io_bytes_read, "ldla_shard_io_bytes_total",
                      "shard payload bytes explicitly faulted/read"),
     LDLA_COUNTER_ROW(prefetch_issued, "ldla_stream_prefetch_issued_total",
@@ -454,11 +451,10 @@ void add_park() { bump<&P::parks>(1); }
 void add_barrier_wait() { bump<&P::barrier_waits>(1); }
 
 void add_sparse(std::uint64_t ll_tiles, std::uint64_t ld_tiles,
-                std::uint64_t intersections, std::uint64_t fallback_tiles) {
+                std::uint64_t intersections) {
   bump<&P::sparse_ll_tiles>(ll_tiles);
   bump<&P::sparse_ld_tiles>(ld_tiles);
   bump<&P::list_intersections>(intersections);
-  bump<&P::dense_fallback_tiles>(fallback_tiles);
 }
 
 void add_io_read(std::uint64_t bytes) { bump<&P::io_bytes_read>(bytes); }

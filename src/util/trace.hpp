@@ -72,10 +72,9 @@ struct PhaseCounters {
   std::uint64_t failed_steals = 0;   ///< pool + nest steal probes that lost the race
   std::uint64_t parks = 0;           ///< worker blocks on the idle condition variable
   std::uint64_t barrier_waits = 0;   ///< fork-join caller barriers (pooled run_tasks joins)
-  std::uint64_t sparse_ll_tiles = 0;       ///< list×list register-tile kernel calls
-  std::uint64_t sparse_ld_tiles = 0;       ///< list×dense register-tile kernel calls
-  std::uint64_t list_intersections = 0;    ///< sparse row-pair intersections computed
-  std::uint64_t dense_fallback_tiles = 0;  ///< register tiles kept dense inside hybrid tiles
+  std::uint64_t sparse_ll_tiles = 0;     ///< list×list register-tile kernel calls
+  std::uint64_t sparse_ld_tiles = 0;     ///< list×dense register-tile kernel calls
+  std::uint64_t list_intersections = 0;  ///< sparse row-pair intersections computed
   std::uint64_t io_bytes_read = 0;     ///< bytes explicitly faulted/read by the shard store
   std::uint64_t prefetch_issued = 0;   ///< shard prefetches initiated ahead of need
   std::uint64_t prefetch_hits = 0;     ///< shard acquisitions served already-materialized
@@ -160,7 +159,7 @@ void add_nest_failed_steal();
 void add_park();
 void add_barrier_wait();
 void add_sparse(std::uint64_t ll_tiles, std::uint64_t ld_tiles,
-                std::uint64_t intersections, std::uint64_t fallback_tiles);
+                std::uint64_t intersections);
 void add_io_read(std::uint64_t bytes);
 void add_prefetch_issued();
 void add_prefetch_hit();
@@ -223,8 +222,8 @@ class Span {
   ::ldla::trace::detail::add_nest_failed_steal()
 #define LDLA_TRACE_ADD_PARK() ::ldla::trace::detail::add_park()
 #define LDLA_TRACE_ADD_BARRIER_WAIT() ::ldla::trace::detail::add_barrier_wait()
-#define LDLA_TRACE_ADD_SPARSE(ll, ld, inters, fallback) \
-  ::ldla::trace::detail::add_sparse((ll), (ld), (inters), (fallback))
+#define LDLA_TRACE_ADD_SPARSE(ll, ld, inters) \
+  ::ldla::trace::detail::add_sparse((ll), (ld), (inters))
 #define LDLA_TRACE_ADD_IO_READ(bytes) \
   ::ldla::trace::detail::add_io_read((bytes))
 #define LDLA_TRACE_ADD_PREFETCH_ISSUED() \
@@ -252,8 +251,8 @@ class Span {
 #define LDLA_TRACE_ADD_NEST_FAILED_STEAL() ((void)0)
 #define LDLA_TRACE_ADD_PARK() ((void)0)
 #define LDLA_TRACE_ADD_BARRIER_WAIT() ((void)0)
-#define LDLA_TRACE_ADD_SPARSE(ll, ld, inters, fallback) \
-  ((void)(ll), (void)(ld), (void)(inters), (void)(fallback))
+#define LDLA_TRACE_ADD_SPARSE(ll, ld, inters) \
+  ((void)(ll), (void)(ld), (void)(inters))
 #define LDLA_TRACE_ADD_IO_READ(bytes) ((void)(bytes))
 #define LDLA_TRACE_ADD_PREFETCH_ISSUED() ((void)0)
 #define LDLA_TRACE_ADD_PREFETCH_HIT() ((void)0)

@@ -5,9 +5,9 @@
 // file) and its output drives pointer arithmetic into the mapping, so the
 // invariants checked here on ACCEPTED inputs are exactly the ones the
 // ShardStore relies on for memory safety: every section extent (recorded
-// offset, plan- or row-implied size) in-bounds and aligned, extents
-// pairwise disjoint, the row partition contiguous over [0, n_snps), and a
-// B side present exactly when the register tile is not square.
+// offset, size re-derived here from the shard's popcounts) in-bounds and
+// aligned, extents pairwise disjoint, the row partition contiguous over
+// [0, n_snps), and no B side on a square register tile.
 //
 // An accepted input is then opened as a store (through a per-process temp
 // file: ShardStore maps paths) and every shard materialized, so the content
@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "core/bit_matrix.hpp"
+#include "core/gemm/sparse.hpp"
 #include "fuzz_target.hpp"
 #include "io/shard_store.hpp"
 #include "util/contract.hpp"
@@ -44,10 +46,26 @@ void check_extent(std::vector<std::pair<std::uint64_t, std::uint64_t>>& spans,
   spans.emplace_back(off, bytes);
 }
 
-/// Words of one sliver side, walked panel by panel as the pack lays them
-/// out (independent of the parser's closed form). Bounded by the file size
-/// on accepted inputs: every panel adds at least one word per row.
-std::uint64_t side_words(const ldla::ShardIndex& idx, std::uint64_t rows,
+/// Slivers of r rows (r = 8: transpose groups) holding a kDense column.
+std::uint64_t dense_slivers(const ldla::SparseColumns& sc, std::uint64_t r) {
+  std::uint64_t dense = 0;
+  for (std::uint64_t s = 0; s * r < sc.kind.size(); ++s) {
+    for (std::uint64_t i = s * r; i < std::min<std::uint64_t>(
+                                          sc.kind.size(), s * r + r);
+         ++i) {
+      if (sc.kind[i] == ldla::ColumnKind::kDense) {
+        ++dense;
+        break;
+      }
+    }
+  }
+  return dense;
+}
+
+/// Words of one sliver side holding `slivers` dense slivers, walked panel
+/// by panel as the pack lays them out (independent of the parser's closed
+/// form). Bounded by the file size on accepted inputs.
+std::uint64_t side_words(const ldla::ShardIndex& idx, std::uint64_t slivers,
                          std::uint64_t r) {
   const ldla::GemmPlan& p = idx.plan;
   const std::uint64_t k_padded = (idx.n_words + p.ku - 1) / p.ku * p.ku;
@@ -56,7 +74,7 @@ std::uint64_t side_words(const ldla::ShardIndex& idx, std::uint64_t rows,
   for (std::uint64_t k0 = 0; k0 < idx.n_words; k0 += kc) {
     const std::uint64_t kcp =
         (std::min(kc, idx.n_words - k0) + p.ku - 1) / p.ku * p.ku;
-    words += (rows + r - 1) / r * r * kcp;
+    words += slivers * r * kcp;
   }
   return words;
 }
@@ -134,21 +152,40 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                           "shard: broken row partition");
       next_row = rec.row_end;
       const std::uint64_t rows = rec.rows();
-      ldla::fuzz::require(rec.a_off != 0 && rec.pop_off != 0,
-                          "shard: mandatory section missing");
-      ldla::fuzz::require((rec.b_off != 0) == (idx.plan.mr != idx.plan.nr),
-                          "shard: B side disagrees with the tile shape");
-      check_extent(spans, rec.a_off, side_words(idx, rows, idx.plan.mr) * 8,
-                   idx.file_bytes);
-      check_extent(spans, rec.b_off, side_words(idx, rows, idx.plan.nr) * 8,
-                   idx.file_bytes);
+      ldla::fuzz::require(rec.pop_off != 0, "shard: popcounts missing");
+      ldla::fuzz::require(rec.b_off == 0 || idx.plan.mr != idx.plan.nr,
+                          "shard: B side on a square register tile");
       check_extent(spans, rec.pop_off, rows * 4, idx.file_bytes);
+      std::vector<std::uint32_t> pop(rows);
+      std::memcpy(pop.data(), data + rec.pop_off, rows * 4);
+      for (const std::uint32_t c : pop) {
+        ldla::fuzz::require(c <= idx.n_samples,
+                            "shard: popcount above the sample count");
+      }
+      const ldla::SparseColumns sc = ldla::classify_popcounts(
+          std::move(pop), idx.n_samples, idx.plan.sparse_threshold);
+      const std::uint64_t a_bytes =
+          side_words(idx, dense_slivers(sc, idx.plan.mr), idx.plan.mr) * 8;
+      const std::uint64_t b_bytes =
+          idx.plan.mr == idx.plan.nr
+              ? 0
+              : side_words(idx, dense_slivers(sc, idx.plan.nr), idx.plan.nr) *
+                    8;
+      const std::uint64_t sm_bytes =
+          sc.sparse_count == 0 ? 0 : idx.n_samples * dense_slivers(sc, 8);
+      ldla::fuzz::require(rec.a_bytes == a_bytes && rec.b_bytes == b_bytes &&
+                              rec.sm_bytes == sm_bytes,
+                          "shard: derived extents disagree with the kinds");
+      ldla::fuzz::require((rec.a_off != 0) == (a_bytes != 0) &&
+                              (rec.b_off != 0) == (b_bytes != 0) &&
+                              (rec.sm_off != 0) == (sm_bytes != 0),
+                          "shard: section presence disagrees with its size");
+      check_extent(spans, rec.a_off, a_bytes, idx.file_bytes);
+      check_extent(spans, rec.b_off, b_bytes, idx.file_bytes);
       ldla::fuzz::require((rec.index_off != 0) == (rec.index_count != 0),
                           "shard: index lists disagree with their count");
       check_extent(spans, rec.index_off, rec.index_count * 4, idx.file_bytes);
-      check_extent(spans, rec.sm_off,
-                   idx.n_samples * ldla::words_for_bits(rows) * 8,
-                   idx.file_bytes);
+      check_extent(spans, rec.sm_off, sm_bytes, idx.file_bytes);
     }
     ldla::fuzz::require(next_row == idx.n_snps,
                         "shard: partition does not cover the matrix");

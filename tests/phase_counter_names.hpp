@@ -37,7 +37,6 @@ inline std::vector<FieldSource> field_sources() {
       {&P::sparse_ll_tiles, {"ldla_sparse_ll_tiles_total"}},
       {&P::sparse_ld_tiles, {"ldla_sparse_ld_tiles_total"}},
       {&P::list_intersections, {"ldla_sparse_intersections_total"}},
-      {&P::dense_fallback_tiles, {"ldla_sparse_dense_fallback_tiles_total"}},
       {&P::io_bytes_read, {"ldla_shard_io_bytes_total"}},
       {&P::prefetch_issued, {"ldla_stream_prefetch_issued_total"}},
       {&P::prefetch_hits, {"ldla_stream_prefetch_hits_total"}},

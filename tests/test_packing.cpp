@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/gemm/packed_bit_matrix.hpp"
+#include "sim/maf_spectrum.hpp"
 #include "sim/rng.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/contract.hpp"
@@ -111,36 +112,54 @@ TEST(Packing, RejectsOutOfRangeStart) {
 }
 
 // unpack_packed is the exact inverse of the persistent pack, across ragged
-// row/word edges, multiple k panels, and ku interleaves — the shard
-// store's popcount check of dense shards depends on this round trip being
-// lossless.
+// row/word edges, multiple k panels, and ku interleaves — on a dense panel
+// and on a rare one under the auto threshold, whose all-sparse slivers
+// come back from their lists. The shard store's integrity check depends
+// on this round trip being lossless.
 TEST(Packing, UnpackPackedRoundTripsEveryGeometry) {
-  const BitMatrix m = random_matrix(37, 64 * 5 + 29, 11);
-  for (const auto& [mr, nr, ku] :
-       {std::tuple<std::size_t, std::size_t, std::size_t>{4, 4, 1},
-        {2, 8, 1},
-        {4, 4, 4},
-        {8, 4, 1}}) {
-    GemmPlan plan;
-    plan.arch = KernelArch::kScalar;
-    plan.mr = mr;
-    plan.nr = nr;
-    plan.ku = ku;
-    plan.kc_words = 3;  // forces several panels with a ragged tail
-    for (const PackSides sides :
-         {PackSides::kBoth, PackSides::kA, PackSides::kB}) {
-      const PackedBitMatrix packed(m.view(), plan, sides);
-      const BitMatrix back = unpack_packed(packed);
-      ASSERT_EQ(back.snps(), m.snps());
-      ASSERT_EQ(back.samples(), m.samples());
-      for (std::size_t s = 0; s < m.snps(); ++s) {
-        ASSERT_EQ(std::memcmp(back.row_data(s), m.row_data(s),
-                              m.words_per_snp() * 8),
-                  0)
-            << "mr=" << mr << " nr=" << nr << " ku=" << ku << " row " << s;
+  MafSpectrumParams rare;
+  rare.n_snps = 37;
+  rare.n_samples = 64 * 5 + 29;
+  rare.rare_fraction = 0.9;
+  rare.rare_max_maf = 0.01;
+  rare.seed = 11;
+  std::vector<BitMatrix> panels;
+  panels.push_back(random_matrix(37, 64 * 5 + 29, 11));
+  panels.push_back(simulate_maf_spectrum(rare));
+  for (const BitMatrix& m : panels) {
+    bool any_sparse_sliver = false;
+    for (const auto& [mr, nr, ku] :
+         {std::tuple<std::size_t, std::size_t, std::size_t>{4, 4, 1},
+          {2, 8, 1},
+          {4, 4, 4},
+          {8, 4, 1}}) {
+      GemmPlan plan;
+      plan.arch = KernelArch::kScalar;
+      plan.mr = mr;
+      plan.nr = nr;
+      plan.ku = ku;
+      plan.kc_words = 3;  // forces several panels with a ragged tail
+      plan.sparse_threshold = m.words_per_snp();  // the auto threshold
+      for (const PackSides sides :
+           {PackSides::kBoth, PackSides::kA, PackSides::kB}) {
+        const PackedBitMatrix packed(m.view(), plan, sides);
+        any_sparse_sliver = any_sparse_sliver || packed.hybrid_dispatch();
+        const BitMatrix back = unpack_packed(packed);
+        ASSERT_EQ(back.snps(), m.snps());
+        ASSERT_EQ(back.samples(), m.samples());
+        for (std::size_t s = 0; s < m.snps(); ++s) {
+          ASSERT_EQ(std::memcmp(back.row_data(s), m.row_data(s),
+                                m.words_per_snp() * 8),
+                    0)
+              << "mr=" << mr << " nr=" << nr << " ku=" << ku << " row "
+              << s;
+        }
+        EXPECT_TRUE(back.padding_is_clean());
       }
-      EXPECT_TRUE(back.padding_is_clean());
     }
+    // The dense panel stores every sliver densely; the rare one has
+    // slivers stored only as lists.
+    EXPECT_EQ(any_sparse_sliver, &m == &panels.back());
   }
 }
 

@@ -240,21 +240,15 @@ TEST(ParallelPack, TeamPackIsByteIdenticalToSequential) {
   for (const unsigned threads : {2u, 5u, 16u}) {
     const PackedBitMatrix par(g.view(), plan, PackSides::kBoth, threads);
     ASSERT_EQ(par.panels(), seq.panels());
-    for (std::size_t p = 0; p < seq.panels(); ++p) {
-      const PackedPanelView sa = seq.a_panel(p, 0, (seq.snps() + plan.mr - 1) / plan.mr);
-      const PackedPanelView pa = par.a_panel(p, 0, (par.snps() + plan.mr - 1) / plan.mr);
-      ASSERT_EQ(pa.words(), sa.words());
-      for (std::size_t w = 0; w < sa.words(); ++w) {
-        ASSERT_EQ(pa.data[w], sa.data[w])
-            << "threads=" << threads << " panel " << p << " word " << w;
-      }
-      const PackedPanelView sb = seq.b_panel(p, 0, (seq.snps() + plan.nr - 1) / plan.nr);
-      const PackedPanelView pb = par.b_panel(p, 0, (par.snps() + plan.nr - 1) / plan.nr);
-      ASSERT_EQ(pb.words(), sb.words());
-      for (std::size_t w = 0; w < sb.words(); ++w) {
-        ASSERT_EQ(pb.data[w], sb.data[w])
-            << "threads=" << threads << " panel " << p << " word " << w;
-      }
+    ASSERT_EQ(par.a_data_words(), seq.a_data_words());
+    for (std::size_t w = 0; w < seq.a_data_words(); ++w) {
+      ASSERT_EQ(par.a_data()[w], seq.a_data()[w])
+          << "threads=" << threads << " A word " << w;
+    }
+    ASSERT_EQ(par.b_data_words(), seq.b_data_words());
+    for (std::size_t w = 0; w < seq.b_data_words(); ++w) {
+      ASSERT_EQ(par.b_data()[w], seq.b_data()[w])
+          << "threads=" << threads << " B word " << w;
     }
   }
 }

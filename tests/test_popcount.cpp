@@ -148,89 +148,5 @@ TEST(Popcount, ResolveMethodIsConcreteAndStable) {
             PopcountMethod::kSwar);
 }
 
-// ---------------------------------------------------------------------------
-// Positional popcount (per-bit-lane column sums).
-
-/// Bit-by-bit reference: counts[w*64+b] = rows with bit b of word w set.
-std::vector<std::uint32_t> positional_reference(
-    const std::vector<std::uint64_t>& rows, std::size_t n, std::size_t stride,
-    std::size_t width) {
-  std::vector<std::uint32_t> counts(width * 64, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t w = 0; w < width; ++w) {
-      const std::uint64_t word = rows[i * stride + w];
-      for (std::size_t b = 0; b < 64; ++b) {
-        counts[w * 64 + b] +=
-            static_cast<std::uint32_t>((word >> b) & 1u);
-      }
-    }
-  }
-  return counts;
-}
-
-std::vector<PopcountMethod> positional_methods() {
-  std::vector<PopcountMethod> ms = {PopcountMethod::kHardware,
-                                    PopcountMethod::kSwar};
-  if (popcount_method_available(PopcountMethod::kHarleySealAvx2)) {
-    ms.push_back(PopcountMethod::kHarleySealAvx2);
-  }
-  return ms;
-}
-
-TEST(PositionalPopcount, MatchesReferenceAcrossShapes) {
-  // Row counts straddle the backends' drain boundaries (15-row bit-slice
-  // groups, 255-row u8 lanes, 256-drain u16 lanes => 65025-row u32 drain).
-  const std::size_t shapes[][2] = {{0, 1},  {1, 1},   {14, 1},  {15, 2},
-                                   {16, 3}, {254, 4}, {255, 8}, {256, 9},
-                                   {511, 12}, {1000, 17}};
-  for (const auto& s : shapes) {
-    const std::size_t n = s[0];
-    const std::size_t width = s[1];
-    const std::size_t stride = width + 2;  // rows longer than the strip
-    const auto rows = random_words(n * stride + stride, 0x777 + n);
-    const auto want = positional_reference(rows, n, stride, width);
-    for (const PopcountMethod m : positional_methods()) {
-      std::vector<std::uint32_t> got(width * 64, 0xdead);
-      positional_popcount_strip(rows.data(), n, stride, width, got.data(), m);
-      ASSERT_EQ(got, want) << popcount_method_name(m) << " n=" << n
-                           << " width=" << width;
-    }
-  }
-}
-
-TEST(PositionalPopcount, AllOnesSaturatesLanesCorrectly) {
-  // 70000 all-ones rows: every u8 lane and every u16 lane must drain
-  // before overflow (u16 holds 65535 < 70000).
-  const std::size_t n = 70000;
-  const std::size_t width = 2;
-  const std::vector<std::uint64_t> rows(n * width, ~std::uint64_t{0});
-  for (const PopcountMethod m : positional_methods()) {
-    std::vector<std::uint32_t> got(width * 64, 0);
-    positional_popcount_strip(rows.data(), n, width, width, got.data(), m);
-    for (const std::uint32_t c : got) {
-      ASSERT_EQ(c, n) << popcount_method_name(m);
-    }
-  }
-}
-
-TEST(PositionalPopcount, SingleWordWrapperAndAutoAgree) {
-  const std::size_t n = 300;
-  const auto rows = random_words(n, 0x999);
-  const auto want = positional_reference(rows, n, 1, 1);
-  std::uint32_t got[64];
-  positional_popcount(rows.data(), n, 1, got);
-  for (std::size_t b = 0; b < 64; ++b) {
-    ASSERT_EQ(got[b], want[b]) << "bit " << b;
-  }
-}
-
-TEST(PositionalPopcount, RejectsNonPositionalMethods) {
-  std::uint64_t word = 5;
-  std::uint32_t counts[64];
-  EXPECT_THROW(
-      positional_popcount(&word, 1, 1, counts, PopcountMethod::kLut16),
-      ContractViolation);
-}
-
 }  // namespace
 }  // namespace ldla

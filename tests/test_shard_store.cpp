@@ -3,14 +3,14 @@
 //
 // The store's contract is byte-exactness: a shard mmap'd back must equal an
 // in-memory pack of the same row window under the same plan — the aliased
-// slivers and transpose bit for bit, and everything LDLASH02 re-derives
-// (kinds, CSR offsets, prescaled gather lists, sliver flags, the hybrid
-// switch) field for field — under a square plan (shared B) and a
-// non-square one (a B section on disk). The forgery tests drive
-// parse_shard_index directly (the same entry point the fuzzer owns) with
-// targeted single-field corruptions of a genuine file, and materialize
-// forged payloads through ShardStore, so every validation branch is known
-// to be reachable from real bytes.
+// dense slivers and compact transpose bit for bit, and everything LDLASH03
+// re-derives (kinds, CSR offsets, slot tables, prescaled gather lists,
+// sliver flags, the hybrid switch) field for field — under a square plan
+// (shared B) and a non-square one (a B section on disk). The forgery tests
+// drive parse_shard_index directly (the same entry point the fuzzer owns)
+// with targeted single-field corruptions of a genuine file, and
+// materialize forged payloads through ShardStore, so every validation
+// branch is known to be reachable from real bytes.
 #include "io/shard_store.hpp"
 
 #include <cmath>
@@ -145,6 +145,8 @@ TEST(ShardStore, RoundTripAliasesPackIdenticalPayloads) {
     ASSERT_EQ(store.plan().mr == store.plan().nr, square);
 
     bool any_hybrid = false;
+    bool any_dense_payload = false;
+    bool any_all_sparse = false;
     for (std::size_t i = 0; i < store.shards(); ++i) {
       const std::size_t r0 = store.shard_row_begin(i);
       const std::size_t rows = store.shard_rows(i);
@@ -154,10 +156,16 @@ TEST(ShardStore, RoundTripAliasesPackIdenticalPayloads) {
       const PackedBitMatrix& got = store.shard(i);
 
       ASSERT_EQ(got.a_data_words(), expect.a_data_words());
-      EXPECT_EQ(std::memcmp(got.a_data(), expect.a_data(),
-                            expect.a_data_words() * 8), 0);
+      if (expect.a_data_words() != 0) {
+        EXPECT_EQ(std::memcmp(got.a_data(), expect.a_data(),
+                              expect.a_data_words() * 8), 0);
+      }
+      EXPECT_EQ(got.a_sliver_slots(), expect.a_sliver_slots());
+      EXPECT_EQ(got.b_sliver_slots(), expect.b_sliver_slots());
       ASSERT_EQ(got.b_data_words(), expect.b_data_words());
-      ASSERT_EQ(expect.b_data_words() != 0, !square);
+      if (square) {
+        ASSERT_EQ(expect.b_data_words(), 0u);
+      }
       if (expect.b_data_words() != 0) {
         EXPECT_EQ(std::memcmp(got.b_data(), expect.b_data(),
                               expect.b_data_words() * 8), 0);
@@ -191,13 +199,23 @@ TEST(ShardStore, RoundTripAliasesPackIdenticalPayloads) {
       any_hybrid = any_hybrid || expect.hybrid_dispatch();
       ASSERT_EQ(got.has_sample_major(), expect.has_sample_major());
       if (expect.has_sample_major()) {
+        EXPECT_EQ(got.sample_major().group_slot,
+                  expect.sample_major().group_slot);
         ASSERT_EQ(got.sample_major_stride(), expect.sample_major_stride());
-        EXPECT_EQ(std::memcmp(got.sample_major(), expect.sample_major(),
-                              g.samples() * expect.sample_major_stride() * 8),
-                  0);
+        if (expect.sample_major_stride() != 0) {
+          EXPECT_EQ(std::memcmp(got.sample_major().bytes,
+                                expect.sample_major().bytes,
+                                g.samples() * expect.sample_major_stride()),
+                    0);
+        }
       }
+      any_dense_payload = any_dense_payload || expect.a_data_words() != 0;
+      any_all_sparse = any_all_sparse || expect.a_data_words() == 0;
     }
     EXPECT_TRUE(any_hybrid) << "the fixture must exercise sparse slivers";
+    EXPECT_TRUE(any_dense_payload && any_all_sparse)
+        << "the fixture must hold a shard with dense slivers and one "
+           "stored entirely as lists";
 
     // Persisted popcounts reproduce the matrix's derived counts globally.
     const std::vector<std::uint64_t> counts = store.allele_counts();
@@ -209,22 +227,32 @@ TEST(ShardStore, RoundTripAliasesPackIdenticalPayloads) {
   }
 }
 
-TEST(ShardStore, OpenRejectsFormat01WithTheReingestRemedy) {
+/// Relabel a genuine store with an older format's magic and expect open
+/// to name that format and the re-ingest remedy.
+void expect_old_format_rejected(const char* magic) {
   const BitMatrix g = random_matrix(30, 100, 4);
-  const std::string path = temp_path("v01.ldshard");
+  const std::string path = temp_path("old_format.ldshard");
   write_shard_store(path, g.view(), scalar_config(true), /*rows_per_shard=*/8);
   std::vector<std::uint8_t> bytes = read_file(path);
-  std::memcpy(bytes.data(), "LDLASH01", 8);
+  std::memcpy(bytes.data(), magic, 8);
   write_file(path, bytes);
   try {
     (void)ShardStore::open(path);
-    FAIL() << "an LDLASH01 store must be rejected at open";
+    FAIL() << "an " << magic << " store must be rejected at open";
   } catch (const ParseError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("LDLASH01"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(magic), std::string::npos) << msg;
     EXPECT_NE(msg.find("ldla_ingest"), std::string::npos) << msg;
   }
   std::remove(path.c_str());
+}
+
+TEST(ShardStore, OpenRejectsFormat01WithTheReingestRemedy) {
+  expect_old_format_rejected("LDLASH01");
+}
+
+TEST(ShardStore, OpenRejectsFormat02WithTheReingestRemedy) {
+  expect_old_format_rejected("LDLASH02");
 }
 
 TEST(ShardStore, ResidencyAccountingTracksMaterializeAndRelease) {
@@ -309,9 +337,29 @@ TEST(ShardStore, OpenRejectsAPlanNoVariantRuns) {
   std::remove(path.c_str());
 }
 
+/// 80 x 333, rare (~1% carriers) but for rows 16t + 5, which are common:
+/// every other 8-row group holds a dense column, the rest are all-sparse.
+BitMatrix hybrid_matrix() {
+  BitMatrix g = random_matrix(80, 333, 37, 0.01);
+  Rng rng(43);
+  for (std::size_t s = 5; s < g.snps(); s += 16) {
+    for (std::size_t b = 0; b < g.samples(); ++b) {
+      g.set(s, b, rng.next_bool(0.5));
+    }
+  }
+  return g;
+}
+
+/// The 4x4 scalar plan with a threshold that lists every rare row.
+GemmConfig hybrid_config() {
+  GemmConfig cfg = scalar_config(true);
+  cfg.sparse_threshold = 20;
+  return cfg;
+}
+
 TEST(ShardStore, VerifyShardPopcountsCatchesCorruption) {
-  // Sparse store (has a transpose: the positional-strip path) and a dense
-  // one (no transpose: the unpack path).
+  // A store with sparse columns inside dense slivers (lists and a
+  // transpose) and a dense one (no transpose).
   for (const double density : {0.05, 0.5}) {
     const BitMatrix g = random_matrix(80, 333, 31, density);
     GemmConfig cfg;
@@ -344,6 +392,94 @@ TEST(ShardStore, VerifyShardPopcountsCatchesCorruption) {
     EXPECT_TRUE(s.verify_shard_popcounts(0)) << "untouched shard";
     EXPECT_FALSE(s.verify_shard_popcounts(1)) << "corrupt shard";
   }
+
+  // A hybrid store: all-sparse slivers stored as lists only, and a
+  // transpose of the kept groups.
+  const BitMatrix g = hybrid_matrix();
+  const std::string path = temp_path("verify_hybrid.ldshard");
+  write_shard_store(path, g.view(), hybrid_config(), /*rows_per_shard=*/30);
+  SparseColumns sc;
+  std::vector<std::uint32_t> group_slot;
+  {
+    ShardStore s = open_shard_store(path);
+    for (std::size_t i = 0; i < s.shards(); ++i) {
+      EXPECT_TRUE(s.verify_shard_popcounts(i)) << "hybrid shard " << i;
+    }
+    const PackedBitMatrix& pk = s.shard(0);
+    ASSERT_TRUE(pk.hybrid_dispatch());
+    ASSERT_NE(pk.sample_major_stride(), 0u);
+    sc = pk.sparse_columns();
+    group_slot = pk.sample_major().group_slot;
+  }
+  const std::vector<std::uint8_t> pristine = read_file(path);
+  const auto verify_forged = [&](const std::vector<std::uint8_t>& bytes) {
+    write_file(path, bytes);
+    ShardStore s = open_shard_store(path);
+    EXPECT_TRUE(s.verify_shard_popcounts(1)) << "untouched shard";
+    return s.verify_shard_popcounts(0);
+  };
+
+  // A flipped bit in a kept transpose group (sample 0, first kept byte).
+  std::vector<std::uint8_t> bytes = pristine;
+  bytes[get_rec(bytes, 0, kRSmOff)] ^= 1;
+  EXPECT_FALSE(verify_forged(bytes)) << "flipped transpose bit";
+
+  // A list entry moved to a sample it does not hold, still in range and in
+  // order, in a column whose group is kept: its dense sliver or the
+  // transpose contradicts it.
+  std::size_t col = 0;
+  std::uint64_t entry = 0;
+  const auto movable = [&](std::uint64_t e, std::size_t c) {
+    const std::uint32_t next = e + 1 < sc.offset[c + 1]
+                                   ? sc.index[e + 1]
+                                   : static_cast<std::uint32_t>(g.samples());
+    return sc.index[e] + 1 < next;
+  };
+  for (bool found = false; !found; ++col) {
+    ASSERT_LT(col, 30u) << "no movable entry in a kept group";
+    if (sc.kind[col] != ColumnKind::kList || group_slot[col / 8] == kNoSlot) {
+      continue;
+    }
+    for (entry = sc.offset[col]; entry < sc.offset[col + 1]; ++entry) {
+      if (movable(entry, col)) {
+        found = true;
+        break;
+      }
+    }
+  }
+  bytes = pristine;
+  ++*reinterpret_cast<std::uint32_t*>(
+      bytes.data() + get_rec(bytes, 0, kRIndexOff) + entry * 4);
+  EXPECT_FALSE(verify_forged(bytes)) << "moved list entry";
+  std::remove(path.c_str());
+}
+
+TEST(ShardStore, ParseRejectsAPopcountThatReclassifiesASliver) {
+  // The last shard's first 8-row group is all-sparse. A forged popcount
+  // that makes one of its rows common keeps that group in the transpose
+  // (and makes its sliver dense), so the derived transpose — the last
+  // section before the directory — grows by a byte per sample and runs
+  // past the end of the file.
+  const BitMatrix g = hybrid_matrix();
+  const std::string path = temp_path("reclassify.ldshard");
+  write_shard_store(path, g.view(), hybrid_config(), /*rows_per_shard=*/30);
+  std::vector<std::uint8_t> bytes = read_file(path);
+  ASSERT_NO_THROW((void)parse_shard_index(bytes.data(), bytes.size()));
+  {
+    ShardStore s = open_shard_store(path);
+    ASSERT_EQ(s.shards(), 3u);
+    ASSERT_EQ(s.shard(2).sample_major().group_slot.at(0), kNoSlot);
+  }
+  const auto pop = static_cast<std::uint32_t>(g.samples() / 2);
+  std::memcpy(bytes.data() + get_rec(bytes, 2, kRPopOff), &pop, 4);
+  try {
+    (void)parse_shard_index(bytes.data(), bytes.size());
+    FAIL() << "a reclassifying popcount must be rejected";
+  } catch (const ParseError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("past the end of the file"), std::string::npos) << msg;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ShardStore, MaterializeRejectsForgedIndexLists) {
@@ -418,14 +554,18 @@ TEST(ShardStore, MaterializeRejectsForgedIndexLists) {
   EXPECT_THROW(materialize(bytes), ParseError)
       << "index_count off the popcount-derived total";
 
+  // The transpose extent is derived from the popcounts, so dropping it is
+  // caught by the index parse itself.
   bytes = pristine;
+  ASSERT_NE(get_rec(bytes, 0, kRSmOff), 0u);
   set_rec(bytes, 0, kRSmOff, 0);
-  ASSERT_NO_THROW((void)parse_shard_index(bytes.data(), bytes.size()));
-  EXPECT_THROW(materialize(bytes), ParseError) << "sparse shard, no transpose";
+  EXPECT_THROW((void)parse_shard_index(bytes.data(), bytes.size()),
+               ParseError)
+      << "sparse shard, no transpose";
   std::remove(path.c_str());
 }
 
-TEST(ShardStore, MaterializeRejectsATransposeOnAnAllDenseShard) {
+TEST(ShardStore, ParseRejectsATransposeOnAnAllDenseShard) {
   const BitMatrix g = random_matrix(40, 300, 8, 0.5);
   GemmConfig cfg = scalar_config(true);
   cfg.sparse_threshold = 0;
@@ -433,13 +573,11 @@ TEST(ShardStore, MaterializeRejectsATransposeOnAnAllDenseShard) {
   write_shard_store(path, g.view(), cfg, /*rows_per_shard=*/40);
   std::vector<std::uint8_t> bytes = read_file(path);
   ASSERT_EQ(get_rec(bytes, 0, kRSmOff), 0u);
-  // A well-formed transpose extent the header and index parse accept.
-  set_rec(bytes, 0, kRSmOff,
-          append_section(bytes, g.samples() * words_for_bits(40) * 8));
-  ASSERT_NO_THROW((void)parse_shard_index(bytes.data(), bytes.size()));
-  write_file(path, bytes);
-  ShardStore s = open_shard_store(path);
-  EXPECT_THROW((void)s.shard(0), ParseError);
+  // An aligned, in-bounds transpose extent: the popcounts derive no
+  // transpose for an all-dense shard, so the parse refuses it.
+  set_rec(bytes, 0, kRSmOff, append_section(bytes, g.samples() * 5));
+  EXPECT_THROW((void)parse_shard_index(bytes.data(), bytes.size()),
+               ParseError);
   std::remove(path.c_str());
 }
 

@@ -71,7 +71,7 @@ BitMatrix rare_panel(std::size_t snps, std::size_t samples,
 /// Hand-built classification extremes: all-zero, single-bit, all-ones,
 /// all-but-one, exactly-at-threshold, one-past-threshold, complement at
 /// threshold, and a dense half-ones row — cycled so sparse and dense rows
-/// interleave within slivers (mixed-sliver fallback) and, with 8 patterns,
+/// interleave within slivers (mixed slivers stay dense) and, with 8 patterns,
 /// also align into uniform slivers for mr in {2, 4, 8}.
 BitMatrix extreme_matrix(std::size_t snps, std::size_t samples,
                          std::size_t threshold, std::uint64_t seed) {
@@ -197,7 +197,7 @@ TEST(SparseColumns, ListsReproduceTheRow) {
 
 TEST(SparseColumns, PackRecordsSliverFlags) {
   // 8 rows/pattern-cycle: rows 0..6 sparse-classified at thr, row 7 dense,
-  // so every full sliver containing a row ≡ 7 (mod 8) must be a fallback.
+  // so every full sliver containing a row ≡ 7 (mod 8) must stay dense.
   const std::size_t thr = 5;
   const BitMatrix m = extreme_matrix(64, 190, thr, 17);
   GemmConfig cfg;
@@ -430,8 +430,9 @@ TEST_P(SparseDispatch, TraceCountersAttributeHybridWork) {
   const trace::TraceSnapshot before = trace::snapshot();
   (void)ld_matrix(g, sparse);
   const trace::TraceSnapshot mid = trace::snapshot().since(before);
-  // An 80%-rare panel must dispatch sparse tiles and fall back on the
-  // mixed remainder; both routes show up in the attribution counters.
+  // An 80%-rare panel must dispatch sparse tiles beside the dense walk of
+  // the mixed remainder; the sparse routes show up in the attribution
+  // counters.
   EXPECT_GT(mid.counters.sparse_ll_tiles + mid.counters.sparse_ld_tiles, 0u);
   EXPECT_GT(mid.counters.list_intersections, 0u);
 
@@ -443,7 +444,6 @@ TEST_P(SparseDispatch, TraceCountersAttributeHybridWork) {
   EXPECT_EQ(after.counters.sparse_ll_tiles, 0u);
   EXPECT_EQ(after.counters.sparse_ld_tiles, 0u);
   EXPECT_EQ(after.counters.list_intersections, 0u);
-  EXPECT_EQ(after.counters.dense_fallback_tiles, 0u);
 }
 
 // ---- chunk-local list×list product vs the oracle -----------------------
@@ -578,6 +578,12 @@ TEST_P(SparseDispatch, ChunkProductCrossMatchesNaiveAndDensePack) {
             << "threads " << threads << " at (" << key.first << ","
             << key.second << ")";
       }
+      // A hybrid pack against a threshold-0 pack, which carries no
+      // transpose: the call builds the dense partner's from its slivers.
+      ASSERT_FALSE(db.has_sample_major());
+      ASSERT_FALSE(da.has_sample_major());
+      EXPECT_EQ(cross(sa, db), got) << "(sa, db) threads " << threads;
+      EXPECT_EQ(cross(da, sb), got) << "(da, sb) threads " << threads;
     }
   }
 }

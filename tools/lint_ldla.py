@@ -239,6 +239,7 @@ PUBLIC_API = {
     "src/core/bit_transpose.cpp": [
         ("transpose_bits", "expect"),
         ("transpose_bits_into", "expect"),
+        ("transpose_groups_into", "expect"),
     ],
     "src/core/gemm/macro.cpp": [
         ("gemm_count_fused", "expect"),
@@ -260,6 +261,7 @@ PUBLIC_API = {
         ("PackedBitMatrix::PackedBitMatrix", "expect"),
         ("expect_packed_matches", "expect"),
         ("unpack_packed", "expect"),
+        ("sample_major_from_slivers", "expect"),
     ],
     "src/core/ld.cpp": [
         ("LdOperand::LdOperand", "expect"),
