@@ -77,8 +77,9 @@ struct SampleMajor {
 /// Slot of every r-row sliver of columns classified `kind`: an all-sparse
 /// sliver (every real row kList or kComplement) gets kNoSlot, the others
 /// count up from 0 in sliver order; `dense` receives their number. With
-/// r = 8 this is the transpose's group table. Owned packs, adopted packs
-/// and the shard parser all size their payloads through it.
+/// r = 8 this is the transpose's group table. Owned and adopted packs
+/// size their payloads through it; the shard index parser counts the same
+/// slivers in one pass over column_kind (io/shard_store.cpp).
 std::vector<std::uint32_t> sliver_slots(const std::vector<ColumnKind>& kind,
                                         std::size_t r, std::size_t& dense);
 

@@ -81,12 +81,11 @@ SparseColumns classify_popcounts(std::vector<std::uint32_t> popcount,
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t pc = sc.popcount[i];
     LDLA_ASSERT(pc <= n_samples);
+    sc.kind[i] = column_kind(pc, n_samples, threshold);
     std::uint64_t len = 0;
-    if (pc <= threshold) {
-      sc.kind[i] = ColumnKind::kList;
+    if (sc.kind[i] == ColumnKind::kList) {
       len = pc;
-    } else if (n_samples - pc <= threshold) {
-      sc.kind[i] = ColumnKind::kComplement;
+    } else if (sc.kind[i] == ColumnKind::kComplement) {
       len = n_samples - pc;
     }
     if (sc.kind[i] != ColumnKind::kDense) ++sc.sparse_count;

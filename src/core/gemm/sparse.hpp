@@ -56,13 +56,26 @@ struct SparseColumns {
   }
 };
 
-/// The popcount → kind rule, the one place it lives: a column whose
+/// The popcount → kind rule, the one place it lives: with `threshold` 0
+/// (sparse dispatch off) every column is kDense; otherwise a column whose
 /// popcount is within `threshold` is kList, one whose zero count is, is
 /// kComplement (kList wins when both qualify, threshold >= n_samples/2),
-/// the rest kDense. Fills kind, the exact CSR layout (each list sized from
-/// its popcount) and sparse_count; `index` is left empty. Every popcount
-/// must be <= n_samples. Both an owned pack (through
-/// classify_sparse_columns) and a mapped shard (ShardStore) classify here.
+/// the rest kDense. `popcount` must be <= n_samples.
+[[nodiscard]] inline ColumnKind column_kind(std::uint64_t popcount,
+                                            std::uint64_t n_samples,
+                                            std::uint64_t threshold) {
+  if (threshold == 0) return ColumnKind::kDense;
+  if (popcount <= threshold) return ColumnKind::kList;
+  if (n_samples - popcount <= threshold) return ColumnKind::kComplement;
+  return ColumnKind::kDense;
+}
+
+/// Classifies every column by column_kind and fills kind, the exact CSR
+/// layout (each list sized from its popcount) and sparse_count; `index` is
+/// left empty. Every popcount must be <= n_samples. Both an owned pack
+/// (through classify_sparse_columns) and a mapped shard (ShardStore)
+/// classify here; the shard index parser counts slivers by column_kind
+/// alone.
 SparseColumns classify_popcounts(std::vector<std::uint32_t> popcount,
                                  std::size_t n_samples, std::size_t threshold);
 

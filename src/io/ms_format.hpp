@@ -11,6 +11,30 @@
 //
 // ms stores samples as rows and SNPs as columns; parsing transposes into
 // this library's SNP-major BitMatrix.
+//
+// Accepted grammar (anything else is a ParseError):
+//   - Lines end in '\n'; the last line may lack it. There is no CR
+//     handling: a '\r' is data, so "//\r" is not a separator and a CRLF
+//     haplotype line is one character too long.
+//   - Lines before the first line that is exactly "//" are skipped, and so
+//     are the lines between a replicate's end and the next "//".
+//   - After "//", empty lines and further "//" lines are skipped up to a
+//     line starting "segsites:"; any other line is an error. The count is
+//     read as `istream >> std::size_t` reads it (leading whitespace skipped,
+//     trailing text ignored); one that does not parse is an error. A count
+//     of 0, or "//" at the end of the input, is an empty replicate, and the
+//     lines after it are skipped up to the next "//".
+//   - The next line must start "positions:". Its whitespace-separated
+//     numbers are read as `istream >> double` reads them, up to the first
+//     token that does not parse; their count must equal segsites.
+//   - Haplotype lines follow, up to an empty line or the end of the input;
+//     there must be at least one. A "//" line among them is an error, and
+//     so is a line whose length is not segsites.
+//   - Every haplotype character is '0' or '1'. The first other one, in
+//     line order, is reported only when the block's lines have all passed
+//     the two checks above.
+// The checks run in this order per replicate: segsites, positions,
+// haplotype lines (separator, length), characters, haplotype count.
 #pragma once
 
 #include <iosfwd>

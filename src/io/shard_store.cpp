@@ -83,30 +83,46 @@ std::uint64_t side_bytes(const ShardIndex& idx, std::uint64_t slivers,
 }
 
 /// Fill `rec`'s derived extents from its popcounts (`pop`, rec.rows()
-/// u32s, in-bounds): classify them under the plan's threshold, then count
-/// what a pack of these kinds holds — the dense slivers of each side and,
-/// when a column is sparse, the kept 8-row groups of the transpose.
+/// u32s, in-bounds) in one pass: each column's kind under the plan's
+/// threshold (column_kind, the packer's rule), and from it the count of
+/// slivers holding a dense column on each side and, when a column is
+/// sparse, of kept 8-row groups of the transpose — the counts sliver_slots
+/// gives, with no kinds or offsets built.
 void derive_extents(const ShardIndex& idx, const std::uint8_t* pop,
                     ShardRecord& rec) {
-  std::vector<std::uint32_t> counts(rec.rows());
-  std::memcpy(counts.data(), pop, counts.size() * 4);
-  for (const std::uint32_t c : counts) {
+  const std::uint64_t mr = idx.plan.mr;
+  const std::uint64_t nr = idx.plan.nr;
+  // Dense slivers counted per grid, and the first row past the last one.
+  std::uint64_t a_dense = 0, a_end = 0;
+  std::uint64_t b_dense = 0, b_end = 0;
+  std::uint64_t kept = 0, kept_end = 0;
+  bool any_sparse = false;
+  for (std::uint64_t i = 0; i < rec.rows(); ++i) {
+    std::uint32_t c = 0;
+    std::memcpy(&c, pop + i * 4, sizeof c);
     if (c > idx.n_samples) bad("popcount exceeds the sample count");
+    if (column_kind(c, idx.n_samples, idx.plan.sparse_threshold) !=
+        ColumnKind::kDense) {
+      any_sparse = true;
+      continue;
+    }
+    if (i >= a_end) {
+      ++a_dense;
+      a_end = (i / mr + 1) * mr;
+    }
+    if (i >= b_end) {
+      ++b_dense;
+      b_end = (i / nr + 1) * nr;
+    }
+    if (i >= kept_end) {
+      ++kept;
+      kept_end = (i / 8 + 1) * 8;
+    }
   }
-  const SparseColumns sc = classify_popcounts(
-      std::move(counts), idx.n_samples, idx.plan.sparse_threshold);
-  std::size_t dense = 0;
-  (void)sliver_slots(sc.kind, idx.plan.mr, dense);
-  rec.a_bytes = side_bytes(idx, dense, idx.plan.mr);
-  rec.b_bytes = 0;
-  if (idx.plan.nr != idx.plan.mr) {
-    (void)sliver_slots(sc.kind, idx.plan.nr, dense);
-    rec.b_bytes = side_bytes(idx, dense, idx.plan.nr);
-  }
+  rec.a_bytes = side_bytes(idx, a_dense, mr);
+  rec.b_bytes = nr != mr ? side_bytes(idx, b_dense, nr) : 0;
   rec.sm_bytes = 0;
-  if (sc.sparse_count != 0) {
-    std::size_t kept = 0;
-    (void)sliver_slots(sc.kind, 8, kept);
+  if (any_sparse) {
     if (kept > std::numeric_limits<std::uint32_t>::max() / idx.n_samples) {
       bad("sample-major transpose too large for prescaled 32-bit lists");
     }

@@ -4,21 +4,16 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <limits>
 #include <string_view>
 
+#include "io/detail/line_reader.hpp"
 #include "util/contract.hpp"
 #include "util/trace.hpp"
 
 namespace ldla {
 
 namespace {
-
-// Bytes asked of the stream per read. The unfinished line at the end of a
-// block moves to the front of the buffer; a line longer than the buffer
-// grows it by one block.
-constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
 
 // decode_genotypes result for a field outside the grammar.
 constexpr std::size_t kInvalidGenotype =
@@ -217,26 +212,9 @@ class Decoder {
 VcfData parse_vcf(std::istream& in, bool skip_invalid) {
   LDLA_TRACE_SPAN(kIo);
   Decoder decoder(skip_invalid);
-  std::vector<char> buf(kBlockBytes);
-  std::size_t held = 0;  // bytes of an unfinished line at the front of buf
-  for (;;) {
-    if (buf.size() - held < kBlockBytes) buf.resize(held + kBlockBytes);
-    in.read(buf.data() + held, static_cast<std::streamsize>(kBlockBytes));
-    const auto got = static_cast<std::size_t>(in.gcount());
-    if (got == 0) break;
-    const char* line = buf.data();
-    const char* const end = line + held + got;
-    const char* scan = line + held;  // the held bytes hold no '\n'
-    while (const void* nl = std::memchr(scan, '\n',
-                                        static_cast<std::size_t>(end - scan))) {
-      decoder.line(line, static_cast<const char*>(nl));
-      line = static_cast<const char*>(nl) + 1;
-      scan = line;
-    }
-    held = static_cast<std::size_t>(end - line);
-    std::memmove(buf.data(), line, held);
-  }
-  decoder.line(buf.data(), buf.data() + held);  // no final newline
+  detail::for_each_line(in, [&](const char* begin, const char* end) {
+    decoder.line(begin, end);
+  });
   return std::move(decoder).finish();
 }
 

@@ -21,8 +21,9 @@
 namespace ldla {
 namespace {
 
-// parse_vcf's read size (kBlockBytes in src/io/vcf_lite.cpp); the edge
-// tests place line ends and fields around multiples of it.
+// parse_vcf's read size (detail::kLineBlockBytes in
+// src/io/detail/line_reader.hpp); the edge tests place line ends and
+// fields around multiples of it.
 constexpr std::size_t kReadBlock = std::size_t{1} << 20;
 
 constexpr const char* kChromLine =
